@@ -51,6 +51,58 @@ type ClientStats struct {
 	Deadlines    uint64 // calls failed terminally at their deadline
 }
 
+// Add folds o into s: counters and accumulated times sum, MaxRetries takes
+// the larger value.
+func (s *ClientStats) Add(o ClientStats) {
+	s.Calls += o.Calls
+	s.FetchReads += o.FetchReads
+	s.SecondReads += o.SecondReads
+	s.ReplyDeliveries += o.ReplyDeliveries
+	s.Retries += o.Retries
+	if o.MaxRetries > s.MaxRetries {
+		s.MaxRetries = o.MaxRetries
+	}
+	for i, v := range o.RetryHist {
+		s.RetryHist[i] += v
+	}
+	s.SwitchToReply += o.SwitchToReply
+	s.SwitchToFetch += o.SwitchToFetch
+	s.IdleNs += o.IdleNs
+	s.SendNs += o.SendNs
+	s.FetchNs += o.FetchNs
+	s.ReplyWaitNs += o.ReplyWaitNs
+	s.FaultRetries += o.FaultRetries
+	s.Resends += o.Resends
+	s.Reconnects += o.Reconnects
+	s.Demotions += o.Demotions
+	s.Deadlines += o.Deadlines
+}
+
+// Sub returns the window delta s − o of two samples of the same counters.
+// MaxRetries is a running maximum and has no delta: it keeps s's value.
+func (s ClientStats) Sub(o ClientStats) ClientStats {
+	s.Calls -= o.Calls
+	s.FetchReads -= o.FetchReads
+	s.SecondReads -= o.SecondReads
+	s.ReplyDeliveries -= o.ReplyDeliveries
+	s.Retries -= o.Retries
+	for i, v := range o.RetryHist {
+		s.RetryHist[i] -= v
+	}
+	s.SwitchToReply -= o.SwitchToReply
+	s.SwitchToFetch -= o.SwitchToFetch
+	s.IdleNs -= o.IdleNs
+	s.SendNs -= o.SendNs
+	s.FetchNs -= o.FetchNs
+	s.ReplyWaitNs -= o.ReplyWaitNs
+	s.FaultRetries -= o.FaultRetries
+	s.Resends -= o.Resends
+	s.Reconnects -= o.Reconnects
+	s.Demotions -= o.Demotions
+	s.Deadlines -= o.Deadlines
+	return s
+}
+
 // Client is the client-side endpoint of one RFP connection. A Client must
 // be driven by a single simulated thread.
 type Client struct {

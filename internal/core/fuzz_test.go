@@ -47,7 +47,7 @@ func fuzzSeedImages() [][]byte {
 	seeds = append(seeds, big)
 
 	// Injector-damaged deliveries: the chaos fabric's torn-write model.
-	inj := faults.New(faults.Plan{Seed: 3, CorruptProb: 1})
+	inj := faults.New(3, nil)
 	for _, pl := range payloads[1:] {
 		buf := make([]byte, HeaderSize+len(pl))
 		putResponse(buf, header{valid: true, size: len(pl), seq: 9}, pl)
@@ -111,7 +111,7 @@ func FuzzParseSlot(f *testing.F) {
 		// A delivery damaged by the fault injector clears the status bit
 		// before flipping bytes, so it must always reject.
 		damaged := append([]byte(nil), data...)
-		faults.New(faults.Plan{Seed: 11, CorruptProb: 1}).
+		faults.New(11, nil).
 			Damage(rnic.FaultOp{Op: rnic.WRRead, Bytes: len(damaged)}, damaged)
 		if _, _, dmgOK := parseSlot(damaged, maxPayload); dmgOK {
 			t.Fatal("accepted injector-damaged image")

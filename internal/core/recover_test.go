@@ -24,8 +24,7 @@ func TestRecoveryFetchDropRetry(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	cli, conn := r.srv.Accept(r.cluster.Clients[0], recoveryParams(2_000_000))
 	r.srv.AddThreads(1)
-	inj := faults.New(faults.Plan{Seed: 11, DropProb: 0.2, ReadsOnly: true})
-	faults.Install(r.env, inj, r.cluster.Clients[0])
+	inj := faults.Install(11, []faults.Stage{{Plan: faults.Plan{DropProb: 0.2, ReadsOnly: true}}}, r.cluster.Clients[0])
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 		Serve(p, []*Conn{conn}, echoHandler)
 	})
@@ -71,11 +70,9 @@ func TestRecoveryServerCrashRestart(t *testing.T) {
 	r.srv.AddThreads(1)
 	crashAt := sim.Time(sim.Micros(200))
 	restartAt := sim.Time(sim.Micros(400))
-	inj := faults.New(faults.Plan{
-		Seed:    5,
+	inj := faults.Install(5, []faults.Stage{{Plan: faults.Plan{
 		Crashes: []faults.Window{{Machine: "server", Start: crashAt, End: restartAt}},
-	})
-	faults.Install(r.env, inj, r.cluster.Server, r.cluster.Clients[0])
+	}}}, r.cluster.Server, r.cluster.Clients[0])
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 		Serve(p, []*Conn{conn}, echoHandler)
 	})
@@ -130,8 +127,7 @@ func TestRecoveryDemotion(t *testing.T) {
 	r.srv.AddThreads(1)
 	// Every fetch read times out; writes (requests, mode flag, server
 	// pushes) are untouched, so reply mode still works.
-	inj := faults.New(faults.Plan{Seed: 3, DropProb: 1.0, ReadsOnly: true})
-	faults.Install(r.env, inj, r.cluster.Clients[0])
+	faults.Install(3, []faults.Stage{{Plan: faults.Plan{DropProb: 1.0, ReadsOnly: true}}}, r.cluster.Clients[0])
 	tun := NewTuner(Calibration{}, 0, 0)
 	cli.AttachTuner(tun)
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
@@ -180,8 +176,7 @@ func TestRecoveryPipelinedUnderDrops(t *testing.T) {
 	pr.Depth = 4
 	cli, conn := r.srv.Accept(r.cluster.Clients[0], pr)
 	r.srv.AddThreads(1)
-	inj := faults.New(faults.Plan{Seed: 17, DropProb: 0.1})
-	faults.Install(r.env, inj, r.cluster.Clients[0])
+	inj := faults.Install(17, []faults.Stage{{Plan: faults.Plan{DropProb: 0.1}}}, r.cluster.Clients[0])
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 		Serve(p, []*Conn{conn}, echoHandler)
 	})

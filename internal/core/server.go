@@ -236,7 +236,11 @@ func (c *Conn) RespScratch() []byte { return c.scratch }
 func (c *Conn) retire() { c.lease.Release() }
 
 // Handler processes one request and writes the response into resp
-// (RespScratch-sized), returning the response length.
+// (RespScratch-sized), returning the response length. req aliases the ring
+// slot: with recovery on, a resent request can be served twice, and the
+// second service runs while the client — satisfied by the first response —
+// delivers its next request into the same slot. A handler that yields must
+// copy what it needs out of req first.
 type Handler func(p *sim.Proc, conn *Conn, req []byte, resp []byte) int
 
 // crashedIdleNs is how often a Serve loop re-checks a crashed machine for

@@ -33,9 +33,10 @@ const (
 	chaosDepth   = 4 // ring depth of the pipelined clients
 )
 
-// chaosPlan is one named fault plan in the sweep.
+// chaosPlan is one named, seeded fault plan in the sweep.
 type chaosPlan struct {
 	name string
+	seed int64
 	plan faults.Plan
 }
 
@@ -49,12 +50,12 @@ func chaosPlans(o Options) []chaosPlan {
 	}
 	return []chaosPlan{
 		{name: "none", plan: faults.Plan{}},
-		{name: "light", plan: faults.Plan{
-			Seed: o.Seed + 1, DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01}},
-		{name: "heavy", plan: faults.Plan{
-			Seed: o.Seed + 2, DropProb: 0.05, DelayProb: 0.05, CorruptProb: 0.03, QPErrorProb: 0.002}},
-		{name: "crash", plan: faults.Plan{
-			Seed: o.Seed + 3, DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01,
+		{name: "light", seed: o.Seed + 1, plan: faults.Plan{
+			DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01}},
+		{name: "heavy", seed: o.Seed + 2, plan: faults.Plan{
+			DropProb: 0.05, DelayProb: 0.05, CorruptProb: 0.03, QPErrorProb: 0.002}},
+		{name: "crash", seed: o.Seed + 3, plan: faults.Plan{
+			DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01,
 			Crashes: []faults.Window{crash}}},
 	}
 }
@@ -178,14 +179,11 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 }
 
 // runChaosPlan runs one (plan, clients, calls) cell and renders its row.
-// With o.Parallel > 0, plans without crash windows or invalidations run on
-// the sharded kernel with a per-machine injector split (faults
-// .InstallSharded); crash plans stay serial — a crash zeroes memory remote
-// lanes may be reading, which the conservative barrier cannot order.
-func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, results []*chaosClientResult, agg core.ClientStats, inj faults.Tracer) {
+// With o.Parallel > 0, plans that cannot kill a connection run on the
+// sharded kernel; the rest (faults.Plan.NeedsSerial) stay serial.
+func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, results []*chaosClientResult, agg core.ClientStats, inj *faults.Installed) {
 	env := sim.NewEnv(o.Seed)
-	sharded := o.Parallel > 0 && len(pl.plan.Crashes) == 0 && len(pl.plan.Invalidations) == 0
-	if sharded {
+	if o.Parallel > 0 && !pl.plan.NeedsSerial() {
 		env.SetSharded(o.Parallel)
 	}
 	defer env.Close()
@@ -203,13 +201,7 @@ func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, resu
 	params.DemoteAfter = 8
 
 	machines := append([]*fabric.Machine{cl.Server}, cl.Clients...)
-	if sharded {
-		inj = faults.InstallSharded(pl.plan, machines...)
-	} else {
-		si := faults.New(pl.plan)
-		faults.Install(env, si, machines...)
-		inj = si
-	}
+	inj = faults.Install(pl.seed, []faults.Stage{{Plan: pl.plan}}, machines...)
 
 	clis := make([]*core.Client, clients)
 	conns := make([]*core.Conn, clients)
@@ -266,12 +258,7 @@ func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, resu
 		}
 	}
 	for _, c := range clis {
-		s := c.Stats
-		agg.FaultRetries += s.FaultRetries
-		agg.Resends += s.Resends
-		agg.Reconnects += s.Reconnects
-		agg.Demotions += s.Demotions
-		agg.Deadlines += s.Deadlines
+		agg.Add(c.Stats)
 	}
 	kops := 0.0
 	if endAt > 0 {

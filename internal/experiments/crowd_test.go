@@ -73,11 +73,10 @@ func TestCrowdChaosLightPooled(t *testing.T) {
 	params.BackoffNs = 2000
 	params.DemoteAfter = 8
 
-	inj := faults.New(faults.Plan{
-		Seed: o.Seed + 1, DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01,
-	})
 	machines := append([]*fabric.Machine{cl.Server}, cl.Clients...)
-	faults.Install(env, inj, machines...)
+	inj := faults.Install(o.Seed+1, []faults.Stage{{Plan: faults.Plan{
+		DropProb: 0.01, DelayProb: 0.03, CorruptProb: 0.01,
+	}}}, machines...)
 
 	clis := make([]*core.Client, clients)
 	conns := make([]*core.Conn, clients)

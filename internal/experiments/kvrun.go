@@ -10,6 +10,7 @@ import (
 	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/kvstore/jakiro"
+	"rfp/internal/kvstore/kv"
 	"rfp/internal/kvstore/memckv"
 	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/sim"
@@ -128,7 +129,7 @@ func RunKV(r KVRun) KVOut {
 	case KindJakiro, KindServerReply:
 		cfg := jakiro.Config{
 			Threads:             r.ServerThreads,
-			BucketsPerPartition: bucketsFor(r.Keys, r.ServerThreads),
+			BucketsPerPartition: kv.BucketsFor(r.Keys, r.ServerThreads),
 			MaxValue:            maxVal,
 			Params:              params,
 			ExtraProcNs:         r.ExtraProcNs,
@@ -151,7 +152,7 @@ func RunKV(r KVRun) KVOut {
 		statsFn = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range js {
-				addStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -161,7 +162,7 @@ func RunKV(r KVRun) KVOut {
 			}
 		}
 	case KindMemcached:
-		cfg := memckv.Config{Threads: r.ServerThreads, Buckets: bucketsFor(r.Keys, 1), MaxValue: maxVal}
+		cfg := memckv.Config{Threads: r.ServerThreads, Buckets: kv.BucketsFor(r.Keys, 1), MaxValue: maxVal}
 		srv := memckv.NewServer(cl.Server, cfg)
 		srv.Preload(keys, r.ValueSize)
 		ms := make([]*memckv.Client, len(placements))
@@ -173,7 +174,7 @@ func RunKV(r KVRun) KVOut {
 		statsFn = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ms {
-				addStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -255,7 +256,7 @@ func RunKV(r KVRun) KVOut {
 	out := KVOut{
 		MOPS:   stats.MOPS(after-before, int64(r.Opts.Window)),
 		Lat:    hist,
-		Agg:    subStats(statsAfter, statsBefore),
+		Agg:    statsAfter.Sub(statsBefore),
 		Misses: misses,
 		Trace:  ring,
 	}
@@ -355,7 +356,7 @@ func RunEcho(r EchoRun) KVOut {
 	after := sumU64(ops)
 	var agg core.ClientStats
 	for _, c := range clis {
-		addStats(&agg, c.Stats)
+		agg.Add(c.Stats)
 	}
 	idleDelta := agg.IdleNs - idleBefore
 	util := 1 - float64(idleDelta)/float64(int64(r.ClientThreads)*int64(o.Window))
@@ -370,59 +371,10 @@ func RunEcho(r EchoRun) KVOut {
 	return out
 }
 
-func bucketsFor(keys, threads int) int {
-	if threads < 1 {
-		threads = 1
-	}
-	b := keys / threads / 4 // ~2x headroom over 8-slot buckets
-	if b < 1024 {
-		b = 1024
-	}
-	return b
-}
-
 func sumU64(v []uint64) uint64 {
 	var s uint64
 	for _, x := range v {
 		s += x
 	}
 	return s
-}
-
-func addStats(dst *core.ClientStats, s core.ClientStats) {
-	dst.Calls += s.Calls
-	dst.FetchReads += s.FetchReads
-	dst.SecondReads += s.SecondReads
-	dst.ReplyDeliveries += s.ReplyDeliveries
-	dst.Retries += s.Retries
-	dst.SwitchToReply += s.SwitchToReply
-	dst.SwitchToFetch += s.SwitchToFetch
-	dst.IdleNs += s.IdleNs
-	dst.SendNs += s.SendNs
-	dst.FetchNs += s.FetchNs
-	dst.ReplyWaitNs += s.ReplyWaitNs
-	if s.MaxRetries > dst.MaxRetries {
-		dst.MaxRetries = s.MaxRetries
-	}
-	for i, v := range s.RetryHist {
-		dst.RetryHist[i] += v
-	}
-}
-
-func subStats(a, b core.ClientStats) core.ClientStats {
-	a.Calls -= b.Calls
-	a.FetchReads -= b.FetchReads
-	a.SecondReads -= b.SecondReads
-	a.ReplyDeliveries -= b.ReplyDeliveries
-	a.Retries -= b.Retries
-	a.SwitchToReply -= b.SwitchToReply
-	a.SwitchToFetch -= b.SwitchToFetch
-	a.IdleNs -= b.IdleNs
-	a.SendNs -= b.SendNs
-	a.FetchNs -= b.FetchNs
-	a.ReplyWaitNs -= b.ReplyWaitNs
-	for i := range a.RetryHist {
-		a.RetryHist[i] -= b.RetryHist[i]
-	}
-	return a
 }

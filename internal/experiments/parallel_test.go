@@ -46,27 +46,38 @@ func TestScaleoutParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestChaosParallelMatchesSerial runs the probabilistic chaos plans under
+// -parallel 1 and 4. The light plan runs sharded and must not depend on the
+// worker count. The heavy plan errors QPs, and a reconnect swaps
+// server-side state from the client's lane — so it must be routed to the
+// serial kernel whatever -parallel says (on the sharded kernel that swap is
+// a data race, which -race in CI would report here).
 func TestChaosParallelMatchesSerial(t *testing.T) {
 	o := DefaultOptions()
 	o.Quick = true
-	light := chaosPlans(o)[1]
-	run := func(workers int) (string, uint64) {
-		o := o
-		o.Parallel = workers
-		row, results, _, inj := runChaosPlan(o, light, 6, 120)
-		for i, r := range results {
-			if !r.finished {
-				t.Fatalf("workers=%d: client %d never finished", workers, i)
+	plans := chaosPlans(o)
+	for _, pl := range []chaosPlan{plans[1], plans[2]} {
+		run := func(workers int) (row string, digest uint64, events int, reconnects uint64) {
+			o := o
+			o.Parallel = workers
+			row, results, agg, inj := runChaosPlan(o, pl, 6, 120)
+			for i, r := range results {
+				if !r.finished {
+					t.Fatalf("%s workers=%d: client %d never finished", pl.name, workers, i)
+				}
 			}
+			return row, inj.Digest(), inj.Events(), agg.Reconnects
 		}
-		return row, inj.Digest()
-	}
-	row1, dig1 := run(1)
-	row4, dig4 := run(4)
-	if dig1 == 0 {
-		t.Fatal("light plan injected nothing")
-	}
-	if row1 != row4 || dig1 != dig4 {
-		t.Fatalf("1 worker vs 4 diverged:\n%s\n%s\ndigest %016x vs %016x", row1, row4, dig1, dig4)
+		row1, dig1, ev1, rec1 := run(1)
+		row4, dig4, _, _ := run(4)
+		if ev1 == 0 {
+			t.Fatalf("%s plan injected nothing", pl.name)
+		}
+		if row1 != row4 || dig1 != dig4 {
+			t.Fatalf("%s: 1 worker vs 4 diverged:\n%s\n%s\ndigest %016x vs %016x", pl.name, row1, row4, dig1, dig4)
+		}
+		if pl.plan.NeedsSerial() && rec1 == 0 {
+			t.Fatalf("%s: no reconnects — the plan never exercised the path that forces the serial kernel", pl.name)
+		}
 	}
 }

@@ -2,14 +2,16 @@
 // DESIGN.md §10). A Plan describes what can go wrong — probabilistic
 // completion drops, extra in-flight delay, payload corruption, QP error
 // transitions, scheduled whole-machine crash windows and region
-// invalidations — and an Injector executes it against the rnic data path
-// through the rnic.FaultInjector seam.
+// invalidations — Stages string plans along the simulation clock, and
+// Install attaches one Injector per machine that executes them against the
+// rnic data path through the rnic.FaultInjector seam.
 //
-// Everything is driven off the simulation clock and a private PRNG seeded
-// from Plan.Seed: the simulation is single-threaded and schedules events
-// deterministically, so every run of the same workload under the same plan
-// replays byte-identically — the injector's event trace (TraceString,
-// Digest) is the replay witness the chaos harness asserts on.
+// Everything is driven off the simulation clock and private PRNGs seeded
+// from the install seed and the machine name: each injector is confined to
+// its machine's scheduler lane, which retires events deterministically, so
+// every run of the same workload under the same schedule replays
+// byte-identically on either kernel — the event trace (TraceString, Digest)
+// is the replay witness the chaos harness asserts on.
 //
 // Corruption semantics: Damage clears the slot header's status bit before
 // flipping payload bytes, modeling a torn delivery whose last byte (the
@@ -23,11 +25,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"rfp/internal/dist"
-	"rfp/internal/fabric"
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
 )
@@ -35,25 +35,24 @@ import (
 // Window schedules a whole-machine crash: the machine fails at Start and, if
 // End > Start, restarts at End. While down its NIC refuses all operations and
 // every registered region is invalidated and zeroed (memory does not survive
-// a crash).
+// a crash). Times are relative to the start of the stage declaring them.
 type Window struct {
 	Machine    string
 	Start, End sim.Time
 }
 
 // Invalidation schedules the loss of one memory registration at a point in
-// time — an MR revoked underneath live remote handles.
+// time (relative to its stage's start) — an MR revoked underneath live
+// remote handles.
 type Invalidation struct {
 	Machine string
 	At      sim.Time
 	Region  int // registration-order index, wrapped into range
 }
 
-// Plan is a complete, seeded description of the faults to inject. The zero
-// Plan injects nothing. Probabilities are per one-sided operation.
+// Plan describes the faults to inject while it is in force. The zero Plan
+// injects nothing. Probabilities are per one-sided operation.
 type Plan struct {
-	Seed int64
-
 	DropProb    float64 // lose the completion (op may have executed)
 	DelayProb   float64 // add Delay-distributed in-flight latency
 	CorruptProb float64 // damage the delivered bytes (status bit last)
@@ -74,8 +73,24 @@ type Plan struct {
 
 // Enabled reports whether the plan injects anything at all.
 func (pl Plan) Enabled() bool {
-	return pl.DropProb > 0 || pl.DelayProb > 0 || pl.CorruptProb > 0 ||
-		pl.QPErrorProb > 0 || len(pl.Crashes) > 0 || len(pl.Invalidations) > 0
+	return pl.DropProb > 0 || pl.DelayProb > 0 || pl.CorruptProb > 0 || pl.NeedsSerial()
+}
+
+// NeedsSerial reports whether the plan can kill a connection — a crash, an
+// invalidation or a QP error. Re-establishing a connection reads and swaps
+// server-side state from the client's lane, which the sharded kernel's
+// window barrier cannot order, so such plans run on the serial kernel only
+// (Install enforces it).
+func (pl Plan) NeedsSerial() bool {
+	return pl.QPErrorProb > 0 || len(pl.Crashes) > 0 || len(pl.Invalidations) > 0
+}
+
+// Stage is one window of a fault schedule: Plan is in force from Start
+// until the next stage's Start (the last stage runs forever). A single
+// plan is the one-stage schedule []Stage{{Plan: pl}}.
+type Stage struct {
+	Start sim.Time
+	Plan  Plan
 }
 
 // Counts tallies injected faults by kind.
@@ -84,32 +99,68 @@ type Counts struct {
 	Crashes, Restarts, Invalidations     uint64
 }
 
-// Injector executes a Plan. It implements rnic.FaultInjector; attach it with
-// Install (or NIC.SetInjector directly). All state is confined to the
-// simulation's single-threaded event loop.
+// Add returns the field-by-field sum of two tallies.
+func (c Counts) Add(o Counts) Counts {
+	c.Drops += o.Drops
+	c.Delays += o.Delays
+	c.Corruptions += o.Corruptions
+	c.QPErrors += o.QPErrors
+	c.Crashes += o.Crashes
+	c.Restarts += o.Restarts
+	c.Invalidations += o.Invalidations
+	return c
+}
+
+// Injector executes a stage sequence for one machine. It implements
+// rnic.FaultInjector; Install builds and attaches one per NIC. Stage
+// boundaries are crossed by watching the decision clock, never by scheduled
+// events, so the injector stays a passive data-path observer. All state is
+// confined to the machine's scheduler lane.
 type Injector struct {
-	plan   Plan
+	stages []Stage
+	idx    int // active stage (monotone: decision times never go back)
 	rng    *rand.Rand
 	events []string
-	counts Counts
+	counts []Counts // per stage
 }
 
-// New creates an injector for the plan, applying defaults.
-func New(plan Plan) *Injector {
-	if plan.TimeoutNs <= 0 {
-		plan.TimeoutNs = 10_000
+// New builds an injector for the stage sequence, applying each plan's
+// defaults. Stages must be ordered by ascending Start; the one seed drives
+// every stage, so two schedules differing only in probabilities still draw
+// from the same stream positions until their first divergence.
+func New(seed int64, stages []Stage) *Injector {
+	if len(stages) == 0 {
+		stages = []Stage{{}}
 	}
-	if plan.Delay == nil {
-		plan.Delay = dist.FixedDur(2000)
+	stages = append([]Stage(nil), stages...)
+	for i := range stages {
+		if i > 0 && stages[i].Start < stages[i-1].Start {
+			panic(fmt.Sprintf("faults: schedule stages out of order (%d before %d)",
+				int64(stages[i].Start), int64(stages[i-1].Start)))
+		}
+		if stages[i].Plan.TimeoutNs <= 0 {
+			stages[i].Plan.TimeoutNs = 10_000
+		}
+		if stages[i].Plan.Delay == nil {
+			stages[i].Plan.Delay = dist.FixedDur(2000)
+		}
 	}
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	return &Injector{
+		stages: stages,
+		rng:    rand.New(rand.NewSource(seed)),
+		counts: make([]Counts, len(stages)),
+	}
 }
 
-// Decide implements rnic.FaultInjector: one decision per one-sided op.
-// Fault kinds are mutually exclusive per op (first match wins) except delay,
-// which composes with drop and corrupt.
+// Decide implements rnic.FaultInjector: one decision per one-sided op,
+// under whichever stage's plan covers now. Fault kinds are mutually
+// exclusive per op (first match wins) except delay, which composes with
+// drop and corrupt.
 func (in *Injector) Decide(now sim.Time, op rnic.FaultOp) rnic.FaultAction {
-	pl := &in.plan
+	for in.idx+1 < len(in.stages) && in.stages[in.idx+1].Start <= now {
+		in.idx++
+	}
+	pl, c := &in.stages[in.idx].Plan, &in.counts[in.idx]
 	if pl.ReadsOnly && op.Op != rnic.WRRead {
 		return rnic.FaultAction{}
 	}
@@ -118,23 +169,23 @@ func (in *Injector) Decide(now sim.Time, op rnic.FaultOp) rnic.FaultAction {
 	case pl.QPErrorProb > 0 && in.rng.Float64() < pl.QPErrorProb:
 		act.Err = rnic.ErrQPState
 		act.QPError = true
-		in.counts.QPErrors++
+		c.QPErrors++
 		in.note(now, "qperror", op)
 	case pl.DropProb > 0 && in.rng.Float64() < pl.DropProb:
 		act.DropNs = pl.TimeoutNs
-		in.counts.Drops++
+		c.Drops++
 		in.note(now, "drop", op)
 	// Ops of ≤4 bytes (the mode flag) carry no payload past the status
 	// word; corrupting them would model nothing the protocol can see.
 	case pl.CorruptProb > 0 && op.Bytes > 4 && in.rng.Float64() < pl.CorruptProb:
 		act.Corrupt = true
-		in.counts.Corruptions++
+		c.Corruptions++
 		in.note(now, "corrupt", op)
 	}
 	if act.Err == nil && pl.DelayProb > 0 && in.rng.Float64() < pl.DelayProb {
 		if d := pl.Delay.NextNs(in.rng); d > 0 {
 			act.ExtraNs = d
-			in.counts.Delays++
+			c.Delays++
 			in.note(now, "delay", op)
 		}
 	}
@@ -169,8 +220,18 @@ func (in *Injector) noteAt(at sim.Time, what string) {
 	in.events = append(in.events, fmt.Sprintf("t=%d %s", int64(at), what))
 }
 
-// Counts returns the fault tallies so far.
-func (in *Injector) Counts() Counts { return in.counts }
+// Counts returns the fault tallies across all stages.
+func (in *Injector) Counts() Counts {
+	var c Counts
+	for _, sc := range in.counts {
+		c = c.Add(sc)
+	}
+	return c
+}
+
+// StageCounts returns the tallies attributed to stage i (crash, restart
+// and invalidation events are attributed to the stage that declared them).
+func (in *Injector) StageCounts(i int) Counts { return in.counts[i] }
 
 // Events returns how many events the trace holds.
 func (in *Injector) Events() int { return len(in.events) }
@@ -188,154 +249,4 @@ func (in *Injector) Digest() uint64 {
 		h.Write([]byte{'\n'})
 	}
 	return h.Sum64()
-}
-
-// Tracer is the read side of an installed fault plan, implemented by both
-// Injector (serial environments) and ShardedInjector (sharded ones), so
-// harnesses can report on either uniformly.
-type Tracer interface {
-	Counts() Counts
-	Events() int
-	TraceString() string
-	Digest() uint64
-}
-
-// ShardedInjector runs one Plan as a set of per-machine injectors, one per
-// scheduler lane. A single Injector cannot serve a sharded environment: its
-// PRNG would be drawn from many lanes concurrently, racing and destroying
-// replay determinism. Splitting the plan gives each machine its own stream
-// (seeded from the plan seed and the machine name), confined to that
-// machine's lane — so a sharded run replays byte-identically for any worker
-// count, though its trace necessarily differs from a serial single-stream
-// run of the same plan.
-type ShardedInjector struct {
-	names []string // sorted machine names
-	per   map[string]*Injector
-}
-
-// InstallSharded splits the plan across the machines' lanes and attaches a
-// per-machine injector to each NIC. Crash windows and invalidations are not
-// supported: a crash zeroes memory that remote lanes may be reading
-// mid-window, which the conservative barrier cannot order. Plans that need
-// them must run on a serial environment with Install.
-func InstallSharded(plan Plan, machines ...*fabric.Machine) *ShardedInjector {
-	if len(plan.Crashes) > 0 || len(plan.Invalidations) > 0 {
-		panic("faults: sharded install does not support crash windows or invalidations; use Install on a serial environment")
-	}
-	si := &ShardedInjector{per: make(map[string]*Injector, len(machines))}
-	for _, m := range machines {
-		p := plan
-		p.Seed = shardSeed(plan.Seed, m.Name())
-		in := New(p)
-		m.NIC().SetInjector(in)
-		si.per[m.Name()] = in
-		si.names = append(si.names, m.Name())
-	}
-	sort.Strings(si.names)
-	return si
-}
-
-// shardSeed derives a per-machine PRNG seed from the plan seed and the
-// machine name, so adding a machine never shifts another machine's stream.
-func shardSeed(seed int64, name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return seed*1_000_003 + int64(h.Sum64()&0x7fffffffffffffff)
-}
-
-// Per returns the injector attached to the named machine's NIC.
-func (si *ShardedInjector) Per(name string) *Injector { return si.per[name] }
-
-// Counts sums the fault tallies across all machines.
-func (si *ShardedInjector) Counts() Counts {
-	var c Counts
-	for _, in := range si.per {
-		pc := in.counts
-		c.Drops += pc.Drops
-		c.Delays += pc.Delays
-		c.Corruptions += pc.Corruptions
-		c.QPErrors += pc.QPErrors
-		c.Crashes += pc.Crashes
-		c.Restarts += pc.Restarts
-		c.Invalidations += pc.Invalidations
-	}
-	return c
-}
-
-// Events returns the total trace length across all machines.
-func (si *ShardedInjector) Events() int {
-	n := 0
-	for _, in := range si.per {
-		n += len(in.events)
-	}
-	return n
-}
-
-// TraceString concatenates the per-machine traces in sorted machine-name
-// order, each section headed by the machine name. Within a machine the
-// trace is in execution order; the cross-machine interleaving is not totally
-// ordered by wall time, which is exactly why the sections stay separate.
-func (si *ShardedInjector) TraceString() string {
-	var b strings.Builder
-	for _, name := range si.names {
-		fmt.Fprintf(&b, "[%s]\n", name)
-		b.WriteString(si.per[name].TraceString())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Digest folds the per-machine trace digests in sorted machine-name order —
-// the sharded replay witness. Equal for any worker count on the same seed.
-func (si *ShardedInjector) Digest() uint64 {
-	h := fnv.New64a()
-	for _, name := range si.names {
-		fmt.Fprintf(h, "%s=%016x\n", name, si.per[name].Digest())
-	}
-	return h.Sum64()
-}
-
-// Install attaches the injector to every machine's NIC and schedules the
-// plan's crash windows and invalidations on the environment's clock.
-// Machines named by the plan must be among those passed in.
-func Install(env *sim.Env, in *Injector, machines ...*fabric.Machine) {
-	byName := make(map[string]*fabric.Machine, len(machines))
-	for _, m := range machines {
-		m.NIC().SetInjector(in)
-		byName[m.Name()] = m
-	}
-	lookup := func(name string) *fabric.Machine {
-		m := byName[name]
-		if m == nil {
-			panic(fmt.Sprintf("faults: plan names unknown machine %q", name))
-		}
-		return m
-	}
-	for _, w := range in.plan.Crashes {
-		m, w := lookup(w.Machine), w
-		env.At(w.Start, func() {
-			in.counts.Crashes++
-			in.noteAt(w.Start, "crash "+w.Machine)
-			m.Fail()
-		})
-		if w.End > w.Start {
-			env.At(w.End, func() {
-				in.counts.Restarts++
-				in.noteAt(w.End, "restart "+w.Machine)
-				m.Restart()
-			})
-		}
-	}
-	for _, iv := range in.plan.Invalidations {
-		m, iv := lookup(iv.Machine), iv
-		env.At(iv.At, func() {
-			n := m.NIC()
-			if n.RegionCount() == 0 {
-				return
-			}
-			in.counts.Invalidations++
-			in.noteAt(iv.At, fmt.Sprintf("invalidate %s region %d", iv.Machine, iv.Region))
-			n.Region(iv.Region % n.RegionCount()).Deregister()
-		})
-	}
 }

@@ -25,12 +25,15 @@ func opSequence(n int, seed int64) []rnic.FaultOp {
 	return ops
 }
 
+// one wraps a single plan as the one-stage schedule.
+func one(pl Plan) []Stage { return []Stage{{Plan: pl}} }
+
 // TestDecideReplaysIdentically: two injectors built from the same plan must
 // make identical decisions and produce identical traces over the same op
 // sequence — the seed/replay contract.
 func TestDecideReplaysIdentically(t *testing.T) {
-	plan := Plan{Seed: 99, DropProb: 0.1, DelayProb: 0.1, CorruptProb: 0.05, QPErrorProb: 0.01}
-	a, b := New(plan), New(plan)
+	plan := Plan{DropProb: 0.1, DelayProb: 0.1, CorruptProb: 0.05, QPErrorProb: 0.01}
+	a, b := New(99, one(plan)), New(99, one(plan))
 	ops := opSequence(5000, 7)
 	for i, op := range ops {
 		now := sim.Time(int64(i) * 100)
@@ -55,8 +58,8 @@ func TestDecideReplaysIdentically(t *testing.T) {
 
 // TestDifferentSeedsDiverge: the seed must actually matter.
 func TestDifferentSeedsDiverge(t *testing.T) {
-	a := New(Plan{Seed: 1, DropProb: 0.2})
-	b := New(Plan{Seed: 2, DropProb: 0.2})
+	a := New(1, one(Plan{DropProb: 0.2}))
+	b := New(2, one(Plan{DropProb: 0.2}))
 	for i, op := range opSequence(2000, 7) {
 		a.Decide(sim.Time(int64(i)), op)
 		b.Decide(sim.Time(int64(i)), op)
@@ -71,7 +74,7 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 // clear, and bytes 0–2 of the size word are untouched — so a damaged image
 // can only ever parse as an invalid (incomplete) response.
 func TestDamageNeverFabricatesValidity(t *testing.T) {
-	in := New(Plan{Seed: 4})
+	in := New(4, nil)
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 2000; iter++ {
 		buf := make([]byte, 5+rng.Intn(300))
@@ -91,8 +94,7 @@ func TestDamageNeverFabricatesValidity(t *testing.T) {
 
 // TestReadsOnlyScopesFaults: with ReadsOnly set, writes are never faulted.
 func TestReadsOnlyScopesFaults(t *testing.T) {
-	in := New(Plan{Seed: 6, DropProb: 1, DelayProb: 1, CorruptProb: 1})
-	in.plan.ReadsOnly = true
+	in := New(6, one(Plan{DropProb: 1, DelayProb: 1, CorruptProb: 1, ReadsOnly: true}))
 	for i := 0; i < 100; i++ {
 		act := in.Decide(sim.Time(int64(i)), rnic.FaultOp{Op: rnic.WRWrite, Bytes: 64})
 		if act != (rnic.FaultAction{}) {
@@ -108,7 +110,7 @@ func TestReadsOnlyScopesFaults(t *testing.T) {
 // TestSmallOpsNeverCorrupted: ops of <=4 bytes (the mode flag) carry no
 // payload past the status word and must never draw a corruption.
 func TestSmallOpsNeverCorrupted(t *testing.T) {
-	in := New(Plan{Seed: 8, CorruptProb: 1})
+	in := New(8, one(Plan{CorruptProb: 1}))
 	for i := 0; i < 100; i++ {
 		act := in.Decide(sim.Time(int64(i)), rnic.FaultOp{Op: rnic.WRWrite, Bytes: 1})
 		if act.Corrupt {
@@ -125,8 +127,7 @@ func TestInstallCrashWindow(t *testing.T) {
 	m := fabric.NewMachine(env, "server", hw.ConnectX3())
 	mr := m.NIC().RegisterMemory(64)
 	mr.Buf[8] = 0xaa
-	in := New(Plan{Seed: 2, Crashes: []Window{{Machine: "server", Start: 1000, End: 2000}}})
-	Install(env, in, m)
+	in := Install(2, one(Plan{Crashes: []Window{{Machine: "server", Start: 1000, End: 2000}}}), m)
 	var duringDown, afterDown bool
 	var duringByte byte
 	env.At(1500, func() { duringDown, duringByte = m.Down(), mr.Buf[8] })
@@ -154,5 +155,22 @@ func TestEnabledZeroPlan(t *testing.T) {
 	}
 	if !(Plan{DropProb: 0.1}).Enabled() || !(Plan{Crashes: []Window{{}}}).Enabled() {
 		t.Fatalf("nonzero plans report disabled")
+	}
+}
+
+// TestNeedsSerial: exactly the faults that can kill a connection — crash
+// windows, invalidations, QP errors — force the serial kernel.
+func TestNeedsSerial(t *testing.T) {
+	if (Plan{DropProb: 1, DelayProb: 1, CorruptProb: 1}).NeedsSerial() {
+		t.Fatal("drop/delay/corrupt plan reports NeedsSerial")
+	}
+	for _, pl := range []Plan{
+		{QPErrorProb: 0.001},
+		{Crashes: []Window{{Machine: "server"}}},
+		{Invalidations: []Invalidation{{Machine: "server"}}},
+	} {
+		if !pl.NeedsSerial() {
+			t.Fatalf("plan %+v can kill a connection but does not report NeedsSerial", pl)
+		}
 	}
 }

@@ -3,8 +3,8 @@ package faults
 // Schedule tests: stage advancement tracks the decision clock, per-stage
 // tallies partition the totals, crash windows shift relative to their
 // stage's start, the whole schedule replays byte-identically per seed, and
-// the sharded variant folds per-machine digests deterministically while
-// rejecting crash plans.
+// Install folds per-machine digests deterministically and rejects
+// connection-killing plans on a sharded environment.
 
 import (
 	"testing"
@@ -16,13 +16,10 @@ import (
 
 func TestScheduleStageAdvance(t *testing.T) {
 	// Stage 0: drop-heavy. Stage 1 (from t=10_000): delay-heavy, no drops.
-	si := NewSchedule(5, []Stage{
+	si := New(5, []Stage{
 		{Start: 0, Plan: Plan{DropProb: 0.5}},
 		{Start: 10_000, Plan: Plan{DelayProb: 0.5}},
 	})
-	if !si.Enabled() {
-		t.Fatal("schedule with active plans reports disabled")
-	}
 	ops := opSequence(4000, 3)
 	for i, op := range ops[:2000] {
 		si.Decide(sim.Time(int64(i)*4), op) // 0..8000: stage 0
@@ -38,7 +35,7 @@ func TestScheduleStageAdvance(t *testing.T) {
 		t.Fatalf("stage 1 counts = %+v, want delays only", s1)
 	}
 	total := si.Counts()
-	if addCounts(s0, s1) != total {
+	if s0.Add(s1) != total {
 		t.Fatalf("per-stage tallies %+v + %+v do not partition the total %+v", s0, s1, total)
 	}
 }
@@ -48,8 +45,8 @@ func TestScheduleReplaysIdentically(t *testing.T) {
 		{Start: 0, Plan: Plan{DropProb: 0.1, CorruptProb: 0.05}},
 		{Start: 5_000, Plan: Plan{DelayProb: 0.2}},
 	}
-	a := NewSchedule(42, append([]Stage(nil), stages...))
-	b := NewSchedule(42, append([]Stage(nil), stages...))
+	a := New(42, stages)
+	b := New(42, stages)
 	for i, op := range opSequence(5000, 9) {
 		now := sim.Time(int64(i) * 3)
 		if a.Decide(now, op) != b.Decide(now, op) {
@@ -59,7 +56,7 @@ func TestScheduleReplaysIdentically(t *testing.T) {
 	if a.Digest() != b.Digest() || a.TraceString() != b.TraceString() {
 		t.Fatal("same-seed schedules produced different traces")
 	}
-	c := NewSchedule(43, append([]Stage(nil), stages...))
+	c := New(43, stages)
 	for i, op := range opSequence(5000, 9) {
 		c.Decide(sim.Time(int64(i)*3), op)
 	}
@@ -71,25 +68,24 @@ func TestScheduleReplaysIdentically(t *testing.T) {
 func TestScheduleRejectsOutOfOrderStages(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewSchedule accepted out-of-order stages")
+			t.Fatal("New accepted out-of-order stages")
 		}
 	}()
-	NewSchedule(1, []Stage{{Start: 5000}, {Start: 100}})
+	New(1, []Stage{{Start: 5000}, {Start: 100}})
 }
 
-// Crash windows are declared relative to the stage start; InstallSchedule
-// must shift them to absolute times.
+// Crash windows are declared relative to the stage start; Install must
+// shift them to absolute times.
 func TestInstallScheduleShiftsCrashWindows(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := fabric.NewMachine(env, "server", hw.ConnectX3())
-	si := NewSchedule(2, []Stage{
+	si := Install(2, []Stage{
 		{Start: 0, Plan: Plan{}},
 		// Window [1000,2000) relative to the stage start at 10_000:
 		// absolute [11_000,12_000).
 		{Start: 10_000, Plan: Plan{Crashes: []Window{{Machine: "server", Start: 1000, End: 2000}}}},
-	})
-	InstallSchedule(env, si, m)
+	}, m)
 	var beforeDown, duringDown, afterDown bool
 	env.At(10_500, func() { beforeDown = m.Down() })
 	env.At(11_500, func() { duringDown = m.Down() })
@@ -114,72 +110,111 @@ func TestInstallScheduleUnknownMachine(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := fabric.NewMachine(env, "server", hw.ConnectX3())
-	si := NewSchedule(2, []Stage{
-		{Plan: Plan{Crashes: []Window{{Machine: "ghost", Start: 0, End: 10}}}},
-	})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("InstallSchedule accepted a crash on an unknown machine")
+			t.Fatal("Install accepted a crash on an unknown machine")
 		}
 	}()
-	InstallSchedule(env, si, m)
+	Install(2, one(Plan{Crashes: []Window{{Machine: "ghost", Start: 0, End: 10}}}), m)
 }
 
-func TestShardedScheduleDigestFold(t *testing.T) {
+// TestInstallDigestFold: Install splits the schedule into per-machine
+// streams and folds their traces, tallies and digests in sorted-name
+// order — on either kernel.
+func TestInstallDigestFold(t *testing.T) {
 	stages := []Stage{
 		{Start: 0, Plan: Plan{DropProb: 0.2}},
 		{Start: 5_000, Plan: Plan{DelayProb: 0.2}},
 	}
-	build := func() (*ShardedSchedule, func()) {
-		env := sim.NewEnv(1)
-		a := fabric.NewMachine(env, "alpha", hw.ConnectX3())
-		b := fabric.NewMachine(env, "beta", hw.ConnectX3())
-		return InstallShardedSchedule(7, stages, a, b), env.Close
-	}
-	ss1, close1 := build()
-	defer close1()
-	ss2, close2 := build()
-	defer close2()
 	ops := opSequence(3000, 11)
-	drive := func(ss *ShardedSchedule) {
+	run := func(sharded bool) *Installed {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		if sharded {
+			env.SetSharded(2)
+		}
+		// Passed out of name order: the fold must sort.
+		b := fabric.NewMachine(env, "beta", hw.ConnectX3())
+		a := fabric.NewMachine(env, "alpha", hw.ConnectX3())
+		inst := Install(7, stages, b, a)
 		for i, op := range ops {
 			now := sim.Time(int64(i) * 4)
-			ss.Per("alpha").Decide(now, op)
-			ss.Per("beta").Decide(now, op)
+			inst.Per("alpha").Decide(now, op)
+			inst.Per("beta").Decide(now, op)
 		}
+		return inst
 	}
-	drive(ss1)
-	drive(ss2)
-	if ss1.Digest() != ss2.Digest() {
-		t.Fatal("same-seed sharded schedules produced different folded digests")
+	i1, i2, ish := run(false), run(false), run(true)
+	if i1.Digest() != i2.Digest() || i1.TraceString() != i2.TraceString() {
+		t.Fatal("same-seed installs produced different folded traces")
 	}
-	if ss1.Per("alpha").Digest() == ss1.Per("beta").Digest() {
+	if i1.Digest() != ish.Digest() {
+		t.Fatal("serial and sharded installs split the streams differently")
+	}
+	alpha, beta := i1.Per("alpha"), i1.Per("beta")
+	if alpha.Digest() == beta.Digest() {
 		t.Fatal("per-machine streams are not split (identical digests)")
 	}
-	if ss1.Events() != ss1.Per("alpha").Events()+ss1.Per("beta").Events() {
+	if want := "[alpha]\n" + alpha.TraceString() + "\n[beta]\n" + beta.TraceString() + "\n"; i1.TraceString() != want {
+		t.Fatal("TraceString is not the per-machine traces in sorted-name order")
+	}
+	if i1.Events() != alpha.Events()+beta.Events() {
 		t.Fatal("Events does not sum the per-machine traces")
 	}
-	var want Counts
-	want = addCounts(ss1.Per("alpha").Counts(), ss1.Per("beta").Counts())
-	if ss1.Counts() != want {
-		t.Fatalf("Counts = %+v, want per-machine sum %+v", ss1.Counts(), want)
+	want := alpha.Counts().Add(beta.Counts())
+	if i1.Counts() != want {
+		t.Fatalf("Counts = %+v, want per-machine sum %+v", i1.Counts(), want)
 	}
-	got := addCounts(ss1.StageCounts(0), ss1.StageCounts(1))
-	if got != want {
+	if got := i1.StageCounts(0).Add(i1.StageCounts(1)); got != want {
 		t.Fatalf("stage counts %+v do not partition the total %+v", got, want)
 	}
 }
 
-func TestShardedScheduleRejectsCrashes(t *testing.T) {
+// TestInstallRejectsConnectionKillersOnShardedEnv: a schedule that can
+// kill a connection must not be installed on the sharded kernel.
+func TestInstallRejectsConnectionKillersOnShardedEnv(t *testing.T) {
+	for _, pl := range []Plan{
+		{Crashes: []Window{{Machine: "server", Start: 0, End: 10}}},
+		{Invalidations: []Invalidation{{Machine: "server", At: 5}}},
+		{QPErrorProb: 0.01},
+	} {
+		func() {
+			env := sim.NewEnv(1)
+			defer env.Close()
+			env.SetSharded(2)
+			m := fabric.NewMachine(env, "server", hw.ConnectX3())
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("sharded install accepted %+v", pl)
+				}
+			}()
+			Install(1, one(pl), m)
+		}()
+	}
+}
+
+// TestInstallInvalidation: a scheduled invalidation deregisters the chosen
+// region (index wrapped into range) and is charged to its stage; with no
+// region registered it is a no-op.
+func TestInstallInvalidation(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := fabric.NewMachine(env, "server", hw.ConnectX3())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sharded schedule accepted a crash window")
-		}
-	}()
-	InstallShardedSchedule(1, []Stage{
-		{Plan: Plan{Crashes: []Window{{Machine: "server", Start: 0, End: 10}}}},
-	}, m)
+	bare := fabric.NewMachine(env, "bare", hw.ConnectX3())
+	mr0 := m.NIC().RegisterMemory(64)
+	mr1 := m.NIC().RegisterMemory(64)
+	inst := Install(3, one(Plan{Invalidations: []Invalidation{
+		{Machine: "server", At: 1000, Region: 3}, // 3 % 2 regions = region 1
+		{Machine: "bare", At: 1000},
+	}}), m, bare)
+	env.Run(2000)
+	if !mr0.Handle().Valid() || mr1.Handle().Valid() {
+		t.Fatalf("valid region0/region1 = %v/%v, want true/false", mr0.Handle().Valid(), mr1.Handle().Valid())
+	}
+	if c := inst.StageCounts(0); c.Invalidations != 1 {
+		t.Fatalf("counts = %+v, want exactly 1 invalidation", c)
+	}
+	if got, want := inst.Per("server").TraceString(), "t=1000 invalidate server region 3"; got != want {
+		t.Fatalf("trace = %q, want %q", got, want)
+	}
 }

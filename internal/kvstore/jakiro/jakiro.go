@@ -548,29 +548,7 @@ func (c *Client) PollOp(p *sim.Proc, pd PendingOp, scratch []byte) (bool, error)
 func (c *Client) Stats() core.ClientStats {
 	var agg core.ClientStats
 	for _, conn := range c.conns {
-		s := conn.Stats
-		agg.Calls += s.Calls
-		agg.FetchReads += s.FetchReads
-		agg.SecondReads += s.SecondReads
-		agg.ReplyDeliveries += s.ReplyDeliveries
-		agg.Retries += s.Retries
-		agg.SwitchToReply += s.SwitchToReply
-		agg.SwitchToFetch += s.SwitchToFetch
-		agg.IdleNs += s.IdleNs
-		agg.SendNs += s.SendNs
-		agg.FetchNs += s.FetchNs
-		agg.ReplyWaitNs += s.ReplyWaitNs
-		agg.FaultRetries += s.FaultRetries
-		agg.Resends += s.Resends
-		agg.Reconnects += s.Reconnects
-		agg.Demotions += s.Demotions
-		agg.Deadlines += s.Deadlines
-		if s.MaxRetries > agg.MaxRetries {
-			agg.MaxRetries = s.MaxRetries
-		}
-		for i, v := range s.RetryHist {
-			agg.RetryHist[i] += v
-		}
+		agg.Add(conn.Stats)
 	}
 	return agg
 }

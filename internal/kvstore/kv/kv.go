@@ -196,6 +196,19 @@ func NewBucketStore(nBuckets int) *BucketStore {
 	return &BucketStore{buckets: make([]([SlotsPerBucket]slot), nBuckets)}
 }
 
+// BucketsFor sizes a hash table for keys spread over threads partitions:
+// ~2x headroom over SlotsPerBucket-slot buckets, at least 1024 buckets.
+func BucketsFor(keys, threads int) int {
+	if threads < 1 {
+		threads = 1
+	}
+	b := keys / threads / 4
+	if b < 1024 {
+		b = 1024
+	}
+	return b
+}
+
 func hashKey(key []byte) uint64 {
 	h := uint64(1469598103934665603)
 	for _, b := range key {

@@ -465,12 +465,13 @@ func (n *node) handlePut(p *sim.Proc, req, resp []byte) int {
 		return respByte(resp, statusNotLeader, n.leaderByte())
 	}
 	e0 := n.epoch
-	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(r.Value)))
-	key := workload.DecodeKey(r.Key)
+	// req aliases the ring slot, and a client whose resent request is being
+	// served a second time has already moved on to its next call: copy out
+	// before the first yield, or that call's delivery tears the entry.
+	key, val := workload.DecodeKey(r.Key), append([]byte(nil), r.Value...)
+	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 	idx := len(n.log) + 1
-	n.log = append(n.log, entryRec{
-		epoch: e0, key: key, val: append([]byte(nil), r.Value...),
-	})
+	n.log = append(n.log, entryRec{epoch: e0, key: key, val: val})
 	n.pending[key]++
 	committed := n.replicate(p, idx, e0)
 	// The fan-out yields; the ctrl proc may have stepped us down (and
@@ -785,8 +786,9 @@ func (n *node) handlePrepare(p *sim.Proc, req, resp []byte) int {
 		n.log[idx-1] = entryRec{epoch: pm.epoch, key: pm.key, val: append([]byte(nil), pm.value...)}
 		n.pending[pm.key]++
 	case idx == len(n.log)+1:
-		n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(pm.value)))
-		n.log = append(n.log, entryRec{epoch: pm.epoch, key: pm.key, val: append([]byte(nil), pm.value...)})
+		val := append([]byte(nil), pm.value...) // before the yield, as in handlePut
+		n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
+		n.log = append(n.log, entryRec{epoch: pm.epoch, key: pm.key, val: val})
 		n.pending[pm.key]++
 	default:
 		return respU32(resp, statusGap, uint32(len(n.log)))

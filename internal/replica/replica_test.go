@@ -6,6 +6,7 @@ import (
 	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/hw"
+	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
@@ -304,5 +305,36 @@ func BenchmarkReplicatedPut(b *testing.B) {
 	b.ResetTimer()
 	for done < b.N {
 		env.Run(env.Now().Add(sim.Duration(100 * sim.Microsecond)))
+	}
+}
+
+// TestPutSurvivesRequestSlotOverwrite pins the handler's aliasing rule: req
+// is the ring slot itself, and when a resent PUT is served a second time the
+// client — already satisfied by the first response — delivers its next
+// (shorter) request into the same slot while the handler is mid-yield. The
+// logged entry must be the PUT as received, not a splice of the two.
+func TestPutSurvivesRequestSlotOverwrite(t *testing.T) {
+	r := newRig(t, 1, Config{})
+	n := r.svc.nodes[0]
+	slot := make([]byte, 128)
+	req := kv.EncodePut(slot, 14, []byte("value-of-key-14"))
+	resp := make([]byte, 64)
+	status := byte(0xff)
+	r.cl.Server.Spawn("srv", func(p *sim.Proc) {
+		n.handle(p, nil, req, resp)
+		status = resp[0]
+	})
+	// Lands inside the handler's first compute burst (≥150ns).
+	r.env.At(50, func() { kv.EncodeGet(slot, 21) })
+	r.env.Run(sim.Time(sim.Millisecond))
+	if status != kv.StatusOK {
+		t.Fatalf("PUT status = %d, want OK", status)
+	}
+	key := make([]byte, workload.KeySize)
+	if v, ok := n.store.Get(workload.EncodeKey(key, 14)); !ok || string(v) != "value-of-key-14" {
+		t.Fatalf("key 14: ok=%v v=%q, want the PUT's value", ok, v)
+	}
+	if v, ok := n.store.Get(workload.EncodeKey(key, 21)); ok {
+		t.Fatalf("key 21 was written (%q) by a request that only read it", v)
 	}
 }

@@ -1,29 +1,27 @@
 package rnic
 
-// Run-to-completion initiator engine and flight state machine. This is the
-// callback counterpart of what used to be two goroutine processes per QP
-// (the qp-engine loop and a detached wr-flight per operation): the same
-// virtual-time structure expressed as scheduled continuations, so retiring
-// an event costs a function call instead of two channel handoffs, and the
-// per-operation state lives in a pooled flightOp instead of a goroutine
-// stack — steady-state posting allocates nothing.
+// Run-to-completion initiator engine and flight state machine: the one
+// one-sided data path, behind both the blocking verbs (qp.go) and Post/CQ
+// (async.go). An operation's life is a chain of scheduled continuations, so
+// retiring an event costs a function call instead of two channel handoffs,
+// and the per-operation state lives in a pooled flightOp instead of a
+// goroutine stack — steady-state posting allocates nothing.
 //
-// Equivalence with the goroutine form is exact, event for event: every
-// Sleep becomes one scheduled continuation, every Resource.Use becomes a
-// TimedUse (same grant/expiry events), the flight handoff becomes one
-// zero-delay event (mirroring the spawned process's start event), and the
-// engine's idle flag mirrors "parked waiting for the next post". The only
-// difference is the removal of the one-time engine-spawn event, which
-// shifts later sequence numbers uniformly and cannot reorder anything. The
-// archived-run byte-identity tests pin this equivalence.
+// The life splits where the hardware pipelines. Issue: the initiator engine
+// serializes work requests one at a time (per NIC, in post order) and, for
+// writes, pushes the payload onto the TX pipe. Flight: wire propagation,
+// responder-side engine/bandwidth work, the payload copy, and propagation
+// of the ack/response back; later work requests overlap with this phase
+// freely. The event sequence (one event per delay, a grant and an expiry
+// per resource hold, one zero-delay event at the issue→flight handoff) is
+// pinned by the archived-run byte-identity tests.
 //
-// In sharded environments the flight's remote phases run on the responder's
-// lane: the request and response hops cross lanes via Shard.SendAfter with
-// the propagation delay, which is at least the environment's lookahead
-// floor. Fault corruption of read-response payloads is applied on the
-// initiator's lane at completion time in that mode (the injector's RNG and
-// the destination buffer are both initiator-side state); single-lane runs
-// keep the original apply point so archived traces stay byte-identical.
+// The flight's remote phases run on the responder's lane: the request and
+// response hops cross lanes via Shard.SendAfter with the propagation delay,
+// which is at least the environment's lookahead floor. Injector state (its
+// RNG) and the caller's buffers are initiator-side, so every injector call
+// happens on the initiator's lane: Decide at issue, Damage of a write image
+// at departure, Damage of a read payload at completion.
 
 import (
 	"rfp/internal/sim"
@@ -65,8 +63,7 @@ func (q *QP) ensureEngine() {
 	q.eng = e
 }
 
-// enqueue appends one posted WR and kicks the engine if it was idle — the
-// exact mirror of Queue.Put waking the engine process parked in Get.
+// enqueue appends one posted WR and kicks the engine if it was idle.
 //
 //rfp:hotpath
 func (e *qpEngine) enqueue(a asyncWR) {
@@ -138,9 +135,8 @@ func (e *qpEngine) onOutDone() {
 func (e *qpEngine) onTxDone() { e.launch() }
 
 // launch detaches the issued WR's flight (network + responder phases
-// overlap with later WRs) and immediately looks for the next pending WR —
-// mirroring the goroutine engine spawning wr-flight and looping back into
-// Get within the same instant.
+// overlap with later WRs) and immediately looks for the next pending WR
+// within the same instant.
 //
 //rfp:hotpath
 func (e *qpEngine) launch() {
@@ -171,10 +167,9 @@ func (e *qpEngine) putFlight(fl *flightOp) {
 	e.free = fl
 }
 
-// flightOp carries one operation through its network and responder phases.
-// The step functions below are the continuation-passing form of
-// QP.flight + QP.remotePhase plus the async completion tail; each comment
-// names the goroutine-form statement it mirrors.
+// flightOp carries one operation through its network and responder phases
+// under its fault action; with a zero action every fault branch below is a
+// failed field check.
 type flightOp struct {
 	e     *qpEngine
 	wr    WR
@@ -231,13 +226,11 @@ func (f *flightOp) op() FaultOp {
 		Initiator: q.local.name, Target: q.remote.name}
 }
 
-// onLaunch is the flight's first event — the mirror of the wr-flight
-// process's start event.
+// onLaunch is the flight's first event.
 //
 //rfp:hotpath
 func (f *flightOp) onLaunch() {
 	if f.act.ExtraNs > 0 {
-		// mirrors: p.Sleep(act.ExtraNs)
 		f.e.q.local.shard.After(sim.Duration(f.act.ExtraNs), f.stepDepart)
 		return
 	}
@@ -249,21 +242,19 @@ func (f *flightOp) depart() {
 	q := f.e.q
 	f.data = f.wr.Local
 	if f.act.Corrupt && f.wr.Op == WRWrite {
-		// mirrors: data = append([]byte(nil), local...); Damage(data) —
-		// the damaged image is delivered; the caller's buffer is untouched.
+		// The damaged image is delivered; the caller's buffer is untouched.
 		f.buf = append(f.buf[:0], f.wr.Local...)
 		q.local.injector.Damage(f.op(), f.buf)
 		f.data = f.buf
 	}
 	if f.wr.Op == WRRead && f.act.DropNs > 0 {
-		// mirrors: p.Sleep(act.DropNs); return ErrTimeout — the read
-		// response is lost; nothing lands locally.
+		// The read response is lost: nothing lands locally and the
+		// initiator times out waiting for the completion.
 		f.err = ErrTimeout
 		q.local.shard.After(sim.Duration(f.act.DropNs), f.stepHome)
 		return
 	}
-	// mirrors: p.Sleep(PropagationNs) at the head of remotePhase — the
-	// request hop, crossing to the responder's lane when sharded.
+	// The request hop, crossing to the responder's lane when sharded.
 	q.local.shard.SendAfter(q.remote.shard, sim.Duration(q.local.prof.PropagationNs), f.stepRemote)
 }
 
@@ -272,12 +263,13 @@ func (f *flightOp) depart() {
 //
 //rfp:hotpath
 func (f *flightOp) homeLocal() {
-	// mirrors: p2.Sleep(PropagationNs) before the CQE
 	q := f.e.q
 	q.local.shard.After(sim.Duration(q.local.prof.PropagationNs), f.stepComplete)
 }
 
-// onRemoteArrive runs on the responder's lane: the head of remotePhase.
+// onRemoteArrive runs on the responder's lane. The target was validated at
+// post time, but a crash can land while the request is on the wire — so the
+// responder state is re-checked on arrival.
 //
 //rfp:hotpath
 func (f *flightOp) onRemoteArrive() {
@@ -294,16 +286,19 @@ func (f *flightOp) onRemoteArrive() {
 		return
 	}
 	if f.wr.Op == WRWrite {
-		// mirrors: r.rx.Use(WireNs(size))
+		// Responder side: RX pipe + in-bound engine, all in NIC hardware.
 		f.rxUse.Start(r.rx, sim.Duration(r.prof.WireNs(len(f.wr.Local))), f.stepWrIn)
 		return
 	}
-	// mirrors: r.inEngine.Use(InEngineNs)
+	// The responder engine is only occupied for the base in-bound service
+	// time (its reciprocal is the in-bound IOPS ceiling); assembling the
+	// read response adds pipeline latency without consuming throughput.
 	f.inUse.Start(r.inEngine, sim.Duration(r.prof.InEngineNs), f.stepRdExtra)
 }
 
-// failRemote mirrors the flight's remotePhase-error tail: charge the
-// transport's detection window, then propagate the failure home.
+// failRemote handles a dead responder or vanished registration discovered
+// in flight: charge the transport's retry/timeout window, then propagate
+// the failure home.
 func (f *flightOp) failRemote() {
 	f.e.q.remote.shard.After(sim.Duration(faultTimeoutNs), f.stepFailHome)
 }
@@ -317,7 +312,6 @@ func (f *flightOp) onFailHome() {
 //rfp:hotpath
 func (f *flightOp) onWrIn() {
 	r := f.e.q.remote
-	// mirrors: r.inEngine.Use(InEngineNs)
 	f.inUse.Start(r.inEngine, sim.Duration(r.prof.InEngineNs), f.stepWrCopy)
 }
 
@@ -333,8 +327,7 @@ func (f *flightOp) onWrCopy() {
 
 //rfp:hotpath
 func (f *flightOp) onRdExtra() {
-	// mirrors: p.Sleep(ReadRespExtraNs) — response assembly latency that
-	// does not occupy the in-bound engine.
+	// Response assembly latency that does not occupy the in-bound engine.
 	f.e.q.remote.shard.After(sim.Duration(f.e.q.remote.prof.ReadRespExtraNs), f.stepRdCopy)
 }
 
@@ -343,10 +336,11 @@ func (f *flightOp) onRdCopy() {
 	q := f.e.q
 	r := q.remote
 	size := len(f.wr.Local)
-	// Snapshot the remote bytes at response-generation time — the torn-read
-	// seam the paper discusses lives at exactly this instant.
+	// Snapshot the remote bytes at response-generation time. This is where
+	// the data race the paper discusses lives: a torn read of a region being
+	// concurrently modified is returned verbatim; consistency is the
+	// application's problem (CRCs in Pilaf, status bits in RFP).
 	copy(f.wr.Local, f.wr.Remote.buf(f.wr.Roff, size))
-	// mirrors: r.tx.Use(WireNs(size))
 	f.txUse.Start(r.tx, sim.Duration(r.prof.WireNs(size)), f.stepRdDone)
 }
 
@@ -358,23 +352,15 @@ func (f *flightOp) onRdDone() {
 	f.tail()
 }
 
-// tail mirrors the flight statements after remotePhase succeeds.
+// tail runs once the responder has served the operation.
 //
 //rfp:hotpath
 func (f *flightOp) tail() {
-	q := f.e.q
-	if f.act.Corrupt && f.wr.Op == WRRead && !q.local.env.Sharded() {
-		// Single-lane: damage the read payload here, exactly where the
-		// goroutine flight did. Sharded runs defer this to onComplete —
-		// the injector RNG and the destination buffer live on the
-		// initiator's lane.
-		q.local.injector.Damage(f.op(), f.wr.Local)
-	}
 	if f.act.DropNs > 0 {
-		// mirrors: p.Sleep(act.DropNs); return ErrTimeout — delivered, but
-		// the completion is lost (the classic ambiguous write failure).
+		// Write delivered but its completion lost — the classic ambiguous
+		// failure: the initiator times out not knowing the bytes landed.
 		f.err = ErrTimeout
-		q.remote.shard.After(sim.Duration(f.act.DropNs), f.stepTailDrop)
+		f.e.q.remote.shard.After(sim.Duration(f.act.DropNs), f.stepTailDrop)
 		return
 	}
 	f.homeRemote()
@@ -385,19 +371,19 @@ func (f *flightOp) onTailDrop() { f.homeRemote() }
 
 //rfp:hotpath
 func (f *flightOp) homeRemote() {
-	// mirrors: p2.Sleep(PropagationNs) — the response/ack hop back to the
-	// initiator's lane.
+	// The response/ack hop back to the initiator's lane.
 	q := f.e.q
 	q.remote.shard.SendAfter(q.local.shard, sim.Duration(q.local.prof.PropagationNs), f.stepComplete)
 }
 
-// onComplete runs on the initiator's lane: trace, deliver the CQE, recycle.
+// onComplete runs on the initiator's lane: damage a corrupted read payload,
+// trace, deliver the CQE, recycle.
 //
 //rfp:hotpath
 func (f *flightOp) onComplete() {
 	e := f.e
 	q := e.q
-	if f.act.Corrupt && f.wr.Op == WRRead && f.err == nil && q.local.env.Sharded() {
+	if f.act.Corrupt && f.wr.Op == WRRead && f.err == nil {
 		q.local.injector.Damage(f.op(), f.wr.Local)
 	}
 	if f.err == nil {

@@ -104,13 +104,21 @@ func (q *QP) gate() error {
 	return nil
 }
 
-// decide consults the initiator-side injector for this operation, applying
-// any QP-state transition it requests.
-func (q *QP) decide(p *sim.Proc, op WROp, size int) FaultAction {
-	return q.decideAt(p.Now(), op, size)
+// checkTarget validates a one-sided operation's remote target: bounds
+// against the region and handle ownership against this QP's peer (RC QPs
+// address a single remote endpoint).
+func (q *QP) checkTarget(remote RemoteMR, roff, size int) error {
+	if err := remote.check(roff, size); err != nil {
+		return err
+	}
+	if remote.mr.nic != q.remote {
+		return ErrBadKey
+	}
+	return nil
 }
 
-// decideAt is decide for run-to-completion contexts that have no Proc.
+// decideAt consults the initiator-side injector for one operation issuing
+// at now, applying any QP-state transition it requests.
 //
 //rfp:hotpath
 func (q *QP) decideAt(now sim.Time, op WROp, size int) FaultAction {
@@ -128,42 +136,3 @@ func (q *QP) decideAt(now sim.Time, op WROp, size int) FaultAction {
 
 // Errored reports whether this QP has transitioned to the error state.
 func (q *QP) Errored() bool { return q.errored }
-
-// flight runs one operation's network and responder phases under a fault
-// action, returning the operation's outcome. With a zero action this is
-// exactly remotePhase plus nothing — the baseline path.
-func (q *QP) flight(p *sim.Proc, op WROp, remote RemoteMR, roff int, local []byte, act FaultAction) error {
-	if act.ExtraNs > 0 {
-		p.Sleep(sim.Duration(act.ExtraNs))
-	}
-	data := local
-	if act.Corrupt && op == WRWrite {
-		// The damaged image is delivered; the caller's buffer is untouched.
-		data = append([]byte(nil), local...)
-		q.local.injector.Damage(FaultOp{Op: op, Bytes: len(local),
-			Initiator: q.local.name, Target: q.remote.name}, data)
-	}
-	if op == WRRead && act.DropNs > 0 {
-		// The read response is lost: nothing lands locally and the
-		// initiator times out waiting for the completion.
-		p.Sleep(sim.Duration(act.DropNs))
-		return ErrTimeout
-	}
-	if err := q.remotePhase(p, op, remote, roff, data); err != nil {
-		// Dead responder or vanished registration discovered in flight:
-		// charge the transport's retry/timeout window before reporting.
-		p.Sleep(sim.Duration(faultTimeoutNs))
-		return err
-	}
-	if act.Corrupt && op == WRRead {
-		q.local.injector.Damage(FaultOp{Op: op, Bytes: len(local),
-			Initiator: q.local.name, Target: q.remote.name}, local)
-	}
-	if act.DropNs > 0 {
-		// Write delivered but its completion lost — the classic ambiguous
-		// failure: the initiator times out not knowing the bytes landed.
-		p.Sleep(sim.Duration(act.DropNs))
-		return ErrTimeout
-	}
-	return nil
-}

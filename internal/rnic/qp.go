@@ -26,7 +26,7 @@ type QP struct {
 	peer    *QP
 	recvQ   *sim.Queue[message]
 	eng     *qpEngine // run-to-completion initiator engine (lazily created)
-	syncCQ  *CQ       // private CQ for sharded-mode sync verbs (lazily created)
+	syncCQ  *CQ       // private CQ of the blocking verbs (lazily created)
 	errored bool      // QP transitioned to error state (faults.go)
 }
 
@@ -50,23 +50,11 @@ func (q *QP) Local() *NIC { return q.local }
 // Remote returns the NIC at the other end of the connection.
 func (q *QP) Remote() *NIC { return q.remote }
 
-// completeOneSided models the return path to the initiator: wire
-// propagation of the ack/response plus CPU time to reap the completion.
-func (q *QP) completeOneSided(p *sim.Proc) {
-	n := q.local
-	p.Sleep(sim.Duration(n.prof.PropagationNs) + n.cpu(n.prof.PollNs))
-}
-
-// syncOp routes a synchronous verb through the run-to-completion engine.
-// Sharded environments use it for every sync verb: the flight's responder
-// phases then execute on the responder's lane with proper cross-lane hops,
-// which the inline path below cannot express. Fault-free single-lane
-// environments use it too — the engine form retires the same virtual-time
-// schedule with two goroutine handoffs per op instead of seven, which is
-// most of the serial kernel's speedup on synchronous workloads. Validation
-// errors return before any time is charged, exactly like the inline path;
-// the flight's completion already includes the return propagation, so the
-// reap costs only the poll — total latency matches completeOneSided.
+// syncOp is the synchronous form of a one-sided verb: post, then wait for
+// the completion before returning (Sec. 2.2) — Post + CQ.Wait on a private
+// CQ. Validation errors return before any time is charged; the flight's
+// completion already includes the return propagation, so the reap costs
+// only the poll.
 func (q *QP) syncOp(p *sim.Proc, op WROp, remote RemoteMR, roff int, local []byte) error {
 	if err := q.gate(); err != nil {
 		return err
@@ -89,63 +77,14 @@ func (q *QP) syncOp(p *sim.Proc, op WROp, remote RemoteMR, roff int, local []byt
 // offset roff, blocking until completion. The remote CPU is not involved:
 // only the responder NIC's in-bound engine and RX pipe are charged.
 func (q *QP) Write(p *sim.Proc, remote RemoteMR, roff int, local []byte) error {
-	if q.local.env.Sharded() || q.local.injector == nil {
-		// With an injector attached the inline path below is kept: it draws
-		// the injector's RNG inside the calling process's slice, and the
-		// archived chaos digests pin that draw order.
-		return q.syncOp(p, WRWrite, remote, roff, local)
-	}
-	if err := q.gate(); err != nil {
-		return err
-	}
-	if err := q.checkTarget(remote, roff, len(local)); err != nil {
-		return err
-	}
-	n := q.local
-	start := p.Now()
-	p.Sleep(n.cpu(n.prof.PostNs) + n.jitter(p))
-	act := q.decide(p, WRWrite, len(local))
-	if act.Err != nil {
-		return act.Err
-	}
-	q.issuePhase(p, WRWrite, len(local))
-	if err := q.flight(p, WRWrite, remote, roff, local, act); err != nil {
-		return err
-	}
-	q.completeOneSided(p)
-	n.tracer.Record(trace.Event{Start: start, End: p.Now(), Kind: trace.Write,
-		Src: n.name, Dst: q.remote.name, Bytes: len(local)})
-	return nil
+	return q.syncOp(p, WRWrite, remote, roff, local)
 }
 
 // Read performs a one-sided RDMA Read of len(local) bytes from the remote
 // region at offset roff into local, blocking until completion. The response
 // payload occupies the responder's TX pipe; the responder CPU is bypassed.
 func (q *QP) Read(p *sim.Proc, remote RemoteMR, roff int, local []byte) error {
-	if q.local.env.Sharded() || q.local.injector == nil {
-		return q.syncOp(p, WRRead, remote, roff, local)
-	}
-	if err := q.gate(); err != nil {
-		return err
-	}
-	if err := q.checkTarget(remote, roff, len(local)); err != nil {
-		return err
-	}
-	n := q.local
-	start := p.Now()
-	p.Sleep(n.cpu(n.prof.PostNs) + n.jitter(p))
-	act := q.decide(p, WRRead, len(local))
-	if act.Err != nil {
-		return act.Err
-	}
-	q.issuePhase(p, WRRead, len(local))
-	if err := q.flight(p, WRRead, remote, roff, local, act); err != nil {
-		return err
-	}
-	q.completeOneSided(p)
-	n.tracer.Record(trace.Event{Start: start, End: p.Now(), Kind: trace.Read,
-		Src: n.name, Dst: q.remote.name, Bytes: len(local)})
-	return nil
+	return q.syncOp(p, WRRead, remote, roff, local)
 }
 
 // Send transmits data as a two-sided message, blocking until it is handed

@@ -12,6 +12,7 @@ import (
 	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/kvstore/jakiro"
+	"rfp/internal/kvstore/kv"
 	"rfp/internal/kvstore/memckv"
 	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/replica"
@@ -94,19 +95,6 @@ func (s shardConn) Put(p *sim.Proc, key uint64, value []byte) error {
 // Facebook-median value).
 const preloadValueSize = 32
 
-// scenarioBuckets sizes the store's hash table like the experiment harness
-// does (~2x headroom over 8-slot buckets).
-func scenarioBuckets(keys, threads int) int {
-	if threads < 1 {
-		threads = 1
-	}
-	b := keys / threads / 4
-	if b < 1024 {
-		b = 1024
-	}
-	return b
-}
-
 // scenarioParams is the transport configuration scenarios run under: paper
 // defaults, plus the recovery envelope when faults are injected (the chaos
 // harness's proven settings — tight deadline, fast backoff, demotion after
@@ -136,7 +124,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 	case BackendJakiro, BackendServerReply:
 		cfg := jakiro.Config{
 			Threads:             4,
-			BucketsPerPartition: scenarioBuckets(topo.Keys, 4),
+			BucketsPerPartition: kv.BucketsFor(topo.Keys, 4),
 			MaxValue:            maxVal,
 			Params:              params,
 		}
@@ -158,7 +146,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range js {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -171,7 +159,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 	case BackendSharded:
 		cfg := jakiro.Config{
 			Threads:             2,
-			BucketsPerPartition: scenarioBuckets(topo.Keys, 2),
+			BucketsPerPartition: kv.BucketsFor(topo.Keys, 2),
 			MaxValue:            maxVal,
 			Params:              params,
 		}
@@ -201,7 +189,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ss {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
@@ -212,7 +200,7 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		}
 
 	case BackendMemcKV:
-		cfg := memckv.Config{Threads: 8, Buckets: scenarioBuckets(topo.Keys, 1), MaxValue: maxVal}
+		cfg := memckv.Config{Threads: 8, Buckets: kv.BucketsFor(topo.Keys, 1), MaxValue: maxVal}
 		srv := memckv.NewServer(servers[0], cfg)
 		srv.Preload(keys, preloadValueSize)
 		ms := make([]*memckv.Client, len(placements))
@@ -224,14 +212,14 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		b.stats = func() core.ClientStats {
 			var agg core.ClientStats
 			for _, c := range ms {
-				sumStats(&agg, c.Stats())
+				agg.Add(c.Stats())
 			}
 			return agg
 		}
 
 	case BackendReplica, BackendReplicaLeader:
 		cfg := replica.Config{
-			Buckets:  scenarioBuckets(topo.Keys, 1),
+			Buckets:  kv.BucketsFor(topo.Keys, 1),
 			MaxValue: maxVal,
 		}
 		if topo.Pooled {
@@ -278,34 +266,6 @@ func buildBackend(name string, topo Topology, servers []*fabric.Machine,
 		return nil, fmt.Errorf("scenario: unknown backend %q (have %v)", name, Backends())
 	}
 	return b, nil
-}
-
-// sumStats aggregates one thread's transport stats, recovery block
-// included (the experiment harness's addStats predates the recovery path
-// and skips it; scenarios assert on it).
-func sumStats(dst *core.ClientStats, s core.ClientStats) {
-	dst.Calls += s.Calls
-	dst.FetchReads += s.FetchReads
-	dst.SecondReads += s.SecondReads
-	dst.ReplyDeliveries += s.ReplyDeliveries
-	dst.Retries += s.Retries
-	dst.SwitchToReply += s.SwitchToReply
-	dst.SwitchToFetch += s.SwitchToFetch
-	dst.IdleNs += s.IdleNs
-	dst.SendNs += s.SendNs
-	dst.FetchNs += s.FetchNs
-	dst.ReplyWaitNs += s.ReplyWaitNs
-	dst.FaultRetries += s.FaultRetries
-	dst.Resends += s.Resends
-	dst.Reconnects += s.Reconnects
-	dst.Demotions += s.Demotions
-	dst.Deadlines += s.Deadlines
-	if s.MaxRetries > dst.MaxRetries {
-		dst.MaxRetries = s.MaxRetries
-	}
-	for i, v := range s.RetryHist {
-		dst.RetryHist[i] += v
-	}
 }
 
 // recoveryOf projects the recovery block out of aggregated client stats.

@@ -85,26 +85,6 @@ type RecoveryStats struct {
 	Deadlines    uint64
 }
 
-// sub returns the per-phase delta r - prev.
-func (r RecoveryStats) sub(prev RecoveryStats) RecoveryStats {
-	r.FaultRetries -= prev.FaultRetries
-	r.Resends -= prev.Resends
-	r.Reconnects -= prev.Reconnects
-	r.Demotions -= prev.Demotions
-	r.Deadlines -= prev.Deadlines
-	return r
-}
-
-// add accumulates another thread's counters.
-func (r RecoveryStats) add(o RecoveryStats) RecoveryStats {
-	r.FaultRetries += o.FaultRetries
-	r.Resends += o.Resends
-	r.Reconnects += o.Reconnects
-	r.Demotions += o.Demotions
-	r.Deadlines += o.Deadlines
-	return r
-}
-
 // PhaseObs is everything the runner observed about one phase: driver-side
 // accounting (issued/done/failed/corrupted, charged to the phase that
 // issued the op), the merged per-thread latency histogram, the telemetry

@@ -17,8 +17,8 @@ package scenario
 //     and Mode renders as "serial"/"sharded" without the worker count, so
 //     a sharded run replays byte-identically for ANY worker count. A
 //     serial run and a sharded run are each self-consistent but differ
-//     from each other: sharding re-homes per-machine PRNG streams
-//     (DESIGN.md §14), which legitimately reorders fault draws.
+//     from each other: sharding re-homes the per-machine jitter streams
+//     (DESIGN.md §14), which legitimately shifts op timing.
 
 import (
 	"bytes"
@@ -42,9 +42,9 @@ type Options struct {
 	// fault draws, server jitter — derives from it.
 	Seed int64
 	// Parallel > 0 runs on the sharded kernel with that many workers.
-	// Scenarios with crash windows or invalidations fall back to the
-	// serial kernel (the sharded kernel cannot order machine-global
-	// failures; DESIGN.md §14).
+	// Scenarios whose fault plans can kill a connection (crash windows,
+	// invalidations, QP errors) fall back to the serial kernel (the
+	// sharded kernel cannot order a reconnect; DESIGN.md §14).
 	Parallel int
 }
 
@@ -154,13 +154,6 @@ func (r *Report) render(b *strings.Builder, withReplay bool) {
 	fmt.Fprintf(b, "  result: %s\n", status)
 }
 
-// scheduleTracer is what both fault-schedule shapes (serial and sharded)
-// expose to the runner.
-type scheduleTracer interface {
-	faults.Tracer
-	StageCounts(int) faults.Counts
-}
-
 // phaseCell is one (thread, phase) accounting cell. Written only by its
 // driver proc; read by the runner after the driver's finished flag is set
 // (ordered by the kernel's quiescence barrier).
@@ -202,7 +195,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 		seed = 1
 	}
 	topo := sc.Topology.withDefaults()
-	sharded := opt.Parallel > 0 && !sc.hasCrashFaults()
+	sharded := opt.Parallel > 0 && !sc.needsSerial()
 
 	env := sim.NewEnv(seed)
 	defer env.Close()
@@ -213,21 +206,18 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	// Topology: server machines, then client machines (one straggler if
 	// declared).
 	prof := topo.Profile()
-	servers := make([]*fabric.Machine, topo.Servers)
-	for s := range servers {
-		name := "server"
-		if topo.Servers > 1 {
-			name = fmt.Sprintf("server%d", s)
-		}
+	serverNames, clientNames := topo.machineNames()
+	servers := make([]*fabric.Machine, len(serverNames))
+	for s, name := range serverNames {
 		servers[s] = fabric.NewMachine(env, name, prof)
 	}
-	clients := make([]*fabric.Machine, topo.ClientMachines)
-	for i := range clients {
+	clients := make([]*fabric.Machine, len(clientNames))
+	for i, name := range clientNames {
 		p := prof
 		if sl := topo.Slow; sl != nil && sl.Client == i {
 			p = slowProfile(p, sl)
 		}
-		clients[i] = fabric.NewMachine(env, fmt.Sprintf("client%d", i), p)
+		clients[i] = fabric.NewMachine(env, name, p)
 	}
 	machines := append(append([]*fabric.Machine{}, servers...), clients...)
 	cl := &fabric.Cluster{Env: env, Server: servers[0], Clients: clients}
@@ -257,19 +247,13 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tracer scheduleTracer
+	var tracer *faults.Installed
 	if sc.hasFaults() {
 		stages := make([]faults.Stage, len(phases))
 		for i := range phases {
 			stages[i] = faults.Stage{Start: starts[i], Plan: phases[i].Faults}
 		}
-		if sharded {
-			tracer = faults.InstallShardedSchedule(seed+1, stages, machines...)
-		} else {
-			si := faults.NewSchedule(seed+1, stages)
-			faults.InstallSchedule(env, si, machines...)
-			tracer = si
-		}
+		tracer = faults.Install(seed+1, stages, machines...)
 	}
 	var rec *telemetry.Recorder
 	if b.attach != nil {
@@ -386,7 +370,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 			Phase:      phases[pi].Name,
 			DurationNs: int64(phases[pi].Duration),
 			Tel:        telAt[pi+1].Delta(telAt[pi]),
-			Recovery:   recoveryOf(statsAt[pi+1]).sub(recoveryOf(statsAt[pi])),
+			Recovery:   recoveryOf(statsAt[pi+1].Sub(statsAt[pi])),
 		}
 		for i := 0; i < threads; i++ {
 			cell := cellAt(i, pi)

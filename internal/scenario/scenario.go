@@ -61,6 +61,23 @@ func (t Topology) withDefaults() Topology {
 	return t
 }
 
+// machineNames returns the names of the topology's server machines, then
+// its client machines — the names fault plans address their victims by.
+func (t Topology) machineNames() (servers, clients []string) {
+	t = t.withDefaults()
+	for s := 0; s < t.Servers; s++ {
+		name := "server"
+		if t.Servers > 1 {
+			name = fmt.Sprintf("server%d", s)
+		}
+		servers = append(servers, name)
+	}
+	for i := 0; i < t.ClientMachines; i++ {
+		clients = append(clients, fmt.Sprintf("client%d", i))
+	}
+	return servers, clients
+}
+
 // Phase is one workload window. Phases run back to back in declaration
 // order; each re-seeds every client thread's generator at its boundary
 // (workload.Generator.Reset), so a phase's operation stream depends only
@@ -112,12 +129,27 @@ func (sc Scenario) validate() error {
 	if len(sc.Phases) == 0 {
 		return fmt.Errorf("scenario %s: no phases", sc.Name)
 	}
+	servers, clients := sc.Topology.machineNames()
+	known := make(map[string]bool, len(servers)+len(clients))
+	for _, name := range append(servers, clients...) {
+		known[name] = true
+	}
 	for _, ph := range sc.Phases {
 		if ph.Name == "" {
 			return fmt.Errorf("scenario %s: unnamed phase", sc.Name)
 		}
 		if ph.Duration <= 0 {
 			return fmt.Errorf("scenario %s: phase %s has no duration", sc.Name, ph.Name)
+		}
+		for _, w := range ph.Faults.Crashes {
+			if !known[w.Machine] {
+				return fmt.Errorf("scenario %s: phase %s crashes unknown machine %q", sc.Name, ph.Name, w.Machine)
+			}
+		}
+		for _, iv := range ph.Faults.Invalidations {
+			if !known[iv.Machine] {
+				return fmt.Errorf("scenario %s: phase %s invalidates a region on unknown machine %q", sc.Name, ph.Name, iv.Machine)
+			}
 		}
 	}
 	if len(sc.Backends) == 0 {
@@ -144,12 +176,11 @@ func (sc Scenario) validate() error {
 	return nil
 }
 
-// hasCrashFaults reports whether any phase schedules a crash window or
-// invalidation — the plans the sharded kernel cannot order (DESIGN.md §14),
-// forcing the run onto the serial kernel.
-func (sc Scenario) hasCrashFaults() bool {
+// needsSerial reports whether any phase's plan can kill a connection
+// (faults.Plan.NeedsSerial), forcing the run onto the serial kernel.
+func (sc Scenario) needsSerial() bool {
 	for _, ph := range sc.Phases {
-		if len(ph.Faults.Crashes) > 0 || len(ph.Faults.Invalidations) > 0 {
+		if ph.Faults.NeedsSerial() {
 			return true
 		}
 	}

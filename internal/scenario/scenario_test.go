@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"rfp/internal/faults"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
@@ -77,6 +78,13 @@ func TestRegisterRejects(t *testing.T) {
 			func(sc *Scenario) { sc.Backends = []string{BackendReplica} }},
 		{"linearizable invariant without replica backend",
 			func(sc *Scenario) { sc.Invariants = []Invariant{{Kind: Linearizable}} }},
+		// One server is named "server"; "server0" exists only with several.
+		{"crash window on a machine outside the topology", func(sc *Scenario) {
+			sc.Phases[0].Faults.Crashes = []faults.Window{{Machine: "server0", Start: 1, End: 2}}
+		}},
+		{"invalidation on a machine outside the topology", func(sc *Scenario) {
+			sc.Phases[0].Faults.Invalidations = []faults.Invalidation{{Machine: "client4", At: 1}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +146,7 @@ func TestDeterminismParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantMode := "sharded"
-			if sc.hasCrashFaults() {
+			if sc.needsSerial() {
 				wantMode = "serial"
 			}
 			if r1.Mode != wantMode || r4.Mode != wantMode {
@@ -179,6 +187,22 @@ func TestRunRejectsUnknownBackend(t *testing.T) {
 	sc, _ := Get("flash-crowd")
 	if _, err := Run(sc, "bogus", Options{Seed: 1}); err == nil {
 		t.Fatal("Run accepted an unknown backend")
+	}
+}
+
+// A plan naming a machine the topology does not have is a declaration
+// error from Run, not a panic out of the injector install.
+func TestRunRejectsUnknownFaultMachine(t *testing.T) {
+	sc, _ := Get("rolling-restart")
+	sc.Phases = append([]Phase(nil), sc.Phases...)
+	for i := range sc.Phases {
+		if len(sc.Phases[i].Faults.Crashes) > 0 {
+			sc.Phases[i].Faults.Crashes = []faults.Window{{Machine: "ghost", Start: 1, End: 2}}
+		}
+	}
+	_, err := Run(sc, sc.Backends[0], Options{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), `unknown machine "ghost"`) {
+		t.Fatalf("Run error = %v, want one naming the unknown machine", err)
 	}
 }
 

@@ -181,29 +181,7 @@ func (c *Client) Snapshot() telemetry.Snapshot { return c.rec.Snapshot() }
 func (c *Client) Stats() core.ClientStats {
 	var agg core.ClientStats
 	for _, jc := range c.per {
-		s := jc.Stats()
-		agg.Calls += s.Calls
-		agg.FetchReads += s.FetchReads
-		agg.SecondReads += s.SecondReads
-		agg.ReplyDeliveries += s.ReplyDeliveries
-		agg.Retries += s.Retries
-		agg.SwitchToReply += s.SwitchToReply
-		agg.SwitchToFetch += s.SwitchToFetch
-		agg.IdleNs += s.IdleNs
-		agg.SendNs += s.SendNs
-		agg.FetchNs += s.FetchNs
-		agg.ReplyWaitNs += s.ReplyWaitNs
-		agg.FaultRetries += s.FaultRetries
-		agg.Resends += s.Resends
-		agg.Reconnects += s.Reconnects
-		agg.Demotions += s.Demotions
-		agg.Deadlines += s.Deadlines
-		if s.MaxRetries > agg.MaxRetries {
-			agg.MaxRetries = s.MaxRetries
-		}
-		for i, v := range s.RetryHist {
-			agg.RetryHist[i] += v
-		}
+		agg.Add(jc.Stats())
 	}
 	return agg
 }

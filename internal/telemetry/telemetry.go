@@ -217,6 +217,13 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	// Call bumps the call counter before it records into the histograms,
+	// so the histograms are read first: a concurrent snapshot may then see
+	// a call counted but not yet timed, never a timed call not yet counted.
+	r.total.snapshot(&s.Total)
+	r.send.snapshot(&s.Send)
+	r.fetchLeg.snapshot(&s.FetchLeg)
+	r.replyLeg.snapshot(&s.ReplyLeg)
 	s.Calls = r.calls.Load()
 	s.FetchCalls = r.fetchCalls.Load()
 	s.ReplyCalls = r.replyCalls.Load()
@@ -224,10 +231,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	s.Reads = r.reads.Load()
 	s.Retries = r.retries.Load()
 	s.Fallbacks = r.fallbacks.Load()
-	r.total.snapshot(&s.Total)
-	r.send.snapshot(&s.Send)
-	r.fetchLeg.snapshot(&s.FetchLeg)
-	r.replyLeg.snapshot(&s.ReplyLeg)
 	for i := range r.occ {
 		s.Occupancy[i] = r.occ[i].Load()
 	}
