@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		system  = flag.String("system", "jakiro", "jakiro | server-reply | rdma-memcached | pilaf")
+		system  = flag.String("system", "jakiro", "jakiro | server-reply | memckv | pilafkv")
 		srvThr  = flag.Int("server-threads", 0, "server threads (0 = per-system default)")
 		clients = flag.Int("clients", 35, "client threads across 7 machines")
 		getFrac = flag.Float64("get", 0.95, "GET fraction")
@@ -39,17 +39,16 @@ func main() {
 	)
 	flag.Parse()
 
-	var kind experiments.StoreKind
-	switch *system {
-	case "jakiro":
-		kind = experiments.KindJakiro
-	case "server-reply":
-		kind = experiments.KindServerReply
-	case "rdma-memcached":
-		kind = experiments.KindMemcached
-	case "pilaf":
-		kind = experiments.KindPilaf
-	default:
+	// The two pre-backend-name spellings stay accepted.
+	aliases := map[string]experiments.StoreKind{
+		"rdma-memcached": experiments.KindMemcached,
+		"pilaf":          experiments.KindPilaf,
+	}
+	kind, ok := aliases[*system]
+	if !ok {
+		kind = experiments.StoreKind(*system)
+	}
+	if kind.Label() == "" {
 		fmt.Fprintf(os.Stderr, "jakiro: unknown system %q\n", *system)
 		os.Exit(2)
 	}
@@ -77,7 +76,7 @@ func main() {
 		Latency:       true,
 	})
 
-	fmt.Printf("system          %s\n", kind)
+	fmt.Printf("system          %s\n", kind.Label())
 	fmt.Printf("throughput      %.3f MOPS\n", out.MOPS)
 	fmt.Printf("latency         mean %.2fus  p50 %.2fus  p99 %.2fus  max %.2fus\n",
 		out.Lat.Mean()/1e3, float64(out.Lat.Percentile(0.5))/1e3,

@@ -36,13 +36,20 @@ func main() {
 		})
 	})
 
+	// The paper's malloc_buf/free_buf (Table 2): message buffers live in
+	// memory registered with the client NIC once, up front.
+	bufs := rfp.NewBufAllocator(cluster.Clients[0], 4096)
+	req, _ := bufs.MallocBuf(256)
+	out, _ := bufs.MallocBuf(256)
+
 	const calls = 10
 	cluster.Clients[0].Spawn("client", func(p *rfp.Proc) {
-		out := make([]byte, 256)
+		defer bufs.FreeBuf(req)
+		defer bufs.FreeBuf(out)
 		for i := 0; i < calls; i++ {
 			msg := fmt.Sprintf("hello rfp %d", i)
 			start := p.Now()
-			n, err := client.Call(p, []byte(msg), out)
+			n, err := client.Call(p, req[:copy(req, msg)], out)
 			if err != nil {
 				fmt.Println("call failed:", err)
 				return

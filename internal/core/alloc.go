@@ -44,9 +44,6 @@ func NewBufAllocator(nic *rnic.NIC, size int) *BufAllocator {
 	}
 }
 
-// MR returns the backing memory region (e.g. to derive remote handles).
-func (a *BufAllocator) MR() *rnic.MR { return a.mr }
-
 // MallocBuf allocates a registered buffer of at least size bytes
 // (malloc_buf in the paper's API).
 func (a *BufAllocator) MallocBuf(size int) ([]byte, error) {

@@ -183,9 +183,6 @@ type Client struct {
 	Stats ClientStats
 }
 
-// Machine returns the client's machine.
-func (c *Client) Machine() *fabric.Machine { return c.machine }
-
 // Mode returns the connection's current delivery mode as seen by the
 // client.
 func (c *Client) Mode() Mode { return c.mode }
@@ -360,7 +357,10 @@ func (c *Client) resize(d int) {
 }
 
 // Send transmits a request payload to the server (client_send): one RDMA
-// Write carrying header and payload, in-bound on the server side.
+// Write carrying header and payload, in-bound on the server side. The
+// payload must not change until Send returns: a pending reconnect or mode
+// switch runs — and yields — before the payload is staged, so another proc
+// re-encoding a shared buffer meanwhile would be sent in its place.
 func (c *Client) Send(p *sim.Proc, payload []byte) error {
 	if c.closed {
 		return ErrClosed
@@ -489,7 +489,8 @@ func (c *Client) relabel(deliver *rnic.CQ) error {
 	return nil
 }
 
-// Call is the convenience RPC round trip: Send then Recv.
+// Call is the convenience RPC round trip: Send then Recv. As for Send, req
+// must not change until Call returns.
 func (c *Client) Call(p *sim.Proc, req, out []byte) (int, error) {
 	if err := c.Send(p, req); err != nil {
 		return 0, err

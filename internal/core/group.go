@@ -60,9 +60,6 @@ type Group struct {
 // NewGroup creates an empty fan-out group.
 func NewGroup() *Group { return &Group{} }
 
-// Members returns the group's clients in Add order.
-func (g *Group) Members() []*Client { return g.members }
-
 // setTagLimit lowers the member-tag space (tests exercise capacity overflow
 // without 64k members). Only meaningful before the first Add.
 func (g *Group) setTagLimit(n int) {

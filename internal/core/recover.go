@@ -289,10 +289,6 @@ func (c *Client) demote(p *sim.Proc) {
 	c.hasPending = true
 }
 
-// Demoted reports whether the connection has been permanently demoted to
-// server-reply mode.
-func (c *Client) Demoted() bool { return c.demoted }
-
 // failInflight resolves every in-flight slot with err — a crash must leave
 // no handle unresolved — and marks the connection for re-establishment at
 // the next quiesce point.

@@ -151,7 +151,7 @@ func TestRecoveryDemotion(t *testing.T) {
 		}
 	})
 	r.env.Run(sim.Time(100 * sim.Millisecond))
-	if !cli.Demoted() {
+	if !cli.demoted {
 		t.Fatalf("client not demoted after %d failed calls", failed)
 	}
 	if cli.Mode() != ModeReply {

@@ -108,15 +108,13 @@ func (c *Client) ringID(kind, slot int, seq uint16) uint64 {
 // Depth returns the connection's request-ring depth.
 func (c *Client) Depth() int { return c.depth }
 
-// Outstanding returns the number of posted requests not yet claimed by
-// Poll.
-func (c *Client) Outstanding() int { return c.outstanding }
-
 // Post stages a request into a free ring slot and issues its delivery
 // without waiting for completion (the pipelined form of client_send). The
 // payload is copied into the slot's staging buffer before Post returns, so
-// the caller may immediately reuse req. The returned handle must be
-// redeemed with Poll. With every slot in flight, Post returns ErrRingFull.
+// the caller may reuse req as soon as it does — but not before: like Send,
+// Post may yield (reconnect, mode switch) ahead of staging, and req must not
+// change until it returns. The returned handle must be redeemed with Poll.
+// With every slot in flight, Post returns ErrRingFull.
 //
 //rfp:hotpath
 func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {

@@ -61,8 +61,8 @@ func TestRingPipelinedEcho(t *testing.T) {
 	if cli.Stats.Calls != waves*depth {
 		t.Fatalf("Calls = %d, want %d", cli.Stats.Calls, waves*depth)
 	}
-	if cli.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after drain", cli.Outstanding())
+	if cli.outstanding != 0 {
+		t.Fatalf("Outstanding = %d after drain", cli.outstanding)
 	}
 }
 
@@ -549,8 +549,8 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 			t.Errorf("LiveAllocs = %d after all waves, want 0", live)
 			return
 		}
-		if cli.Outstanding() != 0 {
-			t.Errorf("Outstanding = %d after drain", cli.Outstanding())
+		if cli.outstanding != 0 {
+			t.Errorf("Outstanding = %d after drain", cli.outstanding)
 			return
 		}
 		ok = true

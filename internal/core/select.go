@@ -82,23 +82,6 @@ func InboundIOPS(prof hw.Profile, f int) float64 {
 	return 1e3 / float64(ReadCostNs(prof, f))
 }
 
-// Eq2Throughput evaluates the paper's Eq. 2 literally: for M sampled result
-// sizes, T = Σ Ti with Ti = I_{R,F} when F covers the result and I_{R,F}/2
-// when a second fetch is needed. Larger is better; the absolute value is
-// only meaningful for comparison across F.
-func Eq2Throughput(prof hw.Profile, sizes []int, f int) float64 {
-	var t float64
-	i := InboundIOPS(prof, f)
-	for _, s := range sizes {
-		if HeaderSize+s <= f {
-			t += i
-		} else {
-			t += i / 2
-		}
-	}
-	return t
-}
-
 // SelectF enumerates F over [L, H] (64-byte steps, the paper's "simple
 // enumeration") and returns the value minimizing the expected per-call
 // fetch cost over the sampled result sizes. The cost model refines Eq. 2's

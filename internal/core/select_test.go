@@ -115,19 +115,6 @@ func TestSelectREmpty(t *testing.T) {
 	}
 }
 
-func TestEq2PrefersCoveringF(t *testing.T) {
-	// Paper Eq. 2: halved throughput when F < Si. For uniformly 300-byte
-	// results, F=512 (covers) must beat F=256 (always a second read).
-	prof := hw.ConnectX3()
-	sizes := make([]int, 50)
-	for i := range sizes {
-		sizes[i] = 300
-	}
-	if Eq2Throughput(prof, sizes, 512) <= Eq2Throughput(prof, sizes, 256) {
-		t.Fatal("Eq. 2 should reward covering fetch sizes")
-	}
-}
-
 func TestEq2IOPSDecaysWithF(t *testing.T) {
 	prof := hw.ConnectX3()
 	if InboundIOPS(prof, 2048) >= InboundIOPS(prof, 256) {

@@ -225,10 +225,6 @@ func (c *Conn) Send(p *sim.Proc, payload []byte) error {
 	return nil
 }
 
-// RespScratch returns a per-connection scratch buffer of MaxResponse bytes
-// for handlers to build responses in.
-func (c *Conn) RespScratch() []byte { return c.scratch }
-
 // retire releases a closed connection's server-side region back to its
 // registrar. Idempotent (Release tolerates repeats); only called once the
 // connection has left every Serve loop's polling set, so no slot scan can
@@ -236,7 +232,7 @@ func (c *Conn) RespScratch() []byte { return c.scratch }
 func (c *Conn) retire() { c.lease.Release() }
 
 // Handler processes one request and writes the response into resp
-// (RespScratch-sized), returning the response length. req aliases the ring
+// (MaxResponse bytes), returning the response length. req aliases the ring
 // slot: with recovery on, a resent request can be served twice, and the
 // second service runs while the client — satisfied by the first response —
 // delivers its next request into the same slot. A handler that yields must

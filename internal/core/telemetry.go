@@ -28,13 +28,6 @@ func (c *Client) SetRecorder(rec *telemetry.Recorder) {
 	}
 }
 
-// Recorder returns the attached telemetry recorder (nil if none).
-func (c *Client) Recorder() *telemetry.Recorder { return c.rec }
-
-// Snapshot returns the connection's telemetry snapshot; zero with no
-// recorder attached. Safe to call from any goroutine mid-run.
-func (c *Client) Snapshot() telemetry.Snapshot { return c.rec.Snapshot() }
-
 // connID is the connection identity span events carry: the server-side
 // accept index, or -1 for a client with no bound Conn.
 func (c *Client) connID() int32 {
@@ -69,21 +62,6 @@ func (c *Conn) srvEvent(kind trace.Kind, start, end sim.Time, slot int, seq uint
 		Start: start, End: end, Kind: kind, Src: c.srv.machine.NIC().Name(),
 		Bytes: bytes, Conn: int32(c.id), Slot: int16(slot), Seq: seq,
 	})
-}
-
-// Snapshot merges the telemetry of every member, deduplicating shared
-// recorders (members attached to one recorder contribute once).
-func (g *Group) Snapshot() telemetry.Snapshot {
-	var snap telemetry.Snapshot
-	seen := map[*telemetry.Recorder]bool{}
-	for _, m := range g.members {
-		if m.rec == nil || seen[m.rec] {
-			continue
-		}
-		seen[m.rec] = true
-		snap.Merge(m.rec.Snapshot())
-	}
-	return snap
 }
 
 // SetRecorder routes the tuner's decision log to rec (nil falls back to

@@ -71,12 +71,6 @@ func NewTuner(cal Calibration, window, period int) *Tuner {
 	return &Tuner{cal: cal, sampler: NewSampler(window), period: uint64(period), TuneR: true}
 }
 
-// Calibration returns the hardware bounds the tuner enumerates within.
-func (t *Tuner) Calibration() Calibration { return t.cal }
-
-// Samples returns the current sample window size.
-func (t *Tuner) Samples() int { return len(t.sampler.Sizes) }
-
 // observe records one completed call and, at period boundaries, re-runs
 // the bounded enumeration and applies any change to every attached client.
 // Each applied change lands in the telemetry decision log (if a recorder is

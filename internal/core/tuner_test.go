@@ -96,7 +96,7 @@ func TestTunerSharedAcrossClients(t *testing.T) {
 		t.Fatalf("shared tuner did not converge both clients: F_A=%d F_B=%d",
 			cliA.Params().F, cliB.Params().F)
 	}
-	if tuner.Samples() == 0 {
+	if len(tuner.sampler.Sizes) == 0 {
 		t.Fatal("no samples collected")
 	}
 }

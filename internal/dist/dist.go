@@ -109,9 +109,6 @@ func (z *Zipf) Next(r *rand.Rand) int {
 	return k
 }
 
-// HeadProbability returns the probability of the most popular rank.
-func (z *Zipf) HeadProbability() float64 { return 1 / z.zetan }
-
 // Max implements IntDist.
 func (z *Zipf) Max() int { return z.n - 1 }
 
@@ -170,74 +167,6 @@ func (s Spike) NextNs(r *rand.Rand) int64 {
 		d = 0
 	}
 	return d
-}
-
-// Quantile returns the q-quantile (0..1) of n samples drawn from d — a
-// helper for calibrating models in tests.
-func Quantile(d DurationDist, r *rand.Rand, n int, q float64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	samples := make([]int64, n)
-	for i := range samples {
-		samples[i] = d.NextNs(r)
-	}
-	// Insertion-free selection via sort would need the sort package; a
-	// simple counting approach is enough for test-sized n.
-	for i := 1; i < len(samples); i++ {
-		for j := i; j > 0 && samples[j] < samples[j-1]; j-- {
-			samples[j], samples[j-1] = samples[j-1], samples[j]
-		}
-	}
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx]
-}
-
-// Mean returns the empirical mean of n samples from d (ns).
-func Mean(d DurationDist, r *rand.Rand, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(d.NextNs(r))
-	}
-	return sum / float64(n)
-}
-
-// HeadMass returns the fraction of n Zipf draws that land in the top-k ranks
-// — used to validate skew (e.g. the paper's "most popular key is ~1e5 times
-// the average").
-func HeadMass(z *Zipf, r *rand.Rand, n, k int) float64 {
-	hits := 0
-	for i := 0; i < n; i++ {
-		if z.Next(r) < k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
-}
-
-// Clamp bounds v to [lo, hi].
-func Clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampF bounds v to [lo, hi].
-func ClampF(v, lo, hi float64) float64 {
-	return math.Min(math.Max(v, lo), hi)
 }
 
 // Mixture draws from A with probability PA, otherwise from B — e.g. a

@@ -131,11 +131,7 @@ func ablationTwoSided(o Options) Result {
 		})
 	}
 	cl.Server.AddThreads(28)
-	env.Run(sim.Time(o.Warmup))
-	recvBefore := cl.Server.NIC().Stats.Recvs
-	start := env.Now()
-	env.Run(start.Add(o.Window))
-	recvRate := stats.MOPS(cl.Server.NIC().Stats.Recvs-recvBefore, int64(o.Window))
+	recvRate := measureMOPS(env, o, func() uint64 { return cl.Server.NIC().Stats.Recvs })
 
 	oneSided := inboundMOPS(o, 28, 32)
 	rows := []string{

@@ -14,12 +14,9 @@ import (
 	"fmt"
 
 	"rfp/internal/core"
-	"rfp/internal/fabric"
-	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
-	"rfp/internal/workload"
 )
 
 func init() {
@@ -109,59 +106,16 @@ func bestStaticDepth(depths []int, mops []float64) int {
 	return depths[len(depths)-1]
 }
 
-// withinOneStep reports whether the adaptive depth d lands within one
-// doubling step of the static reference (the sweep's grid spacing).
-func withinOneStep(d, ref int) bool {
-	return 2*d >= ref && d <= 2*ref
-}
-
 // runAdaptiveDepth runs the adaptive client: starts at depth 1 with ring
 // capacity 16, attaches a depth-tuning tuner, and shifts the server's
 // per-request processing from light to heavy mid-run.
 func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
-	env := sim.NewEnv(o.Seed)
-	defer env.Close()
-	cl := fabric.NewCluster(env, o.Profile, 1)
-
-	store := kv.NewBucketStore(pipelineKeys)
-	kbuf := make([]byte, workload.KeySize)
-	val := make([]byte, valueSize)
-	for k := uint64(0); k < pipelineKeys; k++ {
-		workload.FillValue(val, k, 0)
-		store.Put(workload.EncodeKey(kbuf, k), val)
-	}
-
-	srv := core.NewServer(cl.Server, core.ServerConfig{
-		MaxRequest:  1 + workload.KeySize,
-		MaxResponse: 1 + valueSize,
-	})
-	srv.AddThreads(1)
 	params := core.DefaultParams()
 	params.Depth = 1
 	params.MaxDepth = 16
-	cli, conn := srv.Accept(cl.Clients[0], params)
-	cl.Clients[0].AddThreads(1)
-
-	// procNs is only mutated between env.Run calls, when every simulated
-	// proc is parked (same pattern as ext-tuning's respSize shift).
-	procNs := int64(adaptiveLightNs)
-	m := cl.Server
-	prof := m.Profile()
-	cl.Server.Spawn("srv", func(p *sim.Proc) {
-		core.Serve(p, []*core.Conn{conn}, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-			m.ComputeNs(p, procNs)
-			r, err := kv.DecodeRequest(req)
-			if err != nil || r.Op != kv.OpGet {
-				return kv.EncodeResponse(resp, kv.StatusError, nil)
-			}
-			v, ok := store.Get(r.Key)
-			if !ok {
-				return kv.EncodeResponse(resp, kv.StatusNotFound, nil)
-			}
-			m.ComputeNs(p, prof.CopyNs(len(v)))
-			return kv.EncodeResponse(resp, kv.StatusOK, v)
-		})
-	})
+	r := newGetRig(o, params, valueSize, adaptiveLightNs)
+	defer r.env.Close()
+	env, cli := r.env, r.cli
 
 	// A tight window/period so the heavy phase's slower call rate still
 	// turns the sample window over within a couple of measurement windows.
@@ -178,58 +132,19 @@ func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
 		cli.SetRecorder(rec)
 	}
 
-	done := uint64(0)
-	cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		reqBuf := make([]byte, 1+workload.KeySize)
-		out := make([]byte, 1+valueSize)
-		hs := make([]core.Handle, 0, params.MaxDepth)
-		key := uint64(0)
-		poll := func() {
-			n, err := cli.Poll(p, hs[0], out)
-			if err != nil {
-				panic(err)
-			}
-			if status, _, err := kv.DecodeResponse(out[:n]); err != nil || status != kv.StatusOK {
-				panic(fmt.Sprintf("ext-adaptive-depth: bad response (status %d, err %v)", status, err))
-			}
-			hs = hs[:copy(hs, hs[1:])]
-			done++
-		}
-		for {
-			// Cooperate with the control plane: a pending depth applies
-			// only when the ring is quiescent, so drain before refilling.
-			if cli.PendingDepth() != 0 {
-				for len(hs) > 0 {
-					poll()
-				}
-				continue
-			}
-			for len(hs) < cli.Depth() {
-				req := kv.EncodeGet(reqBuf, key%pipelineKeys)
-				key++
-				h, err := cli.Post(p, req)
-				if err != nil {
-					panic(err)
-				}
-				hs = append(hs, h)
-			}
-			poll()
-		}
-	})
-
 	trace := &stats.Series{Label: "adaptive depth", XLabel: "time (us)", YLabel: "ring depth"}
 	sample := func() {
 		trace.Add(float64(env.Now())/float64(sim.Microsecond), float64(cli.Depth()))
 	}
 	measure := func() float64 {
-		before := done
+		before := r.done
 		start := env.Now()
 		slice := o.Window / 4
 		for i := 0; i < 4; i++ {
 			env.Run(start.Add(sim.Duration(i+1) * slice))
 			sample()
 		}
-		return stats.MOPS(done-before, int64(4*slice))
+		return stats.MOPS(r.done-before, int64(4*slice))
 	}
 	settle := func(n int) {
 		start := env.Now()
@@ -246,8 +161,8 @@ func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
 	out.preMOPS = measure()
 	out.preDepth = cli.Depth()
 
-	procNs = adaptiveHeavyNs // the workload shift
-	settle(3)                // sample window turns over with heavy calls
+	r.procNs = adaptiveHeavyNs // the workload shift
+	settle(3)                  // sample window turns over with heavy calls
 	out.postMOPS = measure()
 	out.postDepth = cli.Depth()
 	out.trace = trace

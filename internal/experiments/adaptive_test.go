@@ -86,3 +86,9 @@ func TestExtAdaptiveDepthDeterminism(t *testing.T) {
 		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// withinOneStep reports whether the adaptive depth d lands within one
+// doubling step of the static reference (the sweep's grid spacing).
+func withinOneStep(d, ref int) bool {
+	return 2*d >= ref && d <= 2*ref
+}

@@ -57,6 +57,37 @@ func TestBenchPipelineArchiveByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBenchKVArchiveByteIdentical pins the figures RunKV serves
+// (rfpbench -quick -stable -json fig10 fig11 fig13 fig16 table3 — all four
+// stores, throughput, latency CDFs and the retry table) against
+// BENCH_kv.json, archived from the commit before the stores moved onto
+// scenario.BuildBackend.
+func TestBenchKVArchiveByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full archived runs in -short mode")
+	}
+	want, err := os.ReadFile("../../BENCH_kv.json")
+	if err != nil {
+		t.Fatalf("reading archive: %v", err)
+	}
+	o := DefaultOptions()
+	o.Quick = true
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, id := range []string{"fig10", "fig11", "fig13", "fig16", "table3"} {
+		res, err := Run(id, o)
+		if err != nil {
+			t.Fatalf("Run(%s): %v", id, err)
+		}
+		if err := enc.Encode(ToJSON(res, o, 0)); err != nil {
+			t.Fatalf("encoding %s: %v", id, err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("fresh run diverged from BENCH_kv.json\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 // TestBenchSimArchiveByteIdentical guards the kernel-throughput archive
 // (rfpbench -quick -json ext-scaleout > BENCH_sim.json). The archive is a
 // real timed run, so its wall_time_ms and events_per_sec fields are

@@ -141,12 +141,8 @@ func runCrowd(o Options, n int, pool core.PoolConfig) crowdCell {
 			}
 		})
 	}
-	env.Run(sim.Time(o.Warmup))
-	start := env.Now()
-	prev := sumU64(ops)
-	env.Run(start.Add(o.Window))
 	return crowdCell{
-		mops: stats.MOPS(sumU64(ops)-prev, int64(o.Window)),
+		mops: measureMOPS(env, o, sumOf(ops)),
 		setupNs: crowdSetupNs(res.RegisteredMRs-before.RegisteredMRs,
 			res.QPs-before.QPs, n),
 		res: res,

@@ -155,9 +155,9 @@ func TestFig13LatencyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jk := r.CDFs[string(KindJakiro)]
-	sr := r.CDFs[string(KindServerReply)]
-	mc := r.CDFs[string(KindMemcached)]
+	jk := r.CDFs[KindJakiro.Label()]
+	sr := r.CDFs[KindServerReply.Label()]
+	mc := r.CDFs[KindMemcached.Label()]
 	if jk.Mean() >= sr.Mean() || jk.Mean() >= mc.Mean() {
 		t.Fatalf("Jakiro mean %.1fus should beat ServerReply %.1fus and Memcached %.1fus",
 			jk.Mean()/1e3, sr.Mean()/1e3, mc.Mean()/1e3)

@@ -106,7 +106,7 @@ func fig13(o Options) Result {
 	cdfs := map[string]*stats.Hist{}
 	for _, kind := range []StoreKind{KindJakiro, KindServerReply, KindMemcached} {
 		out := RunKV(peakRun(o, kind, w))
-		cdfs[string(kind)] = out.Lat
+		cdfs[kind.Label()] = out.Lat
 	}
 	return Result{
 		ID: "fig13", Title: "latency CDF at peak throughput",
@@ -212,7 +212,7 @@ func fig20(o Options) Result {
 	cdfs := map[string]*stats.Hist{}
 	for _, kind := range []StoreKind{KindJakiro, KindServerReply, KindMemcached} {
 		out := RunKV(peakRun(o, kind, w))
-		cdfs[string(kind)] = out.Lat
+		cdfs[kind.Label()] = out.Lat
 	}
 	return Result{ID: "fig20", Title: "latency CDF, skewed read-intensive", CDFs: cdfs}
 }

@@ -3,16 +3,17 @@ package experiments
 // Shared load drivers: RunKV drives one of the four key-value systems on
 // the paper topology (1 server + 7 client machines); RunEcho drives a bare
 // RFP/server-reply echo service for the paradigm-level sweeps (Fig. 9).
+// Stores are stood up by scenario.BuildBackend — the same builder the
+// scenario harness uses.
 
 import (
 	"fmt"
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/jakiro"
 	"rfp/internal/kvstore/kv"
-	"rfp/internal/kvstore/memckv"
 	"rfp/internal/kvstore/pilafkv"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
@@ -20,16 +21,28 @@ import (
 	"rfp/internal/workload"
 )
 
-// StoreKind selects the system under test.
+// StoreKind selects the system under test by its scenario backend name.
 type StoreKind string
 
 // The paper's four systems.
 const (
-	KindJakiro      StoreKind = "Jakiro"
-	KindServerReply StoreKind = "ServerReply"
-	KindMemcached   StoreKind = "RDMA-Memcached"
-	KindPilaf       StoreKind = "Pilaf"
+	KindJakiro      StoreKind = scenario.BackendJakiro
+	KindServerReply StoreKind = scenario.BackendServerReply
+	KindMemcached   StoreKind = scenario.BackendMemcKV
+	KindPilaf       StoreKind = scenario.BackendPilafKV
 )
+
+// kindLabels are the names the paper's figures print.
+var kindLabels = map[StoreKind]string{
+	KindJakiro:      "Jakiro",
+	KindServerReply: "ServerReply",
+	KindMemcached:   "RDMA-Memcached",
+	KindPilaf:       "Pilaf",
+}
+
+// Label returns the system's display name ("" for a name that is not one of
+// the four).
+func (k StoreKind) Label() string { return kindLabels[k] }
 
 // KVRun describes one key-value measurement run.
 type KVRun struct {
@@ -59,11 +72,6 @@ type KVOut struct {
 	Misses     uint64
 	Trace      *trace.Ring        // server-NIC data-path events, when requested
 	Tel        telemetry.Snapshot // per-call telemetry, when Opts.Telemetry is set
-}
-
-// kvDoer is the client interface all four stores share.
-type kvDoer interface {
-	Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error)
 }
 
 func (r KVRun) withDefaults() KVRun {
@@ -107,7 +115,6 @@ func RunKV(r KVRun) KVOut {
 	if r.Workload.ValueSize != nil && r.Workload.ValueSize.Max() > maxVal {
 		maxVal = r.Workload.ValueSize.Max()
 	}
-
 	params := core.DefaultParams()
 	if r.FetchSize > 0 {
 		params.F = r.FetchSize
@@ -115,114 +122,35 @@ func RunKV(r KVRun) KVOut {
 	params.DisableSwitch = r.DisableSwitch
 	params.NoInline = r.NoInline
 
-	keys := workload.Preload(workload.Config{Keys: r.Keys})
 	placements := cl.ClientThreads(r.ClientThreads)
-	clients := make([]kvDoer, len(placements))
-	var statsFn func() core.ClientStats
-	var pilafStats func() pilafkv.ClientStats
-	// attachTel hooks one shared recorder into every measured client; set by
-	// the RFP-based kinds (telemetry instruments the RFP transport), called
-	// after warmup so snapshots cover exactly the measurement window.
-	var attachTel func(*telemetry.Recorder)
-
-	switch r.Kind {
-	case KindJakiro, KindServerReply:
-		cfg := jakiro.Config{
-			Threads:             r.ServerThreads,
-			BucketsPerPartition: kv.BucketsFor(r.Keys, r.ServerThreads),
-			MaxValue:            maxVal,
-			Params:              params,
-			ExtraProcNs:         r.ExtraProcNs,
-		}
-		if r.Kind == KindServerReply {
-			cfg.Params.ForceReply = true
-			cfg.Params.ReplyPollNs = 300
-		}
-		if r.DisableSpikes {
-			cfg.SpikeProb = -1
-		}
-		srv := jakiro.NewServer(cl.Server, cfg)
-		srv.Preload(keys, r.ValueSize)
-		js := make([]*jakiro.Client, len(placements))
-		for i, pl := range placements {
-			js[i] = srv.NewClient(pl.Machine)
-			clients[i] = js[i]
-		}
-		srv.Start()
-		statsFn = func() core.ClientStats {
-			var agg core.ClientStats
-			for _, c := range js {
-				agg.Add(c.Stats())
-			}
-			return agg
-		}
-		attachTel = func(rec *telemetry.Recorder) {
-			for _, c := range js {
-				c.SetRecorder(rec)
-			}
-		}
-	case KindMemcached:
-		cfg := memckv.Config{Threads: r.ServerThreads, Buckets: kv.BucketsFor(r.Keys, 1), MaxValue: maxVal}
-		srv := memckv.NewServer(cl.Server, cfg)
-		srv.Preload(keys, r.ValueSize)
-		ms := make([]*memckv.Client, len(placements))
-		for i, pl := range placements {
-			ms[i] = srv.NewClient(pl.Machine)
-			clients[i] = ms[i]
-		}
-		srv.Start()
-		statsFn = func() core.ClientStats {
-			var agg core.ClientStats
-			for _, c := range ms {
-				agg.Add(c.Stats())
-			}
-			return agg
-		}
-	case KindPilaf:
-		cfg := pilafkv.Config{Capacity: r.Keys + 64, MaxValue: maxVal, Threads: r.ServerThreads}
-		srv := pilafkv.NewServer(cl.Server, cfg)
-		if err := srv.Preload(keys, r.ValueSize); err != nil {
-			panic(fmt.Sprintf("experiments: pilaf preload: %v", err))
-		}
-		ps := make([]*pilafkv.Client, len(placements))
-		for i, pl := range placements {
-			ps[i] = srv.NewClient(pl.Machine)
-			clients[i] = ps[i]
-		}
-		srv.Start()
-		statsFn = func() core.ClientStats { return core.ClientStats{} }
-		pilafStats = func() pilafkv.ClientStats {
-			var agg pilafkv.ClientStats
-			for _, c := range ps {
-				agg.Gets += c.Stats.Gets
-				agg.Puts += c.Stats.Puts
-				agg.SlotReads += c.Stats.SlotReads
-				agg.DataReads += c.Stats.DataReads
-				agg.TornSlots += c.Stats.TornSlots
-				agg.TornExtents += c.Stats.TornExtents
-				agg.FPCollisions += c.Stats.FPCollisions
-				agg.Restarts += c.Stats.Restarts
-			}
-			return agg
-		}
-	default:
-		panic(fmt.Sprintf("experiments: unknown store kind %q", r.Kind))
+	b, err := scenario.BuildBackend(scenario.BackendSpec{
+		Backend:       string(r.Kind),
+		ServerThreads: r.ServerThreads,
+		Keys:          r.Keys,
+		PreloadValue:  r.ValueSize,
+		MaxValue:      maxVal,
+		Params:        params,
+		ExtraProcNs:   r.ExtraProcNs,
+		DisableSpikes: r.DisableSpikes,
+	}, []*fabric.Machine{cl.Server}, placements)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
 
 	hist := stats.NewHist(1 << 21)
 	measuring := false
-	ops := make([]uint64, len(clients))
+	ops := make([]uint64, len(placements))
 	var misses uint64
 	for i, pl := range placements {
 		i := i
-		cli := clients[i]
+		cli := b.Conns[i]
 		gen := workload.NewGenerator(r.Workload, r.Opts.Seed*1000+int64(i))
 		pl.Machine.Spawn("load", func(p *sim.Proc) {
 			scratch := make([]byte, maxVal+64)
 			for {
 				op := gen.Next()
 				start := p.Now()
-				ok, err := cli.Do(p, op, scratch)
+				ok, err := kv.Do(cli, p, op, scratch)
 				if err != nil {
 					panic(fmt.Sprintf("experiments: %s op failed: %v", r.Kind, err))
 				}
@@ -239,40 +167,116 @@ func RunKV(r KVRun) KVOut {
 		})
 	}
 
+	// Telemetry attaches after warmup so snapshots cover exactly the
+	// measurement window (it instruments the RFP transport only).
 	env.Run(sim.Time(r.Opts.Warmup))
 	measuring = true
 	var rec *telemetry.Recorder
-	if r.Opts.Telemetry && attachTel != nil {
-		rec = telemetry.New(telemetry.Config{})
-		attachTel(rec)
+	if r.Opts.Telemetry {
+		rec = b.Record()
 	}
-	before := sumU64(ops)
-	statsBefore := statsFn()
-	start := env.Now()
-	env.Run(start.Add(r.Opts.Window))
-	after := sumU64(ops)
-	statsAfter := statsFn()
-
+	statsBefore := b.Stats()
 	out := KVOut{
-		MOPS:   stats.MOPS(after-before, int64(r.Opts.Window)),
-		Lat:    hist,
-		Agg:    statsAfter.Sub(statsBefore),
-		Misses: misses,
-		Trace:  ring,
+		MOPS:  windowMOPS(env, r.Opts, sumOf(ops)),
+		Lat:   hist,
+		Trace: ring,
 	}
-	if pilafStats != nil {
-		out.Pilaf = pilafStats()
+	out.Agg = b.Stats().Sub(statsBefore)
+	out.Misses = misses
+	for _, c := range b.Conns {
+		if pc, ok := c.(*pilafkv.Client); ok {
+			out.Pilaf.Add(pc.Stats)
+		}
 	}
 	if rec != nil {
 		out.Tel = rec.Snapshot()
 	}
 	// Client CPU utilization: fraction of the window each client thread
 	// spent busy (idle accrues only in reply-mode waits).
-	totalThreadNs := int64(r.ClientThreads) * int64(r.Opts.Window)
-	if totalThreadNs > 0 {
-		out.ClientUtil = 1 - float64(out.Agg.IdleNs)/float64(totalThreadNs)
-	}
+	out.ClientUtil = 1 - float64(out.Agg.IdleNs)/float64(int64(r.ClientThreads)*int64(r.Opts.Window))
 	return out
+}
+
+// windowMOPS runs env for one measurement window and returns the rate, in
+// MOPS, at which count advanced over it.
+func windowMOPS(env *sim.Env, o Options, count func() uint64) float64 {
+	before := count()
+	env.Run(env.Now().Add(o.Window))
+	return stats.MOPS(count()-before, int64(o.Window))
+}
+
+// measureMOPS is the standard measurement: warm up, then one window.
+func measureMOPS(env *sim.Env, o Options, count func() uint64) float64 {
+	env.Run(sim.Time(o.Warmup))
+	return windowMOPS(env, o, count)
+}
+
+// sumOf returns a counter reading the sum of per-thread op counts.
+func sumOf(ops []uint64) func() uint64 {
+	return func() uint64 {
+		var s uint64
+		for _, x := range ops {
+			s += x
+		}
+		return s
+	}
+}
+
+// echoRig is a bare RFP service whose handler costs procNs of server CPU
+// and returns respSize bytes, called synchronously by every client thread —
+// the paradigm-level harness behind fig9, ext-herd and ext-tuning. procNs
+// and respSize may be changed between env.Run calls, when every simulated
+// proc is parked.
+type echoRig struct {
+	env      *sim.Env
+	clis     []*core.Client
+	ops      []uint64
+	procNs   int64
+	respSize int
+}
+
+// newEchoRig stands the service up on the paper topology with the given
+// thread counts; requests carry reqSize bytes and responses up to maxResp.
+func newEchoRig(o Options, params core.Params, serverThreads, clientThreads, reqSize, maxResp int) *echoRig {
+	r := &echoRig{env: sim.NewEnv(o.Seed)}
+	cl := fabric.NewCluster(r.env, o.Profile, 7)
+	srv := core.NewServer(cl.Server, core.ServerConfig{MaxRequest: 64, MaxResponse: maxResp})
+	srv.AddThreads(serverThreads)
+
+	placements := cl.ClientThreads(clientThreads)
+	conns := make([][]*core.Conn, serverThreads)
+	r.clis = make([]*core.Client, len(placements))
+	for i, pl := range placements {
+		cli, conn := srv.Accept(pl.Machine, params)
+		r.clis[i] = cli
+		conns[i%serverThreads] = append(conns[i%serverThreads], conn)
+	}
+	handler := func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+		cl.Server.ComputeNs(p, r.procNs)
+		return r.respSize
+	}
+	for _, set := range conns {
+		if len(set) == 0 {
+			continue
+		}
+		set := set
+		cl.Server.Spawn("echo", func(p *sim.Proc) { core.Serve(p, set, handler) })
+	}
+	r.ops = make([]uint64, len(r.clis))
+	for i, pl := range placements {
+		i := i
+		pl.Machine.Spawn("load", func(p *sim.Proc) {
+			req := make([]byte, reqSize)
+			out := make([]byte, maxResp)
+			for {
+				if _, err := r.clis[i].Call(p, req, out); err != nil {
+					panic(fmt.Sprintf("experiments: echo call: %v", err))
+				}
+				r.ops[i]++
+			}
+		})
+	}
+	return r
 }
 
 // EchoRun describes a bare-RPC sweep run (Fig. 9): a trivial service whose
@@ -298,83 +302,29 @@ func RunEcho(r EchoRun) KVOut {
 	if r.RespSize <= 0 {
 		r.RespSize = 1
 	}
-	env := sim.NewEnv(o.Seed)
-	defer env.Close()
-	cl := fabric.NewCluster(env, o.Profile, 7)
-	srv := core.NewServer(cl.Server, core.ServerConfig{MaxRequest: 64, MaxResponse: 64})
-	srv.AddThreads(r.ServerThreads)
+	rig := newEchoRig(o, r.Params, r.ServerThreads, r.ClientThreads, 1, 64)
+	defer rig.env.Close()
+	rig.procNs, rig.respSize = r.ProcNs, r.RespSize
 
-	placements := cl.ClientThreads(r.ClientThreads)
-	conns := make([][]*core.Conn, r.ServerThreads)
-	clis := make([]*core.Client, len(placements))
-	for i, pl := range placements {
-		cli, conn := srv.Accept(pl.Machine, r.Params)
-		clis[i] = cli
-		conns[i%r.ServerThreads] = append(conns[i%r.ServerThreads], conn)
-	}
-	handler := func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-		cl.Server.ComputeNs(p, r.ProcNs)
-		return r.RespSize
-	}
-	for t := 0; t < r.ServerThreads; t++ {
-		if len(conns[t]) == 0 {
-			continue
-		}
-		set := conns[t]
-		cl.Server.Spawn("echo", func(p *sim.Proc) { core.Serve(p, set, handler) })
-	}
-	ops := make([]uint64, len(clis))
-	for i, pl := range placements {
-		i := i
-		cli := clis[i]
-		pl.Machine.Spawn("load", func(p *sim.Proc) {
-			req := make([]byte, 1)
-			out := make([]byte, 64)
-			for {
-				if _, err := cli.Call(p, req, out); err != nil {
-					panic(fmt.Sprintf("experiments: echo call: %v", err))
-				}
-				ops[i]++
-			}
-		})
-	}
-	env.Run(sim.Time(o.Warmup))
+	rig.env.Run(sim.Time(o.Warmup))
 	var rec *telemetry.Recorder
 	if o.Telemetry {
 		rec = telemetry.New(telemetry.Config{})
-		for _, c := range clis {
+		for _, c := range rig.clis {
 			c.SetRecorder(rec)
 		}
 	}
-	before := sumU64(ops)
 	var idleBefore int64
-	for _, c := range clis {
+	for _, c := range rig.clis {
 		idleBefore += c.Stats.IdleNs
 	}
-	start := env.Now()
-	env.Run(start.Add(o.Window))
-	after := sumU64(ops)
-	var agg core.ClientStats
-	for _, c := range clis {
-		agg.Add(c.Stats)
+	out := KVOut{MOPS: windowMOPS(rig.env, o, sumOf(rig.ops))}
+	for _, c := range rig.clis {
+		out.Agg.Add(c.Stats)
 	}
-	idleDelta := agg.IdleNs - idleBefore
-	util := 1 - float64(idleDelta)/float64(int64(r.ClientThreads)*int64(o.Window))
-	out := KVOut{
-		MOPS:       stats.MOPS(after-before, int64(o.Window)),
-		Agg:        agg,
-		ClientUtil: util,
-	}
+	out.ClientUtil = 1 - float64(out.Agg.IdleNs-idleBefore)/float64(int64(r.ClientThreads)*int64(o.Window))
 	if rec != nil {
 		out.Tel = rec.Snapshot()
 	}
 	return out
-}
-
-func sumU64(v []uint64) uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }

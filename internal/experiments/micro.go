@@ -51,11 +51,7 @@ func outboundMOPS(o Options, serverThreads, size int) float64 {
 			}
 		})
 	}
-	env.Run(sim.Time(o.Warmup))
-	before := ops
-	start := env.Now()
-	env.Run(start.Add(o.Window))
-	return stats.MOPS(ops-before, int64(o.Window))
+	return measureMOPS(env, o, func() uint64 { return ops })
 }
 
 // inboundMOPS measures clientThreads client threads (spread over 7
@@ -79,11 +75,7 @@ func inboundMOPS(o Options, clientThreads, size int) float64 {
 			}
 		})
 	}
-	env.Run(sim.Time(o.Warmup))
-	before := cl.Server.NIC().Stats.InOps
-	start := env.Now()
-	env.Run(start.Add(o.Window))
-	return stats.MOPS(cl.Server.NIC().Stats.InOps-before, int64(o.Window))
+	return measureMOPS(env, o, func() uint64 { return cl.Server.NIC().Stats.InOps })
 }
 
 func fig3(o Options) Result {
@@ -159,18 +151,14 @@ func fig6(o Options) Result {
 			})
 		}
 		env.Run(sim.Time(o.Warmup))
-		var reqBefore uint64
-		for _, b := range clients {
-			reqBefore += b.Requests
-		}
 		opsBefore := cl.Server.NIC().Stats.InOps
-		start := env.Now()
-		env.Run(start.Add(o.Window))
-		var reqAfter uint64
-		for _, b := range clients {
-			reqAfter += b.Requests
-		}
-		tput.Add(float64(k), stats.MOPS(reqAfter-reqBefore, int64(o.Window)))
+		tput.Add(float64(k), windowMOPS(env, o, func() uint64 {
+			var reqs uint64
+			for _, b := range clients {
+				reqs += b.Requests
+			}
+			return reqs
+		}))
 		iops.Add(float64(k), stats.MOPS(cl.Server.NIC().Stats.InOps-opsBefore, int64(o.Window)))
 		env.Close()
 	}

@@ -65,15 +65,23 @@ func extPipeline(o Options) Result {
 	}
 }
 
-// runPipelineDepth measures one (depth, value size, process time) point: a
-// store-backed echo-style GET server on one thread, one pipelining client.
-// procNs is the per-request dispatch+processing CPU charge (150 matches the
-// Jakiro handler; ext-adaptive-depth raises it to model heavier requests).
-// The snapshot is zero unless o.Telemetry is set.
-func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, telemetry.Snapshot) {
-	env := sim.NewEnv(o.Seed)
-	defer env.Close()
-	cl := fabric.NewCluster(env, o.Profile, 1)
+// getRig is a store-backed GET service on one server thread, driven by one
+// pipelining client thread over one connection — the harness ext-pipeline
+// and ext-adaptive-depth share. The client keeps the ring as full as its
+// current depth allows and cooperates with the control plane: a pending
+// depth change applies only when the ring is quiescent, so it drains before
+// refilling (a no-op without a depth-tuning tuner). procNs, the per-request
+// dispatch+processing CPU charge, may be changed between env.Run calls.
+type getRig struct {
+	env    *sim.Env
+	cli    *core.Client
+	procNs int64
+	done   uint64
+}
+
+func newGetRig(o Options, params core.Params, valueSize int, procNs int64) *getRig {
+	r := &getRig{env: sim.NewEnv(o.Seed), procNs: procNs}
+	cl := fabric.NewCluster(r.env, o.Profile, 1)
 
 	store := kv.NewBucketStore(pipelineKeys) // load factor 1/8: no evictions
 	kbuf := make([]byte, workload.KeySize)
@@ -88,21 +96,20 @@ func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, t
 		MaxResponse: 1 + valueSize,
 	})
 	srv.AddThreads(1)
-	params := core.DefaultParams()
-	params.Depth = depth
 	cli, conn := srv.Accept(cl.Clients[0], params)
 	cl.Clients[0].AddThreads(1)
+	r.cli = cli
 
 	m := cl.Server
 	prof := m.Profile()
-	cl.Server.Spawn("srv", func(p *sim.Proc) {
+	m.Spawn("srv", func(p *sim.Proc) {
 		core.Serve(p, []*core.Conn{conn}, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-			m.ComputeNs(p, procNs) // dispatch + hash (+ modeled processing)
-			r, err := kv.DecodeRequest(req)
-			if err != nil || r.Op != kv.OpGet {
+			m.ComputeNs(p, r.procNs) // dispatch + hash (+ modeled processing)
+			rq, err := kv.DecodeRequest(req)
+			if err != nil || rq.Op != kv.OpGet {
 				return kv.EncodeResponse(resp, kv.StatusError, nil)
 			}
-			v, ok := store.Get(r.Key)
+			v, ok := store.Get(rq.Key)
 			if !ok {
 				return kv.EncodeResponse(resp, kv.StatusNotFound, nil)
 			}
@@ -111,15 +118,30 @@ func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, t
 		})
 	})
 
-	done := uint64(0)
 	cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
 		reqBuf := make([]byte, 1+workload.KeySize)
 		out := make([]byte, 1+valueSize)
-		hs := make([]core.Handle, 0, depth)
+		hs := make([]core.Handle, 0, cli.MaxDepth())
 		key := uint64(0)
+		poll := func() {
+			n, err := cli.Poll(p, hs[0], out)
+			if err != nil {
+				panic(err)
+			}
+			if status, _, err := kv.DecodeResponse(out[:n]); err != nil || status != kv.StatusOK {
+				panic(fmt.Sprintf("experiments: bad GET response (status %d, err %v)", status, err))
+			}
+			hs = hs[:copy(hs, hs[1:])]
+			r.done++
+		}
 		for {
-			// Keep the ring full, then retire the oldest call.
-			for len(hs) < depth {
+			if cli.PendingDepth() != 0 {
+				for len(hs) > 0 {
+					poll()
+				}
+				continue
+			}
+			for len(hs) < cli.Depth() {
 				req := kv.EncodeGet(reqBuf, key%pipelineKeys)
 				key++
 				h, err := cli.Post(p, req)
@@ -128,30 +150,31 @@ func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, t
 				}
 				hs = append(hs, h)
 			}
-			n, err := cli.Poll(p, hs[0], out)
-			if err != nil {
-				panic(err)
-			}
-			if status, _, err := kv.DecodeResponse(out[:n]); err != nil || status != kv.StatusOK {
-				panic(fmt.Sprintf("ext-pipeline: bad response (status %d, err %v)", status, err))
-			}
-			hs = hs[:copy(hs, hs[1:])]
-			done++
+			poll()
 		}
 	})
+	return r
+}
 
-	env.Run(sim.Time(o.Warmup))
+// runPipelineDepth measures one (depth, value size, process time) point.
+// procNs 150 matches the Jakiro handler; ext-adaptive-depth raises it to
+// model heavier requests. The snapshot is zero unless o.Telemetry is set.
+func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, telemetry.Snapshot) {
+	params := core.DefaultParams()
+	params.Depth = depth
+	r := newGetRig(o, params, valueSize, procNs)
+	defer r.env.Close()
+
+	r.env.Run(sim.Time(o.Warmup))
 	var rec *telemetry.Recorder
 	if o.Telemetry {
 		rec = telemetry.New(telemetry.Config{})
-		cli.SetRecorder(rec)
+		r.cli.SetRecorder(rec)
 	}
-	before := done
-	start := env.Now()
-	env.Run(start.Add(o.Window))
+	mops := windowMOPS(r.env, o, func() uint64 { return r.done })
 	var tel telemetry.Snapshot
 	if rec != nil {
 		tel = rec.Snapshot()
 	}
-	return stats.MOPS(done-before, int64(o.Window)), tel
+	return mops, tel
 }

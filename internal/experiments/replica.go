@@ -15,7 +15,8 @@ import (
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/replica"
+	"rfp/internal/kvstore/kv"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/workload"
@@ -66,41 +67,48 @@ func extReplica(o Options) Result {
 	}
 }
 
-// replicaService assembles a group with the given follower count on a
-// production-sized lease (100us): under saturating load the failover-tuned
-// 20us default expires leases on heartbeat jitter alone, demoting followers
-// for no failure. Serve-side correctness never depends on the lease length,
-// only failover latency does — and nothing fails here.
-func replicaService(nodes []*fabric.Machine) *replica.Service {
-	svc, err := replica.NewService(nodes, replica.Config{
-		Buckets:  2048,
-		MaxValue: 64,
-		LeaseNs:  100_000,
-	})
+// replicaGroup stands up a group with the given follower count and one
+// client per client machine, on a production-sized lease (100us): under
+// saturating load the failover-tuned 20us default expires leases on
+// heartbeat jitter alone, demoting followers for no failure. Serve-side
+// correctness never depends on the lease length, only failover latency does
+// — and nothing fails here.
+func replicaGroup(o Options, clients, followers int, localReads bool) (*sim.Env, *fabric.Cluster, []kv.Conn) {
+	env := sim.NewEnv(o.Seed)
+	cl := fabric.NewCluster(env, o.Profile, clients)
+	nodes := []*fabric.Machine{cl.Server}
+	for i := 0; i < followers; i++ {
+		nodes = append(nodes, fabric.NewMachine(env, fmt.Sprintf("follower%d", i), o.Profile))
+	}
+	spec := scenario.BackendSpec{
+		Backend:      scenario.BackendReplicaLeader,
+		Keys:         replicaKeys,
+		Buckets:      2048,
+		PreloadValue: 32,
+		MaxValue:     64,
+		Params:       core.DefaultParams(),
+		LeaseNs:      100_000,
+	}
+	if localReads {
+		spec.Backend = scenario.BackendReplica
+	}
+	placements := make([]fabric.Placement, clients)
+	for i, m := range cl.Clients {
+		placements[i] = fabric.Placement{Machine: m}
+	}
+	b, err := scenario.BuildBackend(spec, nodes, placements)
 	if err != nil {
 		panic(fmt.Sprintf("ext-replica: %v", err))
 	}
-	svc.Preload(replicaKeys, 32)
-	return svc
+	return env, cl, b.Conns
 }
 
 // runReplicaRead measures aggregate GET throughput (MOPS) of a group with
 // the given follower count under a pure-GET load from replicaClients
 // synchronous clients.
 func runReplicaRead(o Options, followers int, localReads bool) float64 {
-	env := sim.NewEnv(o.Seed)
+	env, cl, clis := replicaGroup(o, replicaClients, followers, localReads)
 	defer env.Close()
-	cl := fabric.NewCluster(env, o.Profile, replicaClients)
-	nodes := []*fabric.Machine{cl.Server}
-	for i := 0; i < followers; i++ {
-		nodes = append(nodes, fabric.NewMachine(env, fmt.Sprintf("follower%d", i), o.Profile))
-	}
-	svc := replicaService(nodes)
-	clis := make([]*replica.Client, replicaClients)
-	for i := range clis {
-		clis[i] = svc.NewClient(cl.Clients[i], core.DefaultParams(), localReads)
-	}
-	svc.Start()
 
 	warmEnd := sim.Time(o.Warmup)
 	end := warmEnd.Add(o.Window)
@@ -124,12 +132,7 @@ func runReplicaRead(o Options, followers int, localReads bool) float64 {
 		})
 	}
 	env.Run(end)
-
-	var g uint64
-	for _, v := range gets {
-		g += v
-	}
-	return float64(g) / (float64(o.Window) / 1e3)
+	return float64(sumOf(gets)()) / (float64(o.Window) / 1e3)
 }
 
 // replicaPutOps is the sequential write count of the write-cost run.
@@ -139,16 +142,9 @@ const replicaPutOps = 300
 // single sequential writer — the unloaded cost of one prepare fan-out plus
 // the all-active-acks commit rule, isolated from read traffic.
 func runReplicaPut(o Options, followers int) float64 {
-	env := sim.NewEnv(o.Seed)
+	env, cl, clis := replicaGroup(o, 1, followers, false)
 	defer env.Close()
-	cl := fabric.NewCluster(env, o.Profile, 1)
-	nodes := []*fabric.Machine{cl.Server}
-	for i := 0; i < followers; i++ {
-		nodes = append(nodes, fabric.NewMachine(env, fmt.Sprintf("follower%d", i), o.Profile))
-	}
-	svc := replicaService(nodes)
-	cli := svc.NewClient(cl.Clients[0], core.DefaultParams(), false)
-	svc.Start()
+	cli := clis[0]
 
 	var totalNs uint64
 	var measured uint64

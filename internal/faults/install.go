@@ -95,9 +95,6 @@ func shardSeed(seed int64, name string) int64 {
 	return seed*1_000_003 + int64(h.Sum64()&0x7fffffffffffffff)
 }
 
-// Per returns the injector attached to the named machine's NIC.
-func (inst *Installed) Per(name string) *Injector { return inst.per[name] }
-
 // Counts sums the fault tallies across all machines.
 func (inst *Installed) Counts() Counts {
 	var c Counts

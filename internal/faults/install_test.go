@@ -139,8 +139,8 @@ func TestInstallDigestFold(t *testing.T) {
 		inst := Install(7, stages, b, a)
 		for i, op := range ops {
 			now := sim.Time(int64(i) * 4)
-			inst.Per("alpha").Decide(now, op)
-			inst.Per("beta").Decide(now, op)
+			inst.per["alpha"].Decide(now, op)
+			inst.per["beta"].Decide(now, op)
 		}
 		return inst
 	}
@@ -151,7 +151,7 @@ func TestInstallDigestFold(t *testing.T) {
 	if i1.Digest() != ish.Digest() {
 		t.Fatal("serial and sharded installs split the streams differently")
 	}
-	alpha, beta := i1.Per("alpha"), i1.Per("beta")
+	alpha, beta := i1.per["alpha"], i1.per["beta"]
 	if alpha.Digest() == beta.Digest() {
 		t.Fatal("per-machine streams are not split (identical digests)")
 	}
@@ -214,7 +214,7 @@ func TestInstallInvalidation(t *testing.T) {
 	if c := inst.StageCounts(0); c.Invalidations != 1 {
 		t.Fatalf("counts = %+v, want exactly 1 invalidation", c)
 	}
-	if got, want := inst.Per("server").TraceString(), "t=1000 invalidate server region 3"; got != want {
+	if got, want := inst.per["server"].TraceString(), "t=1000 invalidate server region 3"; got != want {
 		t.Fatalf("trace = %q, want %q", got, want)
 	}
 }

@@ -118,9 +118,6 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 // Machine returns the hosting machine.
 func (s *Server) Machine() *fabric.Machine { return s.machine }
 
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Partition returns partition i's store (for tests and preloading).
 func (s *Server) Partition(i int) *kv.BucketStore { return s.parts[i] }
 
@@ -241,9 +238,8 @@ type Client struct {
 	conns   []*core.Client // one per server thread
 	reqBuf  []byte
 	respBuf []byte
-	groups  [][]uint64          // MultiGet partition grouping scratch
-	posted  []pendingGet        // MultiGet in-flight handles scratch
-	rec     *telemetry.Recorder // shared across conns via SetRecorder
+	groups  [][]uint64   // MultiGet partition grouping scratch
+	posted  []pendingGet // MultiGet in-flight handles scratch
 }
 
 // pendingGet tracks one posted per-partition multi-get: the keys it covers
@@ -343,27 +339,7 @@ func (c *Client) Delete(p *sim.Proc, key uint64) (bool, error) {
 // Do executes a generated workload operation (value bytes derived from the
 // key for verifiability) and reports whether it succeeded.
 func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
-	switch op.Kind {
-	case workload.Get:
-		_, found, err := c.Get(p, op.Key, scratch)
-		return found, err
-	case workload.ReadModifyWrite:
-		_, found, err := c.Get(p, op.Key, scratch)
-		if err != nil {
-			return false, err
-		}
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 1)
-		if err := c.Put(p, op.Key, v); err != nil {
-			return false, err
-		}
-		return found, nil
-	default:
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 0)
-		err := c.Put(p, op.Key, v)
-		return err == nil, err
-	}
+	return kv.Do(c, p, op, scratch)
 }
 
 // MultiGetFunc receives one key's outcome from a multi-get batch. A
@@ -560,12 +536,7 @@ func (c *Client) Conns() []*core.Client { return c.conns }
 // connection (both endpoints), so per-call telemetry aggregates across the
 // client's whole partition fan-out. Nil detaches.
 func (c *Client) SetRecorder(rec *telemetry.Recorder) {
-	c.rec = rec
 	for _, conn := range c.conns {
 		conn.SetRecorder(rec)
 	}
 }
-
-// Snapshot returns the client's aggregate telemetry snapshot (zero with no
-// recorder attached).
-func (c *Client) Snapshot() telemetry.Snapshot { return c.rec.Snapshot() }

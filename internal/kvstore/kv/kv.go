@@ -11,8 +11,46 @@ import (
 	"errors"
 	"fmt"
 
+	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
+
+// Conn is one client thread's synchronous handle to a store: every system
+// in this repository (the four paper stores, the sharded fan-out, the
+// replicated group) exposes this pair, and every harness drives them
+// through it.
+type Conn interface {
+	Get(p *sim.Proc, key uint64, out []byte) (int, bool, error)
+	Put(p *sim.Proc, key uint64, value []byte) error
+}
+
+// Do executes one generated workload operation on c and reports whether it
+// found (GET, read-modify-write) or stored (PUT) its key. Value bytes are
+// derived from the key (workload.FillValue: version 0 for a PUT, 1 for the
+// write half of a read-modify-write), so any reader can verify them.
+func Do(c Conn, p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
+	switch op.Kind {
+	case workload.Get:
+		_, found, err := c.Get(p, op.Key, scratch)
+		return found, err
+	case workload.ReadModifyWrite:
+		_, found, err := c.Get(p, op.Key, scratch)
+		if err != nil {
+			return false, err
+		}
+		v := scratch[:op.ValueSize]
+		workload.FillValue(v, op.Key, 1)
+		if err := c.Put(p, op.Key, v); err != nil {
+			return false, err
+		}
+		return found, nil
+	default:
+		v := scratch[:op.ValueSize]
+		workload.FillValue(v, op.Key, 0)
+		err := c.Put(p, op.Key, v)
+		return err == nil, err
+	}
+}
 
 // Op codes of the KV RPC protocol.
 const (
@@ -184,7 +222,6 @@ type BucketStore struct {
 	buckets []([SlotsPerBucket]slot)
 	clock   uint64
 	live    int
-	evicted uint64
 }
 
 // NewBucketStore creates a store with nBuckets buckets (capacity
@@ -285,7 +322,6 @@ func (s *BucketStore) Put(key, value []byte) bool {
 		value:   append([]byte(nil), value...),
 		lastUse: s.clock,
 	}
-	s.evicted++
 	return true
 }
 
@@ -306,9 +342,6 @@ func (s *BucketStore) Delete(key []byte) bool {
 
 // Len returns the number of live pairs.
 func (s *BucketStore) Len() int { return s.live }
-
-// Evictions returns the cumulative LRU eviction count.
-func (s *BucketStore) Evictions() uint64 { return s.evicted }
 
 // KeyCache is a small bounded LRU set of recently accessed keys. The
 // RDMA-Memcached model consults it to charge reduced CPU cost for hot keys

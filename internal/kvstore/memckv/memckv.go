@@ -146,12 +146,6 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 	return s
 }
 
-// Machine returns the hosting machine.
-func (s *Server) Machine() *fabric.Machine { return s.machine }
-
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Preload inserts all keys directly (no simulated time).
 func (s *Server) Preload(keys []uint64, valueSize int) {
 	kbuf := make([]byte, workload.KeySize)
@@ -293,31 +287,6 @@ func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
 		return ErrBadResponse
 	}
 	return nil
-}
-
-// Do executes a generated workload operation.
-func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
-	switch op.Kind {
-	case workload.Get:
-		_, found, err := c.Get(p, op.Key, scratch)
-		return found, err
-	case workload.ReadModifyWrite:
-		_, found, err := c.Get(p, op.Key, scratch)
-		if err != nil {
-			return false, err
-		}
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 1)
-		if err := c.Put(p, op.Key, v); err != nil {
-			return false, err
-		}
-		return found, nil
-	default:
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 0)
-		err := c.Put(p, op.Key, v)
-		return err == nil, err
-	}
 }
 
 // Stats returns the transport-level statistics.

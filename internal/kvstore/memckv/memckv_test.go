@@ -5,6 +5,7 @@ import (
 
 	"rfp/internal/fabric"
 	"rfp/internal/hw"
+	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/workload"
@@ -121,7 +122,7 @@ func measure(t *testing.T, cfg Config, wcfg workload.Config, clients int, window
 		pl.Machine.Spawn("cli", func(p *sim.Proc) {
 			scratch := make([]byte, 256)
 			for {
-				if _, err := cli.Do(p, gen.Next(), scratch); err != nil {
+				if _, err := kv.Do(cli, p, gen.Next(), scratch); err != nil {
 					t.Errorf("Do: %v", err)
 					return
 				}

@@ -131,12 +131,6 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 	return s
 }
 
-// Machine returns the hosting machine.
-func (s *Server) Machine() *fabric.Machine { return s.machine }
-
-// Config returns the effective configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Table exposes the cuckoo table (tests).
 func (s *Server) Table() *cuckoo.Table { return s.table }
 
@@ -268,6 +262,18 @@ type ClientStats struct {
 	Restarts     uint64
 }
 
+// Add accumulates o into st (aggregating per-thread clients).
+func (st *ClientStats) Add(o ClientStats) {
+	st.Gets += o.Gets
+	st.Puts += o.Puts
+	st.SlotReads += o.SlotReads
+	st.DataReads += o.DataReads
+	st.TornSlots += o.TornSlots
+	st.TornExtents += o.TornExtents
+	st.FPCollisions += o.FPCollisions
+	st.Restarts += o.Restarts
+}
+
 // ReadsPerGet returns the average RDMA reads each GET needed — the access
 // amplification number (Pilaf: ~3.2).
 func (st ClientStats) ReadsPerGet() float64 {
@@ -397,25 +403,5 @@ func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
 
 // Do executes a generated workload operation.
 func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
-	switch op.Kind {
-	case workload.Get:
-		_, found, err := c.Get(p, op.Key, scratch)
-		return found, err
-	case workload.ReadModifyWrite:
-		_, found, err := c.Get(p, op.Key, scratch)
-		if err != nil {
-			return false, err
-		}
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 1)
-		if err := c.Put(p, op.Key, v); err != nil {
-			return false, err
-		}
-		return found, nil
-	default:
-		v := scratch[:op.ValueSize]
-		workload.FillValue(v, op.Key, 0)
-		err := c.Put(p, op.Key, v)
-		return err == nil, err
-	}
+	return kv.Do(c, p, op, scratch)
 }

@@ -1,6 +1,7 @@
 package pilafkv
 
 import (
+	"reflect"
 	"testing"
 
 	"rfp/internal/fabric"
@@ -233,5 +234,27 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if ClientStats.ReadsPerGet(ClientStats{}) != 0 {
 		t.Fatal("ReadsPerGet on empty stats")
+	}
+}
+
+// TestClientStatsAddCoversEveryField: Add sums every counter, so one added
+// to ClientStats later cannot be silently dropped from aggregates (the same
+// guard core.ClientStats has).
+func TestClientStatsAddCoversEveryField(t *testing.T) {
+	var a, b ClientStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("ClientStats.%s has kind %v: teach Add and this test about it",
+				av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetUint(uint64(1000 + i))
+		bv.Field(i).SetUint(uint64(5 + 2*i))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(1005+3*i); got != want {
+			t.Errorf("Add: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -1,8 +1,6 @@
-// Package paradigm catalogs the RDMA-based RPC design space the paper lays
-// out in Table 1 — the choices available for each of an RPC's three steps
-// (request send, request process, result return) and the paradigms they
-// induce — and provides the synthetic server-bypass client used to measure
-// bypass access amplification (Fig. 6).
+// Package paradigm provides the synthetic server-bypass client used to
+// measure bypass access amplification (Fig. 6) — the server-bypass row of
+// the design space the paper lays out in Table 1.
 package paradigm
 
 import (
@@ -12,28 +10,6 @@ import (
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
 )
-
-// Paradigm is one row of the paper's Table 1.
-type Paradigm struct {
-	Name           string
-	RequestSend    string // always in-bound RDMA from the server's view
-	RequestProcess string
-	ResultReturn   string
-	PortingCost    string
-	Meaningful     bool
-}
-
-// Table1 returns the paper's design-choice taxonomy. The fourth combination
-// (server bypassed, yet results pushed with out-bound RDMA) is meaningless:
-// nothing on the server would know a result exists to push.
-func Table1() []Paradigm {
-	return []Paradigm{
-		{"server-reply", "in-bound RDMA", "server involved", "out-bound RDMA", "low", true},
-		{"server-bypass", "in-bound RDMA", "server bypassed", "in-bound RDMA", "high", true},
-		{"RFP", "in-bound RDMA", "server involved", "in-bound RDMA", "moderate", true},
-		{"(meaningless)", "in-bound RDMA", "server bypassed", "out-bound RDMA", "-", false},
-	}
-}
 
 // ErrBadOps reports an invalid per-request operation count.
 var ErrBadOps = errors.New("paradigm: ops per request must be >= 1")

@@ -9,30 +9,6 @@ import (
 	"rfp/internal/stats"
 )
 
-func TestTable1Shape(t *testing.T) {
-	rows := Table1()
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	meaningful := 0
-	for _, r := range rows {
-		if r.RequestSend != "in-bound RDMA" {
-			t.Fatalf("%s: request send must be in-bound (clients initiate)", r.Name)
-		}
-		if r.Meaningful {
-			meaningful++
-		}
-	}
-	if meaningful != 3 {
-		t.Fatalf("%d meaningful paradigms, want 3", meaningful)
-	}
-	// RFP's signature: server involved, yet results fetched in-bound.
-	rfp := rows[2]
-	if rfp.Name != "RFP" || rfp.RequestProcess != "server involved" || rfp.ResultReturn != "in-bound RDMA" {
-		t.Fatalf("RFP row wrong: %+v", rfp)
-	}
-}
-
 func TestBypassRequestCountsReads(t *testing.T) {
 	env := sim.NewEnv(5)
 	defer env.Close()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"rfp/internal/core"
 	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
@@ -516,5 +517,91 @@ func TestEpochAdoptionTruncatesPendingTail(t *testing.T) {
 	r.env.Run(sim.Time(1 * sim.Millisecond))
 	if !ran {
 		t.Fatal("driver never ran")
+	}
+}
+
+// TestRejoinPreparesCarryTheirOwnEntry drives TestFailoverElectsNewLeader's
+// crash and rejoin with PUTs of mixed value sizes in flight. While the new
+// leader's ctrl proc streams the restarted node the log it missed, its serve
+// proc keeps fanning fresh prepares out to the same peer — parked inside
+// core.Post while the data link reconnects. A prepare carries no length field
+// (the value is the rest of the message), so if the two procs shared an
+// encode buffer the staged prepare would be another entry's bytes cut to this
+// entry's length. The stray is usually masked (the follower has applied that
+// index by the time it lands, and backfill re-sends the entry that was
+// lost), so the assertion sits at the receivers: every prepare a node is
+// handed must be byte-equal to its sender's log[index]. Afterwards every
+// node's log and store must equal the leader's, entry for entry.
+func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
+	r := newRig(t, 3, Config{MaxValue: 256})
+	cli := r.svc.NewClient(r.cl.Clients[0], cliParams(), false)
+
+	// Service.Start, with the prepare check wrapped around each handler.
+	prepares := 0
+	r.svc.started = true
+	for _, nd := range r.svc.nodes {
+		nd := nd
+		nd.m.Spawn("replica-serve", func(p *sim.Proc) {
+			core.Serve(p, nd.conns, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+				if pm, ok := decodePrepare(req); ok && req[0] == opPrepare {
+					prepares++
+					from := r.svc.nodes[pm.leader]
+					if int(pm.index) > len(from.log) {
+						t.Errorf("t=%d node %d handed a prepare for log[%d]; sender %d holds %d entries",
+							p.Now(), nd.id, pm.index, from.id, len(from.log))
+					} else if ent := from.log[pm.index-1]; ent.key != pm.key || string(ent.val) != string(pm.value) {
+						t.Errorf("t=%d node %d handed a prepare for log[%d] carrying (key %d, %d B); sender %d's entry is (key %d, %d B)",
+							p.Now(), nd.id, pm.index, pm.key, len(pm.value), from.id, ent.key, len(ent.val))
+					}
+				}
+				return nd.handle(p, c, req, resp)
+			})
+		})
+		nd.m.Spawn("replica-ctrl", nd.ctrlLoop)
+	}
+	r.env.At(sim.Time(100*sim.Microsecond), r.cl.Server.Fail)
+	r.env.At(sim.Time(600*sim.Microsecond), r.cl.Server.Restart)
+
+	const keys = 8
+	r.cl.Clients[0].Spawn("writer", func(p *sim.Proc) {
+		val := make([]byte, 256)
+		for v := uint32(1); v <= 400; v++ {
+			key := uint64(v % keys)
+			size := workload.VersionedMin + int(v*37)%200
+			workload.FillVersioned(val[:size], key, v)
+			_ = cli.Put(p, key, val[:size]) // ambiguous outcomes are fine here
+		}
+	})
+	r.env.Run(sim.Time(40 * sim.Millisecond))
+
+	if st := r.svc.Stats(); st.Promotions < 1 || st.StepDowns < 1 || prepares < 400 {
+		t.Fatalf("the failover and rejoin did not happen (%d prepares): %+v", prepares, st)
+	}
+	lead := r.svc.nodes[r.svc.Leader()]
+	kb := make([]byte, workload.KeySize)
+	for _, nd := range r.svc.nodes {
+		if nd == lead {
+			continue
+		}
+		if len(nd.log) != len(lead.log) || nd.applied != lead.applied {
+			t.Fatalf("node %d: log %d applied %d, leader log %d applied %d",
+				nd.id, len(nd.log), nd.applied, len(lead.log), lead.applied)
+		}
+		for i := range lead.log {
+			// Not the epoch: an inherited entry is re-sent under the new
+			// leader's epoch.
+			if le, fe := &lead.log[i], &nd.log[i]; le.key != fe.key || string(le.val) != string(fe.val) {
+				t.Fatalf("node %d log[%d] = (key %d, %d B), leader has (key %d, %d B)",
+					nd.id, i+1, fe.key, len(fe.val), le.key, len(le.val))
+			}
+		}
+		for k := uint64(0); k < keys; k++ {
+			workload.EncodeKey(kb, k)
+			lv, lok := lead.store.Get(kb)
+			fv, fok := nd.store.Get(kb)
+			if lok != fok || string(lv) != string(fv) {
+				t.Fatalf("node %d store diverged on key %d (%d B vs leader's %d B)", nd.id, k, len(fv), len(lv))
+			}
+		}
 	}
 }

@@ -160,13 +160,19 @@ type node struct {
 	drainUntil []int64
 	peerEnd    []int // peer log length, from acks
 
-	prepBuf []byte
-	hbBuf   []byte
-	ackBuf  []byte
-	keyBuf  []byte // 16-byte canonical-key scratch for store applies
-	hs      []core.Handle
-	hsPeer  []int
-	hsSend  []int64
+	// Request and ack buffers, one set per proc: a request handed to
+	// core.Post/Call must not change until the call returns, and the serve
+	// proc (replicate, syncPrepare) and the ctrl proc (heartbeats, rejoin,
+	// promotion) run interleaved.
+	prepBuf     []byte
+	ackBuf      []byte
+	ctrlPrepBuf []byte
+	hbBuf       []byte
+	ctrlAckBuf  []byte
+	keyBuf      []byte // 16-byte canonical-key scratch for store applies
+	hs          []core.Handle
+	hsPeer      []int
+	hsSend      []int64
 
 	commits       uint64
 	leaderReads   uint64
@@ -193,24 +199,26 @@ func NewService(machines []*fabric.Machine, cfg Config) (*Service, error) {
 	n := len(machines)
 	for i, m := range machines {
 		nd := &node{
-			svc:        s,
-			id:         i,
-			m:          m,
-			store:      kv.NewBucketStore(cfg.Buckets),
-			leaderID:   0,
-			epoch:      1,
-			pending:    map[uint64]int{},
-			data:       make([]*core.Client, n),
-			ctrl:       make([]*core.Client, n),
-			active:     make([]bool, n),
-			anchor:     make([]int64, n),
-			lastAlive:  make([]int64, n),
-			drainUntil: make([]int64, n),
-			peerEnd:    make([]int, n),
-			prepBuf:    make([]byte, prepareHdr+cfg.MaxValue),
-			hbBuf:      make([]byte, heartbeatLen),
-			ackBuf:     make([]byte, 8),
-			keyBuf:     make([]byte, workload.KeySize),
+			svc:         s,
+			id:          i,
+			m:           m,
+			store:       kv.NewBucketStore(cfg.Buckets),
+			leaderID:    0,
+			epoch:       1,
+			pending:     map[uint64]int{},
+			data:        make([]*core.Client, n),
+			ctrl:        make([]*core.Client, n),
+			active:      make([]bool, n),
+			anchor:      make([]int64, n),
+			lastAlive:   make([]int64, n),
+			drainUntil:  make([]int64, n),
+			peerEnd:     make([]int, n),
+			prepBuf:     make([]byte, prepareHdr+cfg.MaxValue),
+			ackBuf:      make([]byte, 8),
+			ctrlPrepBuf: make([]byte, prepareHdr+cfg.MaxValue),
+			hbBuf:       make([]byte, heartbeatLen),
+			ctrlAckBuf:  make([]byte, 8),
+			keyBuf:      make([]byte, workload.KeySize),
 		}
 		nd.srv = core.NewServer(m, core.ServerConfig{
 			MaxRequest:  prepareHdr + cfg.MaxValue,
@@ -260,9 +268,6 @@ func NewService(machines []*fabric.Machine, cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// Nodes returns the deployment size.
-func (s *Service) Nodes() int { return len(s.nodes) }
 
 // Store exposes node i's store for verification.
 func (s *Service) Store(i int) *kv.BucketStore { return s.nodes[i].store }
@@ -928,25 +933,25 @@ func (n *node) leaderTick(p *sim.Proc) {
 		}
 		sendT := now
 		msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(len(n.log)), int(lb))
-		nr, err := n.ctrl[j].Call(p, msg, n.ackBuf)
+		nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 		if err != nil {
 			n.condemn(j, int64(p.Now()))
 			continue
 		}
-		if nr >= 5 && n.ackBuf[0] == statusStaleEpoch {
-			n.stepDownTo(p, u32(n.ackBuf[1:5]))
+		if nr >= 5 && n.ctrlAckBuf[0] == statusStaleEpoch {
+			n.stepDownTo(p, u32(n.ctrlAckBuf[1:5]))
 			return
 		}
-		if nr < 5 || n.ackBuf[0] != kv.StatusOK {
+		if nr < 5 || n.ctrlAckBuf[0] != kv.StatusOK {
 			continue
 		}
 		if now = int64(p.Now()); now > n.lastAlive[j] {
 			n.lastAlive[j] = now
 		}
-		if end := int(u32(n.ackBuf[1:5])); end > n.peerEnd[j] {
+		if end := int(u32(n.ctrlAckBuf[1:5])); end > n.peerEnd[j] {
 			n.peerEnd[j] = end
 		} else if !n.active[j] {
-			n.peerEnd[j] = int(u32(n.ackBuf[1:5]))
+			n.peerEnd[j] = int(u32(n.ctrlAckBuf[1:5]))
 		}
 		if n.active[j] {
 			if sendT > n.anchor[j] {
@@ -979,13 +984,13 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 	}
 	sendT := int64(p.Now())
 	msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(len(n.log)), int(byte(n.id)|leasedBit))
-	nr, err := n.ctrl[j].Call(p, msg, n.ackBuf)
-	if err != nil || nr < 5 || n.ackBuf[0] != kv.StatusOK {
+	nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
+	if err != nil || nr < 5 || n.ctrlAckBuf[0] != kv.StatusOK {
 		n.condemn(j, int64(p.Now()))
 		return
 	}
 	n.noteAck(p, j, sendT)
-	if end := int(u32(n.ackBuf[1:5])); end > n.peerEnd[j] {
+	if end := int(u32(n.ctrlAckBuf[1:5])); end > n.peerEnd[j] {
 		n.peerEnd[j] = end
 	}
 }
@@ -995,22 +1000,22 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 // condemned and a later tick finalizes.
 func (n *node) syncPrepareCtrl(p *sim.Proc, j, i int, e0 uint32) bool {
 	ent := &n.log[i-1]
-	msg := encodePrepare(n.prepBuf, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
+	msg := encodePrepare(n.ctrlPrepBuf, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
 	sendT := int64(p.Now())
-	nr, err := n.ctrl[j].Call(p, msg, n.ackBuf)
+	nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 	if err != nil {
 		n.condemn(j, int64(p.Now()))
 		return false
 	}
-	if nr >= 5 && n.ackBuf[0] == kv.StatusOK {
+	if nr >= 5 && n.ctrlAckBuf[0] == kv.StatusOK {
 		n.noteAck(p, j, sendT)
-		if end := int(u32(n.ackBuf[1:5])); end > n.peerEnd[j] {
+		if end := int(u32(n.ctrlAckBuf[1:5])); end > n.peerEnd[j] {
 			n.peerEnd[j] = end
 		}
 		return true
 	}
-	if nr >= 5 && n.ackBuf[0] == statusStaleEpoch {
-		n.stepDownTo(p, u32(n.ackBuf[1:5]))
+	if nr >= 5 && n.ctrlAckBuf[0] == statusStaleEpoch {
+		n.stepDownTo(p, u32(n.ctrlAckBuf[1:5]))
 	}
 	return false
 }
@@ -1084,22 +1089,22 @@ func (n *node) promote(p *sim.Proc) {
 			break
 		}
 		msg := encodeHeartbeat(n.hbBuf, promoEpoch, uint32(n.applied), uint32(len(n.log)), n.id)
-		nr, err := n.ctrl[j].Call(p, msg, n.ackBuf)
+		nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 		if err != nil || nr < 1 {
 			unreachable = true // does not join; its lease is waited out below
 			continue
 		}
-		switch n.ackBuf[0] {
+		switch n.ctrlAckBuf[0] {
 		case kv.StatusOK:
 			if nr >= 5 {
 				granted[j] = true
 				grants++
-				n.peerEnd[j] = int(u32(n.ackBuf[1:5]))
+				n.peerEnd[j] = int(u32(n.ctrlAckBuf[1:5]))
 				n.lastAlive[j] = int64(p.Now())
 			}
 		case statusStaleEpoch:
-			if nr >= 5 && u32(n.ackBuf[1:5]) > n.epoch {
-				n.epoch = u32(n.ackBuf[1:5])
+			if nr >= 5 && u32(n.ctrlAckBuf[1:5]) > n.epoch {
+				n.epoch = u32(n.ctrlAckBuf[1:5])
 			}
 			reject = true
 		case statusLeaseHeld, statusBehind:

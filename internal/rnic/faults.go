@@ -68,9 +68,6 @@ func (n *NIC) SetInjector(fi FaultInjector) { n.injector = fi }
 // operations it initiates and operations targeting it.
 func (n *NIC) SetDown(d bool) { n.down = d }
 
-// Down reports whether the NIC is down.
-func (n *NIC) Down() bool { return n.down }
-
 // RegionCount returns how many regions have been registered on this NIC
 // (including since-deregistered ones; registrations are never recycled).
 func (n *NIC) RegionCount() int { return len(n.mrs) }
@@ -133,6 +130,3 @@ func (q *QP) decideAt(now sim.Time, op WROp, size int) FaultAction {
 	}
 	return act
 }
-
-// Errored reports whether this QP has transitioned to the error state.
-func (q *QP) Errored() bool { return q.errored }

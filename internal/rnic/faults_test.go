@@ -100,7 +100,7 @@ func runFaultCase(t *testing.T, op WROp, act FaultAction, blocking bool, midFlig
 		}
 		out.err = issue()
 		out.done = p.Now()
-		out.errored = qa.Errored()
+		out.errored = qa.errored
 		out.local = append([]byte(nil), local...)
 		out.remote = append([]byte(nil), mr.Buf[8:8+len(faultRemote)]...)
 		out.inOps, out.outBytes = b.Stats.InOps, a.Stats.OutBytes

@@ -71,12 +71,8 @@ type NIC struct {
 	mrs      []*MR         // every registration, for crash invalidation
 
 	// Resource-footprint accounting (control plane, no virtual time).
-	// regBytes is page-rounded: a real RNIC pins whole pages, which is why
-	// thousands of small per-client regions cost far more than their byte
-	// count suggests — the waste the slab registrar (slab.go) removes.
-	regBytes int64 // page-rounded bytes across live registrations
-	regMRs   int   // live registrations
-	qps      int   // QP endpoints created on this NIC
+	regMRs int // live registrations
+	qps    int // QP endpoints created on this NIC
 
 	// Stats accumulates since construction; callers snapshot it around
 	// measurement windows.
@@ -112,28 +108,12 @@ func (n *NIC) SetShard(sh *sim.Shard) {
 	n.rx.SetShard(sh)
 }
 
-// Shard returns the scheduler lane this NIC is homed to.
-func (n *NIC) Shard() *sim.Shard { return n.shard }
-
 // Name returns the NIC's name.
 func (n *NIC) Name() string { return n.name }
-
-// Profile returns the hardware profile backing this NIC.
-func (n *NIC) Profile() hw.Profile { return n.prof }
-
-// Env returns the simulation environment.
-func (n *NIC) Env() *sim.Env { return n.env }
 
 // RegisterIssuer records one more thread that issues operations through this
 // NIC; the count feeds the QP/driver contention model (paper Fig. 4).
 func (n *NIC) RegisterIssuer() { n.issuers++ }
-
-// UnregisterIssuer removes a previously registered issuing thread.
-func (n *NIC) UnregisterIssuer() {
-	if n.issuers > 0 {
-		n.issuers--
-	}
-}
 
 // Issuers returns the number of registered issuing threads.
 func (n *NIC) Issuers() int { return n.issuers }
@@ -141,9 +121,6 @@ func (n *NIC) Issuers() int { return n.issuers }
 // SetTracer attaches an event recorder to this NIC's data path (nil
 // detaches). Tracing costs host time only; virtual timings are unaffected.
 func (n *NIC) SetTracer(r *trace.Ring) { n.tracer = r }
-
-// Tracer returns the attached recorder, if any.
-func (n *NIC) Tracer() *trace.Ring { return n.tracer }
 
 // SetCPUFactor sets the CPU time dilation applied to post/poll overheads,
 // normally threads/cores when a machine is oversubscribed.
@@ -196,12 +173,8 @@ func (n *NIC) RegisterMemory(size int) *MR {
 	mr := &MR{nic: n, Buf: make([]byte, size), rkey: n.nextRKey, valid: true}
 	n.mrs = append(n.mrs, mr)
 	n.regMRs++
-	n.regBytes += pageRound(size)
 	return mr
 }
-
-// RegisteredBytes returns the page-rounded footprint of live registrations.
-func (n *NIC) RegisteredBytes() int64 { return n.regBytes }
 
 // RegisteredMRs returns the number of live registrations.
 func (n *NIC) RegisteredMRs() int { return n.regMRs }
@@ -216,11 +189,7 @@ func (mr *MR) Deregister() {
 	}
 	mr.valid = false
 	mr.nic.regMRs--
-	mr.nic.regBytes -= pageRound(len(mr.Buf))
 }
-
-// Size returns the region length in bytes.
-func (mr *MR) Size() int { return len(mr.Buf) }
 
 // Handle returns the remote-access handle (address + rkey in real verbs)
 // that the owner passes to peers out of band during connection setup.

@@ -476,7 +476,7 @@ func TestTracerRecordsDataPath(t *testing.T) {
 		_ = qa.Send(p, make([]byte, 4))
 	})
 	env.RunAll()
-	if a.Tracer() != ring {
+	if a.tracer != ring {
 		t.Fatal("tracer not attached")
 	}
 	events := ring.Events()
@@ -497,7 +497,7 @@ func TestTracerRecordsDataPath(t *testing.T) {
 		}
 	}
 	// The responder NIC had no tracer attached: nothing recorded there.
-	if b.Tracer() != nil {
+	if b.tracer != nil {
 		t.Fatal("tracer leaked to peer")
 	}
 }
@@ -515,7 +515,7 @@ func TestTracerRecordsDrops(t *testing.T) {
 		_ = ua.SendTo(p, ub, make([]byte, 8))
 	})
 	env.RunAll()
-	if len(ring.Filter(trace.Drop)) != 1 {
+	if ev := ring.Events(); len(ev) != 1 || ev[0].Kind != trace.Drop {
 		t.Fatalf("drop not traced: %v", ring.Events())
 	}
 }

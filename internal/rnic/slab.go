@@ -42,17 +42,15 @@ func NewSlabRegistrar(n *NIC, slabBytes int) *SlabRegistrar {
 	return &SlabRegistrar{nic: n, slabSize: slabBytes}
 }
 
-// NIC returns the NIC the registrar registers on.
-func (r *SlabRegistrar) NIC() *NIC { return r.nic }
-
 // Slabs returns the number of shared slabs registered so far.
 func (r *SlabRegistrar) Slabs() int { return len(r.slabs) }
 
 // Leases returns the number of live leases.
 func (r *SlabRegistrar) Leases() int { return r.leases }
 
-// RegisteredBytes returns the page-rounded bytes this registrar has pinned —
-// the registrar's share of its NIC's RegisteredBytes gauge.
+// RegisteredBytes returns the page-rounded bytes this registrar has pinned
+// (a real RNIC pins whole pages, which is why thousands of small per-client
+// regions cost far more than their byte count suggests).
 func (r *SlabRegistrar) RegisteredBytes() int64 { return r.bytes }
 
 // RegisteredMRs returns the registrar's live MR count (slabs plus dedicated

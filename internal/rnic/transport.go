@@ -97,9 +97,6 @@ func NewUD(n *NIC) *UD {
 	return &UD{nic: n, recvQ: sim.NewQueueOn[message](n.shard)}
 }
 
-// NIC returns the owning NIC.
-func (u *UD) NIC() *NIC { return u.nic }
-
 // SendTo transmits a datagram to another UD endpoint. UD sends are the
 // cheapest verb on the initiator (connectionless, no per-destination
 // state), which is the HERD/FaSST performance argument — but the datagram

@@ -1,9 +1,9 @@
 package scenario
 
-// Backend builders: the systems a scenario can run against, mirroring the
-// experiment harness's store construction (internal/experiments.RunKV) but
-// built onto an externally assembled cluster so scenarios can use custom
-// topologies (multiple servers, straggler NICs, pooled endpoints).
+// The backend builder: the one place a store is stood up on an assembled
+// cluster (config → server → preload → one client per placement → Start).
+// Scenarios fill the spec from their Topology; the figure experiments
+// (internal/experiments) fill it from their run descriptions.
 
 import (
 	"fmt"
@@ -17,7 +17,6 @@ import (
 	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/replica"
 	"rfp/internal/shard"
-	"rfp/internal/sim"
 	"rfp/internal/telemetry"
 	"rfp/internal/workload"
 )
@@ -63,209 +62,211 @@ func Backends() []string {
 
 func knownBackend(name string) bool { return backendNames[name] }
 
-// conn is one client thread's synchronous handle to the store under test.
-// All backends expose Get/Put with integrity-verifiable values; the driver
-// builds RMW from the pair.
-type conn interface {
-	Get(p *sim.Proc, key uint64, out []byte) (int, bool, error)
-	Put(p *sim.Proc, key uint64, value []byte) error
+// BackendSpec describes one system under test. Every field is a value some
+// pair of harnesses sets differently; nothing here is optional behaviour.
+type BackendSpec struct {
+	Backend       string // one of Backends()
+	ServerThreads int    // threads (= EREW partitions) per server machine; the replica nodes are single-threaded
+	Keys          int    // key space, preloaded at version 0
+	Buckets       int    // hash buckets per partition (shared table for memckv/replica); 0: kv.BucketsFor
+	PreloadValue  int    // preloaded value length
+	MaxValue      int    // largest value any op carries
+	// Params configures the clients' RFP connections (jakiro, server-reply,
+	// sharded, replica; memckv and pilafkv pin their own server-reply
+	// channel). On the sharded backend Depth > 1 makes the clients
+	// pipelined: every ring joins one core.Group per client thread.
+	Params        core.Params
+	ExtraProcNs   int64 // synthetic per-request server CPU (Fig. 14/15)
+	DisableSpikes bool  // no heavy-tail process-time spikes
+	Pool          core.PoolConfig
+	LeaseNs       int64 // replica follower lease; 0: replica's failover-tuned default
 }
 
-// backend is a constructed system under test: one conn per client thread,
-// an aggregate stats reader, and (on RFP-based systems) a telemetry hook.
-type backend struct {
-	conns  []conn
-	stats  func() core.ClientStats       // summed across threads, recovery block included
-	attach func(rec *telemetry.Recorder) // nil when the system is not instrumented
+// Backend is a constructed system under test: one kv.Conn per placement,
+// in placement order. The concrete client types (*jakiro.Client,
+// *shard.Client, ...) are reachable by type assertion for harnesses that
+// need more than Get/Put.
+type Backend struct {
+	Conns []kv.Conn
 }
 
-// shardConn adapts a shard fan-out client to the conn interface by routing
-// to the owning server's per-server client.
-type shardConn struct{ c *shard.Client }
-
-func (s shardConn) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
-	return s.c.Server(s.c.ServerFor(key)).Get(p, key, out)
+// Stats sums the RFP transport statistics (recovery block included) over
+// the clients that keep them; pilafkv and replica clients contribute zero.
+func (b *Backend) Stats() core.ClientStats {
+	var agg core.ClientStats
+	for _, c := range b.Conns {
+		if s, ok := c.(interface{ Stats() core.ClientStats }); ok {
+			agg.Add(s.Stats())
+		}
+	}
+	return agg
 }
 
-func (s shardConn) Put(p *sim.Proc, key uint64, value []byte) error {
-	return s.c.Server(s.c.ServerFor(key)).Put(p, key, value)
+// Record attaches one fresh recorder to every client that records per-call
+// telemetry (the RFP-store backends) and returns it; nil when none does.
+func (b *Backend) Record() *telemetry.Recorder {
+	var rec *telemetry.Recorder
+	for _, c := range b.Conns {
+		if r, ok := c.(interface{ SetRecorder(*telemetry.Recorder) }); ok {
+			if rec == nil {
+				rec = telemetry.New(telemetry.Config{})
+			}
+			r.SetRecorder(rec)
+		}
+	}
+	return rec
+}
+
+// connect creates one client per placement. Clients are created before
+// Start: connection setup precedes serving.
+func connect[C kv.Conn](b *Backend, placements []fabric.Placement, newClient func(*fabric.Machine) C) {
+	for i, pl := range placements {
+		b.Conns[i] = newClient(pl.Machine)
+	}
+}
+
+// BuildBackend constructs spec's system on the assembled cluster.
+// servers[0] hosts the single-server stores; the sharded and replica
+// backends spread over all of servers.
+func BuildBackend(spec BackendSpec, servers []*fabric.Machine, placements []fabric.Placement) (*Backend, error) {
+	keys := workload.Preload(workload.Config{Keys: spec.Keys})
+	buckets := func(partitions int) int {
+		if spec.Buckets > 0 {
+			return spec.Buckets
+		}
+		return kv.BucketsFor(spec.Keys, partitions)
+	}
+	b := &Backend{Conns: make([]kv.Conn, len(placements))}
+
+	switch spec.Backend {
+	case BackendJakiro, BackendServerReply, BackendSharded:
+		cfg := jakiro.Config{
+			Threads:             spec.ServerThreads,
+			BucketsPerPartition: buckets(spec.ServerThreads),
+			MaxValue:            spec.MaxValue,
+			Params:              spec.Params,
+			ExtraProcNs:         spec.ExtraProcNs,
+			Pool:                spec.Pool,
+		}
+		if spec.Backend == BackendServerReply {
+			cfg.Params.ForceReply = true
+			cfg.Params.ReplyPollNs = 300
+		}
+		if spec.DisableSpikes {
+			cfg.SpikeProb = -1
+		}
+		if spec.Backend != BackendSharded {
+			servers = servers[:1]
+		}
+		// Each key is preloaded on its owning shard only (shard.For is the
+		// identity on one server).
+		owned := make([][]uint64, len(servers))
+		kbuf := make([]byte, workload.KeySize)
+		for _, k := range keys {
+			s := shard.For(workload.EncodeKey(kbuf, k), len(servers))
+			owned[s] = append(owned[s], k)
+		}
+		srvs := make([]*jakiro.Server, len(servers))
+		for s, m := range servers {
+			srvs[s] = jakiro.NewServer(m, cfg)
+			srvs[s].Preload(owned[s], spec.PreloadValue)
+		}
+		if spec.Backend == BackendSharded {
+			for i, pl := range placements {
+				sc, err := shard.New(pl.Machine, srvs, spec.Params.Depth > 1)
+				if err != nil {
+					return nil, fmt.Errorf("scenario: shard client: %w", err)
+				}
+				b.Conns[i] = sc
+			}
+		} else {
+			connect(b, placements, srvs[0].NewClient)
+		}
+		for _, srv := range srvs {
+			srv.Start()
+		}
+
+	case BackendMemcKV:
+		srv := memckv.NewServer(servers[0], memckv.Config{
+			Threads: spec.ServerThreads, Buckets: buckets(1), MaxValue: spec.MaxValue})
+		srv.Preload(keys, spec.PreloadValue)
+		connect(b, placements, srv.NewClient)
+		srv.Start()
+
+	case BackendPilafKV:
+		srv := pilafkv.NewServer(servers[0], pilafkv.Config{
+			Capacity: spec.Keys + 64, MaxValue: spec.MaxValue, Threads: spec.ServerThreads})
+		if err := srv.Preload(keys, spec.PreloadValue); err != nil {
+			return nil, fmt.Errorf("scenario: pilaf preload: %w", err)
+		}
+		connect(b, placements, srv.NewClient)
+		srv.Start()
+
+	case BackendReplica, BackendReplicaLeader:
+		svc, err := replica.NewService(servers, replica.Config{
+			Buckets: buckets(1), MaxValue: spec.MaxValue, LeaseNs: spec.LeaseNs, Pool: spec.Pool})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: replica service: %w", err)
+		}
+		// Every key at version 0, so reads of never-written keys verify
+		// under the versioned scheme.
+		svc.Preload(uint64(spec.Keys), spec.PreloadValue)
+		local := spec.Backend == BackendReplica
+		connect(b, placements, func(cm *fabric.Machine) *replica.Client {
+			return svc.NewClient(cm, spec.Params, local)
+		})
+		svc.Start()
+
+	default:
+		return nil, fmt.Errorf("scenario: unknown backend %q (have %v)", spec.Backend, Backends())
+	}
+	return b, nil
 }
 
 // preloadValueSize is the warm-up value length (the paper's 32-byte
 // Facebook-median value).
 const preloadValueSize = 32
 
-// scenarioParams is the transport configuration scenarios run under: paper
-// defaults, plus the recovery envelope when faults are injected (the chaos
-// harness's proven settings — tight deadline, fast backoff, demotion after
-// 8 consecutive transport errors).
-func scenarioParams(faulty bool) core.Params {
-	params := core.DefaultParams()
-	if faulty {
-		params.DeadlineNs = 2_000_000
-		params.BackoffNs = 2000
-		params.DemoteAfter = 8
-	}
-	return params
+// scenarioThreads is the server thread count scenarios give each backend
+// (deliberately small: scenarios stress behaviour under faults and load
+// shifts, not peak throughput).
+var scenarioThreads = map[string]int{
+	BackendJakiro:      4,
+	BackendServerReply: 4,
+	BackendSharded:     2,
+	BackendMemcKV:      8,
+	BackendPilafKV:     2,
 }
 
-// buildBackend constructs the named system on the assembled cluster:
-// servers[0] is cl.Server; the sharded backend spreads over all servers.
-// Clients are created before Start (connection setup precedes serving),
-// one per placement.
-func buildBackend(name string, topo Topology, servers []*fabric.Machine,
-	placements []fabric.Placement, maxVal int, faulty bool) (*backend, error) {
-
-	params := scenarioParams(faulty)
-	keys := workload.Preload(workload.Config{Keys: topo.Keys})
-	b := &backend{conns: make([]conn, len(placements))}
-
-	switch name {
-	case BackendJakiro, BackendServerReply:
-		cfg := jakiro.Config{
-			Threads:             4,
-			BucketsPerPartition: kv.BucketsFor(topo.Keys, 4),
-			MaxValue:            maxVal,
-			Params:              params,
-		}
-		if name == BackendServerReply {
-			cfg.Params.ForceReply = true
-			cfg.Params.ReplyPollNs = 300
-		}
-		if topo.Pooled {
-			cfg.Pool = core.PoolConfig{QPs: 2, SlabBytes: 256 << 10}
-		}
-		srv := jakiro.NewServer(servers[0], cfg)
-		srv.Preload(keys, preloadValueSize)
-		js := make([]*jakiro.Client, len(placements))
-		for i, pl := range placements {
-			js[i] = srv.NewClient(pl.Machine)
-			b.conns[i] = js[i]
-		}
-		srv.Start()
-		b.stats = func() core.ClientStats {
-			var agg core.ClientStats
-			for _, c := range js {
-				agg.Add(c.Stats())
-			}
-			return agg
-		}
-		b.attach = func(rec *telemetry.Recorder) {
-			for _, c := range js {
-				c.SetRecorder(rec)
-			}
-		}
-
-	case BackendSharded:
-		cfg := jakiro.Config{
-			Threads:             2,
-			BucketsPerPartition: kv.BucketsFor(topo.Keys, 2),
-			MaxValue:            maxVal,
-			Params:              params,
-		}
-		if topo.Pooled {
-			cfg.Pool = core.PoolConfig{QPs: 2, SlabBytes: 256 << 10}
-		}
-		srvs := make([]*jakiro.Server, len(servers))
-		for s, m := range servers {
-			srvs[s] = jakiro.NewServer(m, cfg)
-			// Every server preloads the full key space; routing only ever
-			// reads a key from its owning shard, so the extra copies are
-			// inert.
-			srvs[s].Preload(keys, preloadValueSize)
-		}
-		ss := make([]*shard.Client, len(placements))
-		for i, pl := range placements {
-			sc, err := shard.New(pl.Machine, srvs, false)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: shard client: %w", err)
-			}
-			ss[i] = sc
-			b.conns[i] = shardConn{sc}
-		}
-		for _, srv := range srvs {
-			srv.Start()
-		}
-		b.stats = func() core.ClientStats {
-			var agg core.ClientStats
-			for _, c := range ss {
-				agg.Add(c.Stats())
-			}
-			return agg
-		}
-		b.attach = func(rec *telemetry.Recorder) {
-			for _, c := range ss {
-				c.SetRecorder(rec)
-			}
-		}
-
-	case BackendMemcKV:
-		cfg := memckv.Config{Threads: 8, Buckets: kv.BucketsFor(topo.Keys, 1), MaxValue: maxVal}
-		srv := memckv.NewServer(servers[0], cfg)
-		srv.Preload(keys, preloadValueSize)
-		ms := make([]*memckv.Client, len(placements))
-		for i, pl := range placements {
-			ms[i] = srv.NewClient(pl.Machine)
-			b.conns[i] = ms[i]
-		}
-		srv.Start()
-		b.stats = func() core.ClientStats {
-			var agg core.ClientStats
-			for _, c := range ms {
-				agg.Add(c.Stats())
-			}
-			return agg
-		}
-
-	case BackendReplica, BackendReplicaLeader:
-		cfg := replica.Config{
-			Buckets:  kv.BucketsFor(topo.Keys, 1),
-			MaxValue: maxVal,
-		}
-		if topo.Pooled {
-			cfg.Pool = core.PoolConfig{QPs: 2, SlabBytes: 256 << 10}
-		}
-		svc, err := replica.NewService(servers, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: replica service: %w", err)
-		}
-		// Preload every key at version 0 so reads of never-written keys
-		// verify under the versioned scheme.
-		svc.Preload(uint64(topo.Keys), preloadValueSize)
-		// Tighter per-call deadline than the chaos envelope: a call into a
-		// crashed replica should fail fast so the client re-routes to the
-		// survivors well inside the failover window.
-		rparams := params
-		if faulty {
-			rparams.DeadlineNs = 150_000
-			rparams.BackoffNs = 2_000
-			rparams.DemoteAfter = 0
-		}
-		local := name == BackendReplica
-		for i, pl := range placements {
-			b.conns[i] = svc.NewClient(pl.Machine, rparams, local)
-		}
-		svc.Start()
-		b.stats = func() core.ClientStats { return core.ClientStats{} }
-
-	case BackendPilafKV:
-		cfg := pilafkv.Config{Capacity: topo.Keys + 64, MaxValue: maxVal, Threads: 2}
-		srv := pilafkv.NewServer(servers[0], cfg)
-		if err := srv.Preload(keys, preloadValueSize); err != nil {
-			return nil, fmt.Errorf("scenario: pilaf preload: %w", err)
-		}
-		ps := make([]*pilafkv.Client, len(placements))
-		for i, pl := range placements {
-			ps[i] = srv.NewClient(pl.Machine)
-			b.conns[i] = ps[i]
-		}
-		srv.Start()
-		b.stats = func() core.ClientStats { return core.ClientStats{} }
-
-	default:
-		return nil, fmt.Errorf("scenario: unknown backend %q (have %v)", name, Backends())
+// specFor fills the builder spec from a scenario's topology: paper-default
+// transport parameters, plus the recovery envelope when faults are injected
+// (the chaos harness's proven settings — tight deadline, fast backoff,
+// demotion after 8 consecutive transport errors).
+func specFor(name string, topo Topology, maxVal int, faulty bool) BackendSpec {
+	spec := BackendSpec{
+		Backend:       name,
+		ServerThreads: scenarioThreads[name],
+		Keys:          topo.Keys,
+		PreloadValue:  preloadValueSize,
+		MaxValue:      maxVal,
+		Params:        core.DefaultParams(),
 	}
-	return b, nil
+	if topo.Pooled {
+		spec.Pool = core.PoolConfig{QPs: 2, SlabBytes: 256 << 10}
+	}
+	if faulty {
+		spec.Params.DeadlineNs = 2_000_000
+		spec.Params.BackoffNs = 2000
+		spec.Params.DemoteAfter = 8
+		if replicaBackend(name) {
+			// Tighter per-call deadline than the chaos envelope: a call
+			// into a crashed replica should fail fast so the client
+			// re-routes to the survivors well inside the failover window.
+			spec.Params.DeadlineNs = 150_000
+			spec.Params.DemoteAfter = 0
+		}
+	}
+	return spec
 }
 
 // recoveryOf projects the recovery block out of aggregated client stats.

@@ -30,6 +30,7 @@ import (
 	"rfp/internal/fabric"
 	"rfp/internal/faults"
 	"rfp/internal/hw"
+	"rfp/internal/kvstore/kv"
 	"rfp/internal/linz"
 	"rfp/internal/sim"
 	"rfp/internal/telemetry"
@@ -243,7 +244,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	// schedule needs every NIC to exist; crash events are absolute-time
 	// callbacks registered before the clock starts).
 	placements := cl.ClientThreads(topo.Threads)
-	b, err := buildBackend(backendName, topo, servers, placements, maxVal, sc.hasFaults())
+	b, err := BuildBackend(specFor(backendName, topo, maxVal, sc.hasFaults()), servers, placements)
 	if err != nil {
 		return nil, err
 	}
@@ -255,11 +256,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 		}
 		tracer = faults.Install(seed+1, stages, machines...)
 	}
-	var rec *telemetry.Recorder
-	if b.attach != nil {
-		rec = telemetry.New(telemetry.Config{})
-		b.attach(rec)
-	}
+	rec := b.Record()
 
 	// Drivers: one proc per client thread, running every phase in order
 	// against its conn, charging accounting to the issuing phase's cell.
@@ -278,7 +275,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	cells := make([]phaseCell, threads*len(phases))
 	cellAt := func(thread, phase int) *phaseCell { return &cells[thread*len(phases)+phase] }
 	for i, pl := range placements {
-		i, c := i, b.conns[i]
+		i, c := i, b.Conns[i]
 		pl.Machine.Spawn(fmt.Sprintf("driver%d", i), func(p *sim.Proc) {
 			scratch := make([]byte, maxVal+64)
 			check := make([]byte, maxVal+64)
@@ -333,10 +330,10 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	// complete before it is read.
 	statsAt := make([]core.ClientStats, len(phases)+1)
 	telAt := make([]telemetry.Snapshot, len(phases)+1)
-	statsAt[0] = b.stats()
+	statsAt[0] = b.Stats()
 	for pi := range phases {
 		env.Run(ends[pi])
-		statsAt[pi+1] = b.stats()
+		statsAt[pi+1] = b.Stats()
 		if rec != nil {
 			telAt[pi+1] = rec.Snapshot()
 		}
@@ -462,7 +459,7 @@ func slowProfile(p hw.Profile, sl *SlowNIC) hw.Profile {
 // against the deterministic fill pattern (version 0 = preload/PUT,
 // version 1 = RMW; FillValue is prefix-stable, so any stored length
 // verifies). Returns corrupt=true when a returned value matches neither.
-func driveOp(p *sim.Proc, c conn, op workload.Op, scratch, check []byte) (corrupt bool, err error) {
+func driveOp(p *sim.Proc, c kv.Conn, op workload.Op, scratch, check []byte) (corrupt bool, err error) {
 	switch op.Kind {
 	case workload.Get:
 		n, found, err := c.Get(p, op.Key, scratch)
@@ -496,7 +493,7 @@ func driveOp(p *sim.Proc, c conn, op workload.Op, scratch, check []byte) (corrup
 // (the write may or may not have taken effect — the checker may linearize
 // it anywhere after its invocation). A read whose value fails versioned
 // verification is counted corrupt and kept out of the history.
-func driveLinz(p *sim.Proc, c conn, op workload.Op, scratch []byte,
+func driveLinz(p *sim.Proc, c kv.Conn, op workload.Op, scratch []byte,
 	log *linz.ClientLog, thread int, seq *uint32) (corrupt bool, err error) {
 
 	switch op.Kind {
@@ -513,7 +510,7 @@ func driveLinz(p *sim.Proc, c conn, op workload.Op, scratch []byte,
 	}
 }
 
-func linzGet(p *sim.Proc, c conn, key uint64, scratch []byte, log *linz.ClientLog) (bool, error) {
+func linzGet(p *sim.Proc, c kv.Conn, key uint64, scratch []byte, log *linz.ClientLog) (bool, error) {
 	t0 := int64(p.Now())
 	n, found, err := c.Get(p, key, scratch)
 	if err != nil {
@@ -532,7 +529,7 @@ func linzGet(p *sim.Proc, c conn, key uint64, scratch []byte, log *linz.ClientLo
 	return false, nil
 }
 
-func linzPut(p *sim.Proc, c conn, op workload.Op, scratch []byte,
+func linzPut(p *sim.Proc, c kv.Conn, op workload.Op, scratch []byte,
 	log *linz.ClientLog, thread int, seq *uint32) error {
 
 	*seq++

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"rfp/internal/fabric"
 	"rfp/internal/faults"
+	"rfp/internal/hw"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
@@ -229,5 +231,58 @@ func TestFaultTraceWitness(t *testing.T) {
 	}
 	if crep.FaultEvents != 0 {
 		t.Fatalf("fault-free scenario recorded %d fault events", crep.FaultEvents)
+	}
+}
+
+// TestEveryBackendBuildsAndServes walks the builder's every branch on the
+// smallest topology: each name in Backends(), filled by specFor, must stand
+// up on one client thread (two server machines, for the backends that
+// spread) and serve one PUT, then one GET of the same key — a preloaded
+// key and one past the preload.
+func TestEveryBackendBuildsAndServes(t *testing.T) {
+	for _, name := range Backends() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv(3)
+			defer env.Close()
+			cl := fabric.NewCluster(env, hw.ConnectX3(), 1)
+			servers := []*fabric.Machine{cl.Server, fabric.NewMachine(env, "server1", hw.ConnectX3())}
+			topo := Topology{Keys: 64}.withDefaults()
+			b, err := BuildBackend(specFor(name, topo, 48, false), servers, cl.ClientThreads(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Conns) != 1 || b.Conns[0] == nil {
+				t.Fatalf("Conns = %v, want one client", b.Conns)
+			}
+			served := 0
+			cl.Clients[0].Spawn("probe", func(p *sim.Proc) {
+				out := make([]byte, 64)
+				val := make([]byte, 48)
+				for _, key := range []uint64{5, 70} {
+					workload.FillVersioned(val, key, 9)
+					if err := b.Conns[0].Put(p, key, val); err != nil {
+						t.Errorf("put %d: %v", key, err)
+						return
+					}
+					n, found, err := b.Conns[0].Get(p, key, out)
+					if err != nil || !found || string(out[:n]) != string(val) {
+						t.Errorf("get %d = %d B, found=%v, err=%v; want the 48 B just put", key, n, found, err)
+						return
+					}
+					served++
+				}
+			})
+			env.Run(sim.Time(5 * sim.Millisecond))
+			if served != 2 {
+				t.Fatalf("served %d of 2 PUT+GET pairs", served)
+			}
+			if recorded := b.Record() != nil; recorded != (name == BackendJakiro || name == BackendServerReply || name == BackendSharded) {
+				t.Errorf("Record attached a recorder = %v", recorded)
+			}
+			if calls := b.Stats().Calls; (calls > 0) != (name != BackendPilafKV && !replicaBackend(name)) {
+				t.Errorf("Stats().Calls = %d", calls)
+			}
+		})
 	}
 }

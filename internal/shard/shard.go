@@ -1,5 +1,5 @@
 // Package shard fans one client thread's KV operations out across several
-// Jakiro servers. The synchronous path (Do) just routes each key to its
+// Jakiro servers. The synchronous path (Get/Put) just routes each key to its
 // owning server; the pipelined path (PostOp/PollOp, MultiGet) rides the
 // core.Group fan-out engine: every per-partition connection of every server
 // joins one group with a shared completion queue, so a single client thread
@@ -41,7 +41,6 @@ type Client struct {
 	kb     []byte
 	groups [][]uint64 // MultiGet per-server key grouping scratch
 	pends  []pendingServer
-	rec    *telemetry.Recorder // shared across servers via SetRecorder
 }
 
 // pendingServer tracks one server's posted share of a MultiGet batch.
@@ -82,9 +81,14 @@ func (c *Client) ServerFor(key uint64) int {
 	return For(workload.EncodeKey(c.kb, key), len(c.per))
 }
 
-// Do executes one workload operation synchronously on the owning server.
-func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
-	return c.per[c.ServerFor(op.Key)].Do(p, op, scratch)
+// Get fetches key's value from its owning server (kv.Conn).
+func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
+	return c.per[c.ServerFor(key)].Get(p, key, out)
+}
+
+// Put stores value under key on its owning server (kv.Conn).
+func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
+	return c.per[c.ServerFor(key)].Put(p, key, value)
 }
 
 // PendingOp tracks one posted operation and the server carrying it.
@@ -166,15 +170,10 @@ func (c *Client) MultiGet(p *sim.Proc, keys []uint64, fn jakiro.MultiGetFunc) er
 // per-partition connections, so telemetry aggregates across the whole
 // fan-out. Nil detaches.
 func (c *Client) SetRecorder(rec *telemetry.Recorder) {
-	c.rec = rec
 	for _, jc := range c.per {
 		jc.SetRecorder(rec)
 	}
 }
-
-// Snapshot returns the fan-out's aggregate telemetry snapshot (zero with no
-// recorder attached).
-func (c *Client) Snapshot() telemetry.Snapshot { return c.rec.Snapshot() }
 
 // Stats aggregates the RFP client statistics over every server's
 // connections.

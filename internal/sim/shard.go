@@ -43,15 +43,6 @@ func (e *Env) SetSharded(workers int) {
 // Sharded reports whether the environment is in sharded mode.
 func (e *Env) Sharded() bool { return e.sharded }
 
-// Workers returns the worker-thread count for sharded runs (0 when not
-// sharded).
-func (e *Env) Workers() int {
-	if !e.sharded {
-		return 0
-	}
-	return e.workers
-}
-
 // DefaultShard returns the handle for the default lane.
 func (e *Env) DefaultShard() *Shard { return &Shard{l: e.def} }
 
@@ -77,20 +68,8 @@ func (e *Env) ObserveLinkFloor(d Duration) {
 	}
 }
 
-// Lookahead returns the current conservative-window width.
-func (e *Env) Lookahead() Duration { return e.lookahead }
-
-// Name returns the shard's lane name.
-func (sh *Shard) Name() string { return sh.l.name }
-
-// Env returns the environment this shard belongs to.
-func (sh *Shard) Env() *Env { return sh.l.env }
-
 // Now returns the shard's lane clock.
 func (sh *Shard) Now() Time { return sh.l.now }
-
-// Same reports whether two shards alias the same lane.
-func (sh *Shard) Same(o *Shard) bool { return sh.l == o.l }
 
 // Go spawns a process homed to this shard's lane.
 func (sh *Shard) Go(name string, fn func(*Proc)) { sh.l.gogo(name, fn) }

@@ -51,12 +51,6 @@ func Micros(us float64) Duration { return Duration(us * float64(Microsecond)) }
 // Seconds returns the duration expressed as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros returns the duration expressed as floating-point microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
-// Seconds returns the instant expressed as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -216,20 +210,11 @@ type Proc struct {
 	p   *proc
 }
 
-// Env returns the environment this process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.p.name }
-
 // Now returns the current virtual time (of this process's lane).
 func (p *Proc) Now() Time { return p.p.lane.now }
 
 // Rand returns the deterministic random source of this process's lane.
 func (p *Proc) Rand() *rand.Rand { return p.p.lane.rng }
-
-// Shard returns the shard this process is homed to.
-func (p *Proc) Shard() *Shard { return &Shard{l: p.p.lane} }
 
 // Go spawns a new process executing fn. The process starts at the current
 // virtual time, after the spawning context yields control. In sharded mode

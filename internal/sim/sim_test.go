@@ -358,9 +358,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if (2 * Second).Seconds() != 2.0 {
 		t.Fatal("Seconds")
 	}
-	if (3 * Microsecond).Micros() != 3.0 {
-		t.Fatal("Duration.Micros")
-	}
 }
 
 // Property: the event heap dequeues in nondecreasing (t, seq) order for any

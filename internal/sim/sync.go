@@ -29,9 +29,6 @@ type Event struct {
 // NewEvent returns an unfired event bound to e's default lane.
 func NewEvent(e *Env) *Event { return &Event{l: e.def} }
 
-// NewEventOn returns an unfired event bound to a shard's lane.
-func NewEventOn(sh *Shard) *Event { return &Event{l: sh.l} }
-
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 
@@ -145,12 +142,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// InUse returns the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
 
 // TimedUse is the run-to-completion counterpart of Use: acquire a resource,
 // hold it for a duration, release it, then run a continuation — without a

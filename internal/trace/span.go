@@ -6,12 +6,7 @@ package trace
 // whether the call fell back to server-reply — instead of guessed from raw
 // verb dumps.
 
-import (
-	"fmt"
-	"strings"
-
-	"rfp/internal/sim"
-)
+import "rfp/internal/sim"
 
 // CallScoped reports whether k is a call-scoped span marker (carries the
 // Conn/Slot/Seq identity fields).
@@ -88,25 +83,4 @@ func Stitch(events []Event) (spans []Span, orphans []Event) {
 		}
 	}
 	return spans, orphans
-}
-
-// Timeline renders the span as a virtual-time timeline, offsets relative to
-// the post.
-func (s Span) Timeline() string {
-	var b strings.Builder
-	state := "incomplete"
-	if s.Complete {
-		state = fmt.Sprintf("%.2fus", float64(s.Duration())/1e3)
-	}
-	extra := ""
-	if s.Fallback {
-		extra = ", fallback"
-	}
-	fmt.Fprintf(&b, "span conn=%d seq=%d slot=%d: %d fetches (%d misses%s), %s\n",
-		s.Conn, s.Seq, s.Slot, s.Fetches, s.Misses, extra, state)
-	for _, e := range s.Events {
-		fmt.Fprintf(&b, "  +%8.2fus  %-10s %6dB\n",
-			float64(e.Start.Sub(s.Start))/1e3, e.Kind, e.Bytes)
-	}
-	return b.String()
 }

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"rfp/internal/sim"
@@ -135,27 +134,6 @@ func (r *Ring) Events() []Event {
 	out = append(out, r.events[r.next:]...)
 	out = append(out, r.events[:r.next]...)
 	return out
-}
-
-// Filter returns retained events of the given kind.
-func (r *Ring) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump writes the retained timeline to w, most recent last.
-func (r *Ring) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Summary renders per-kind counts and byte totals.

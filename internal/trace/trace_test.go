@@ -52,31 +52,10 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRing(16)
-	r.Record(ev(1, Read, 8))
-	r.Record(ev(2, Write, 8))
-	r.Record(ev(3, Read, 8))
-	if got := len(r.Filter(Read)); got != 2 {
-		t.Fatalf("reads = %d", got)
-	}
-	if got := len(r.Filter(Drop)); got != 0 {
-		t.Fatalf("drops = %d", got)
-	}
-}
-
 func TestDumpAndSummary(t *testing.T) {
 	r := NewRing(16)
 	r.Record(ev(1000, Read, 64))
 	r.Record(ev(2000, Drop, 32))
-	var b strings.Builder
-	if err := r.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "READ") || !strings.Contains(out, "DROP") {
-		t.Fatalf("dump:\n%s", out)
-	}
 	sum := r.Summary()
 	for _, want := range []string{"2 events", "READ", "DROP", "64 bytes"} {
 		if !strings.Contains(sum, want) {

@@ -187,6 +187,13 @@ func SelectR(cal Calibration, procTimesNs []int64) int { return core.SelectR(cal
 // NewSampler creates a bounded pre-run/on-line sample collector.
 func NewSampler(n int) *Sampler { return core.NewSampler(n) }
 
+// NewBufAllocator registers size bytes on m's NIC and returns the paper's
+// malloc_buf/free_buf allocator over them (Table 2): message buffers staged
+// in RDMA-registered memory without per-call registration.
+func NewBufAllocator(m *Machine, size int) *BufAllocator {
+	return core.NewBufAllocator(m.NIC(), size)
+}
+
 // net/rpc-style framework over RFP (see internal/rpc): register ordinary
 // Go methods, call them by name with gob-encoded arguments — the "legacy
 // RPC interfaces" the paper promises to support.

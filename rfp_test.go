@@ -97,7 +97,7 @@ func TestFacadeAdvancedSurface(t *testing.T) {
 		t.Fatal("trace missing")
 	}
 	tuner := rfp.NewTuner(rfp.Calibrate(rfp.ConnectX3(), 6), 64, 16)
-	if tuner.Samples() != 0 {
-		t.Fatal("fresh tuner has samples")
+	if tuner.Retunes != 0 {
+		t.Fatal("fresh tuner has retuned")
 	}
 }
