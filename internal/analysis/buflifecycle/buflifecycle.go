@@ -36,7 +36,7 @@
 // lease-specific twists: the releasing call is a method on the lease itself
 // (lease.Release(), so the receiver — not an argument — is what gets
 // resolved), and the *designed* owner of a lease is a long-lived struct
-// (Conn.lease, Client.local, Client.epLease) that Close/retire later
+// (Conn.lease, Client.local, Client.lease) that Close/retire later
 // releases. Storing a lease into a struct field is therefore a visible,
 // recognized ownership transfer for Lease results — the field name is the
 // documentation — while MallocBuf keeps the stricter return/post/free rule.
@@ -291,7 +291,7 @@ func checkFunc(pass *analysis.Pass, sum *summary, fn *ast.FuncDecl) {
 			}
 		case *ast.AssignStmt:
 			// Storing into a struct field is the designed ownership transfer
-			// for leases (Conn.lease, Client.epLease, ...): the long-lived
+			// for leases (Conn.lease, Client.lease, ...): the long-lived
 			// struct's teardown releases them.
 			if len(n.Lhs) == len(n.Rhs) {
 				for i, lhs := range n.Lhs {

@@ -47,13 +47,12 @@ var geomFields = map[string]bool{
 	"reqOffs": true, "respOffs": true, "qp": true, "server": true,
 	"local": true, "region": true, "client": true, "maxDepth": true,
 	"respStride": true,
-	// Pooled-endpoint geometry (DESIGN.md §13): the slab lease behind the
-	// ring region (and its cached byte view), the reply landing, the
-	// endpoint lease, and the WR-ID demux tag. Swapping any of these while
-	// posts are in flight would strand or misroute completions exactly like
-	// a depth change.
-	"lease": true, "buf": true, "landing": true, "epLease": true,
-	"tag": true,
+	// Leased geometry (DESIGN.md §13): the slab lease behind the ring region
+	// (and its cached byte view), the reply landing, the endpoint lease
+	// (Conn.lease and Client.lease share the name), and the WR-ID demux tag.
+	// Swapping any of these while posts are in flight would strand or
+	// misroute completions exactly like a depth change.
+	"lease": true, "buf": true, "landing": true, "tag": true,
 }
 
 // dataPathRoots are the entry points whose call trees form the Serve/Poll

@@ -21,6 +21,18 @@ import (
 // ErrClosed reports use of a closed connection.
 var ErrClosed = errors.New("core: connection closed")
 
+// switchAfterOverruns is the number of consecutive overrunning calls
+// required before the client actually switches to server-reply, so isolated
+// requests with unexpectedly long process time do not cause needless mode
+// flapping.
+const switchAfterOverruns = 2
+
+// fallbackFetchNs is how often, while waiting in reply mode for the one call
+// that raced the mode switch, the client additionally issues a remote fetch:
+// a response buffered server-side just before the mode flag arrived is still
+// collected.
+const fallbackFetchNs int64 = 5000
+
 // RetryHistSize bounds the per-call retry histogram; calls with more
 // retries land in the last bucket.
 const RetryHistSize = 32
@@ -108,18 +120,18 @@ func (s ClientStats) Sub(o ClientStats) ClientStats {
 type Client struct {
 	machine *fabric.Machine
 	params  Params
-	qp      *rnic.QP      // shared with other logical clients when pooled
+	qp      *rnic.QP      // lease.QP(): possibly shared with other logical clients
 	server  rnic.RemoteMR // windowed handle onto this ring's region carve
 	maxReq  int
 	maxResp int
 	local   *rnic.SlabLease // reply-mode landing buffers, one respStride per slot
 	landing []byte          // local.Buf(), cached for the poll path
 
-	// epLease is the client's claim on a multiplexed endpoint (DESIGN.md
-	// §13): nil for a dedicated connection. Pooled posts go to the
-	// endpoint's shared hardware CQ, whose tag demux forwards this client's
-	// completions to cq.
-	epLease *rnic.EndpointLease
+	// lease is the client's claim on an endpoint (DESIGN.md §13). Posts go
+	// to the endpoint's hardware CQ, whose demux forwards the completions
+	// carrying tag — OR-ed into every WR ID — to cq.
+	lease *rnic.EndpointLease
+	tag   uint64
 
 	// Slot-ring geometry and per-slot staging (index = slot). The sync
 	// Send/Recv path is the ring's depth-1 special case pinned to slot 0.
@@ -156,10 +168,9 @@ type Client struct {
 	pendingF     int
 	pendingDepth int
 
-	// Fan-out group membership (group.go). tag is OR-ed into every WR ID
-	// so completions on the shared CQ route back to this member.
+	// Fan-out group membership (group.go): cq is then the group's queue,
+	// which dispatches to members by tag.
 	group *Group
-	tag   uint64
 
 	// Telemetry (telemetry.go): optional recorder plus the synchronous
 	// path's call timestamps (the ring path keeps per-slot times in slot).
@@ -240,69 +251,6 @@ func (c *Client) PendingDepth() int { return c.pendingDepth }
 
 // MaxDepth returns the ring's slot capacity (the bound of SetDepth).
 func (c *Client) MaxDepth() int { return c.maxDepth }
-
-// SetCapacity re-registers the ring for a new slot capacity (the bound
-// SetDepth resizes within) — the elastic half of the pooled-endpoint design
-// (DESIGN.md §13): a tuner can grow a hot client's ring or return an idle
-// one's carve to the slab without touching its QP or endpoint lease. Unlike
-// SetDepth this exchanges buffer locations again (a control-path reconnect
-// of the regions only), so it is rejected with ErrRingBusy while posts are
-// in flight: geometry never changes under a pending completion, exactly the
-// quiesce rule. Clamped to [1, MaxDepth].
-func (c *Client) SetCapacity(p *sim.Proc, capacity int) error {
-	if c.closed {
-		return ErrClosed
-	}
-	if c.outstanding > 0 {
-		return ErrRingBusy
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	if capacity > MaxDepth {
-		capacity = MaxDepth
-	}
-	if capacity == c.maxDepth {
-		return nil
-	}
-	if c.srv == nil || c.conn == nil {
-		return errors.New("core: connection cannot be re-registered")
-	}
-	// Fresh buffer locations travel out of band like any registration
-	// exchange (paper Sec. 3.1) — the same control-path cost as a reconnect.
-	p.Sleep(sim.Duration(3*c.machine.Profile().PropagationNs + reconnectSetupNs))
-	if c.srv.machine.Down() {
-		return ErrServerDown
-	}
-	cfg := c.srv.cfg
-	region := c.srv.slabs.Lease(regionSize(cfg, capacity))
-	landing := c.srv.landingSlabs(c.machine).Lease(capacity * respArea(cfg))
-	c.conn.lease.Release()
-	c.local.Release()
-	c.conn.lease, c.conn.buf = region, region.Buf()
-	c.conn.client = landing.Handle()
-	c.conn.depth = capacity
-	c.conn.lastSlot, c.conn.curSlot = 0, 0
-	c.server = region.Handle()
-	c.local, c.landing = landing, landing.Buf()
-	c.maxDepth = capacity
-	c.reqOffs = make([]int, capacity)
-	c.respOffs = make([]int, capacity)
-	for i := 0; i < capacity; i++ {
-		c.reqOffs[i] = reqOffAt(cfg, i)
-		c.respOffs[i] = respOffAt(cfg, i)
-	}
-	if c.pendingDepth > capacity {
-		c.pendingDepth = capacity
-	}
-	if c.depth > capacity {
-		c.resize(capacity)
-	}
-	if c.mode == ModeReply {
-		c.conn.buf[0] = byte(ModeReply) // re-exchanged during setup, like Accept
-	}
-	return nil
-}
 
 // targetDepth is the depth the ring is headed for: the pending resize if
 // one is queued, else the active depth.
@@ -421,8 +369,9 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 }
 
 // Close tears the connection down: the server-side flag is marked closed
-// (Serve loops drop the connection from their polling sets), and the local
-// reply-landing region is deregistered. Further calls return ErrClosed, and
+// (Serve loops drop the connection from their polling sets), the local
+// reply-landing region and the endpoint lease are released, and the client
+// leaves its fan-out group. Further calls return ErrClosed, and
 // every in-flight posted request resolves with ErrClosed on its next Poll —
 // a definite outcome for each handle, so callers can release the request
 // buffers they own.
@@ -450,43 +399,14 @@ func (c *Client) Close(p *sim.Proc) error {
 	}
 	err := c.qp.Write(p, c.server, 0, []byte{modeClosed})
 	c.local.Release()
-	if c.epLease != nil {
-		// Free the WR-ID tag for the next logical client. Straggler
-		// completions under the old tag are dropped by the endpoint demux
-		// (counted, never delivered to another client).
-		c.epLease.Release()
+	// Free the WR-ID tag for the machine's next logical client. Straggler
+	// completions under the old tag are dropped by the endpoint demux
+	// (counted, never delivered to another client).
+	c.lease.Release()
+	if c.group != nil {
+		c.group.remove(c)
 	}
 	return err
-}
-
-// postCQ is the queue passed to Post: the endpoint's shared hardware CQ for
-// a pooled connection (its tag demux forwards this client's completions to
-// c.cq), or the private CQ itself for a dedicated one.
-//
-//rfp:hotpath
-func (c *Client) postCQ() *rnic.CQ {
-	if c.epLease != nil {
-		return c.epLease.PostCQ()
-	}
-	return c.cq
-}
-
-// relabel swaps a pooled connection onto a fresh endpoint lease delivering
-// into deliver — a new pool-wide tag, and possibly a different shared QP
-// pair (the server-side Conn follows). Only called with the ring quiesced
-// (group Add/rekey require it), so no posted WR carries the old tag when the
-// swap lands; a straggler completion meets the demux's empty slot.
-func (c *Client) relabel(deliver *rnic.CQ) error {
-	l, err := c.srv.pool.Lease(c.machine.NIC(), deliver)
-	if err != nil {
-		return err
-	}
-	c.epLease.Release()
-	c.epLease = l
-	c.tag = l.Tag()
-	c.qp = l.QP()
-	c.conn.qp = l.HomeQP()
-	return nil
 }
 
 // Call is the convenience RPC round trip: Send then Recv. As for Send, req
@@ -539,9 +459,9 @@ func (c *Client) recvFetch(p *sim.Proc, out []byte) (int, error) {
 		c.Stats.Retries++
 		if failed > c.params.R && !overrun {
 			overrun = true
-			// Only K consecutive overrunning calls trigger the actual
+			// Only consecutive overrunning calls trigger the actual
 			// switch, so isolated slow requests don't flap the mode.
-			if !c.params.DisableSwitch && c.consecOverruns+1 >= c.params.K {
+			if !c.params.DisableSwitch && c.consecOverruns+1 >= switchAfterOverruns {
 				c.recordRetries(failed)
 				c.consecOverruns = 0
 				c.rec.Fallback()
@@ -621,7 +541,7 @@ func (c *Client) recvReply(p *sim.Proc, out []byte) (int, error) {
 	fallback := c.justSwitched && !c.params.ForceReply
 	c.justSwitched = false
 	var waited int64
-	nextFallback := c.params.FallbackFetchNs
+	nextFallback := fallbackFetchNs
 	for {
 		hdr := parseHeader(c.landing)
 		if hdr.valid && hdr.seq == c.seq {
@@ -636,7 +556,7 @@ func (c *Client) recvReply(p *sim.Proc, out []byte) (int, error) {
 			return n, nil
 		}
 		if fallback && waited >= nextFallback {
-			nextFallback += c.params.FallbackFetchNs
+			nextFallback += fallbackFetchNs
 			fhdr, n, err := c.fetchOnce(p, out)
 			if err != nil {
 				if !c.recoverable(err) {

@@ -10,13 +10,13 @@ package core
 // instead of blocking on the first — the Storm-style "keep many one-sided
 // ops in flight" discipline lifted from one connection to a whole fan-out.
 //
-// Completions route by the member tag in WR ID bits 48+ (ring.go); tag 0 is
-// both member 0 and the ungrouped encoding, which is unambiguous because an
-// ungrouped connection never posts to a group's CQ. A pooled member (one
-// holding an endpoint lease, DESIGN.md §13) keeps its pool-wide lease tag —
-// the endpoint demux routes by it — and its lease is redirected to deliver
-// into the group's queue; dispatch is therefore a tag map, not a member
-// index, and every member's tag must be unique within the group.
+// Completions route by the lease tag in WR ID bits 48+ (ring.go). A member
+// keeps the tag its endpoint lease was given at Accept — the endpoint demux
+// routes by it — and the lease is redirected to deliver into the group's
+// queue, which dispatches by the same tag. Tags are allocated by the client
+// machine's NIC, unique among that machine's live leases whichever server
+// they lead to, and a group is confined to one machine: members cannot
+// collide.
 
 import (
 	"errors"
@@ -26,11 +26,8 @@ import (
 	"rfp/internal/sim"
 )
 
-// maxGroupMembers bounds the member tag field (WR ID bits 48+).
-const maxGroupMembers = 1 << 16
-
-// groupTagMask selects the member-tag bits of a WR ID.
-const groupTagMask = uint64(maxGroupMembers-1) << 48
+// groupTagMask selects the lease-tag bits of a WR ID.
+const groupTagMask = uint64(rnic.MaxTags-1) << rnic.TagShift
 
 // Group errors.
 var (
@@ -39,57 +36,29 @@ var (
 	// ErrGroupMachine reports mixing clients of different machines in one
 	// group; a group is driven by one simulated thread.
 	ErrGroupMachine = errors.New("core: group members must share a machine")
-	// ErrTagCapacity reports a group whose WR-ID member-tag space is
-	// exhausted: no tag unique within the group can be assigned to the new
-	// (or re-leased) member, so admitting it would alias two members'
-	// completions onto one tag.
-	ErrTagCapacity = errors.New("core: group member tag capacity exhausted")
 )
 
 // Group ties several Clients (typically one per server or partition) to a
 // shared completion queue so their rings progress together. Like a Client,
 // a Group must be driven by a single simulated thread.
 type Group struct {
-	machine  *fabric.Machine
-	cq       *rnic.CQ
-	members  []*Client
-	byTag    map[uint64]*Client // member by (shifted) WR-ID tag
-	tagLimit int                // test hook; maxGroupMembers normally
+	machine *fabric.Machine
+	cq      *rnic.CQ
+	members []*Client
+	byTag   map[uint64]*Client // member by (shifted) WR-ID tag
 }
 
 // NewGroup creates an empty fan-out group.
 func NewGroup() *Group { return &Group{} }
 
-// setTagLimit lowers the member-tag space (tests exercise capacity overflow
-// without 64k members). Only meaningful before the first Add.
-func (g *Group) setTagLimit(n int) {
-	if n < 1 || n > maxGroupMembers {
-		n = maxGroupMembers
-	}
-	g.tagLimit = n
-}
-
-// limit returns the effective member-tag capacity.
-func (g *Group) limit() int {
-	if g.tagLimit > 0 {
-		return g.tagLimit
-	}
-	return maxGroupMembers
-}
-
 // Add joins a connection to the group. The connection must be quiescent
 // (nothing posted), ungrouped, and on the same machine as existing members.
-// A full tag space — more members than WR-ID tag bits can name, or no
-// group-unique tag obtainable for a pooled member — is ErrTagCapacity.
 func (g *Group) Add(c *Client) error {
 	if c.group != nil {
 		return ErrGrouped
 	}
 	if c.outstanding > 0 {
 		return ErrRingBusy
-	}
-	if len(g.members) >= g.limit() {
-		return ErrTagCapacity
 	}
 	if g.machine == nil {
 		g.machine = c.machine
@@ -98,21 +67,7 @@ func (g *Group) Add(c *Client) error {
 	} else if c.machine != g.machine {
 		return ErrGroupMachine
 	}
-	if c.epLease != nil {
-		// Pooled member: it must keep posting under a tag its endpoint demux
-		// knows, so the group adopts the lease tag. Leases from different
-		// servers' pools can collide; re-lease until the tag is group-unique.
-		if err := g.uniqueTag(c); err != nil {
-			return err
-		}
-		c.epLease.Redirect(g.cq)
-	} else {
-		tag := uint64(len(g.members)) << rnic.TagShift
-		if _, dup := g.byTag[tag]; dup {
-			return ErrTagCapacity
-		}
-		c.tag = tag
-	}
+	c.lease.Redirect(g.cq)
 	c.group = g
 	c.cq = g.cq
 	g.byTag[c.tag] = c
@@ -120,36 +75,24 @@ func (g *Group) Add(c *Client) error {
 	return nil
 }
 
-// uniqueTag re-leases a pooled member's endpoint claim until its tag
-// collides with no existing member (tags are unique within one pool, so only
-// members leased from other servers' pools can collide — at most one retry
-// per existing member).
-func (g *Group) uniqueTag(c *Client) error {
-	for attempts := 0; ; attempts++ {
-		if _, dup := g.byTag[c.tag]; !dup {
-			return nil
-		}
-		if attempts > len(g.members) {
-			return ErrTagCapacity
-		}
-		if err := c.relabel(g.cq); err != nil {
-			return ErrTagCapacity
-		}
-	}
+// retag moves member c to the tag of its fresh lease (reconnect), vacating
+// the old slot so a straggler completion under it names no member.
+func (g *Group) retag(c *Client, tag uint64) {
+	delete(g.byTag, c.tag)
+	g.byTag[tag] = c
 }
 
-// rekey re-registers a member under a fresh lease tag (a reconnect replaced
-// its endpoint lease). The old tag's map slot is vacated either way; failure
-// to find a group-unique tag leaves the member unmapped — its completions
-// are dropped and its calls fail at their deadlines, never misroute.
-func (g *Group) rekey(c *Client, oldTag uint64) error {
-	delete(g.byTag, oldTag)
-	if err := g.uniqueTag(c); err != nil {
-		return err
+// remove drops a closed member: its tag returns to the machine's free list,
+// so the slot must not outlive it.
+func (g *Group) remove(c *Client) {
+	delete(g.byTag, c.tag)
+	for i, m := range g.members {
+		if m == c {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			break
+		}
 	}
-	c.epLease.Redirect(g.cq)
-	g.byTag[c.tag] = c
-	return nil
+	c.group = nil
 }
 
 // progress is the group engine: one reap/issue/await cycle spanning every
@@ -209,7 +152,7 @@ func (g *Group) progress(p *sim.Proc) {
 }
 
 // dispatch routes one completion to the member its WR ID tag names. Stale
-// tags (a member re-keyed by reconnect, or an image naming no member) are
+// tags (a member re-bound by reconnect, or an image naming no member) are
 // dropped like stale slots — never delivered to the wrong member.
 //
 //rfp:hotpath

@@ -14,12 +14,6 @@ type Params struct {
 	// extra RDMA Read for the remainder.
 	F int
 
-	// K is the number of consecutive overrunning calls required before the
-	// client actually switches to server-reply (default 2), so isolated
-	// requests with unexpectedly long process time do not cause needless
-	// mode flapping.
-	K int
-
 	// SwitchBackUs: while in server-reply mode the client watches the
 	// 16-bit process-time field of responses; once it drops to at most this
 	// many microseconds, the client switches back to repeated fetching.
@@ -29,12 +23,6 @@ type Params struct {
 	// server-reply mode. Sparse polling is what lets client CPU utilization
 	// drop in reply mode (paper Fig. 15).
 	ReplyPollNs int64
-
-	// FallbackFetchNs is how often, while waiting in reply mode, the client
-	// additionally issues a remote fetch. This closes the switch race: a
-	// response buffered server-side just before the mode flag arrived is
-	// still collected.
-	FallbackFetchNs int64
 
 	// DisableSwitch pins the connection to repeated remote fetching
 	// regardless of overruns ("Jakiro w/o Switch" in Fig. 14).
@@ -67,20 +55,10 @@ type Params struct {
 	// connection behaves exactly like the paper's lossless-fabric model.
 	DeadlineNs int64
 
-	// BackoffNs is the base of the capped exponential backoff slept after a
-	// transport error before the operation is retried. Only meaningful with
-	// DeadlineNs > 0; defaults to 2000 ns then.
+	// BackoffNs is the base of the exponential backoff slept after a
+	// transport error before the operation is retried, capped at 32x the
+	// base. Only meaningful with DeadlineNs > 0; defaults to 2000 ns then.
 	BackoffNs int64
-
-	// BackoffMaxNs caps the exponential backoff. Defaults to 32*BackoffNs.
-	BackoffMaxNs int64
-
-	// ResendNs is how long a call waits for a valid response before
-	// re-sending its request (same sequence number): a corrupted request
-	// write or a server restart loses the request silently, and only a
-	// resend can revive the call. Defaults to DeadlineNs/8 (at least
-	// 5000 ns). Handlers must tolerate re-execution (at-least-once).
-	ResendNs int64
 
 	// DemoteAfter demotes the connection permanently to server-reply mode
 	// after this many consecutive calls needed fault recovery — the
@@ -105,17 +83,10 @@ type Params struct {
 const MaxDepth = 64
 
 // DefaultParams returns the paper's configuration for the ConnectX-3
-// cluster: R = 5, F = 256, switch after 2 consecutive overruns, switch back
-// when the server process time drops to ~7 us (the crossover of Fig. 9).
+// cluster: R = 5, F = 256, switch back when the server process time drops to
+// ~7 us (the crossover of Fig. 9).
 func DefaultParams() Params {
-	return Params{
-		R:               5,
-		F:               256,
-		K:               2,
-		SwitchBackUs:    7,
-		ReplyPollNs:     1000,
-		FallbackFetchNs: 5000,
-	}
+	return Params{R: 5, F: 256, SwitchBackUs: 7, ReplyPollNs: 1000}
 }
 
 func (p Params) withDefaults() Params {
@@ -126,31 +97,14 @@ func (p Params) withDefaults() Params {
 	if p.F <= 0 {
 		p.F = d.F
 	}
-	if p.K <= 0 {
-		p.K = d.K
-	}
 	if p.SwitchBackUs <= 0 {
 		p.SwitchBackUs = d.SwitchBackUs
 	}
 	if p.ReplyPollNs <= 0 {
 		p.ReplyPollNs = d.ReplyPollNs
 	}
-	if p.FallbackFetchNs <= 0 {
-		p.FallbackFetchNs = d.FallbackFetchNs
-	}
-	if p.DeadlineNs > 0 {
-		if p.BackoffNs <= 0 {
-			p.BackoffNs = 2000
-		}
-		if p.BackoffMaxNs <= 0 {
-			p.BackoffMaxNs = 32 * p.BackoffNs
-		}
-		if p.ResendNs <= 0 {
-			p.ResendNs = p.DeadlineNs / 8
-			if p.ResendNs < 5000 {
-				p.ResendNs = 5000
-			}
-		}
+	if p.DeadlineNs > 0 && p.BackoffNs <= 0 {
+		p.BackoffNs = 2000
 	}
 	if p.Depth <= 0 {
 		p.Depth = 1
@@ -167,37 +121,21 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// PoolConfig opts a server into multiplexed endpoints (DESIGN.md §13): a
-// small fixed set of QP pairs per client machine, shared slab registrations
-// carved per connection, and WR-ID tag demux on the completion path. The
-// zero value keeps the paper's one-QP-and-one-MR-per-client handshake, call
-// for call — pooling is strictly opt-in, so default configurations stay
-// byte-identical to the seed.
+// PoolConfig chooses the geometry of a server's connection resources
+// (DESIGN.md §13). Every connection is an endpoint lease plus two slab
+// leases; the two fields say, independently, how many leases share one QP
+// pair and one registration. The zero value is the paper's handshake: one QP
+// pair and one exact-size MR per client.
 type PoolConfig struct {
 	// QPs is the number of shared QP pairs per (server, client-machine)
-	// pair. Zero disables pooling entirely.
+	// pair that leases multiplex over by WR-ID tag. Zero gives each lease
+	// its own QP pair, retired with the lease.
 	QPs int
 
 	// SlabBytes is the size of each shared registration slab that per-client
-	// ring regions (and reply landings) are carved from. Zero with QPs > 0
-	// picks 1 MiB.
+	// ring regions (and reply landings) are carved from. Zero registers one
+	// exact-size MR per lease.
 	SlabBytes int
-}
-
-// enabled reports whether the configuration opts into pooling.
-func (pc PoolConfig) enabled() bool { return pc.QPs > 0 || pc.SlabBytes > 0 }
-
-func (pc PoolConfig) withDefaults() PoolConfig {
-	if !pc.enabled() {
-		return pc
-	}
-	if pc.QPs <= 0 {
-		pc.QPs = 1
-	}
-	if pc.SlabBytes <= 0 {
-		pc.SlabBytes = 1 << 20
-	}
-	return pc
 }
 
 // ServerConfig sizes the per-connection buffers.
@@ -205,8 +143,8 @@ type ServerConfig struct {
 	MaxRequest  int // largest request payload in bytes
 	MaxResponse int // largest response payload in bytes
 
-	// Pool configures endpoint/MR multiplexing; the zero value means
-	// dedicated per-connection QPs and regions (the paper's handshake).
+	// Pool sets how many connections share a QP pair and a registration;
+	// the zero value is one of each per connection (the paper's handshake).
 	Pool PoolConfig
 }
 
@@ -224,6 +162,5 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxResponse <= 0 {
 		c.MaxResponse = d.MaxResponse
 	}
-	c.Pool = c.Pool.withDefaults()
 	return c
 }

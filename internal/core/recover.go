@@ -13,7 +13,7 @@ package core
 //     connection — fresh region, landing buffers and QP pair swapped into
 //     the same server-side Conn — at the next quiesce point, reusing the
 //     ring's quiesce rule (DESIGN.md §8);
-//   - a call with no valid response after ResendNs re-delivers its request
+//   - a call with no valid response after resendNs re-delivers its request
 //     (same sequence number; handlers are at-least-once), which is the only
 //     way to revive a request lost to corruption or a server restart;
 //   - DeadlineNs bounds all of it: past the deadline the call fails
@@ -48,6 +48,15 @@ var (
 // on top of the out-of-band round trips.
 const reconnectSetupNs = 2000
 
+// resendNs is how long a call waits for a valid response before re-sending
+// its request (same sequence number): a corrupted request write or a server
+// restart loses the request silently, and only a resend can revive the call.
+// An eighth of the deadline, at least 5000 ns. Handlers must tolerate
+// re-execution (at-least-once).
+func (p Params) resendNs() sim.Duration {
+	return sim.Duration(max(p.DeadlineNs/8, 5000))
+}
+
 // recoveryOn reports whether this connection has the recovery path enabled.
 func (c *Client) recoveryOn() bool { return c.params.DeadlineNs > 0 }
 
@@ -76,21 +85,17 @@ func (c *Client) beginCall(p *sim.Proc) {
 	}
 	now := p.Now()
 	c.deadline = now.Add(sim.Duration(c.params.DeadlineNs))
-	c.resendDue = now.Add(sim.Duration(c.params.ResendNs))
+	c.resendDue = now.Add(c.params.resendNs())
 	c.attempts = 0
 	c.callFaulted = false
 }
 
-// backoffFor computes the capped exponential backoff for the given attempt
-// number (1-based).
+// backoffFor computes the exponential backoff for the given attempt number
+// (1-based), capped at 32x the base.
 func backoffFor(params Params, attempt int) sim.Duration {
 	d := params.BackoffNs
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < 32*params.BackoffNs; i++ {
 		d *= 2
-		if d >= params.BackoffMaxNs {
-			d = params.BackoffMaxNs
-			break
-		}
 	}
 	if d <= 0 {
 		d = 1000
@@ -136,14 +141,14 @@ func (c *Client) terminalDeadline(p *sim.Proc, cause error) error {
 
 // checkCallTimers fires the synchronous call's due recovery timers: the
 // terminal deadline, and the request re-delivery for a call that has seen
-// no valid response in ResendNs (lost or corrupted request, server
+// no valid response in resendNs (lost or corrupted request, server
 // restart). Called from the fetch-retry and reply-poll loops.
 func (c *Client) checkCallTimers(p *sim.Proc) error {
 	if p.Now() >= c.deadline {
 		return c.terminalDeadline(p, nil)
 	}
 	if p.Now() >= c.resendDue {
-		c.resendDue = p.Now().Add(sim.Duration(c.params.ResendNs))
+		c.resendDue = p.Now().Add(c.params.resendNs())
 		c.Stats.Resends++
 		c.callFaulted = true
 		return c.deliver(p)
@@ -168,19 +173,16 @@ func (c *Client) deliver(p *sim.Proc) error {
 }
 
 // reconnect re-establishes the connection in place after a fatal transport
-// error: a fresh server-side region, client landing registration and QP
-// pair are swapped into the existing server-side Conn, so Serve loops keep
-// polling the same connection object and WR-ID member tags stay valid. This
-// is ring re-registration under the quiesce rule: the caller guarantees no
-// posted request still references the old buffers.
+// error: a fresh server-side region, client landing registration and
+// endpoint lease are bound into the existing server-side Conn, so Serve loops
+// keep polling the same connection object. This is ring re-registration
+// under the quiesce rule: the caller guarantees no posted request still
+// references the old buffers.
 //
 //rfp:quiesced callers hold the quiesce rule — Post/reconnectBlocking require outstanding == 0, and the sync recovery path has resolved or abandoned slot 0 before reconnecting
 func (c *Client) reconnect(p *sim.Proc) error {
 	if c.closed {
 		return ErrClosed
-	}
-	if c.srv == nil || c.conn == nil {
-		return errors.New("core: connection cannot be re-established")
 	}
 	// Control-plane exchange: buffer locations travel out of band exactly
 	// as at Accept (paper Sec. 3.1), a few round trips plus setup work. The
@@ -191,38 +193,19 @@ func (c *Client) reconnect(p *sim.Proc) error {
 	if c.srv.machine.Down() {
 		return ErrServerDown
 	}
-	// Acquire before releasing, exactly like the dedicated handshake (the old
-	// registrations are deregistered only once the fresh ones exist). With
-	// pooling on, the fresh resources are slab carves and an endpoint lease
-	// delivering into the client's existing queue; the new lease means a new
-	// WR-ID tag, so any straggler completion under the old tag is dropped by
-	// the demux instead of resolving a fresh slot.
-	res, err := c.srv.leaseResources(c.machine, c.maxDepth, c.cq)
+	// Acquire before releasing, exactly like the paper's handshake redone
+	// (the old registrations are deregistered only once the fresh ones
+	// exist). The fresh endpoint lease delivers into the client's existing
+	// queue under a new WR-ID tag, so any straggler completion under the old
+	// tag is dropped by the demux instead of resolving a fresh slot.
+	res, err := c.srv.leaseResources(c.machine, c.maxDepth)
 	if err != nil {
 		return err
 	}
 	c.conn.lease.Release()
 	c.local.Release()
-	c.conn.lease, c.conn.buf = res.region, res.region.Buf()
-	c.conn.qp, c.conn.client = res.qpS, res.landing.Handle()
-	c.qp, c.server = res.qpC, res.region.Handle()
-	c.local, c.landing = res.landing, res.landing.Buf()
-	if res.ep != nil {
-		oldTag := c.tag
-		if c.epLease != nil {
-			c.epLease.Release()
-		}
-		c.epLease = res.ep
-		c.tag = res.ep.Tag()
-		if c.group != nil {
-			if err := c.group.rekey(c, oldTag); err != nil {
-				return err
-			}
-		}
-	}
-	if c.mode == ModeReply {
-		c.conn.buf[0] = byte(ModeReply) // exchanged during setup, like Accept
-	}
+	c.lease.Release()
+	c.bind(res)
 	c.needReconnect = false
 	c.Stats.Reconnects++
 	return nil
@@ -328,7 +311,7 @@ func (c *Client) slotTimers(p *sim.Proc, i int) bool {
 		return true
 	}
 	if sl.state == slotWaiting && now >= sl.resendAt {
-		sl.resendAt = now.Add(sim.Duration(c.params.ResendNs))
+		sl.resendAt = now.Add(c.params.resendNs())
 		sl.faulted = true
 		c.Stats.Resends++
 		c.repostSend(p, i)
@@ -344,7 +327,7 @@ func (c *Client) slotTimers(p *sim.Proc, i int) bool {
 func (c *Client) repostSend(p *sim.Proc, i int) {
 	sl := &c.slots[i]
 	sl.state = slotPosted
-	c.qp.Post(p, c.postCQ(), rnic.WR{
+	c.qp.Post(p, c.lease.PostCQ(), rnic.WR{
 		ID:     c.ringID(wrKindSend, i, sl.seq),
 		Op:     rnic.WRWrite,
 		Remote: c.server,

@@ -85,8 +85,8 @@ type slot struct {
 // Work-request ID encoding: kind | slot<<8 | seq<<32 | member<<48, so
 // completions route back to their slot and stale completions (a slot
 // resolved by Close and reused) are detectable. The member field is the
-// client's group tag (group.go): zero for ungrouped connections, so their
-// IDs are unchanged from the single-connection encoding.
+// client's endpoint-lease tag: the endpoint demux routes by it to the
+// client's queue, a group's queue by it to the member.
 const (
 	wrKindSend   = iota // request RDMA Write
 	wrKindFetch         // first fetch read (F bytes)
@@ -98,7 +98,7 @@ func wrID(kind, slot int, seq uint16) uint64 {
 	return uint64(kind) | uint64(slot)<<8 | uint64(seq)<<32
 }
 
-// ringID is wrID with the client's group member tag OR-ed in.
+// ringID is wrID with the client's lease tag OR-ed in.
 //
 //rfp:hotpath
 func (c *Client) ringID(kind, slot int, seq uint16) uint64 {
@@ -160,11 +160,14 @@ func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
 	if c.recoveryOn() {
 		now := p.Now()
 		c.slots[si].deadline = now.Add(sim.Duration(c.params.DeadlineNs))
-		c.slots[si].resendAt = now.Add(sim.Duration(c.params.ResendNs))
+		c.slots[si].resendAt = now.Add(c.params.resendNs())
 	}
 	c.outstanding++
 	if c.cq == nil {
+		// First post: a connection that only ever calls synchronously never
+		// pays for completion queues.
 		c.cq = rnic.NewCQ(c.machine.NIC())
+		c.lease.Redirect(c.cq)
 	}
 	// Clear the slot's local landing header so a reply-mode delivery for
 	// this call is unambiguous, then stage header + payload and post.
@@ -172,7 +175,7 @@ func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
 	stage := c.stages[si]
 	putHeader(stage, header{valid: true, size: len(req), seq: c.seq})
 	copy(stage[HeaderSize:], req)
-	c.qp.Post(p, c.postCQ(), rnic.WR{
+	c.qp.Post(p, c.lease.PostCQ(), rnic.WR{
 		ID:     c.ringID(wrKindSend, si, c.seq),
 		Op:     rnic.WRWrite,
 		Remote: c.server,
@@ -237,7 +240,7 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 	c.recordRetries(sl.failed)
 	if sl.overrun {
 		c.consecOverruns++
-		if !c.params.DisableSwitch && c.mode == ModeFetch && c.consecOverruns >= c.params.K {
+		if !c.params.DisableSwitch && c.mode == ModeFetch && c.consecOverruns >= switchAfterOverruns {
 			c.consecOverruns = 0
 			c.pendingMode = ModeReply
 			c.hasPending = true
@@ -366,9 +369,9 @@ func (c *Client) issue(p *sim.Proc) bool {
 			sl.state = slotReading
 		}
 		if len(c.wrScratch) == 1 {
-			c.qp.Post(p, c.postCQ(), c.wrScratch[0])
+			c.qp.Post(p, c.lease.PostCQ(), c.wrScratch[0])
 		} else if len(c.wrScratch) > 1 {
-			c.qp.PostBatch(p, c.postCQ(), c.wrScratch)
+			c.qp.PostBatch(p, c.lease.PostCQ(), c.wrScratch)
 		}
 		if n := len(c.wrScratch); n > 0 {
 			c.Stats.FetchReads += uint64(n)
@@ -520,7 +523,7 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 			// The inline size field tells us exactly what remains: one
 			// continuation read, no size-probe round trip.
 			f := c.fetchLen()
-			c.qp.Post(p, c.postCQ(), rnic.WR{
+			c.qp.Post(p, c.lease.PostCQ(), rnic.WR{
 				ID:     c.ringID(wrKindFetch2, si, sl.seq),
 				Op:     rnic.WRRead,
 				Remote: c.server,

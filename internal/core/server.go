@@ -27,11 +27,11 @@ type Server struct {
 	cfg     ServerConfig
 	conns   []*Conn
 
-	// Connection-resource pooling (DESIGN.md §13). slabs carves server-side
-	// ring regions; landing carves each client machine's reply landings;
-	// pool multiplexes QPs (nil unless cfg.Pool opts in). With pooling off,
-	// the registrars run in dedicated mode — one exact-size MR per lease —
-	// so the handshake is call-for-call the paper's.
+	// Connection resources (DESIGN.md §13). slabs carves server-side ring
+	// regions; landing carves each client machine's reply landings; pool
+	// leases QP pairs. cfg.Pool sets the geometry only: at its zero value
+	// every lease gets its own MR and QP pair, so the handshake is
+	// call-for-call the paper's.
 	slabs   *rnic.SlabRegistrar
 	landing map[*fabric.Machine]*rnic.SlabRegistrar
 	pool    *rnic.EndpointPool
@@ -40,19 +40,16 @@ type Server struct {
 // NewServer creates an RFP server on machine m.
 func NewServer(m *fabric.Machine, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		machine: m,
 		cfg:     cfg,
 		slabs:   rnic.NewSlabRegistrar(m.NIC(), cfg.Pool.SlabBytes),
 		landing: make(map[*fabric.Machine]*rnic.SlabRegistrar),
+		pool:    rnic.NewEndpointPool(m.NIC(), cfg.Pool.QPs),
 	}
-	if cfg.Pool.enabled() {
-		s.pool = rnic.NewEndpointPool(m.NIC(), cfg.Pool.QPs)
-	}
-	return s
 }
 
-// Pool returns the server's endpoint pool, nil when pooling is off.
+// Pool returns the server's endpoint pool.
 func (s *Server) Pool() *rnic.EndpointPool { return s.pool }
 
 // Resources gauges the transport footprint behind this server's
@@ -62,18 +59,16 @@ func (s *Server) Pool() *rnic.EndpointPool { return s.pool }
 // footprint the ext-crowd experiment compares pooled vs dedicated.
 func (s *Server) Resources() telemetry.Resources {
 	r := telemetry.Resources{
-		RegisteredBytes: s.slabs.RegisteredBytes(),
-		RegisteredMRs:   s.slabs.RegisteredMRs(),
-		QPs:             s.machine.NIC().QPs(),
+		RegisteredBytes:   s.slabs.RegisteredBytes(),
+		RegisteredMRs:     s.slabs.RegisteredMRs(),
+		QPs:               s.machine.NIC().QPs(),
+		Endpoints:         s.pool.Endpoints(),
+		EndpointLeases:    s.pool.Leases(),
+		EndpointOccupancy: s.pool.Occupancy(),
 	}
 	for _, lr := range s.landing {
 		r.RegisteredBytes += lr.RegisteredBytes()
 		r.RegisteredMRs += lr.RegisteredMRs()
-	}
-	if s.pool != nil {
-		r.Endpoints = s.pool.Endpoints()
-		r.EndpointLeases = s.pool.Leases()
-		r.EndpointOccupancy = s.pool.Occupancy()
 	}
 	return r
 }
@@ -118,9 +113,9 @@ type Conn struct {
 	srv *Server
 	id  int
 
-	lease  *rnic.SlabLease // server-side buffers (a slab carve, or a whole dedicated MR)
+	lease  *rnic.SlabLease // server-side buffers (a slab carve, or a whole MR of its own)
 	buf    []byte          // lease.Buf(), cached for the poll path
-	qp     *rnic.QP        // server->client endpoint (reply-mode writes); shared when pooled
+	qp     *rnic.QP        // server->client endpoint (reply-mode writes); the lease's home QP
 	client rnic.RemoteMR
 	depth  int
 
@@ -324,49 +319,55 @@ func Serve(p *sim.Proc, conns []*Conn, h Handler) {
 }
 
 // leased bundles one connection's transport resources: the server-side ring
-// region, the client-side reply landing, the QP pair, and — when pooling is
-// on — the endpoint lease with its demuxed deliver queue.
+// region, the client-side reply landing, and the endpoint lease (tag + QP
+// pair).
 type leased struct {
 	region  *rnic.SlabLease
 	landing *rnic.SlabLease
-	qpC     *rnic.QP
-	qpS     *rnic.QP
 	ep      *rnic.EndpointLease
-	deliver *rnic.CQ
 }
 
-// leaseResources acquires a connection's transport resources. With pooling
-// off the acquisition order — server region, QP pair, client landing — is
-// exactly the paper's per-client handshake, registration for registration,
-// which is what keeps default configurations byte-identical to the seed.
-// With pooling on, the QP pair comes from the endpoint pool (ErrTagSpace
-// when the WR-ID tag field is exhausted) and both regions are slab carves.
-func (s *Server) leaseResources(cm *fabric.Machine, capacity int, deliver *rnic.CQ) (leased, error) {
-	var out leased
-	out.region = s.slabs.Lease(regionSize(s.cfg, capacity))
-	if s.pool != nil {
-		if deliver == nil {
-			deliver = rnic.NewCQ(cm.NIC())
-		}
-		ep, err := s.pool.Lease(cm.NIC(), deliver)
-		if err != nil {
-			out.region.Release()
-			return leased{}, err
-		}
-		out.ep, out.deliver = ep, deliver
-		out.qpC, out.qpS = ep.QP(), ep.HomeQP()
-	} else {
-		out.qpC, out.qpS = rnic.Connect(cm.NIC(), s.machine.NIC())
+// leaseResources acquires a connection's transport resources in the order of
+// the paper's per-client handshake — server region, QP pair, client landing —
+// which at PoolConfig's zero value is that handshake registration for
+// registration. The endpoint lease fails with rnic.ErrTagSpace when the
+// client NIC's WR-ID tag field is exhausted.
+func (s *Server) leaseResources(cm *fabric.Machine, capacity int) (leased, error) {
+	region := s.slabs.Lease(regionSize(s.cfg, capacity))
+	ep, err := s.pool.Lease(cm.NIC(), nil)
+	if err != nil {
+		region.Release()
+		return leased{}, err
 	}
-	out.landing = s.landingSlabs(cm).Lease(capacity * respArea(s.cfg))
-	return out, nil
+	return leased{region: region, ep: ep, landing: s.landingSlabs(cm).Lease(capacity * respArea(s.cfg))}, nil
+}
+
+// bind installs a connection's transport resources into both of its ends —
+// the exchange of buffer locations (paper Sec. 3.1). TryAccept binds once;
+// reconnect is the only re-binder.
+//
+//rfp:quiesced TryAccept binds a connection nothing has posted on yet; reconnect holds the quiesce rule
+func (c *Client) bind(res leased) {
+	conn := c.conn
+	conn.lease, conn.buf = res.region, res.region.Buf()
+	conn.qp, conn.client = res.ep.HomeQP(), res.landing.Handle()
+	c.qp, c.server = res.ep.QP(), res.region.Handle()
+	c.local, c.landing = res.landing, res.landing.Buf()
+	if c.group != nil {
+		c.group.retag(c, res.ep.Tag())
+	}
+	c.lease, c.tag = res.ep, res.ep.Tag()
+	c.lease.Redirect(c.cq)
+	if c.mode == ModeReply {
+		conn.buf[0] = byte(ModeReply) // set during connection setup
+	}
 }
 
 // Accept establishes an RFP connection from a (thread on a) client machine
 // and returns both endpoints. Buffer locations are exchanged at
 // registration time, exactly once, so the data path never needs further
-// coordination (paper Sec. 3.1). Accept panics when the pool's logical
-// client space is exhausted; servers expecting tens of thousands of
+// coordination (paper Sec. 3.1). Accept panics when the client machine's
+// lease-tag space is exhausted; servers expecting tens of thousands of
 // connections should use TryAccept.
 func (s *Server) Accept(clientMachine *fabric.Machine, params Params) (*Client, *Conn) {
 	cli, conn, err := s.TryAccept(clientMachine, params)
@@ -376,9 +377,9 @@ func (s *Server) Accept(clientMachine *fabric.Machine, params Params) (*Client, 
 	return cli, conn
 }
 
-// TryAccept is Accept with the pooled-handshake failure surfaced: a server
-// whose endpoint pool has no free WR-ID tag returns rnic.ErrTagSpace instead
-// of silently aliasing two logical clients onto one tag.
+// TryAccept is Accept with the handshake failure surfaced: a client machine
+// with no free WR-ID tag gets rnic.ErrTagSpace instead of two logical
+// clients silently aliased onto one tag.
 func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Client, *Conn, error) {
 	params = params.withDefaults()
 	maxF := HeaderSize + s.cfg.MaxResponse
@@ -396,7 +397,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	// capacity slots — inactive ones simply never hold a valid request.
 	depth := params.Depth
 	capacity := params.MaxDepth
-	res, err := s.leaseResources(clientMachine, capacity, nil)
+	res, err := s.leaseResources(clientMachine, capacity)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -404,10 +405,6 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	conn := &Conn{
 		srv:     s,
 		id:      len(s.conns),
-		lease:   res.region,
-		buf:     res.region.Buf(),
-		qp:      res.qpS,
-		client:  res.landing.Handle(),
 		depth:   capacity,
 		scratch: make([]byte, s.cfg.MaxResponse),
 	}
@@ -416,27 +413,18 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	cli := &Client{
 		machine:    clientMachine,
 		params:     params,
-		qp:         res.qpC,
 		srv:        s,
 		conn:       conn,
-		server:     res.region.Handle(),
 		depth:      depth,
 		maxDepth:   capacity,
 		respStride: respArea(s.cfg),
 		maxReq:     s.cfg.MaxRequest,
 		maxResp:    s.cfg.MaxResponse,
-		local:      res.landing,
-		landing:    res.landing.Buf(),
-		epLease:    res.ep,
-		cq:         res.deliver,
 		slots:      make([]slot, depth),
 		reqOffs:    make([]int, capacity),
 		respOffs:   make([]int, capacity),
 		stages:     make([][]byte, depth),
 		fetches:    make([][]byte, depth),
-	}
-	if res.ep != nil {
-		cli.tag = res.ep.Tag()
 	}
 	for i := 0; i < capacity; i++ {
 		cli.reqOffs[i] = reqOffAt(s.cfg, i)
@@ -448,7 +436,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	}
 	if params.ForceReply {
 		cli.mode = ModeReply
-		conn.buf[0] = byte(ModeReply) // set during connection setup
 	}
+	cli.bind(res)
 	return cli, conn, nil
 }

@@ -43,15 +43,6 @@ type Tuner struct {
 	// pending.
 	TuneDepth bool
 
-	// TuneCapacity additionally lets the tuner grow and shrink each ring's
-	// registered slot capacity (Client.SetCapacity): grow when the selected
-	// depth is pinned at the capacity ceiling, shrink (keeping 2x headroom)
-	// when the ring is far over-provisioned so the carve returns to the
-	// slab. Off by default; only meaningful together with TuneDepth's
-	// cooperation contract, since a resize needs the ring quiesced — a busy
-	// period is simply skipped and re-tried at the next one.
-	TuneCapacity bool
-
 	// Retunes counts how many times re-selection changed a parameter.
 	Retunes uint64
 
@@ -100,29 +91,6 @@ func (t *Tuner) observe(p *sim.Proc, c *Client, respSize int, procNs int64) {
 			t.logDecision(p, cc, "R", cc.params.R, newR, false)
 			cc.params.R = newR
 			changed = true
-		}
-		if t.TuneCapacity {
-			// The unbounded selection says what the workload wants; the
-			// capacity follows it with hysteresis — grow exactly to demand,
-			// shrink only past 4x over-provisioning and keep 2x headroom so
-			// the next burst fits without another registration exchange.
-			want := SelectDepth(t.cal, newF, t.sampler.Sizes, t.sampler.ProcTimes, MaxDepth)
-			target := cc.maxDepth
-			if want > cc.maxDepth {
-				target = want
-			} else if want*4 <= cc.maxDepth {
-				target = want * 2
-			}
-			if target != cc.maxDepth {
-				oldCap := cc.maxDepth
-				if err := cc.SetCapacity(p, target); err == nil {
-					t.logDecision(p, cc, "capacity", oldCap, target, false)
-					changed = true
-				}
-				// A non-nil error is ErrRingBusy (posts in flight) or a
-				// down server: the resize is simply re-attempted at the
-				// next period's re-selection.
-			}
 		}
 		if t.TuneDepth {
 			// Depth is bounded per client by its ring capacity, so the

@@ -432,10 +432,3 @@ func PartitionFor(key []byte, n int) int {
 	h ^= h >> 29
 	return int(h % uint64(n))
 }
-
-// U64 re-exports the little-endian codec used across the stores' disk/wire
-// layouts.
-func U64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
-
-// PutU64 stores v into b little-endian.
-func PutU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }

@@ -207,14 +207,6 @@ func TestPartitionFor(t *testing.T) {
 	}
 }
 
-func TestU64RoundTrip(t *testing.T) {
-	b := make([]byte, 8)
-	PutU64(b, 0xDEADBEEF12345678)
-	if U64(b) != 0xDEADBEEF12345678 {
-		t.Fatal("u64")
-	}
-}
-
 // Property: a store never returns a value written under a different key,
 // and the most recent Put for a key always wins.
 func TestBucketStoreLastWriteWinsProperty(t *testing.T) {

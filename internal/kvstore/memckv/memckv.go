@@ -39,37 +39,29 @@ type Config struct {
 	Threads  int
 	Buckets  int // shared store size
 	MaxValue int
-
-	// CPU cost model (ns). Get/Put CPU runs outside the lock; LockGet/
-	// LockPut is the serialized critical-section length. HotFactor scales
-	// both for keys found in the shared key cache (LLC model).
-	CPUGetNs, CPUPutNs   int64
-	LockGetNs, LockPutNs int64
-	HotFactor            float64
-	KeyCacheSize         int
-
-	// SharedEndpoints bounds how many NIC issuer slots the server threads
-	// occupy: RDMA-Memcached multiplexes its connections over a shared
-	// endpoint pool, so 16 worker threads do not contend on 16 QPs.
-	SharedEndpoints int
 }
 
-// DefaultConfig returns the calibrated model: ~0.2 MOPS single-threaded,
-// ~1.3 MOPS at 16 threads read-intensive (lock-bound), ~0.4 MOPS
-// write-intensive, out-bound-bound (~2.1 MOPS) under skew.
+// The calibrated cost model: ~0.2 MOPS single-threaded, ~1.3 MOPS at 16
+// threads read-intensive (lock-bound), ~0.4 MOPS write-intensive,
+// out-bound-bound (~2.1 MOPS) under skew.
+const (
+	// Get/Put CPU (ns) runs outside the lock; lockGet/lockPut is the
+	// serialized critical-section length. hotFactor scales both for keys
+	// found in the shared key cache (LLC model) of keyCacheSize entries.
+	cpuGetNs, cpuPutNs   int64 = 4300, 4800
+	lockGetNs, lockPutNs int64 = 770, 2300
+	hotFactor                  = 0.35
+	keyCacheSize               = 4096
+
+	// sharedEndpoints bounds how many NIC issuer slots the server threads
+	// occupy: RDMA-Memcached multiplexes its connections over a shared
+	// endpoint pool, so 16 worker threads do not contend on 16 QPs.
+	sharedEndpoints = 6
+)
+
+// DefaultConfig returns the paper's 16-thread server.
 func DefaultConfig() Config {
-	return Config{
-		Threads:         16,
-		Buckets:         1 << 17,
-		MaxValue:        8192,
-		CPUGetNs:        4300,
-		CPUPutNs:        4800,
-		LockGetNs:       770,
-		LockPutNs:       2300,
-		HotFactor:       0.35,
-		KeyCacheSize:    4096,
-		SharedEndpoints: 6,
-	}
+	return Config{Threads: 16, Buckets: 1 << 17, MaxValue: 8192}
 }
 
 func (c Config) withDefaults() Config {
@@ -82,27 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxValue <= 0 {
 		c.MaxValue = d.MaxValue
-	}
-	if c.CPUGetNs <= 0 {
-		c.CPUGetNs = d.CPUGetNs
-	}
-	if c.CPUPutNs <= 0 {
-		c.CPUPutNs = d.CPUPutNs
-	}
-	if c.LockGetNs <= 0 {
-		c.LockGetNs = d.LockGetNs
-	}
-	if c.LockPutNs <= 0 {
-		c.LockPutNs = d.LockPutNs
-	}
-	if c.HotFactor <= 0 {
-		c.HotFactor = d.HotFactor
-	}
-	if c.KeyCacheSize <= 0 {
-		c.KeyCacheSize = d.KeyCacheSize
-	}
-	if c.SharedEndpoints <= 0 {
-		c.SharedEndpoints = d.SharedEndpoints
 	}
 	return c
 }
@@ -131,16 +102,16 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 			MaxResponse: 1 + cfg.MaxValue,
 		}),
 		store: kv.NewBucketStore(cfg.Buckets),
-		cache: kv.NewKeyCache(cfg.KeyCacheSize),
+		cache: kv.NewKeyCache(keyCacheSize),
 		// Homed to m's lane: server procs hold this lock, and a wake
 		// from a foreign lane deadlocks the sharded kernel.
 		lock:  sim.NewResourceOn(m.Shard(), 1),
 		conns: make([][]*core.Conn, cfg.Threads),
 	}
-	// Threads count against cores, but only SharedEndpoints issuer slots
+	// Threads count against cores, but only sharedEndpoints issuer slots
 	// are occupied on the NIC.
 	m.AddThreads(cfg.Threads)
-	for i := 0; i < cfg.SharedEndpoints && i < cfg.Threads; i++ {
+	for i := 0; i < sharedEndpoints && i < cfg.Threads; i++ {
 		m.NIC().RegisterIssuer()
 	}
 	return s
@@ -206,11 +177,11 @@ func (s *Server) handler() core.Handler {
 		hot := s.cache.Touch(r.Key)
 		factor := 1.0
 		if hot {
-			factor = s.cfg.HotFactor
+			factor = hotFactor
 		}
-		cpu, lockHold := s.cfg.CPUGetNs, s.cfg.LockGetNs
+		cpu, lockHold := cpuGetNs, lockGetNs
 		if r.Op == kv.OpPut {
-			cpu, lockHold = s.cfg.CPUPutNs, s.cfg.LockPutNs
+			cpu, lockHold = cpuPutNs, lockPutNs
 		}
 		// Item parsing, slab lookup, hashing — parallel across threads.
 		s.machine.ComputeNs(p, int64(float64(cpu)*factor))

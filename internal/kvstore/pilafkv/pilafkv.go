@@ -47,13 +47,17 @@ var crcTab = crc64.MakeTable(crc64.ECMA)
 
 // Config parameterizes the store.
 type Config struct {
-	Capacity int     // maximum number of keys
-	Fill     float64 // cuckoo table fill target (0.75 as in Pilaf's eval)
+	Capacity int // maximum number of keys
 	MaxValue int
 	Threads  int // server threads handling PUTs
-	// PutCPUNs is the server-side processing cost per PUT beyond copies.
-	PutCPUNs int64
 }
+
+const (
+	// fill is the cuckoo table fill target (0.75 as in Pilaf's eval).
+	fill = 0.75
+	// putCPUNs is the server-side processing cost per PUT beyond copies.
+	putCPUNs = 1200
+)
 
 // DefaultConfig matches the scale used in tests/benches. Pilaf is
 // deliberately CPU-frugal — PUTs funnel through a small dispatcher pool and
@@ -61,7 +65,7 @@ type Config struct {
 // access amplification) is why its measured throughput sits far below the
 // NIC ceilings (~1.3 MOPS at 50% GET on the 20 Gbps testbed it published).
 func DefaultConfig() Config {
-	return Config{Capacity: 1 << 17, Fill: 0.75, MaxValue: 1024, Threads: 2, PutCPUNs: 1200}
+	return Config{Capacity: 1 << 17, MaxValue: 1024, Threads: 2}
 }
 
 func (c Config) withDefaults() Config {
@@ -69,17 +73,11 @@ func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = d.Capacity
 	}
-	if c.Fill <= 0 || c.Fill > 1 {
-		c.Fill = d.Fill
-	}
 	if c.MaxValue <= 0 {
 		c.MaxValue = d.MaxValue
 	}
 	if c.Threads <= 0 {
 		c.Threads = d.Threads
-	}
-	if c.PutCPUNs <= 0 {
-		c.PutCPUNs = d.PutCPUNs
 	}
 	return c
 }
@@ -108,7 +106,7 @@ type Server struct {
 // NewServer creates the store on machine m.
 func NewServer(m *fabric.Machine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	nSlots := cuckoo.NumSlotsFor(cfg.Capacity, cfg.Fill)
+	nSlots := cuckoo.NumSlotsFor(cfg.Capacity, fill)
 	slotMR := m.NIC().RegisterMemory(nSlots * cuckoo.SlotSize)
 	dataMR := m.NIC().RegisterMemory(cfg.Capacity * cfg.stride())
 	s := &Server{
@@ -163,7 +161,7 @@ func (s *Server) put(p *sim.Proc, key, value []byte) error {
 		// The memcpy takes real time; a concurrent remote reader can see
 		// half-old half-new bytes here. The CRC below is what makes that
 		// detectable.
-		s.machine.ComputeNs(p, s.cfg.PutCPUNs+prof.CopyNs(len(value)))
+		s.machine.ComputeNs(p, putCPUNs+prof.CopyNs(len(value)))
 	}
 	copy(payload[half:], value[half:])
 	crcEnd := extentHdr + len(key) + len(value)
@@ -213,14 +211,15 @@ func (s *Server) NewClient(cm *fabric.Machine) *Client {
 	s.conns[t] = append(s.conns[t], conn)
 	qp, _ := rnic.Connect(cm.NIC(), s.machine.NIC())
 	return &Client{
-		srv:    s,
-		qp:     qp,
-		slots:  s.slotMR.Handle(),
-		data:   s.dataMR.Handle(),
-		geo:    s.table.Geometry(),
-		put:    putCli,
-		reqBuf: make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
-		extBuf: make([]byte, s.cfg.stride()),
+		srv:     s,
+		qp:      qp,
+		slots:   s.slotMR.Handle(),
+		data:    s.dataMR.Handle(),
+		geo:     s.table.Geometry(),
+		put:     putCli,
+		reqBuf:  make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
+		respBuf: make([]byte, 8),
+		extBuf:  make([]byte, s.cfg.stride()),
 	}
 }
 
@@ -285,14 +284,15 @@ func (st ClientStats) ReadsPerGet() float64 {
 
 // Client performs server-bypass GETs and server-reply PUTs.
 type Client struct {
-	srv    *Server
-	qp     *rnic.QP
-	slots  rnic.RemoteMR
-	data   rnic.RemoteMR
-	geo    cuckoo.Geometry
-	put    *core.Client
-	reqBuf []byte
-	extBuf []byte
+	srv     *Server
+	qp      *rnic.QP
+	slots   rnic.RemoteMR
+	data    rnic.RemoteMR
+	geo     cuckoo.Geometry
+	put     *core.Client
+	reqBuf  []byte
+	respBuf []byte // PUT response landing (the RFP server's MaxResponse)
+	extBuf  []byte
 
 	Stats ClientStats
 }
@@ -386,12 +386,11 @@ func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
 	}
 	c.Stats.Puts++
 	req := kv.EncodePut(c.reqBuf, key, value)
-	respBuf := make([]byte, 8)
-	n, err := c.put.Call(p, req, respBuf)
+	n, err := c.put.Call(p, req, c.respBuf)
 	if err != nil {
 		return err
 	}
-	status, _, err := kv.DecodeResponse(respBuf[:n])
+	status, _, err := kv.DecodeResponse(c.respBuf[:n])
 	if err != nil {
 		return err
 	}

@@ -49,23 +49,22 @@ type Config struct {
 	// failure-detection and promotion timers. Default 20µs of virtual time.
 	LeaseNs int64
 
-	// HeartbeatNs is the leader's lease-refresh period. Default LeaseNs/4.
-	HeartbeatNs int64
-
-	// GraceNs bounds the in-flight delivery slack: how long after a peer
-	// call's terminal deadline a sent message could still arrive. Default
-	// 5µs, generous against the fabric's delay faults.
-	GraceNs int64
-
-	// PeerDeadlineNs is the deadline on server-to-server calls; it bounds
-	// how long a prepare or heartbeat can hang on a dead peer. Default
-	// LeaseNs.
-	PeerDeadlineNs int64
-
 	// Pool opts every node's RFP server into multiplexed endpoints and
 	// shared-slab registration (DESIGN.md §13).
 	Pool core.PoolConfig
 }
+
+// graceNs bounds the in-flight delivery slack: how long after a peer call's
+// terminal deadline a sent message could still arrive. 5µs is generous
+// against the fabric's delay faults.
+const graceNs = 5_000
+
+// heartbeatNs is the leader's lease-refresh period.
+func (c Config) heartbeatNs() int64 { return c.LeaseNs / 4 }
+
+// peerDeadlineNs is the deadline on server-to-server calls; it bounds how
+// long a prepare or heartbeat can hang on a dead peer.
+func (c Config) peerDeadlineNs() int64 { return c.LeaseNs }
 
 func (c Config) withDefaults() Config {
 	if c.Buckets <= 0 {
@@ -76,15 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseNs <= 0 {
 		c.LeaseNs = 20_000
-	}
-	if c.HeartbeatNs <= 0 {
-		c.HeartbeatNs = c.LeaseNs / 4
-	}
-	if c.GraceNs <= 0 {
-		c.GraceNs = 5_000
-	}
-	if c.PeerDeadlineNs <= 0 {
-		c.PeerDeadlineNs = c.LeaseNs
 	}
 	return c
 }
@@ -250,7 +240,7 @@ func NewService(machines []*fabric.Machine, cfg Config) (*Service, error) {
 	// Full mesh of peer links: each node dials every other twice (data for
 	// the prepare fan-out, ctrl for heartbeats and promotion).
 	peer := core.Params{
-		DeadlineNs: cfg.PeerDeadlineNs,
+		DeadlineNs: cfg.peerDeadlineNs(),
 		BackoffNs:  500,
 	}
 	for _, from := range s.nodes {
@@ -591,17 +581,18 @@ func (n *node) prepareAck(p *sim.Proc, j int, sendT int64, ack []byte, idx int, 
 			n.drainPeer(p, j)
 			return
 		}
-		n.noteAck(p, j, sendT)
-		if end := int(u32(ack[1:5])); end > n.peerEnd[j] {
-			n.peerEnd[j] = end
-		}
+		n.noteAck(p, j, sendT, ack)
 	case statusGap:
 		if len(ack) < 5 {
 			n.drainPeer(p, j)
 			return
 		}
 		for i := int(u32(ack[1:5])) + 1; i <= idx; i++ {
-			if !n.syncPrepare(p, j, i, e0) {
+			acked, failed := n.syncPrepare(p, n.data[j], n.prepBuf, n.ackBuf, j, i, e0)
+			if failed {
+				n.drainPeer(p, j)
+			}
+			if !acked {
 				return
 			}
 		}
@@ -614,42 +605,42 @@ func (n *node) prepareAck(p *sim.Proc, j int, sendT int64, ack []byte, idx int, 
 	}
 }
 
-// syncPrepare sends entry i to peer j as a blocking call (gap backfill and
-// rejoin catch-up). Reports whether the peer acknowledged it.
-func (n *node) syncPrepare(p *sim.Proc, j, i int, e0 uint32) bool {
-	cli := n.data[j]
+// syncPrepare sends entry i to peer j as a blocking call over cli — gap
+// backfill on the serve proc's data link, rejoin catch-up on the ctrl proc's
+// — with that proc's own encode and ack buffers. acked reports that the peer
+// holds the entry; failed, that it must be condemned, which the serve proc
+// does blocking (drainPeer) and the ctrl proc does not (condemn; a later tick
+// finalizes). A stale-epoch answer is neither: this node stepped down.
+func (n *node) syncPrepare(p *sim.Proc, cli *core.Client, prep, ack []byte, j, i int, e0 uint32) (acked, failed bool) {
 	ent := &n.log[i-1]
-	msg := encodePrepare(n.prepBuf, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
+	msg := encodePrepare(prep, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
 	sendT := int64(p.Now())
-	nr, err := cli.Call(p, msg, n.ackBuf)
-	if err != nil {
-		n.drainPeer(p, j)
-		return false
+	nr, err := cli.Call(p, msg, ack)
+	switch {
+	case err != nil || nr < 5:
+		return false, true
+	case ack[0] == kv.StatusOK:
+		n.noteAck(p, j, sendT, ack)
+		return true, false
+	case ack[0] == statusStaleEpoch:
+		n.stepDownTo(p, u32(ack[1:5]))
+		return false, false
 	}
-	if nr >= 5 && n.ackBuf[0] == kv.StatusOK {
-		n.noteAck(p, j, sendT)
-		if end := int(u32(n.ackBuf[1:5])); end > n.peerEnd[j] {
-			n.peerEnd[j] = end
-		}
-		return true
-	}
-	if nr >= 5 && n.ackBuf[0] == statusStaleEpoch {
-		n.stepDownTo(p, u32(n.ackBuf[1:5]))
-		return false
-	}
-	n.drainPeer(p, j)
-	return false
+	return false, true
 }
 
-// noteAck records a successful leased exchange with peer j: the send time
+// noteAck digests a leased StatusOK ack from peer j: the send time
 // lower-bounds the peer's lease, the ack time upper-bounds its last
-// delivery.
-func (n *node) noteAck(p *sim.Proc, j int, sendT int64) {
+// delivery, and ack[1:5] is the end of the log it holds.
+func (n *node) noteAck(p *sim.Proc, j int, sendT int64, ack []byte) {
 	if sendT > n.anchor[j] {
 		n.anchor[j] = sendT
 	}
 	if now := int64(p.Now()); now > n.lastAlive[j] {
 		n.lastAlive[j] = now
+	}
+	if end := int(u32(ack[1:5])); end > n.peerEnd[j] {
+		n.peerEnd[j] = end
 	}
 }
 
@@ -662,7 +653,7 @@ func (n *node) condemn(j int, now int64) {
 	if !n.active[j] {
 		return
 	}
-	until := now + n.svc.cfg.PeerDeadlineNs + n.svc.cfg.LeaseNs + n.svc.cfg.GraceNs
+	until := now + n.svc.cfg.peerDeadlineNs() + n.svc.cfg.LeaseNs + graceNs
 	if until > n.drainUntil[j] {
 		n.drainUntil[j] = until
 	}
@@ -851,7 +842,7 @@ func (n *node) handleHeartbeat(p *sim.Proc, req, resp []byte) int {
 		// lease us.
 		leased = false
 		c := n.svc.cfg
-		if q := now + 2*c.LeaseNs + c.PeerDeadlineNs + c.GraceNs; q > n.quietUntil {
+		if q := now + 2*c.LeaseNs + c.peerDeadlineNs() + graceNs; q > n.quietUntil {
 			n.quietUntil = q
 		}
 	} else if n.role == roleLeader {
@@ -909,7 +900,7 @@ func (n *node) ctrlLoop(p *sim.Proc) {
 		case roleFollower:
 			n.followerTick(p)
 		}
-		p.Sleep(sim.Duration(n.svc.cfg.HeartbeatNs))
+		p.Sleep(sim.Duration(n.svc.cfg.heartbeatNs()))
 	}
 }
 
@@ -975,7 +966,11 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 		if n.role != roleLeader || n.epoch != e0 {
 			return
 		}
-		if !n.syncPrepareCtrl(p, j, i, e0) {
+		acked, failed := n.syncPrepare(p, n.ctrl[j], n.ctrlPrepBuf, n.ctrlAckBuf, j, i, e0)
+		if failed {
+			n.condemn(j, int64(p.Now()))
+		}
+		if !acked {
 			return
 		}
 	}
@@ -989,35 +984,7 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 		n.condemn(j, int64(p.Now()))
 		return
 	}
-	n.noteAck(p, j, sendT)
-	if end := int(u32(n.ctrlAckBuf[1:5])); end > n.peerEnd[j] {
-		n.peerEnd[j] = end
-	}
-}
-
-// syncPrepareCtrl is syncPrepare over the ctrl link (the ctrl proc may not
-// touch the serve proc's data links), non-blocking on failure: the peer is
-// condemned and a later tick finalizes.
-func (n *node) syncPrepareCtrl(p *sim.Proc, j, i int, e0 uint32) bool {
-	ent := &n.log[i-1]
-	msg := encodePrepare(n.ctrlPrepBuf, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
-	sendT := int64(p.Now())
-	nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
-	if err != nil {
-		n.condemn(j, int64(p.Now()))
-		return false
-	}
-	if nr >= 5 && n.ctrlAckBuf[0] == kv.StatusOK {
-		n.noteAck(p, j, sendT)
-		if end := int(u32(n.ctrlAckBuf[1:5])); end > n.peerEnd[j] {
-			n.peerEnd[j] = end
-		}
-		return true
-	}
-	if nr >= 5 && n.ctrlAckBuf[0] == statusStaleEpoch {
-		n.stepDownTo(p, u32(n.ctrlAckBuf[1:5]))
-	}
-	return false
+	n.noteAck(p, j, sendT, n.ctrlAckBuf)
 }
 
 // tryCommitTail commits entries that every active peer is known to hold —
@@ -1123,7 +1090,7 @@ func (n *node) promote(p *sim.Proc) {
 		// lease term past this instant. Committing before that would let a
 		// crashed-leased peer restart and serve reads that miss our writes.
 		c := n.svc.cfg
-		p.SleepUntil(sim.Time(int64(p.Now()) + c.PeerDeadlineNs + c.LeaseNs + c.GraceNs))
+		p.SleepUntil(sim.Time(int64(p.Now()) + c.peerDeadlineNs() + c.LeaseNs + graceNs))
 	}
 	if reject || grants == 0 || n.role != rolePromoting || n.epoch >= promoEpoch {
 		if n.role == rolePromoting {

@@ -39,13 +39,45 @@ func TestEndpointRoundRobin(t *testing.T) {
 	}
 }
 
-// TestEndpointTagExhaustion: the tag space is a typed error, not aliasing,
-// and released tags are recycled.
+// TestEndpointPrivateGeometry: perPeer 0 gives every lease its own endpoint
+// and retires it with the lease; tags stay unique across two pools leasing
+// to the same peer NIC.
+func TestEndpointPrivateGeometry(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	pool, _, client := epRig(env, 0)
+	other := NewEndpointPool(New(env, "server2", hw.ConnectX3()), 0)
+	a, _ := pool.Lease(client, nil)
+	b, _ := pool.Lease(client, nil)
+	c, _ := other.Lease(client, nil)
+	if a.Endpoint() == b.Endpoint() {
+		t.Fatal("private leases share an endpoint")
+	}
+	if a.tag == b.tag || a.tag == c.tag || b.tag == c.tag {
+		t.Fatalf("tags not unique on the reaping NIC: %d %d %d", a.tag, b.tag, c.tag)
+	}
+	if pool.Endpoints() != 2 || pool.Leases() != 2 || pool.Occupancy() != 1 {
+		t.Fatalf("pool = %d endpoints / %d leases / occupancy %d, want 2/2/1",
+			pool.Endpoints(), pool.Leases(), pool.Occupancy())
+	}
+	a.Release()
+	a.Release() // idempotent
+	if pool.Endpoints() != 1 || pool.Leases() != 1 {
+		t.Fatalf("after release: %d endpoints / %d leases, want 1/1", pool.Endpoints(), pool.Leases())
+	}
+	b.Release()
+	if pool.Endpoints() != 0 || pool.Occupancy() != 0 {
+		t.Fatalf("drained pool: %d endpoints, occupancy %d", pool.Endpoints(), pool.Occupancy())
+	}
+}
+
+// TestEndpointTagExhaustion: the reaping NIC's tag space is a typed error,
+// not aliasing, and released tags are recycled.
 func TestEndpointTagExhaustion(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	pool, _, client := epRig(env, 1)
-	pool.SetTagLimit(2)
+	client.SetTagLimit(2)
 	deliver := NewCQ(client)
 	a, err := pool.Lease(client, deliver)
 	if err != nil {
@@ -102,8 +134,8 @@ func TestEndpointDemux(t *testing.T) {
 		}
 	})
 	env.RunAll()
-	if pool.Misrouted != 0 {
-		t.Fatalf("Misrouted = %d", pool.Misrouted)
+	if client.Misrouted != 0 {
+		t.Fatalf("Misrouted = %d", client.Misrouted)
 	}
 }
 
@@ -130,15 +162,16 @@ func TestEndpointStragglerDropped(t *testing.T) {
 	if deliver.Depth() != 0 {
 		t.Fatal("straggler completion was delivered after release")
 	}
-	if pool.Misrouted != 1 {
-		t.Fatalf("Misrouted = %d, want 1", pool.Misrouted)
+	if client.Misrouted != 1 {
+		t.Fatalf("Misrouted = %d, want 1", client.Misrouted)
 	}
 }
 
 // FuzzEndpointDemux: arbitrary WR-ID images must never route a completion
 // to a queue other than the one lease owning that exact tag on that exact
 // endpoint — anything else is dropped (FuzzParseSlot's property, lifted to
-// the demux path).
+// the demux path). The table is the reaping NIC's, shared by a 2-QP pool and
+// a private-endpoint pool of a second server.
 func FuzzEndpointDemux(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(1) << TagShift)
@@ -149,25 +182,30 @@ func FuzzEndpointDemux(f *testing.F) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	pool, _, client := epRig(env, 2)
-	cqs := make(map[uint16]*CQ)
+	private := NewEndpointPool(New(env, "server2", hw.ConnectX3()), 0)
+	owner := make(map[uint16]*EndpointLease)
 	var eps []*Endpoint
-	for i := 0; i < 4; i++ {
-		deliver := NewCQ(client)
-		l, err := pool.Lease(client, deliver)
+	for i := 0; i < 6; i++ {
+		from := pool
+		if i >= 4 {
+			from = private
+		}
+		l, err := from.Lease(client, NewCQ(client))
 		if err != nil {
 			f.Fatal(err)
 		}
-		cqs[l.tag] = deliver
+		owner[l.tag] = l
 		eps = append(eps, l.Endpoint())
 	}
+	released, _ := pool.Lease(client, NewCQ(client))
+	released.Release()
 
 	f.Fuzz(func(t *testing.T, id uint64) {
 		for _, ep := range eps {
 			got := ep.routeCQE(CQE{ID: id})
-			tag := uint16(id >> TagShift)
-			l := pool.used[tag]
+			l := owner[uint16(id>>TagShift)]
 			if l != nil && l.ep == ep {
-				if got != cqs[tag] {
+				if got != l.deliver {
 					t.Fatalf("ID %#x on its own endpoint routed to the wrong queue", id)
 				}
 			} else if got != nil {

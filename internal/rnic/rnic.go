@@ -74,6 +74,12 @@ type NIC struct {
 	regMRs int // live registrations
 	qps    int // QP endpoints created on this NIC
 
+	// Endpoint-lease demux (endpoint.go): the tags of every live lease whose
+	// completions this NIC reaps, and the completions whose tag named no live
+	// lease on the endpoint that completed them — dropped, never delivered.
+	tags      tagTable
+	Misrouted uint64
+
 	// Stats accumulates since construction; callers snapshot it around
 	// measurement windows.
 	Stats Stats

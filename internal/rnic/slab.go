@@ -9,8 +9,8 @@ package rnic
 // each client holding only a windowed RemoteMR capability onto its carve.
 //
 // Dedicated mode (slab size zero) registers one exact-size MR per lease —
-// the seed's one-MR-per-client behaviour, call for call, so a server without
-// pooling configured is byte-identical to the pre-registrar code path.
+// the paper's one-MR-per-client handshake, call for call (EndpointPool's
+// perPeer zero is the same geometry for QP pairs).
 
 // slabAlign is the carve alignment inside a slab (cache-line sized, like the
 // ring's own slot alignment).

@@ -35,13 +35,13 @@ type Snapshot struct {
 
 // Resources gauges the transport-resource footprint behind a set of
 // connections: pinned registered memory (page-rounded, as an RNIC pins it),
-// memory regions, QPs, and — under endpoint pooling — how hard the endpoints
-// are multiplexed. Point-in-time values, not accumulating counters.
+// memory regions, QPs, and how hard the leased endpoints are multiplexed.
+// Point-in-time values, not accumulating counters.
 type Resources struct {
 	RegisteredBytes int64 // page-rounded bytes pinned by registrations
 	RegisteredMRs   int   // live memory regions
 	QPs             int   // QPs on the serving NIC
-	Endpoints       int   // pooled endpoints (QP pairs); 0 when pooling is off
+	Endpoints       int   // live endpoints (QP pairs) of the server's pool
 	EndpointLeases  int   // live logical clients multiplexed onto them
 
 	// EndpointOccupancy is the heaviest endpoint's lease count — the

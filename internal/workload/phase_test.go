@@ -53,21 +53,6 @@ func TestResetMatchesFreshGenerator(t *testing.T) {
 	}
 }
 
-func TestReseedKeepsConfig(t *testing.T) {
-	cfg := Config{Keys: 256, GetFraction: 0.5, ZipfTheta: 0.99}
-	g := NewGenerator(cfg, 3)
-	drawN(g, 123)
-	g.Reseed(42)
-	got := drawN(g, 100)
-	want := drawN(NewGenerator(cfg, 42), 100)
-	if !sameOps(got, want) {
-		t.Fatal("Reseed stream diverges from a fresh generator with the same config")
-	}
-	if g.Config().ZipfTheta != 0.99 {
-		t.Fatal("Reseed dropped the configuration")
-	}
-}
-
 // KeyOffset must rotate the drawn key sequence exactly (k+off mod Keys)
 // without disturbing any other draw (op mix, value sizes).
 func TestKeyOffsetRotates(t *testing.T) {

@@ -157,12 +157,6 @@ func (g *Generator) Reset(cfg Config, seed int64) {
 	}
 }
 
-// Reseed is Reset with the configuration kept.
-func (g *Generator) Reseed(seed int64) { g.Reset(g.cfg, seed) }
-
-// Config returns the effective configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Rand exposes the generator's random source (e.g. for auxiliary sampling
 // that must stay in sync with the stream).
 func (g *Generator) Rand() *rand.Rand { return g.rng }

@@ -73,7 +73,7 @@ func TestPutValueSizes(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	g := NewGenerator(Config{}, 6)
-	cfg := g.Config()
+	cfg := g.cfg
 	if cfg.Keys != 1<<20 || cfg.ValueSize == nil {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
