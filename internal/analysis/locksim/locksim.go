@@ -1,16 +1,17 @@
 // Package locksim forbids OS-level blocking inside simulation code.
 //
-// The sim kernel is cooperative: exactly one process goroutine is runnable
-// at any instant of virtual time, handed the baton through the scheduler's
-// resume/yield channels. Code running *on top* of the scheduler must block
-// only through the kernel's primitives (sim.Event, sim.Queue, sim.Resource,
+// The sim kernel is cooperative: exactly one process is runnable at any
+// instant of virtual time. A process is a coroutine of its lane's driver,
+// which switches into it directly and gets control back only when the
+// process parks or returns. Code running *on top* of the scheduler must
+// block only through the kernel's primitives (sim.Queue, sim.Resource,
 // Proc.Sleep) — a sync.Mutex that is ever contended, a WaitGroup.Wait, a
 // bare channel operation, or a raw `go` statement blocks or escapes the one
 // runnable process and deadlocks (or derandomizes) the whole simulation.
 //
-// internal/sim itself is allowlisted: the kernel's park/resume machinery is
-// the one place where real goroutine blocking is the mechanism rather than
-// a bug. Anywhere else, a deliberate exception needs
+// internal/sim itself is allowlisted: the window barrier of the sharded
+// kernel is the one place where real goroutines and real blocking are the
+// mechanism rather than a bug. Anywhere else, a deliberate exception needs
 // //rfpvet:allow locksim <reason>.
 package locksim
 
@@ -65,7 +66,7 @@ func run(pass *analysis.Pass) error {
 			return nil
 		}
 	}
-	const hint = "use the sim kernel's primitives (sim.Event, sim.Queue, sim.Resource, Proc.Sleep, Env.Go)"
+	const hint = "use the sim kernel's primitives (sim.Queue, sim.Resource, Proc.Sleep, Env.Go)"
 	for _, f := range pass.Files {
 		syncName := analysis.ImportName(f, "sync")
 		ast.Inspect(f, func(n ast.Node) bool {

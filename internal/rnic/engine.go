@@ -3,9 +3,9 @@ package rnic
 // Run-to-completion initiator engine and flight state machine: the one
 // one-sided data path, behind both the blocking verbs (qp.go) and Post/CQ
 // (async.go). An operation's life is a chain of scheduled continuations, so
-// retiring an event costs a function call instead of two channel handoffs,
+// retiring an event costs a function call instead of two coroutine switches,
 // and the per-operation state lives in a pooled flightOp instead of a
-// goroutine stack — steady-state posting allocates nothing.
+// process stack — steady-state posting allocates nothing.
 //
 // The life splits where the hardware pipelines. Issue: the initiator engine
 // serializes work requests one at a time (per NIC, in post order) and, for

@@ -16,6 +16,32 @@ func BenchmarkEventLoop(b *testing.B) {
 	e.Run(Time(int64(b.N) * 10))
 }
 
+// BenchmarkProcSwitch measures one coroutine switch pair — a proc parks, the
+// driver resumes the other — with two procs in Sleep lockstep, the drive
+// behind the benchmark ledger's sim.iso.proc_switch_ns. One op is one Sleep.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEnv(1)
+	defer e.Close()
+	goLockstep(e)
+	e.Run(Time(100_000)) // start both coroutines and warm the queue's buckets
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(e.Now().Add(Duration(b.N / 2)))
+}
+
+// goLockstep spawns two procs sleeping 1 ns at a time: each is always due
+// when the other sleeps, so every Sleep parks one and resumes the other (a
+// lone sleeper mostly takes the sleepFast path and never parks).
+func goLockstep(e *Env) {
+	for i := 0; i < 2; i++ {
+		e.Go("lockstep", func(p *Proc) {
+			for {
+				p.Sleep(1)
+			}
+		})
+	}
+}
+
 // BenchmarkResourceUse measures a contended resource handoff per
 // operation.
 func BenchmarkResourceUse(b *testing.B) {

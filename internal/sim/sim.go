@@ -3,11 +3,11 @@
 // The kernel drives the virtual RDMA cluster used throughout this
 // repository. Simulated entities (client threads, server threads, NIC
 // engines) are modeled two ways: as processes — ordinary Go functions
-// running in their own goroutines, scheduled cooperatively so that exactly
-// one executes at any instant of virtual time — and as run-to-completion
+// running as coroutines of the lane driver (iter.Pull), so that exactly one
+// executes at any instant of virtual time — and as run-to-completion
 // callbacks (fn events) that fire and return without ever parking. The fast
 // paths in internal/rnic use the callback form, so retiring their events
-// costs a function call instead of two goroutine channel handoffs.
+// costs a function call instead of two coroutine switches.
 //
 // Events live in per-lane calendar queues ordered by (time, sequence
 // number); two runs with the same seed and the same spawn order produce
@@ -27,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 )
@@ -63,8 +64,8 @@ func (t Time) String() string { return fmt.Sprintf("%.3fus", float64(t)/1e3) }
 // headroom so window arithmetic (tmin + lookahead) cannot overflow.
 const maxTime = Time(1 << 62)
 
-// stopped is panicked inside process goroutines when the environment shuts
-// down, unwinding their stacks so the goroutines can exit.
+// stopped is panicked inside a process when the environment shuts down,
+// unwinding its stack so the coroutine can exit.
 type stopped struct{}
 
 type event struct {
@@ -74,13 +75,16 @@ type event struct {
 	fn  func()
 }
 
-// proc is the scheduler-side handle for a process goroutine.
+// proc is the scheduler-side handle for a process: a coroutine the lane
+// driver switches into with next and the process switches out of with yield.
 type proc struct {
-	id     int
-	name   string
-	lane   *lane
-	resume chan bool // true = run, false = shut down
-	done   bool
+	id    int
+	name  string
+	lane  *lane
+	next  func() (struct{}, bool) // driver -> process: run to the next park or to the end
+	stop  func()                  // driver -> process: shut down (yield returns false)
+	yield func(struct{}) bool     // process -> driver: I parked; set when the body starts
+	done  bool
 }
 
 // lane is one shard of the scheduler: a virtual clock, a pending-event
@@ -97,8 +101,6 @@ type lane struct {
 	seq     uint64
 	now     Time
 	rng     *rand.Rand
-	yield   chan struct{} // process -> lane driver: I parked or finished
-	cur     *proc
 	procs   map[int]*proc
 	nextID  int
 	outbox  []crossEvent // cross-lane sends buffered until the window barrier
@@ -119,7 +121,7 @@ type crossEvent struct {
 // Env is a simulation environment: a virtual clock plus the event scheduler.
 // All processes, resources and events belong to exactly one Env. Env is not
 // safe for concurrent use from multiple OS threads; everything happens on
-// the goroutine calling Run and on the process goroutines it coordinates
+// the goroutine calling Run and on the process coroutines it switches into
 // (in sharded mode, on the window workers — see window.go).
 type Env struct {
 	lanes     []*lane
@@ -155,7 +157,6 @@ func (e *Env) newLane(name string) *lane {
 		id:    id,
 		name:  name,
 		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
 		procs: make(map[int]*proc),
 		hash:  e.hash,
 	}
@@ -179,10 +180,11 @@ func (e *Env) Rand() *rand.Rand { return e.def.rng }
 
 //rfp:hotpath
 func (l *lane) schedule(t Time, p *proc, fn func()) {
-	// A proc may only ever be woken on its home lane: the park/resume
-	// handshake assumes one active proc per lane, so a cross-lane wake
-	// (e.g. a Resource bound to the wrong lane) deadlocks the sharded
-	// kernel. Catch it at the scheduling point, where the blame is clear.
+	// A proc may only ever be woken on its home lane: a cross-lane wake
+	// (e.g. a Resource bound to the wrong lane) would resume it from a
+	// foreign lane's driver, concurrently with its own lane's events, and
+	// break the sharded kernel's determinism. Catch it at the scheduling
+	// point, where the blame is clear.
 	if p != nil && p.lane != l {
 		panicForeignLane(p, l)
 	}
@@ -220,6 +222,13 @@ func (p *Proc) Rand() *rand.Rand { return p.p.lane.rng }
 // virtual time, after the spawning context yields control. In sharded mode
 // the process is homed to the default lane; use Shard.Go for machine-homed
 // processes.
+//
+// fn runs as a coroutine of whichever goroutine drives its lane, so what
+// ends fn abnormally lands on that goroutine: a panic in fn surfaces from
+// Run with the original value, and runtime.Goexit in fn (t.FailNow, t.Fatal)
+// ends the goroutine that called Run. With SetSharded(n > 1) the driver is
+// a window worker, not Run's caller: a panic there crashes the program and
+// a Goexit ends only that worker.
 func (e *Env) Go(name string, fn func(*Proc)) { e.def.gogo(name, fn) }
 
 func (l *lane) gogo(name string, fn func(*Proc)) {
@@ -228,35 +237,27 @@ func (l *lane) gogo(name string, fn func(*Proc)) {
 		panic("sim: Go on closed Env")
 	}
 	l.nextID++
-	pr := &proc{id: l.nextID, name: name, lane: l, resume: make(chan bool)}
+	pr := &proc{id: l.nextID, name: name, lane: l}
 	l.procs[pr.id] = pr
-	go func() {
-		if !<-pr.resume {
-			pr.done = true
-			l.yield <- struct{}{}
-			return
-		}
+	pr.next, pr.stop = iter.Pull(func(yield func(struct{}) bool) {
+		pr.yield = yield
 		defer func() {
 			pr.done = true
 			delete(l.procs, pr.id)
 			if r := recover(); r != nil {
-				if _, ok := r.(stopped); ok {
-					l.yield <- struct{}{}
-					return
+				if _, ok := r.(stopped); !ok {
+					panic(r)
 				}
-				panic(r)
 			}
-			l.yield <- struct{}{}
 		}()
 		fn(&Proc{env: e, p: pr})
-	}()
+	})
 	l.schedule(l.now, pr, nil)
 }
 
 // park suspends the calling process until the scheduler resumes it.
 func (p *Proc) park() {
-	p.p.lane.yield <- struct{}{}
-	if !<-p.p.resume {
+	if !p.p.yield(struct{}{}) {
 		panic(stopped{})
 	}
 }
@@ -296,7 +297,7 @@ func (p *Proc) SleepUntil(t Time) {
 // lane exactly one context executes at a time, so if the queue's head lies
 // strictly beyond wake, scheduling the wakeup and parking would switch to
 // the driver only for it to switch straight back — same state, same order,
-// two goroutine handoffs later. The wakeup is never scheduled, so no
+// two coroutine switches later. The wakeup is never scheduled, so no
 // sequence number is consumed and no event is retired; ordering among real
 // events is unchanged.
 //
@@ -315,7 +316,7 @@ func (l *lane) sleepFast(wake Time) bool {
 // drain retires this lane's events in (t, seq) order until the next event
 // lies beyond until, then fast-forwards the lane clock to until. This is the
 // kernel hot loop: fn events dispatch as a plain call; only process events
-// pay the goroutine handoff.
+// pay the coroutine switch (and its switch back at the next park).
 //
 //rfp:hotpath
 func (l *lane) drain(until Time) {
@@ -334,10 +335,7 @@ func (l *lane) drain(until Time) {
 			if ev.p.done {
 				continue // stale wakeup for a finished process
 			}
-			l.cur = ev.p
-			ev.p.resume <- true
-			<-l.yield
-			l.cur = nil
+			ev.p.next()
 			continue
 		}
 		if ev.fn != nil {
@@ -385,11 +383,12 @@ func (e *Env) RunAll() Time {
 	return e.Now()
 }
 
-// Close shuts the environment down, unwinding every process goroutine that
-// is still alive. Pending events are drained lane by lane and leftover
-// parked processes are stopped in ascending id order, so two identical
-// mid-run environments shut down with identical traces. The Env must not be
-// used afterwards. Close is idempotent.
+// Close shuts the environment down, unwinding every process that is still
+// alive: a parked process runs its deferred functions, one that was spawned
+// but never resumed never runs at all. Pending events are drained lane by
+// lane and leftover parked processes are stopped in ascending id order, so
+// two identical mid-run environments shut down with identical traces. The
+// Env must not be used afterwards. Close is idempotent.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -402,13 +401,12 @@ func (e *Env) Close() {
 			if !ok {
 				break
 			}
-			if ev.p != nil && !ev.p.done {
-				ev.p.resume <- false
-				<-l.yield
+			if ev.p != nil {
+				ev.p.stop()
 			}
 		}
-		// Then unwind externally-parked processes (waiting on resources,
-		// queues or events) in ascending id order — deterministically,
+		// Then unwind externally-parked processes (waiting on resources
+		// or queues) in ascending id order — deterministically,
 		// unlike map iteration.
 		ids := make([]int, 0, len(l.procs))
 		for id := range l.procs {
@@ -416,11 +414,7 @@ func (e *Env) Close() {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			pr := l.procs[id]
-			if !pr.done {
-				pr.resume <- false
-				<-l.yield
-			}
+			l.procs[id].stop()
 		}
 		l.procs = map[int]*proc{}
 		l.outbox = nil

@@ -116,55 +116,6 @@ func TestSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestEventFireWakesAllWaiters(t *testing.T) {
-	e := NewEnv(1)
-	defer e.Close()
-	ev := NewEvent(e)
-	woke := 0
-	for i := 0; i < 3; i++ {
-		e.Go("w", func(p *Proc) {
-			ev.Wait(p)
-			woke++
-		})
-	}
-	e.Go("firer", func(p *Proc) {
-		p.Sleep(7)
-		ev.Fire()
-	})
-	e.RunAll()
-	if woke != 3 {
-		t.Fatalf("woke = %d, want 3", woke)
-	}
-	if !ev.Fired() {
-		t.Fatal("event not marked fired")
-	}
-}
-
-func TestEventWaitAfterFireReturns(t *testing.T) {
-	e := NewEnv(1)
-	defer e.Close()
-	ev := NewEvent(e)
-	ev.Fire()
-	ok := false
-	e.Go("w", func(p *Proc) {
-		ev.Wait(p)
-		ok = true
-	})
-	e.RunAll()
-	if !ok {
-		t.Fatal("Wait on fired event did not return")
-	}
-}
-
-func TestEventDoubleFireNoop(t *testing.T) {
-	e := NewEnv(1)
-	defer e.Close()
-	ev := NewEvent(e)
-	ev.Fire()
-	ev.Fire() // must not panic or re-wake
-	e.RunAll()
-}
-
 func TestResourceSerializesHolders(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Close()
@@ -318,10 +269,10 @@ func TestQueueTryGet(t *testing.T) {
 
 func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	e := NewEnv(1)
-	ev := NewEvent(e)
+	q := NewQueue[int](e)
 	r := NewResource(e, 1)
 	for i := 0; i < 4; i++ {
-		e.Go("waiter", func(p *Proc) { ev.Wait(p) })
+		e.Go("waiter", func(p *Proc) { q.Get(p) })
 	}
 	e.Go("holder", func(p *Proc) { r.Acquire(p); p.Sleep(Duration(1 << 40)) })
 	e.Go("blocked", func(p *Proc) { r.Acquire(p) })
@@ -435,22 +386,6 @@ func TestGoFromWithinProcess(t *testing.T) {
 	e.RunAll()
 	if childAt != 100 {
 		t.Fatalf("child started at %v, want 100", childAt)
-	}
-}
-
-func TestEventFireFromCallback(t *testing.T) {
-	e := NewEnv(1)
-	defer e.Close()
-	ev := NewEvent(e)
-	woke := false
-	e.Go("waiter", func(p *Proc) {
-		ev.Wait(p)
-		woke = true
-	})
-	e.After(50, ev.Fire)
-	e.RunAll()
-	if !woke {
-		t.Fatal("callback-fired event did not wake waiter")
 	}
 }
 

@@ -1,9 +1,9 @@
 package sim
 
 // This file provides the synchronization primitives processes use to
-// interact: one-shot events, FIFO resources (queueing servers), and
-// unbounded message queues. All of them wake waiters through the central
-// per-lane event queue, preserving deterministic (time, seq) ordering.
+// interact: FIFO resources (queueing servers) and unbounded message
+// queues. Both wake waiters through the central per-lane event queue,
+// preserving deterministic (time, seq) ordering.
 //
 // Resources admit two kinds of waiters in one FIFO: parked processes
 // (woken by rescheduling the proc) and run-to-completion continuations
@@ -15,43 +15,6 @@ package sim
 type waiter struct {
 	p  *proc
 	fn func()
-}
-
-// Event is a one-shot condition. Processes that Wait before Fire are parked;
-// Fire releases all of them at the instant it is called. Waiting on an
-// already-fired event returns immediately (after a scheduler yield).
-type Event struct {
-	l       *lane
-	fired   bool
-	waiters []*proc
-}
-
-// NewEvent returns an unfired event bound to e's default lane.
-func NewEvent(e *Env) *Event { return &Event{l: e.def} }
-
-// Fired reports whether the event has fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
-// Wait parks p until the event fires.
-func (ev *Event) Wait(p *Proc) {
-	if ev.fired {
-		return
-	}
-	ev.waiters = append(ev.waiters, p.p)
-	p.park()
-}
-
-// Fire releases all current and future waiters. Firing twice is a no-op.
-// Fire may be called from process or scheduler context.
-func (ev *Event) Fire() {
-	if ev.fired {
-		return
-	}
-	ev.fired = true
-	for _, w := range ev.waiters {
-		ev.l.schedule(ev.l.now, w, nil)
-	}
-	ev.waiters = nil
 }
 
 // Resource is a queueing server with fixed capacity: at most cap processes
