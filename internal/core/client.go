@@ -6,10 +6,16 @@ package core
 // after K consecutive calls overrun the retry threshold R, and switching
 // back once the observed server process time shortens again (paper
 // Sec. 3.2, Discussion).
+//
+// A call is one record — a ring slot (ring.go) — walked through one state
+// machine by whichever driver the caller picked: Send/Recv below, the
+// paper's blocking pair, step the engine for one call at a time; Post/Poll
+// keep up to Depth calls in flight. The drivers share staging, completion
+// handling, recovery timers and the claim; what differs is policy, listed
+// on Recv.
 
 import (
 	"errors"
-	"fmt"
 
 	"rfp/internal/fabric"
 	"rfp/internal/rnic"
@@ -133,11 +139,10 @@ type Client struct {
 	lease *rnic.EndpointLease
 	tag   uint64
 
-	// Slot-ring geometry and per-slot staging (index = slot). The sync
-	// Send/Recv path is the ring's depth-1 special case pinned to slot 0.
-	// depth is the active ring depth; maxDepth is the slot capacity the
-	// region was registered for (reqOffs/respOffs cover all of it, the
-	// slot arrays only the active depth).
+	// Slot-ring geometry and per-slot staging (index = slot). depth is the
+	// active ring depth; maxDepth is the slot capacity the region was
+	// registered for (reqOffs/respOffs cover all of it, the slot arrays only
+	// the active depth).
 	depth      int
 	maxDepth   int
 	respStride int
@@ -146,14 +151,17 @@ type Client struct {
 	stages     [][]byte // request staging, one per slot
 	fetches    [][]byte // fetch/response landing, one per slot
 
+	napIdleNs      int64 // CPU-idle part of one reply-mode poll interval
 	seq            uint16
 	mode           Mode
 	closed         bool
 	consecOverruns int
-	justSwitched   bool // the in-flight call raced the mode switch
+	justSwitched   bool // switched to reply since the last Recv: its call raced the flag
 	tuner          *Tuner
 
-	// Pipelined-call state (ring.go).
+	// Call state (ring.go): one slot record per call in flight, whichever
+	// driver staged it. Between Send and Recv, inCall is set and call is the
+	// synchronous call's slot.
 	slots       []slot
 	cq          *rnic.CQ
 	nextSlot    int
@@ -161,6 +169,8 @@ type Client struct {
 	pendingMode Mode // mode switch deferred until the ring quiesces
 	hasPending  bool
 	wrScratch   []rnic.WR // issue() batch staging, reused across engine steps
+	call        int
+	inCall      bool
 
 	// Deferred parameter changes (control plane): like mode switches, F
 	// and depth changes decided while posts are in flight apply only once
@@ -172,11 +182,9 @@ type Client struct {
 	// which dispatches to members by tag.
 	group *Group
 
-	// Telemetry (telemetry.go): optional recorder plus the synchronous
-	// path's call timestamps (the ring path keeps per-slot times in slot).
-	rec        *telemetry.Recorder
-	callPostAt sim.Time // sync path: Send entry
-	callSentAt sim.Time // sync path: request delivered
+	// Telemetry (telemetry.go): optional recorder; a call's timestamps live
+	// in its slot.
+	rec *telemetry.Recorder
 
 	// Recovery state (recover.go). srv/conn are the server-side endpoints
 	// this connection re-establishes against after a fatal transport error.
@@ -184,12 +192,7 @@ type Client struct {
 	conn          *Conn
 	needReconnect bool
 	demoted       bool
-	attempts      int      // sync-path backoff counter for the current call
-	deadline      sim.Time // sync-path terminal failure time
-	resendDue     sim.Time // sync-path next request re-delivery
-	lastReqLen    int      // staged request length (slot 0), for resends
-	callFaulted   bool     // the current sync call needed fault recovery
-	faultedCalls  int      // consecutive fault-recovered calls (demotion)
+	faultedCalls  int // consecutive fault-recovered calls (demotion)
 
 	Stats ClientStats
 }
@@ -305,67 +308,145 @@ func (c *Client) resize(d int) {
 }
 
 // Send transmits a request payload to the server (client_send): one RDMA
-// Write carrying header and payload, in-bound on the server side. The
-// payload must not change until Send returns: a pending reconnect or mode
-// switch runs — and yields — before the payload is staged, so another proc
-// re-encoding a shared buffer meanwhile would be sent in its place.
+// Write carrying header and payload, in-bound on the server side. It is the
+// synchronous driver's front half: the call is staged into a slot exactly as
+// Post stages one, then the engine is stepped until the request is
+// delivered. A step of this driver is issue, else await: it never reaps its
+// queue without blocking — the one virtual-time charge that separates it
+// from Poll's progress loop — and never issues for another group member.
+// The payload must not change until Send returns: a pending
+// reconnect or mode switch runs — and yields — before the payload is staged,
+// so another proc re-encoding a shared buffer meanwhile would be sent in its
+// place. With anything in flight — posted handles, or an earlier Send not
+// yet redeemed by Recv — Send returns ErrRingBusy.
 func (c *Client) Send(p *sim.Proc, payload []byte) error {
-	if c.closed {
-		return ErrClosed
-	}
-	if c.outstanding > 0 {
+	if c.outstanding > 0 && !c.closed {
 		return ErrRingBusy
 	}
-	if len(payload) > c.maxReq {
-		return fmt.Errorf("core: request of %d bytes exceeds limit %d", len(payload), c.maxReq)
-	}
 	start := p.Now()
-	defer func() { c.Stats.SendNs += int64(p.Now().Sub(start)) }()
+	var si int
+	var err error
 	if c.needReconnect && c.recoveryOn() {
-		// The transport died after the previous call resolved: the ring is
-		// quiesced, so re-establish before staging anything.
-		if err := c.reconnect(p); err != nil {
-			return err
+		// One attempt: a synchronous caller hears at once that the server is
+		// still down — a replicated client re-routes on it — where Post waits
+		// the restart out.
+		err = c.reconnect(p)
+	}
+	if err == nil {
+		si, err = c.stage(p, payload, start)
+	}
+	if err == nil {
+		c.call, c.inCall = si, true
+		for sl := &c.slots[si]; sl.state == slotPosted || sl.state == slotRepost || sl.state == slotFailed; {
+			if sl.state != slotFailed {
+				if !c.issue(p) {
+					c.await(p)
+				}
+			} else if !c.redial(p, si) {
+				// Undeliverable: Send reports the call's outcome itself.
+				c.inCall = false
+				_, err = c.claim(p, si, nil)
+				break
+			}
 		}
 	}
-	// A mode switch or parameter change decided while the ring was busy
-	// applies now that it has quiesced.
-	if err := c.applyPendingMode(p); err != nil {
-		return err
-	}
-	c.applyPendingParams()
-	c.seq++
-	// Clear the local landing header so a reply-mode delivery for this
-	// call is unambiguous.
-	putHeader(c.landing, header{})
-	stage := c.stages[0]
-	putHeader(stage, header{valid: true, size: len(payload), seq: c.seq})
-	copy(stage[HeaderSize:], payload)
-	c.lastReqLen = len(payload)
-	c.beginCall(p)
-	c.callPostAt = start
-	if err := c.deliver(p); err != nil {
-		return err
-	}
-	c.callSentAt = p.Now()
-	c.rec.Occupancy(1)
-	c.callEvent(trace.CallPost, start, c.callSentAt, -1, c.seq, len(payload))
-	return nil
+	c.Stats.SendNs += int64(p.Now().Sub(start))
+	return err
 }
 
 // Recv obtains the response for the last Send (client_recv), returning the
 // number of payload bytes copied into out. It blocks (in virtual time)
 // until the response is delivered through whichever mode the hybrid
-// mechanism is in.
+// mechanism is in; without a Send in flight it returns ErrBadHandle.
+//
+// Recv is the synchronous driver's back half: it steps the slot engine Poll
+// drives and claims through the same routine. What it adds is the policy of
+// a one-call-at-a-time caller, which the paper's figures were measured with
+// (DESIGN.md §8 names the archive behind each item): the call counts in
+// Stats.Calls when Recv starts, whatever its outcome; the K-th consecutive
+// overrun switches to server-reply in the middle of the call; a connection
+// that dies under the call is re-established inside the call's own deadline;
+// FetchNs covers the whole wait of a call that entered in fetch mode and
+// ReplyWaitNs the reply-mode part of any call, both through the claim.
 func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	c.Stats.Calls++
-	if c.mode == ModeReply {
-		return c.recvReply(p, out)
+	if !c.inCall {
+		return 0, ErrBadHandle
 	}
-	return c.recvFetch(p, out)
+	c.inCall = false
+	c.Stats.Calls++
+	si := c.call
+	sl := &c.slots[si]
+	start := p.Now()
+	entered, replyAt := c.mode, start
+	var waited int64 // reply-mode naps so far
+	nextFallback := fallbackFetchNs
+	for sl.state != slotReady {
+		if sl.state == slotFailed {
+			if !c.redial(p, si) {
+				break
+			}
+			continue
+		}
+		// Only consecutive overrunning calls trigger the switch, so isolated
+		// slow requests don't flap the mode; with posted handles in flight
+		// too, the flip waits for the ring to quiesce like any other.
+		if sl.overrun && c.mode == ModeFetch && sl.state == slotWaiting && c.outstanding == 1 &&
+			!c.params.DisableSwitch && c.consecOverruns+1 >= switchAfterOverruns {
+			c.recordRetries(sl.failed)
+			c.consecOverruns = 0
+			c.rec.Fallback()
+			c.callEvent(trace.Fallback, p.Now(), p.Now(), si, sl.seq, 0)
+			err := c.switchMode(p, ModeReply)
+			replyAt = p.Now()
+			if err != nil {
+				sl.state, sl.err = slotFailed, err
+				break
+			}
+			continue
+		}
+		if c.mode == ModeFetch || sl.state != slotWaiting {
+			if !c.issue(p) {
+				c.await(p)
+			}
+			continue
+		}
+		// Reply mode, request delivered: look at the landing, then the
+		// timers, and nap.
+		if c.landed(p, si) || c.recoveryOn() && c.slotTimers(p, si) {
+			continue
+		}
+		// The one call that raced a mode switch may have been answered into
+		// the server-side buffer before the flag landed: it alone also
+		// fetches now and then so it cannot strand, and the fetch runs to
+		// completion before the landing is looked at again. Steady-state
+		// reply calls never fetch.
+		if c.justSwitched && waited >= nextFallback {
+			nextFallback += fallbackFetchNs
+			c.qp.Post(p, c.lease.PostCQ(), c.fetchWR(si))
+			sl.state = slotReading
+			for sl.state == slotReading {
+				c.await(p)
+			}
+			if sl.state != slotWaiting {
+				continue
+			}
+		}
+		c.replyNap(p)
+		waited += c.params.ReplyPollNs
+	}
+	c.justSwitched = false
+	replied := c.mode == ModeReply
+	n, err := c.claim(p, si, out)
+	if entered == ModeFetch {
+		c.Stats.FetchNs += int64(p.Now().Sub(start))
+	}
+	if replied {
+		c.Stats.ReplyWaitNs += int64(p.Now().Sub(replyAt))
+	}
+	return n, err
 }
 
 // Close tears the connection down: the server-side flag is marked closed
@@ -418,106 +499,6 @@ func (c *Client) Call(p *sim.Proc, req, out []byte) (int, error) {
 	return c.Recv(p, out)
 }
 
-// recvFetch repeatedly fetches the server-side response buffer. Each fetch
-// reads F bytes (header + payload prefix); a response longer than F costs
-// one continuation read, which the inline size field makes possible without
-// a separate size-probe round trip.
-func (c *Client) recvFetch(p *sim.Proc, out []byte) (int, error) {
-	start := p.Now()
-	defer func() { c.Stats.FetchNs += int64(p.Now().Sub(start)) }()
-	failed := 0
-	overrun := false
-	for {
-		hdr, n, err := c.fetchOnce(p, out)
-		if err != nil {
-			if !c.recoverable(err) {
-				return 0, err
-			}
-			if rerr := c.recoverSync(p, err); rerr != nil {
-				return 0, rerr
-			}
-			continue
-		}
-		if hdr.valid && hdr.seq == c.seq {
-			c.recordRetries(failed)
-			if overrun {
-				c.consecOverruns++
-			} else {
-				c.consecOverruns = 0
-			}
-			c.observeCall(p, hdr)
-			c.noteCallOutcome(p)
-			if c.rec != nil {
-				done := p.Now()
-				c.rec.Call(int64(done.Sub(c.callPostAt)), int64(c.callSentAt.Sub(c.callPostAt)),
-					int64(done.Sub(start)), false)
-				c.callEvent(trace.CallDone, done, done, -1, c.seq, n)
-			}
-			return n, nil
-		}
-		failed++
-		c.Stats.Retries++
-		if failed > c.params.R && !overrun {
-			overrun = true
-			// Only consecutive overrunning calls trigger the actual
-			// switch, so isolated slow requests don't flap the mode.
-			if !c.params.DisableSwitch && c.consecOverruns+1 >= switchAfterOverruns {
-				c.recordRetries(failed)
-				c.consecOverruns = 0
-				c.rec.Fallback()
-				c.callEvent(trace.Fallback, p.Now(), p.Now(), -1, c.seq, 0)
-				if err := c.switchMode(p, ModeReply); err != nil {
-					return 0, err
-				}
-				return c.recvReply(p, out)
-			}
-		}
-		if c.recoveryOn() {
-			// A request lost to corruption or a restart never produces a
-			// valid header: re-deliver at resendDue, give up at deadline.
-			if rerr := c.checkCallTimers(p); rerr != nil {
-				return 0, rerr
-			}
-		}
-	}
-}
-
-// fetchOnce issues one RDMA Read of F bytes and decodes what it saw. If the
-// header announces a payload longer than F, the remainder is fetched with a
-// single continuation read. Under NoInline the first read covers only the
-// header, so every successful fetch costs two reads.
-func (c *Client) fetchOnce(p *sim.Proc, out []byte) (header, int, error) {
-	t0 := p.Now()
-	f := c.fetchLen()
-	fetch := c.fetches[0]
-	if err := c.qp.Read(p, c.server, c.respOffs[0], fetch[:f]); err != nil {
-		return header{}, 0, err
-	}
-	c.Stats.FetchReads++
-	c.rec.Reads(1)
-	hdr := parseHeader(fetch)
-	if !hdr.valid || hdr.seq != c.seq {
-		c.rec.Retries(1)
-		c.callEvent(trace.FetchMiss, t0, p.Now(), -1, c.seq, f)
-		return hdr, 0, nil
-	}
-	if hdr.size > c.maxResp {
-		return header{}, 0, fmt.Errorf("core: server announced %d-byte response beyond limit %d", hdr.size, c.maxResp)
-	}
-	total := HeaderSize + hdr.size
-	if total > f {
-		if err := c.qp.Read(p, c.server, c.respOffs[0]+f, fetch[f:total]); err != nil {
-			return header{}, 0, err
-		}
-		c.Stats.FetchReads++
-		c.Stats.SecondReads++
-		c.rec.Reads(1)
-	}
-	n := copy(out, fetch[HeaderSize:total])
-	c.callEvent(trace.FetchHit, t0, p.Now(), -1, c.seq, total)
-	return hdr, n, nil
-}
-
 // fetchLen is the size of the first read of a fetch: F normally, just the
 // header under the NoInline ablation.
 func (c *Client) fetchLen() int {
@@ -525,80 +506,6 @@ func (c *Client) fetchLen() int {
 		return HeaderSize
 	}
 	return c.params.F
-}
-
-// recvReply waits for the server to push the response into the client's
-// local buffer, polling local memory sparsely (cheap for the CPU — this is
-// where reply mode saves client cycles, Fig. 15). For the one call that was
-// in flight when the mode switched, the response may already have been
-// buffered server-side before the mode flag landed; that call alone also
-// issues occasional remote fetches so it cannot strand. Steady-state reply
-// calls never fetch: the server pushes every response once it sees the flag.
-func (c *Client) recvReply(p *sim.Proc, out []byte) (int, error) {
-	start := p.Now()
-	defer func() { c.Stats.ReplyWaitNs += int64(p.Now().Sub(start)) }()
-	prof := c.machine.Profile()
-	fallback := c.justSwitched && !c.params.ForceReply
-	c.justSwitched = false
-	var waited int64
-	nextFallback := fallbackFetchNs
-	for {
-		hdr := parseHeader(c.landing)
-		if hdr.valid && hdr.seq == c.seq {
-			n := copy(out, c.landing[HeaderSize:HeaderSize+hdr.size])
-			c.Stats.ReplyDeliveries++
-			if err := c.maybeSwitchBack(p, hdr); err != nil {
-				return 0, err
-			}
-			c.observeCall(p, hdr)
-			c.noteCallOutcome(p)
-			c.recordReplyCall(p, start, n)
-			return n, nil
-		}
-		if fallback && waited >= nextFallback {
-			nextFallback += fallbackFetchNs
-			fhdr, n, err := c.fetchOnce(p, out)
-			if err != nil {
-				if !c.recoverable(err) {
-					return 0, err
-				}
-				if rerr := c.recoverSync(p, err); rerr != nil {
-					return 0, rerr
-				}
-				continue
-			}
-			if fhdr.valid && fhdr.seq == c.seq {
-				c.Stats.ReplyDeliveries++
-				if err := c.maybeSwitchBack(p, fhdr); err != nil {
-					return 0, err
-				}
-				c.observeCall(p, fhdr)
-				c.noteCallOutcome(p)
-				c.recordReplyCall(p, start, n)
-				return n, nil
-			}
-		}
-		if c.recoveryOn() {
-			if rerr := c.checkCallTimers(p); rerr != nil {
-				return 0, rerr
-			}
-		}
-		p.Sleep(sim.Duration(c.params.ReplyPollNs))
-		waited += c.params.ReplyPollNs
-		idle := c.params.ReplyPollNs - prof.LocalPollNs
-		if idle > 0 {
-			c.Stats.IdleNs += idle
-		}
-	}
-}
-
-// maybeSwitchBack returns the connection to fetch mode when the server's
-// reported process time has dropped back below the threshold.
-func (c *Client) maybeSwitchBack(p *sim.Proc, hdr header) error {
-	if c.params.ForceReply || c.demoted || int(hdr.timeUs) > c.params.SwitchBackUs {
-		return nil
-	}
-	return c.switchMode(p, ModeFetch)
 }
 
 // switchMode updates the client-local mode and mirrors it into the
@@ -624,18 +531,6 @@ func (c *Client) observeCall(p *sim.Proc, hdr header) {
 	if c.tuner != nil {
 		c.tuner.observe(p, c, hdr.size, int64(hdr.timeUs)*1000)
 	}
-}
-
-// recordReplyCall reports one reply-mode call completion to the telemetry
-// recorder (legStart is the recvReply entry time).
-func (c *Client) recordReplyCall(p *sim.Proc, legStart sim.Time, n int) {
-	if c.rec == nil {
-		return
-	}
-	done := p.Now()
-	c.rec.Call(int64(done.Sub(c.callPostAt)), int64(c.callSentAt.Sub(c.callPostAt)),
-		int64(done.Sub(legStart)), true)
-	c.callEvent(trace.CallDone, done, done, -1, c.seq, n)
 }
 
 func (c *Client) recordRetries(failed int) {

@@ -78,18 +78,6 @@ func connLevel(err error) bool {
 		errors.Is(err, rnic.ErrDeregister) || errors.Is(err, rnic.ErrBadKey)
 }
 
-// beginCall arms the synchronous path's per-call recovery timers.
-func (c *Client) beginCall(p *sim.Proc) {
-	if !c.recoveryOn() {
-		return
-	}
-	now := p.Now()
-	c.deadline = now.Add(sim.Duration(c.params.DeadlineNs))
-	c.resendDue = now.Add(c.params.resendNs())
-	c.attempts = 0
-	c.callFaulted = false
-}
-
 // backoffFor computes the exponential backoff for the given attempt number
 // (1-based), capped at 32x the base.
 func backoffFor(params Params, attempt int) sim.Duration {
@@ -103,73 +91,34 @@ func backoffFor(params Params, attempt int) sim.Duration {
 	return sim.Duration(d)
 }
 
-// recoverSync absorbs one transport error on the synchronous call path:
-// count it, enforce the deadline, back off, and re-establish the connection
-// if the error says it is gone. Returning nil means "retry the operation".
-func (c *Client) recoverSync(p *sim.Proc, cause error) error {
-	c.Stats.FaultRetries++
-	c.callFaulted = true
-	if p.Now() >= c.deadline {
-		return c.terminalDeadline(p, cause)
+// redial is the synchronous driver's answer to a slot failed under it. A
+// pipelined caller's handles resolve with the fatal error and its next Post
+// reconnects; a synchronous caller has no next Post inside the call, so a
+// call whose connection died (connLevel) backs off, re-establishes the
+// connection and re-delivers its request — same slot, same sequence number
+// — for as long as its own deadline allows. A failed attempt is not
+// terminal: the server may still be down, and the driver comes back here
+// until the deadline. It reports false when the failure is final.
+func (c *Client) redial(p *sim.Proc, si int) bool {
+	sl := &c.slots[si]
+	if !c.recoveryOn() || !connLevel(sl.err) {
+		return false
 	}
-	c.attempts++
-	p.Sleep(backoffFor(c.params, c.attempts))
-	if connLevel(cause) {
-		c.needReconnect = true
+	if p.Now() >= sl.deadline {
+		sl.err = fmt.Errorf("%w (last transport error: %v)", ErrDeadline, sl.err)
+		c.Stats.Deadlines++
+		return false
 	}
-	if c.needReconnect {
-		// Failure here is not terminal — the server may still be down; the
-		// caller's loop keeps backing off until the deadline.
-		if err := c.reconnect(p); err == nil {
-			// The server-side slots are fresh, so any in-flight request is
-			// gone: resend as soon as the caller's loop comes around.
-			c.resendDue = p.Now()
-		}
-	}
-	return nil
-}
-
-// terminalDeadline fails the synchronous in-flight call at its deadline.
-func (c *Client) terminalDeadline(p *sim.Proc, cause error) error {
-	c.Stats.Deadlines++
-	c.noteCallOutcome(p)
-	if cause != nil {
-		return fmt.Errorf("%w (last transport error: %v)", ErrDeadline, cause)
-	}
-	return ErrDeadline
-}
-
-// checkCallTimers fires the synchronous call's due recovery timers: the
-// terminal deadline, and the request re-delivery for a call that has seen
-// no valid response in resendNs (lost or corrupted request, server
-// restart). Called from the fetch-retry and reply-poll loops.
-func (c *Client) checkCallTimers(p *sim.Proc) error {
-	if p.Now() >= c.deadline {
-		return c.terminalDeadline(p, nil)
-	}
-	if p.Now() >= c.resendDue {
-		c.resendDue = p.Now().Add(c.params.resendNs())
+	sl.attempts++
+	p.Sleep(backoffFor(c.params, sl.attempts))
+	if c.reconnect(p) == nil {
+		// The server-side slots are fresh, so the request is gone with the
+		// old ones: deliver it again.
+		sl.resendAt = p.Now().Add(c.params.resendNs())
 		c.Stats.Resends++
-		c.callFaulted = true
-		return c.deliver(p)
+		c.repostSend(p, si)
 	}
-	return nil
-}
-
-// deliver pushes the staged request (slot 0) to the server, entering the
-// recovery loop on transport errors when recovery is enabled.
-func (c *Client) deliver(p *sim.Proc) error {
-	for {
-		stage := c.stages[0]
-		err := c.qp.Write(p, c.server, c.reqOffs[0], stage[:HeaderSize+c.lastReqLen])
-		c.rec.Writes(1)
-		if err == nil || !c.recoverable(err) {
-			return err
-		}
-		if rerr := c.recoverSync(p, err); rerr != nil {
-			return rerr
-		}
-	}
+	return true
 }
 
 // reconnect re-establishes the connection in place after a fatal transport
@@ -179,7 +128,7 @@ func (c *Client) deliver(p *sim.Proc) error {
 // under the quiesce rule: the caller guarantees no posted request still
 // references the old buffers.
 //
-//rfp:quiesced callers hold the quiesce rule — Post/reconnectBlocking require outstanding == 0, and the sync recovery path has resolved or abandoned slot 0 before reconnecting
+//rfp:quiesced callers hold the quiesce rule — stage/reconnectBlocking require outstanding == 0, and redial runs only after failInflight has resolved every in-flight slot, its own included
 func (c *Client) reconnect(p *sim.Proc) error {
 	if c.closed {
 		return ErrClosed
@@ -231,13 +180,13 @@ func (c *Client) reconnectBlocking(p *sim.Proc) error {
 }
 
 // noteCallOutcome tracks consecutive fault-recovered calls for permanent
-// demotion (Params.DemoteAfter). Free on the healthy path.
-func (c *Client) noteCallOutcome(p *sim.Proc) {
-	if !c.callFaulted {
+// demotion (Params.DemoteAfter); faulted says whether the call just claimed
+// needed fault recovery. Free on the healthy path.
+func (c *Client) noteCallOutcome(p *sim.Proc, faulted bool) {
+	if !faulted {
 		c.faultedCalls = 0
 		return
 	}
-	c.callFaulted = false
 	c.faultedCalls++
 	if d := c.params.DemoteAfter; d > 0 && !c.demoted && c.faultedCalls >= d {
 		c.demote(p)
@@ -334,7 +283,6 @@ func (c *Client) repostSend(p *sim.Proc, i int) {
 		Roff:   c.reqOffs[i],
 		Local:  c.stages[i][:HeaderSize+sl.reqLen],
 	})
-	c.rec.Writes(1)
 }
 
 // nextTimer returns the earliest pending recovery timer across the ring,

@@ -296,3 +296,41 @@ func TestCloseDuringPendingResize(t *testing.T) {
 		t.Fatalf("simulation never advanced")
 	}
 }
+
+// TestSyncCallRidesOverCrash: a synchronous call whose deadline outlasts the
+// server's outage does not fail. The connection dies under it, the driver
+// re-establishes it and re-delivers the request from inside the call
+// (redial), and the caller only sees a slow call — where a pipelined
+// caller's handles would have resolved with the error.
+func TestSyncCallRidesOverCrash(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], recoveryParams(2_000_000))
+	r.srv.AddThreads(1)
+	crashAt, restartAt := sim.Time(sim.Micros(200)), sim.Time(sim.Micros(300))
+	faults.Install(5, []faults.Stage{{Plan: faults.Plan{
+		Crashes: []faults.Window{{Machine: "server", Start: crashAt, End: restartAt}},
+	}}}, r.cluster.Server, r.cluster.Clients[0])
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) { Serve(p, []*Conn{conn}, echoHandler) })
+	done, slowest := 0, sim.Duration(0)
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 64)
+		for p.Now() < sim.Time(sim.Micros(500)) {
+			req := []byte(fmt.Sprintf("ride-%03d", done))
+			start := p.Now()
+			n, err := cli.Call(p, req, out)
+			if err != nil || !bytes.Equal(out[:n], req) {
+				t.Errorf("call %d at %v: (%q, %v)", done, start, out[:n], err)
+				return
+			}
+			slowest = max(slowest, p.Now().Sub(start))
+			done++
+		}
+	})
+	r.env.Run(sim.Time(5 * sim.Millisecond))
+	if done < 50 || slowest < restartAt.Sub(crashAt)/2 {
+		t.Fatalf("%d calls, slowest %v: no call rode over the 100us outage", done, slowest)
+	}
+	if s := cli.Stats; s.Reconnects == 0 || s.Deadlines != 0 {
+		t.Fatalf("reconnects=%d deadlines=%d; want the in-call path: >0, 0", s.Reconnects, s.Deadlines)
+	}
+}

@@ -1,22 +1,26 @@
 package core
 
-// Pipelined calls over the multi-slot request ring. Post stages a request
-// into a free slot and issues its RDMA Write through the async verbs API
-// without waiting; Poll drives all in-flight slots forward (reaping
-// completions, batching fetch reads under one doorbell, checking reply-mode
-// landings) until the polled handle's response is validated. Call remains
-// the depth-1 synchronous wrapper (client.go), so a connection with
-// Params.Depth > 1 can keep several requests in flight from one simulated
-// thread — the pipelining optimization the paper sets aside as orthogonal
-// (Sec. 2.2), which lifts single-thread throughput from round-trip-bound
-// toward the initiator engine's ceiling.
+// The call engine: one slot record per call in flight and the state machine
+// that walks it — staged, request write posted, delivered, fetch reads (or a
+// reply-mode landing) until the response validates, claimed. Two drivers
+// step it. Post/Poll, here, are the pipelined pair: Post stages a request
+// into a free slot and issues its RDMA Write without waiting; Poll drives
+// all in-flight slots forward (reaping completions, batching fetch reads
+// under one doorbell, checking reply-mode landings) until the polled
+// handle's response is validated, so a connection with Params.Depth > 1 can
+// keep several requests in flight from one simulated thread — the pipelining
+// optimization the paper sets aside as orthogonal (Sec. 2.2), which lifts
+// single-thread throughput from round-trip-bound toward the initiator
+// engine's ceiling. Send/Recv (client.go) are the paper's blocking pair over
+// the same slots: one call at a time, stepped without Poll's non-blocking
+// reap.
 //
 // Hybrid-switch rule: mode flips decided while the ring is busy (K
 // consecutive overruns, or a reply-mode response reporting a short process
-// time) are deferred until the ring quiesces — the next Post or Send with
-// zero requests outstanding applies them. In-flight calls therefore always
-// complete in the mode they were posted under, and the mode flag never
-// races a buffered response.
+// time) are deferred until the ring quiesces — the claim that empties it
+// applies them, or the next Post or Send with zero requests outstanding.
+// Pipelined calls therefore always complete in the mode they were posted
+// under, and the mode flag never races a buffered response.
 
 import (
 	"errors"
@@ -31,11 +35,13 @@ import (
 var (
 	// ErrRingFull reports a Post with every slot already in flight.
 	ErrRingFull = errors.New("core: request ring full")
-	// ErrRingBusy reports a synchronous Send/Call while posted requests
-	// are still in flight; drain them with Poll first.
-	ErrRingBusy = errors.New("core: posted requests in flight; Poll them before calling synchronously")
+	// ErrRingBusy reports a synchronous Send/Call while requests are still
+	// in flight — posted handles, or an earlier Send awaiting its Recv;
+	// claim them first.
+	ErrRingBusy = errors.New("core: requests in flight; claim them before calling synchronously")
 	// ErrBadHandle reports a Poll with a handle that is not in flight
-	// (already claimed, or from another connection).
+	// (already claimed, or from another connection), or a Recv with no Send
+	// in flight.
 	ErrBadHandle = errors.New("core: handle does not identify an in-flight request")
 )
 
@@ -58,7 +64,8 @@ const (
 	slotFailed            // definite error; Poll returns it
 )
 
-// slot is the client-side state of one ring slot.
+// slot is the client-side record of one call in flight, whichever driver
+// staged it.
 type slot struct {
 	state   slotPhase
 	seq     uint16
@@ -77,7 +84,7 @@ type slot struct {
 
 	// Telemetry timestamps (telemetry.go); virtual times copied for free,
 	// consumed only when a recorder is attached.
-	postedAt sim.Time // Post entry
+	postedAt sim.Time // Post/Send entry
 	sentAt   sim.Time // request write completed
 	readyAt  sim.Time // response validated (the call's true completion)
 }
@@ -94,65 +101,50 @@ const (
 )
 
 //rfp:hotpath
-func wrID(kind, slot int, seq uint16) uint64 {
-	return uint64(kind) | uint64(slot)<<8 | uint64(seq)<<32
-}
-
-// ringID is wrID with the client's lease tag OR-ed in.
-//
-//rfp:hotpath
 func (c *Client) ringID(kind, slot int, seq uint16) uint64 {
-	return c.tag | wrID(kind, slot, seq)
+	return c.tag | uint64(kind) | uint64(slot)<<8 | uint64(seq)<<32
 }
 
 // Depth returns the connection's request-ring depth.
 func (c *Client) Depth() int { return c.depth }
 
-// Post stages a request into a free ring slot and issues its delivery
-// without waiting for completion (the pipelined form of client_send). The
-// payload is copied into the slot's staging buffer before Post returns, so
-// the caller may reuse req as soon as it does — but not before: like Send,
-// Post may yield (reconnect, mode switch) ahead of staging, and req must not
-// change until it returns. The returned handle must be redeemed with Poll.
-// With every slot in flight, Post returns ErrRingFull.
+// stage is the front half of client_send in both its forms — Send and Post
+// stage a call through it. It first settles what was deferred to a quiesced
+// ring (a reconnect, a mode switch, an F or depth change), then claims a
+// free slot, arms its recovery timers, copies header and payload into the
+// slot's staging buffer and posts the request write. It returns the slot.
 //
 //rfp:hotpath
-func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
+func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 	if c.closed {
-		return Handle{}, ErrClosed
+		return 0, ErrClosed
 	}
 	if len(req) > c.maxReq {
 		//rfpvet:allow hotpathalloc oversized-request error path, never taken by well-formed callers
-		return Handle{}, fmt.Errorf("core: request of %d bytes exceeds limit %d", len(req), c.maxReq)
+		return 0, fmt.Errorf("core: request of %d bytes exceeds limit %d", len(req), c.maxReq)
 	}
-	start := p.Now()
-	defer func() { c.Stats.SendNs += int64(p.Now().Sub(start)) }()
 	if c.needReconnect && c.recoveryOn() {
 		if c.outstanding > 0 {
 			// In-flight handles were resolved with the fatal error; they
 			// must be claimed before the ring can re-register its buffers
 			// (the quiesce rule, exactly as for resizes).
-			return Handle{}, ErrReconnect
+			return 0, ErrReconnect
 		}
 		if err := c.reconnectBlocking(p); err != nil {
-			return Handle{}, err
+			return 0, err
 		}
 	}
 	// A mode switch or parameter change decided while the ring was busy
 	// applies once it has quiesced (see the file comment).
 	if err := c.applyPendingMode(p); err != nil {
-		return Handle{}, err
+		return 0, err
 	}
 	c.applyPendingParams()
-	si := -1
-	for i := 0; i < c.depth; i++ {
-		if j := (c.nextSlot + i) % c.depth; c.slots[j].state == slotFree {
-			si = j
-			break
+	si := c.nextSlot
+	for n := 0; c.slots[si].state != slotFree; si = (si + 1) % c.depth {
+		if n++; n == c.depth {
+			return 0, ErrRingFull
 		}
-	}
-	if si < 0 {
-		return Handle{}, ErrRingFull
 	}
 	c.nextSlot = (si + 1) % c.depth
 	c.seq++
@@ -164,27 +156,37 @@ func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
 	}
 	c.outstanding++
 	if c.cq == nil {
-		// First post: a connection that only ever calls synchronously never
-		// pays for completion queues.
+		// First call: a connection that never calls allocates no queue.
 		c.cq = rnic.NewCQ(c.machine.NIC())
 		c.lease.Redirect(c.cq)
 	}
 	// Clear the slot's local landing header so a reply-mode delivery for
 	// this call is unambiguous, then stage header + payload and post.
 	putHeader(c.landing[si*c.respStride:], header{})
-	stage := c.stages[si]
-	putHeader(stage, header{valid: true, size: len(req), seq: c.seq})
-	copy(stage[HeaderSize:], req)
-	c.qp.Post(p, c.lease.PostCQ(), rnic.WR{
-		ID:     c.ringID(wrKindSend, si, c.seq),
-		Op:     rnic.WRWrite,
-		Remote: c.server,
-		Roff:   c.reqOffs[si],
-		Local:  stage[:HeaderSize+len(req)],
-	})
-	c.rec.Writes(1)
+	putHeader(c.stages[si], header{valid: true, size: len(req), seq: c.seq})
+	copy(c.stages[si][HeaderSize:], req)
+	c.repostSend(p, si)
 	c.rec.Occupancy(c.outstanding)
 	c.callEvent(trace.CallPost, start, p.Now(), si, c.seq, len(req))
+	return si, nil
+}
+
+// Post stages a request into a free ring slot and issues its delivery
+// without waiting for completion (the pipelined form of client_send). The
+// payload is copied into the slot's staging buffer before Post returns, so
+// the caller may reuse req as soon as it does — but not before: like Send,
+// Post may yield (reconnect, mode switch) ahead of staging, and req must not
+// change until it returns. The returned handle must be redeemed with Poll.
+// With every slot in flight, Post returns ErrRingFull.
+//
+//rfp:hotpath
+func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
+	start := p.Now()
+	si, err := c.stage(p, req, start)
+	c.Stats.SendNs += int64(p.Now().Sub(start))
+	if err != nil {
+		return Handle{}, err
+	}
 	return Handle{slot: si, seq: c.seq}, nil
 }
 
@@ -213,18 +215,32 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 	} else {
 		c.Stats.FetchNs += int64(p.Now().Sub(start))
 	}
+	if sl.state == slotReady {
+		c.Stats.Calls++
+	}
+	return c.claim(p, h.slot, out)
+}
+
+// claim resolves slot si for its caller and frees it — the one exit of a
+// call, behind Recv and Poll alike. A failed slot yields its error. A ready
+// one yields its payload, reports the call to telemetry and feeds the hybrid
+// mechanism: a fetch-mode call lands in the retry histogram and extends or
+// breaks the run of overruns (the K-th asks for server-reply); a reply-mode
+// call counts as a reply delivery and asks for the switch back once the
+// server's process time is under the threshold. A claim that empties the
+// ring applies the switch on the spot — for Recv, every claim.
+//
+//rfp:hotpath
+func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
+	sl := &c.slots[si]
+	hdr, faulted := sl.hdr, sl.faulted
 	if sl.state == slotFailed {
 		err := sl.err
-		if sl.faulted {
-			c.callFaulted = true
-		}
-		c.noteCallOutcome(p)
-		c.releaseSlot(h.slot)
+		c.releaseSlot(si)
+		c.noteCallOutcome(p, faulted)
 		return 0, err
 	}
-	c.Stats.Calls++
-	hdr := sl.hdr
-	n := copy(out, c.fetches[h.slot][HeaderSize:HeaderSize+hdr.size])
+	n := copy(out, c.fetches[si][HeaderSize:HeaderSize+hdr.size])
 	if c.rec != nil {
 		sent := sl.sentAt
 		if sent < sl.postedAt {
@@ -232,29 +248,31 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 		}
 		c.rec.Call(int64(sl.readyAt.Sub(sl.postedAt)), int64(sent.Sub(sl.postedAt)),
 			int64(sl.readyAt.Sub(sent)), c.mode == ModeReply)
-		c.callEvent(trace.CallDone, sl.readyAt, p.Now(), h.slot, sl.seq, n)
+		c.callEvent(trace.CallDone, sl.readyAt, p.Now(), si, sl.seq, n)
 	}
-	if sl.faulted {
-		c.callFaulted = true
-	}
-	c.recordRetries(sl.failed)
-	if sl.overrun {
-		c.consecOverruns++
-		if !c.params.DisableSwitch && c.mode == ModeFetch && c.consecOverruns >= switchAfterOverruns {
-			c.consecOverruns = 0
-			c.pendingMode = ModeReply
-			c.hasPending = true
+	if c.mode == ModeReply {
+		c.Stats.ReplyDeliveries++
+		if !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= c.params.SwitchBackUs {
+			c.pendingMode, c.hasPending = ModeFetch, true
 		}
 	} else {
-		c.consecOverruns = 0
+		c.recordRetries(sl.failed)
+		if sl.overrun {
+			c.consecOverruns++
+		} else {
+			c.consecOverruns = 0
+		}
+		if !c.params.DisableSwitch && c.consecOverruns >= switchAfterOverruns {
+			c.consecOverruns = 0
+			c.pendingMode, c.hasPending = ModeReply, true
+		}
 	}
-	if c.mode == ModeReply && !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= c.params.SwitchBackUs {
-		c.pendingMode = ModeFetch
-		c.hasPending = true
+	c.releaseSlot(si)
+	if err := c.applyPendingMode(p); err != nil {
+		return 0, err
 	}
 	c.observeCall(p, hdr)
-	c.noteCallOutcome(p)
-	c.releaseSlot(h.slot)
+	c.noteCallOutcome(p, faulted)
 	return n, nil
 }
 
@@ -274,9 +292,9 @@ func (c *Client) releaseSlot(i int) {
 	c.slots[i] = slot{}
 	c.outstanding--
 	// The claim that empties the ring is the other quiesce point (besides
-	// Post/Send): deferred F/depth changes land here, so a tuner decision
-	// takes effect as soon as the ring drains even if the caller never
-	// posts again.
+	// Post/Send): deferred F/depth changes land here — and claim applies a
+	// deferred mode switch right after — so a decision takes effect as soon
+	// as the ring drains even if the caller never posts again.
 	c.applyPendingParams()
 }
 
@@ -294,11 +312,12 @@ func (c *Client) anyInState(states ...slotPhase) bool {
 	return false
 }
 
-// progress advances the in-flight slots by one engine step: reap available
-// completions, issue work for slots that can proceed, and otherwise block
-// until the next completion (or, in reply mode, the next sparse local
-// poll). A grouped connection delegates to the group engine, which runs the
-// same reap/issue/await cycle across every member at once.
+// progress advances the in-flight slots by one step of the pipelined
+// driver: reap available completions, issue work for slots that can
+// proceed, and otherwise block until the next completion (or, in reply
+// mode, the next sparse local poll). A grouped connection delegates to the
+// group engine, which runs the same reap/issue/await cycle across every
+// member at once.
 //
 //rfp:hotpath
 func (c *Client) progress(p *sim.Proc) {
@@ -306,11 +325,7 @@ func (c *Client) progress(p *sim.Proc) {
 		c.group.progress(p)
 		return
 	}
-	advanced := c.reap(p)
-	if c.issue(p) {
-		advanced = true
-	}
-	if advanced {
+	if advanced := c.reap(p); c.issue(p) || advanced {
 		return
 	}
 	c.await(p)
@@ -359,13 +374,7 @@ func (c *Client) issue(p *sim.Proc) bool {
 			if c.recoveryOn() && sl.retryAt > p.Now() {
 				continue // backing off after a failed fetch
 			}
-			c.wrScratch = append(c.wrScratch, rnic.WR{
-				ID:     c.ringID(wrKindFetch, i, sl.seq),
-				Op:     rnic.WRRead,
-				Remote: c.server,
-				Roff:   c.respOffs[i],
-				Local:  c.fetches[i][:c.fetchLen()],
-			})
+			c.wrScratch = append(c.wrScratch, c.fetchWR(i))
 			sl.state = slotReading
 		}
 		if len(c.wrScratch) == 1 {
@@ -373,46 +382,68 @@ func (c *Client) issue(p *sim.Proc) bool {
 		} else if len(c.wrScratch) > 1 {
 			c.qp.PostBatch(p, c.lease.PostCQ(), c.wrScratch)
 		}
-		if n := len(c.wrScratch); n > 0 {
-			c.Stats.FetchReads += uint64(n)
-			c.rec.Reads(n)
-			return true
-		}
-		return advanced
+		return advanced || len(c.wrScratch) > 0
 	}
-	// Reply mode: check the local landing of every awaiting slot.
+	// Reply mode: check the local landing of every awaiting slot. A response
+	// that has landed wins over a timer due at the same instant.
 	advanced := false
 	for i := range c.slots {
-		sl := &c.slots[i]
-		if c.recoveryOn() && c.slotTimers(p, i) {
-			advanced = true
-			continue
-		}
-		if sl.state != slotWaiting {
-			continue
-		}
-		lb := c.landing[i*c.respStride:]
-		hdr := parseHeader(lb)
-		if hdr.valid && hdr.seq == sl.seq {
-			copy(c.fetches[i], lb[:HeaderSize+hdr.size])
-			sl.hdr = hdr
-			sl.state = slotReady
-			sl.readyAt = p.Now()
-			c.Stats.ReplyDeliveries++
+		if c.landed(p, i) || c.recoveryOn() && c.slotTimers(p, i) {
 			advanced = true
 		}
 	}
 	return advanced
 }
 
+// landed checks the reply landing of slot i, if it awaits a response: a
+// valid header carrying the call's sequence number means the server has
+// pushed it, and the slot is ready.
+//
+//rfp:hotpath
+func (c *Client) landed(p *sim.Proc, i int) bool {
+	sl := &c.slots[i]
+	if sl.state != slotWaiting {
+		return false
+	}
+	lb := c.landing[i*c.respStride:]
+	hdr := parseHeader(lb)
+	if !hdr.valid || hdr.seq != sl.seq {
+		return false
+	}
+	copy(c.fetches[i], lb[:HeaderSize+hdr.size])
+	sl.hdr, sl.state, sl.readyAt = hdr, slotReady, p.Now()
+	return true
+}
+
+// fetchWR is slot i's fetch read: the first F bytes of its response area
+// (just the header under NoInline).
+//
+//rfp:hotpath
+func (c *Client) fetchWR(i int) rnic.WR {
+	return rnic.WR{
+		ID:     c.ringID(wrKindFetch, i, c.slots[i].seq),
+		Op:     rnic.WRRead,
+		Remote: c.server,
+		Roff:   c.respOffs[i],
+		Local:  c.fetches[i][:c.fetchLen()],
+	}
+}
+
 // await blocks until hardware or the server moves: wait for the next
-// completion if one is owed, else poll the reply landing sparsely (cheap
-// for the CPU, exactly like the sync reply wait).
+// completion if one is owed, else poll the reply landing sparsely — where
+// reply mode saves client cycles (Fig. 15). A group member's queue is the
+// group's, so whatever completes is handed to the member it belongs to: a
+// synchronous call on one member must not drop another member's
+// completions as stale.
 //
 //rfp:hotpath
 func (c *Client) await(p *sim.Proc) {
 	if c.anyInState(slotPosted, slotReading) {
-		c.handleCQE(p, c.cq.Wait(p))
+		if e := c.cq.Wait(p); c.group != nil {
+			c.group.dispatch(p, e)
+		} else {
+			c.handleCQE(p, e)
+		}
 		return
 	}
 	if c.mode == ModeReply && c.anyInState(slotWaiting) {
@@ -434,9 +465,7 @@ func (c *Client) await(p *sim.Proc) {
 //rfp:hotpath
 func (c *Client) replyNap(p *sim.Proc) {
 	p.Sleep(sim.Duration(c.params.ReplyPollNs))
-	if idle := c.params.ReplyPollNs - c.machine.Profile().LocalPollNs; idle > 0 {
-		c.Stats.IdleNs += idle
-	}
+	c.Stats.IdleNs += c.napIdleNs
 }
 
 // handleCQE routes one completion to its slot, reporting whether any state
@@ -456,6 +485,14 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 	sl := &c.slots[si]
 	if sl.seq != seq || sl.state == slotFree || sl.state == slotReady || sl.state == slotFailed {
 		return false
+	}
+	// Verbs are counted here, where their completion is handled, for both
+	// drivers.
+	if kind == wrKindSend {
+		c.rec.Writes(1)
+	} else {
+		c.Stats.FetchReads++
+		c.rec.Reads(1)
 	}
 	if e.Err != nil {
 		if !c.recoverable(e.Err) {
@@ -499,9 +536,9 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 		hdr := parseHeader(c.fetches[si])
 		if !hdr.valid || hdr.seq != sl.seq {
 			// Stale or half-written response: retry. The slot returns to
-			// waiting and the next progress step re-reads it, exactly the
-			// sync path's repeated fetching; crossing R marks the call an
-			// overrun for the hybrid switch, counted at claim time.
+			// waiting and the next step re-reads it — the paper's repeated
+			// remote fetching; crossing R marks the call an overrun for the
+			// hybrid switch.
 			sl.failed++
 			c.Stats.Retries++
 			c.rec.Retries(1)
@@ -530,9 +567,6 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 				Roff:   c.respOffs[si] + f,
 				Local:  c.fetches[si][f:total],
 			})
-			c.Stats.FetchReads++
-			c.Stats.SecondReads++
-			c.rec.Reads(1)
 			return true // still slotReading, awaiting the continuation
 		}
 		sl.state = slotReady
@@ -542,6 +576,7 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 		if sl.state != slotReading {
 			return false
 		}
+		c.Stats.SecondReads++
 		sl.state = slotReady
 		sl.readyAt = p.Now()
 		c.callEvent(trace.FetchHit, p.Now(), p.Now(), si, sl.seq, HeaderSize+sl.hdr.size)

@@ -339,10 +339,11 @@ func TestRingCloseInFlight(t *testing.T) {
 }
 
 // TestRingDepthOneMatchesCall checks that a depth-1 ring driven through
-// Post/Poll completes calls with the same per-call virtual time as the
-// blocking Call path does at steady state — the wrapper and the ring are
-// the same protocol at depth 1 (costs differ only by the async post/poll
-// CPU charges, so allow a small tolerance).
+// Post/Poll completes calls in about the per-call virtual time Call takes at
+// steady state. The two are drivers over one slot engine and differ by a
+// single charge: Poll's progress loop reaps its queue without blocking
+// (LocalPollNs per step) before it issues, Call's steps never do — hence a
+// tolerance rather than equality.
 func TestRingDepthOneMatchesCall(t *testing.T) {
 	run := func(pipelined bool) sim.Duration {
 		r := newRig(t, 1, ServerConfig{})

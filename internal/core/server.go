@@ -418,6 +418,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		depth:      depth,
 		maxDepth:   capacity,
 		respStride: respArea(s.cfg),
+		napIdleNs:  max(0, params.ReplyPollNs-clientMachine.Profile().LocalPollNs),
 		maxReq:     s.cfg.MaxRequest,
 		maxResp:    s.cfg.MaxResponse,
 		slots:      make([]slot, depth),

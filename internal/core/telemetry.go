@@ -2,7 +2,7 @@ package core
 
 // Telemetry plumbing: attach a telemetry.Recorder to a connection and the
 // data path reports per-call latencies (post→completion, split into the
-// delivery leg and the fetch- or reply-mode completion leg), issued verb
+// delivery leg and the fetch- or reply-mode completion leg), completed verb
 // counts (the paper's round-trips-per-call claim), fetch retries,
 // fallbacks, ring occupancy and — with span recording configured — the
 // call-scoped events trace.Stitch rebuilds timelines from. All hooks cost
@@ -37,8 +37,7 @@ func (c *Client) connID() int32 {
 	return -1
 }
 
-// callEvent records one client-side call-scoped span event. slot is -1 on
-// the synchronous (depth-1) path.
+// callEvent records one client-side call-scoped span event.
 //
 //rfp:hotpath
 func (c *Client) callEvent(kind trace.Kind, start, end sim.Time, slot int, seq uint16, bytes int) {

@@ -1,7 +1,7 @@
 // Package dist provides deterministic random variates used by the workload
-// generator and the hardware model: uniform and Zipf-distributed integers,
-// exponential and mixture durations. All variates draw from a caller-owned
-// *rand.Rand so simulations stay reproducible.
+// generator and the fault injector: fixed, uniform, Zipf-distributed and
+// two-point-mixture integers, and fixed durations. All variates draw from a
+// caller-owned *rand.Rand so simulations stay reproducible.
 package dist
 
 import (
@@ -124,50 +124,6 @@ type FixedDur int64
 
 // NextNs implements DurationDist.
 func (f FixedDur) NextNs(*rand.Rand) int64 { return int64(f) }
-
-// Exp yields exponentially distributed durations with the given mean (ns).
-type Exp struct {
-	MeanNs int64
-}
-
-// NextNs implements DurationDist.
-func (e Exp) NextNs(r *rand.Rand) int64 {
-	if e.MeanNs <= 0 {
-		return 0
-	}
-	return int64(r.ExpFloat64() * float64(e.MeanNs))
-}
-
-// Spike models a base duration with a rare heavy tail: with probability
-// TailProb the duration is drawn uniformly from [TailLoNs, TailHiNs],
-// otherwise it is Base plus small jitter (±JitterNs uniform). This is how
-// the model reproduces the paper's "unexpectedly long server process time"
-// affecting ~0.2% of requests (Sec. 3.2, Table 3).
-type Spike struct {
-	BaseNs   int64
-	JitterNs int64
-	TailProb float64
-	TailLoNs int64
-	TailHiNs int64
-}
-
-// NextNs implements DurationDist.
-func (s Spike) NextNs(r *rand.Rand) int64 {
-	if s.TailProb > 0 && r.Float64() < s.TailProb {
-		if s.TailHiNs <= s.TailLoNs {
-			return s.TailLoNs
-		}
-		return s.TailLoNs + r.Int63n(s.TailHiNs-s.TailLoNs+1)
-	}
-	d := s.BaseNs
-	if s.JitterNs > 0 {
-		d += r.Int63n(2*s.JitterNs+1) - s.JitterNs
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
 
 // Mixture draws from A with probability PA, otherwise from B — e.g. a
 // key-value population of mostly small values with an occasional large one.

@@ -142,51 +142,6 @@ func TestZipfDeterminism(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	var sum float64
-	for i := 0; i < 200000; i++ {
-		sum += float64(Exp{MeanNs: 1000}.NextNs(r))
-	}
-	m := sum / 200000
-	if m < 950 || m > 1050 {
-		t.Fatalf("exp mean = %.1f, want ~1000", m)
-	}
-}
-
-func TestExpNonPositiveMean(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	if (Exp{MeanNs: 0}).NextNs(r) != 0 {
-		t.Fatal("zero-mean exp should be 0")
-	}
-}
-
-func TestSpikeTailProbability(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	s := Spike{BaseNs: 500, JitterNs: 100, TailProb: 0.002, TailLoNs: 5000, TailHiNs: 15000}
-	tail := 0
-	n := 500000
-	for i := 0; i < n; i++ {
-		if s.NextNs(r) >= 5000 {
-			tail++
-		}
-	}
-	frac := float64(tail) / float64(n)
-	if frac < 0.001 || frac > 0.004 {
-		t.Fatalf("tail fraction = %.4f, want ~0.002", frac)
-	}
-}
-
-func TestSpikeNeverNegative(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	s := Spike{BaseNs: 10, JitterNs: 50}
-	for i := 0; i < 10000; i++ {
-		if s.NextNs(r) < 0 {
-			t.Fatal("negative duration")
-		}
-	}
-}
-
 func TestFixedDur(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	if FixedDur(777).NextNs(r) != 777 {
@@ -202,24 +157,6 @@ func TestUniformBoundsProperty(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			v := u.Next(r)
 			if v < u.Lo || v > u.Hi {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Spike with zero tail probability never exceeds base+jitter.
-func TestSpikeBoundProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	f := func(base, jitter uint16) bool {
-		s := Spike{BaseNs: int64(base), JitterNs: int64(jitter)}
-		for i := 0; i < 30; i++ {
-			v := s.NextNs(r)
-			if v > int64(base)+int64(jitter) || v < 0 {
 				return false
 			}
 		}

@@ -17,7 +17,7 @@ func (k Kind) CallScoped() bool { return k >= CallPost && k <= CallDone }
 type Span struct {
 	Conn     int32
 	Seq      uint16
-	Slot     int16 // slot of the CallPost (-1 on the synchronous path)
+	Slot     int16 // ring slot of the CallPost
 	Start    sim.Time
 	End      sim.Time
 	Events   []Event

@@ -62,7 +62,7 @@ type Event struct {
 	Dst   string // remote NIC (empty for local-only events)
 	Bytes int
 	Conn  int32  // connection id (call-scoped events)
-	Slot  int16  // ring slot, -1 for the synchronous path
+	Slot  int16  // ring slot
 	Seq   uint16 // call sequence number within the connection
 }
 
