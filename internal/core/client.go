@@ -159,6 +159,12 @@ type Client struct {
 	justSwitched   bool // switched to reply since the last Recv: its call raced the flag
 	tuner          *Tuner
 
+	// The synchronous reply wait (Recv): replyDue bound once, so a call's
+	// wait allocates no closure, and what it reads besides the call's slot.
+	replyDone    func() bool
+	waited       int64 // reply-mode naps of the call in Recv so far, in ns
+	nextFallback int64 // waited at which a raced call next fetches as well
+
 	// Call state (ring.go): one slot record per call in flight, whichever
 	// driver staged it. Between Send and Recv, inCall is set and call is the
 	// synchronous call's slot.
@@ -381,8 +387,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	sl := &c.slots[si]
 	start := p.Now()
 	entered, replyAt := c.mode, start
-	var waited int64 // reply-mode naps so far
-	nextFallback := fallbackFetchNs
+	c.waited, c.nextFallback = 0, fallbackFetchNs
 	for sl.state != slotReady {
 		if sl.state == slotFailed {
 			if !c.redial(p, si) {
@@ -414,7 +419,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 			continue
 		}
 		// Reply mode, request delivered: look at the landing, then the
-		// timers, and nap.
+		// timers, and nap until replyDue sees one of them move.
 		if c.landed(p, si) || c.recoveryOn() && c.slotTimers(p, si) {
 			continue
 		}
@@ -423,8 +428,8 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 		// fetches now and then so it cannot strand, and the fetch runs to
 		// completion before the landing is looked at again. Steady-state
 		// reply calls never fetch.
-		if c.justSwitched && waited >= nextFallback {
-			nextFallback += fallbackFetchNs
+		if c.justSwitched && c.waited >= c.nextFallback {
+			c.nextFallback += fallbackFetchNs
 			c.qp.Post(p, c.lease.PostCQ(), c.fetchWR(si))
 			sl.state = slotReading
 			for sl.state == slotReading {
@@ -434,8 +439,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 				continue
 			}
 		}
-		c.replyNap(p)
-		waited += c.params.ReplyPollNs
+		p.SleepEvery(sim.Duration(c.params.ReplyPollNs), c.replyDone)
 	}
 	c.justSwitched = false
 	replied := c.mode == ModeReply
@@ -447,6 +451,29 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 		c.Stats.ReplyWaitNs += int64(p.Now().Sub(replyAt))
 	}
 	return n, err
+}
+
+// replyDue is the predicate of Recv's reply wait, run after every nap —
+// between naps in scheduler context (sim.Proc.SleepEvery), so it only looks.
+// It charges the nap where a loop around replyNap would have — measurement
+// windows read Stats while clients are mid-wait — and reports whether Recv
+// has anything to act on: a response in the call's landing, a recovery timer
+// due, or the raced call's next fallback fetch.
+//
+//rfp:hotpath
+func (c *Client) replyDue() bool {
+	c.Stats.IdleNs += c.napIdleNs
+	c.waited += c.params.ReplyPollNs
+	if _, ok := c.replyIn(c.call); ok {
+		return true
+	}
+	if c.recoveryOn() {
+		sl := &c.slots[c.call]
+		if now := c.machine.Shard().Now(); now >= sl.deadline || now >= sl.resendAt {
+			return true
+		}
+	}
+	return c.justSwitched && c.waited >= c.nextFallback
 }
 
 // Close tears the connection down: the server-side flag is marked closed

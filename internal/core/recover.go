@@ -207,6 +207,10 @@ func (c *Client) demote(p *sim.Proc) {
 		Old: int(c.mode), New: int(ModeReply),
 	})
 	if c.mode == ModeReply {
+		// Already there — but the claim that demotes (or an earlier one) may
+		// have asked for the switch back, deferred while handles are still in
+		// flight: it must not land once the ring empties.
+		c.hasPending = false
 		return
 	}
 	if c.outstanding == 0 {

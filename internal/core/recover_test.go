@@ -168,6 +168,73 @@ func TestRecoveryDemotion(t *testing.T) {
 	}
 }
 
+// TestDemotionCancelsPendingSwitchBack: a connection demoted while already in
+// reply mode stays there. With a handle still in flight, the claim that
+// reaches DemoteAfter has itself just asked for the switch back (its response
+// reports a process time within SwitchBackUs) and the flip waits for the ring
+// to quiesce; demote used to return early on "already in reply mode" and
+// leave it pending, so the demoted connection flipped to fetch as the ring
+// emptied.
+func TestDemotionCancelsPendingSwitchBack(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	pr := DefaultParams()
+	pr.Depth = 2
+	pr.DeadlineNs = 40_000 // resendNs = 5 µs
+	pr.DemoteAfter = 1
+	pr.SwitchBackUs = 20
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], pr)
+	r.srv.AddThreads(1)
+	// The first two requests take 8 µs: past resendNs, so both calls
+	// re-deliver their request (fault recovery, the demotion input), yet
+	// within SwitchBackUs.
+	served := 0
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int {
+			if served++; served <= 2 {
+				r.srv.Machine().Compute(p, sim.Micros(8))
+			}
+			return copy(resp, req)
+		})
+	})
+	rounds := 0
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		if err := cli.switchMode(p, ModeReply); err != nil {
+			t.Errorf("switch to reply: %v", err)
+			return
+		}
+		out := make([]byte, 64)
+		for ; rounds < 2; rounds++ {
+			var hs [2]Handle
+			for i := range hs {
+				var err error
+				if hs[i], err = cli.Post(p, []byte{'d', byte(i)}); err != nil {
+					t.Errorf("round %d post %d: %v", rounds, i, err)
+					return
+				}
+			}
+			for i, h := range hs {
+				if n, err := cli.Poll(p, h, out); err != nil || n != 2 || out[1] != byte(i) {
+					t.Errorf("round %d poll %d: (% x, %v)", rounds, i, out[:n], err)
+					return
+				}
+				if rounds == 0 && i == 0 && (!cli.demoted || cli.outstanding != 1 || cli.hasPending) {
+					t.Errorf("after the first claim: demoted=%v outstanding=%d mode flip pending=%v; want true, 1, false",
+						cli.demoted, cli.outstanding, cli.hasPending)
+				}
+			}
+		}
+	})
+	r.env.Run(sim.Time(5 * sim.Millisecond))
+	st := cli.Stats
+	if rounds != 2 || st.Resends == 0 || st.Demotions != 1 {
+		t.Fatalf("rounds=%d resends=%d demotions=%d; want 2, > 0, 1", rounds, st.Resends, st.Demotions)
+	}
+	if cli.Mode() != ModeReply || st.SwitchToFetch != 0 || st.ReplyDeliveries != 4 {
+		t.Fatalf("demoted connection: mode=%v switches to fetch=%d reply deliveries=%d; want reply, 0, 4",
+			cli.Mode(), st.SwitchToFetch, st.ReplyDeliveries)
+	}
+}
+
 // TestRecoveryPipelinedUnderDrops: the ring's per-slot recovery absorbs
 // lost completions; every posted handle resolves with the right payload.
 func TestRecoveryPipelinedUnderDrops(t *testing.T) {

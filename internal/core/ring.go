@@ -405,14 +405,22 @@ func (c *Client) landed(p *sim.Proc, i int) bool {
 	if sl.state != slotWaiting {
 		return false
 	}
-	lb := c.landing[i*c.respStride:]
-	hdr := parseHeader(lb)
-	if !hdr.valid || hdr.seq != sl.seq {
+	hdr, ok := c.replyIn(i)
+	if !ok {
 		return false
 	}
-	copy(c.fetches[i], lb[:HeaderSize+hdr.size])
+	copy(c.fetches[i], c.landing[i*c.respStride:][:HeaderSize+hdr.size])
 	sl.hdr, sl.state, sl.readyAt = hdr, slotReady, p.Now()
 	return true
+}
+
+// replyIn reads the header in slot i's landing and reports whether it is the
+// response to the slot's call.
+//
+//rfp:hotpath
+func (c *Client) replyIn(i int) (header, bool) {
+	hdr := parseHeader(c.landing[i*c.respStride:])
+	return hdr, hdr.valid && hdr.seq == c.slots[i].seq
 }
 
 // fetchWR is slot i's fetch read: the first F bytes of its response area

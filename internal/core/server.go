@@ -438,6 +438,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	if params.ForceReply {
 		cli.mode = ModeReply
 	}
+	cli.replyDone = cli.replyDue
 	cli.bind(res)
 	return cli, conn, nil
 }

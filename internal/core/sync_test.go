@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -328,4 +329,120 @@ func TestGroupSyncCallHandsOverCompletions(t *testing.T) {
 	if n := r.cluster.Clients[0].NIC().Misrouted; n != 0 {
 		t.Fatalf("misrouted completions: %d", n)
 	}
+}
+
+// TestReplyWaitAccruesPerNap: the reply wait charges each nap's idle time at
+// that nap's instant, whoever takes the wake-up. An fn event fired in the
+// middle of a ForceReply call's wait — what a measurement window's snapshot
+// is — reads exactly the naps so far; accounting for them in bulk once the
+// wait returns would read none (and moved fig15 and ablation-switch).
+func TestReplyWaitAccruesPerNap(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	params := DefaultParams()
+	params.ForceReply = true
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, slowHandler(r.srv.Machine(), sim.Micros(30)))
+	})
+	poll := sim.Duration(params.ReplyPollNs)
+	var recvAt, doneAt sim.Time
+	sampled := false
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 64)
+		if err := cli.Send(p, []byte("nap")); err != nil {
+			t.Errorf("Send: %v", err)
+			return
+		}
+		recvAt = p.Now()
+		// Between the 12th and the 13th nap of the wait.
+		r.env.At(recvAt.Add(12*poll+poll/4), func() {
+			sampled = true
+			if want := 12 * cli.napIdleNs; cli.Stats.IdleNs != want {
+				t.Errorf("IdleNs mid-wait, 12 naps in = %d, want %d", cli.Stats.IdleNs, want)
+			}
+		})
+		if _, err := cli.Recv(p, out); err != nil {
+			t.Errorf("Recv: %v", err)
+		}
+		doneAt = p.Now()
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	naps := int64(doneAt.Sub(recvAt) / poll)
+	if !sampled || naps <= 12 || doneAt != recvAt.Add(sim.Duration(naps)*poll) {
+		t.Fatalf("sampled=%v; wait %v..%v is not a whole number (> 12) of %v naps", sampled, recvAt, doneAt, poll)
+	}
+	if want := naps * cli.napIdleNs; cli.napIdleNs <= 0 || cli.Stats.IdleNs != want {
+		t.Fatalf("IdleNs after %d naps = %d, want %d", naps, cli.Stats.IdleNs, want)
+	}
+}
+
+// TestReplyWaitTimersFireOnTick: with recovery on, the reply wait's
+// predicate watches the call's timers as well as its landing. A request the
+// server sits on past resendAt is re-delivered at the first nap to end at or
+// after resendAt — not when the response finally lands — and a call nobody
+// answers fails at the first nap to end at or after its deadline.
+func TestReplyWaitTimersFireOnTick(t *testing.T) {
+	run := func(deadlineNs int64, handler sim.Duration, body func(p *sim.Proc, r *testRig, cli *Client)) {
+		r := newRig(t, 1, ServerConfig{})
+		params := recoveryParams(deadlineNs)
+		params.ForceReply = true
+		cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+		r.srv.AddThreads(1)
+		r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+			Serve(p, []*Conn{conn}, slowHandler(r.srv.Machine(), handler))
+		})
+		finished := false
+		r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+			body(p, r, cli)
+			finished = true
+		})
+		r.env.Run(sim.Time(sim.Millisecond))
+		if !finished {
+			t.Fatalf("deadline %d: the call never returned", deadlineNs)
+		}
+	}
+	out := make([]byte, 64)
+	poll := sim.Duration(DefaultParams().ReplyPollNs)
+
+	// resendNs = 80 µs / 8 = 10 µs; the response lands after ~27 µs.
+	run(80_000, sim.Micros(25), func(p *sim.Proc, r *testRig, cli *Client) {
+		if err := cli.Send(p, []byte("resend")); err != nil {
+			t.Errorf("Send: %v", err)
+			return
+		}
+		resendAt := cli.slots[cli.call].resendAt
+		tick := p.Now()
+		for tick < resendAt {
+			tick = tick.Add(poll)
+		}
+		if tick == resendAt {
+			t.Errorf("resendAt %v does not fall between two naps (wait starts %v)", resendAt, p.Now())
+		}
+		r.env.At(tick-1, func() {
+			if cli.Stats.Resends != 0 {
+				t.Errorf("resent %d times before the nap ending at %v", cli.Stats.Resends, tick)
+			}
+		})
+		r.env.At(tick+1, func() {
+			if cli.Stats.Resends != 1 {
+				t.Errorf("Resends = %d just after the first nap past resendAt (%v), want 1", cli.Stats.Resends, tick)
+			}
+		})
+		if n, err := cli.Recv(p, out); err != nil || string(out[:n]) != "resend" {
+			t.Errorf("Recv = (%q, %v)", out[:n], err)
+		}
+	})
+
+	run(20_000, sim.Micros(200), func(p *sim.Proc, r *testRig, cli *Client) {
+		if err := cli.Send(p, []byte("deadline")); err != nil {
+			t.Errorf("Send: %v", err)
+			return
+		}
+		deadline := cli.slots[cli.call].deadline
+		_, err := cli.Recv(p, out)
+		if late := p.Now().Sub(deadline); !errors.Is(err, ErrDeadline) || late < 0 || late >= poll {
+			t.Errorf("Recv = %v at %v, want ErrDeadline within one %v nap of the deadline %v", err, p.Now(), poll, deadline)
+		}
+	})
 }

@@ -141,10 +141,13 @@ func RunKV(r KVRun) KVOut {
 	measuring := false
 	ops := make([]uint64, len(placements))
 	var misses uint64
+	// One key distribution for every thread: a Zipf's normalization is a sum
+	// over the whole key space.
+	gens := workload.NewGenerator(r.Workload, 0)
 	for i, pl := range placements {
 		i := i
 		cli := b.Conns[i]
-		gen := workload.NewGenerator(r.Workload, r.Opts.Seed*1000+int64(i))
+		gen := gens.Fork(r.Opts.Seed*1000 + int64(i))
 		pl.Machine.Spawn("load", func(p *sim.Proc) {
 			scratch := make([]byte, maxVal+64)
 			for {

@@ -274,13 +274,17 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	}
 	cells := make([]phaseCell, threads*len(phases))
 	cellAt := func(thread, phase int) *phaseCell { return &cells[thread*len(phases)+phase] }
+	// One key distribution for every thread (a Zipf's normalization is a sum
+	// over the whole key space); each keeps it across phases for as long as
+	// the key space and skew stay.
+	gens := workload.NewGenerator(phases[0].Workload, 0)
 	for i, pl := range placements {
 		i, c := i, b.Conns[i]
 		pl.Machine.Spawn(fmt.Sprintf("driver%d", i), func(p *sim.Proc) {
 			scratch := make([]byte, maxVal+64)
 			check := make([]byte, maxVal+64)
 			var seq uint32
-			gen := workload.NewGenerator(phases[0].Workload, phaseSeed(seed, 0, i))
+			gen := gens.Fork(phaseSeed(seed, 0, i))
 			for pi := range phases {
 				ph := &phases[pi]
 				cell := cellAt(i, pi)

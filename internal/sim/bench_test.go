@@ -42,6 +42,23 @@ func goLockstep(e *Env) {
 	}
 }
 
+// BenchmarkSleepEvery measures one nap that finds its predicate false: two
+// procs in SleepEvery lockstep, each one's tick always pending when the other
+// naps, so no nap is elided by sleepFast — BenchmarkProcSwitch's drive with
+// the wake-ups taken by the lane driver. One op is one nap.
+func BenchmarkSleepEvery(b *testing.B) {
+	e := NewEnv(1)
+	defer e.Close()
+	never := func() bool { return false }
+	for i := 0; i < 2; i++ {
+		e.Go("napper", func(p *Proc) { p.SleepEvery(1, never) })
+	}
+	e.Run(Time(100_000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(e.Now().Add(Duration(b.N / 2)))
+}
+
 // BenchmarkResourceUse measures a contended resource handoff per
 // operation.
 func BenchmarkResourceUse(b *testing.B) {

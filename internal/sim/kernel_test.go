@@ -80,7 +80,8 @@ func TestRunAllSelfReschedulingFnEvents(t *testing.T) {
 // TestSteadyStateSchedulingAllocFree pins the tentpole property: once the
 // calendar queue's buckets are warm, retiring timer (fn) events and
 // process sleeps allocates nothing — including two procs in Sleep lockstep,
-// where every Sleep is a real coroutine switch out and another back in.
+// where every Sleep is a real coroutine switch out and another back in, and
+// a SleepEvery napper whose ticks the driver takes.
 func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Close()
@@ -93,6 +94,13 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 		}
 	})
 	goLockstep(e)
+	e.Go("napper", func(p *Proc) {
+		n := 0
+		done := func() bool { n++; return n%4 == 0 }
+		for {
+			p.SleepEvery(3, done)
+		}
+	})
 	e.Run(Time(100_000)) // warm buckets and goroutine stacks
 	allocs := testing.AllocsPerRun(20, func() {
 		e.Run(e.Now().Add(50_000))

@@ -151,14 +151,23 @@ func TestCloseUnwindsStartedProcs(t *testing.T) {
 			defer func() { unwound = append(unwound, "on-queue") }()
 			q.Get(p)
 		})
+		naps := 0
+		a.Go("napper", func(p *Proc) {
+			defer func() { unwound = append(unwound, "napper") }()
+			p.SleepEvery(300, func() bool { naps++; return false })
+		})
 		e.Run(Time(1000))
 		if len(unwound) != 0 {
 			t.Fatalf("procs ended before Close: %v", unwound)
 		}
+		if naps != 3 {
+			t.Fatalf("napper took %d naps by t=1000, want 3", naps)
+		}
 		e.Close()
 		// Lane by lane; within a lane queue-scheduled procs in (t, seq)
-		// order, then the externally parked ones by id.
-		want := []string{"sleeper", "holder", "on-resource", "on-queue"}
+		// order — the napper's pending tick at t=1200 like any wake-up —
+		// then the externally parked ones by id.
+		want := []string{"napper", "sleeper", "holder", "on-resource", "on-queue"}
 		if fmt.Sprint(unwound) != fmt.Sprint(want) {
 			t.Fatalf("Close unwound %v, want %v", unwound, want)
 		}

@@ -7,7 +7,9 @@
 // executes at any instant of virtual time — and as run-to-completion
 // callbacks (fn events) that fire and return without ever parking. The fast
 // paths in internal/rnic use the callback form, so retiring their events
-// costs a function call instead of two coroutine switches.
+// costs a function call instead of two coroutine switches. A process that
+// polls (SleepEvery) is both: it parks once, and the driver takes its
+// wake-ups as callbacks until the one that finds its predicate true.
 //
 // Events live in per-lane calendar queues ordered by (time, sequence
 // number); two runs with the same seed and the same spawn order produce
@@ -85,6 +87,12 @@ type proc struct {
 	stop  func()                  // driver -> process: shut down (yield returns false)
 	yield func(struct{}) bool     // process -> driver: I parked; set when the body starts
 	done  bool
+
+	// SleepEvery state: while napDone is set the process is parked between
+	// naps and its wake-ups are ticks the lane driver takes (napTick).
+	napDone func() bool
+	napD    Duration
+	napN    int
 }
 
 // lane is one shard of the scheduler: a virtual clock, a pending-event
@@ -313,10 +321,79 @@ func (l *lane) sleepFast(wake Time) bool {
 	return true
 }
 
+// SleepEvery naps d at a time until done reports true after a nap, and
+// returns the number of naps taken. It is exactly
+//
+//	for n := 1; ; n++ {
+//		p.Sleep(d)
+//		if done() {
+//			return n
+//		}
+//	}
+//
+// — every nap is the event that loop's Sleep would have scheduled, at the
+// same point and with the same (t, seq), or the same sleepFast elision — but
+// a wake-up that finds done false costs a callback, not a coroutine round
+// trip: the lane driver evaluates done itself and switches into the process
+// only once it holds. done therefore runs in scheduler context for every nap
+// but those the fast path takes: it must not block, and anything it does per
+// nap (accounting) happens at that nap's instant either way. A panic in done
+// surfaces from Run with its original value; raised from a tick it leaves the
+// process parked, for Close to unwind.
+//
+//rfp:hotpath
+func (p *Proc) SleepEvery(d Duration, done func() bool) int {
+	if d < 0 {
+		d = 0
+	}
+	pr := p.p
+	pr.napDone, pr.napD, pr.napN = done, d, 0
+	if !pr.nap() {
+		p.park()
+	}
+	pr.napDone = nil
+	return pr.napN
+}
+
+// nap takes SleepEvery's naps for as long as they need no event (sleepFast)
+// and done stays false. It reports true when done held, the lane clock at
+// that nap's wake; false once the next nap is a scheduled tick.
+//
+//rfp:hotpath
+func (pr *proc) nap() bool {
+	l := pr.lane
+	for {
+		wake := l.now.Add(pr.napD)
+		if !l.sleepFast(wake) {
+			l.schedule(wake, pr, nil)
+			return false
+		}
+		pr.napN++
+		if pr.napDone() {
+			return true
+		}
+	}
+}
+
+// napTick is the lane driver's half of SleepEvery: the wake-up of a process
+// parked between naps. The event names its process like any other wake-up —
+// Close unwinds it at the same place in (t, seq) order and a stale one is
+// dropped — but the process is resumed only if done holds after this nap or
+// one of the event-free naps that follow it.
+//
+//rfp:hotpath
+func (pr *proc) napTick() {
+	pr.napN++
+	if pr.napDone() || pr.nap() {
+		pr.next()
+	}
+}
+
 // drain retires this lane's events in (t, seq) order until the next event
 // lies beyond until, then fast-forwards the lane clock to until. This is the
-// kernel hot loop: fn events dispatch as a plain call; only process events
-// pay the coroutine switch (and its switch back at the next park).
+// kernel hot loop: fn events and SleepEvery ticks dispatch as a plain call;
+// only process events that resume their process pay the coroutine switch
+// (and its switch back at the next park).
 //
 //rfp:hotpath
 func (l *lane) drain(until Time) {
@@ -335,7 +412,11 @@ func (l *lane) drain(until Time) {
 			if ev.p.done {
 				continue // stale wakeup for a finished process
 			}
-			ev.p.next()
+			if ev.p.napDone != nil {
+				ev.p.napTick()
+			} else {
+				ev.p.next()
+			}
 			continue
 		}
 		if ev.fn != nil {

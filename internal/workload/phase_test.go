@@ -53,6 +53,50 @@ func TestResetMatchesFreshGenerator(t *testing.T) {
 	}
 }
 
+// TestForkMatchesFreshGenerator: a forked generator, and one Reset into a
+// phase over the same (Keys, ZipfTheta), draw exactly what a fresh generator
+// would while sharing — keeping — the key distribution; a phase over another
+// key space or skew builds its own.
+func TestForkMatchesFreshGenerator(t *testing.T) {
+	cfg := Config{Keys: 4096, GetFraction: 0.7, RMWFraction: 0.1, ZipfTheta: 0.99, ValueSize: dist.Uniform{Lo: 8, Hi: 64}}
+	base := NewGenerator(cfg, 3)
+	drawN(base, 100) // a fork takes nothing from the parent's source
+	for _, seed := range []int64{0, 3, 1001} {
+		fork := base.Fork(seed)
+		if fork.keys != base.keys {
+			t.Fatalf("fork built its own key distribution")
+		}
+		if !sameOps(drawN(fork, 10_000), drawN(NewGenerator(cfg, seed), 10_000)) {
+			t.Fatalf("forked stream (seed %d) diverges from a fresh generator's", seed)
+		}
+	}
+	uni := Config{Keys: 4096}
+	if f, fresh := NewGenerator(uni, 1).Fork(9), NewGenerator(uni, 9); !sameOps(drawN(f, 10_000), drawN(fresh, 10_000)) {
+		t.Fatalf("forked uniform stream diverges from a fresh generator's")
+	}
+
+	g := base.Fork(5)
+	next := cfg
+	next.GetFraction, next.KeyOffset = 0.2, 77
+	g.Reset(next, 6)
+	if g.keys != base.keys {
+		t.Fatalf("Reset rebuilt the key distribution although Keys and ZipfTheta are unchanged")
+	}
+	if !sameOps(drawN(g, 10_000), drawN(NewGenerator(next, 6), 10_000)) {
+		t.Fatalf("stream after a distribution-keeping Reset diverges from a fresh generator's")
+	}
+	for _, other := range []Config{{Keys: 2048, ZipfTheta: 0.99}, {Keys: 4096, ZipfTheta: 0.5}, {Keys: 4096}} {
+		g := base.Fork(5)
+		g.Reset(other, 8)
+		if g.keys == base.keys {
+			t.Fatalf("Reset to %+v kept the old key distribution", other)
+		}
+		if !sameOps(drawN(g, 1000), drawN(NewGenerator(other, 8), 1000)) {
+			t.Fatalf("stream after Reset to %+v diverges from a fresh generator's", other)
+		}
+	}
+}
+
 // KeyOffset must rotate the drawn key sequence exactly (k+off mod Keys)
 // without disturbing any other draw (op mix, value sizes).
 func TestKeyOffsetRotates(t *testing.T) {

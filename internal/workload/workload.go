@@ -146,15 +146,29 @@ func NewGenerator(cfg Config, seed int64) *Generator {
 // many operations the previous phase drew. (A long-lived per-thread
 // generator can therefore be re-seeded at every phase boundary and stay
 // reproducible phase by phase.)
+//
+// The key distribution depends on (Keys, ZipfTheta) alone and never changes
+// once built, so a phase that keeps both keeps it: building a Zipf sums its
+// normalization over every key.
 func (g *Generator) Reset(cfg Config, seed int64) {
 	cfg = cfg.withDefaults()
+	if g.keys == nil || cfg.Keys != g.cfg.Keys || cfg.ZipfTheta != g.cfg.ZipfTheta {
+		if cfg.ZipfTheta > 0 {
+			g.keys = dist.NewZipf(cfg.ZipfTheta, cfg.Keys)
+		} else {
+			g.keys = dist.Uniform{Lo: 0, Hi: cfg.Keys - 1}
+		}
+	}
 	g.cfg = cfg
 	g.rng = rand.New(rand.NewSource(seed))
-	if cfg.ZipfTheta > 0 {
-		g.keys = dist.NewZipf(cfg.ZipfTheta, cfg.Keys)
-	} else {
-		g.keys = dist.Uniform{Lo: 0, Hi: cfg.Keys - 1}
-	}
+}
+
+// Fork returns a generator for another client thread of the same workload:
+// exactly the stream NewGenerator(cfg, seed) would produce, sharing g's key
+// distribution instead of building its own. Fork only reads g, so threads
+// may fork one generator concurrently.
+func (g *Generator) Fork(seed int64) *Generator {
+	return &Generator{cfg: g.cfg, rng: rand.New(rand.NewSource(seed)), keys: g.keys}
 }
 
 // Rand exposes the generator's random source (e.g. for auxiliary sampling
