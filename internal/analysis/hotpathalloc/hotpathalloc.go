@@ -19,6 +19,11 @@
 //     the sanctioned amortized-scratch idiom; append to a fresh local
 //     grows a heap slice every call)
 //   - map assignment (inserts may grow the table)
+//   - a front re-slice x = x[k:] of persistent state (the pop-front FIFO
+//     idiom): it gives the consumed capacity away for good, so the append
+//     that refills x reallocates again and again — legal line by line, an
+//     allocation per operation in effect. x = x[:0] keeps the capacity and
+//     is the sanctioned reset; re-slicing a local view is free
 //   - fmt.* calls (every verb formats through an allocating path)
 //   - concrete-to-interface conversions, in call arguments, assignments,
 //     returns and explicit conversions (the boxed value escapes)
@@ -36,6 +41,7 @@ package hotpathalloc
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 
@@ -81,7 +87,7 @@ func check(pass *analysis.Pass, fn *ast.FuncDecl, fmtName string) {
 		case *ast.CallExpr:
 			checkCall(pass, n, parents, persistent, fmtName, report)
 		case *ast.AssignStmt:
-			checkAssign(pass, n, report)
+			checkAssign(pass, n, persistent, report)
 		case *ast.ReturnStmt:
 			checkReturn(pass, fn, n, report)
 		case *ast.FuncLit:
@@ -378,8 +384,8 @@ func copyingConversion(target, operand types.Type) bool {
 	return (isStr(target) && isBytes(operand)) || (isBytes(target) && isStr(operand))
 }
 
-// appendsToPersistent reports whether an append destination is a
-// selector/index/slice path rooted at the receiver or a pointer parameter
+// appendsToPersistent reports whether an append (or re-slice) destination is
+// a selector/index/slice path rooted at the receiver or a pointer parameter
 // (amortized scratch reuse). A bare local is never persistent.
 func appendsToPersistent(dst ast.Expr, persistent map[string]bool) bool {
 	rooted := false
@@ -403,8 +409,9 @@ func appendsToPersistent(dst ast.Expr, persistent map[string]bool) bool {
 	}
 }
 
-// checkAssign flags map stores and concrete-to-interface assignments.
-func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, report func(token.Pos, string, ...any)) {
+// checkAssign flags map stores, concrete-to-interface assignments and front
+// re-slices of persistent state.
+func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, persistent map[string]bool, report func(token.Pos, string, ...any)) {
 	for _, lhs := range as.Lhs {
 		if idx, ok := lhs.(*ast.IndexExpr); ok {
 			if _, isMap := typeOf(pass, idx.X).(*types.Map); isMap {
@@ -420,7 +427,31 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, report func(token.Pos,
 		if isInterface(lt) && isConcrete(rt) {
 			report(as.Rhs[i].Pos(), "assignment converts %s to interface %s", rt, lt)
 		}
+		if as.Tok == token.ASSIGN && frontReslice(pass, lhs, as.Rhs[i]) && appendsToPersistent(lhs, persistent) {
+			report(as.Rhs[i].Pos(), "front re-slice of %s gives the capacity away; every later append reallocates"+
+				" (pop through a head index or a ring, reset with [:0])", types.ExprString(lhs))
+		}
 	}
+}
+
+// frontReslice reports whether rhs is lhs[k:] for the same slice expression
+// lhs, with no high bound and k not the constant 0.
+func frontReslice(pass *analysis.Pass, lhs, rhs ast.Expr) bool {
+	sl, ok := ast.Unparen(rhs).(*ast.SliceExpr)
+	if !ok || sl.Low == nil || sl.High != nil || sl.Max != nil {
+		return false
+	}
+	if types.ExprString(ast.Unparen(sl.X)) != types.ExprString(ast.Unparen(lhs)) {
+		return false
+	}
+	if tv, ok := typeAndValue(pass, sl.Low); ok && tv.Value != nil && constant.Sign(tv.Value) == 0 {
+		return false
+	}
+	if t := typeOf(pass, lhs); t != nil {
+		_, isSlice := t.Underlying().(*types.Slice)
+		return isSlice
+	}
+	return true
 }
 
 // checkReturn flags concrete values returned through interface results.

@@ -3,7 +3,7 @@
 // functions allocate freely; inside an annotated body the analyzer flags
 // make/new, map and slice literals, escaping &T{} literals, non-scratch
 // append, map growth, fmt calls, interface conversions, copying string
-// conversions, and escaping closures.
+// conversions, escaping closures, and front re-slices of persistent state.
 package hotpathalloc
 
 import "fmt"
@@ -81,6 +81,37 @@ func badAppend(x wr) []wr {
 //rfp:hotpath
 func (c *conn) okScratchAppend(x wr) {
 	c.wrs = append(c.wrs[:0], x)
+}
+
+// badPopFront is the pop-front FIFO: each line is legal on its own (the
+// append is to persistent state), but the re-slice gives the popped
+// element's capacity away, so the append reallocates over and over.
+//
+//rfp:hotpath
+func (c *conn) badPopFront(x wr) wr {
+	c.wrs = append(c.wrs, x)
+	head := c.wrs[0]
+	c.wrs = c.wrs[1:] // want `front re-slice of c.wrs gives the capacity away`
+	return head
+}
+
+// okTruncate: [:0] keeps the capacity — the sanctioned reset.
+//
+//rfp:hotpath
+func (c *conn) okTruncate() {
+	c.wrs = c.wrs[:0]
+}
+
+// okLocalReslice: advancing a local view allocates nothing and loses nothing.
+//
+//rfp:hotpath
+func (c *conn) okLocalReslice() (sum uint64) {
+	view := c.wrs
+	for len(view) > 0 {
+		sum += view[0].id
+		view = view[1:]
+	}
+	return sum
 }
 
 //rfp:hotpath

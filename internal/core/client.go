@@ -154,6 +154,7 @@ type Client struct {
 	napIdleNs      int64 // CPU-idle part of one reply-mode poll interval
 	seq            uint16
 	mode           Mode
+	flagByte       [1]byte // source of the blocking 1-byte server-flag write
 	closed         bool
 	consecOverruns int
 	justSwitched   bool // switched to reply since the last Recv: its call raced the flag
@@ -505,7 +506,8 @@ func (c *Client) Close(p *sim.Proc) error {
 			s.err = ErrClosed
 		}
 	}
-	err := c.qp.Write(p, c.server, 0, []byte{modeClosed})
+	c.flagByte[0] = modeClosed
+	err := c.qp.Write(p, c.server, 0, c.flagByte[:])
 	c.local.Release()
 	// Free the WR-ID tag for the machine's next logical client. Straggler
 	// completions under the old tag are dropped by the endpoint demux
@@ -549,7 +551,8 @@ func (c *Client) switchMode(p *sim.Proc, m Mode) error {
 	} else {
 		c.Stats.SwitchToFetch++
 	}
-	return c.qp.Write(p, c.server, 0, []byte{byte(m)})
+	c.flagByte[0] = byte(m)
+	return c.qp.Write(p, c.server, 0, c.flagByte[:])
 }
 
 // observeCall feeds the attached tuner, if any, with the completed call's

@@ -122,7 +122,7 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 		c   int
 		req []byte
 	}
-	var window []inflight
+	var window sim.Ring[inflight]
 	claim := func(w inflight) {
 		n, err := cli.Poll(p, w.h, out)
 		if err != nil {
@@ -132,10 +132,9 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 		chaosVerify(res, w.req, out, n)
 	}
 	drain := func() {
-		for _, w := range window {
-			claim(w)
+		for window.Len() > 0 {
+			claim(window.Pop())
 		}
-		window = window[:0]
 	}
 	for c := 0; c < calls; c++ {
 		r := chaosReq(req, id, c)
@@ -148,8 +147,7 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 			}
 			switch {
 			case errors.Is(err, core.ErrRingFull):
-				claim(window[0])
-				window = window[1:]
+				claim(window.Pop())
 			case errors.Is(err, core.ErrReconnect):
 				drain() // resolve every in-flight handle, then reconnect
 			default:
@@ -166,10 +164,9 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 		if res.failed+res.done+res.corrupted > c {
 			continue // this call was charged during the post loop
 		}
-		window = append(window, inflight{h: h, c: c, req: append([]byte(nil), r...)})
-		if len(window) == chaosDepth {
-			claim(window[0])
-			window = window[1:]
+		window.Push(inflight{h: h, c: c, req: append([]byte(nil), r...)})
+		if window.Len() == chaosDepth {
+			claim(window.Pop())
 		}
 	}
 	drain()

@@ -121,18 +121,17 @@ func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 			// Keep a window of operations in flight across every server's
 			// rings; claim the oldest once the window is full (or a ring
 			// fills), so completions count as they resolve.
-			var inflight []shard.PendingOp
+			var inflight sim.Ring[shard.PendingOp]
 			pollHead := func() {
-				if _, err := sc.PollOp(p, inflight[0], scratch); err != nil {
+				if _, err := sc.PollOp(p, inflight.Pop(), scratch); err != nil {
 					panic(err)
 				}
-				inflight = inflight[1:]
 				ops[i]++
 			}
 			for {
 				op := gen.Next()
 				if op.Kind == workload.ReadModifyWrite {
-					for len(inflight) > 0 {
+					for inflight.Len() > 0 {
 						pollHead()
 					}
 					if _, err := kv.Do(sc, p, op, scratch); err != nil {
@@ -150,10 +149,10 @@ func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 					if err != nil {
 						panic(err)
 					}
-					inflight = append(inflight, pd)
+					inflight.Push(pd)
 					break
 				}
-				if len(inflight) >= window {
+				if inflight.Len() >= window {
 					pollHead()
 				}
 			}

@@ -293,6 +293,9 @@ type Client struct {
 	reqBuf  []byte
 	respBuf []byte // PUT response landing (the RFP server's MaxResponse)
 	extBuf  []byte
+	// slotBuf is GET's slot-read landing. QP.Read retains its buffer in the
+	// work request, so a local array would escape: one heap object per GET.
+	slotBuf [cuckoo.SlotSize]byte
 
 	Stats ClientStats
 }
@@ -304,15 +307,15 @@ func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
 	fp := c.geo.Fingerprint(k)
 	cands := c.geo.Candidates(k)
 	c.Stats.Gets++
-	var slotBuf [cuckoo.SlotSize]byte
+	slotBuf := c.slotBuf[:]
 	for retry := 0; retry < MaxGetRetries; retry++ {
 		torn := false
 		for _, idx := range cands {
-			if err := c.qp.Read(p, c.slots, cuckoo.SlotOffset(idx), slotBuf[:]); err != nil {
+			if err := c.qp.Read(p, c.slots, cuckoo.SlotOffset(idx), slotBuf); err != nil {
 				return 0, false, err
 			}
 			c.Stats.SlotReads++
-			e, ok, err := cuckoo.DecodeSlot(slotBuf[:])
+			e, ok, err := cuckoo.DecodeSlot(slotBuf)
 			if err != nil {
 				// Torn slot: it is being rewritten right now — could be our
 				// key, so the whole probe must restart.

@@ -22,7 +22,11 @@ package rnic
 // client in Wait on its own queue is woken directly, with no one pumping the
 // shared CQ.
 
-import "errors"
+import (
+	"errors"
+
+	"rfp/internal/sim"
+)
 
 // Tag-field geometry: WR-ID bits [TagShift, TagShift+TagBits) carry the
 // lease tag.
@@ -42,7 +46,7 @@ var ErrTagSpace = errors.New("rnic: endpoint tag space exhausted")
 type tagTable struct {
 	limit  int // test hook; 0 means MaxTags
 	leases []*EndpointLease
-	free   []uint16
+	free   sim.Ring[uint16] // released tags, oldest first
 }
 
 // SetTagLimit lowers the NIC's tag space (tests exercise exhaustion without
@@ -62,9 +66,8 @@ func (t *tagTable) take(l *EndpointLease) bool {
 	case len(t.leases) < limit:
 		l.tag = uint16(len(t.leases))
 		t.leases = append(t.leases, l)
-	case len(t.free) > 0:
-		l.tag = t.free[0]
-		t.free = t.free[1:]
+	case t.free.Len() > 0:
+		l.tag = t.free.Pop()
 		t.leases[l.tag] = l
 	default:
 		return false
@@ -245,7 +248,7 @@ func (l *EndpointLease) Release() {
 	l.released = true
 	t := &l.ep.peer.tags
 	t.leases[l.tag] = nil
-	t.free = append(t.free, l.tag)
+	t.free.Push(l.tag)
 	l.ep.leases--
 	l.ep.site.leases--
 	if l.ep.leases == 0 && len(l.ep.site.shared) == 0 {

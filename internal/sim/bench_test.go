@@ -72,6 +72,7 @@ func BenchmarkResourceUse(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run(Time(int64(b.N) * 5))
 }
@@ -92,6 +93,7 @@ func BenchmarkQueuePingPong(b *testing.B) {
 			p.Sleep(10)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run(Time(int64(b.N) * 10))
 }

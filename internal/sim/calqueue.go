@@ -50,6 +50,9 @@ func (q *calQueue) push(ev event) {
 			// Insert into the active bucket in order, at or after the
 			// drain cursor. Events land here with t >= now and a fresh
 			// (maximal) seq, so the scan is almost always length zero.
+			if len(q.act) == cap(q.act) && q.ai > len(q.act)/2 {
+				q.reclaimAct()
+			}
 			q.act = append(q.act, ev)
 			i := len(q.act) - 1
 			for i > q.ai && evLess(ev, q.act[i-1]) {
@@ -74,6 +77,22 @@ func (q *calQueue) push(ev event) {
 		return
 	}
 	q.far.push(ev)
+}
+
+// reclaimAct moves the active bucket's unretired events to the front of its
+// array. A peek (sleepFast, the window loop) activates the next non-empty
+// bucket while the clock is still short of it, and every event scheduled
+// until the clock catches up is inserted into that bucket and retired from
+// it: without this its array would grow to the number of events retired in
+// the gap, not the number pending at once. Called only when the array is
+// full and more than half retired, so the copy is amortized over the pushes
+// that refill it.
+//
+//rfp:hotpath
+func (q *calQueue) reclaimAct() {
+	n := copy(q.act, q.act[q.ai:])
+	clear(q.act[n:])
+	q.act, q.ai = q.act[:n], 0
 }
 
 // ready advances the calendar until the next event in (t, seq) order sits at

@@ -77,11 +77,56 @@ func TestRunAllSelfReschedulingFnEvents(t *testing.T) {
 	}
 }
 
+// TestActiveBucketReclaimsRetiredPrefix: a peek activates the next non-empty
+// bucket while the clock is still short of it, and until the clock catches up
+// every event is inserted into — and retired from — that one bucket. Its array
+// must stay the size of what is pending at once (here four events), not grow
+// to the number retired in the gap, and (t, seq) order must survive the moves.
+func TestActiveBucketReclaimsRetiredPrefix(t *testing.T) {
+	var q calQueue
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		q.push(event{t: at, seq: seq})
+	}
+	const far = Time(10_000)
+	push(far)
+	if at, ok := q.peek(); !ok || at != far {
+		t.Fatalf("peek = %v, %v, want %v", at, ok, far)
+	}
+	for at := Time(0); at < 3; at++ {
+		push(at)
+	}
+	for now := Time(0); now < far; now++ {
+		ev, ok := q.pop(far)
+		if !ok || ev.t != now {
+			t.Fatalf("pop = %v, %v, want the event at %v", ev.t, ok, now)
+		}
+		if now+3 < far {
+			push(now + 3)
+		}
+	}
+	if ev, ok := q.pop(far); !ok || ev.t != far || ev.seq != 1 {
+		t.Fatalf("last pop = %+v, %v, want the far event", ev, ok)
+	}
+	if !q.empty() {
+		t.Fatal("queue not empty after the far event")
+	}
+	if c := cap(q.buckets[int64(far)>>cqBucketBits&cqMask]); c > 16 {
+		t.Fatalf("bucket array holds %d events after retiring %d with 4 pending at once", c, far)
+	}
+}
+
 // TestSteadyStateSchedulingAllocFree pins the tentpole property: once the
-// calendar queue's buckets are warm, retiring timer (fn) events and
-// process sleeps allocates nothing — including two procs in Sleep lockstep,
-// where every Sleep is a real coroutine switch out and another back in, and
-// a SleepEvery napper whose ticks the driver takes.
+// calendar queue's buckets and the FIFO rings are warm, retiring timer (fn)
+// events, process sleeps, queue hand-offs and resource grants allocates
+// nothing — including two procs in Sleep lockstep, where every Sleep is a real
+// coroutine switch out and another back in, a SleepEvery napper whose ticks
+// the driver takes, and every Queue and Resource path (goSyncTraffic). Every
+// ring's capacity after ten times the warm-up window must equal its capacity
+// after the window: a FIFO that only reclaims its consumed prefix when it
+// drains passes a short run and fails this, because the contended resource's
+// waiter list never drains.
 func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Close()
@@ -101,12 +146,105 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 			p.SleepEvery(3, done)
 		}
 	})
-	e.Run(Time(100_000)) // warm buckets and goroutine stacks
+	ringCaps := goSyncTraffic(e)
+	const window = 100_000
+	e.Run(Time(window)) // warm buckets, rings and goroutine stacks
+	warm := ringCaps()
 	allocs := testing.AllocsPerRun(20, func() {
-		e.Run(e.Now().Add(50_000))
+		e.Run(e.Now().Add(window / 2))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Run allocates %.1f objects per 50us window, want 0", allocs)
+	}
+	if e.Now() < Time(10*window) {
+		t.Fatalf("ran to %v, want at least 10x the %dns warm-up window", e.Now(), window)
+	}
+	for i, c := range ringCaps() {
+		if c != warm[i] {
+			t.Fatalf("ring %d: capacity %d after the warm-up window, %d after 10x: a FIFO is not reclaiming its consumed prefix",
+				i, warm[i], c)
+		}
+	}
+}
+
+// goSyncTraffic starts steady traffic over every path of sync.go: a Queue
+// ping-pong pair (Put waking the one parked getter), a burst Put into four
+// parked getters (three direct wake-ups and the one Get propagates), a TryGet
+// consumer fed from scheduler context, and a capacity-1 Resource contended by
+// three Use processes and two TimedUse timers, whose waiter list therefore
+// never reaches empty. The returned function reads every ring's capacity.
+func goSyncTraffic(e *Env) (ringCaps func() []int) {
+	ping, pong := NewQueue[int](e), NewQueue[int](e)
+	e.Go("ping", func(p *Proc) {
+		for v := 0; ; v++ {
+			ping.Put(v)
+			pong.Get(p)
+			p.Sleep(20)
+		}
+	})
+	e.Go("pong", func(p *Proc) {
+		for {
+			pong.Put(ping.Get(p))
+		}
+	})
+
+	burst := NewQueue[int](e)
+	for i := 0; i < 4; i++ {
+		e.Go("getter", func(p *Proc) {
+			for {
+				burst.Get(p)
+				p.Sleep(10)
+			}
+		})
+	}
+	e.Go("burster", func(p *Proc) {
+		for {
+			p.Sleep(110)
+			for i := 0; i < 3; i++ {
+				burst.Put(i)
+			}
+		}
+	})
+
+	polled := NewQueue[int](e)
+	var feed func()
+	feed = func() {
+		polled.Put(1)
+		e.After(30, feed)
+	}
+	e.After(30, feed)
+	e.Go("poller", func(p *Proc) {
+		for {
+			p.Sleep(100)
+			for ok := true; ok; {
+				_, ok = polled.TryGet()
+			}
+		}
+	})
+
+	r := NewResource(e, 1)
+	for i := 0; i < 3; i++ {
+		e.Go("user", func(p *Proc) {
+			for {
+				r.Use(p, 50)
+			}
+		})
+	}
+	timers := make([]TimedUse, 2)
+	for i := range timers {
+		tu := &timers[i]
+		tu.Bind()
+		var again func()
+		again = func() { tu.Start(r, 50, again) }
+		e.After(1, again)
+	}
+
+	return func() []int {
+		caps := []int{r.waiters.Cap()}
+		for _, q := range []*Queue[int]{ping, pong, burst, polled} {
+			caps = append(caps, q.items.Cap(), q.waiters.Cap())
+		}
+		return caps
 	}
 }
 

@@ -10,6 +10,10 @@ package sim
 // (woken by scheduling a fn event). Both wake forms cost exactly one
 // event, so mixing callback-based initiators with process-based ones on
 // the same resource preserves the event sequence either way.
+//
+// Every FIFO here — a queue's items, its parked getters, a resource's
+// waiters — is a Ring (ring.go), so a hand-off allocates nothing once the
+// ring has grown to the deepest backlog it has held.
 
 // waiter is one FIFO entry: a parked process or a pending continuation.
 type waiter struct {
@@ -25,7 +29,7 @@ type Resource struct {
 	l       *lane
 	cap     int
 	inUse   int
-	waiters []waiter
+	waiters Ring[waiter]
 
 	// Busy accumulates total holder-occupancy time, for utilization
 	// accounting: utilization = Busy / (cap * elapsed).
@@ -55,7 +59,7 @@ func NewResourceOn(sh *Shard, capacity int) *Resource {
 // right after machine construction, before any use; rebinding a resource
 // with waiters or held slots would corrupt accounting and panics.
 func (r *Resource) SetShard(sh *Shard) {
-	if r.inUse != 0 || len(r.waiters) != 0 {
+	if r.inUse != 0 || r.waiters.Len() != 0 {
 		panic("sim: SetShard on a resource in use")
 	}
 	r.l = sh.l
@@ -68,13 +72,15 @@ func (r *Resource) account() {
 }
 
 // Acquire blocks p until a capacity slot is free, then takes it.
+//
+//rfp:hotpath
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.Len() == 0 {
 		r.account()
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, waiter{p: p.p})
+	r.waiters.Push(waiter{p: p.p})
 	p.park()
 	// Slot was transferred to us by Release before we were woken.
 }
@@ -89,10 +95,8 @@ func (r *Resource) Release() {
 	if r.inUse < 0 {
 		panicReleaseUnderflow()
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters[0] = waiter{}
-		r.waiters = r.waiters[1:]
+	if r.waiters.Len() > 0 {
+		w := r.waiters.Pop()
 		r.inUse++ // transfer the slot to the woken waiter
 		r.l.schedule(r.l.now, w.p, w.fn)
 	}
@@ -140,13 +144,13 @@ func (t *TimedUse) Start(r *Resource, d Duration, done func()) {
 		panicUnboundTimedUse()
 	}
 	t.r, t.d, t.done = r, d, done
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.Len() == 0 {
 		r.account()
 		r.inUse++
 		r.l.schedule(r.l.now.Add(d), nil, t.expire)
 		return
 	}
-	r.waiters = append(r.waiters, waiter{fn: t.grant})
+	r.waiters.Push(waiter{fn: t.grant})
 }
 
 //rfp:hotpath
@@ -172,8 +176,8 @@ func panicUnboundTimedUse() { panic("sim: TimedUse.Start before Bind") }
 // order and waiters are served in FIFO order.
 type Queue[T any] struct {
 	l       *lane
-	items   []T
-	waiters []*proc
+	items   Ring[T]
+	waiters Ring[*proc]
 }
 
 // NewQueue returns an empty queue bound to e's default lane.
@@ -183,37 +187,32 @@ func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{l: e.def} }
 func NewQueueOn[T any](sh *Shard) *Queue[T] { return &Queue[T]{l: sh.l} }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Put appends v and wakes one waiter if any. It may be called from process
 // or scheduler context.
 //
 //rfp:hotpath
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.l.schedule(q.l.now, w, nil)
+	q.items.Push(v)
+	if q.waiters.Len() > 0 {
+		q.l.schedule(q.l.now, q.waiters.Pop(), nil)
 	}
 }
 
 // Get removes and returns the oldest item, parking p until one exists.
+//
+//rfp:hotpath
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p.p)
+	for q.items.Len() == 0 {
+		q.waiters.Push(p.p)
 		p.park()
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.Pop()
 	// If items remain and more waiters exist, propagate the wakeup so a
 	// multi-item Put burst wakes enough getters.
-	if len(q.items) > 0 && len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.l.schedule(q.l.now, w, nil)
+	if q.items.Len() > 0 && q.waiters.Len() > 0 {
+		q.l.schedule(q.l.now, q.waiters.Pop(), nil)
 	}
 	return v
 }
@@ -222,12 +221,9 @@ func (q *Queue[T]) Get(p *Proc) T {
 //
 //rfp:hotpath
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
