@@ -35,19 +35,18 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		all      = flag.Bool("all", false, "run every experiment")
-		quick    = flag.Bool("quick", false, "reduced sweep point sets")
-		chart    = flag.Bool("chart", false, "render an ASCII chart under each series table")
-		asJSON   = flag.Bool("json", false, "emit one JSON document per experiment instead of text")
-		stable   = flag.Bool("stable", false, "zero the wall-time field so -json output is diffable across runs")
-		telem    = flag.Bool("telemetry", false, "record per-call telemetry (latency percentiles, round-trips/call, tuner decisions)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		window   = flag.Duration("window", 1600*time.Microsecond, "virtual measurement window per point")
-		warmup   = flag.Duration("warmup", 800*time.Microsecond, "virtual warmup per point")
-		parallel = flag.Int("parallel", 0, "shard the simulation by machine and run windows on N workers (0 = serial kernel; supported by ext-scaleout and ext-chaos)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		all     = flag.Bool("all", false, "run every experiment")
+		quick   = flag.Bool("quick", false, "reduced sweep point sets")
+		chart   = flag.Bool("chart", false, "render an ASCII chart under each series table")
+		asJSON  = flag.Bool("json", false, "emit one JSON document per experiment instead of text")
+		stable  = flag.Bool("stable", false, "zero the wall-time field so -json output is diffable across runs")
+		telem   = flag.Bool("telemetry", false, "record per-call telemetry (latency percentiles, round-trips/call, tuner decisions)")
+		seed    = flag.Int64("seed", 1, "simulation seed")
+		window  = flag.Duration("window", 1600*time.Microsecond, "virtual measurement window per point")
+		warmup  = flag.Duration("warmup", 800*time.Microsecond, "virtual warmup per point")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
 	flag.Parse()
 
@@ -104,7 +103,6 @@ func main() {
 	o.Telemetry = *telem
 	o.Window = sim.Duration(window.Nanoseconds())
 	o.Warmup = sim.Duration(warmup.Nanoseconds())
-	o.Parallel = *parallel
 
 	enc := json.NewEncoder(os.Stdout)
 	for _, id := range ids {

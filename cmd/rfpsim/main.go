@@ -9,13 +9,11 @@
 //	rfpsim -scenario flash-crowd -backend memckv
 //	rfpsim -scenario flash-crowd -backend all
 //	rfpsim -all                          # full matrix: every scenario x declared backend
-//	rfpsim -scenario rolling-restart -seed 7 -parallel 4
+//	rfpsim -scenario rolling-restart -seed 7
 //	rfpsim -scenario flash-crowd -json -stable   # byte-stable JSON (BENCH convention)
 //
 // The exit status is 0 only if every evaluated invariant (including the
-// same-seed replay check) passed. -parallel runs on the sharded kernel;
-// scenarios with crash plans fall back to the serial kernel, which is the
-// only one that can order machine-global failures.
+// same-seed replay check) passed.
 package main
 
 import (
@@ -38,14 +36,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rfpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list     = fs.Bool("list", false, "list registered scenarios and exit")
-		all      = fs.Bool("all", false, "run every scenario on every declared backend")
-		name     = fs.String("scenario", "", "scenario to run (see -list)")
-		backend  = fs.String("backend", "", "backend to run on: one name, or 'all' for every declared backend (default: the scenario's primary backend)")
-		seed     = fs.Int64("seed", 1, "master seed; workload, faults and jitter all derive from it")
-		parallel = fs.Int("parallel", 0, "run on the sharded kernel with N workers (0 = serial kernel)")
-		asJSON   = fs.Bool("json", false, "emit one JSON document per run instead of text")
-		stable   = fs.Bool("stable", false, "zero the wall-time field so -json output is diffable across runs")
+		list    = fs.Bool("list", false, "list registered scenarios and exit")
+		all     = fs.Bool("all", false, "run every scenario on every declared backend")
+		name    = fs.String("scenario", "", "scenario to run (see -list)")
+		backend = fs.String("backend", "", "backend to run on: one name, or 'all' for every declared backend (default: the scenario's primary backend)")
+		seed    = fs.Int64("seed", 1, "master seed; workload, faults and jitter all derive from it")
+		asJSON  = fs.Bool("json", false, "emit one JSON document per run instead of text")
+		stable  = fs.Bool("stable", false, "zero the wall-time field so -json output is diffable across runs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, be := range backends {
 			start := time.Now()
-			rep, err := scenario.Verify(sc, be, scenario.Options{Seed: *seed, Parallel: *parallel})
+			rep, err := scenario.Verify(sc, be, scenario.Options{Seed: *seed})
 			if err != nil {
 				fmt.Fprintf(stderr, "rfpsim: %v\n", err)
 				return 1
@@ -108,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 						"scenario harness report (internal/scenario, DESIGN.md §15); rows are the phase-by-phase invariant report",
 					},
 				}
-				o := experiments.Options{Seed: *seed, Parallel: *parallel}
+				o := experiments.Options{Seed: *seed}
 				if err := enc.Encode(experiments.ToJSON(res, o, wall)); err != nil {
 					fmt.Fprintf(stderr, "rfpsim: %v\n", err)
 					return 1

@@ -9,10 +9,9 @@
 // bare channel operation, or a raw `go` statement blocks or escapes the one
 // runnable process and deadlocks (or derandomizes) the whole simulation.
 //
-// internal/sim itself is allowlisted: the window barrier of the sharded
-// kernel is the one place where real goroutines and real blocking are the
-// mechanism rather than a bug. Anywhere else, a deliberate exception needs
-// //rfpvet:allow locksim <reason>.
+// The kernel itself is held to the same rule: it switches into processes
+// as coroutines (iter.Pull) and runs every window on Run's goroutine. A
+// deliberate exception needs //rfpvet:allow locksim <reason>.
 package locksim
 
 import (
@@ -27,12 +26,10 @@ import (
 // (cmd/, examples/) may use real concurrency.
 const simPrefix = "rfp/internal/"
 
-// allowed packages: the scheduler kernel itself, the host-time trace
-// recorder, the telemetry recorder (its mutex guards the decision log
-// against concurrent Snapshot readers, never a sim process against another),
-// and the analysis tooling.
+// allowed packages: the host-time trace recorder, the telemetry recorder
+// (its mutex guards the decision log against concurrent Snapshot readers,
+// never a sim process against another), and the analysis tooling.
 var allowed = []string{
-	"rfp/internal/sim",
 	"rfp/internal/trace",
 	"rfp/internal/telemetry",
 	"rfp/internal/analysis",

@@ -10,6 +10,6 @@ import (
 func TestLocksim(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), locksim.Analyzer,
 		"rfp/internal/fabricx", // sync primitives, channel ops, go statements, suppression
-		"rfp/internal/sim",     // allowlisted: the scheduler kernel blocks by design
+		"rfp/internal/sim",     // the kernel gets no exemption
 	)
 }

@@ -176,13 +176,8 @@ func chaosPipeClient(p *sim.Proc, cli *core.Client, id, calls int, res *chaosCli
 }
 
 // runChaosPlan runs one (plan, clients, calls) cell and renders its row.
-// With o.Parallel > 0, plans that cannot kill a connection run on the
-// sharded kernel; the rest (faults.Plan.NeedsSerial) stay serial.
 func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, results []*chaosClientResult, agg core.ClientStats, inj *faults.Installed) {
 	env := sim.NewEnv(o.Seed)
-	if o.Parallel > 0 && !pl.plan.NeedsSerial() {
-		env.SetSharded(o.Parallel)
-	}
 	defer env.Close()
 	cl := fabric.NewCluster(env, o.Profile, clients)
 	srv := core.NewServer(cl.Server, core.ServerConfig{

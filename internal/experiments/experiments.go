@@ -31,13 +31,6 @@ type Options struct {
 	// default: recording is out of the virtual-time data path, but the extra
 	// result lines would break byte-identity of archived runs.
 	Telemetry bool
-	// Parallel > 0 runs supporting experiments (ext-scaleout, ext-chaos) on
-	// the sharded kernel: one scheduler lane per machine under the
-	// conservative-window barrier, driven by Parallel worker threads.
-	// Parallel == 1 is sharded-serial execution — byte-identical to any
-	// other worker count for the same seed. 0 (the default) keeps the
-	// single-lane serial kernel, whose archived outputs are byte-pinned.
-	Parallel int
 }
 
 // DefaultOptions returns the standard measurement envelope.

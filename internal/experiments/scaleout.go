@@ -59,8 +59,8 @@ func extScaleout(o Options) Result {
 }
 
 // scaleoutEnvHook, when non-nil, observes the environment each runScaleout
-// creates, right after its execution mode is fixed — the cross-kernel
-// equivalence test uses it to enable and read kernel digests.
+// creates before anything is scheduled on it — the pinned-order test uses
+// it to shard the run and to enable and read the kernel digest.
 var scaleoutEnvHook func(*sim.Env)
 
 // runScaleout shards Jakiro across n server machines with one client
@@ -68,13 +68,9 @@ var scaleoutEnvHook func(*sim.Env)
 // topology. Synchronous clients route each call to the owning server and
 // wait it out; pipelined clients keep a window of posted operations spread
 // over every server's rings (internal/shard over core.Group). It returns
-// the run's MOPS and the number of kernel events retired. With o.Parallel
-// > 0 the run executes on the sharded kernel, one lane per machine.
+// the run's MOPS and the number of kernel events retired.
 func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 	env := sim.NewEnv(o.Seed)
-	if o.Parallel > 0 {
-		env.SetSharded(o.Parallel)
-	}
 	if scaleoutEnvHook != nil {
 		scaleoutEnvHook(env)
 	}

@@ -73,16 +73,8 @@ type Plan struct {
 
 // Enabled reports whether the plan injects anything at all.
 func (pl Plan) Enabled() bool {
-	return pl.DropProb > 0 || pl.DelayProb > 0 || pl.CorruptProb > 0 || pl.NeedsSerial()
-}
-
-// NeedsSerial reports whether the plan can kill a connection — a crash, an
-// invalidation or a QP error. Re-establishing a connection reads and swaps
-// server-side state from the client's lane, which the sharded kernel's
-// window barrier cannot order, so such plans run on the serial kernel only
-// (Install enforces it).
-func (pl Plan) NeedsSerial() bool {
-	return pl.QPErrorProb > 0 || len(pl.Crashes) > 0 || len(pl.Invalidations) > 0
+	return pl.DropProb > 0 || pl.DelayProb > 0 || pl.CorruptProb > 0 || pl.QPErrorProb > 0 ||
+		len(pl.Crashes) > 0 || len(pl.Invalidations) > 0
 }
 
 // Stage is one window of a fault schedule: Plan is in force from Start

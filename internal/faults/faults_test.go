@@ -148,29 +148,22 @@ func TestInstallCrashWindow(t *testing.T) {
 	}
 }
 
-// TestEnabledZeroPlan: the zero plan injects nothing.
+// TestEnabledZeroPlan: the zero plan injects nothing, and each kind of
+// fault on its own enables a plan.
 func TestEnabledZeroPlan(t *testing.T) {
 	if (Plan{}).Enabled() {
 		t.Fatalf("zero plan reports Enabled")
 	}
-	if !(Plan{DropProb: 0.1}).Enabled() || !(Plan{Crashes: []Window{{}}}).Enabled() {
-		t.Fatalf("nonzero plans report disabled")
-	}
-}
-
-// TestNeedsSerial: exactly the faults that can kill a connection — crash
-// windows, invalidations, QP errors — force the serial kernel.
-func TestNeedsSerial(t *testing.T) {
-	if (Plan{DropProb: 1, DelayProb: 1, CorruptProb: 1}).NeedsSerial() {
-		t.Fatal("drop/delay/corrupt plan reports NeedsSerial")
-	}
 	for _, pl := range []Plan{
-		{QPErrorProb: 0.001},
-		{Crashes: []Window{{Machine: "server"}}},
-		{Invalidations: []Invalidation{{Machine: "server"}}},
+		{DropProb: 0.1},
+		{DelayProb: 0.1},
+		{CorruptProb: 0.1},
+		{QPErrorProb: 0.1},
+		{Crashes: []Window{{}}},
+		{Invalidations: []Invalidation{{}}},
 	} {
-		if !pl.NeedsSerial() {
-			t.Fatalf("plan %+v can kill a connection but does not report NeedsSerial", pl)
+		if !pl.Enabled() {
+			t.Fatalf("plan %+v reports disabled", pl)
 		}
 	}
 }

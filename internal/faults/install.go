@@ -1,10 +1,8 @@
 package faults
 
 // Installing a fault schedule: one Injector per machine, each drawing its
-// own PRNG stream on its machine's scheduler lane. A shared injector could
-// not serve the sharded kernel — its PRNG would be drawn from many lanes
-// concurrently — and the serial kernel is simply the one-lane case of the
-// same split, so a schedule's trace is the same shape on both.
+// own PRNG stream, so a machine's fault trace does not depend on how its
+// draws interleave with other machines'.
 
 import (
 	"fmt"
@@ -27,13 +25,13 @@ type Installed struct {
 // seeded from seed and the machine name — and schedules each stage's crash
 // windows and invalidations on the victim machine's own lane at their
 // absolute times (stage start + declared offset). Machines named by any
-// stage's plan must be among those passed in. A schedule that can kill a
-// connection (Plan.NeedsSerial) is rejected on a sharded environment.
+// stage's plan must be among those passed in. Schedules run on the serial
+// kernel only: a crash zeroes memory another lane may be reading
+// mid-window, and a reconnect swaps server-side state from the client's
+// lane, which the sharded kernel's window barrier cannot order.
 func Install(seed int64, stages []Stage, machines ...*fabric.Machine) *Installed {
-	for _, st := range stages {
-		if st.Plan.NeedsSerial() && len(machines) > 0 && machines[0].Env().Sharded() {
-			panic("faults: crash windows, invalidations and QP errors kill connections, which the sharded kernel cannot order; run this schedule on a serial environment")
-		}
+	if len(machines) > 0 && machines[0].Env().Sharded() {
+		panic("faults: fault schedules run on the serial kernel; this environment is sharded")
 	}
 	inst := &Installed{per: make(map[string]*Injector, len(machines))}
 	byName := make(map[string]*fabric.Machine, len(machines))

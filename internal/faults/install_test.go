@@ -119,20 +119,16 @@ func TestInstallScheduleUnknownMachine(t *testing.T) {
 }
 
 // TestInstallDigestFold: Install splits the schedule into per-machine
-// streams and folds their traces, tallies and digests in sorted-name
-// order — on either kernel.
+// streams and folds their traces, tallies and digests in sorted-name order.
 func TestInstallDigestFold(t *testing.T) {
 	stages := []Stage{
 		{Start: 0, Plan: Plan{DropProb: 0.2}},
 		{Start: 5_000, Plan: Plan{DelayProb: 0.2}},
 	}
 	ops := opSequence(3000, 11)
-	run := func(sharded bool) *Installed {
+	run := func() *Installed {
 		env := sim.NewEnv(1)
 		defer env.Close()
-		if sharded {
-			env.SetSharded(2)
-		}
 		// Passed out of name order: the fold must sort.
 		b := fabric.NewMachine(env, "beta", hw.ConnectX3())
 		a := fabric.NewMachine(env, "alpha", hw.ConnectX3())
@@ -144,12 +140,9 @@ func TestInstallDigestFold(t *testing.T) {
 		}
 		return inst
 	}
-	i1, i2, ish := run(false), run(false), run(true)
+	i1, i2 := run(), run()
 	if i1.Digest() != i2.Digest() || i1.TraceString() != i2.TraceString() {
 		t.Fatal("same-seed installs produced different folded traces")
-	}
-	if i1.Digest() != ish.Digest() {
-		t.Fatal("serial and sharded installs split the streams differently")
 	}
 	alpha, beta := i1.per["alpha"], i1.per["beta"]
 	if alpha.Digest() == beta.Digest() {
@@ -170,10 +163,11 @@ func TestInstallDigestFold(t *testing.T) {
 	}
 }
 
-// TestInstallRejectsConnectionKillersOnShardedEnv: a schedule that can
-// kill a connection must not be installed on the sharded kernel.
-func TestInstallRejectsConnectionKillersOnShardedEnv(t *testing.T) {
+// TestInstallRejectsShardedEnv: no fault schedule, connection-killing or
+// not, is installed on the sharded kernel.
+func TestInstallRejectsShardedEnv(t *testing.T) {
 	for _, pl := range []Plan{
+		{DropProb: 0.1, DelayProb: 0.1, CorruptProb: 0.1},
 		{Crashes: []Window{{Machine: "server", Start: 0, End: 10}}},
 		{Invalidations: []Invalidation{{Machine: "server", At: 5}}},
 		{QPErrorProb: 0.01},
@@ -181,7 +175,7 @@ func TestInstallRejectsConnectionKillersOnShardedEnv(t *testing.T) {
 		func() {
 			env := sim.NewEnv(1)
 			defer env.Close()
-			env.SetSharded(2)
+			env.SetSharded(1)
 			m := fabric.NewMachine(env, "server", hw.ConnectX3())
 			defer func() {
 				if recover() == nil {

@@ -42,50 +42,39 @@ func faultFreeReplica() Scenario {
 }
 
 // TestFaultFreeRunsLinearizable is the property test: every fault-free
-// seeded run of the replicated backends certifies linearizable, on the
-// serial and the sharded kernel, and re-running the same configuration
-// reproduces the exact verdict line (same ops, partitions and search node
-// count — the checker is deterministic in the history).
+// seeded run of the replicated backends certifies linearizable, and
+// re-running the same configuration reproduces the exact verdict line (same
+// ops, partitions and search node count — the checker is deterministic in
+// the history).
 func TestFaultFreeRunsLinearizable(t *testing.T) {
 	sc := faultFreeReplica()
 	for _, be := range sc.Backends {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, par := range []int{0, 4} {
-				opt := Options{Seed: seed, Parallel: par}
-				rep, err := Run(sc, be, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantMode := "serial"
-				if par > 0 {
-					wantMode = "sharded"
-				}
-				if rep.Mode != wantMode {
-					t.Fatalf("%s seed %d par %d: mode %q, want %q", be, seed, par, rep.Mode, wantMode)
-				}
-				if rep.Linz == nil {
-					t.Fatalf("%s seed %d par %d: no linearizability verdict", be, seed, par)
-				}
-				if !rep.Linz.OK || !rep.OK() {
-					t.Fatalf("%s seed %d par %d failed:\n%s", be, seed, par, rep.Render())
-				}
-				again, err := Run(sc, be, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again.Linz == nil || again.Linz.Detail != rep.Linz.Detail {
-					t.Fatalf("%s seed %d par %d: verdict not deterministic:\n%s\nvs\n%s",
-						be, seed, par, rep.Linz.Detail, again.Linz.Detail)
-				}
+			opt := Options{Seed: seed}
+			rep, err := Run(sc, be, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Linz == nil {
+				t.Fatalf("%s seed %d: no linearizability verdict", be, seed)
+			}
+			if !rep.Linz.OK || !rep.OK() {
+				t.Fatalf("%s seed %d failed:\n%s", be, seed, rep.Render())
+			}
+			again, err := Run(sc, be, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Linz == nil || again.Linz.Detail != rep.Linz.Detail {
+				t.Fatalf("%s seed %d: verdict not deterministic:\n%s\nvs\n%s",
+					be, seed, rep.Linz.Detail, again.Linz.Detail)
 			}
 		}
 	}
 }
 
 // TestChaosHistoriesCertified certifies the seeded failover chaos runs:
-// every (backend, seed) pair of replica-failover passes the checker, on the
-// serial kernel and under -parallel 4 (which falls back to serial for crash
-// plans — the fallback itself is part of the pinned contract).
+// every (backend, seed) pair of replica-failover passes the checker.
 func TestChaosHistoriesCertified(t *testing.T) {
 	sc, ok := Get("replica-failover")
 	if !ok {
@@ -93,25 +82,18 @@ func TestChaosHistoriesCertified(t *testing.T) {
 	}
 	for _, be := range sc.Backends {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, par := range []int{0, 4} {
-				rep, err := Run(sc, be, Options{Seed: seed, Parallel: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Mode != "serial" {
-					t.Fatalf("%s seed %d par %d: mode %q (crash plans must fall back to serial)",
-						be, seed, par, rep.Mode)
-				}
-				if rep.Linz == nil || !rep.Linz.OK {
-					t.Fatalf("%s seed %d par %d: history not certified:\n%s",
-						be, seed, par, rep.Render())
-				}
-				if !rep.OK() {
-					t.Fatalf("%s seed %d par %d failed:\n%s", be, seed, par, rep.Render())
-				}
-				if rep.FaultEvents == 0 {
-					t.Fatalf("%s seed %d par %d: no fault events — the crash never happened", be, seed, par)
-				}
+			rep, err := Run(sc, be, Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Linz == nil || !rep.Linz.OK {
+				t.Fatalf("%s seed %d: history not certified:\n%s", be, seed, rep.Render())
+			}
+			if !rep.OK() {
+				t.Fatalf("%s seed %d failed:\n%s", be, seed, rep.Render())
+			}
+			if rep.FaultEvents == 0 {
+				t.Fatalf("%s seed %d: no fault events — the crash never happened", be, seed)
 			}
 		}
 	}

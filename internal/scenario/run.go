@@ -10,15 +10,9 @@ package scenario
 //     grace loop below), so ops that overshoot a phase boundary are never
 //     racily split between phases.
 //   - Telemetry and recovery-stat deltas are sampled at phase boundaries,
-//     between Run calls — the kernel (serial or sharded) has quiesced every
-//     lane there, so the reads are ordered after all window writes.
-//   - The report renders only order-independent quantities (atomic counter
-//     sums, single-writer per-thread histograms, the fault-trace digest),
-//     and Mode renders as "serial"/"sharded" without the worker count, so
-//     a sharded run replays byte-identically for ANY worker count. A
-//     serial run and a sharded run are each self-consistent but differ
-//     from each other: sharding re-homes the per-machine jitter streams
-//     (DESIGN.md §14), which legitimately shifts op timing.
+//     between Run calls, when the kernel has quiesced.
+//   - The report renders only order-independent quantities (counter sums,
+//     single-writer per-thread histograms, the fault-trace digest).
 
 import (
 	"bytes"
@@ -37,16 +31,11 @@ import (
 	"rfp/internal/workload"
 )
 
-// Options selects the execution mode of one scenario run.
+// Options configures one scenario run.
 type Options struct {
 	// Seed is the master seed; 0 means 1. Everything — workload streams,
 	// fault draws, server jitter — derives from it.
 	Seed int64
-	// Parallel > 0 runs on the sharded kernel with that many workers.
-	// Scenarios whose fault plans can kill a connection (crash windows,
-	// invalidations, QP errors) fall back to the serial kernel (the
-	// sharded kernel cannot order a reconnect; DESIGN.md §14).
-	Parallel int
 }
 
 // PhaseReport is one phase's observations plus its evaluated invariants.
@@ -59,7 +48,6 @@ type PhaseReport struct {
 type Report struct {
 	Scenario string
 	Backend  string
-	Mode     string // "serial" or "sharded"
 	Seed     int64
 	Phases   []PhaseReport
 
@@ -112,7 +100,8 @@ func (r *Report) Digest() uint64 {
 }
 
 func (r *Report) render(b *strings.Builder, withReplay bool) {
-	fmt.Fprintf(b, "scenario %s [%s] seed=%d mode=%s\n", r.Scenario, r.Backend, r.Seed, r.Mode)
+	// Scenarios always run on the serial kernel; archived reports carry its name.
+	fmt.Fprintf(b, "scenario %s [%s] seed=%d mode=serial\n", r.Scenario, r.Backend, r.Seed)
 	for i := range r.Phases {
 		ph := &r.Phases[i]
 		o := &ph.Obs
@@ -196,13 +185,9 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 		seed = 1
 	}
 	topo := sc.Topology.withDefaults()
-	sharded := opt.Parallel > 0 && !sc.needsSerial()
 
 	env := sim.NewEnv(seed)
 	defer env.Close()
-	if sharded {
-		env.SetSharded(opt.Parallel)
-	}
 
 	// Topology: server machines, then client machines (one straggler if
 	// declared).
@@ -359,12 +344,8 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	rep := &Report{
 		Scenario: sc.Name,
 		Backend:  backendName,
-		Mode:     "serial",
 		Seed:     seed,
 		Phases:   make([]PhaseReport, len(phases)),
-	}
-	if sharded {
-		rep.Mode = "sharded"
 	}
 	for pi := range phases {
 		o := PhaseObs{

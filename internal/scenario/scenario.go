@@ -2,11 +2,11 @@
 // (extension, DESIGN.md §15): named, self-checking system scenarios
 // declared as data — a topology, a sequence of workload phases, a
 // per-phase fault plan and a set of backends — executed on the simulation
-// kernel (serial or sharded-parallel) with invariant assertions evaluated
-// from per-phase telemetry deltas, driver accounting and fault-trace
-// digests. The whole matrix runs as plain `go test ./internal/scenario/...`
-// with no external setup; cmd/rfpsim runs one scenario standalone with a
-// phase-by-phase invariant report.
+// kernel with invariant assertions evaluated from per-phase telemetry
+// deltas, driver accounting and fault-trace digests. The whole matrix runs
+// as plain `go test ./internal/scenario/...` with no external setup;
+// cmd/rfpsim runs one scenario standalone with a phase-by-phase invariant
+// report.
 package scenario
 
 import (
@@ -174,17 +174,6 @@ func (sc Scenario) validate() error {
 		}
 	}
 	return nil
-}
-
-// needsSerial reports whether any phase's plan can kill a connection
-// (faults.Plan.NeedsSerial), forcing the run onto the serial kernel.
-func (sc Scenario) needsSerial() bool {
-	for _, ph := range sc.Phases {
-		if ph.Faults.NeedsSerial() {
-			return true
-		}
-	}
-	return false
 }
 
 // hasFaults reports whether any phase injects anything.

@@ -2,9 +2,7 @@ package scenario
 
 // Registry and end-to-end matrix tests: every seed scenario runs on every
 // declared backend as a plain `go test`, with the same-seed replay
-// invariant evaluated (Verify runs each pair twice), plus the determinism
-// regression across kernel modes: parallel-1 and parallel-4 sharded runs
-// must render byte-identical reports and trace digests.
+// invariant evaluated (Verify runs each pair twice).
 
 import (
 	"sort"
@@ -115,9 +113,6 @@ func TestMatrixSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Mode != "serial" {
-					t.Fatalf("mode = %q, want serial", rep.Mode)
-				}
 				if rep.Replay == nil {
 					t.Fatal("Verify did not evaluate the replay invariant")
 				}
@@ -126,45 +121,6 @@ func TestMatrixSerial(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDeterminismParallel pins the sharded-kernel contract: the report and
-// trace digest are byte-identical for any worker count (parallel-1 vs
-// parallel-4), and scenarios with crash windows fall back to the serial
-// kernel in both.
-func TestDeterminismParallel(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sc, _ := Get(name)
-			be := sc.Backends[0]
-			r1, err := Run(sc, be, Options{Seed: 1, Parallel: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4, err := Run(sc, be, Options{Seed: 1, Parallel: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantMode := "sharded"
-			if sc.needsSerial() {
-				wantMode = "serial"
-			}
-			if r1.Mode != wantMode || r4.Mode != wantMode {
-				t.Fatalf("modes = %q/%q, want %q", r1.Mode, r4.Mode, wantMode)
-			}
-			if r1.Render() != r4.Render() {
-				t.Fatalf("parallel-1 and parallel-4 reports differ:\n--- p1 ---\n%s--- p4 ---\n%s",
-					r1.Render(), r4.Render())
-			}
-			if r1.Digest() != r4.Digest() {
-				t.Fatalf("digests differ: %016x vs %016x", r1.Digest(), r4.Digest())
-			}
-			if !r1.OK() {
-				t.Fatalf("sharded run failed:\n%s", r1.Render())
-			}
-		})
 	}
 }
 

@@ -121,7 +121,6 @@ func init() {
 	// keep issuing (store data survives a restart; registrations do not).
 	// The recovery path must absorb the outage — bounded terminal failures
 	// during the window, full throughput and zero failures after it.
-	// Crash windows force the serial kernel (-parallel falls back).
 	Register(Scenario{
 		Name: "rolling-restart",
 		Desc: "server crash + restart under load; clients must reconnect and recover",
@@ -216,8 +215,7 @@ func init() {
 	// mid-run. A follower must wait out the lease, win the epoch election
 	// and take over writes while follower local reads keep serving; the
 	// recorded operation history must certify linearizable across the
-	// crash, the election and the old leader's rejoin. Crash windows force
-	// the serial kernel (-parallel falls back).
+	// crash, the election and the old leader's rejoin.
 	Register(Scenario{
 		Name: "replica-failover",
 		Desc: "leader crash in a 3-node quorum group; election + rejoin under a linearizability check",

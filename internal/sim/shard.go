@@ -1,19 +1,21 @@
 package sim
 
 // Sharded simulation: an opt-in mode that partitions the event queue into
-// one lane per machine so independent machines can simulate on real cores.
-// A Shard is the public handle onto a lane. In a default (non-sharded)
-// environment every Shard aliases the single lane, all Shard operations
-// reduce to their Env equivalents, and nothing changes behaviorally — the
-// serial kernel stays the default and its traces stay byte-identical.
+// one lane per machine, so each machine's events retire in a deterministic
+// per-machine order (its own clock, queue and PRNG stream). Lanes are an
+// ordering device, not a route to real cores: every window runs on Run's
+// goroutine. A Shard is the public handle onto a lane. In a default
+// (non-sharded) environment every Shard aliases the single lane, all Shard
+// operations reduce to their Env equivalents, and nothing changes
+// behaviorally — the serial kernel stays the default and its traces stay
+// byte-identical.
 //
-// The contract that makes parallel execution deterministic: within a lane,
-// events run strictly in (time, seq) order; between lanes, every interaction
-// must be separated by at least the environment's lookahead (the minimum
+// The contract that keeps lanes deterministic: within a lane, events run
+// strictly in (time, seq) order; between lanes, every interaction must be
+// separated by at least the environment's lookahead (the minimum
 // cross-machine link latency, observed via ObserveLinkFloor). Cross-lane
-// sends are buffered in the sending lane's outbox and delivered at the next
-// window barrier in (time, sending lane, emission order) — a total order
-// independent of how many OS threads ran the window. See window.go.
+// sends are buffered in the sending lane's outbox and delivered at the end
+// of the window in (time, sending lane, emission order). See window.go.
 
 import "fmt"
 
@@ -25,19 +27,15 @@ type Shard struct {
 }
 
 // SetSharded switches the environment into sharded mode: subsequent NewShard
-// calls create real lanes, and Run drives them under the conservative
-// time-window barrier using the given number of worker threads (1 = serial
-// sharded execution, which is byte-identical to any other worker count).
-// Must be called before any scheduling or shard creation.
+// calls create real lanes, and Run drives them window by window on the
+// calling goroutine. The workers argument is ignored; it remains because
+// the benchmark harness (bench/api.go) still passes a worker count. Must be
+// called before any scheduling or shard creation.
 func (e *Env) SetSharded(workers int) {
 	if e.def.seq > 0 || len(e.lanes) > 1 {
 		panic("sim: SetSharded after scheduling began")
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	e.sharded = true
-	e.workers = workers
 }
 
 // Sharded reports whether the environment is in sharded mode.

@@ -16,8 +16,8 @@
 // identical traces. The default environment has a single lane and behaves
 // exactly like a single global event queue. SetSharded partitions the
 // simulation into one lane per machine and runs lanes under a conservative
-// time-window barrier (see window.go), preserving determinism even when
-// windows execute on multiple OS threads.
+// time-window barrier (see window.go), giving each machine a deterministic
+// order of its own.
 //
 // Because only one event runs at a time within a lane — and cross-lane
 // interactions are separated by at least the link-latency floor — simulated
@@ -98,9 +98,8 @@ type proc struct {
 // lane is one shard of the scheduler: a virtual clock, a pending-event
 // queue, a sequence counter and the processes homed to it. A default
 // environment has exactly one lane; a sharded environment has one per
-// machine. Everything inside a lane is single-threaded — during a parallel
-// window each lane is driven by exactly one worker, and cross-lane effects
-// ride the window barrier (window.go).
+// machine. Everything inside a lane is single-threaded, and cross-lane
+// effects ride the window barrier (window.go).
 type lane struct {
 	env     *Env
 	id      int
@@ -129,14 +128,12 @@ type crossEvent struct {
 // Env is a simulation environment: a virtual clock plus the event scheduler.
 // All processes, resources and events belong to exactly one Env. Env is not
 // safe for concurrent use from multiple OS threads; everything happens on
-// the goroutine calling Run and on the process coroutines it switches into
-// (in sharded mode, on the window workers — see window.go).
+// the goroutine calling Run and on the process coroutines it switches into.
 type Env struct {
 	lanes     []*lane
 	def       *lane // lanes[0]; the only lane unless sharded
 	seed      int64
 	sharded   bool
-	workers   int
 	lookahead Duration // conservative window width; min cross-lane latency
 	xbuf      []crossEvent
 	now       Time
@@ -156,8 +153,8 @@ func (e *Env) newLane(name string) *lane {
 	id := len(e.lanes)
 	seed := e.seed
 	if id > 0 {
-		// Derived lanes get their own deterministic stream so same-seed
-		// sharded runs replay byte-identically regardless of worker count.
+		// Derived lanes get their own deterministic stream, so a
+		// machine's draws do not depend on any other lane's.
 		seed = e.seed*1_000_003 + int64(id)
 	}
 	l := &lane{
@@ -231,12 +228,8 @@ func (p *Proc) Rand() *rand.Rand { return p.p.lane.rng }
 // the process is homed to the default lane; use Shard.Go for machine-homed
 // processes.
 //
-// fn runs as a coroutine of whichever goroutine drives its lane, so what
-// ends fn abnormally lands on that goroutine: a panic in fn surfaces from
-// Run with the original value, and runtime.Goexit in fn (t.FailNow, t.Fatal)
-// ends the goroutine that called Run. With SetSharded(n > 1) the driver is
-// a window worker, not Run's caller: a panic there crashes the program and
-// a Goexit ends only that worker.
+// A panic in fn always surfaces from Run with the original value, and
+// runtime.Goexit in fn (t.FailNow, t.Fatal) always ends Run's caller.
 func (e *Env) Go(name string, fn func(*Proc)) { e.def.gogo(name, fn) }
 
 func (l *lane) gogo(name string, fn func(*Proc)) {
@@ -504,9 +497,8 @@ func (e *Env) Close() {
 
 // EnableKernelTrace turns on per-lane digesting of retired events: each
 // retired (t, seq) pair is folded into an FNV-1a accumulator. The digest is
-// the kernel's own fingerprint of a run — the cross-kernel equivalence
-// tests compare it between serial and parallel executions. Off by default;
-// the hot loop pays one predictable branch for it.
+// the kernel's own fingerprint of a run, which tests pin to catch any moved
+// event. Off by default; the hot loop pays one predictable branch for it.
 func (e *Env) EnableKernelTrace() {
 	e.hash = true
 	for _, l := range e.lanes {

@@ -423,6 +423,25 @@ func TestRunAfterTimeHorizonResumesWork(t *testing.T) {
 	}
 }
 
+// TestRunIntoThePastKeepsClock: a Run bound behind the clock runs nothing
+// and moves nothing, on either kernel — the clock only moves forward.
+func TestRunIntoThePastKeepsClock(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		e := NewEnv(1)
+		if sharded {
+			e.SetSharded(1)
+			e.NewShard("m")
+			e.ObserveLinkFloor(300)
+		}
+		e.Run(1000)
+		if got := e.Run(500); got != 1000 || e.Now() != 1000 {
+			t.Errorf("sharded=%v: Run(500) after Run(1000) returned %v with Now %v, want 1000 for both",
+				sharded, got, e.Now())
+		}
+		e.Close()
+	}
+}
+
 func TestSleepUntilPast(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Close()

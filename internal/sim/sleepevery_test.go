@@ -4,7 +4,7 @@ package sim
 // the literal Sleep loop and once with SleepEvery must retire the same
 // events — count and (t, seq) digest — and wake every napper after the same
 // number of naps at the same instant, on the serial kernel and on the
-// sharded one at 1 and 4 workers.
+// sharded one.
 
 import (
 	"fmt"
@@ -27,7 +27,6 @@ func napLoop(p *Proc, d Duration, done func() bool) int {
 func napEvery(p *Proc, d Duration, done func() bool) int { return p.SleepEvery(d, done) }
 
 // napLog is one napper's record: naps taken and wake instant of every wait.
-// Each process writes only its own, so lanes on different workers share none.
 type napLog struct{ b strings.Builder }
 
 func (l *napLog) woke(n int, at Time) { fmt.Fprintf(&l.b, " %d@%d", n, int64(at)) }
@@ -155,12 +154,12 @@ func tieCase(flipFirst bool) napCase {
 	}}
 }
 
-// runNapCase runs c with the given form on the given kernel (workers 0: the
-// serial kernel) and renders everything the two forms must agree on.
-func runNapCase(c napCase, workers int, nap napFn) string {
+// runNapCase runs c with the given form on the serial or the sharded kernel
+// and renders everything the two forms must agree on.
+func runNapCase(c napCase, sharded bool, nap napFn) string {
 	e := NewEnv(7)
-	if workers > 0 {
-		e.SetSharded(workers)
+	if sharded {
+		e.SetSharded(1)
 	}
 	e.EnableKernelTrace()
 	defer e.Close()
@@ -178,13 +177,13 @@ func runNapCase(c napCase, workers int, nap napFn) string {
 
 func TestSleepEveryMatchesSleepLoop(t *testing.T) {
 	for _, c := range napCases {
-		for _, workers := range []int{0, 1, 4} {
+		for _, sharded := range []bool{false, true} {
 			kernel := "serial"
-			if workers > 0 {
-				kernel = fmt.Sprintf("sharded-%d", workers)
+			if sharded {
+				kernel = "sharded-1"
 			}
 			t.Run(c.name+"/"+kernel, func(t *testing.T) {
-				loop, every := runNapCase(c, workers, napLoop), runNapCase(c, workers, napEvery)
+				loop, every := runNapCase(c, sharded, napLoop), runNapCase(c, sharded, napEvery)
 				if loop != every {
 					t.Fatalf("SleepEvery diverged from the Sleep loop:\nloop:  %s\nevery: %s", loop, every)
 				}
@@ -193,7 +192,7 @@ func TestSleepEveryMatchesSleepLoop(t *testing.T) {
 				}
 				switch c.name {
 				case "lone":
-					if workers == 0 && !strings.HasPrefix(every, "events=1 ") {
+					if !sharded && !strings.HasPrefix(every, "events=1 ") {
 						t.Fatalf("a lone napper retired more than its start event: %s", every)
 					}
 				case "tie-flip-before-tick":

@@ -1,39 +1,15 @@
 package sim
 
-// Conservative time-window execution for sharded environments.
-//
-// The algorithm is classic conservative parallel discrete-event simulation:
-// let tmin be the earliest pending event across all lanes and L the
-// lookahead (minimum cross-machine link latency). Every event in the window
-// [tmin, tmin+L) can only be affected by cross-lane messages sent at or
-// after tmin, which arrive no earlier than tmin+L — outside the window. So
-// all lanes may execute their window events concurrently with no
-// synchronization at all; cross-lane sends buffer in per-lane outboxes and
-// are merged at the barrier.
-//
-// Determinism argument, sketched (DESIGN.md §14 has the full version):
-//  1. Within a lane, events retire strictly in (t, seq) order by the lane
-//     queue's invariant; a lane is driven by exactly one worker per window.
-//  2. A lane's outbox is filled in execution order, which by (1) is
-//     deterministic; outboxes are merged in (t, sending-lane id, emission
-//     index) order — a total order with no dependence on worker count or
-//     OS scheduling — and delivery assigns receiving-lane seqs in that
-//     merged order.
-//  3. Therefore every lane sees an identical event sequence whether the
-//     window ran on 1 worker or N, and the whole run replays byte-for-byte
-//     from the same seed.
-//
-// The WaitGroup barrier between windows also gives the memory model
-// happens-before edges for the few legitimate cross-lane memory effects
-// (e.g. an RDMA write landing in a remote region's byte slice): the write
-// happens in window W on the responder's lane; the initiator only observes
-// it after its completion event, which arrives >= one lookahead later —
-// strictly after the barrier that closes W.
-
-import (
-	"sync"
-	"sync/atomic"
-)
+// Conservative time-window execution for sharded environments (see
+// shard.go for why lanes exist). Let tmin be the earliest pending event
+// across all lanes and L the lookahead (minimum cross-machine link
+// latency). No event in the window [tmin, tmin+L) can depend on a
+// cross-lane message sent at or after tmin, which arrives no earlier than
+// tmin+L. So Run drains each lane's window in lane-id order on its own
+// goroutine, then delivers the window's cross-lane sends from the per-lane
+// outboxes in (t, sending lane, emission index) order. Each lane retires in
+// (t, seq) order and delivery order is total, so a sharded run replays
+// byte-for-byte from its seed.
 
 func (e *Env) runSharded(until Time) Time {
 	if e.lookahead <= 0 {
@@ -55,12 +31,8 @@ func (e *Env) runSharded(until Time) Time {
 		if wend > until {
 			wend = until
 		}
-		if e.workers > 1 && len(e.lanes) > 1 {
-			e.runWindowParallel(wend)
-		} else {
-			for _, l := range e.lanes {
-				l.drain(wend)
-			}
+		for _, l := range e.lanes {
+			l.drain(wend)
 		}
 		e.deliver(wend)
 	}
@@ -69,35 +41,10 @@ func (e *Env) runSharded(until Time) Time {
 			l.now = until
 		}
 	}
-	e.now = until
+	if e.now < until {
+		e.now = until
+	}
 	return e.now
-}
-
-// runWindowParallel drains every lane up to wend on a pool of workers.
-// Lanes are claimed with an atomic counter; which worker runs which lane is
-// scheduling-dependent, but by the determinism argument above it cannot
-// affect the simulation.
-func (e *Env) runWindowParallel(wend Time) {
-	n := e.workers
-	if n > len(e.lanes) {
-		n = len(e.lanes)
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(e.lanes) {
-					return
-				}
-				e.lanes[i].drain(wend)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // deliver merges all outboxes and schedules their events onto the target
