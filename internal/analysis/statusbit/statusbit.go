@@ -53,10 +53,8 @@ var exempt = []string{
 // directly into any of them because they validate status+size before
 // exposing the payload.
 var decoders = map[string]bool{
-	"DecodeResponse":         true,
-	"DecodeMultiGetResponse": true,
-	"DecodeRequest":          true,
-	"DecodeMultiGet":         true,
+	"DecodeResponse": true,
+	"DecodeRequest":  true,
 }
 
 // Analyzer implements the statusbit check.

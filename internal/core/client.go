@@ -33,6 +33,12 @@ var ErrClosed = errors.New("core: connection closed")
 // flapping.
 const switchAfterOverruns = 2
 
+// switchBackUs is the hybrid mechanism's way back: in server-reply mode the
+// client watches the 16-bit process-time field of responses, and once it
+// drops to at most this many microseconds (the crossover of Fig. 9 on the
+// ConnectX-3 cluster) the client switches back to repeated fetching.
+const switchBackUs = 7
+
 // fallbackFetchNs is how often, while waiting in reply mode for the one call
 // that raced the mode switch, the client additionally issues a remote fetch:
 // a response buffered server-side just before the mode flag arrived is still

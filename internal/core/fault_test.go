@@ -112,9 +112,7 @@ func TestReplyModeSurvivesSwitchRace(t *testing.T) {
 	// drives repeated mode flips; every call must still complete with the
 	// right payload.
 	r := newRig(t, 1, ServerConfig{})
-	params := DefaultParams()
-	params.SwitchBackUs = 5
-	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], DefaultParams())
 	r.srv.AddThreads(1)
 	i := 0
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {

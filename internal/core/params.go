@@ -14,11 +14,6 @@ type Params struct {
 	// extra RDMA Read for the remainder.
 	F int
 
-	// SwitchBackUs: while in server-reply mode the client watches the
-	// 16-bit process-time field of responses; once it drops to at most this
-	// many microseconds, the client switches back to repeated fetching.
-	SwitchBackUs int
-
 	// ReplyPollNs is the local-memory poll interval while waiting in
 	// server-reply mode. Sparse polling is what lets client CPU utilization
 	// drop in reply mode (paper Fig. 15).
@@ -83,10 +78,9 @@ type Params struct {
 const MaxDepth = 64
 
 // DefaultParams returns the paper's configuration for the ConnectX-3
-// cluster: R = 5, F = 256, switch back when the server process time drops to
-// ~7 us (the crossover of Fig. 9).
+// cluster: R = 5, F = 256.
 func DefaultParams() Params {
-	return Params{R: 5, F: 256, SwitchBackUs: 7, ReplyPollNs: 1000}
+	return Params{R: 5, F: 256, ReplyPollNs: 1000}
 }
 
 func (p Params) withDefaults() Params {
@@ -96,9 +90,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.F <= 0 {
 		p.F = d.F
-	}
-	if p.SwitchBackUs <= 0 {
-		p.SwitchBackUs = d.SwitchBackUs
 	}
 	if p.ReplyPollNs <= 0 {
 		p.ReplyPollNs = d.ReplyPollNs

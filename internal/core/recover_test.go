@@ -171,7 +171,7 @@ func TestRecoveryDemotion(t *testing.T) {
 // TestDemotionCancelsPendingSwitchBack: a connection demoted while already in
 // reply mode stays there. With a handle still in flight, the claim that
 // reaches DemoteAfter has itself just asked for the switch back (its response
-// reports a process time within SwitchBackUs) and the flip waits for the ring
+// reports a process time within switchBackUs) and the flip waits for the ring
 // to quiesce; demote used to return early on "already in reply mode" and
 // leave it pending, so the demoted connection flipped to fetch as the ring
 // emptied.
@@ -181,17 +181,16 @@ func TestDemotionCancelsPendingSwitchBack(t *testing.T) {
 	pr.Depth = 2
 	pr.DeadlineNs = 40_000 // resendNs = 5 µs
 	pr.DemoteAfter = 1
-	pr.SwitchBackUs = 20
 	cli, conn := r.srv.Accept(r.cluster.Clients[0], pr)
 	r.srv.AddThreads(1)
-	// The first two requests take 8 µs: past resendNs, so both calls
+	// The first two requests take 6 µs: past resendNs, so both calls
 	// re-deliver their request (fault recovery, the demotion input), yet
-	// within SwitchBackUs.
+	// within switchBackUs.
 	served := 0
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 		Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int {
 			if served++; served <= 2 {
-				r.srv.Machine().Compute(p, sim.Micros(8))
+				r.srv.Machine().Compute(p, sim.Micros(6))
 			}
 			return copy(resp, req)
 		})

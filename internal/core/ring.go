@@ -252,7 +252,7 @@ func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 	}
 	if c.mode == ModeReply {
 		c.Stats.ReplyDeliveries++
-		if !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= c.params.SwitchBackUs {
+		if !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= switchBackUs {
 			c.pendingMode, c.hasPending = ModeFetch, true
 		}
 	} else {

@@ -224,7 +224,6 @@ func TestRingHybridSwitch(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	params := DefaultParams()
 	params.Depth = depth
-	params.SwitchBackUs = 1 // stay in reply mode once there
 	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
 	r.srv.AddThreads(1)
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {

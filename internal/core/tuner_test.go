@@ -155,7 +155,6 @@ func TestTunerSharedAcrossModeSwitch(t *testing.T) {
 	params := DefaultParams()
 	params.F = 256
 	params.MaxDepth = 8
-	params.SwitchBackUs = 1 // stay in reply mode once there
 	cal := Calibrate(hw.ConnectX3(), 1)
 	tuner := NewTuner(cal, 128, 32)
 	tuner.TuneR = false

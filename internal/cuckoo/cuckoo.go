@@ -156,7 +156,7 @@ func DecodeSlot(buf []byte) (e Entry, ok bool, err error) {
 }
 
 // Table is the server-side view: it owns the slot region and performs
-// inserts/deletes with cuckoo displacement. Concurrent remote readers see
+// inserts with cuckoo displacement. Concurrent remote readers see
 // every intermediate slot state; the CRCs make that safe.
 type Table struct {
 	geo  Geometry
@@ -263,18 +263,6 @@ func (t *Table) Insert(key []byte, e Entry) (int, error) {
 func (t *Table) place(idx int, key []byte, e Entry) {
 	EncodeSlot(t.slot(idx), e)
 	t.keys[idx] = append([]byte(nil), key...)
-}
-
-// Delete removes key, reporting whether it was present.
-func (t *Table) Delete(key []byte) bool {
-	_, idx, found := t.Lookup(key)
-	if !found {
-		return false
-	}
-	ClearSlot(t.slot(idx))
-	delete(t.keys, idx)
-	t.live--
-	return true
 }
 
 // SlotOffset returns the byte offset of slot idx, for building RDMA reads.

@@ -53,24 +53,6 @@ func TestUpdateInPlace(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tab := newTable(64)
-	key := []byte("k")
-	tab.Insert(key, Entry{DataOff: 5})
-	if !tab.Delete(key) {
-		t.Fatal("delete miss")
-	}
-	if _, _, ok := tab.Lookup(key); ok {
-		t.Fatal("resurrected")
-	}
-	if tab.Delete(key) {
-		t.Fatal("double delete")
-	}
-	if tab.Len() != 0 {
-		t.Fatal("Len")
-	}
-}
-
 func TestFillTo75Percent(t *testing.T) {
 	// Pilaf's evaluation point: a 75%-filled 3-way table must accept all
 	// inserts and find every key.

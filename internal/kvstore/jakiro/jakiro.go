@@ -38,19 +38,24 @@ type Config struct {
 	// ExtraProcNs adds synthetic CPU work to every request — the "request
 	// process time" knob of Fig. 14/15.
 	ExtraProcNs int64
-	// SpikeProb/SpikeLoNs/SpikeHiNs inject the rare "unexpectedly long"
-	// process times of Sec. 3.2 (defaults 0.04%, 5-15 us; a slow request
-	// also delays queued neighbours on its thread, so the observed
-	// multi-retry rate lands near the paper's ~0.1-0.2%). Set SpikeProb
-	// negative to disable.
-	SpikeProb            float64
-	SpikeLoNs, SpikeHiNs int64
+	// SpikeProb is the probability of one of the rare "unexpectedly long"
+	// process times of Sec. 3.2, drawn uniformly from [spikeLoNs,
+	// spikeHiNs] (default 0.04%; a slow request also delays queued
+	// neighbours on its thread, so the observed multi-retry rate lands near
+	// the paper's ~0.1-0.2%). Set it negative to disable.
+	SpikeProb float64
 
 	// Pool opts the store's RFP server into multiplexed endpoints and
 	// shared-slab registration (core.PoolConfig; DESIGN.md §13). The zero
 	// value keeps the paper's per-client QPs and regions.
 	Pool core.PoolConfig
 }
+
+// The bounds of a process-time spike (Config.SpikeProb): 5-15 us.
+const (
+	spikeLoNs = 5_000
+	spikeHiNs = 15_000
+)
 
 // DefaultConfig returns the evaluation's standard server: 6 threads, room
 // for ~1M pairs, 8 KB max values, paper parameters (R=5, F=256).
@@ -76,8 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SpikeProb == 0 {
 		c.SpikeProb = 0.0004
-		c.SpikeLoNs = 5_000
-		c.SpikeHiNs = 15_000
 	}
 	if c.SpikeProb < 0 {
 		c.SpikeProb = 0
@@ -175,27 +178,6 @@ func (s *Server) handler(part *kv.BucketStore) core.Handler {
 	prof := s.machine.Profile()
 	return func(p *sim.Proc, conn *core.Conn, req, resp []byte) int {
 		s.charge(p)
-		if len(req) > 0 && req[0] == kv.OpMultiGet {
-			keys, err := kv.DecodeMultiGet(req)
-			if err != nil {
-				return kv.EncodeResponse(resp, kv.StatusError, nil)
-			}
-			resp[0] = kv.StatusOK
-			off := 1
-			for _, key := range keys {
-				v, ok := part.Get(key)
-				if off+2+len(v) > len(resp) {
-					// The batch's values overflow the response buffer; the
-					// client must use smaller batches.
-					return kv.EncodeResponse(resp, kv.StatusError, nil)
-				}
-				if ok {
-					s.machine.ComputeNs(p, prof.CopyNs(len(v)))
-				}
-				off = kv.AppendMultiGetValue(resp, off, v, ok)
-			}
-			return off
-		}
 		r, err := kv.DecodeRequest(req)
 		if err != nil {
 			return kv.EncodeResponse(resp, kv.StatusError, nil)
@@ -212,11 +194,6 @@ func (s *Server) handler(part *kv.BucketStore) core.Handler {
 			s.machine.ComputeNs(p, prof.CopyNs(len(r.Value)))
 			part.Put(r.Key, r.Value)
 			return kv.EncodeResponse(resp, kv.StatusOK, nil)
-		case kv.OpDelete:
-			if part.Delete(r.Key) {
-				return kv.EncodeResponse(resp, kv.StatusOK, nil)
-			}
-			return kv.EncodeResponse(resp, kv.StatusNotFound, nil)
 		default:
 			return kv.EncodeResponse(resp, kv.StatusError, nil)
 		}
@@ -227,7 +204,7 @@ func (s *Server) handler(part *kv.BucketStore) core.Handler {
 func (s *Server) charge(p *sim.Proc) {
 	ns := int64(150) + s.cfg.ExtraProcNs // dispatch, hash, slot scan
 	if s.cfg.SpikeProb > 0 && p.Rand().Float64() < s.cfg.SpikeProb {
-		ns += s.cfg.SpikeLoNs + p.Rand().Int63n(s.cfg.SpikeHiNs-s.cfg.SpikeLoNs+1)
+		ns += spikeLoNs + p.Rand().Int63n(spikeHiNs-spikeLoNs+1)
 	}
 	s.machine.ComputeNs(p, ns)
 }
@@ -238,17 +215,6 @@ type Client struct {
 	conns   []*core.Client // one per server thread
 	reqBuf  []byte
 	respBuf []byte
-	groups  [][]uint64   // MultiGet partition grouping scratch
-	posted  []pendingGet // MultiGet in-flight handles scratch
-}
-
-// pendingGet tracks one posted per-partition multi-get: the keys it covers
-// and either its in-flight handle or its post-time error.
-type pendingGet struct {
-	part int
-	h    core.Handle
-	keys []uint64
-	err  error
 }
 
 // JoinGroup adds every per-partition connection to a fan-out group
@@ -293,10 +259,18 @@ func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
 	}
 }
 
+// checkValue rejects a PUT value the request buffer cannot hold.
+func (c *Client) checkValue(n int) error {
+	if n > c.srv.cfg.MaxValue {
+		return fmt.Errorf("jakiro: value of %d bytes exceeds limit %d", n, c.srv.cfg.MaxValue)
+	}
+	return nil
+}
+
 // Put stores value under key.
 func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
-	if len(value) > c.srv.cfg.MaxValue {
-		return fmt.Errorf("jakiro: value of %d bytes exceeds limit %d", len(value), c.srv.cfg.MaxValue)
+	if err := c.checkValue(len(value)); err != nil {
+		return err
 	}
 	req := kv.EncodePut(c.reqBuf, key, value)
 	conn := c.connFor(req[1 : 1+workload.KeySize])
@@ -314,150 +288,10 @@ func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
 	return nil
 }
 
-// Delete removes key, reporting whether it existed.
-func (c *Client) Delete(p *sim.Proc, key uint64) (bool, error) {
-	req := kv.EncodeDelete(c.reqBuf, key)
-	conn := c.connFor(req[1 : 1+workload.KeySize])
-	n, err := conn.Call(p, req, c.respBuf)
-	if err != nil {
-		return false, err
-	}
-	status, _, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return false, err
-	}
-	switch status {
-	case kv.StatusOK:
-		return true, nil
-	case kv.StatusNotFound:
-		return false, nil
-	default:
-		return false, ErrBadResponse
-	}
-}
-
 // Do executes a generated workload operation (value bytes derived from the
 // key for verifiability) and reports whether it succeeded.
 func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
 	return kv.Do(c, p, op, scratch)
-}
-
-// MultiGetFunc receives one key's outcome from a multi-get batch. A
-// partition that fails — its connection closed, its post or poll erroring,
-// its response malformed — reports that error against each of its keys;
-// keys on healthy partitions are unaffected.
-type MultiGetFunc func(key uint64, value []byte, found bool, err error)
-
-// PendingMultiGet tracks the in-flight per-partition requests of one posted
-// batch. It borrows the client's grouping scratch: collect it before
-// posting the next batch on the same client.
-type PendingMultiGet struct {
-	posted []pendingGet
-}
-
-// MultiGet fetches a batch of keys with one RPC per involved partition,
-// amortizing round trips (and in-bound operations) across the batch. The
-// per-partition requests are posted without waiting and polled afterwards,
-// so they overlap: each partition lives on its own RFP connection, and the
-// batch costs roughly one round trip instead of one per partition. fn is
-// invoked once per key, grouped by partition in partition order; the
-// returned error is the first partition failure (per-key outcomes still
-// arrive through fn for every key).
-func (c *Client) MultiGet(p *sim.Proc, keys []uint64, fn MultiGetFunc) error {
-	pend, err := c.PostMultiGet(p, keys)
-	if err != nil {
-		return err
-	}
-	return c.CollectMultiGet(p, pend, fn)
-}
-
-// PostMultiGet groups keys by owning partition and posts one batched GET
-// per involved partition, without waiting for any response. The returned
-// batch must be redeemed with CollectMultiGet. Only a malformed batch
-// (too many keys for the request buffer) fails the post as a whole; a
-// per-partition post failure is carried in the batch and reported per key
-// at collect time, so one dead partition never blocks the others.
-func (c *Client) PostMultiGet(p *sim.Proc, keys []uint64) (PendingMultiGet, error) {
-	if len(keys) == 0 {
-		return PendingMultiGet{}, nil
-	}
-	if 3+len(keys)*workload.KeySize > len(c.reqBuf) {
-		return PendingMultiGet{}, fmt.Errorf("jakiro: multi-get of %d keys exceeds the request buffer", len(keys))
-	}
-	// Group keys by owning partition (index order keeps the fan-out
-	// deterministic).
-	groups := c.groups
-	if groups == nil {
-		groups = make([][]uint64, len(c.conns))
-		c.groups = groups
-	}
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
-	kb := make([]byte, workload.KeySize)
-	for _, k := range keys {
-		part := kv.PartitionFor(workload.EncodeKey(kb, k), len(c.conns))
-		groups[part] = append(groups[part], k)
-	}
-	// Post one request per involved partition. Post stages the payload
-	// before returning, so reqBuf is immediately reusable.
-	posted := c.posted[:0]
-	for part, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		req := kv.EncodeMultiGet(c.reqBuf, group)
-		h, err := c.conns[part].Post(p, req)
-		posted = append(posted, pendingGet{part: part, h: h, keys: group, err: err})
-	}
-	c.posted = posted[:0]
-	return PendingMultiGet{posted: posted}, nil
-}
-
-// CollectMultiGet polls the batch's partitions in posted order, decoding
-// each response before the next poll reuses the response buffer, and
-// invokes fn once per key. The returned error is the first partition
-// failure; fn still sees every key (failed partitions report their error
-// per key).
-func (c *Client) CollectMultiGet(p *sim.Proc, pend PendingMultiGet, fn MultiGetFunc) error {
-	var firstErr error
-	fail := func(pd *pendingGet, err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		for _, k := range pd.keys {
-			fn(k, nil, false, err)
-		}
-	}
-	for i := range pend.posted {
-		pd := &pend.posted[i]
-		if pd.err != nil {
-			fail(pd, pd.err)
-			continue
-		}
-		n, err := c.conns[pd.part].Poll(p, pd.h, c.respBuf)
-		if err != nil {
-			fail(pd, err)
-			continue
-		}
-		status, payload, err := kv.DecodeResponse(c.respBuf[:n])
-		if err != nil {
-			fail(pd, err)
-			continue
-		}
-		if status != kv.StatusOK {
-			fail(pd, ErrBadResponse)
-			continue
-		}
-		if err := kv.DecodeMultiGetResponse(payload, len(pd.keys), func(i int, v []byte, found bool) {
-			fn(pd.keys[i], v, found, nil)
-		}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
 }
 
 // PendingOp tracks one posted single-key operation (PostOp/PollOp), the
@@ -470,8 +304,9 @@ type PendingOp struct {
 
 // PostOp stages one GET or PUT on the owning partition's ring without
 // waiting (ReadModifyWrite is inherently sequential — use Do). The value
-// bytes of a PUT are derived from the key, as in Do. A full ring surfaces
-// as core.ErrRingFull: poll an earlier operation and retry.
+// bytes of a PUT are derived from the key, as in Do; a value over MaxValue
+// fails as in Put, before anything is staged. A full ring surfaces as
+// core.ErrRingFull: poll an earlier operation and retry.
 func (c *Client) PostOp(p *sim.Proc, op workload.Op) (PendingOp, error) {
 	var req []byte
 	get := false
@@ -482,6 +317,9 @@ func (c *Client) PostOp(p *sim.Proc, op workload.Op) (PendingOp, error) {
 	case workload.ReadModifyWrite:
 		return PendingOp{}, fmt.Errorf("jakiro: PostOp cannot pipeline %v", op.Kind)
 	default:
+		if err := c.checkValue(op.ValueSize); err != nil {
+			return PendingOp{}, err
+		}
 		v := c.reqBuf[1+workload.KeySize : 1+workload.KeySize+op.ValueSize]
 		workload.FillValue(v, op.Key, 0)
 		req = kv.EncodePut(c.reqBuf, op.Key, v)

@@ -7,7 +7,6 @@
 package kv
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -54,14 +53,9 @@ func Do(c Conn, p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
 
 // Op codes of the KV RPC protocol.
 const (
-	OpGet      byte = 0x01
-	OpPut      byte = 0x02
-	OpMultiGet byte = 0x03
-	OpDelete   byte = 0x04
+	OpGet byte = 0x01
+	OpPut byte = 0x02
 )
-
-// MissMarker flags an absent key in a multi-get response's per-key length.
-const MissMarker = 0xFFFF
 
 // Response status codes.
 const (
@@ -76,13 +70,6 @@ var ErrShortMessage = errors.New("kv: short message")
 // EncodeGet marshals a GET request into buf: [op][16B key].
 func EncodeGet(buf []byte, key uint64) []byte {
 	buf[0] = OpGet
-	workload.EncodeKey(buf[1:], key)
-	return buf[:1+workload.KeySize]
-}
-
-// EncodeDelete marshals a DELETE request into buf: [op][16B key].
-func EncodeDelete(buf []byte, key uint64) []byte {
-	buf[0] = OpDelete
 	workload.EncodeKey(buf[1:], key)
 	return buf[:1+workload.KeySize]
 }
@@ -111,7 +98,7 @@ func DecodeRequest(msg []byte) (Request, error) {
 	switch r.Op {
 	case OpPut:
 		r.Value = msg[1+workload.KeySize:]
-	case OpGet, OpDelete:
+	case OpGet:
 	default:
 		return Request{}, fmt.Errorf("kv: unknown op 0x%02x", msg[0])
 	}
@@ -131,73 +118,6 @@ func DecodeResponse(msg []byte) (byte, []byte, error) {
 		return StatusError, nil, ErrShortMessage
 	}
 	return msg[0], msg[1:], nil
-}
-
-// EncodeMultiGet marshals a batched GET of up to 65535 keys:
-// [op][u16 count][16B key]...
-func EncodeMultiGet(buf []byte, keys []uint64) []byte {
-	buf[0] = OpMultiGet
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(keys)))
-	off := 3
-	for _, k := range keys {
-		workload.EncodeKey(buf[off:], k)
-		off += workload.KeySize
-	}
-	return buf[:off]
-}
-
-// DecodeMultiGet parses a batched GET request into key views.
-func DecodeMultiGet(msg []byte) ([][]byte, error) {
-	if len(msg) < 3 || msg[0] != OpMultiGet {
-		return nil, ErrShortMessage
-	}
-	n := int(binary.LittleEndian.Uint16(msg[1:3]))
-	if len(msg) < 3+n*workload.KeySize {
-		return nil, ErrShortMessage
-	}
-	keys := make([][]byte, n)
-	for i := range keys {
-		off := 3 + i*workload.KeySize
-		keys[i] = msg[off : off+workload.KeySize]
-	}
-	return keys, nil
-}
-
-// AppendMultiGetValue appends one per-key result to a multi-get response
-// being built in buf at offset off: [u16 len][value], with MissMarker for
-// absent keys. It returns the new offset.
-func AppendMultiGetValue(buf []byte, off int, value []byte, found bool) int {
-	if !found {
-		binary.LittleEndian.PutUint16(buf[off:], MissMarker)
-		return off + 2
-	}
-	binary.LittleEndian.PutUint16(buf[off:], uint16(len(value)))
-	off += 2
-	off += copy(buf[off:], value)
-	return off
-}
-
-// DecodeMultiGetResponse walks a multi-get response payload, invoking fn
-// for each key's (value, found) pair in request order.
-func DecodeMultiGetResponse(payload []byte, n int, fn func(i int, value []byte, found bool)) error {
-	off := 0
-	for i := 0; i < n; i++ {
-		if off+2 > len(payload) {
-			return ErrShortMessage
-		}
-		l := int(binary.LittleEndian.Uint16(payload[off:]))
-		off += 2
-		if l == MissMarker {
-			fn(i, nil, false)
-			continue
-		}
-		if off+l > len(payload) {
-			return ErrShortMessage
-		}
-		fn(i, payload[off:off+l], true)
-		off += l
-	}
-	return nil
 }
 
 // SlotsPerBucket is Jakiro's bucket width: eight 8-byte slots, so a bucket's
@@ -323,21 +243,6 @@ func (s *BucketStore) Put(key, value []byte) bool {
 		lastUse: s.clock,
 	}
 	return true
-}
-
-// Delete removes key, reporting whether it was present.
-func (s *BucketStore) Delete(key []byte) bool {
-	h := hashKey(key)
-	b := s.bucketFor(h)
-	for i := range b {
-		sl := &b[i]
-		if sl.used && sl.keyHash == h && string(sl.key) == string(key) {
-			*sl = slot{}
-			s.live--
-			return true
-		}
-	}
-	return false
 }
 
 // Len returns the number of live pairs.

@@ -1,12 +1,11 @@
 // Package shard fans one client thread's KV operations out across several
 // Jakiro servers. The synchronous path (Get/Put) just routes each key to its
-// owning server; the pipelined path (PostOp/PollOp, MultiGet) rides the
-// core.Group fan-out engine: every per-partition connection of every server
-// joins one group with a shared completion queue, so a single client thread
-// keeps all the servers' request rings full concurrently instead of
-// blocking on one round trip at a time. This is the multi-server form of
-// jakiro.MultiGet's per-partition overlap — the ROADMAP's "one client keeps
-// several servers' rings full at once".
+// owning server; the pipelined path (PostOp/PollOp) rides the core.Group
+// fan-out engine: every per-partition connection of every server joins one
+// group with a shared completion queue, so a single client thread keeps all
+// the servers' request rings full concurrently instead of blocking on one
+// round trip at a time — the ROADMAP's "one client keeps several servers'
+// rings full at once".
 package shard
 
 import (
@@ -36,17 +35,9 @@ func For(key []byte, n int) int {
 // Like the per-server clients it wraps, it must be driven by a single
 // simulated thread.
 type Client struct {
-	per    []*jakiro.Client
-	group  *core.Group
-	kb     []byte
-	groups [][]uint64 // MultiGet per-server key grouping scratch
-	pends  []pendingServer
-}
-
-// pendingServer tracks one server's posted share of a MultiGet batch.
-type pendingServer struct {
-	server int
-	pend   jakiro.PendingMultiGet
+	per   []*jakiro.Client
+	group *core.Group
+	kb    []byte
 }
 
 // New connects a client thread on machine cm to every server. With
@@ -113,57 +104,6 @@ func (c *Client) PostOp(p *sim.Proc, op workload.Op) (PendingOp, error) {
 // grouped ring while it waits), reporting whether it found/stored its key.
 func (c *Client) PollOp(p *sim.Proc, pd PendingOp, scratch []byte) (bool, error) {
 	return c.per[pd.server].PollOp(p, pd.pd, scratch)
-}
-
-// MultiGet fetches a batch of keys spanning servers: each involved server
-// gets its per-partition posts up front, then the responses are collected
-// — so the batch overlaps across servers as well as across partitions. fn
-// sees every key once; a failed partition reports its error against each
-// of its keys (jakiro.MultiGetFunc semantics), and the returned error is
-// the first such failure.
-func (c *Client) MultiGet(p *sim.Proc, keys []uint64, fn jakiro.MultiGetFunc) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	groups := c.groups
-	if groups == nil {
-		groups = make([][]uint64, len(c.per))
-		c.groups = groups
-	}
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
-	for _, k := range keys {
-		s := c.ServerFor(k)
-		groups[s] = append(groups[s], k)
-	}
-	pends := c.pends[:0]
-	var firstErr error
-	for s, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		pend, err := c.per[s].PostMultiGet(p, group)
-		if err != nil {
-			// A malformed batch (oversized for the request buffer): report
-			// it per key and keep the other servers going.
-			if firstErr == nil {
-				firstErr = err
-			}
-			for _, k := range group {
-				fn(k, nil, false, err)
-			}
-			continue
-		}
-		pends = append(pends, pendingServer{server: s, pend: pend})
-	}
-	c.pends = pends[:0]
-	for _, ps := range pends {
-		if err := c.per[ps.server].CollectMultiGet(p, ps.pend, fn); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // SetRecorder attaches one telemetry recorder to every server's

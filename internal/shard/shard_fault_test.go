@@ -1,58 +1,23 @@
 package shard
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
-	"rfp/internal/core"
-	"rfp/internal/fabric"
-	"rfp/internal/hw"
-	"rfp/internal/kvstore/jakiro"
-	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
-	"rfp/internal/workload"
 )
 
-// newRecoveryRig is newRig with the RFP recovery path armed on every
-// connection, so a crashed server fails its keys within the deadline
-// instead of wedging the whole fan-out.
-func newRecoveryRig(t *testing.T, deadlineNs int64) *rig {
-	t.Helper()
-	env := sim.NewEnv(21)
-	t.Cleanup(env.Close)
-	cl := fabric.NewCluster(env, hw.ConnectX3(), 1)
-	cfg := jakiro.Config{Threads: 2, SpikeProb: -1, MaxValue: 256}
-	cfg.Params = core.DefaultParams()
-	cfg.Params.DeadlineNs = deadlineNs
-	cfg.Params.DisableSwitch = true
-	servers := make([]*jakiro.Server, shardTestServers)
-	for i := range servers {
-		m := cl.Server
-		if i > 0 {
-			m = fabric.NewMachine(env, fmt.Sprintf("server%d", i), hw.ConnectX3())
-		}
-		servers[i] = jakiro.NewServer(m, cfg)
-	}
-	kbuf := make([]byte, workload.KeySize)
-	val := make([]byte, shardTestValue)
-	for k := uint64(0); k < shardTestKeys; k++ {
-		key := workload.EncodeKey(kbuf, k)
-		workload.FillValue(val, k, 0)
-		srv := servers[For(key, shardTestServers)]
-		srv.Partition(kv.PartitionFor(key, cfg.Threads)).Put(key, val)
-	}
-	return &rig{env: env, cl: cl, servers: servers}
-}
-
-// TestShardMultiGetServerCrashAndRejoin: a server machine crashes under a
-// MultiGet. Its partition's keys report per-key errors — and only its
-// partition's; every other server's keys come back intact. After the
-// machine restarts, the same batch succeeds end to end: the per-server
-// connections re-establish into the same fan-out group, proving the WR-ID
-// member tags survive a reconnect un-poisoned.
-func TestShardMultiGetServerCrashAndRejoin(t *testing.T) {
-	r := newRecoveryRig(t, 60_000)
+// TestShardPostPollServerCrashAndRejoin: a server machine crashes under
+// ops posted across every server. Its ops fail within the connections'
+// deadline — and only its ops; every other server's complete intact. After
+// the machine restarts, the same round succeeds end to end: the dead
+// server's connections re-establish into the same fan-out group under fresh
+// WR-ID tags (Group.retag), so their completions reach them again.
+func TestShardPostPollServerCrashAndRejoin(t *testing.T) {
+	const deadline = 60_000
+	params := pipelined()
+	params.DeadlineNs = deadline
+	params.DisableSwitch = true
+	r := newRig(t, 3, params)
 	sc, err := New(r.cl.Clients[0], r.servers, true)
 	if err != nil {
 		t.Fatal(err)
@@ -60,73 +25,51 @@ func TestShardMultiGetServerCrashAndRejoin(t *testing.T) {
 	r.start()
 	const dead = 1
 	deadMachine := r.servers[dead].Machine()
-	ok := false
+	ok, reached := false, ""
 	r.cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		keys := batchSpanningServers(sc, 4)
-		perDead := 0
-		for _, k := range keys {
-			if sc.ServerFor(k) == dead {
-				perDead++
-			}
-		}
-		want := make([]byte, shardTestValue)
-		check := func(phase string, wantFailed int) bool {
-			var live, failed int
-			err := sc.MultiGet(p, keys, func(k uint64, v []byte, found bool, kerr error) {
-				if kerr != nil {
-					if sc.ServerFor(k) != dead {
-						t.Errorf("%s: key %d on live server %d failed: %v", phase, k, sc.ServerFor(k), kerr)
-					}
+		ops := opsSpanningServers(sc, 2)
+		round := func(phase string, crashed bool) bool {
+			reached = phase
+			failed := 0
+			for i, o := range pollAll(t, p, sc, ops, postAll(p, sc, ops)) {
+				onDead := sc.ServerFor(ops[i].Key) == dead
+				switch {
+				case o.err == nil && onDead && crashed:
+					t.Errorf("%s: key %d on the crashed server succeeded", phase, ops[i].Key)
+				case o.err != nil && (!onDead || !crashed):
+					t.Errorf("%s: key %d on server %d: %v", phase, ops[i].Key, sc.ServerFor(ops[i].Key), o.err)
+				case o.err != nil && o.took > deadline:
+					t.Errorf("%s: key %d failed %v after its post, past the %d ns deadline", phase, ops[i].Key, o.took, deadline)
+				case o.err != nil:
 					failed++
-					return
 				}
-				if !found {
-					t.Errorf("%s: key %d not found", phase, k)
-					return
-				}
-				workload.FillValue(want, k, 0)
-				if !bytes.Equal(v, want) {
-					t.Errorf("%s: key %d: wrong value", phase, k)
-					return
-				}
-				live++
-			})
-			if wantFailed == 0 && err != nil {
-				t.Errorf("%s: MultiGet: %v", phase, err)
-				return false
 			}
-			if wantFailed > 0 && err == nil {
-				t.Errorf("%s: MultiGet over a crashed server returned no error", phase)
-				return false
+			if crashed && failed != 4 {
+				t.Errorf("%s: %d ops failed, want the crashed server's 4", phase, failed)
 			}
-			if failed != wantFailed || live != len(keys)-wantFailed {
-				t.Errorf("%s: failed=%d live=%d, want %d/%d", phase, failed, live, wantFailed, len(keys)-wantFailed)
-				return false
-			}
-			return true
+			return !t.Failed()
 		}
-		if !check("healthy", 0) {
+		if !round("healthy", false) {
 			return
 		}
 		deadMachine.Fail()
-		if !check("crashed", perDead) {
+		if !round("crashed", true) {
 			return
 		}
 		deadMachine.Restart()
-		// Reconnects happen lazily at the next post on the dead server's
-		// connections; the batch after the restart must be whole again.
-		if !check("rejoined", 0) {
+		// Reconnects happen at the next post on the dead server's
+		// connections; the round after the restart must be whole again.
+		if !round("rejoined", false) {
 			return
 		}
-		recon := sc.Server(dead).Stats().Reconnects
-		if recon == 0 {
-			t.Errorf("rejoin without a single reconnect")
+		if sc.Server(dead).Stats().Reconnects == 0 {
+			t.Error("rejoin without a single reconnect")
 			return
 		}
 		ok = true
 	})
 	r.env.Run(sim.Time(50 * sim.Millisecond))
 	if !ok {
-		t.Fatal("did not complete")
+		t.Fatalf("did not complete (last phase started: %s)", reached)
 	}
 }

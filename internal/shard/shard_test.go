@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
+	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/hw"
 	"rfp/internal/kvstore/jakiro"
@@ -14,9 +16,9 @@ import (
 )
 
 const (
-	shardTestServers = 3
-	shardTestKeys    = 256
-	shardTestValue   = 32
+	shardTestKeys  = 256
+	shardTestValue = 32
+	shardMaxValue  = 64
 )
 
 type rig struct {
@@ -25,19 +27,17 @@ type rig struct {
 	servers []*jakiro.Server
 }
 
-// newRig builds shardTestServers Jakiro servers and preloads every key to
-// its owning server. Tests call start after connecting their clients
-// (Jakiro accepts no connections once the serve loops run).
-func newRig(t *testing.T) *rig {
+// newRig builds n two-thread Jakiro servers whose connections use params
+// and preloads every key to its owning server. Tests call start after
+// connecting their clients (Jakiro accepts no connections once the serve
+// loops run).
+func newRig(t *testing.T, n int, params core.Params) *rig {
 	t.Helper()
 	env := sim.NewEnv(21)
 	t.Cleanup(env.Close)
 	cl := fabric.NewCluster(env, hw.ConnectX3(), 1)
-	// MaxValue sizes the RFP response buffers: a multi-get response packs
-	// several values into one response, so leave headroom for the batches
-	// these tests post (the server rejects overflowing batches by design).
-	cfg := jakiro.Config{Threads: 2, SpikeProb: -1, MaxValue: 256}
-	servers := make([]*jakiro.Server, shardTestServers)
+	cfg := jakiro.Config{Threads: 2, SpikeProb: -1, MaxValue: shardMaxValue, Params: params}
+	servers := make([]*jakiro.Server, n)
 	for i := range servers {
 		m := cl.Server
 		if i > 0 {
@@ -50,10 +50,18 @@ func newRig(t *testing.T) *rig {
 	for k := uint64(0); k < shardTestKeys; k++ {
 		key := workload.EncodeKey(kbuf, k)
 		workload.FillValue(val, k, 0)
-		srv := servers[For(key, shardTestServers)]
+		srv := servers[For(key, n)]
 		srv.Partition(kv.PartitionFor(key, cfg.Threads)).Put(key, val)
 	}
 	return &rig{env: env, cl: cl, servers: servers}
+}
+
+// pipelined is the connection setup of the group path: depth-8 rings, as
+// in ext-scaleout.
+func pipelined() core.Params {
+	params := core.DefaultParams()
+	params.Depth = 8
+	return params
 }
 
 func (r *rig) start() {
@@ -62,25 +70,78 @@ func (r *rig) start() {
 	}
 }
 
-// batchSpanningServers picks keys so every server owns at least perServer
-// of them.
-func batchSpanningServers(sc *Client, perServer int) []uint64 {
+// opsSpanningServers picks perServer GETs and perServer PUTs on distinct
+// keys owned by each server.
+func opsSpanningServers(sc *Client, perServer int) []workload.Op {
 	counts := make([]int, sc.NumServers())
-	var keys []uint64
+	var ops []workload.Op
 	for k := uint64(0); k < shardTestKeys; k++ {
 		s := sc.ServerFor(k)
-		if counts[s] < perServer {
-			counts[s]++
-			keys = append(keys, k)
+		if counts[s] == 2*perServer {
+			continue
 		}
+		op := workload.Op{Kind: workload.Get, Key: k}
+		if counts[s]%2 == 1 {
+			op.Kind, op.ValueSize = workload.Put, shardTestValue
+		}
+		counts[s]++
+		ops = append(ops, op)
 	}
-	return keys
+	return ops
 }
 
-// TestShardMultiGetSpansServers checks the pipelined fan-out end to end: a
-// batch with keys on every server comes back complete and correct.
-func TestShardMultiGetSpansServers(t *testing.T) {
-	r := newRig(t)
+// posted is one op's post: its handle, or the error that was its outcome.
+type posted struct {
+	pd  PendingOp
+	err error
+	at  sim.Time
+}
+
+// postAll posts every op before any is polled, so the ops of every server
+// are in flight through the one group at once.
+func postAll(p *sim.Proc, sc *Client, ops []workload.Op) []posted {
+	out := make([]posted, len(ops))
+	for i, op := range ops {
+		out[i].at = p.Now()
+		out[i].pd, out[i].err = sc.PostOp(p, op)
+	}
+	return out
+}
+
+// outcome is one op's result: its error, and how long after its post it
+// resolved.
+type outcome struct {
+	err  error
+	took sim.Duration
+}
+
+// pollAll claims the posted ops in post order. Every op that succeeds is
+// checked: a GET read its key's preloaded value, a PUT stored.
+func pollAll(t *testing.T, p *sim.Proc, sc *Client, ops []workload.Op, posts []posted) []outcome {
+	t.Helper()
+	out := make([]outcome, len(ops))
+	got, want := make([]byte, shardTestValue), make([]byte, shardTestValue)
+	for i, op := range ops {
+		if out[i].err = posts[i].err; out[i].err == nil {
+			clear(got)
+			var ok bool
+			ok, out[i].err = sc.PollOp(p, posts[i].pd, got)
+			workload.FillValue(want, op.Key, 0)
+			if out[i].err == nil && (!ok || op.Kind == workload.Get && !bytes.Equal(got, want)) {
+				t.Errorf("%v of key %d: ok=%v value %x", op.Kind, op.Key, ok, got)
+			}
+		}
+		out[i].took = p.Now().Sub(posts[i].at)
+	}
+	return out
+}
+
+// TestShardPostPollSpansServers checks the pipelined fan-out end to end:
+// GETs and PUTs posted to every server through one group, before any is
+// polled, all complete with the right values. A PUT over MaxValue fails at
+// its post.
+func TestShardPostPollSpansServers(t *testing.T) {
+	r := newRig(t, 3, pipelined())
 	sc, err := New(r.cl.Clients[0], r.servers, true)
 	if err != nil {
 		t.Fatal(err)
@@ -88,30 +149,18 @@ func TestShardMultiGetSpansServers(t *testing.T) {
 	r.start()
 	ok := false
 	r.cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		keys := batchSpanningServers(sc, 4)
-		want := make([]byte, shardTestValue)
-		got := map[uint64]bool{}
-		err := sc.MultiGet(p, keys, func(k uint64, v []byte, found bool, kerr error) {
-			if kerr != nil || !found {
-				t.Errorf("key %d: found=%v err=%v", k, found, kerr)
-				return
-			}
-			workload.FillValue(want, k, 0)
-			if !bytes.Equal(v, want) {
-				t.Errorf("key %d: wrong value", k)
-				return
-			}
-			got[k] = true
-		})
-		if err != nil {
-			t.Errorf("MultiGet: %v", err)
+		if _, err := sc.PostOp(p, workload.Op{Kind: workload.Put, Key: 1, ValueSize: shardMaxValue + 1}); err == nil {
+			t.Error("oversize PUT posted")
 			return
 		}
-		if len(got) != len(keys) {
-			t.Errorf("saw %d/%d keys", len(got), len(keys))
-			return
+		ops := opsSpanningServers(sc, 2)
+		for i, o := range pollAll(t, p, sc, ops, postAll(p, sc, ops)) {
+			if o.err != nil {
+				t.Errorf("%v of key %d on server %d: %v", ops[i].Kind, ops[i].Key, sc.ServerFor(ops[i].Key), o.err)
+				return
+			}
 		}
-		ok = true
+		ok = !t.Failed()
 	})
 	r.env.Run(sim.Time(10 * sim.Millisecond))
 	if !ok {
@@ -119,12 +168,12 @@ func TestShardMultiGetSpansServers(t *testing.T) {
 	}
 }
 
-// TestShardMultiGetDeadPartition kills one server mid-run and checks the
-// failure contract: its keys report per-key errors (and the batch returns
-// the first of them), while every key on the surviving servers still comes
-// back with its value.
-func TestShardMultiGetDeadPartition(t *testing.T) {
-	r := newRig(t)
+// TestShardPostPollDeadPartition closes one server's connections with its
+// ops in flight and checks the failure contract: each of its ops resolves
+// with ErrClosed — on the next round, at its post — while every op on the
+// surviving servers still completes with its value.
+func TestShardPostPollDeadPartition(t *testing.T) {
+	r := newRig(t, 3, pipelined())
 	sc, err := New(r.cl.Clients[0], r.servers, true)
 	if err != nil {
 		t.Fatal(err)
@@ -133,43 +182,26 @@ func TestShardMultiGetDeadPartition(t *testing.T) {
 	const dead = 1
 	ok := false
 	r.cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		keys := batchSpanningServers(sc, 4)
-		for _, cc := range sc.Server(dead).Conns() {
-			if err := cc.Close(p); err != nil {
-				t.Errorf("close: %v", err)
-				return
-			}
-		}
-		want := make([]byte, shardTestValue)
-		var live, failed int
-		err := sc.MultiGet(p, keys, func(k uint64, v []byte, found bool, kerr error) {
-			if sc.ServerFor(k) == dead {
-				if kerr == nil {
-					t.Errorf("key %d on dead server: no error", k)
+		ops := opsSpanningServers(sc, 2)
+		for round := 0; round < 2; round++ {
+			posts := postAll(p, sc, ops)
+			if round == 0 {
+				for _, cc := range sc.Server(dead).Conns() {
+					if err := cc.Close(p); err != nil {
+						t.Errorf("close: %v", err)
+						return
+					}
 				}
-				failed++
-				return
 			}
-			if kerr != nil || !found {
-				t.Errorf("key %d on live server: found=%v err=%v", k, found, kerr)
-				return
+			for i, o := range pollAll(t, p, sc, ops, posts) {
+				if s := sc.ServerFor(ops[i].Key); s == dead && !errors.Is(o.err, core.ErrClosed) {
+					t.Errorf("round %d, key %d on the dead server: err = %v, want ErrClosed", round, ops[i].Key, o.err)
+				} else if s != dead && o.err != nil {
+					t.Errorf("round %d, key %d on live server %d: %v", round, ops[i].Key, s, o.err)
+				}
 			}
-			workload.FillValue(want, k, 0)
-			if !bytes.Equal(v, want) {
-				t.Errorf("key %d: wrong value", k)
-				return
-			}
-			live++
-		})
-		if err == nil {
-			t.Error("MultiGet over a dead server returned no error")
-			return
 		}
-		if failed != 4 || live != len(keys)-4 {
-			t.Errorf("failed=%d live=%d, want 4/%d", failed, live, len(keys)-4)
-			return
-		}
-		ok = true
+		ok = !t.Failed()
 	})
 	r.env.Run(sim.Time(10 * sim.Millisecond))
 	if !ok {
@@ -180,7 +212,7 @@ func TestShardMultiGetDeadPartition(t *testing.T) {
 // TestShardRouting checks the key->server map is total, stable, and
 // reasonably balanced (the decorrelated hash must not collapse shards).
 func TestShardRouting(t *testing.T) {
-	r := newRig(t)
+	r := newRig(t, 3, core.Params{})
 	sc, err := New(r.cl.Clients[0], r.servers, false)
 	if err != nil {
 		t.Fatal(err)

@@ -36,14 +36,15 @@ import (
 // core depends on telemetry, not the reverse).
 const MaxOccupancy = 64
 
+// decisionCap bounds the retained tuner decision log; once full, older
+// decisions are dropped oldest-first.
+const decisionCap = 256
+
 // Config sizes a Recorder's retained state.
 type Config struct {
 	// SpanEvents is the capacity of the call-span event ring; 0 disables
 	// span recording (counters and histograms still work).
 	SpanEvents int
-	// DecisionCap bounds the retained tuner decision log (default 256);
-	// once full, older decisions are dropped oldest-first.
-	DecisionCap int
 }
 
 // Recorder accumulates per-call telemetry. One recorder may be shared by
@@ -69,19 +70,15 @@ type Recorder struct {
 
 	decMu     sync.Mutex
 	decisions []Decision
-	decCap    int
 	decTotal  uint64
 
 	spans *trace.Ring
 }
 
-// New creates a recorder. The zero Config gives counters, histograms and a
-// 256-entry decision log with span recording disabled.
+// New creates a recorder: counters, histograms and the bounded decision
+// log, plus span recording when cfg.SpanEvents > 0.
 func New(cfg Config) *Recorder {
-	r := &Recorder{decCap: cfg.DecisionCap}
-	if r.decCap <= 0 {
-		r.decCap = 256
-	}
+	r := &Recorder{}
 	if cfg.SpanEvents > 0 {
 		r.spans = trace.NewRing(cfg.SpanEvents)
 	}
@@ -173,7 +170,7 @@ func (r *Recorder) Decide(d Decision) {
 	}
 	r.decMu.Lock()
 	r.decTotal++
-	if len(r.decisions) >= r.decCap {
+	if len(r.decisions) >= decisionCap {
 		copy(r.decisions, r.decisions[1:])
 		r.decisions = r.decisions[:len(r.decisions)-1]
 	}

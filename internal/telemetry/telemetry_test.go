@@ -88,20 +88,21 @@ func TestOccupancyClampAndStats(t *testing.T) {
 }
 
 func TestDecisionLogBounded(t *testing.T) {
-	r := New(Config{DecisionCap: 4})
-	for i := 0; i < 7; i++ {
+	const n = decisionCap + 3
+	r := New(Config{})
+	for i := 0; i < n; i++ {
 		r.Decide(Decision{Param: "depth", Old: i, New: i + 1})
 	}
 	s := r.Snapshot()
-	if s.DecisionsTotal != 7 {
+	if s.DecisionsTotal != n {
 		t.Fatalf("DecisionsTotal = %d", s.DecisionsTotal)
 	}
-	if len(s.Decisions) != 4 {
-		t.Fatalf("retained %d decisions, want 4", len(s.Decisions))
+	if len(s.Decisions) != decisionCap {
+		t.Fatalf("retained %d decisions, want %d", len(s.Decisions), decisionCap)
 	}
-	// Oldest dropped first: retained window is decisions 3..6.
-	if s.Decisions[0].Old != 3 || s.Decisions[3].Old != 6 {
-		t.Fatalf("retained window [%d..%d], want [3..6]", s.Decisions[0].Old, s.Decisions[3].Old)
+	// Oldest dropped first: retained window is decisions 3..n-1.
+	if first, last := s.Decisions[0].Old, s.Decisions[decisionCap-1].Old; first != 3 || last != n-1 {
+		t.Fatalf("retained window [%d..%d], want [3..%d]", first, last, n-1)
 	}
 }
 
