@@ -19,8 +19,23 @@ package linz
 // the list; on reaching a return entry with nothing left to try, the search
 // backtracks. The cache of visited configurations is what makes the
 // exponential search practical on real histories.
+//
+// Memory: CheckKV makes one copy of the history, grouped by key in
+// ascending key order and canonical op order within a key, so every
+// partition is a contiguous run already in the order its search numbers
+// the ops. One checker runs every partition
+// in buffers it keeps: the event list, the entry list as an index-linked
+// arena, the linearized set, the frame stack, and the configuration cache
+// as an open-addressed table whose bitsets live in one word arena. A check
+// allocates a bounded number of times, not a few times per op.
 
-import "sort"
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Verdict is the checker's decision.
 type Verdict int
@@ -31,7 +46,8 @@ const (
 	Linearizable Verdict = iota
 	// Illegal: no legal total order exists; Result carries a counterexample.
 	Illegal
-	// Unknown: the node budget was exhausted before a decision.
+	// Unknown: the node budget was exhausted before a decision, or the
+	// history is malformed (Result.Err says which op).
 	Unknown
 )
 
@@ -45,6 +61,10 @@ func (v Verdict) String() string {
 		return "unknown"
 	}
 }
+
+// ErrBadInterval reports an op whose Return precedes its Call: no instant
+// lies inside its interval, so the history cannot be checked.
+var ErrBadInterval = errors.New("linz: operation returns before it is called")
 
 // Options tunes one check.
 type Options struct {
@@ -75,6 +95,10 @@ type Result struct {
 	// is the partition's history, minimized when Options.Minimize was set.
 	BadKey         uint64
 	Counterexample History
+
+	// Err is set, with verdict Unknown, when the history is malformed; it
+	// wraps ErrBadInterval and names the first offending op.
+	Err error
 }
 
 // Init supplies the initial register state for a key: the value and whether
@@ -87,28 +111,34 @@ type Init func(key uint64) (value uint32, present bool)
 // partitions are visited in ascending key order and each partition's search
 // is a deterministic DFS, so the node count replays exactly.
 func CheckKV(h History, init Init, opt Options) Result {
+	res := Result{Verdict: Linearizable, Ops: len(h)}
+	for _, o := range h {
+		if o.Return < o.Call {
+			res.Verdict = Unknown
+			res.Err = fmt.Errorf("%w: %s", ErrBadInterval, o)
+			return res
+		}
+	}
 	budget := opt.NodeBudget
 	if budget <= 0 {
 		budget = DefaultNodeBudget
 	}
-	parts := map[uint64]History{}
-	for _, o := range h {
-		parts[o.Key] = append(parts[o.Key], o)
+	ops, keys, starts := partition(h)
+	res.Partitions = len(keys)
+	longest := 0
+	for i := range keys {
+		longest = max(longest, starts[i+1]-starts[i])
 	}
-	keys := make([]uint64, 0, len(parts))
-	for k := range parts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	res := Result{Verdict: Linearizable, Ops: len(h), Partitions: len(keys)}
-	for _, k := range keys {
-		var val uint32
-		var present bool
+	var c checker
+	c.presize(longest)
+	for i, k := range keys {
+		part := ops[starts[i]:starts[i+1]:starts[i+1]]
+		var st regState
 		if init != nil {
-			val, present = init(k)
+			st.val, st.present = init(k)
 		}
-		v, nodes := checkRegister(parts[k], val, present, budget-res.Nodes)
+		v, nodes := c.check(part, st, budget-res.Nodes)
 		res.Nodes += nodes
 		if v == Linearizable {
 			continue
@@ -116,7 +146,7 @@ func CheckKV(h History, init Init, opt Options) Result {
 		res.Verdict = v
 		if v == Illegal {
 			res.BadKey = k
-			ce := append(History(nil), parts[k]...)
+			ce := slices.Clone(part)
 			if opt.Minimize {
 				// Each single-removal probe checks a strictly smaller history,
 				// so it needs the same order of search work as the original
@@ -125,18 +155,51 @@ func CheckKV(h History, init Init, opt Options) Result {
 				// Probes that exhaust it come back Unknown and the op is
 				// kept, so minimization costs O(n²·nodes) search nodes, not
 				// O(n²·budget), on adversarial histories.
-				per := nodes*4 + 256
-				if per > budget {
-					per = budget
-				}
-				ce = minimize(ce, val, present, per)
+				ce = c.minimize(ce, st, min(nodes*4+256, budget))
 			}
-			ce.Sort()
 			res.Counterexample = ce
 		}
 		return res
 	}
 	return res
+}
+
+// partition copies h into one run per key, keys ascending, each run in
+// canonical op order — the order its search numbers the ops. Run i is
+// ops[starts[i]:starts[i+1]] and holds key keys[i]. The copy is a counting
+// sort over the distinct keys, so each op is moved once; a run arrives in
+// the order h had, and when h is canonical already (Merge's output) the
+// per-run sort only confirms it.
+func partition(h History) (ops History, keys []uint64, starts []int) {
+	run := map[uint64]int{}
+	for _, o := range h {
+		if _, ok := run[o.Key]; !ok {
+			run[o.Key] = 0
+			keys = append(keys, o.Key)
+		}
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		run[k] = i
+	}
+	starts = make([]int, len(keys)+1)
+	for _, o := range h {
+		starts[run[o.Key]+1]++
+	}
+	for i := range keys {
+		starts[i+1] += starts[i]
+	}
+	ops = make(History, len(h))
+	fill := slices.Clone(starts)
+	for _, o := range h {
+		i := run[o.Key]
+		ops[fill[i]] = o
+		fill[i]++
+	}
+	for i := range keys {
+		slices.SortFunc(ops[starts[i]:starts[i+1]], opCmp)
+	}
+	return ops, keys, starts
 }
 
 // regState is the per-key register model state.
@@ -160,91 +223,39 @@ func (s regState) step(o *Op) (regState, bool) {
 	return s, true
 }
 
-// entry is one node of the per-partition entry list. A call entry points at
-// its return entry via match; a return entry has match == nil. id is the
-// op's bit position in the linearized set.
+// event is one end of an op's interval, before it becomes an entry.
+type event struct {
+	t   int64
+	ret bool // return events order after call events at the same t
+	op  int32
+}
+
+func eventCmp(a, b event) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	if a.ret != b.ret {
+		return cmp.Compare(b2i(a.ret), b2i(b.ret))
+	}
+	return cmp.Compare(a.op, b.op)
+}
+
+// entry is one node of the per-partition entry list, linked by index into
+// checker.ents; index 0 is the list head, so next == 0 ends the list. A
+// call entry's match is the index of its return entry; a return entry has
+// match == 0. op is the op's index in the partition and its bit position
+// in the linearized set.
 type entry struct {
-	op         *Op
-	match      *entry
-	id         int
-	prev, next *entry
+	op, match  int32
+	prev, next int32
 }
 
-// lift removes a call entry and its return from the list.
-func (e *entry) lift() {
-	e.prev.next = e.next
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	m := e.match
-	m.prev.next = m.next
-	if m.next != nil {
-		m.next.prev = m.prev
-	}
-}
-
-// unlift reinserts a lifted call entry and its return.
-func (e *entry) unlift() {
-	m := e.match
-	m.prev.next = m
-	if m.next != nil {
-		m.next.prev = m
-	}
-	e.prev.next = e
-	if e.next != nil {
-		e.next.prev = e
-	}
-}
-
-// makeEntries builds the sorted, linked entry list for one partition.
-func makeEntries(ops History) *entry {
-	type event struct {
-		t      int64
-		ret    bool
-		opIdx  int
-		retIdx int // tie-break: return events order after call events at t
-	}
-	evs := make([]event, 0, 2*len(ops))
-	for i := range ops {
-		evs = append(evs, event{t: ops[i].Call, opIdx: i})
-		evs = append(evs, event{t: ops[i].Return, ret: true, opIdx: i, retIdx: 1})
-	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
-		}
-		if evs[a].retIdx != evs[b].retIdx {
-			return evs[a].retIdx < evs[b].retIdx
-		}
-		return evs[a].opIdx < evs[b].opIdx
-	})
-	head := &entry{id: -1}
-	tail := head
-	calls := make(map[int]*entry, len(ops))
-	for _, ev := range evs {
-		e := &entry{op: &ops[ev.opIdx], id: ev.opIdx}
-		if ev.ret {
-			e.op = nil
-			calls[ev.opIdx].match = e
-		} else {
-			calls[ev.opIdx] = e
-		}
-		tail.next = e
-		e.prev = tail
-		tail = e
-	}
-	return head
-}
-
-// bitset is a small fixed-free linearized-op set with an FNV-style hash for
-// the configuration cache.
+// bitset is the linearized-op set, with an FNV-style hash for the
+// configuration cache.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)     { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int)   { b[i>>6] &^= 1 << (uint(i) & 63) }
-func (b bitset) clone() bitset { return append(bitset(nil), b...) }
+func (b bitset) set(i int32)   { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int32) { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) equal(o bitset) bool {
 	for i := range b {
 		if b[i] != o[i] {
@@ -269,95 +280,234 @@ func (b bitset) hash(s regState) uint64 {
 	return h
 }
 
-type cacheEnt struct {
-	bits  bitset
+// slot is one configuration-cache cell: a visited (linearized set, state)
+// pair whose set is words[off : off+len(lin)]. A cell belongs to the
+// current partition iff gen matches the checker's; older ones read empty.
+type slot struct {
+	hash  uint64
+	off   int
 	state regState
+	gen   uint32
 }
 
 type frame struct {
-	e     *entry
+	e     int32
 	state regState
 }
 
-// checkRegister runs the WGL DFS over one partition. It returns the verdict
-// and the number of search nodes visited (call-entry linearization
-// attempts), which is deterministic for a given (ops, init) input.
-func checkRegister(ops History, initVal uint32, initPresent bool, budget int64) (Verdict, int64) {
+// checker holds the search buffers; each partition reuses them.
+type checker struct {
+	evs   []event
+	ents  []entry
+	calls []int32 // op index -> its call entry, while the list is built
+	lin   bitset
+	stack []frame
+	slots []slot   // open-addressed, power-of-two size, linear probing
+	shift uint     // 64 - log2(len(slots))
+	words []uint64 // the cached sets, len(lin) words each
+	used  int      // cells of the current generation
+	gen   uint32
+}
+
+// presize gives every buffer room for a partition of n ops, so a check
+// whose partitions are at most n long grows nothing unless its search
+// caches more than about 2n configurations in one partition.
+func (c *checker) presize(n int) {
+	w := (n + 63) / 64
+	c.evs = make([]event, 0, 2*n)
+	c.ents = make([]entry, 0, 2*n+1)
+	c.calls = make([]int32, n)
+	c.lin = make(bitset, w)
+	c.stack = make([]frame, 0, n)
+	c.words = make([]uint64, 0, 2*n*w)
+	size := 64
+	for size < 4*n {
+		size *= 2
+	}
+	c.setSlots(size)
+}
+
+// setSlots replaces the cache table with an empty one of size cells, a
+// power of two.
+func (c *checker) setSlots(size int) {
+	c.slots = make([]slot, size)
+	c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// home is a configuration hash's first probe: the top bits of its
+// Fibonacci product. The FNV hash's low bits depend only on the low bits
+// of the set's words, so masking it directly would crowd the table.
+func (c *checker) home(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> c.shift }
+
+// reset empties the set, the stack and the cache for a partition of n ops.
+func (c *checker) reset(n int) {
+	w := (n + 63) / 64
+	c.lin = slices.Grow(c.lin[:0], w)[:w]
+	clear(c.lin)
+	c.stack = c.stack[:0]
+	c.words = c.words[:0]
+	c.used = 0
+	c.gen++
+	if c.gen == 0 {
+		clear(c.slots)
+		c.gen = 1
+	}
+}
+
+// grow doubles the cache table and re-inserts the current generation.
+func (c *checker) grow() {
+	old := c.slots
+	c.setSlots(max(2*len(old), 64))
+	mask := uint64(len(c.slots) - 1)
+	for _, s := range old {
+		if s.gen != c.gen {
+			continue
+		}
+		i := c.home(s.hash)
+		for c.slots[i].gen == c.gen {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = s
+	}
+}
+
+// seen reports whether (lin, s) was visited before in this partition, and
+// records it if not. Membership is exact: a hash match still compares the
+// state and every word of the set.
+//
+//rfp:hotpath
+func (c *checker) seen(s regState) bool {
+	if 2*(c.used+1) > len(c.slots) {
+		c.grow()
+	}
+	h := c.lin.hash(s)
+	w := len(c.lin)
+	mask := uint64(len(c.slots) - 1)
+	for i := c.home(h); ; i = (i + 1) & mask {
+		sl := &c.slots[i]
+		if sl.gen != c.gen {
+			*sl = slot{hash: h, off: len(c.words), state: s, gen: c.gen}
+			c.words = append(c.words, c.lin...)
+			c.used++
+			return false
+		}
+		if sl.hash == h && sl.state == s && c.lin.equal(c.words[sl.off:sl.off+w]) {
+			return true
+		}
+	}
+}
+
+// makeEntries builds the sorted, linked entry list for one partition. Every
+// op's call sorts before its return (CheckKV rejects Return < Call), so a
+// return event always finds its call entry already in calls.
+//
+//rfp:hotpath
+func (c *checker) makeEntries(ops History) {
+	c.evs = c.evs[:0]
+	for i := range ops {
+		c.evs = append(c.evs,
+			event{t: ops[i].Call, op: int32(i)},
+			event{t: ops[i].Return, ret: true, op: int32(i)})
+	}
+	slices.SortFunc(c.evs, eventCmp)
+	c.calls = slices.Grow(c.calls[:0], len(ops))[:len(ops)]
+	c.ents = append(c.ents[:0], entry{op: -1})
+	for _, ev := range c.evs {
+		at := int32(len(c.ents))
+		c.ents = append(c.ents, entry{op: ev.op, prev: at - 1})
+		c.ents[at-1].next = at
+		if ev.ret {
+			c.ents[c.calls[ev.op]].match = at
+		} else {
+			c.calls[ev.op] = at
+		}
+	}
+}
+
+// lift removes call entry i and its return from the list.
+func (c *checker) lift(i int32) {
+	es := c.ents
+	e := &es[i]
+	es[e.prev].next = e.next
+	if e.next != 0 {
+		es[e.next].prev = e.prev
+	}
+	m := &es[e.match]
+	es[m.prev].next = m.next
+	if m.next != 0 {
+		es[m.next].prev = m.prev
+	}
+}
+
+// unlift reinserts lifted call entry i and its return.
+func (c *checker) unlift(i int32) {
+	es := c.ents
+	e := &es[i]
+	m := &es[e.match]
+	es[m.prev].next = e.match
+	if m.next != 0 {
+		es[m.next].prev = e.match
+	}
+	es[e.prev].next = i
+	if e.next != 0 {
+		es[e.next].prev = i
+	}
+}
+
+// check runs the WGL DFS over one partition, sorted in canonical op order.
+// It returns the verdict and the number of search nodes visited
+// (call-entry linearization attempts), which is deterministic for a given
+// (ops, init) input.
+//
+//rfp:hotpath
+func (c *checker) check(ops History, init regState, budget int64) (Verdict, int64) {
 	if len(ops) == 0 {
 		return Linearizable, 0
 	}
-	// The ops slice backing the entries must be stable; copy and sort so
-	// the entry order (and hence the node count) is canonical regardless of
-	// the caller's ordering.
-	ops = append(History(nil), ops...)
-	ops.Sort()
-
-	head := makeEntries(ops)
-	state := regState{val: initVal, present: initPresent}
-	linearized := newBitset(len(ops))
-	cache := map[uint64][]cacheEnt{}
-	seen := func(b bitset, s regState) bool {
-		h := b.hash(s)
-		for _, c := range cache[h] {
-			if c.state == s && c.bits.equal(b) {
-				return true
-			}
-		}
-		cache[h] = append(cache[h], cacheEnt{bits: b.clone(), state: s})
-		return false
-	}
-	var stack []frame
+	c.makeEntries(ops)
+	c.reset(len(ops))
+	es := c.ents
+	state := init
 	var nodes int64
 
-	e := head.next
-	for head.next != nil {
-		if e == nil {
-			// Ran off the end without linearizing anything new and without
-			// hitting a return entry: every remaining op is blocked, so
-			// backtrack (only reachable when all remaining returns are at
-			// InfTime and none of the pending ops is legal).
-			if len(stack) == 0 {
-				return Illegal, nodes
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			state = f.state
-			linearized.clear(f.e.id)
-			f.e.unlift()
-			e = f.e.next
-			continue
-		}
-		if e.match != nil {
+	e := es[0].next
+	for es[0].next != 0 {
+		if e != 0 && es[e].match != 0 {
 			// Call entry: try to linearize this op here.
 			nodes++
 			if nodes > budget {
 				return Unknown, nodes
 			}
-			if next, ok := state.step(e.op); ok {
-				linearized.set(e.id)
-				if !seen(linearized, next) {
-					stack = append(stack, frame{e: e, state: state})
+			op := es[e].op
+			if next, ok := state.step(&ops[op]); ok {
+				c.lin.set(op)
+				if !c.seen(next) {
+					c.stack = append(c.stack, frame{e: e, state: state})
 					state = next
-					e.lift()
-					e = head.next
+					c.lift(e)
+					e = es[0].next
 					continue
 				}
-				linearized.clear(e.id)
+				c.lin.clear(op)
 			}
-			e = e.next
+			e = es[e].next
 			continue
 		}
-		// Return entry: the op whose return this is was not linearized in
-		// time — undo the most recent choice, or fail if there is none.
-		if len(stack) == 0 {
+		// A return entry — the op it closes was not linearized in time — or
+		// the end of the list, reached without linearizing anything new and
+		// without meeting a return (every remaining op is blocked; only
+		// possible when all remaining returns are at InfTime and none of the
+		// pending ops is legal): undo the most recent choice, or fail if
+		// there is none.
+		if len(c.stack) == 0 {
 			return Illegal, nodes
 		}
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		f := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
 		state = f.state
-		linearized.clear(f.e.id)
-		f.e.unlift()
-		e = f.e.next
+		c.lin.clear(es[f.e].op)
+		c.unlift(f.e)
+		e = es[f.e].next
 	}
 	return Linearizable, nodes
 }

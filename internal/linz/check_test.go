@@ -1,6 +1,7 @@
 package linz
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -244,7 +245,7 @@ func TestClientLogRecorderAndMerge(t *testing.T) {
 		t.Fatalf("merged %d ops, want 4", len(h))
 	}
 	for i := 1; i < len(h); i++ {
-		if opLess(h[i], h[i-1]) {
+		if opCmp(h[i], h[i-1]) < 0 {
 			t.Fatalf("merge not sorted at %d:\n%s", i, h.Render())
 		}
 	}
@@ -274,5 +275,48 @@ func TestVerdictAndKindStrings(t *testing.T) {
 	}
 	if Read.String() != "R" || Write.String() != "W" {
 		t.Fatalf("kind strings: %v %v", Read, Write)
+	}
+}
+
+// TestBadIntervalIsUnknown: an op that returns before it is called has no
+// instant to linearize at. The check says so with ErrBadInterval and an
+// Unknown verdict instead of building an entry list around it.
+func TestBadIntervalIsUnknown(t *testing.T) {
+	for _, h := range []History{
+		{{Kind: Write, Key: 1, Call: 10, Return: 5}},
+		{
+			{Client: 0, Kind: Write, Key: 1, Arg: 1, Call: 0, Return: 10},
+			{Client: 1, Kind: Read, Key: 2, Found: true, Call: 30, Return: 29},
+		},
+	} {
+		res := CheckKV(h, initPresent0, Options{Minimize: true})
+		if res.Verdict != Unknown || !errors.Is(res.Err, ErrBadInterval) || res.Ops != len(h) {
+			t.Fatalf("verdict %v, err %v, ops %d; want unknown, ErrBadInterval, %d\n%s",
+				res.Verdict, res.Err, res.Ops, len(h), h.Render())
+		}
+	}
+	if res := CheckKV(History{{Kind: Write, Key: 1, Call: 5, Return: 5}}, nil, Options{}); res.Err != nil || res.Verdict != Linearizable {
+		t.Fatalf("a point interval is legal: verdict %v, err %v", res.Verdict, res.Err)
+	}
+}
+
+// TestCheckKVAllocsBounded pins the checker's allocation count: one copy of
+// the history and buffers sized once for the longest partition, so a
+// check's allocations do not grow with the number of ops.
+func TestCheckKVAllocsBounded(t *testing.T) {
+	counts := map[int]float64{}
+	for _, ops := range []int{10_000, 100_000} {
+		h := isoHistory(ops, 512)
+		counts[ops] = testing.AllocsPerRun(3, func() {
+			if res := CheckKV(h, initPresent0, Options{}); res.Verdict != Linearizable {
+				t.Fatalf("%d ops: verdict %v", ops, res.Verdict)
+			}
+		})
+		if counts[ops] > 64 {
+			t.Errorf("CheckKV on %d ops made %.0f allocations, want <= 64", ops, counts[ops])
+		}
+	}
+	if d := counts[100_000] - counts[10_000]; d > 16 || d < -16 {
+		t.Errorf("allocations grow with the history: %.0f at 10k ops, %.0f at 100k", counts[10_000], counts[100_000])
 	}
 }

@@ -11,15 +11,15 @@ package linz
 // justification, and unread writes (and their readers, probed first in
 // canonical order) still fall away.
 
-// minimize shrinks ops (one partition, known Illegal) to a minimal Illegal
-// sub-history under the same initial state. Deterministic: removal
-// candidates are probed in the partition's canonical order. budget bounds
-// each single-removal probe individually (the caller derives it from the
-// original failing check's node count); a probe that exhausts it returns
-// Unknown, which keeps the op — minimality may be lost, never soundness.
-func minimize(ops History, initVal uint32, initPresent bool, budget int64) History {
-	cur := append(History(nil), ops...)
-	cur.Sort()
+// minimize shrinks cur (one partition in canonical order, known Illegal) to
+// a minimal Illegal sub-history under the same initial state, reusing c's
+// buffers for every probe. Deterministic: removal candidates are probed in
+// the partition's canonical order, and a probe, being a subsequence, is in
+// canonical order too. budget bounds each single-removal probe individually
+// (the caller derives it from the original failing check's node count); a
+// probe that exhausts it returns Unknown, which keeps the op — minimality
+// may be lost, never soundness.
+func (c *checker) minimize(cur History, init regState, budget int64) History {
 	observed := func(h History) map[uint32]bool {
 		m := map[uint32]bool{}
 		for _, o := range h {
@@ -39,8 +39,7 @@ func minimize(ops History, initVal uint32, initPresent bool, budget int64) Histo
 			probe := make(History, 0, len(cur)-1)
 			probe = append(probe, cur[:i]...)
 			probe = append(probe, cur[i+1:]...)
-			v, _ := checkRegister(probe, initVal, initPresent, budget)
-			if v == Illegal {
+			if v, _ := c.check(probe, init, budget); v == Illegal {
 				cur = probe
 				shrunk = true
 				i--

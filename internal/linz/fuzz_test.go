@@ -2,18 +2,24 @@ package linz
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // decodeHistory maps arbitrary fuzz bytes onto a bounded history: up to 16
 // ops over 2 keys, 4-bit values, 6-bit times. Small domains force dense
-// overlap, which is where the search actually branches.
+// overlap, which is where the search actually branches. The top bit of an
+// op's fourth byte turns its duration negative, a malformed interval the
+// checker must reject rather than search.
 func decodeHistory(data []byte) History {
 	var h History
 	for i := 0; i+4 <= len(data) && len(h) < 16; i += 4 {
 		b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
 		call := int64(b2 & 63)
 		ret := call + int64(b3&63)
+		if b3&128 != 0 {
+			ret = call - int64(b3&63)
+		}
 		op := Op{
 			Client: len(h),
 			Key:    uint64(b0 & 1),
@@ -74,10 +80,21 @@ func hasWriteSkew(h History) bool {
 	return false
 }
 
+// badInterval reports whether some op returns before it is called.
+func badInterval(h History) bool {
+	for _, o := range h {
+		if o.Return < o.Call {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzHistoryCheck feeds arbitrary interleaved invoke/return records to the
 // checker: it must never panic, must be deterministic (same verdict and
-// node count on a re-run), and must never certify a history containing a
-// write-skew pair.
+// node count on a re-run), must reject a malformed interval with
+// ErrBadInterval, must never certify a history containing a write-skew
+// pair, and on up to 7 ops must agree with exhaustive enumeration.
 func FuzzHistoryCheck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0, 10, 2, 2, 20, 10, 4, 1, 40, 10}) // the skew core
@@ -85,6 +102,7 @@ func FuzzHistoryCheck(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, 2, 3, 1, 60, 4, 3, 10, 50})   // miss + overlapping write
 	f.Add(bytes.Repeat([]byte{2, 7, 0, 63}, 16))           // 16 concurrent writes
 	f.Add([]byte{6, 9, 0, 1, 2, 9, 10, 1, 3, 4, 20, 1, 7, 4, 30, 1})
+	f.Add([]byte{2, 1, 10, 5 | 128, 4, 1, 20, 5}) // a write returning before its call
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := decodeHistory(data)
 		// A modest budget keeps adversarial all-concurrent inputs fast (the
@@ -97,8 +115,17 @@ func FuzzHistoryCheck(f *testing.F) {
 			t.Fatalf("nondeterministic: (%v,%d) vs (%v,%d)\n%s",
 				res.Verdict, res.Nodes, again.Verdict, again.Nodes, h.Render())
 		}
+		if bad := badInterval(h); bad != errors.Is(res.Err, ErrBadInterval) || bad && res.Verdict != Unknown {
+			t.Fatalf("malformed=%v but verdict %v, err %v:\n%s", bad, res.Verdict, res.Err, h.Render())
+		}
+		if res.Err != nil {
+			return
+		}
 		if hasWriteSkew(h) && res.Verdict == Linearizable {
 			t.Fatalf("certified a write-skew history:\n%s", h.Render())
+		}
+		if len(h) <= 7 && res.Verdict != Unknown && (res.Verdict == Linearizable) != bruteLinearizable(h, nil) {
+			t.Fatalf("verdict %v disagrees with enumeration:\n%s", res.Verdict, h.Render())
 		}
 		if res.Verdict == Illegal {
 			if len(res.Counterexample) == 0 {

@@ -15,8 +15,9 @@
 package linz
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -75,32 +76,38 @@ func (o Op) String() string {
 type History []Op
 
 // Sort orders the history deterministically: by Call, then Return, then
-// client, key and payload. Merge sorts; checker internals re-sort per
-// partition, so Sort is a canonicalization for rendering and hashing.
-func (h History) Sort() {
-	sort.Slice(h, func(i, j int) bool { return opLess(h[i], h[j]) })
-}
+// client, key and payload. Merge sorts; the checker groups its own copy by
+// key, each group in this order, so Sort is a canonicalization for
+// rendering and hashing.
+func (h History) Sort() { slices.SortFunc(h, opCmp) }
 
-func opLess(a, b Op) bool {
+// opCmp is the canonical three-way order of Sort. Found breaks the last
+// tie, so two ops compare equal only when they are identical and the order
+// of a sorted history does not depend on the order it was given in. The
+// times decide almost every comparison, so they are tested before the rest
+// is evaluated.
+func opCmp(a, b Op) int {
 	if a.Call != b.Call {
-		return a.Call < b.Call
+		return cmp.Compare(a.Call, b.Call)
 	}
 	if a.Return != b.Return {
-		return a.Return < b.Return
+		return cmp.Compare(a.Return, b.Return)
 	}
-	if a.Client != b.Client {
-		return a.Client < b.Client
+	return cmp.Or(
+		cmp.Compare(a.Client, b.Client),
+		cmp.Compare(a.Key, b.Key),
+		cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Arg, b.Arg),
+		cmp.Compare(a.Out, b.Out),
+		cmp.Compare(b2i(a.Found), b2i(b.Found)),
+	)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Arg != b.Arg {
-		return a.Arg < b.Arg
-	}
-	return a.Out < b.Out
+	return 0
 }
 
 // Render returns the history one op per line, in canonical order.
@@ -161,7 +168,13 @@ func (l *ClientLog) Len() int { return len(l.ops) }
 
 // Merge combines per-thread logs into one canonical history.
 func Merge(logs ...*ClientLog) History {
-	var h History
+	n := 0
+	for _, l := range logs {
+		if l != nil {
+			n += len(l.ops)
+		}
+	}
+	h := make(History, 0, n)
 	for _, l := range logs {
 		if l != nil {
 			h = append(h, l.ops...)

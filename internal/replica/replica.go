@@ -127,6 +127,7 @@ type node struct {
 	leaderID int // -1 when unknown
 	crashes  int // Machine.Crashes at the last step; a jump means we crashed
 	log      []entryRec
+	slab     []byte         // current chunk of log values (keep)
 	applied  int            // entries 1..applied are in the store
 	maxAdv   int            // highest commit index ever advertised to us
 	pending  map[uint64]int // key -> entries in (applied, len(log)]
@@ -463,7 +464,7 @@ func (n *node) handlePut(p *sim.Proc, req, resp []byte) int {
 	// req aliases the ring slot, and a client whose resent request is being
 	// served a second time has already moved on to its next call: copy out
 	// before the first yield, or that call's delivery tears the entry.
-	key, val := workload.DecodeKey(r.Key), append([]byte(nil), r.Value...)
+	key, val := workload.DecodeKey(r.Key), n.keep(r.Value)
 	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 	idx := len(n.log) + 1
 	n.log = append(n.log, entryRec{epoch: e0, key: key, val: val})
@@ -681,6 +682,30 @@ func (n *node) finishDrain(p *sim.Proc, j int) {
 	}
 }
 
+// slabChunk is the size of one log-value chunk.
+const slabChunk = 64 << 10
+
+// keep copies v into the node's value slab and returns the copy, capped so
+// no append through it can reach the next value. The slab is append-only:
+// a chunk is never reused, so a value stays valid for as long as a log
+// entry holds it, truncated entries included, and a full chunk is simply
+// left to the entries that point into it.
+//
+//rfp:hotpath
+func (n *node) keep(v []byte) []byte {
+	if len(v) > cap(n.slab)-len(n.slab) {
+		n.newChunk(len(v))
+	}
+	off := len(n.slab)
+	n.slab = append(n.slab, v...)
+	return n.slab[off:len(n.slab):len(n.slab)]
+}
+
+// newChunk starts a fresh slab chunk with room for at least size bytes.
+func (n *node) newChunk(size int) {
+	n.slab = make([]byte, 0, max(slabChunk, size))
+}
+
 // applyTo applies log entries through idx to the store.
 func (n *node) applyTo(idx int) {
 	for n.applied < idx && n.applied < len(n.log) {
@@ -779,10 +804,10 @@ func (n *node) handlePrepare(p *sim.Proc, req, resp []byte) int {
 			n.dupPrepares++
 		}
 		n.pendingDec(old.key)
-		n.log[idx-1] = entryRec{epoch: pm.epoch, key: pm.key, val: append([]byte(nil), pm.value...)}
+		n.log[idx-1] = entryRec{epoch: pm.epoch, key: pm.key, val: n.keep(pm.value)}
 		n.pending[pm.key]++
 	case idx == len(n.log)+1:
-		val := append([]byte(nil), pm.value...) // before the yield, as in handlePut
+		val := n.keep(pm.value) // before the yield, as in handlePut
 		n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 		n.log = append(n.log, entryRec{epoch: pm.epoch, key: pm.key, val: val})
 		n.pending[pm.key]++
