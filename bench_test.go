@@ -1,160 +1,39 @@
 package rfp_test
 
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (plus the DESIGN.md ablations). Each benchmark runs
-// the corresponding experiment end-to-end on the simulated cluster and
-// reports the headline metric; run with -v to see the full series the
-// paper plots, or use cmd/rfpbench for the interactive version.
+// Benchmark harness: one testing.B sub-benchmark per registered experiment
+// (the paper's tables and figures, the ablations and the extensions). Each
+// runs its experiment end-to-end on the simulated cluster and reports the
+// headline metric; run with -v to see the full series the paper plots, or
+// use cmd/rfpbench for the interactive version.
 //
-//	go test -bench=. -benchmem            # full point sets
-//	go test -bench=Fig12 -v               # one figure, with its table
-//	go test -short -bench=.               # reduced sweeps
+//	go test -bench=Experiments -benchmem .          # full point sets
+//	go test -short -bench=Experiments/fig12 -v .    # one figure, quickly, with its table
 import (
 	"testing"
 
 	"rfp/internal/experiments"
 )
 
-func benchOptions() experiments.Options {
+// BenchmarkExperiments runs one sub-benchmark per id in experiments.IDs(),
+// reporting the peak of the first series where one exists. -short takes the
+// quick point sets.
+func BenchmarkExperiments(b *testing.B) {
 	o := experiments.DefaultOptions()
 	o.Quick = testing.Short()
-	return o
-}
-
-// benchExperiment runs one experiment per iteration and reports its
-// headline metric (the peak of the first series, where one exists).
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.String())
-			if len(res.Series) > 0 {
-				b.ReportMetric(res.Series[0].PeakY(), "peakMOPS")
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := experiments.Run(id, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + res.String())
+					if len(res.Series) > 0 {
+						b.ReportMetric(res.Series[0].PeakY(), "peakMOPS")
+					}
+				}
 			}
-		}
+		})
 	}
 }
-
-// Sec. 2 microbenchmarks.
-
-// BenchmarkFig3 regenerates Fig. 3: in-bound vs out-bound IOPS (32 B)
-// against server thread count — the asymmetry observation.
-func BenchmarkFig3(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFig4 regenerates Fig. 4: server in-bound IOPS against total
-// client threads, including the contention-induced decline.
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFig5 regenerates Fig. 5: IOPS vs transfer size for both
-// directions, converging beyond ~2 KB.
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkFig6 regenerates Fig. 6: server-bypass throughput versus the
-// number of RDMA operations each logical request needs.
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-
-// Sec. 3 mechanism sweeps.
-
-// BenchmarkFig9 regenerates Fig. 9: repeated remote fetching vs
-// server-reply across server process times (the crossover that bounds R).
-func BenchmarkFig9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// Sec. 4 evaluation.
-
-// BenchmarkFig10 regenerates Fig. 10: Jakiro throughput vs client threads.
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
-
-// BenchmarkFig11 regenerates Fig. 11: Jakiro vs Pilaf, 50% GET, 20 Gbps.
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
-
-// BenchmarkFig12 regenerates Fig. 12: throughput vs server threads for
-// Jakiro, ServerReply and RDMA-Memcached.
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12") }
-
-// BenchmarkFig13 regenerates Fig. 13: latency CDFs at peak throughput.
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13") }
-
-// BenchmarkFig14 regenerates Fig. 14: throughput vs request process time
-// for Jakiro, ServerReply and Jakiro without the hybrid switch.
-func BenchmarkFig14(b *testing.B) { benchExperiment(b, "fig14") }
-
-// BenchmarkFig15 regenerates Fig. 15: client CPU utilization vs request
-// process time under the hybrid mechanism.
-func BenchmarkFig15(b *testing.B) { benchExperiment(b, "fig15") }
-
-// BenchmarkFig16 regenerates Fig. 16: throughput vs GET percentage.
-func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16") }
-
-// BenchmarkFig17 regenerates Fig. 17: throughput vs value size (F = 640).
-func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17") }
-
-// BenchmarkFig18 regenerates Fig. 18: Jakiro throughput vs fetch size F.
-func BenchmarkFig18(b *testing.B) { benchExperiment(b, "fig18") }
-
-// BenchmarkFig19 regenerates Fig. 19: throughput vs GET percentage under
-// the skewed (Zipf .99) workload.
-func BenchmarkFig19(b *testing.B) { benchExperiment(b, "fig19") }
-
-// BenchmarkFig20 regenerates Fig. 20: latency CDFs, skewed read-intensive.
-func BenchmarkFig20(b *testing.B) { benchExperiment(b, "fig20") }
-
-// BenchmarkTable3 regenerates Table 3: the fetch-retry distribution across
-// the four workload mixes.
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-
-// Ablations beyond the paper (see DESIGN.md Sec. 6).
-
-// BenchmarkAblationNoInline measures the cost of fetching the result size
-// with a separate read instead of the inline mechanism.
-func BenchmarkAblationNoInline(b *testing.B) { benchExperiment(b, "ablation-inline") }
-
-// BenchmarkAblationAlwaysFetch contrasts the hybrid switch against
-// always-fetch and always-reply at a long process time.
-func BenchmarkAblationAlwaysFetch(b *testing.B) { benchExperiment(b, "ablation-switch") }
-
-// BenchmarkAblationSelection measures tuned vs mis-set fetch sizes.
-func BenchmarkAblationSelection(b *testing.B) { benchExperiment(b, "ablation-selection") }
-
-// BenchmarkAblationTwoSided verifies two-sided Send/Recv shows no
-// in/out-bound asymmetry to exploit.
-func BenchmarkAblationTwoSided(b *testing.B) { benchExperiment(b, "ablation-twosided") }
-
-// Extensions beyond the paper (see DESIGN.md Sec. 6 and EXPERIMENTS.md).
-
-// BenchmarkExtHerd compares a HERD-style UC/UD RPC against RFP and RC
-// server-reply on a lossless fabric.
-func BenchmarkExtHerd(b *testing.B) { benchExperiment(b, "ext-herd") }
-
-// BenchmarkExtLoss measures the HERD-style design under datagram loss.
-func BenchmarkExtLoss(b *testing.B) { benchExperiment(b, "ext-loss") }
-
-// BenchmarkExtScaleout measures Jakiro across multiple server machines.
-func BenchmarkExtScaleout(b *testing.B) { benchExperiment(b, "ext-scaleout") }
-
-// BenchmarkExtTuning measures on-line (R,F) adaptation across a workload
-// shift.
-func BenchmarkExtTuning(b *testing.B) { benchExperiment(b, "ext-tuning") }
-
-// BenchmarkExtAsync measures synchronous vs pipelined vs doorbell-batched
-// issuing on one thread.
-func BenchmarkExtAsync(b *testing.B) { benchExperiment(b, "ext-async") }
-
-// BenchmarkExtFarm measures FaRM-style wide-read GETs against Jakiro.
-func BenchmarkExtFarm(b *testing.B) { benchExperiment(b, "ext-farm") }
-
-// BenchmarkExtPipeline sweeps the request-ring depth for single-thread
-// GETs over Post/Poll; the acceptance bar is ≥2x the depth-1 throughput
-// by depth 8.
-func BenchmarkExtPipeline(b *testing.B) { benchExperiment(b, "ext-pipeline") }
-
-// BenchmarkExtAdaptiveDepth measures the on-line ring-depth tuner against
-// the static sweep across a mid-run process-time shift.
-func BenchmarkExtAdaptiveDepth(b *testing.B) { benchExperiment(b, "ext-adaptive-depth") }
-
-// BenchmarkExtYCSB runs YCSB core workloads A/B/C/F across the systems.
-func BenchmarkExtYCSB(b *testing.B) { benchExperiment(b, "ext-ycsb") }

@@ -9,8 +9,8 @@
 //	rfpbench -all                  # run everything (several minutes)
 //	rfpbench -quick -all           # reduced point sets
 //	rfpbench -json fig3            # machine-readable per-experiment output
-//	rfpbench -quick -stable -json ext-pipeline ext-adaptive-depth
-//	                               # byte-stable JSON for archived runs
+//	rfpbench -quick -stable -json fig3  # byte-stable JSON, as archived in
+//	                                    # BENCH_faultfree.json
 //	rfpbench -quick ext-chaos      # the fault-injection sweep (DESIGN.md §10)
 //
 // Each experiment prints the same rows/series the paper plots; absolute
@@ -117,7 +117,7 @@ func main() {
 			if *stable {
 				// The simulation is deterministic per seed; wall time is the
 				// one nondeterministic field. Zeroing it makes the output
-				// byte-stable, so archived runs (BENCH_*.json) diff cleanly.
+				// byte-stable, so it diffs cleanly against BENCH_faultfree.json.
 				wall = 0
 			}
 			if err := enc.Encode(experiments.ToJSON(res, o, wall)); err != nil {

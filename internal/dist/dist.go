@@ -1,7 +1,7 @@
 // Package dist provides deterministic random variates used by the workload
-// generator and the fault injector: fixed, uniform, Zipf-distributed and
-// two-point-mixture integers, and fixed durations. All variates draw from a
-// caller-owned *rand.Rand so simulations stay reproducible.
+// generator: fixed, uniform, Zipf-distributed and two-point-mixture
+// integers. All variates draw from a caller-owned *rand.Rand so simulations
+// stay reproducible.
 package dist
 
 import (
@@ -113,17 +113,6 @@ func (z *Zipf) Next(r *rand.Rand) int {
 func (z *Zipf) Max() int { return z.n - 1 }
 
 func (z *Zipf) String() string { return fmt.Sprintf("zipf(n=%d)", z.n) }
-
-// DurationDist produces durations in nanoseconds.
-type DurationDist interface {
-	NextNs(r *rand.Rand) int64
-}
-
-// FixedDur always yields the same duration (ns).
-type FixedDur int64
-
-// NextNs implements DurationDist.
-func (f FixedDur) NextNs(*rand.Rand) int64 { return int64(f) }
 
 // Mixture draws from A with probability PA, otherwise from B — e.g. a
 // key-value population of mostly small values with an occasional large one.

@@ -142,13 +142,6 @@ func TestZipfDeterminism(t *testing.T) {
 	}
 }
 
-func TestFixedDur(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	if FixedDur(777).NextNs(r) != 777 {
-		t.Fatal("FixedDur")
-	}
-}
-
 // Property: uniform draws always stay within bounds for arbitrary ranges.
 func TestUniformBoundsProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))

@@ -10,7 +10,7 @@ import (
 // best static depth both before and after the mid-run process-time shift,
 // and the shift itself is visible in the depth trace.
 func TestExtAdaptiveDepthConverges(t *testing.T) {
-	o := quickOpts()
+	o := archiveOpts()
 	depths := o.pick(nil, []int{1, 2, 4, 8})
 	light := &statsSweep{depths: depths}
 	heavy := &statsSweep{depths: depths}
@@ -54,10 +54,7 @@ type statsSweep struct {
 // TestExtAdaptiveDepthRows checks the rendered result carries both the
 // static reference and the adaptive selection (what rfpbench -json emits).
 func TestExtAdaptiveDepthRows(t *testing.T) {
-	r, err := Run("ext-adaptive-depth", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-adaptive-depth")
 	out := r.String()
 	for _, want := range []string{"best static depth", "adaptive depth", "ring depth", "note:"} {
 		if !strings.Contains(out, want) {
@@ -73,18 +70,7 @@ func TestExtAdaptiveDepthRows(t *testing.T) {
 // same seed; the control plane (sampling, re-selection, quiesce-resize)
 // must not introduce run-to-run divergence.
 func TestExtAdaptiveDepthDeterminism(t *testing.T) {
-	o := quickOpts()
-	a, err := Run("ext-adaptive-depth", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("ext-adaptive-depth", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
-	}
+	assertReplays(t, "ext-adaptive-depth")
 }
 
 // withinOneStep reports whether the adaptive depth d lands within one

@@ -5,20 +5,12 @@ import (
 	"testing"
 )
 
-// chaosTestOpts is the envelope every chaos test runs under: quick sizes so
-// the -race CI smoke step stays fast.
-func chaosTestOpts() Options {
-	o := DefaultOptions()
-	o.Quick = true
-	return o
-}
-
 // TestChaosInvariants runs every fault plan and asserts the harness's hard
 // guarantees: no call is ever lost (unaccounted), no corrupted response is
 // ever accepted, and every client loop runs to completion — the ring never
 // deadlocks, even across a whole-server crash.
 func TestChaosInvariants(t *testing.T) {
-	o := chaosTestOpts()
+	o := archiveOpts()
 	const clients, calls = 6, 120
 	for _, pl := range chaosPlans(o) {
 		_, results, agg, inj := runChaosPlan(o, pl, clients, calls)
@@ -70,18 +62,8 @@ func TestChaosInvariants(t *testing.T) {
 // races, crash timing, rendered rows and trace digests — must replay
 // byte-identically from the same seed.
 func TestChaosDeterministicReplay(t *testing.T) {
-	o := chaosTestOpts()
-	a, err := Run("ext-chaos", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("ext-chaos", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("same seed, different results:\n--- first ---\n%s\n--- second ---\n%s", a, b)
-	}
+	assertReplays(t, "ext-chaos")
+	a := archived(t, "ext-chaos")
 	if !strings.Contains(a.String(), "none") || len(a.Rows) != 5 {
 		t.Fatalf("unexpected result shape:\n%s", a)
 	}
@@ -91,7 +73,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 // correctness — completions stay near-total and the rate stays within an
 // order of magnitude of the fault-free run rather than collapsing.
 func TestChaosGracefulDegradation(t *testing.T) {
-	o := chaosTestOpts()
+	o := archiveOpts()
 	const clients, calls = 6, 120
 	total := clients * calls
 	rate := func(pl chaosPlan) (float64, int) {

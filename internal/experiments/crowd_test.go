@@ -10,19 +10,12 @@ import (
 	"rfp/internal/sim"
 )
 
-// crowdTestOpts is the quick envelope the CI smoke step runs under.
-func crowdTestOpts() Options {
-	o := DefaultOptions()
-	o.Quick = true
-	return o
-}
-
 // TestCrowdFootprintRatio is the ext-crowd acceptance smoke: at the top of
 // the quick sweep the pooled transport must hold a small fraction of the
 // dedicated baseline's registered memory, pool-sized QP counts, and the same
 // throughput (the active subset never notices the multiplexing).
 func TestCrowdFootprintRatio(t *testing.T) {
-	o := crowdTestOpts().withDefaults()
+	o := archiveOpts().withDefaults()
 	const n = 1000
 	pooled := runCrowd(o, n, core.PoolConfig{QPs: crowdPoolQPs, SlabBytes: crowdSlabBytes})
 	dedic := runCrowd(o, n, core.PoolConfig{})
@@ -55,7 +48,7 @@ func TestCrowdFootprintRatio(t *testing.T) {
 // call) in its payload, so a misrouted completion would surface as a
 // corrupted or lost call, both of which must be zero.
 func TestCrowdChaosLightPooled(t *testing.T) {
-	o := crowdTestOpts().withDefaults()
+	o := archiveOpts().withDefaults()
 	const clients, calls = 12, 80
 	env := sim.NewEnv(o.Seed)
 	defer env.Close()
@@ -150,16 +143,5 @@ func TestCrowdChaosLightPooled(t *testing.T) {
 // TestCrowdDeterministicReplay: the sweep renders byte-identically from the
 // same seed (ext-crowd joins the replay contract the chaos harness set).
 func TestCrowdDeterministicReplay(t *testing.T) {
-	o := crowdTestOpts()
-	a, err := Run("ext-crowd", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("ext-crowd", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Render(false) != b.Render(false) {
-		t.Fatal("ext-crowd did not replay byte-identically")
-	}
+	assertReplays(t, "ext-crowd")
 }

@@ -9,14 +9,6 @@ import (
 	"rfp/internal/workload"
 )
 
-func quickOpts() Options {
-	o := DefaultOptions()
-	o.Quick = true
-	o.Warmup = 400_000 // 400 us
-	o.Window = 800_000 // 800 us
-	return o
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig3", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "fig12",
@@ -25,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 		"ablation-inline", "ablation-switch", "ablation-selection", "ablation-twosided",
 		"ext-herd", "ext-loss", "ext-scaleout", "ext-tuning",
 		"ext-async", "ext-farm", "ext-ycsb", "ext-pipeline",
-		"ext-adaptive-depth", "ext-chaos", "ext-crowd",
+		"ext-adaptive-depth", "ext-chaos", "ext-crowd", "ext-replica",
 	}
 	ids := IDs()
 	have := map[string]bool{}
@@ -49,10 +41,7 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 func TestResultRendering(t *testing.T) {
-	r, err := Run("fig3", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig3")
 	out := r.String()
 	for _, want := range []string{"fig3", "in-bound", "out-bound", "note:"} {
 		if !strings.Contains(out, want) {
@@ -62,10 +51,7 @@ func TestResultRendering(t *testing.T) {
 }
 
 func TestFig3Asymmetry(t *testing.T) {
-	r, err := Run("fig3", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig3")
 	in, out := r.Series[0], r.Series[1]
 	if p := in.PeakY(); p < 10.5 || p > 12 {
 		t.Fatalf("in-bound peak = %.2f, want ~11.26", p)
@@ -79,10 +65,7 @@ func TestFig3Asymmetry(t *testing.T) {
 }
 
 func TestFig5Convergence(t *testing.T) {
-	r, err := Run("fig5", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig5")
 	in, out := r.Series[0], r.Series[1]
 	last := len(in.Y) - 1
 	ratio := in.Y[last] / out.Y[last]
@@ -95,10 +78,7 @@ func TestFig5Convergence(t *testing.T) {
 }
 
 func TestFig6InverseScaling(t *testing.T) {
-	r, err := Run("fig6", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig6")
 	tput := r.Series[0]
 	first, last := tput.Y[0], tput.Y[len(tput.Y)-1]
 	kFirst, kLast := tput.X[0], tput.X[len(tput.X)-1]
@@ -110,10 +90,7 @@ func TestFig6InverseScaling(t *testing.T) {
 }
 
 func TestFig9Crossover(t *testing.T) {
-	r, err := Run("fig9", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig9")
 	fetch, reply := r.Series[0], r.Series[1]
 	// At P=1us fetching dominates; by P=15us they are comparable.
 	if fetch.Y[0] < 2*reply.Y[0] {
@@ -126,10 +103,7 @@ func TestFig9Crossover(t *testing.T) {
 }
 
 func TestFig12Hierarchy(t *testing.T) {
-	r, err := Run("fig12", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig12")
 	jk, sr, mc := r.Series[0], r.Series[1], r.Series[2]
 	if jk.PeakY() < 4.5 {
 		t.Fatalf("Jakiro peak %.2f, want ~5.5", jk.PeakY())
@@ -151,10 +125,7 @@ func TestFig12Hierarchy(t *testing.T) {
 }
 
 func TestFig13LatencyOrdering(t *testing.T) {
-	r, err := Run("fig13", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig13")
 	jk := r.CDFs[KindJakiro.Label()]
 	sr := r.CDFs[KindServerReply.Label()]
 	mc := r.CDFs[KindMemcached.Label()]
@@ -177,10 +148,7 @@ func TestFig13LatencyOrdering(t *testing.T) {
 }
 
 func TestFig14SwitchConvergence(t *testing.T) {
-	r, err := Run("fig14", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig14")
 	jk, sr := r.Series[0], r.Series[1]
 	last := len(jk.Y) - 1
 	// At the largest process time the hybrid matches server-reply.
@@ -195,10 +163,7 @@ func TestFig14SwitchConvergence(t *testing.T) {
 }
 
 func TestFig15UtilizationDrops(t *testing.T) {
-	r, err := Run("fig15", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig15")
 	util := r.Series[0]
 	if util.Y[0] < 95 {
 		t.Fatalf("P=1us client CPU = %.1f%%, want ~100%%", util.Y[0])
@@ -210,10 +175,7 @@ func TestFig15UtilizationDrops(t *testing.T) {
 }
 
 func TestFig16JakiroHoldsUnderWrites(t *testing.T) {
-	r, err := Run("fig16", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig16")
 	jk, _, mc := r.Series[0], r.Series[1], r.Series[2]
 	// Jakiro within 10% across GET mixes.
 	if (jk.PeakY()-jk.Y[len(jk.Y)-1])/jk.PeakY() > 0.1 {
@@ -227,10 +189,7 @@ func TestFig16JakiroHoldsUnderWrites(t *testing.T) {
 }
 
 func TestFig17BandwidthConvergence(t *testing.T) {
-	r, err := Run("fig17", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig17")
 	jk, sr, _ := r.Series[0], r.Series[1], r.Series[2]
 	last := len(jk.Y) - 1
 	if ratio := jk.Y[last] / sr.Y[last]; ratio < 0.7 || ratio > 1.4 {
@@ -242,10 +201,7 @@ func TestFig17BandwidthConvergence(t *testing.T) {
 }
 
 func TestFig19SkewTolerated(t *testing.T) {
-	r, err := Run("fig19", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "fig19")
 	jk := r.Series[0]
 	if jk.PeakY() < 4.5 {
 		t.Fatalf("skewed Jakiro peak %.2f, want ~5.5", jk.PeakY())
@@ -253,10 +209,7 @@ func TestFig19SkewTolerated(t *testing.T) {
 }
 
 func TestTable3RareRetries(t *testing.T) {
-	r, err := Run("table3", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "table3")
 	if len(r.Rows) != 5 { // header + 4 workloads
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -267,10 +220,7 @@ func TestTable3RareRetries(t *testing.T) {
 }
 
 func TestAblationInlineHalvesIOPS(t *testing.T) {
-	r, err := Run("ablation-inline", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ablation-inline")
 	inline, probe := r.Series[0], r.Series[1]
 	if ratio := inline.Y[0] / probe.Y[0]; ratio < 1.3 {
 		t.Fatalf("inline/probe = %.2f at 32B, want >1.3 (second read per call)", ratio)
@@ -278,10 +228,7 @@ func TestAblationInlineHalvesIOPS(t *testing.T) {
 }
 
 func TestAblationTwoSided(t *testing.T) {
-	r, err := Run("ablation-twosided", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ablation-twosided")
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows: %v", r.Rows)
 	}
@@ -289,7 +236,7 @@ func TestAblationTwoSided(t *testing.T) {
 
 func TestRunKVPilafAmplification(t *testing.T) {
 	out := RunKV(KVRun{
-		Opts: quickOpts(), Kind: KindPilaf, Keys: 20_000,
+		Opts: archiveOpts(), Kind: KindPilaf, Keys: 20_000,
 		Workload: workload.Config{GetFraction: 0.95},
 	})
 	if out.MOPS <= 0 {
@@ -302,7 +249,7 @@ func TestRunKVPilafAmplification(t *testing.T) {
 
 func TestRunKVMissesCounted(t *testing.T) {
 	out := RunKV(KVRun{
-		Opts: quickOpts(), Kind: KindJakiro, Keys: 1000,
+		Opts: archiveOpts(), Kind: KindJakiro, Keys: 1000,
 		Workload: workload.Config{Keys: 1000, GetFraction: 1.0},
 	})
 	if out.Misses > out.Agg.Calls/100 {
@@ -315,7 +262,7 @@ func TestRunKVMissRateAtStandardLoad(t *testing.T) {
 	// standard 100k-key load the GET miss rate must match the Poisson
 	// bucket-overflow expectation (<2%), not the ~14% aliasing produced.
 	out := RunKV(KVRun{
-		Opts: quickOpts(), Kind: KindJakiro,
+		Opts: archiveOpts(), Kind: KindJakiro,
 		Workload: workload.Config{GetFraction: 1.0},
 	})
 	rate := float64(out.Misses) / float64(out.Agg.Calls)
@@ -325,20 +272,14 @@ func TestRunKVMissRateAtStandardLoad(t *testing.T) {
 }
 
 func TestExtHerdOrdering(t *testing.T) {
-	r, err := Run("ext-herd", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-herd")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows: %v", r.Rows)
 	}
 }
 
 func TestExtLossDegradesGracefully(t *testing.T) {
-	r, err := Run("ext-loss", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-loss")
 	s := r.Series[0]
 	// Lossless must beat 1% loss, and both must stay functional.
 	if s.Y[0] <= s.Y[len(s.Y)-1] {
@@ -350,10 +291,7 @@ func TestExtLossDegradesGracefully(t *testing.T) {
 }
 
 func TestExtScaleoutAdds(t *testing.T) {
-	r, err := Run("ext-scaleout", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-scaleout")
 	s := r.Series[0]
 	if s.Y[1] < 1.7*s.Y[0] {
 		t.Fatalf("2 servers = %.2f vs 1 server = %.2f, want ~2x", s.Y[1], s.Y[0])
@@ -361,10 +299,7 @@ func TestExtScaleoutAdds(t *testing.T) {
 }
 
 func TestExtTuningRecovers(t *testing.T) {
-	r, err := Run("ext-tuning", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-tuning")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows: %v", r.Rows)
 	}
@@ -383,10 +318,7 @@ func TestExtTuningRecovers(t *testing.T) {
 }
 
 func TestExtAsyncPipeliningWins(t *testing.T) {
-	r, err := Run("ext-async", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-async")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows: %v", r.Rows)
 	}
@@ -406,10 +338,7 @@ func TestExtAsyncPipeliningWins(t *testing.T) {
 }
 
 func TestExtFarmCrossover(t *testing.T) {
-	r, err := Run("ext-farm", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-farm")
 	farm, jk := r.Series[0], r.Series[1]
 	// Small values: the wide read wins raw lookups (the paper concedes
 	// FaRM's higher lookup rate). Large values: N-fold bandwidth waste
@@ -424,10 +353,7 @@ func TestExtFarmCrossover(t *testing.T) {
 }
 
 func TestExtYCSB(t *testing.T) {
-	r, err := Run("ext-ycsb", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-ycsb")
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows: %v", r.Rows)
 	}

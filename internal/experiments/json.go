@@ -1,9 +1,9 @@
 package experiments
 
 // Machine-readable result encoding, shared by cmd/rfpbench's -json mode and
-// the archived-run regression tests. The encoding is part of the repo's
-// stable surface: BENCH_*.json files are byte-compared against fresh runs in
-// CI, so field order, naming and the omitempty set must not drift.
+// the archive tests. The encoding is part of the repo's stable surface:
+// BENCH_faultfree.json and BENCH_sim.json are byte-compared against fresh
+// runs, so field order, naming and the omitempty set must not drift.
 
 import (
 	"fmt"

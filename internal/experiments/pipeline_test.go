@@ -8,10 +8,7 @@ import (
 // ring lifts single-thread GET throughput at least 2x over depth 1 (the
 // quick sweep measures exactly these two depths).
 func TestExtPipelineSpeedup(t *testing.T) {
-	r, err := Run("ext-pipeline", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := archived(t, "ext-pipeline")
 	s := r.Series[0]
 	if len(s.X) != 2 || s.X[0] != 1 || s.X[1] != 8 {
 		t.Fatalf("quick depths = %v, want [1 8]", s.X)
@@ -29,16 +26,5 @@ func TestExtPipelineSpeedup(t *testing.T) {
 // the pipelined Post/Poll machinery (CQ draining, doorbell batches,
 // slot scheduling) must not introduce any run-to-run divergence.
 func TestExtPipelineDeterminism(t *testing.T) {
-	o := quickOpts()
-	a, err := Run("ext-pipeline", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("ext-pipeline", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
-	}
+	assertReplays(t, "ext-pipeline")
 }

@@ -1,59 +1,14 @@
 package experiments
 
-// Regression anchors for ext-replica: the archived BENCH_replica.json must
-// be reproduced byte for byte (the run is deterministic per seed), and the
-// read-scaling claim — follower local reads scale while leader-only reads
-// stay flat — is asserted with margin so a serve-path or lease regression
-// that collapses reads onto the leader fails loudly.
+import "testing"
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"testing"
-)
-
-// TestBenchReplicaArchiveByteIdentical re-runs the archived configuration
-// (rfpbench -quick -stable -json ext-replica) in-process and compares the
-// JSON bytes against BENCH_replica.json.
-func TestBenchReplicaArchiveByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full archived runs in -short mode")
-	}
-	want, err := os.ReadFile("../../BENCH_replica.json")
-	if err != nil {
-		t.Fatalf("reading archive: %v", err)
-	}
-	o := DefaultOptions()
-	o.Quick = true
-	res, err := Run("ext-replica", o)
-	if err != nil {
-		t.Fatalf("Run(ext-replica): %v", err)
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(ToJSON(res, o, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("fresh run diverged from BENCH_replica.json\ngot:\n%s\nwant:\n%s",
-			buf.String(), string(want))
-	}
-}
-
-// TestReplicaReadScaling pins the experiment's headline claims: local reads
-// scale at least 2.5x from 1 to 4 followers, local reads at the largest
-// group beat leader-only reads by at least 2x, and leader-only reads stay
-// flat (within 10%) as followers are added.
+// TestReplicaReadScaling pins ext-replica's headline claims, with margin so a
+// serve-path or lease regression that collapses reads onto the leader fails
+// loudly: local reads scale at least 2.5x from 1 to 4 followers, local reads
+// at the largest group beat leader-only reads by at least 2x, and leader-only
+// reads stay flat (within 10%) as followers are added.
 func TestReplicaReadScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full measurement runs in -short mode")
-	}
-	o := DefaultOptions()
-	o.Quick = true
-	res, err := Run("ext-replica", o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := archived(t, "ext-replica")
 	if len(res.Series) != 2 {
 		t.Fatalf("series count = %d", len(res.Series))
 	}

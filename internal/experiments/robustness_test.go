@@ -21,17 +21,20 @@ import (
 func TestExperimentDeterminism(t *testing.T) {
 	// Two identical runs must produce byte-identical results — the property
 	// EXPERIMENTS.md's reproducibility claim rests on.
-	o := quickOpts()
-	a, err := Run("fig12", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("fig12", o)
+	assertReplays(t, "fig12")
+}
+
+// assertReplays runs id once more under the archive's options and compares
+// the rendering with the memoized run's.
+func assertReplays(t *testing.T, id string) {
+	t.Helper()
+	a := archived(t, id)
+	b, err := Run(id, archiveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs\n%s", a, b)
+		t.Fatalf("%s: same seed diverged:\n%s\nvs\n%s", id, a, b)
 	}
 }
 
@@ -42,7 +45,7 @@ func TestConclusionsStableAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range []int64{2, 17, 999} {
-		o := quickOpts()
+		o := archiveOpts()
 		o.Seed = seed
 		w := workload.Config{GetFraction: 0.95}
 		jk := RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w}).MOPS

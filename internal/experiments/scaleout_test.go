@@ -25,7 +25,10 @@ func TestScaleoutShardedOrderPinned(t *testing.T) {
 		e.EnableKernelTrace()
 	}
 	defer func() { scaleoutEnvHook = nil }()
-	mops, events := runScaleout(quickOpts(), 4, true)
+	// The pin predates the archive's options: half its warm-up and window.
+	o := archiveOpts()
+	o.Warmup, o.Window = 400*sim.Microsecond, 800*sim.Microsecond
+	mops, events := runScaleout(o, 4, true)
 	if !env.Sharded() {
 		t.Fatal("run was not sharded")
 	}

@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"rfp/internal/dist"
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
 )
@@ -50,16 +49,17 @@ type Invalidation struct {
 	Region  int // registration-order index, wrapped into range
 }
 
+// delayNs is the extra in-flight latency of one delay fault.
+const delayNs = 2000
+
 // Plan describes the faults to inject while it is in force. The zero Plan
 // injects nothing. Probabilities are per one-sided operation.
 type Plan struct {
 	DropProb    float64 // lose the completion (op may have executed)
-	DelayProb   float64 // add Delay-distributed in-flight latency
+	DelayProb   float64 // add delayNs of in-flight latency
 	CorruptProb float64 // damage the delivered bytes (status bit last)
 	QPErrorProb float64 // fail the op and error the QP
 
-	// Delay samples the extra latency for delay faults (default: fixed 2µs).
-	Delay dist.DurationDist
 	// TimeoutNs is the initiator's detection latency for dropped completions
 	// (default 10µs).
 	TimeoutNs int64
@@ -133,9 +133,6 @@ func New(seed int64, stages []Stage) *Injector {
 		if stages[i].Plan.TimeoutNs <= 0 {
 			stages[i].Plan.TimeoutNs = 10_000
 		}
-		if stages[i].Plan.Delay == nil {
-			stages[i].Plan.Delay = dist.FixedDur(2000)
-		}
 	}
 	return &Injector{
 		stages: stages,
@@ -175,11 +172,9 @@ func (in *Injector) Decide(now sim.Time, op rnic.FaultOp) rnic.FaultAction {
 		in.note(now, "corrupt", op)
 	}
 	if act.Err == nil && pl.DelayProb > 0 && in.rng.Float64() < pl.DelayProb {
-		if d := pl.Delay.NextNs(in.rng); d > 0 {
-			act.ExtraNs = d
-			c.Delays++
-			in.note(now, "delay", op)
-		}
+		act.ExtraNs = delayNs
+		c.Delays++
+		in.note(now, "delay", op)
 	}
 	return act
 }

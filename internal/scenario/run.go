@@ -191,7 +191,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 
 	// Topology: server machines, then client machines (one straggler if
 	// declared).
-	prof := topo.Profile()
+	prof := hw.ConnectX3()
 	serverNames, clientNames := topo.machineNames()
 	servers := make([]*fabric.Machine, len(serverNames))
 	for s, name := range serverNames {

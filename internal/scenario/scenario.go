@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"rfp/internal/faults"
-	"rfp/internal/hw"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
@@ -29,15 +28,14 @@ type SlowNIC struct {
 	ExtraPropagationNs int64   // added one-way wire latency
 }
 
-// Topology declares the simulated cluster a scenario runs on. The zero
-// value takes defaults (4 client machines, 8 client threads, 1 server,
-// ConnectX-3, 4096 keys, dedicated endpoints).
+// Topology declares the simulated cluster a scenario runs on, every machine
+// a ConnectX-3. The zero value takes defaults (4 client machines, 8 client
+// threads, 1 server, 4096 keys, dedicated endpoints).
 type Topology struct {
-	ClientMachines int // client machines (default 4)
-	Threads        int // total client threads, spread round-robin (default 8)
-	Servers        int // server machines; only the sharded backend uses > 1 (default 1)
-	Keys           int // key-space cardinality, preloaded at version 0 (default 4096)
-	Profile        func() hw.Profile
+	ClientMachines int      // client machines (default 4)
+	Threads        int      // total client threads, spread round-robin (default 8)
+	Servers        int      // server machines; only the sharded backend uses > 1 (default 1)
+	Keys           int      // key-space cardinality, preloaded at version 0 (default 4096)
 	Slow           *SlowNIC // optional straggler override
 	Pooled         bool     // multiplexed endpoints + slab MRs on RFP-based backends (DESIGN.md §13)
 }
@@ -54,9 +52,6 @@ func (t Topology) withDefaults() Topology {
 	}
 	if t.Keys <= 0 {
 		t.Keys = 4096
-	}
-	if t.Profile == nil {
-		t.Profile = hw.ConnectX3
 	}
 	return t
 }

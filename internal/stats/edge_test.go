@@ -87,6 +87,27 @@ func TestHistEdgeCases(t *testing.T) {
 	}
 }
 
+// TestHistOverflowRanksTogether: once the cap overflows, bucketed samples
+// rank among the exact ones by value, not after them. Four slow samples fill
+// the cap, then twelve fast ones go to a bucket: p10 is fast, p90 is slow.
+func TestHistOverflowRanksTogether(t *testing.T) {
+	h := NewHist(4)
+	for i := 0; i < 4; i++ {
+		h.Add(100_000)
+	}
+	for i := 0; i < 12; i++ {
+		h.Add(1000)
+	}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0, 1000}, {0.1, 1000}, {0.7, 1000}, {0.8, 100_000}, {0.9, 100_000}, {1, 100_000}} {
+		if got := h.Percentile(c.q); got != c.want {
+			t.Errorf("Percentile(%g) = %d, want %d", c.q, got, c.want)
+		}
+	}
+}
+
 // TestHistOverflowBucketBoundaries pins log2Bucket at the values that have
 // bitten log-bucket implementations before: 0, 1, powers of two and their
 // neighbours, and the int64 extreme.

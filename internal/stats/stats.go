@@ -85,8 +85,10 @@ func (h *Hist) Min() int64 {
 // Max returns the largest sample.
 func (h *Hist) Max() int64 { return h.max }
 
-// Percentile returns the q-quantile (q in [0,1]) in ns. Exact while under
-// the sample cap; bucket-resolution beyond it.
+// Percentile returns the q-quantile (q in [0,1]) in ns: the sample of rank
+// ⌊q·(n−1)⌋. Exact while under the sample cap. Beyond it, every bucketed
+// sample ranks among the exact ones at its bucket's lower bound, clamped to
+// [Min, Max].
 func (h *Hist) Percentile(q float64) int64 {
 	if h.count == 0 {
 		return 0
@@ -97,26 +99,26 @@ func (h *Hist) Percentile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	if !h.overflown {
-		s := h.sorted()
-		idx := int(q * float64(len(s)-1))
-		return s[idx]
-	}
-	// Merge exact samples and buckets approximately.
-	target := uint64(q * float64(h.count-1))
 	s := h.sorted()
-	if target < uint64(len(s)) {
-		return s[target]
+	if !h.overflown {
+		return s[int(q*float64(len(s)-1))]
 	}
-	rem := target - uint64(len(s))
-	var acc uint64
+	rank := uint64(q * float64(h.count-1))
+	i := 0
 	for b, n := range h.buckets {
-		acc += n
-		if acc > rem {
-			return int64(1) << uint(b)
+		v := min(max(int64(1)<<uint(b), h.min), h.max)
+		for ; i < len(s) && s[i] < v; i++ {
+			if rank == 0 {
+				return s[i]
+			}
+			rank--
 		}
+		if rank < n {
+			return v
+		}
+		rank -= n
 	}
-	return h.max
+	return s[i+int(rank)]
 }
 
 func (h *Hist) sorted() []int64 {
