@@ -98,21 +98,54 @@ func TestFaultFreeArchive(t *testing.T) {
 	if !slices.Equal(order, ids) {
 		t.Errorf("archive ids %v\n      registered %v\nre-archive BENCH_faultfree.json", order, ids)
 	}
-	o := archiveOpts()
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			want, ok := lines[id]
-			if !ok {
-				t.Fatalf("%s is registered but has no line in BENCH_faultfree.json", id)
-			}
-			got := encodeLine(t, archived(t, id), o)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s drifted from BENCH_faultfree.json: %s\ngot:  %s\nwant: %s",
-					id, firstDiff(got, want), got, want)
-			}
+			checkArchived(t, lines, id)
 		})
 	}
+}
+
+// checkArchived compares the fresh documents of ids with their lines in
+// BENCH_faultfree.json, failing on the first that drifted.
+func checkArchived(t *testing.T, lines map[string][]byte, ids ...string) {
+	t.Helper()
+	o := archiveOpts()
+	for _, id := range ids {
+		want, ok := lines[id]
+		if !ok {
+			t.Fatalf("%s is registered but has no line in BENCH_faultfree.json", id)
+		}
+		got := encodeLine(t, archived(t, id), o)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s drifted from BENCH_faultfree.json: %s\ngot:  %s\nwant: %s",
+				id, firstDiff(got, want), got, want)
+		}
+	}
+}
+
+// The three tests below pin the documents of one subsystem each, as named
+// groups of archive lines: a drift there fails both the per-id subtest and
+// the group's test. They read the memo, so they add no run.
+
+// TestBenchKVArchiveByteIdentical pins the figures RunKV serves — all four
+// stores, throughput, latency CDFs and the retry table.
+func TestBenchKVArchiveByteIdentical(t *testing.T) {
+	lines, _ := archiveLines(t)
+	checkArchived(t, lines, "fig10", "fig11", "fig13", "fig16", "table3")
+}
+
+// TestBenchPipelineArchiveByteIdentical pins the pipelined-client documents
+// with telemetry off: recording costs host time only.
+func TestBenchPipelineArchiveByteIdentical(t *testing.T) {
+	lines, _ := archiveLines(t)
+	checkArchived(t, lines, "ext-pipeline", "ext-adaptive-depth")
+}
+
+// TestBenchReplicaArchiveByteIdentical pins the quorum-replication document.
+func TestBenchReplicaArchiveByteIdentical(t *testing.T) {
+	lines, _ := archiveLines(t)
+	checkArchived(t, lines, "ext-replica")
 }
 
 // firstDiff names the first leaf at which two JSON documents differ, by its
