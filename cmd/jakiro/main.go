@@ -29,7 +29,7 @@ func main() {
 		clients = flag.Int("clients", 35, "client threads across 7 machines")
 		getFrac = flag.Float64("get", 0.95, "GET fraction")
 		value   = flag.Int("value", 32, "value size in bytes")
-		keys    = flag.Int("keys", 100_000, "key-space size")
+		keys    = flag.Int("keys", 0, "key-space size (0 = 100k; 30k for 1 KB+ values, 10k for 4 KB+, as the figures run)")
 		zipf    = flag.Bool("zipf", false, "skewed keys (Zipf theta=0.99)")
 		fetchF  = flag.Int("fetch", 0, "override RFP fetch size F (bytes)")
 		procUs  = flag.Int("proc", 0, "extra request process time (us)")

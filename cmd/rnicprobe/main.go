@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"rfp/internal/core"
 	"rfp/internal/experiments"
@@ -32,8 +33,8 @@ func main() {
 	case "connectx4":
 		prof = hw.ConnectX4()
 	default:
-		fmt.Printf("unknown profile %q\n", *nic)
-		return
+		fmt.Fprintf(os.Stderr, "rnicprobe: unknown profile %q (have connectx3, connectx2, connectx4)\n", *nic)
+		os.Exit(2)
 	}
 
 	fmt.Printf("probing %s\n\n", prof.Name)

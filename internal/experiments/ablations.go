@@ -16,7 +16,7 @@ import (
 )
 
 func init() {
-	register("ablation-inline", "Inline size+payload fetch vs separate size-probe read", ablationInline)
+	register(ablationInline.id, ablationInline.desc, ablationInline.run)
 	register("ablation-switch", "Hybrid auto-switch vs always-fetch vs always-reply under load", ablationSwitch)
 	register("ablation-selection", "Tuned fetch size F vs mis-set values", ablationSelection)
 	register("ablation-twosided", "Two-sided Send/Recv shows no in/out-bound asymmetry", ablationTwoSided)
@@ -25,23 +25,27 @@ func init() {
 // ablationInline quantifies the inline mechanism: without it, every fetch
 // needs a size-probe read plus a payload read, halving effective IOPS for
 // small results.
-func ablationInline(o Options) Result {
-	sizes := o.pick([]int{32, 128, 512, 2048}, []int{32, 512})
-	inline := &stats.Series{Label: "inline", XLabel: "value size (B)", YLabel: "MOPS"}
-	probe := &stats.Series{Label: "size-probe"}
-	for _, sz := range sizes {
-		w := workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}
-		r := KVRun{Opts: o, Kind: KindJakiro, Workload: w, ValueSize: sz,
-			FetchSize: sz + fetchOverhead, Keys: keysForValueSize(sz)}
-		inline.Add(float64(sz), RunKV(r).MOPS)
-		r.NoInline = true
-		probe.Add(float64(sz), RunKV(r).MOPS)
-	}
-	return Result{
-		ID: "ablation-inline", Title: "cost of fetching the size separately",
-		Series: []*stats.Series{inline, probe},
-		Notes:  []string{"the strawman wastes half of the RNIC's in-bound IOPS on small results (Sec. 3.2)"},
-	}
+var ablationInline = sweep{
+	id: "ablation-inline", desc: "Inline size+payload fetch vs separate size-probe read",
+	title:  "cost of fetching the size separately",
+	xLabel: "value size (B)", yLabel: "MOPS",
+	full: []int{32, 128, 512, 2048}, quick: []int{32, 512},
+	lines: []line{
+		kvLine("inline", coveringRun),
+		kvLine("size-probe", func(o Options, sz int) KVRun {
+			r := coveringRun(o, sz)
+			r.NoInline = true
+			return r
+		}),
+	},
+	notes: []string{"the strawman wastes half of the RNIC's in-bound IOPS on small results (Sec. 3.2)"},
+}
+
+// coveringRun is Jakiro over sz-byte values with an F that covers them.
+func coveringRun(o Options, sz int) KVRun {
+	r := sizedRun(o, KindJakiro, sz)
+	r.FetchSize = sz + fetchOverhead
+	return r
 }
 
 // ablationSwitch contrasts the three policies at a long process time where
@@ -50,22 +54,20 @@ func ablationInline(o Options) Result {
 func ablationSwitch(o Options) Result {
 	const procUs = 10
 	type row struct {
-		name             string
-		forceReply, noSw bool
+		name string
+		kind StoreKind
+		noSw bool
 	}
 	rows := []row{
-		{"hybrid (RFP)", false, false},
-		{"always-fetch", false, true},
-		{"always-reply", true, false},
+		{"hybrid (RFP)", KindJakiro, false},
+		{"always-fetch", KindJakiro, true},
+		{"always-reply", KindServerReply, false},
 	}
-	tput := &stats.Series{Label: "MOPS", XLabel: "policy#", YLabel: "MOPS"}
-	util := &stats.Series{Label: "client-CPU%"}
-	var lines []string
-	lines = append(lines, fmt.Sprintf("%-16s%10s%14s", "policy", "MOPS", "client CPU%"))
-	for i, r := range rows {
-		out := fig14run(o, procUs, r.forceReply, r.noSw)
-		tput.Add(float64(i), out.MOPS)
-		util.Add(float64(i), 100*out.ClientUtil)
+	lines := []string{fmt.Sprintf("%-16s%10s%14s", "policy", "MOPS", "client CPU%")}
+	for _, r := range rows {
+		run := fig14run(o, r.kind, procUs)
+		run.DisableSwitch = r.noSw
+		out := RunKV(run)
 		lines = append(lines, fmt.Sprintf("%-16s%10.3f%13.1f%%", r.name, out.MOPS, 100*out.ClientUtil))
 	}
 	return Result{
@@ -95,9 +97,7 @@ func ablationSelection(o Options) Result {
 	fs := []int{selected, cal.H, 2 * cal.H, 4 * cal.H}
 	s := &stats.Series{Label: "MOPS", XLabel: "fetch size F (B)", YLabel: "MOPS"}
 	for _, f := range fs {
-		r := KVRun{Opts: o, Kind: KindJakiro, Workload: w, ValueSize: 32,
-			Keys: 100_000, FetchSize: f}
-		s.Add(float64(f), RunKV(r).MOPS)
+		s.Add(float64(f), RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w, FetchSize: f}).MOPS)
 	}
 	return Result{
 		ID: "ablation-selection", Title: fmt.Sprintf("selected F = %d within [L=%d, H=%d]", selected, cal.L, cal.H),

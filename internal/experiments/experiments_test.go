@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rfp/internal/core"
 	"rfp/internal/workload"
 )
 
@@ -268,6 +269,18 @@ func TestRunKVMissRateAtStandardLoad(t *testing.T) {
 	rate := float64(out.Misses) / float64(out.Agg.Calls)
 	if rate > 0.02 {
 		t.Fatalf("miss rate %.3f at standard load, want <2%%", rate)
+	}
+}
+
+// TestRunEchoAggIsWindowDelta checks that RunEcho's transport stats cover
+// the measurement window only, as RunKV's do: the calls they count match the
+// window's op count to within one in-flight call per client thread (35).
+func TestRunEchoAggIsWindowDelta(t *testing.T) {
+	o := archiveOpts()
+	out := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams(), ProcNs: 1000})
+	ops := out.MOPS * float64(o.Window) / 1e3
+	if d := math.Abs(float64(out.Agg.Calls) - ops); d > paperClients {
+		t.Fatalf("Agg.Calls = %d, window ops = %.0f: off by %.0f, want <= %d", out.Agg.Calls, ops, d, paperClients)
 	}
 }
 

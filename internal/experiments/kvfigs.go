@@ -1,220 +1,237 @@
 package experiments
 
-// Key-value store comparisons: Figs. 10-13 and 16-20, plus Table 3.
+// The paper's evaluation figures: the swept ones (Figs. 9-12 and 14-19,
+// plus ext-ycsb) as sweep declarations, the latency CDFs (Figs. 13 and 20)
+// and Table 3.
 
 import (
 	"fmt"
 
-	"rfp/internal/dist"
+	"rfp/internal/core"
 	"rfp/internal/hw"
+	"rfp/internal/sim"
 	"rfp/internal/stats"
+	"rfp/internal/telemetry"
 	"rfp/internal/workload"
 )
 
 func init() {
-	register("fig10", "Jakiro throughput vs number of client threads", fig10)
-	register("fig11", "Peak throughput of Jakiro vs Pilaf (uniform, 50% GET, 20 Gbps)", fig11)
-	register("fig12", "Throughput vs server threads: Jakiro/ServerReply/RDMA-Memcached", fig12)
+	for _, s := range figures {
+		register(s.id, s.desc, s.run)
+	}
 	register("fig13", "Latency CDF at peak throughput (uniform, 95% GET, 32 B)", fig13)
-	register("fig16", "Throughput vs GET percentage (uniform, 32 B)", fig16)
-	register("fig17", "Throughput vs value size (uniform, 95% GET)", fig17)
-	register("fig18", "Jakiro throughput vs fetch size F across value sizes", fig18)
-	register("fig19", "Throughput vs GET percentage under skew (Zipf .99, 32 B)", fig19)
 	register("fig20", "Latency CDF under skewed read-intensive workload", fig20)
 	register("table3", "Number of fetch retries under different workloads", table3)
 }
 
-func fig10(o Options) Result {
-	threads := o.pick([]int{7, 14, 21, 28, 35, 42, 49, 56, 63, 70}, []int{7, 21, 35, 70})
-	s := &stats.Series{Label: "Jakiro", XLabel: "client threads", YLabel: "MOPS"}
-	var tel []string
-	for _, t := range threads {
-		out := RunKV(KVRun{Opts: o, Kind: KindJakiro, ClientThreads: t,
-			Workload: workload.Config{GetFraction: 0.95}})
-		s.Add(float64(t), out.MOPS)
-		if o.Telemetry {
-			tel = append(tel, fmt.Sprintf(
-				"threads=%-4d round-trips/call %.3f (paper: 2.005)  p50=%.2fus p99=%.2fus  retries=%d fallbacks=%d",
-				t, out.Tel.RoundTripsPerCall(),
-				float64(out.Tel.Total.Percentile(0.50))/1e3, float64(out.Tel.Total.Percentile(0.99))/1e3,
-				out.Tel.Retries, out.Tel.Fallbacks))
+// Unset KVRun fields take the paper's peak configuration (Sec. 4.4.3): 6
+// server threads (16 for RDMA-Memcached), 35 client threads, 32 B values.
+var figures = []sweep{{
+	id: "fig9", desc: "Repeated remote fetching vs server-reply vs server process time",
+	title:  "fetching vs reply across process times (F=S=1B, 16 server threads)",
+	xLabel: "server process time (us)", yLabel: "MOPS",
+	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, quick: []int{1, 4, 7, 11, 15},
+	lines: []line{
+		{"remote-fetching", func(o Options, p int) KVOut {
+			params := core.DefaultParams()
+			params.DisableSwitch = true // pure repeated remote fetching
+			return RunEcho(EchoRun{Opts: o, Params: params, ProcNs: int64(p) * 1000})
+		}},
+		{"server-reply", func(o Options, p int) KVOut {
+			params := core.DefaultParams()
+			params.ForceReply = true
+			params.ReplyPollNs = 300
+			return RunEcho(EchoRun{Opts: o, Params: params, ProcNs: int64(p) * 1000})
+		}},
+	},
+	telHeader: fmt.Sprintf("%-6s%-16s%12s%12s%12s%16s", "P(us)", "paradigm",
+		"p50(us)", "p99(us)", "retries", "rt/call"),
+	tel: func(p int, paradigm string, t telemetry.Snapshot) string {
+		return fmt.Sprintf("%-6d%-16s%12.2f%12.2f%12d%16.3f", p, paradigm,
+			float64(t.Total.Percentile(0.50))/1e3, float64(t.Total.Percentile(0.99))/1e3,
+			t.Retries, t.RoundTripsPerCall())
+	},
+	notes: []string{"crossover where server processing itself becomes the bottleneck defines the retry bound N"},
+}, {
+	id: "fig10", desc: "Jakiro throughput vs number of client threads",
+	title:  "Jakiro vs client threads (6 server threads, 32 B values)",
+	xLabel: "client threads", yLabel: "MOPS",
+	full: []int{7, 14, 21, 28, 35, 42, 49, 56, 63, 70}, quick: []int{7, 21, 35, 70},
+	lines: perKind(func(o Options, k StoreKind, t int) KVRun {
+		return KVRun{Opts: o, Kind: k, ClientThreads: t, Workload: workload.Config{GetFraction: 0.95}}
+	}, KindJakiro),
+	tel: func(t int, _ string, s telemetry.Snapshot) string {
+		return fmt.Sprintf(
+			"threads=%-4d round-trips/call %.3f (paper: 2.005)  p50=%.2fus p99=%.2fus  retries=%d fallbacks=%d",
+			t, s.RoundTripsPerCall(),
+			float64(s.Total.Percentile(0.50))/1e3, float64(s.Total.Percentile(0.99))/1e3,
+			s.Retries, s.Fallbacks)
+	},
+	notes: []string{"peak ~ half the in-bound IOPS ceiling: each call costs 1 in-bound write + ~1 in-bound read"},
+}, {
+	id: "fig11", desc: "Peak throughput of Jakiro vs Pilaf (uniform, 50% GET, 20 Gbps)",
+	title:  "Jakiro vs Pilaf under 50% GET",
+	xLabel: "value size (B)", yLabel: "MOPS",
+	full: []int{32, 64, 128, 256}, quick: []int{32, 256},
+	// Only the preload writes sz bytes; PUTs write the generator's default
+	// (EXPERIMENTS.md, D7).
+	lines: perKind(func(o Options, k StoreKind, sz int) KVRun {
+		o.Profile = hw.ConnectX2() // Pilaf's testbed class: 20 Gbps NICs
+		return KVRun{Opts: o, Kind: k, ValueSize: sz, Workload: workload.Config{GetFraction: 0.5}}
+	}, KindJakiro, KindPilaf),
+	notes: []string{"the paper compares against Pilaf's published 1.3 MOPS (its code being unavailable); this run measures our server-bypass reimplementation"},
+}, {
+	id: "fig12", desc: "Throughput vs server threads: Jakiro/ServerReply/RDMA-Memcached",
+	title:  "throughput vs server threads (32 B values)",
+	xLabel: "server threads", yLabel: "MOPS",
+	full: []int{1, 2, 4, 6, 8, 10, 12, 14, 16}, quick: []int{1, 6, 16},
+	lines: perKind(func(o Options, k StoreKind, t int) KVRun {
+		return KVRun{Opts: o, Kind: k, ServerThreads: t, Workload: workload.Config{GetFraction: 0.95}}
+	}, rpcKinds...),
+	notes: []string{"Jakiro saturates the NIC in-bound engine with ~2 threads; ServerReply is capped by the out-bound IOPS ceiling; RDMA-Memcached is CPU/lock-bound"},
+}, {
+	id: "fig14", desc: "Jakiro/ServerReply/Jakiro-w/o-Switch vs request process time",
+	title:  "throughput vs request process time",
+	xLabel: "request process time (us)", yLabel: "MOPS",
+	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, quick: []int{1, 5, 9, 12},
+	lines: append(perKind(fig14run, KindJakiro, KindServerReply),
+		kvLine("Jakiro-w/o-Switch", func(o Options, p int) KVRun {
+			r := fig14run(o, KindJakiro, p)
+			r.DisableSwitch = true
+			return r
+		})),
+	notes: []string{"for large process times Jakiro auto-switches to server-reply and matches it"},
+}, {
+	id: "fig15", desc: "Client CPU utilization vs request process time",
+	title:  "client CPU utilization vs request process time (Jakiro)",
+	xLabel: "request process time (us)", yLabel: "%",
+	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, quick: []int{1, 5, 9, 12},
+	lines: []line{kvLine("client-CPU%", func(o Options, p int) KVRun { return fig14run(o, KindJakiro, p) })},
+	y:     func(out KVOut) float64 { return 100 * out.ClientUtil },
+	notes: []string{"100% while repeatedly fetching; drops sharply once the hybrid mechanism settles in server-reply mode"},
+}, {
+	id: "fig16", desc: "Throughput vs GET percentage (uniform, 32 B)",
+	title:  "throughput vs GET percentage (uniform)",
+	xLabel: "GET %", yLabel: "MOPS",
+	full: []int{95, 50, 5},
+	lines: perKind(func(o Options, k StoreKind, g int) KVRun {
+		return KVRun{Opts: o, Kind: k, Workload: workload.Config{GetFraction: float64(g) / 100}}
+	}, rpcKinds...),
+	notes: []string{"Jakiro holds its peak even write-intensive; RDMA-Memcached collapses (long PUT critical sections)"},
+}, {
+	id: "fig17", desc: "Throughput vs value size (uniform, 95% GET)",
+	title:  "throughput vs value size (F=640 for Jakiro)",
+	xLabel: "value size (B)", yLabel: "MOPS",
+	full: []int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}, quick: []int{32, 256, 1024, 8192},
+	lines: perKind(func(o Options, k StoreKind, sz int) KVRun {
+		r := sizedRun(o, k, sz)
+		if k == KindJakiro {
+			// Pre-running this sweep's mix selects F = 640 (paper Sec.
+			// 4.4.3). As in the paper's presentation, F counts the value
+			// bytes a fetch covers; the response framing rides on top.
+			r.FetchSize = 640 + fetchOverhead
 		}
+		return r
+	}, rpcKinds...),
+	notes: []string{"all systems converge at 4 KB+ where link bandwidth is the bottleneck"},
+}, {
+	id: "fig18", desc: "Jakiro throughput vs fetch size F across value sizes",
+	title:  "Jakiro throughput vs fetch size F",
+	xLabel: "value size (B)", yLabel: "MOPS", labelAll: true,
+	full: []int{32, 64, 128, 256, 384, 512, 640, 768, 1024, 2048}, quick: []int{32, 256, 640, 2048},
+	lines: fetchSizeLines(256, 512, 640, 748, 1024),
+	notes: []string{"F must cover the common response to avoid second reads, without wasting bandwidth — 640 B suits the wide mix"},
+}, {
+	id: "fig19", desc: "Throughput vs GET percentage under skew (Zipf .99, 32 B)",
+	title:  "throughput vs GET percentage (Zipf .99)",
+	xLabel: "GET %", yLabel: "MOPS",
+	full: []int{95, 50, 5},
+	lines: perKind(func(o Options, k StoreKind, g int) KVRun {
+		return KVRun{Opts: o, Kind: k, Workload: workload.Config{GetFraction: float64(g) / 100, ZipfTheta: 0.99}}
+	}, rpcKinds...),
+	notes: []string{"EREW partitioning tolerates the skew; RDMA-Memcached gains from cache locality on hot keys"},
+}, {
+	// The standard YCSB core workloads (all Zipf .99) extend the paper's
+	// custom mixes. Workload F's read-modify-writes cost two RPCs in all
+	// three systems, so its numbers halve roughly together: RFP's advantage
+	// is per operation, not per transaction.
+	id: "ext-ycsb", desc: "YCSB core workloads A/B/C/F across the three systems",
+	title:  "YCSB core workloads (Zipf .99, 32 B values, ops/s)",
+	xLabel: "workload#", yLabel: "MOPS",
+	full: []int{0, 1, 2, 3},
+	lines: perKind(func(o Options, k StoreKind, i int) KVRun {
+		w, err := workload.YCSB(ycsbPresets[i], 100_000)
+		if err != nil {
+			panic(err)
+		}
+		return KVRun{Opts: o, Kind: k, Workload: w}
+	}, rpcKinds...),
+	rows: func(s []*stats.Series) []string {
+		rows := []string{fmt.Sprintf("%-10s%12s%16s%18s", "workload", "Jakiro", "ServerReply", "RDMA-Memcached")}
+		for i, preset := range ycsbPresets {
+			rows = append(rows, fmt.Sprintf("YCSB-%c    %12.3f%16.3f%18.3f", preset, s[0].Y[i], s[1].Y[i], s[2].Y[i]))
+		}
+		return rows
+	},
+	notes: []string{"workload F counts transactions; each read-modify-write issues two RPCs underneath"},
+}}
+
+// ycsbPresets are ext-ycsb's workloads, one per point.
+const ycsbPresets = "ABCF"
+
+// fig14run is Jakiro (or ServerReply) with a controlled request process
+// time, the paper's "for loop + RDTSC" methodology.
+func fig14run(o Options, k StoreKind, procUs int) KVRun {
+	// The hybrid mechanism needs K consecutive overruns on each of a
+	// client's per-partition connections before all of them settle in
+	// reply mode; give the adaptation room before measuring.
+	if o.Warmup < 2*sim.Millisecond {
+		o.Warmup = 2 * sim.Millisecond
 	}
-	return Result{
-		ID: "fig10", Title: "Jakiro vs client threads (6 server threads, 32 B values)",
-		Series:    []*stats.Series{s},
-		Telemetry: tel,
-		Notes:     []string{"peak ~ half the in-bound IOPS ceiling: each call costs 1 in-bound write + ~1 in-bound read"},
+	return KVRun{
+		Opts:          o,
+		Kind:          k,
+		ServerThreads: 16, // paper: 16 server threads, 35 client threads
+		Workload:      workload.Config{GetFraction: 0.95},
+		ExtraProcNs:   int64(procUs) * 1000,
+		DisableSpikes: true,
 	}
 }
 
-func fig11(o Options) Result {
-	o.Profile = hw.ConnectX2() // Pilaf's testbed class: 20 Gbps NICs
-	sizes := o.pick([]int{32, 64, 128, 256}, []int{32, 256})
-	jk := &stats.Series{Label: "Jakiro", XLabel: "value size (B)", YLabel: "MOPS"}
-	pf := &stats.Series{Label: "Pilaf"}
-	for _, sz := range sizes {
-		w := workload.Config{GetFraction: 0.5}
-		jk.Add(float64(sz), RunKV(KVRun{Opts: o, Kind: KindJakiro, ValueSize: sz, Workload: w}).MOPS)
-		out := RunKV(KVRun{Opts: o, Kind: KindPilaf, ValueSize: sz, Workload: w})
-		pf.Add(float64(sz), out.MOPS)
+// fetchSizeLines is one Jakiro line per fetch size F over the value sizes.
+func fetchSizeLines(fs ...int) []line {
+	lines := make([]line, len(fs))
+	for i, f := range fs {
+		lines[i] = kvLine(fmt.Sprintf("F=%d", f), func(o Options, sz int) KVRun {
+			r := sizedRun(o, KindJakiro, sz)
+			r.FetchSize = f + fetchOverhead
+			return r
+		})
 	}
-	return Result{
-		ID: "fig11", Title: "Jakiro vs Pilaf under 50% GET",
-		Series: []*stats.Series{jk, pf},
-		Notes: []string{
-			"the paper compares against Pilaf's published 1.3 MOPS (its code being unavailable); this run measures our server-bypass reimplementation",
-		},
-	}
-}
-
-func fig12(o Options) Result {
-	threads := o.pick([]int{1, 2, 4, 6, 8, 10, 12, 14, 16}, []int{1, 6, 16})
-	jk := &stats.Series{Label: "Jakiro", XLabel: "server threads", YLabel: "MOPS"}
-	sr := &stats.Series{Label: "ServerReply"}
-	mc := &stats.Series{Label: "RDMA-Memcached"}
-	w := workload.Config{GetFraction: 0.95}
-	for _, t := range threads {
-		jk.Add(float64(t), RunKV(KVRun{Opts: o, Kind: KindJakiro, ServerThreads: t, Workload: w}).MOPS)
-		sr.Add(float64(t), RunKV(KVRun{Opts: o, Kind: KindServerReply, ServerThreads: t, Workload: w}).MOPS)
-		mc.Add(float64(t), RunKV(KVRun{Opts: o, Kind: KindMemcached, ServerThreads: t, Workload: w}).MOPS)
-	}
-	return Result{
-		ID: "fig12", Title: "throughput vs server threads (32 B values)",
-		Series: []*stats.Series{jk, sr, mc},
-		Notes: []string{
-			"Jakiro saturates the NIC in-bound engine with ~2 threads; ServerReply is capped by the out-bound IOPS ceiling; RDMA-Memcached is CPU/lock-bound",
-		},
-	}
-}
-
-// peakRun returns each system's peak-throughput configuration (paper
-// Sec. 4.4.3): 6 server threads for Jakiro/ServerReply, 16 for
-// RDMA-Memcached, 35 client threads.
-func peakRun(o Options, kind StoreKind, w workload.Config) KVRun {
-	r := KVRun{Opts: o, Kind: kind, Workload: w, Latency: true}
-	if kind == KindMemcached {
-		r.ServerThreads = 16
-	} else {
-		r.ServerThreads = 6
-	}
-	return r
+	return lines
 }
 
 func fig13(o Options) Result {
-	w := workload.Config{GetFraction: 0.95}
-	cdfs := map[string]*stats.Hist{}
-	for _, kind := range []StoreKind{KindJakiro, KindServerReply, KindMemcached} {
-		out := RunKV(peakRun(o, kind, w))
-		cdfs[kind.Label()] = out.Lat
-	}
 	return Result{
 		ID: "fig13", Title: "latency CDF at peak throughput",
-		CDFs:  cdfs,
+		CDFs:  latencyCDFs(o, workload.Config{GetFraction: 0.95}),
 		Notes: []string{"ServerReply wins at low quantiles (one RDMA write beats one read) but queues badly at its out-bound ceiling"},
 	}
 }
 
-func fig16(o Options) Result {
-	gets := []float64{0.95, 0.50, 0.05}
-	jk := &stats.Series{Label: "Jakiro", XLabel: "GET %", YLabel: "MOPS"}
-	sr := &stats.Series{Label: "ServerReply"}
-	mc := &stats.Series{Label: "RDMA-Memcached"}
-	for _, g := range gets {
-		w := workload.Config{GetFraction: g}
-		jk.Add(100*g, RunKV(peakRun(o, KindJakiro, w)).MOPS)
-		sr.Add(100*g, RunKV(peakRun(o, KindServerReply, w)).MOPS)
-		mc.Add(100*g, RunKV(peakRun(o, KindMemcached, w)).MOPS)
-	}
-	return Result{
-		ID: "fig16", Title: "throughput vs GET percentage (uniform)",
-		Series: []*stats.Series{jk, sr, mc},
-		Notes:  []string{"Jakiro holds its peak even write-intensive; RDMA-Memcached collapses (long PUT critical sections)"},
-	}
-}
-
-func fig17(o Options) Result {
-	sizes := o.pick([]int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}, []int{32, 256, 1024, 8192})
-	jk := &stats.Series{Label: "Jakiro", XLabel: "value size (B)", YLabel: "MOPS"}
-	sr := &stats.Series{Label: "ServerReply"}
-	mc := &stats.Series{Label: "RDMA-Memcached"}
-	for _, sz := range sizes {
-		w := workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}
-		// Pre-running this sweep's mix selects F = 640 (paper Sec. 4.4.3).
-		// As in the paper's presentation, F counts the value bytes a fetch
-		// covers; the response framing (status byte + 8 B header) rides on
-		// top.
-		r := peakRun(o, KindJakiro, w)
-		r.ValueSize = sz
-		r.FetchSize = 640 + fetchOverhead
-		r.Keys = keysForValueSize(sz)
-		jk.Add(float64(sz), RunKV(r).MOPS)
-		r2 := peakRun(o, KindServerReply, w)
-		r2.ValueSize = sz
-		r2.Keys = keysForValueSize(sz)
-		sr.Add(float64(sz), RunKV(r2).MOPS)
-		r3 := peakRun(o, KindMemcached, w)
-		r3.ValueSize = sz
-		r3.Keys = keysForValueSize(sz)
-		mc.Add(float64(sz), RunKV(r3).MOPS)
-	}
-	return Result{
-		ID: "fig17", Title: "throughput vs value size (F=640 for Jakiro)",
-		Series: []*stats.Series{jk, sr, mc},
-		Notes:  []string{"all systems converge at 4 KB+ where link bandwidth is the bottleneck"},
-	}
-}
-
-func fig18(o Options) Result {
-	fs := []int{256, 512, 640, 748, 1024}
-	sizes := o.pick([]int{32, 64, 128, 256, 384, 512, 640, 768, 1024, 2048}, []int{32, 256, 640, 2048})
-	series := make([]*stats.Series, 0, len(fs))
-	for _, f := range fs {
-		s := &stats.Series{Label: fmt.Sprintf("F=%d", f), XLabel: "value size (B)", YLabel: "MOPS"}
-		for _, sz := range sizes {
-			w := workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}
-			r := peakRun(o, KindJakiro, w)
-			r.ValueSize = sz
-			r.FetchSize = f + fetchOverhead
-			r.Keys = keysForValueSize(sz)
-			r.Latency = false
-			s.Add(float64(sz), RunKV(r).MOPS)
-		}
-		series = append(series, s)
-	}
-	return Result{
-		ID: "fig18", Title: "Jakiro throughput vs fetch size F",
-		Series: series,
-		Notes:  []string{"F must cover the common response to avoid second reads, without wasting bandwidth — 640 B suits the wide mix"},
-	}
-}
-
-func fig19(o Options) Result {
-	gets := []float64{0.95, 0.50, 0.05}
-	jk := &stats.Series{Label: "Jakiro", XLabel: "GET %", YLabel: "MOPS"}
-	sr := &stats.Series{Label: "ServerReply"}
-	mc := &stats.Series{Label: "RDMA-Memcached"}
-	for _, g := range gets {
-		w := workload.Config{GetFraction: g, ZipfTheta: 0.99}
-		jk.Add(100*g, RunKV(peakRun(o, KindJakiro, w)).MOPS)
-		sr.Add(100*g, RunKV(peakRun(o, KindServerReply, w)).MOPS)
-		mc.Add(100*g, RunKV(peakRun(o, KindMemcached, w)).MOPS)
-	}
-	return Result{
-		ID: "fig19", Title: "throughput vs GET percentage (Zipf .99)",
-		Series: []*stats.Series{jk, sr, mc},
-		Notes:  []string{"EREW partitioning tolerates the skew; RDMA-Memcached gains from cache locality on hot keys"},
-	}
-}
-
 func fig20(o Options) Result {
-	w := workload.Config{GetFraction: 0.95, ZipfTheta: 0.99}
+	return Result{ID: "fig20", Title: "latency CDF, skewed read-intensive",
+		CDFs: latencyCDFs(o, workload.Config{GetFraction: 0.95, ZipfTheta: 0.99})}
+}
+
+// latencyCDFs runs each RPC-style system at its peak configuration under w
+// and returns its per-op latency distributions by system name.
+func latencyCDFs(o Options, w workload.Config) map[string]*stats.Hist {
 	cdfs := map[string]*stats.Hist{}
-	for _, kind := range []StoreKind{KindJakiro, KindServerReply, KindMemcached} {
-		out := RunKV(peakRun(o, kind, w))
-		cdfs[kind.Label()] = out.Lat
+	for _, k := range rpcKinds {
+		cdfs[k.Label()] = RunKV(KVRun{Opts: o, Kind: k, Workload: w, Latency: true}).Lat
 	}
-	return Result{ID: "fig20", Title: "latency CDF, skewed read-intensive", CDFs: cdfs}
+	return cdfs
 }
 
 func table3(o Options) Result {
@@ -230,7 +247,7 @@ func table3(o Options) Result {
 	}
 	rows := []string{fmt.Sprintf("%-18s%16s%12s", "workload", "retries>1 (%)", "largest N")}
 	for _, w := range wls {
-		out := RunKV(peakRun(o, KindJakiro, w.cfg))
+		out := RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w.cfg})
 		var multi uint64
 		for i := 2; i < len(out.Agg.RetryHist); i++ {
 			multi += out.Agg.RetryHist[i]
@@ -245,23 +262,5 @@ func table3(o Options) Result {
 		ID: "table3", Title: "fetch retries per workload (32 B values)",
 		Rows:  rows,
 		Notes: []string{"multi-retry calls trace to the rare long-process-time tail; no sustained switching occurs"},
-	}
-}
-
-// fetchOverhead is the response framing on top of the value bytes an
-// experiment-level F must cover: the 8-byte RFP header plus the KV status
-// byte.
-const fetchOverhead = 9
-
-// keysForValueSize shrinks the preloaded key count for large values so runs
-// stay RAM-friendly without changing the bottleneck being measured.
-func keysForValueSize(sz int) int {
-	switch {
-	case sz >= 4096:
-		return 10_000
-	case sz >= 1024:
-		return 30_000
-	default:
-		return 100_000
 	}
 }

@@ -50,7 +50,7 @@ type KVRun struct {
 	Kind          StoreKind
 	ServerThreads int // 0: per-kind default (6; 16 for RDMA-Memcached)
 	ClientThreads int // 0: 35
-	Keys          int // 0: 100k
+	Keys          int // 0: keysForValueSize(ValueSize)
 	ValueSize     int // preload value size; 0: 32
 	Workload      workload.Config
 	FetchSize     int   // override F (0: paper default 256)
@@ -58,7 +58,7 @@ type KVRun struct {
 	DisableSwitch bool  // Jakiro w/o Switch
 	DisableSpikes bool
 	NoInline      bool // ablation: separate size-probe read per fetch
-	Latency       bool // record per-op latency
+	Latency       bool // keep every op's latency in KVOut.Lat
 	TraceEvents   int  // attach a data-path tracer of this capacity to the server NIC
 }
 
@@ -87,16 +87,32 @@ func (r KVRun) withDefaults() KVRun {
 		}
 	}
 	if r.ClientThreads == 0 {
-		r.ClientThreads = 35
-	}
-	if r.Keys == 0 {
-		r.Keys = 100_000
+		r.ClientThreads = paperClients
 	}
 	if r.ValueSize == 0 {
 		r.ValueSize = 32
 	}
+	if r.Keys == 0 {
+		r.Keys = keysForValueSize(r.ValueSize)
+	}
 	r.Workload.Keys = r.Keys
 	return r
+}
+
+// paperClients is the paper's client thread count: 5 on each of 7 machines.
+const paperClients = 35
+
+// keysForValueSize shrinks the preloaded key count for large values so runs
+// stay RAM-friendly without changing the bottleneck being measured.
+func keysForValueSize(sz int) int {
+	switch {
+	case sz >= 4096:
+		return 10_000
+	case sz >= 1024:
+		return 30_000
+	default:
+		return 100_000
+	}
 }
 
 // RunKV executes one measurement run and returns its results.
@@ -194,10 +210,14 @@ func RunKV(r KVRun) KVOut {
 	if rec != nil {
 		out.Tel = rec.Snapshot()
 	}
-	// Client CPU utilization: fraction of the window each client thread
-	// spent busy (idle accrues only in reply-mode waits).
-	out.ClientUtil = 1 - float64(out.Agg.IdleNs)/float64(int64(r.ClientThreads)*int64(r.Opts.Window))
+	out.ClientUtil = clientUtil(out.Agg, r.ClientThreads, r.Opts)
 	return out
+}
+
+// clientUtil is the fraction of the window the client threads spent busy,
+// from their stats delta over it: idle accrues only in reply-mode waits.
+func clientUtil(window core.ClientStats, threads int, o Options) float64 {
+	return 1 - float64(window.IdleNs)/float64(int64(threads)*int64(o.Window))
 }
 
 // windowMOPS runs env for one measurement window and returns the rate, in
@@ -239,14 +259,15 @@ type echoRig struct {
 }
 
 // newEchoRig stands the service up on the paper topology with the given
-// thread counts; requests carry reqSize bytes and responses up to maxResp.
-func newEchoRig(o Options, params core.Params, serverThreads, clientThreads, reqSize, maxResp int) *echoRig {
+// server threads and 35 client threads; requests carry reqSize bytes and
+// responses up to maxResp.
+func newEchoRig(o Options, params core.Params, serverThreads, reqSize, maxResp int) *echoRig {
 	r := &echoRig{env: sim.NewEnv(o.Seed)}
 	cl := fabric.NewCluster(r.env, o.Profile, 7)
 	srv := core.NewServer(cl.Server, core.ServerConfig{MaxRequest: 64, MaxResponse: maxResp})
 	srv.AddThreads(serverThreads)
 
-	placements := cl.ClientThreads(clientThreads)
+	placements := cl.ClientThreads(paperClients)
 	conns := make([][]*core.Conn, serverThreads)
 	r.clis = make([]*core.Client, len(placements))
 	for i, pl := range placements {
@@ -282,15 +303,24 @@ func newEchoRig(o Options, params core.Params, serverThreads, clientThreads, req
 	return r
 }
 
+// stats sums every client's cumulative transport stats.
+func (r *echoRig) stats() core.ClientStats {
+	var s core.ClientStats
+	for _, c := range r.clis {
+		s.Add(c.Stats)
+	}
+	return s
+}
+
 // EchoRun describes a bare-RPC sweep run (Fig. 9): a trivial service whose
-// handler costs exactly ProcNs and returns RespSize bytes.
+// handler costs exactly ProcNs and returns RespSize bytes, called by 35
+// client threads.
 type EchoRun struct {
 	Opts          Options
 	Params        core.Params
 	ProcNs        int64
 	RespSize      int
 	ServerThreads int
-	ClientThreads int
 }
 
 // RunEcho executes the echo sweep run.
@@ -299,13 +329,10 @@ func RunEcho(r EchoRun) KVOut {
 	if r.ServerThreads == 0 {
 		r.ServerThreads = 16
 	}
-	if r.ClientThreads == 0 {
-		r.ClientThreads = 35
-	}
 	if r.RespSize <= 0 {
 		r.RespSize = 1
 	}
-	rig := newEchoRig(o, r.Params, r.ServerThreads, r.ClientThreads, 1, 64)
+	rig := newEchoRig(o, r.Params, r.ServerThreads, 1, 64)
 	defer rig.env.Close()
 	rig.procNs, rig.respSize = r.ProcNs, r.RespSize
 
@@ -317,15 +344,10 @@ func RunEcho(r EchoRun) KVOut {
 			c.SetRecorder(rec)
 		}
 	}
-	var idleBefore int64
-	for _, c := range rig.clis {
-		idleBefore += c.Stats.IdleNs
-	}
+	statsBefore := rig.stats()
 	out := KVOut{MOPS: windowMOPS(rig.env, o, sumOf(rig.ops))}
-	for _, c := range rig.clis {
-		out.Agg.Add(c.Stats)
-	}
-	out.ClientUtil = 1 - float64(out.Agg.IdleNs-idleBefore)/float64(int64(r.ClientThreads)*int64(o.Window))
+	out.Agg = rig.stats().Sub(statsBefore)
+	out.ClientUtil = clientUtil(out.Agg, paperClients, o)
 	if rec != nil {
 		out.Tel = rec.Snapshot()
 	}

@@ -11,6 +11,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,7 +28,7 @@ import (
 // TestTelemetryOnMatchesArchive runs each experiment with a telemetry branch
 // under the archive's options with Telemetry set. The document without its
 // "telemetry" key must equal the archived line, and the telemetry lines must
-// be there.
+// be there, fig9's and fig10's in sweep order.
 func TestTelemetryOnMatchesArchive(t *testing.T) {
 	lines, _ := archiveLines(t)
 	for _, id := range []string{"fig9", "fig10", "ext-pipeline", "ext-adaptive-depth"} {
@@ -40,11 +43,44 @@ func TestTelemetryOnMatchesArchive(t *testing.T) {
 			if len(res.Telemetry) == 0 {
 				t.Fatalf("%s: telemetry on, but the result has no telemetry lines", id)
 			}
+			checkTelemetryOrder(t, res)
 			res.Telemetry = nil
 			if got, want := encodeLine(t, res, o), lines[id]; !bytes.Equal(got, want) {
 				t.Fatalf("%s: recording telemetry moved the document: %s", id, firstDiff(got, want))
 			}
 		})
+	}
+}
+
+// checkTelemetryOrder pins the shape of the swept figures' telemetry tables
+// by each row's leading fields: fig9 is one header, then per P in P order a
+// remote-fetching row before a server-reply row; fig10 is one row per thread
+// count, in order. Rows that follow the sweep x-major keep this shape.
+func checkTelemetryOrder(t *testing.T, res Result) {
+	t.Helper()
+	var lead int
+	var want []string
+	switch res.ID {
+	case "fig9":
+		lead, want = 2, []string{"P(us) paradigm"}
+		for _, p := range res.Series[0].X {
+			want = append(want, fmt.Sprintf("%g remote-fetching", p), fmt.Sprintf("%g server-reply", p))
+		}
+	case "fig10":
+		lead = 1
+		for _, n := range res.Series[0].X {
+			want = append(want, fmt.Sprintf("threads=%g", n))
+		}
+	default:
+		return
+	}
+	var got []string
+	for _, row := range res.Telemetry {
+		f := strings.Fields(row)
+		got = append(got, strings.Join(f[:min(lead, len(f))], " "))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s telemetry rows lead with\n  %q\nwant\n  %q", res.ID, got, want)
 	}
 }
 

@@ -23,7 +23,7 @@ func extTuning(o Options) Result {
 	const preSize, postSize = 32, 384
 	run := func(tuned bool) (preMOPS, postMOPS float64, retunes uint64, finalF int) {
 		const serverThreads = 6
-		rig := newEchoRig(o, core.DefaultParams(), serverThreads, 35, 16, 2048)
+		rig := newEchoRig(o, core.DefaultParams(), serverThreads, 16, 2048)
 		defer rig.env.Close()
 		rig.procNs, rig.respSize = 150, preSize
 		tuner := core.NewTuner(core.Calibrate(o.Profile, serverThreads), 2048, 512)

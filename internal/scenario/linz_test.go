@@ -74,7 +74,8 @@ func TestFaultFreeRunsLinearizable(t *testing.T) {
 }
 
 // TestChaosHistoriesCertified certifies the seeded failover chaos runs:
-// every (backend, seed) pair of replica-failover passes the checker.
+// every (backend, seed) pair of replica-failover — leader crash, lease wait,
+// epoch election, rejoin — passes the checker.
 func TestChaosHistoriesCertified(t *testing.T) {
 	sc, ok := Get("replica-failover")
 	if !ok {
