@@ -9,12 +9,17 @@
 // detect torn or stale data without any server coordination — exactly the
 // application-specific machinery RFP argues server-bypass forces on
 // developers.
+//
+// That CRC'd image is for remote readers only. The server, the region's
+// only writer, keeps its own per-slot index of entries and resident keys
+// and never decodes its own slots: DecodeSlot is the client's path.
 package cuckoo
 
 import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"slices"
 )
 
 // SlotSize is the fixed slot footprint: one cache line.
@@ -74,34 +79,46 @@ func NumSlotsFor(capacity int, fill float64) int {
 	return n
 }
 
-// hashBytes is a simple splitmix-style byte hash, seeded.
-func hashBytes(key []byte, seed uint64) uint64 {
-	h := seed
+// locate returns key's fingerprint and candidate slots. Each is a seeded
+// splitmix-style hash of the key's bytes; the four chains are independent,
+// so they advance side by side in one pass. It is written out for
+// Ways == 3.
+func (g *Geometry) locate(key []byte) (fp uint64, cands [Ways]int) {
+	h0, h1, h2, hf := g.Seeds[0], g.Seeds[1], g.Seeds[2], g.FPSeed
 	for _, b := range key {
-		h ^= uint64(b)
-		h *= 0x100000001B3
-		h ^= h >> 29
+		x := uint64(b)
+		h0 = (h0 ^ x) * 0x100000001B3
+		h1 = (h1 ^ x) * 0x100000001B3
+		h2 = (h2 ^ x) * 0x100000001B3
+		hf = (hf ^ x) * 0x100000001B3
+		h0 ^= h0 >> 29
+		h1 ^= h1 >> 29
+		h2 ^= h2 >> 29
+		hf ^= hf >> 29
 	}
+	n := uint64(g.NumSlots)
+	cands = [Ways]int{int(finish(h0) % n), int(finish(h1) % n), int(finish(h2) % n)}
+	if fp = finish(hf); fp == 0 {
+		fp = 1 // 0 marks empty slots
+	}
+	return fp, cands
+}
+
+// finish is the hash's final avalanche.
+func finish(h uint64) uint64 {
 	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
+	return h ^ h>>32
 }
 
 // Candidates returns the Ways slot indices key may occupy.
 func (g Geometry) Candidates(key []byte) [Ways]int {
-	var out [Ways]int
-	for i, s := range g.Seeds {
-		out[i] = int(hashBytes(key, s) % uint64(g.NumSlots))
-	}
-	return out
+	_, cands := g.locate(key)
+	return cands
 }
 
 // Fingerprint returns the key's slot fingerprint.
 func (g Geometry) Fingerprint(key []byte) uint64 {
-	fp := hashBytes(key, g.FPSeed)
-	if fp == 0 {
-		fp = 1 // 0 marks empty slots
-	}
+	fp, _ := g.locate(key)
 	return fp
 }
 
@@ -156,15 +173,50 @@ func DecodeSlot(buf []byte) (e Entry, ok bool, err error) {
 }
 
 // Table is the server-side view: it owns the slot region and performs
-// inserts with cuckoo displacement. Concurrent remote readers see
+// inserts with cuckoo displacement. The CRC'd slot image is what remote
+// readers see, and every slot write goes through EncodeSlot; the server
+// itself never reads that image back. It keeps its own index instead — one
+// record per slot with the entry and the resident key — so Lookup and
+// Insert run on plain fields, and nothing the server does depends on the
+// CRCs that exist for one-sided readers. Concurrent remote readers see
 // every intermediate slot state; the CRCs make that safe.
 type Table struct {
-	geo  Geometry
-	buf  []byte
-	keys map[int][]byte // slot -> key copy, for displacement re-hashing
-	rng  uint64         // LCG state for random-walk eviction choice
-	live int
+	geo   Geometry
+	buf   []byte
+	index []slotRec // per slot; agrees with DecodeSlot of that slot
+	arena []byte    // resident keys, appended once per new key
+	walk  []undo    // slots the current displacement walk overwrote
+	rng   uint64    // LCG state for random-walk eviction choice
+	live  int
 }
+
+// slotRec is the server's record of one slot: the entry its image encodes
+// and where the resident key sits in the key arena (a table's keys total
+// under 4 GiB). It holds no pointers, so the garbage collector never scans
+// the index.
+type slotRec struct {
+	e      Entry
+	keyOff uint32
+	keyLen uint32
+	live   bool
+}
+
+// undo is one slot a displacement walk overwrote, with its previous record.
+type undo struct {
+	idx int
+	rec slotRec
+}
+
+// clearedLen is the prefix of a slot ClearSlot writes: 32 payload bytes and
+// their CRC.
+const clearedLen = 40
+
+// cleared is ClearSlot's image, computed once: New copies it into every
+// slot rather than running one CRC per slot.
+var cleared = func() (img [clearedLen]byte) {
+	ClearSlot(img[:])
+	return img
+}()
 
 // New builds a table over buf (len(buf)/SlotSize slots, all cleared).
 func New(buf []byte) *Table {
@@ -172,9 +224,9 @@ func New(buf []byte) *Table {
 	if n < 1 {
 		panic(ErrTooSmall)
 	}
-	t := &Table{geo: DefaultGeometry(n), buf: buf, keys: make(map[int][]byte), rng: 0x853C49E6748FEA9B}
+	t := &Table{geo: DefaultGeometry(n), buf: buf, index: make([]slotRec, n), rng: 0x853C49E6748FEA9B}
 	for i := 0; i < n; i++ {
-		ClearSlot(t.slot(i))
+		copy(t.slot(i), cleared[:])
 	}
 	return t
 }
@@ -187,82 +239,96 @@ func (t *Table) Len() int { return t.live }
 
 func (t *Table) slot(i int) []byte { return t.buf[i*SlotSize : (i+1)*SlotSize] }
 
+func (t *Table) key(r *slotRec) []byte { return t.arena[r.keyOff : r.keyOff+r.keyLen] }
+
 // Lookup finds key locally (server side), returning its entry and slot
 // index.
 func (t *Table) Lookup(key []byte) (Entry, int, bool) {
-	fp := t.geo.Fingerprint(key)
-	for _, idx := range t.geo.Candidates(key) {
-		e, ok, err := DecodeSlot(t.slot(idx))
-		if err != nil || !ok {
-			continue
-		}
-		if e.KeyFP == fp && string(t.keys[idx]) == string(key) {
-			return e, idx, true
-		}
+	fp, cands := t.geo.locate(key)
+	if idx := t.find(key, fp, cands); idx >= 0 {
+		return t.index[idx].e, idx, true
 	}
 	return Entry{}, 0, false
 }
 
+// find returns the slot among cands holding key (fingerprint fp), or -1.
+func (t *Table) find(key []byte, fp uint64, cands [Ways]int) int {
+	for _, idx := range cands {
+		r := &t.index[idx]
+		if r.live && r.e.KeyFP == fp && string(t.key(r)) == string(key) {
+			return idx
+		}
+	}
+	return -1
+}
+
 // Insert places key's entry, updating in place when the key exists and
 // displacing residents cuckoo-style otherwise. Returns the slot index used.
+// On ErrFull the table — slot image and index — is exactly as it was.
 func (t *Table) Insert(key []byte, e Entry) (int, error) {
-	e.KeyFP = t.geo.Fingerprint(key)
-	e.KeySize = uint16(len(key))
-	if _, idx, found := t.Lookup(key); found {
+	fp, cands := t.geo.locate(key)
+	e.KeyFP, e.KeySize = fp, uint16(len(key))
+	if idx := t.find(key, fp, cands); idx >= 0 {
+		t.index[idx].e = e
 		EncodeSlot(t.slot(idx), e)
 		return idx, nil
 	}
+	// The arena owns a copy: key may alias a buffer the caller reuses. It
+	// doubles (append alone grows large slices by a quarter at a time).
+	mark := len(t.arena)
+	if cap(t.arena)-mark < len(key) {
+		t.arena = slices.Grow(t.arena, max(mark, 4096, len(key)))
+	}
+	t.arena = append(t.arena, key...)
+	cur := slotRec{e: e, keyOff: uint32(mark), keyLen: uint32(len(key)), live: true}
 	// Empty candidate?
-	cands := t.geo.Candidates(key)
 	for _, idx := range cands {
-		if _, ok, err := DecodeSlot(t.slot(idx)); err == nil && !ok {
-			t.place(idx, key, e)
+		if !t.index[idx].live {
+			t.place(idx, cur)
 			t.live++
 			return idx, nil
 		}
 	}
 	// Displace with a random walk: a pseudo-random eviction choice avoids
 	// the short cycles a deterministic rotation can fall into.
-	curKey, curEntry := append([]byte(nil), key...), e
+	t.walk = slices.Grow(t.walk[:0], MaxKicks)
 	first := -1
 	for kicks := 0; kicks < MaxKicks; kicks++ {
-		cands := t.geo.Candidates(curKey)
 		t.rng = t.rng*6364136223846793005 + 1442695040888963407
 		victim := cands[(t.rng>>33)%Ways]
-		vKey := append([]byte(nil), t.keys[victim]...)
-		vEntry, vOK, _ := DecodeSlot(t.slot(victim))
-		t.place(victim, curKey, curEntry)
+		v := t.index[victim]
+		t.walk = append(t.walk, undo{victim, v})
+		t.place(victim, cur)
 		if first == -1 {
 			first = victim
 		}
-		if !vOK {
+		if !v.live {
 			t.live++
 			return first, nil
 		}
 		// Find an empty candidate for the displaced resident.
-		placed := false
-		for _, idx := range t.geo.Candidates(vKey) {
-			if idx == victim {
-				continue
-			}
-			if _, ok, err := DecodeSlot(t.slot(idx)); err == nil && !ok {
-				t.place(idx, vKey, vEntry)
-				placed = true
-				break
+		cands = t.geo.Candidates(t.key(&v))
+		for _, idx := range cands {
+			if idx != victim && !t.index[idx].live {
+				t.place(idx, v)
+				t.live++
+				return first, nil
 			}
 		}
-		if placed {
-			t.live++
-			return first, nil
-		}
-		curKey, curEntry = vKey, vEntry
+		cur = v
 	}
+	// Give up without losing anyone: put every overwritten slot back, the
+	// latest first, and drop the new key's arena copy.
+	for i := len(t.walk) - 1; i >= 0; i-- {
+		t.place(t.walk[i].idx, t.walk[i].rec)
+	}
+	t.arena = t.arena[:mark]
 	return 0, ErrFull
 }
 
-func (t *Table) place(idx int, key []byte, e Entry) {
-	EncodeSlot(t.slot(idx), e)
-	t.keys[idx] = append([]byte(nil), key...)
+func (t *Table) place(idx int, r slotRec) {
+	EncodeSlot(t.slot(idx), r.e)
+	t.index[idx] = r
 }
 
 // SlotOffset returns the byte offset of slot idx, for building RDMA reads.

@@ -1,6 +1,7 @@
 package cuckoo
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -76,18 +77,43 @@ func TestFillTo75Percent(t *testing.T) {
 	}
 }
 
+// TestOverfullErrors stuffs a tiny table until Insert reports ErrFull and
+// then checks that the failed insert changed nothing: every earlier key is
+// still found with its own entry, the failing key is absent, Len is
+// unchanged and the slot region is byte-for-byte its pre-insert image.
 func TestOverfullErrors(t *testing.T) {
 	tab := newTable(8)
-	sawErr := false
+	entry := func(i int) Entry { return Entry{DataOff: uint64(100 + i), ValSize: uint32(i), Version: 1} }
+	var resident [][]byte
 	for i := 0; i < 100; i++ {
-		if _, err := tab.Insert([]byte(fmt.Sprintf("k%d", i)), Entry{}); err == ErrFull {
-			sawErr = true
-			break
+		key := []byte(fmt.Sprintf("k%d", i))
+		before := append([]byte(nil), tab.buf...)
+		_, err := tab.Insert(key, entry(i))
+		if err == nil {
+			resident = append(resident, key)
+			continue
 		}
+		if err != ErrFull {
+			t.Fatalf("Insert(%q) = %v", key, err)
+		}
+		if _, _, ok := tab.Lookup(key); ok {
+			t.Errorf("failed insert of %q left it findable", key)
+		}
+		if tab.Len() != len(resident) {
+			t.Errorf("Len = %d after ErrFull, want %d", tab.Len(), len(resident))
+		}
+		for j, k := range resident {
+			e, _, ok := tab.Lookup(k)
+			if want := entry(j); !ok || e.DataOff != want.DataOff || e.ValSize != want.ValSize {
+				t.Errorf("resident %q after ErrFull: ok=%v entry=%+v", k, ok, e)
+			}
+		}
+		if !bytes.Equal(tab.buf, before) {
+			t.Error("ErrFull changed the slot region")
+		}
+		return
 	}
-	if !sawErr {
-		t.Fatal("over-stuffed table never reported ErrFull")
-	}
+	t.Fatal("over-stuffed table never reported ErrFull")
 }
 
 func TestSlotRoundTrip(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // IntDist produces non-negative integers, e.g. key indices or value sizes.
@@ -64,7 +65,8 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipf distribution over [0, n) with exponent theta in
-// (0, 1). The zeta normalization is computed once at construction.
+// (0, 1). The zeta normalization is computed once per (theta, n) and
+// shared by every later NewZipf of the same shape.
 func NewZipf(theta float64, n int) *Zipf {
 	if n <= 0 {
 		panic("dist: Zipf needs n > 0")
@@ -73,17 +75,41 @@ func NewZipf(theta float64, n int) *Zipf {
 		panic("dist: Zipf theta must be in (0,1)")
 	}
 	z := &Zipf{n: n, theta: theta, alpha: 1 / (1 - theta)}
+	z.zetan, z.zeta2 = zetas(theta, n)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	return z
+}
+
+// zetaMemo maps zipfShape to its zipfZetas. A sync.Map rather than a mutex:
+// two racing first calls both compute the same bits, and either store wins.
+var zetaMemo sync.Map
+
+type zipfShape struct {
+	theta float64
+	n     int
+}
+
+type zipfZetas struct{ zetan, zeta2 float64 }
+
+// zetas returns the normalization sums zeta(n, theta) and zeta(2, theta)
+// (zeta(1, theta) when n is 1): n math.Pow calls the first time a shape
+// is seen, a map read after that.
+func zetas(theta float64, n int) (zetan, zeta2 float64) {
+	if v, ok := zetaMemo.Load(zipfShape{theta, n}); ok {
+		z := v.(zipfZetas)
+		return z.zetan, z.zeta2
+	}
 	for i := 1; i <= n; i++ {
-		z.zetan += 1 / math.Pow(float64(i), theta)
+		zetan += 1 / math.Pow(float64(i), theta)
 		if i == 2 {
-			z.zeta2 = z.zetan
+			zeta2 = zetan
 		}
 	}
 	if n == 1 {
-		z.zeta2 = z.zetan
+		zeta2 = zetan
 	}
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z
+	zetaMemo.Store(zipfShape{theta, n}, zipfZetas{zetan, zeta2})
+	return zetan, zeta2
 }
 
 // Next implements IntDist, drawing from r.

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,6 +142,31 @@ func TestZipfDeterminism(t *testing.T) {
 			t.Fatal("zipf draws not deterministic for fixed seed")
 		}
 	}
+}
+
+// TestZipfMemoized: NewZipf shares one normalization per (theta, n), and
+// whoever computes it first — here, racing parallel subtests on a shape no
+// other test uses — every caller gets the struct a fresh summation gives.
+func TestZipfMemoized(t *testing.T) {
+	const theta, n = 0.63, 4321
+	want := Zipf{n: n, theta: theta, alpha: 1 / (1 - theta)}
+	for i := 1; i <= n; i++ {
+		want.zetan += 1 / math.Pow(float64(i), theta)
+		if i == 2 {
+			want.zeta2 = want.zetan
+		}
+	}
+	want.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - want.zeta2/want.zetan)
+	t.Run("group", func(t *testing.T) {
+		for i := 0; i < 4; i++ {
+			t.Run(fmt.Sprint(i), func(t *testing.T) {
+				t.Parallel()
+				if a, b := NewZipf(theta, n), NewZipf(theta, n); *a != want || *b != want {
+					t.Fatalf("NewZipf = %+v then %+v, want %+v", *a, *b, want)
+				}
+			})
+		}
+	})
 }
 
 // Property: uniform draws always stay within bounds for arbitrary ranges.

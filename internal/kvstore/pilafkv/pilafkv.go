@@ -9,6 +9,10 @@
 //   - clients must detect torn reads (a slot or extent being rewritten
 //     underneath them) via checksums and retry.
 //
+// The checksummed slot and extent images are what remote readers see. The
+// server never reads them back: where a key's extent lives and which
+// version it holds come from the cuckoo table's own server-side index.
+//
 // This package exists to reproduce "bypass access amplification": even
 // read-only GETs cost multiple RDMA round trips (slot probes + data read +
 // checksum retries — Pilaf reports 3.2 on average at 75% fill), so measured
@@ -96,7 +100,6 @@ type Server struct {
 	slotMR  *rnic.MR
 	dataMR  *rnic.MR
 	lock    *sim.Resource // serializes table restructuring across threads
-	extents map[string]int
 	nextOff int
 	conns   [][]*core.Conn
 	next    int
@@ -121,9 +124,8 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 		dataMR: dataMR,
 		// Homed to m's lane: server procs hold this lock, and a wake
 		// from a foreign lane deadlocks the sharded kernel.
-		lock:    sim.NewResourceOn(m.Shard(), 1),
-		extents: make(map[string]int),
-		conns:   make([][]*core.Conn, cfg.Threads),
+		lock:  sim.NewResourceOn(m.Shard(), 1),
+		conns: make([][]*core.Conn, cfg.Threads),
 	}
 	s.rfp.AddThreads(cfg.Threads)
 	return s
@@ -136,17 +138,16 @@ func (s *Server) Table() *cuckoo.Table { return s.table }
 // extent is written in two timed phases, opening the torn-read window
 // remote GETs must survive; Preload passes nil for instantaneous loading.
 func (s *Server) put(p *sim.Proc, key, value []byte) error {
-	off, ok := s.extents[string(key)]
-	version := uint32(1)
-	if !ok {
+	// The table's entry says where key's extent is and which version it
+	// holds; a key the table lacks gets a fresh extent at version 1.
+	e, _, found := s.table.Lookup(key)
+	off, version := int(e.DataOff), e.Version+1
+	if !found {
 		if s.nextOff+s.cfg.stride() > len(s.dataMR.Buf) {
 			return ErrStoreFull
 		}
-		off = s.nextOff
+		off, version = s.nextOff, 1
 		s.nextOff += s.cfg.stride()
-		s.extents[string(key)] = off
-	} else if e, _, found := s.table.Lookup(key); found {
-		version = e.Version + 1
 	}
 	buf := s.dataMR.Buf[off : off+s.cfg.stride()]
 	binary.LittleEndian.PutUint32(buf[0:4], version)
@@ -178,6 +179,9 @@ func (s *Server) put(p *sim.Proc, key, value []byte) error {
 	})
 	if p != nil {
 		s.lock.Release()
+	}
+	if err != nil && !found && s.nextOff == off+s.cfg.stride() {
+		s.nextOff = off // no slot points at the fresh extent: reclaim it
 	}
 	return err
 }
