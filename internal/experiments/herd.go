@@ -23,7 +23,8 @@ func init() {
 	register("ext-loss", "HERD-style RPC under datagram loss: retransmits and duplicates", extLoss)
 }
 
-// herdStats aggregates the client-visible cost of unreliability.
+// herdStats aggregates the client-visible cost of unreliability over one
+// measurement window.
 type herdStats struct {
 	Calls       uint64
 	Retransmits uint64
@@ -147,9 +148,18 @@ func runHerd(o Options, lossProb float64, clientThreads, serverThreads int) (flo
 		})
 	}
 
-	mops := measureMOPS(env, o, sumOf(ops))
-	st.Calls = sumOf(ops)()
-	return mops, st
+	// Every count covers the measurement window only, as the MOPS does.
+	count := sumOf(ops)
+	env.Run(sim.Time(o.Warmup))
+	warm := st
+	warm.Calls = count()
+	env.Run(env.Now().Add(o.Window))
+	win := herdStats{
+		Calls:       count() - warm.Calls,
+		Retransmits: st.Retransmits - warm.Retransmits,
+		Duplicates:  st.Duplicates - warm.Duplicates,
+	}
+	return stats.MOPS(win.Calls, int64(o.Window)), win
 }
 
 func extHerd(o Options) Result {
