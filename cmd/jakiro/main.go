@@ -73,14 +73,13 @@ func main() {
 		Workload:      wcfg,
 		FetchSize:     *fetchF,
 		ExtraProcNs:   int64(*procUs) * 1000,
-		Latency:       true,
 	})
 
 	fmt.Printf("system          %s\n", kind.Label())
 	fmt.Printf("throughput      %.3f MOPS\n", out.MOPS)
 	fmt.Printf("latency         mean %.2fus  p50 %.2fus  p99 %.2fus  max %.2fus\n",
 		out.Lat.Mean()/1e3, float64(out.Lat.Percentile(0.5))/1e3,
-		float64(out.Lat.Percentile(0.99))/1e3, float64(out.Lat.Max())/1e3)
+		float64(out.Lat.Percentile(0.99))/1e3, float64(out.Lat.Max)/1e3)
 	if out.Agg.Calls > 0 {
 		fmt.Printf("fetches/call    %.3f (second reads: %d)\n",
 			float64(out.Agg.FetchReads)/float64(out.Agg.Calls), out.Agg.SecondReads)

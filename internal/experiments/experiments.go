@@ -75,7 +75,7 @@ type Result struct {
 	// Series share an x axis; rendered as the figure's table.
 	Series []*stats.Series
 	// CDFs holds latency distributions for CDF figures.
-	CDFs map[string]*stats.Hist
+	CDFs map[string]telemetry.HistSnap
 	// Rows holds free-form table rows (Table 3 style).
 	Rows []string
 	// Telemetry holds per-call telemetry lines (latency percentiles,
@@ -146,13 +146,15 @@ func (r Result) render(chart bool) string {
 		for _, q := range qs {
 			fmt.Fprintf(&b, "%-14.3f", q)
 			for _, n := range names {
-				fmt.Fprintf(&b, "%14.2fus", float64(r.CDFs[n].Percentile(q))/1e3)
+				h := r.CDFs[n]
+				fmt.Fprintf(&b, "%14.2fus", float64(h.Percentile(q))/1e3)
 			}
 			b.WriteString("\n")
 		}
 		fmt.Fprintf(&b, "%-14s", "mean")
 		for _, n := range names {
-			fmt.Fprintf(&b, "%14.2fus", r.CDFs[n].Mean()/1e3)
+			h := r.CDFs[n]
+			fmt.Fprintf(&b, "%14.2fus", h.Mean()/1e3)
 		}
 		b.WriteString("\n")
 	}

@@ -114,12 +114,12 @@ func ToJSON(res Result, o Options, wall time.Duration) JSONResult {
 		h := res.CDFs[label]
 		c := JSONCDF{
 			Label:       label,
-			Count:       h.Count(),
+			Count:       h.Count,
 			MeanUs:      h.Mean() / 1e3,
 			Percentiles: make(map[string]float64, len(cdfQuantiles)),
 		}
-		for _, pt := range h.CDF(cdfQuantiles) {
-			c.Percentiles[fmt.Sprintf("p%g", pt.Q*100)] = float64(pt.Ns) / 1e3
+		for _, q := range cdfQuantiles {
+			c.Percentiles[fmt.Sprintf("p%g", q*100)] = float64(h.Percentile(q)) / 1e3
 		}
 		out.CDFs = append(out.CDFs, c)
 	}

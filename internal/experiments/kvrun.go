@@ -3,15 +3,14 @@ package experiments
 // Shared load drivers: RunKV drives one of the four key-value systems on
 // the paper topology (1 server + 7 client machines); RunEcho drives a bare
 // RFP/server-reply echo service for the paradigm-level sweeps (Fig. 9).
-// Stores are stood up by scenario.BuildBackend — the same builder the
-// scenario harness uses.
+// Stores are stood up by scenario.BuildBackend and driven by
+// scenario.Drive — the same builder and driver the scenario harness uses.
 
 import (
 	"fmt"
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/kv"
 	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/scenario"
 	"rfp/internal/sim"
@@ -58,20 +57,20 @@ type KVRun struct {
 	DisableSwitch bool  // Jakiro w/o Switch
 	DisableSpikes bool
 	NoInline      bool // ablation: separate size-probe read per fetch
-	Latency       bool // keep every op's latency in KVOut.Lat
 	TraceEvents   int  // attach a data-path tracer of this capacity to the server NIC
 }
 
-// KVOut is one run's measurements.
+// KVOut is one run's measurements. RunKV reads them from the window phase;
+// RunEcho sets MOPS, Agg, ClientUtil and Tel.
 type KVOut struct {
 	MOPS       float64
-	Lat        *stats.Hist
-	Agg        core.ClientStats // RFP transport stats delta over the window
-	ClientUtil float64          // client CPU utilization (RFP-based kinds)
-	Pilaf      pilafkv.ClientStats
-	Misses     uint64
-	Trace      *trace.Ring        // server-NIC data-path events, when requested
-	Tel        telemetry.Snapshot // per-call telemetry, when Opts.Telemetry is set
+	Lat        telemetry.HistSnap  // op latency (ns): exact mean, quantiles within a half bucket (6.25 %)
+	Agg        core.ClientStats    // RFP transport stats delta over the window
+	ClientUtil float64             // client CPU utilization (RFP-based kinds)
+	Pilaf      pilafkv.ClientStats // Pilaf clients' read counters over the whole run
+	Misses     uint64              // GETs (and RMW read halves) that found no value
+	Trace      *trace.Ring         // server-NIC data-path events, when requested
+	Tel        telemetry.Snapshot  // per-call telemetry, when Opts.Telemetry is set
 }
 
 func (r KVRun) withDefaults() KVRun {
@@ -153,64 +152,35 @@ func RunKV(r KVRun) KVOut {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 
-	hist := stats.NewHist(1 << 21)
-	measuring := false
-	ops := make([]uint64, len(placements))
-	var misses uint64
-	// One key distribution for every thread: a Zipf's normalization is a sum
-	// over the whole key space.
-	gens := workload.NewGenerator(r.Workload, 0)
-	for i, pl := range placements {
-		i := i
-		cli := b.Conns[i]
-		gen := gens.Fork(r.Opts.Seed*1000 + int64(i))
-		pl.Machine.Spawn("load", func(p *sim.Proc) {
-			scratch := make([]byte, maxVal+64)
-			for {
-				op := gen.Next()
-				start := p.Now()
-				ok, err := kv.Do(cli, p, op, scratch)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: %s op failed: %v", r.Kind, err))
-				}
-				ops[i]++
-				if measuring {
-					if r.Latency {
-						hist.Add(int64(p.Now().Sub(start)))
-					}
-					if !ok {
-						misses++
-					}
-				}
-			}
-		})
-	}
-
-	// Telemetry attaches after warmup so snapshots cover exactly the
-	// measurement window (it instruments the RFP transport only).
-	env.Run(sim.Time(r.Opts.Warmup))
-	measuring = true
-	var rec *telemetry.Recorder
+	// Telemetry records from the start; Drive reports the window's delta.
 	if r.Opts.Telemetry {
-		rec = b.Record()
+		b.Record()
 	}
-	statsBefore := b.Stats()
+	obs, _ := scenario.Drive(env, b, placements, []scenario.Phase{
+		{Name: "warmup", Duration: r.Opts.Warmup, Workload: r.Workload},
+		{Name: "window", Duration: r.Opts.Window, Workload: r.Workload},
+	}, r.Opts.Seed, false)
+	for _, o := range obs {
+		if o.Failed > 0 || o.Corrupted > 0 || o.Unfinished > 0 {
+			panic(fmt.Sprintf("experiments: %s %s phase: %d ops failed, %d corrupt, %d drivers unfinished",
+				r.Kind, o.Phase, o.Failed, o.Corrupted, o.Unfinished))
+		}
+	}
+	w := &obs[1]
 	out := KVOut{
-		MOPS:  windowMOPS(env, r.Opts, sumOf(ops)),
-		Lat:   hist,
-		Trace: ring,
+		MOPS:       stats.MOPS(w.Done, w.DurationNs),
+		Lat:        w.Lat,
+		Agg:        w.Stats,
+		ClientUtil: clientUtil(w.Stats, r.ClientThreads, r.Opts),
+		Misses:     w.Missed,
+		Trace:      ring,
+		Tel:        w.Tel,
 	}
-	out.Agg = b.Stats().Sub(statsBefore)
-	out.Misses = misses
 	for _, c := range b.Conns {
 		if pc, ok := c.(*pilafkv.Client); ok {
 			out.Pilaf.Add(pc.Stats)
 		}
 	}
-	if rec != nil {
-		out.Tel = rec.Snapshot()
-	}
-	out.ClientUtil = clientUtil(out.Agg, r.ClientThreads, r.Opts)
 	return out
 }
 

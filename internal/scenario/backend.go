@@ -88,6 +88,9 @@ type BackendSpec struct {
 // need more than Get/Put.
 type Backend struct {
 	Conns []kv.Conn
+
+	maxValue int                 // the spec's MaxValue: Drive sizes its buffers by it
+	rec      *telemetry.Recorder // the recorder Record attached, sampled by Drive
 }
 
 // Stats sums the RFP transport statistics (recovery block included) over
@@ -104,17 +107,18 @@ func (b *Backend) Stats() core.ClientStats {
 
 // Record attaches one fresh recorder to every client that records per-call
 // telemetry (the RFP-store backends) and returns it; nil when none does.
+// Drive samples it at every phase boundary.
 func (b *Backend) Record() *telemetry.Recorder {
-	var rec *telemetry.Recorder
+	b.rec = nil
 	for _, c := range b.Conns {
 		if r, ok := c.(interface{ SetRecorder(*telemetry.Recorder) }); ok {
-			if rec == nil {
-				rec = telemetry.New(telemetry.Config{})
+			if b.rec == nil {
+				b.rec = telemetry.New(telemetry.Config{})
 			}
-			r.SetRecorder(rec)
+			r.SetRecorder(b.rec)
 		}
 	}
-	return rec
+	return b.rec
 }
 
 // connect creates one client per placement. Clients are created before
@@ -136,7 +140,7 @@ func BuildBackend(spec BackendSpec, servers []*fabric.Machine, placements []fabr
 		}
 		return kv.BucketsFor(spec.Keys, partitions)
 	}
-	b := &Backend{Conns: make([]kv.Conn, len(placements))}
+	b := &Backend{Conns: make([]kv.Conn, len(placements)), maxValue: spec.MaxValue}
 
 	switch spec.Backend {
 	case BackendJakiro, BackendServerReply, BackendSharded:
@@ -267,15 +271,4 @@ func specFor(name string, topo Topology, maxVal int, faulty bool) BackendSpec {
 		}
 	}
 	return spec
-}
-
-// recoveryOf projects the recovery block out of aggregated client stats.
-func recoveryOf(s core.ClientStats) RecoveryStats {
-	return RecoveryStats{
-		FaultRetries: s.FaultRetries,
-		Resends:      s.Resends,
-		Reconnects:   s.Reconnects,
-		Demotions:    s.Demotions,
-		Deadlines:    s.Deadlines,
-	}
 }

@@ -8,6 +8,7 @@ package scenario
 import (
 	"fmt"
 
+	"rfp/internal/core"
 	"rfp/internal/faults"
 	"rfp/internal/telemetry"
 )
@@ -75,20 +76,10 @@ func (iv Invariant) String() string {
 	}
 }
 
-// RecoveryStats is the per-phase delta of the clients' recovery counters
-// (core.ClientStats' recovery block, summed across all client threads).
-type RecoveryStats struct {
-	FaultRetries uint64
-	Resends      uint64
-	Reconnects   uint64
-	Demotions    uint64
-	Deadlines    uint64
-}
-
 // PhaseObs is everything the runner observed about one phase: driver-side
 // accounting (issued/done/failed/corrupted, charged to the phase that
 // issued the op), the merged per-thread latency histogram, the telemetry
-// and recovery-stat deltas for the phase window, and the fault tallies
+// and transport-stat deltas for the phase window, and the fault tallies
 // attributed to the phase's schedule stage.
 type PhaseObs struct {
 	Phase      string
@@ -96,14 +87,15 @@ type PhaseObs struct {
 
 	Issued     uint64 // ops drawn and submitted by drivers
 	Done       uint64 // ops completed without error (GET misses included)
+	Missed     uint64 // of Done: GETs, and RMW read halves, that found no value
 	Failed     uint64 // ops that returned an error (deadline exhaustion etc.)
 	Corrupted  uint64 // GETs whose value failed integrity verification
 	Unfinished int    // drivers that never reached this phase's barrier
 
-	Lat      telemetry.HistSnap // op latency (ns), merged across threads
-	Tel      telemetry.Snapshot // RFP telemetry delta (zero for non-RFP backends)
-	Recovery RecoveryStats      // recovery-counter delta
-	Faults   faults.Counts      // injected faults attributed to this phase
+	Lat    telemetry.HistSnap // op latency (ns), merged across threads
+	Tel    telemetry.Snapshot // RFP telemetry delta (zero for non-RFP backends)
+	Stats  core.ClientStats   // RFP transport-stats delta (zero for pilafkv and replica)
+	Faults faults.Counts      // injected faults attributed to this phase
 }
 
 // Verdict is one evaluated invariant.
@@ -162,8 +154,8 @@ func Eval(iv Invariant, o *PhaseObs) Verdict {
 		v.OK = r >= iv.Bound
 		v.Detail = fmt.Sprintf("%.1f ops/ms", r)
 	case MaxDemotions:
-		v.OK = float64(o.Recovery.Demotions) <= iv.Bound
-		v.Detail = fmt.Sprintf("demotions %d", o.Recovery.Demotions)
+		v.OK = float64(o.Stats.Demotions) <= iv.Bound
+		v.Detail = fmt.Sprintf("demotions %d", o.Stats.Demotions)
 	case MaxFailedFrac:
 		if o.Issued == 0 {
 			v.OK = true

@@ -50,7 +50,7 @@ func TestEvalTable(t *testing.T) {
 	failed.Failed = 100
 
 	demoted := obsClean()
-	demoted.Recovery.Demotions = 4
+	demoted.Stats.Demotions = 4
 
 	empty := PhaseObs{Phase: "idle", DurationNs: 1_000_000}
 

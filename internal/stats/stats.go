@@ -1,157 +1,14 @@
-// Package stats provides the measurement plumbing for the experiment
-// harness: latency histograms with percentile/CDF extraction, throughput
-// accounting over measurement windows, and small numeric helpers.
+// Package stats provides the experiment harness's result plumbing:
+// throughput over measurement windows (MOPS), the labelled series a paper
+// figure plots, and their text table and ASCII chart. Latency
+// distributions are telemetry.HistSnap.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Hist is a latency histogram over nanosecond samples. It keeps exact
-// samples up to a cap and falls back to log-spaced buckets beyond it, which
-// is plenty for simulation-sized runs while bounding memory.
-type Hist struct {
-	samples []int64
-	cap     int
-	// Overflow accounting once the sample cap is hit.
-	buckets   []uint64 // log2-spaced
-	count     uint64
-	sum       int64
-	min, max  int64
-	overflown bool
-}
-
-// NewHist creates a histogram that keeps up to capSamples exact samples
-// (default 1<<20 when zero).
-func NewHist(capSamples int) *Hist {
-	if capSamples <= 0 {
-		capSamples = 1 << 20
-	}
-	return &Hist{cap: capSamples, min: math.MaxInt64, buckets: make([]uint64, 64)}
-}
-
-// Add records one sample (ns).
-func (h *Hist) Add(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	h.count++
-	h.sum += ns
-	if ns < h.min {
-		h.min = ns
-	}
-	if ns > h.max {
-		h.max = ns
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, ns)
-		return
-	}
-	h.overflown = true
-	h.buckets[log2Bucket(ns)]++
-}
-
-func log2Bucket(ns int64) int {
-	b := 0
-	for ns > 1 && b < 63 {
-		ns >>= 1
-		b++
-	}
-	return b
-}
-
-// Count returns the number of recorded samples.
-func (h *Hist) Count() uint64 { return h.count }
-
-// Mean returns the average sample (ns), 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min and Max return the extreme samples (0 when empty).
-func (h *Hist) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample.
-func (h *Hist) Max() int64 { return h.max }
-
-// Percentile returns the q-quantile (q in [0,1]) in ns: the sample of rank
-// ⌊q·(n−1)⌋. Exact while under the sample cap. Beyond it, every bucketed
-// sample ranks among the exact ones at its bucket's lower bound, clamped to
-// [Min, Max].
-func (h *Hist) Percentile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := h.sorted()
-	if !h.overflown {
-		return s[int(q*float64(len(s)-1))]
-	}
-	rank := uint64(q * float64(h.count-1))
-	i := 0
-	for b, n := range h.buckets {
-		v := min(max(int64(1)<<uint(b), h.min), h.max)
-		for ; i < len(s) && s[i] < v; i++ {
-			if rank == 0 {
-				return s[i]
-			}
-			rank--
-		}
-		if rank < n {
-			return v
-		}
-		rank -= n
-	}
-	return s[i+int(rank)]
-}
-
-func (h *Hist) sorted() []int64 {
-	s := append([]int64(nil), h.samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
-}
-
-// CDF returns (value, cumulative fraction) pairs at the given quantiles,
-// suitable for plotting Fig. 13/20-style latency CDFs.
-func (h *Hist) CDF(quantiles []float64) []CDFPoint {
-	out := make([]CDFPoint, 0, len(quantiles))
-	for _, q := range quantiles {
-		out = append(out, CDFPoint{Q: q, Ns: h.Percentile(q)})
-	}
-	return out
-}
-
-// CDFPoint is one point of a latency CDF.
-type CDFPoint struct {
-	Q  float64
-	Ns int64
-}
-
-// String renders the histogram summary.
-func (h *Hist) String() string {
-	if h.count == 0 {
-		return "hist{empty}"
-	}
-	return fmt.Sprintf("hist{n=%d mean=%.2fus p50=%.2fus p99=%.2fus max=%.2fus}",
-		h.count, h.Mean()/1e3, float64(h.Percentile(0.5))/1e3,
-		float64(h.Percentile(0.99))/1e3, float64(h.max)/1e3)
-}
 
 // MOPS converts an operation count over a nanosecond window to millions of
 // operations per second.

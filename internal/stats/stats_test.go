@@ -2,92 +2,9 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestHistEmpty(t *testing.T) {
-	h := NewHist(0)
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram should read zero")
-	}
-	if !strings.Contains(h.String(), "empty") {
-		t.Fatal("String")
-	}
-}
-
-func TestHistBasicStats(t *testing.T) {
-	h := NewHist(0)
-	for _, v := range []int64{100, 200, 300, 400, 500} {
-		h.Add(v)
-	}
-	if h.Count() != 5 {
-		t.Fatal("count")
-	}
-	if h.Mean() != 300 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if h.Min() != 100 || h.Max() != 500 {
-		t.Fatal("min/max")
-	}
-	if h.Percentile(0.5) != 300 {
-		t.Fatalf("p50 = %d", h.Percentile(0.5))
-	}
-	if h.Percentile(0) != 100 || h.Percentile(1) != 500 {
-		t.Fatal("p0/p100")
-	}
-}
-
-func TestHistNegativeClamped(t *testing.T) {
-	h := NewHist(0)
-	h.Add(-50)
-	if h.Min() != 0 {
-		t.Fatal("negative sample should clamp to 0")
-	}
-}
-
-func TestHistQuantileClamping(t *testing.T) {
-	h := NewHist(0)
-	h.Add(10)
-	if h.Percentile(-1) != 10 || h.Percentile(2) != 10 {
-		t.Fatal("out-of-range quantiles should clamp")
-	}
-}
-
-func TestHistOverflowApproximation(t *testing.T) {
-	h := NewHist(100)
-	for i := 0; i < 100; i++ {
-		h.Add(1000)
-	}
-	for i := 0; i < 900; i++ {
-		h.Add(1 << 20) // lands in overflow buckets
-	}
-	if h.Count() != 1000 {
-		t.Fatal("count with overflow")
-	}
-	p99 := h.Percentile(0.99)
-	if p99 < 1<<19 || p99 > 1<<21 {
-		t.Fatalf("overflow p99 = %d, want ~2^20", p99)
-	}
-	if h.Percentile(0.01) != 1000 {
-		t.Fatalf("low quantile should come from exact samples")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	h := NewHist(0)
-	for i := int64(1); i <= 1000; i++ {
-		h.Add(i * 7)
-	}
-	pts := h.CDF([]float64{0.1, 0.5, 0.9, 0.99})
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Ns < pts[i-1].Ns {
-			t.Fatalf("CDF not monotone: %+v", pts)
-		}
-	}
-}
 
 func TestMOPS(t *testing.T) {
 	if MOPS(5_500_000, 1e9) != 5.5 {
@@ -132,51 +49,6 @@ func TestTableRendering(t *testing.T) {
 	// Second series shorter than first: renders '-'.
 	if !strings.Contains(out, "-") {
 		t.Fatal("missing placeholder for short series")
-	}
-}
-
-// Property: for any sample set under the cap, Percentile(q) equals the
-// exact order statistic.
-func TestPercentileExactProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHist(len(raw) + 1)
-		vals := make([]int64, len(raw))
-		for i, v := range raw {
-			vals[i] = int64(v)
-			h.Add(int64(v))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
-			want := vals[int(q*float64(len(vals)-1))]
-			if h.Percentile(q) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: mean lies within [min, max].
-func TestMeanBoundedProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHist(0)
-		for _, v := range raw {
-			h.Add(int64(v))
-		}
-		m := h.Mean()
-		return m >= float64(h.Min()) && m <= float64(h.Max())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
