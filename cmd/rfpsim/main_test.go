@@ -1,8 +1,9 @@
 package main
 
-// Golden-file tests for the CLI surface: -list enumerates the registry and
-// a -json -stable run is byte-stable (wall-clock zeroed, everything else
-// deterministic per seed). Regenerate with `go test ./cmd/rfpsim -update`.
+// Golden-file tests for the CLI surface: -list enumerates the registry, a
+// -json -stable run is byte-stable (wall-clock zeroed, everything else
+// deterministic per seed), and so is the whole -all matrix. Regenerate with
+// `go test ./cmd/rfpsim -update`.
 
 import (
 	"bytes"
@@ -62,6 +63,17 @@ func TestJSONStableGolden(t *testing.T) {
 	if code != 0 || again != stdout {
 		t.Fatal("-json -stable output not reproducible across runs")
 	}
+}
+
+// TestAllGolden pins the whole serial matrix — every scenario on every
+// backend it declares — byte for byte; CI diffs the CLI's stream against
+// the same file.
+func TestAllGolden(t *testing.T) {
+	stdout, stderr, code := runCapture(t, "-all")
+	if code != 0 {
+		t.Fatalf("-all exit %d, stderr %q", code, stderr)
+	}
+	checkGolden(t, "all.golden", stdout)
 }
 
 func TestTextRunPasses(t *testing.T) {

@@ -1,9 +1,30 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// chaosArchive is the exact document `rfpbench -quick -stable -json
+// ext-chaos` prints, relative to this package. ext-chaos is fault-injected,
+// so it stays out of BENCH_faultfree.json; this file is its own archive.
+const chaosArchive = "testdata/ext-chaos.json"
+
+// TestChaosArchive compares ext-chaos's fresh -stable document with its
+// archive. A change that moves it on purpose re-archives in the same PR:
+// `rfpbench -quick -stable -json ext-chaos > internal/experiments/testdata/ext-chaos.json`.
+func TestChaosArchive(t *testing.T) {
+	want, err := os.ReadFile(chaosArchive)
+	if err != nil {
+		t.Fatalf("reading archive: %v", err)
+	}
+	got := encodeLine(t, archived(t, "ext-chaos"), archiveOpts())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ext-chaos drifted from %s: %s\ngot:  %s\nwant: %s", chaosArchive, firstDiff(got, want), got, want)
+	}
+}
 
 // TestChaosInvariants runs every fault plan and asserts the harness's hard
 // guarantees: no call is ever lost (unaccounted), no corrupted response is
