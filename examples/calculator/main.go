@@ -62,11 +62,8 @@ func main() {
 		return
 	}
 
-	client, conn := rfp.DialRPC(server, cluster.Clients[0], rfp.DefaultParams(), 4096)
-	handler := server.Handler()
-	cluster.Server.Spawn("arith", func(p *rfp.Proc) {
-		rfp.Serve(p, []*rfp.Conn{conn}, handler)
-	})
+	client, _ := rfp.DialRPC(server, cluster.Clients[0], rfp.DefaultParams(), 4096)
+	server.RFP().Start(1, func(int) rfp.Handler { return server.Handler() })
 
 	cluster.Clients[0].Spawn("cli", func(p *rfp.Proc) {
 		// Synchronous calls, net/rpc style.

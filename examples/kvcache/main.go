@@ -88,8 +88,8 @@ func main() {
 		shards[int(k)%serverThreads].data[k] = append([]byte(nil), val...)
 	}
 
-	// Connect clients: one connection per (client thread, server thread).
-	conns := make([][]*rfp.Conn, serverThreads)
+	// Connect clients: one connection per (client thread, server thread),
+	// accepted in shard order so connection s lands on server thread s.
 	type clientSet struct {
 		perShard []*rfp.Client
 	}
@@ -98,19 +98,11 @@ func main() {
 	for i, pl := range placements {
 		cs := clientSet{perShard: make([]*rfp.Client, serverThreads)}
 		for s := 0; s < serverThreads; s++ {
-			cli, conn := server.Accept(pl.Machine, rfp.DefaultParams())
-			cs.perShard[s] = cli
-			conns[s] = append(conns[s], conn)
+			cs.perShard[s], _ = server.Accept(pl.Machine, rfp.DefaultParams())
 		}
 		clients[i] = cs
 	}
-	for s := 0; s < serverThreads; s++ {
-		shard := shards[s]
-		set := conns[s]
-		cluster.Server.Spawn(fmt.Sprintf("cache-%d", s), func(p *rfp.Proc) {
-			rfp.Serve(p, set, shard.handle)
-		})
-	}
+	server.Start(serverThreads, func(s int) rfp.Handler { return shards[s].handle })
 
 	// Drive a 95% GET workload.
 	ops := make([]uint64, len(placements))

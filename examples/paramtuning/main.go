@@ -48,17 +48,11 @@ func drive(params rfp.Params, sampler *rfp.Sampler) float64 {
 	server.AddThreads(serverThreads)
 
 	placements := cluster.ClientThreads(35)
-	conns := make([][]*rfp.Conn, serverThreads)
 	clients := make([]*rfp.Client, len(placements))
 	for i, pl := range placements {
-		cli, conn := server.Accept(pl.Machine, params)
-		clients[i] = cli
-		conns[i%serverThreads] = append(conns[i%serverThreads], conn)
+		clients[i], _ = server.Accept(pl.Machine, params)
 	}
-	for t := 0; t < serverThreads; t++ {
-		set := conns[t]
-		cluster.Server.Spawn("svc", func(p *rfp.Proc) { rfp.Serve(p, set, service) })
-	}
+	server.Start(serverThreads, func(int) rfp.Handler { return service })
 
 	ops := make([]uint64, len(clients))
 	for i, pl := range placements {

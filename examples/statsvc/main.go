@@ -81,16 +81,11 @@ func main() {
 	server.AddThreads(1)
 	svc := &statServer{metrics: make([]aggregate, metrics)}
 
-	var conns []*rfp.Conn
 	clients := make([]*rfp.Client, len(cluster.Clients))
 	for i, m := range cluster.Clients {
-		cli, conn := server.Accept(m, rfp.DefaultParams())
-		clients[i] = cli
-		conns = append(conns, conn)
+		clients[i], _ = server.Accept(m, rfp.DefaultParams())
 	}
-	cluster.Server.Spawn("statsvc", func(p *rfp.Proc) {
-		rfp.Serve(p, conns, svc.handle)
-	})
+	server.Start(1, func(int) rfp.Handler { return svc.handle })
 
 	// Each client machine records samples for its metrics, then queries.
 	for i, m := range cluster.Clients {

@@ -439,8 +439,8 @@ func TestConnIDsSequential(t *testing.T) {
 			t.Fatalf("conn id = %d, want %d", conn.ID(), i)
 		}
 	}
-	if len(r.srv.Conns()) != 3 {
-		t.Fatal("Conns()")
+	if len(r.srv.conns) != 3 {
+		t.Fatalf("%d conns accepted, want 3", len(r.srv.conns))
 	}
 }
 

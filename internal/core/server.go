@@ -10,6 +10,7 @@ package core
 // to server-reply.
 
 import (
+	"errors"
 	"fmt"
 
 	"rfp/internal/fabric"
@@ -19,13 +20,14 @@ import (
 	"rfp/internal/trace"
 )
 
-// Server is an RFP server endpoint on one machine. It accepts connections
-// and hands out Conns; request dispatch across server threads is the
-// caller's choice (the Jakiro store partitions connections EREW-style).
+// Server is an RFP server endpoint on one machine. It accepts connections,
+// then Start serves accepted connection i on thread i mod threads; Jakiro
+// gets its EREW partitions by accepting in partition order.
 type Server struct {
 	machine *fabric.Machine
 	cfg     ServerConfig
 	conns   []*Conn
+	started bool
 
 	// Connection resources (DESIGN.md §13). slabs carves server-side ring
 	// regions; landing carves each client machine's reply landings; pool
@@ -90,8 +92,31 @@ func (s *Server) landingSlabs(cm *fabric.Machine) *rnic.SlabRegistrar {
 // Machine returns the hosting machine.
 func (s *Server) Machine() *fabric.Machine { return s.machine }
 
-// Conns returns all accepted connections in accept order.
-func (s *Server) Conns() []*Conn { return s.conns }
+// ErrStarted reports a TryAccept after Server.Start.
+var ErrStarted = errors.New("core: accept after Server.Start")
+
+// Start spawns the serve loops: thread t serves, with handler(t), the
+// accepted connections whose accept index is t mod threads. A thread with
+// no connection spawns nothing. Accept every client first: TryAccept then
+// fails with ErrStarted, and a second Start panics. Cores and NIC issuers
+// are AddThreads' to declare.
+func (s *Server) Start(threads int, handler func(thread int) Handler) {
+	if s.started {
+		panic("core: Server.Start called twice")
+	}
+	s.started = true
+	for t := 0; t < threads; t++ {
+		var own []*Conn
+		for i := t; i < len(s.conns); i += threads {
+			own = append(own, s.conns[i])
+		}
+		if len(own) == 0 {
+			continue
+		}
+		h := handler(t)
+		s.machine.Spawn(fmt.Sprintf("serve-%d", t), func(p *sim.Proc) { Serve(p, own, h) })
+	}
+}
 
 // AddThreads declares n server threads: they count against the machine's
 // cores and register as NIC issuers (server threads issue out-bound RDMA
@@ -240,10 +265,12 @@ const crashedIdleNs = 10_000
 
 // Serve runs a server-thread loop over a set of connections: poll each
 // connection's request buffer, process requests with h, publish responses.
-// The loop runs until the simulation stops it. Both the server threads and
-// the clients poll memory directly, as in Jakiro ("both the server and the
-// client threads directly poll the memory buffers"); an empty sweep charges
-// the sweep's CPU cost in one burst to keep the simulation efficient.
+// Server.Start runs one per thread; a caller that serves only part of what
+// it accepted runs its own. The loop runs until the simulation stops it.
+// Both the server threads and the clients poll memory directly, as in
+// Jakiro ("both the server and the client threads directly poll the memory
+// buffers"); an empty sweep charges the sweep's CPU cost in one burst to
+// keep the simulation efficient.
 func Serve(p *sim.Proc, conns []*Conn, h Handler) {
 	if len(conns) == 0 {
 		panic("core: Serve with no connections")
@@ -379,8 +406,12 @@ func (s *Server) Accept(clientMachine *fabric.Machine, params Params) (*Client, 
 
 // TryAccept is Accept with the handshake failure surfaced: a client machine
 // with no free WR-ID tag gets rnic.ErrTagSpace instead of two logical
-// clients silently aliased onto one tag.
+// clients silently aliased onto one tag, and an accept after Start gets
+// ErrStarted.
 func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Client, *Conn, error) {
+	if s.started {
+		return nil, nil, ErrStarted
+	}
 	params = params.withDefaults()
 	maxF := HeaderSize + s.cfg.MaxResponse
 	if params.F > maxF {

@@ -196,30 +196,17 @@ func runChaosPlan(o Options, pl chaosPlan, clients, calls int) (row string, resu
 	inj = faults.Install(pl.seed, []faults.Stage{{Plan: pl.plan}}, machines...)
 
 	clis := make([]*core.Client, clients)
-	conns := make([]*core.Conn, clients)
 	for i := range clis {
-		clis[i], conns[i] = srv.Accept(cl.Clients[i], params)
+		clis[i], _ = srv.Accept(cl.Clients[i], params)
 		cl.Clients[i].AddThreads(1)
 	}
 	m := cl.Server
-	// Each server thread owns an interleaved share of the connections, so
-	// no Conn is ever polled by two threads.
-	for t := 0; t < 4; t++ {
-		var own []*core.Conn
-		for i := t; i < len(conns); i += 4 {
-			own = append(own, conns[i])
+	srv.Start(4, func(int) core.Handler {
+		return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+			m.ComputeNs(p, 150)
+			return copy(resp, req)
 		}
-		if len(own) == 0 {
-			continue
-		}
-		t := t
-		m.Spawn(fmt.Sprintf("srv%d", t), func(p *sim.Proc) {
-			core.Serve(p, own, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-				m.ComputeNs(p, 150)
-				return copy(resp, req)
-			})
-		})
-	}
+	})
 
 	results = make([]*chaosClientResult, clients)
 	for i := range clis {

@@ -238,24 +238,15 @@ func newEchoRig(o Options, params core.Params, serverThreads, reqSize, maxResp i
 	srv.AddThreads(serverThreads)
 
 	placements := cl.ClientThreads(paperClients)
-	conns := make([][]*core.Conn, serverThreads)
 	r.clis = make([]*core.Client, len(placements))
 	for i, pl := range placements {
-		cli, conn := srv.Accept(pl.Machine, params)
-		r.clis[i] = cli
-		conns[i%serverThreads] = append(conns[i%serverThreads], conn)
+		r.clis[i], _ = srv.Accept(pl.Machine, params)
 	}
 	handler := func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
 		cl.Server.ComputeNs(p, r.procNs)
 		return r.respSize
 	}
-	for _, set := range conns {
-		if len(set) == 0 {
-			continue
-		}
-		set := set
-		cl.Server.Spawn("echo", func(p *sim.Proc) { core.Serve(p, set, handler) })
-	}
+	srv.Start(serverThreads, func(int) core.Handler { return handler })
 	r.ops = make([]uint64, len(r.clis))
 	for i, pl := range placements {
 		i := i

@@ -96,14 +96,14 @@ func newGetRig(o Options, params core.Params, valueSize int, procNs int64) *getR
 		MaxResponse: 1 + valueSize,
 	})
 	srv.AddThreads(1)
-	cli, conn := srv.Accept(cl.Clients[0], params)
+	cli, _ := srv.Accept(cl.Clients[0], params)
 	cl.Clients[0].AddThreads(1)
 	r.cli = cli
 
 	m := cl.Server
 	prof := m.Profile()
-	m.Spawn("srv", func(p *sim.Proc) {
-		core.Serve(p, []*core.Conn{conn}, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+	srv.Start(1, func(int) core.Handler {
+		return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
 			m.ComputeNs(p, r.procNs) // dispatch + hash (+ modeled processing)
 			rq, err := kv.DecodeRequest(req)
 			if err != nil || rq.Op != kv.OpGet {
@@ -115,7 +115,7 @@ func newGetRig(o Options, params core.Params, valueSize int, procNs int64) *getR
 			}
 			m.ComputeNs(p, prof.CopyNs(len(v)))
 			return kv.EncodeResponse(resp, kv.StatusOK, v)
-		})
+		}
 	})
 
 	cl.Clients[0].Spawn("cli", func(p *sim.Proc) {

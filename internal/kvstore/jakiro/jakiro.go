@@ -11,7 +11,6 @@
 package jakiro
 
 import (
-	"errors"
 	"fmt"
 
 	"rfp/internal/core"
@@ -21,9 +20,6 @@ import (
 	"rfp/internal/telemetry"
 	"rfp/internal/workload"
 )
-
-// ErrBadResponse reports a malformed server response.
-var ErrBadResponse = errors.New("jakiro: malformed response")
 
 // Config parameterizes a Jakiro deployment.
 type Config struct {
@@ -94,8 +90,6 @@ type Server struct {
 	machine *fabric.Machine
 	rfp     *core.Server
 	parts   []*kv.BucketStore
-	conns   [][]*core.Conn // per partition/thread
-	started bool
 }
 
 // NewServer creates a Jakiro server on machine m.
@@ -109,7 +103,6 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 			MaxResponse: 1 + cfg.MaxValue,
 			Pool:        cfg.Pool,
 		}),
-		conns: make([][]*core.Conn, cfg.Threads),
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		s.parts = append(s.parts, kv.NewBucketStore(cfg.BucketsPerPartition))
@@ -137,38 +130,22 @@ func (s *Server) Preload(keys []uint64, valueSize int) {
 }
 
 // NewClient connects a client thread on machine cm: one RFP connection per
-// server thread, so requests can be routed to the partition that owns each
-// key (EREW never forwards between threads).
+// server thread, accepted in partition order, so connection t lands on
+// server thread t (core.Server.Start) and requests can be routed to the
+// partition that owns each key (EREW never forwards between threads).
 func (s *Server) NewClient(cm *fabric.Machine) *Client {
-	if s.started {
-		panic("jakiro: NewClient after Start")
-	}
-	c := &Client{srv: s, reqBuf: make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
-		respBuf: make([]byte, 1+s.cfg.MaxValue)}
+	c := &Client{kv: kv.NewStub(s.cfg.MaxValue)}
 	for t := 0; t < s.cfg.Threads; t++ {
-		cli, conn := s.rfp.Accept(cm, s.cfg.Params)
+		cli, _ := s.rfp.Accept(cm, s.cfg.Params)
 		c.conns = append(c.conns, cli)
-		s.conns[t] = append(s.conns[t], conn)
 	}
 	return c
 }
 
-// Start spawns the server threads. All clients must be connected first.
+// Start spawns the server threads, thread t serving partition t. All
+// clients must be connected first.
 func (s *Server) Start() {
-	if s.started {
-		panic("jakiro: double Start")
-	}
-	s.started = true
-	for t := 0; t < s.cfg.Threads; t++ {
-		if len(s.conns[t]) == 0 {
-			continue
-		}
-		part := s.parts[t]
-		conns := s.conns[t]
-		s.machine.Spawn(fmt.Sprintf("jakiro-%d", t), func(p *sim.Proc) {
-			core.Serve(p, conns, s.handler(part))
-		})
-	}
+	s.rfp.Start(s.cfg.Threads, func(t int) core.Handler { return s.handler(s.parts[t]) })
 }
 
 // handler processes GET/PUT against one partition, charging a CPU cost
@@ -211,10 +188,8 @@ func (s *Server) charge(p *sim.Proc) {
 
 // Client is one client thread's handle to a Jakiro server.
 type Client struct {
-	srv     *Server
-	conns   []*core.Client // one per server thread
-	reqBuf  []byte
-	respBuf []byte
+	conns []*core.Client // one per server thread
+	kv    kv.Stub
 }
 
 // JoinGroup adds every per-partition connection to a fan-out group
@@ -231,61 +206,21 @@ func (c *Client) JoinGroup(g *core.Group) error {
 	return nil
 }
 
-// connFor routes a key to the connection of the owning partition.
-func (c *Client) connFor(key []byte) *core.Client {
-	return c.conns[kv.PartitionFor(key, len(c.conns))]
+// partFor routes a key to the partition that owns it.
+func (c *Client) partFor(key uint64) int {
+	var kb [workload.KeySize]byte
+	return kv.PartitionFor(workload.EncodeKey(kb[:], key), len(c.conns))
 }
 
 // Get fetches key's value into out, reporting whether it was found. The
 // returned count is the value length.
 func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
-	req := kv.EncodeGet(c.reqBuf, key)
-	conn := c.connFor(req[1 : 1+workload.KeySize])
-	n, err := conn.Call(p, req, c.respBuf)
-	if err != nil {
-		return 0, false, err
-	}
-	status, val, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return 0, false, err
-	}
-	switch status {
-	case kv.StatusOK:
-		return copy(out, val), true, nil
-	case kv.StatusNotFound:
-		return 0, false, nil
-	default:
-		return 0, false, ErrBadResponse
-	}
-}
-
-// checkValue rejects a PUT value the request buffer cannot hold.
-func (c *Client) checkValue(n int) error {
-	if n > c.srv.cfg.MaxValue {
-		return fmt.Errorf("jakiro: value of %d bytes exceeds limit %d", n, c.srv.cfg.MaxValue)
-	}
-	return nil
+	return c.kv.Get(p, c.conns[c.partFor(key)], key, out)
 }
 
 // Put stores value under key.
 func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
-	if err := c.checkValue(len(value)); err != nil {
-		return err
-	}
-	req := kv.EncodePut(c.reqBuf, key, value)
-	conn := c.connFor(req[1 : 1+workload.KeySize])
-	n, err := conn.Call(p, req, c.respBuf)
-	if err != nil {
-		return err
-	}
-	status, _, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return err
-	}
-	if status != kv.StatusOK {
-		return ErrBadResponse
-	}
-	return nil
+	return c.kv.Put(p, c.conns[c.partFor(key)], key, value)
 }
 
 // Do executes a generated workload operation (value bytes derived from the
@@ -298,7 +233,6 @@ func (c *Client) Do(p *sim.Proc, op workload.Op, scratch []byte) (bool, error) {
 // building block the sharded pipelined client keeps many of in flight.
 type PendingOp struct {
 	part int
-	get  bool
 	h    core.Handle
 }
 
@@ -308,53 +242,26 @@ type PendingOp struct {
 // fails as in Put, before anything is staged. A full ring surfaces as
 // core.ErrRingFull: poll an earlier operation and retry.
 func (c *Client) PostOp(p *sim.Proc, op workload.Op) (PendingOp, error) {
-	var req []byte
-	get := false
-	switch op.Kind {
-	case workload.Get:
-		req = kv.EncodeGet(c.reqBuf, op.Key)
-		get = true
-	case workload.ReadModifyWrite:
+	if op.Kind == workload.ReadModifyWrite {
 		return PendingOp{}, fmt.Errorf("jakiro: PostOp cannot pipeline %v", op.Kind)
-	default:
-		if err := c.checkValue(op.ValueSize); err != nil {
-			return PendingOp{}, err
-		}
-		v := c.reqBuf[1+workload.KeySize : 1+workload.KeySize+op.ValueSize]
-		workload.FillValue(v, op.Key, 0)
-		req = kv.EncodePut(c.reqBuf, op.Key, v)
 	}
-	part := kv.PartitionFor(req[1:1+workload.KeySize], len(c.conns))
+	req, err := c.kv.EncodeOp(op)
+	if err != nil {
+		return PendingOp{}, err
+	}
+	part := c.partFor(op.Key)
 	h, err := c.conns[part].Post(p, req)
 	if err != nil {
 		return PendingOp{}, err
 	}
-	return PendingOp{part: part, get: get, h: h}, nil
+	return PendingOp{part: part, h: h}, nil
 }
 
 // PollOp blocks until the posted operation completes, reporting whether it
 // found/stored its key (Do's convention). GET values are copied into
 // scratch.
 func (c *Client) PollOp(p *sim.Proc, pd PendingOp, scratch []byte) (bool, error) {
-	n, err := c.conns[pd.part].Poll(p, pd.h, c.respBuf)
-	if err != nil {
-		return false, err
-	}
-	status, val, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return false, err
-	}
-	switch status {
-	case kv.StatusOK:
-		if pd.get {
-			copy(scratch, val)
-		}
-		return true, nil
-	case kv.StatusNotFound:
-		return false, nil
-	default:
-		return false, ErrBadResponse
-	}
+	return c.kv.Poll(p, c.conns[pd.part], pd.h, scratch)
 }
 
 // Stats aggregates the RFP client statistics over all per-thread

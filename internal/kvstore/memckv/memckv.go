@@ -21,18 +21,12 @@
 package memckv
 
 import (
-	"errors"
-	"fmt"
-
 	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
 	"rfp/internal/workload"
 )
-
-// ErrBadResponse reports a malformed server response.
-var ErrBadResponse = errors.New("memckv: malformed response")
 
 // Config parameterizes the RDMA-Memcached model.
 type Config struct {
@@ -86,9 +80,6 @@ type Server struct {
 	store   *kv.BucketStore // shared across all threads
 	cache   *kv.KeyCache    // models the socket's last-level cache
 	lock    *sim.Resource   // global LRU/hash lock
-	conns   [][]*core.Conn  // round-robin across threads
-	next    int
-	started bool
 }
 
 // NewServer creates the server on machine m.
@@ -105,8 +96,7 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 		cache: kv.NewKeyCache(keyCacheSize),
 		// Homed to m's lane: server procs hold this lock, and a wake
 		// from a foreign lane deadlocks the sharded kernel.
-		lock:  sim.NewResourceOn(m.Shard(), 1),
-		conns: make([][]*core.Conn, cfg.Threads),
+		lock: sim.NewResourceOn(m.Shard(), 1),
 	}
 	// Threads count against cores, but only sharedEndpoints issuer slots
 	// are occupied on the NIC.
@@ -131,38 +121,16 @@ func (s *Server) Preload(keys []uint64, valueSize int) {
 // NewClient connects one client thread. Connections are spread round-robin
 // across server threads (no key partitioning — the structures are shared).
 func (s *Server) NewClient(cm *fabric.Machine) *Client {
-	if s.started {
-		panic("memckv: NewClient after Start")
-	}
 	params := core.DefaultParams()
 	params.ForceReply = true // server-reply transport
 	params.ReplyPollNs = 300
-	cli, conn := s.rfp.Accept(cm, params)
-	t := s.next % s.cfg.Threads
-	s.next++
-	s.conns[t] = append(s.conns[t], conn)
-	return &Client{
-		srv: s, conn: cli,
-		reqBuf:  make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
-		respBuf: make([]byte, 1+s.cfg.MaxValue),
-	}
+	cli, _ := s.rfp.Accept(cm, params)
+	return &Client{conn: cli, kv: kv.NewStub(s.cfg.MaxValue)}
 }
 
-// Start spawns the server threads.
+// Start spawns the server threads. All clients must be connected first.
 func (s *Server) Start() {
-	if s.started {
-		panic("memckv: double Start")
-	}
-	s.started = true
-	for t := 0; t < s.cfg.Threads; t++ {
-		if len(s.conns[t]) == 0 {
-			continue
-		}
-		conns := s.conns[t]
-		s.machine.Spawn(fmt.Sprintf("memc-%d", t), func(p *sim.Proc) {
-			core.Serve(p, conns, s.handler())
-		})
-	}
+	s.rfp.Start(s.cfg.Threads, func(int) core.Handler { return s.handler() })
 }
 
 func (s *Server) handler() core.Handler {
@@ -213,51 +181,18 @@ func (s *Server) handler() core.Handler {
 
 // Client is one client thread's handle.
 type Client struct {
-	srv     *Server
-	conn    *core.Client
-	reqBuf  []byte
-	respBuf []byte
+	conn *core.Client
+	kv   kv.Stub
 }
 
 // Get fetches key's value into out.
 func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
-	req := kv.EncodeGet(c.reqBuf, key)
-	n, err := c.conn.Call(p, req, c.respBuf)
-	if err != nil {
-		return 0, false, err
-	}
-	status, val, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return 0, false, err
-	}
-	switch status {
-	case kv.StatusOK:
-		return copy(out, val), true, nil
-	case kv.StatusNotFound:
-		return 0, false, nil
-	default:
-		return 0, false, ErrBadResponse
-	}
+	return c.kv.Get(p, c.conn, key, out)
 }
 
 // Put stores value under key.
 func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
-	if len(value) > c.srv.cfg.MaxValue {
-		return fmt.Errorf("memckv: value of %d bytes exceeds limit %d", len(value), c.srv.cfg.MaxValue)
-	}
-	req := kv.EncodePut(c.reqBuf, key, value)
-	n, err := c.conn.Call(p, req, c.respBuf)
-	if err != nil {
-		return err
-	}
-	status, _, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return err
-	}
-	if status != kv.StatusOK {
-		return ErrBadResponse
-	}
-	return nil
+	return c.kv.Put(p, c.conn, key, value)
 }
 
 // Stats returns the transport-level statistics.

@@ -23,7 +23,6 @@ package pilafkv
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc64"
 
 	"rfp/internal/core"
@@ -38,7 +37,6 @@ import (
 // Errors.
 var (
 	ErrTooManyRetries = errors.New("pilafkv: GET retries exhausted (persistent write conflict)")
-	ErrBadResponse    = errors.New("pilafkv: malformed PUT response")
 	ErrStoreFull      = errors.New("pilafkv: extent region full")
 )
 
@@ -101,9 +99,6 @@ type Server struct {
 	dataMR  *rnic.MR
 	lock    *sim.Resource // serializes table restructuring across threads
 	nextOff int
-	conns   [][]*core.Conn
-	next    int
-	started bool
 }
 
 // NewServer creates the store on machine m.
@@ -124,8 +119,7 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 		dataMR: dataMR,
 		// Homed to m's lane: server procs hold this lock, and a wake
 		// from a foreign lane deadlocks the sharded kernel.
-		lock:  sim.NewResourceOn(m.Shard(), 1),
-		conns: make([][]*core.Conn, cfg.Threads),
+		lock: sim.NewResourceOn(m.Shard(), 1),
 	}
 	s.rfp.AddThreads(cfg.Threads)
 	return s
@@ -203,54 +197,38 @@ func (s *Server) Preload(keys []uint64, valueSize int) error {
 // NewClient connects one client thread: a one-sided QP for GETs plus a
 // server-reply RPC channel for PUTs (the paradigm split Pilaf uses).
 func (s *Server) NewClient(cm *fabric.Machine) *Client {
-	if s.started {
-		panic("pilafkv: NewClient after Start")
-	}
 	params := core.DefaultParams()
 	params.ForceReply = true
 	params.ReplyPollNs = 300
-	putCli, conn := s.rfp.Accept(cm, params)
-	t := s.next % s.cfg.Threads
-	s.next++
-	s.conns[t] = append(s.conns[t], conn)
+	putCli, _ := s.rfp.Accept(cm, params)
 	qp, _ := rnic.Connect(cm.NIC(), s.machine.NIC())
 	return &Client{
-		srv:     s,
-		qp:      qp,
-		slots:   s.slotMR.Handle(),
-		data:    s.dataMR.Handle(),
-		geo:     s.table.Geometry(),
-		put:     putCli,
-		reqBuf:  make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
-		respBuf: make([]byte, 8),
-		extBuf:  make([]byte, s.cfg.stride()),
+		qp:     qp,
+		slots:  s.slotMR.Handle(),
+		data:   s.dataMR.Handle(),
+		geo:    s.table.Geometry(),
+		put:    putCli,
+		kv:     kv.NewStub(s.cfg.MaxValue),
+		extBuf: make([]byte, s.cfg.stride()),
 	}
 }
 
-// Start spawns the PUT-serving threads.
+// Start spawns the PUT-serving threads. All clients must be connected
+// first.
 func (s *Server) Start() {
-	if s.started {
-		panic("pilafkv: double Start")
+	s.rfp.Start(s.cfg.Threads, func(int) core.Handler { return s.servePut })
+}
+
+// servePut is the PUT channel's handler: GETs never reach the server.
+func (s *Server) servePut(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+	r, err := kv.DecodeRequest(req)
+	if err != nil || r.Op != kv.OpPut {
+		return kv.EncodeResponse(resp, kv.StatusError, nil)
 	}
-	s.started = true
-	for t := 0; t < s.cfg.Threads; t++ {
-		if len(s.conns[t]) == 0 {
-			continue
-		}
-		conns := s.conns[t]
-		s.machine.Spawn(fmt.Sprintf("pilaf-%d", t), func(p *sim.Proc) {
-			core.Serve(p, conns, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-				r, err := kv.DecodeRequest(req)
-				if err != nil || r.Op != kv.OpPut {
-					return kv.EncodeResponse(resp, kv.StatusError, nil)
-				}
-				if err := s.put(p, r.Key, r.Value); err != nil {
-					return kv.EncodeResponse(resp, kv.StatusError, nil)
-				}
-				return kv.EncodeResponse(resp, kv.StatusOK, nil)
-			})
-		})
+	if err := s.put(p, r.Key, r.Value); err != nil {
+		return kv.EncodeResponse(resp, kv.StatusError, nil)
 	}
+	return kv.EncodeResponse(resp, kv.StatusOK, nil)
 }
 
 // ClientStats counts the client-side cost of bypass GETs.
@@ -288,15 +266,13 @@ func (st ClientStats) ReadsPerGet() float64 {
 
 // Client performs server-bypass GETs and server-reply PUTs.
 type Client struct {
-	srv     *Server
-	qp      *rnic.QP
-	slots   rnic.RemoteMR
-	data    rnic.RemoteMR
-	geo     cuckoo.Geometry
-	put     *core.Client
-	reqBuf  []byte
-	respBuf []byte // PUT response landing (the RFP server's MaxResponse)
-	extBuf  []byte
+	qp     *rnic.QP
+	slots  rnic.RemoteMR
+	data   rnic.RemoteMR
+	geo    cuckoo.Geometry
+	put    *core.Client // the PUT channel
+	kv     kv.Stub
+	extBuf []byte
 	// slotBuf is GET's slot-read landing. QP.Read retains its buffer in the
 	// work request, so a local array would escape: one heap object per GET.
 	slotBuf [cuckoo.SlotSize]byte
@@ -388,23 +364,8 @@ func (c *Client) readExtent(p *sim.Proc, e cuckoo.Entry, key, out []byte) (int, 
 
 // Put stores value under key through the server-reply channel.
 func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
-	if len(value) > c.srv.cfg.MaxValue {
-		return fmt.Errorf("pilafkv: value of %d bytes exceeds limit %d", len(value), c.srv.cfg.MaxValue)
-	}
 	c.Stats.Puts++
-	req := kv.EncodePut(c.reqBuf, key, value)
-	n, err := c.put.Call(p, req, c.respBuf)
-	if err != nil {
-		return err
-	}
-	status, _, err := kv.DecodeResponse(c.respBuf[:n])
-	if err != nil {
-		return err
-	}
-	if status != kv.StatusOK {
-		return ErrBadResponse
-	}
-	return nil
+	return c.kv.Put(p, c.put, key, value)
 }
 
 // Do executes a generated workload operation.

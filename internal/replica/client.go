@@ -5,7 +5,6 @@ import (
 	"rfp/internal/fabric"
 	"rfp/internal/kvstore/kv"
 	"rfp/internal/sim"
-	"rfp/internal/workload"
 )
 
 // Client is an application client of the replicated service, holding one
@@ -20,8 +19,7 @@ type Client struct {
 	leader     int // current leader guess
 	rr         int // round-robin follower cursor
 	localReads bool
-	reqBuf     []byte
-	respBuf    []byte
+	kv         kv.Stub
 
 	// Retries counts statusRetry bounces; Redirects counts leader-hint
 	// retargets; Fallbacks counts follower reads that fell back.
@@ -38,21 +36,16 @@ const clientAttempts = 10
 const clientRetryNs = 2_000
 
 // NewClient connects an application client on cm to every node. LocalReads
-// routes GETs to followers.
+// routes GETs to followers. It panics after Start.
 func (s *Service) NewClient(cm *fabric.Machine, params core.Params, localReads bool) *Client {
-	if s.started {
-		panic("replica: NewClient after Start")
-	}
 	c := &Client{
 		svc:        s,
 		leader:     0,
 		localReads: localReads && len(s.nodes) > 1,
-		reqBuf:     make([]byte, 1+workload.KeySize+s.cfg.MaxValue),
-		respBuf:    make([]byte, 1+s.cfg.MaxValue),
+		kv:         kv.NewStub(s.cfg.MaxValue),
 	}
 	for _, n := range s.nodes {
-		cli, conn := n.srv.Accept(cm, params)
-		n.conns = append(n.conns, conn)
+		cli, _ := n.srv.Accept(cm, params)
 		c.conns = append(c.conns, cli)
 	}
 	return c
@@ -77,16 +70,12 @@ func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
 	if c.localReads {
 		target = c.nextFollower()
 	}
-	req := kv.EncodeGet(c.reqBuf, key)
+	req := c.kv.EncodeGet(key)
 	for attempt := 0; attempt < clientAttempts; attempt++ {
-		nr, err := c.conns[target].Call(p, req, c.respBuf)
+		status, payload, err := c.kv.Call(p, c.conns[target], req)
 		if err != nil {
 			target = (target + 1) % len(c.conns)
 			continue
-		}
-		status, payload, derr := kv.DecodeResponse(c.respBuf[:nr])
-		if derr != nil {
-			return 0, false, ErrBadResponse
 		}
 		switch status {
 		case kv.StatusOK:
@@ -116,17 +105,16 @@ func (c *Client) Get(p *sim.Proc, key uint64, out []byte) (int, bool, error) {
 // Put writes key via the leader. A nil return means the write is committed
 // on every active replica; ErrUnavailable leaves it ambiguous.
 func (c *Client) Put(p *sim.Proc, key uint64, value []byte) error {
-	req := kv.EncodePut(c.reqBuf, key, value)
+	req, err := c.kv.EncodePut(key, value)
+	if err != nil {
+		return err
+	}
 	target := c.leader
 	for attempt := 0; attempt < clientAttempts; attempt++ {
-		nr, err := c.conns[target].Call(p, req, c.respBuf)
+		status, payload, err := c.kv.Call(p, c.conns[target], req)
 		if err != nil {
 			target = (target + 1) % len(c.conns)
 			continue
-		}
-		status, payload, derr := kv.DecodeResponse(c.respBuf[:nr])
-		if derr != nil {
-			return ErrBadResponse
 		}
 		switch status {
 		case kv.StatusOK:

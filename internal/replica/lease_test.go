@@ -538,11 +538,9 @@ func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
 
 	// Service.Start, with the prepare check wrapped around each handler.
 	prepares := 0
-	r.svc.started = true
 	for _, nd := range r.svc.nodes {
-		nd := nd
-		nd.m.Spawn("replica-serve", func(p *sim.Proc) {
-			core.Serve(p, nd.conns, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+		nd.srv.Start(1, func(int) core.Handler {
+			return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
 				if pm, ok := decodePrepare(req); ok && req[0] == opPrepare {
 					prepares++
 					from := r.svc.nodes[pm.leader]
@@ -555,7 +553,7 @@ func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
 					}
 				}
 				return nd.handle(p, c, req, resp)
-			})
+			}
 		})
 		nd.m.Spawn("replica-ctrl", nd.ctrlLoop)
 	}

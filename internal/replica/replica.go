@@ -102,9 +102,8 @@ type Stats struct {
 // Service is the replicated KV deployment across a set of machines. Node 0
 // starts as leader at epoch 1.
 type Service struct {
-	cfg     Config
-	nodes   []*node
-	started bool
+	cfg   Config
+	nodes []*node
 }
 
 // node is one replica: an RFP server for clients and peers, plus dialed
@@ -118,7 +117,6 @@ type node struct {
 	m     *fabric.Machine
 	srv   *core.Server
 	store *kv.BucketStore
-	conns []*core.Conn // serve set: peer endpoints + app clients
 
 	data, ctrl []*core.Client // dialed to each peer; nil at self
 
@@ -249,12 +247,8 @@ func NewService(machines []*fabric.Machine, cfg Config) (*Service, error) {
 			if from.id == to.id {
 				continue
 			}
-			cli, conn := to.srv.Accept(from.m, peer)
-			from.data[to.id] = cli
-			to.conns = append(to.conns, conn)
-			cli, conn = to.srv.Accept(from.m, peer)
-			from.ctrl[to.id] = cli
-			to.conns = append(to.conns, conn)
+			from.data[to.id], _ = to.srv.Accept(from.m, peer)
+			from.ctrl[to.id], _ = to.srv.Accept(from.m, peer)
 		}
 	}
 	return s, nil
@@ -318,17 +312,11 @@ func (s *Service) Preload(keys uint64, valueSize int) {
 	}
 }
 
-// Start spawns every node's serve and ctrl procs.
+// Start spawns every node's serve and ctrl procs. All clients must be
+// connected first; a second Start panics.
 func (s *Service) Start() {
-	if s.started {
-		panic("replica: double Start")
-	}
-	s.started = true
-	for _, n := range s.nodes {
-		nd := n
-		nd.m.Spawn("replica-serve", func(p *sim.Proc) {
-			core.Serve(p, nd.conns, nd.handle)
-		})
+	for _, nd := range s.nodes {
+		nd.srv.Start(1, func(int) core.Handler { return nd.handle })
 		if len(s.nodes) > 1 {
 			nd.m.Spawn("replica-ctrl", nd.ctrlLoop)
 		}

@@ -12,7 +12,7 @@
 //	func (Arith) Multiply(args *Args, reply *int) error { *reply = args.A * args.B; return nil }
 //	srv := rpc.NewServer(core.NewServer(machine, core.ServerConfig{}))
 //	srv.Register("Arith", Arith{})
-//	// accept clients, then: machine.Spawn(..., srv.Serve)
+//	// accept clients, then: srv.RFP().Start(threads, func(int) core.Handler { return srv.Handler() })
 //
 // Client side:
 //
@@ -179,8 +179,8 @@ func methodID(name string) uint32 {
 	return h
 }
 
-// Handler returns a core.Handler dispatching to the registered methods;
-// pass it to core.Serve with the connections a server thread owns.
+// Handler returns a core.Handler dispatching to the registered methods,
+// for core.Server.Start (or core.Serve over a thread's own connections).
 func (s *Server) Handler() core.Handler {
 	return func(p *sim.Proc, conn *core.Conn, req, resp []byte) int {
 		out, err := s.dispatch(req)

@@ -214,6 +214,11 @@ func TestEveryBackendBuildsAndServes(t *testing.T) {
 			served := 0
 			cl.Clients[0].Spawn("probe", func(p *sim.Proc) {
 				out := make([]byte, 64)
+				// A value over MaxValue is refused before anything is sent;
+				// the PUT+GET pairs after it are still served.
+				if err := b.Conns[0].Put(p, 5, make([]byte, b.maxValue+1)); err == nil {
+					t.Errorf("put of %d B over MaxValue %d: no error", b.maxValue+1, b.maxValue)
+				}
 				val := make([]byte, 48)
 				for _, key := range []uint64{5, 70} {
 					workload.FillVersioned(val, key, 9)
