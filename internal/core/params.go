@@ -83,6 +83,15 @@ func DefaultParams() Params {
 	return Params{R: 5, F: 256, ReplyPollNs: 1000}
 }
 
+// ServerReply returns p pinned to server-reply mode, polling local memory
+// every 300 ns: the ServerReply baseline's transport, and the channel
+// RDMA-Memcached and Pilaf's PUTs ride.
+func (p Params) ServerReply() Params {
+	p.ForceReply = true
+	p.ReplyPollNs = 300
+	return p
+}
+
 func (p Params) withDefaults() Params {
 	d := DefaultParams()
 	if p.R <= 0 {

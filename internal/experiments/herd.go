@@ -165,10 +165,7 @@ func runHerd(o Options, lossProb float64, clientThreads, serverThreads int) (flo
 func extHerd(o Options) Result {
 	herd, _ := runHerd(o, 0, 35, 6)
 	rfpOut := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams(), ProcNs: 150, RespSize: 32, ServerThreads: 6})
-	srParams := core.DefaultParams()
-	srParams.ForceReply = true
-	srParams.ReplyPollNs = 300
-	srOut := RunEcho(EchoRun{Opts: o, Params: srParams, ProcNs: 150, RespSize: 32, ServerThreads: 6})
+	srOut := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams().ServerReply(), ProcNs: 150, RespSize: 32, ServerThreads: 6})
 	rows := []string{
 		fmt.Sprintf("%-24s%10s", "paradigm", "MOPS"),
 		fmt.Sprintf("%-24s%10.3f", "RFP (RC)", rfpOut.MOPS),

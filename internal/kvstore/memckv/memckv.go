@@ -33,6 +33,11 @@ type Config struct {
 	Threads  int
 	Buckets  int // shared store size
 	MaxValue int
+	// Params configures the clients' connections, which always run in
+	// server-reply mode (Params.ServerReply); zero means the paper's
+	// defaults.
+	Params core.Params
+	Pool   core.PoolConfig
 }
 
 // The calibrated cost model: ~0.2 MOPS single-threaded, ~1.3 MOPS at 16
@@ -69,6 +74,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxValue <= 0 {
 		c.MaxValue = d.MaxValue
 	}
+	if c.Params == (core.Params{}) {
+		c.Params = core.DefaultParams()
+	}
+	c.Params = c.Params.ServerReply()
 	return c
 }
 
@@ -91,6 +100,7 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 		rfp: core.NewServer(m, core.ServerConfig{
 			MaxRequest:  1 + workload.KeySize + cfg.MaxValue,
 			MaxResponse: 1 + cfg.MaxValue,
+			Pool:        cfg.Pool,
 		}),
 		store: kv.NewBucketStore(cfg.Buckets),
 		cache: kv.NewKeyCache(keyCacheSize),
@@ -121,10 +131,7 @@ func (s *Server) Preload(keys []uint64, valueSize int) {
 // NewClient connects one client thread. Connections are spread round-robin
 // across server threads (no key partitioning — the structures are shared).
 func (s *Server) NewClient(cm *fabric.Machine) *Client {
-	params := core.DefaultParams()
-	params.ForceReply = true // server-reply transport
-	params.ReplyPollNs = 300
-	cli, _ := s.rfp.Accept(cm, params)
+	cli, _ := s.rfp.Accept(cm, s.cfg.Params)
 	return &Client{conn: cli, kv: kv.NewStub(s.cfg.MaxValue)}
 }
 

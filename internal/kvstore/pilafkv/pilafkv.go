@@ -52,6 +52,9 @@ type Config struct {
 	Capacity int // maximum number of keys
 	MaxValue int
 	Threads  int // server threads handling PUTs
+	// Params configures the PUT channel, which always runs in server-reply
+	// mode (Params.ServerReply); zero means the paper's defaults.
+	Params core.Params
 }
 
 const (
@@ -81,6 +84,10 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = d.Threads
 	}
+	if c.Params == (core.Params{}) {
+		c.Params = core.DefaultParams()
+	}
+	c.Params = c.Params.ServerReply()
 	return c
 }
 
@@ -197,10 +204,7 @@ func (s *Server) Preload(keys []uint64, valueSize int) error {
 // NewClient connects one client thread: a one-sided QP for GETs plus a
 // server-reply RPC channel for PUTs (the paradigm split Pilaf uses).
 func (s *Server) NewClient(cm *fabric.Machine) *Client {
-	params := core.DefaultParams()
-	params.ForceReply = true
-	params.ReplyPollNs = 300
-	putCli, _ := s.rfp.Accept(cm, params)
+	putCli, _ := s.rfp.Accept(cm, s.cfg.Params)
 	qp, _ := rnic.Connect(cm.NIC(), s.machine.NIC())
 	return &Client{
 		qp:     qp,
