@@ -6,6 +6,7 @@ package experiments
 // it collapses first as values grow.
 
 import (
+	"rfp/internal/dist"
 	"rfp/internal/fabric"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
@@ -28,10 +29,8 @@ func extFarm(o Options) Result {
 	bytesPer := &stats.Series{Label: "FaRM-bytes/GET"}
 	for _, sz := range sizes {
 		farm.Add(float64(sz), runFarm(o, sz))
-		// Only the preload writes sz bytes; PUTs write the generator's
-		// default (EXPERIMENTS.md, D7).
 		jk.Add(float64(sz), RunKV(KVRun{Opts: o, Kind: KindJakiro, ValueSize: sz,
-			FetchSize: sz + fetchOverhead, Workload: workload.Config{GetFraction: 0.95}}).MOPS)
+			FetchSize: sz + fetchOverhead, Workload: workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}}).MOPS)
 		bytesPer.Add(float64(sz), float64(farmNeighborhood*(workload.KeySize+sz)))
 	}
 	return Result{
