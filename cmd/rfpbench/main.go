@@ -11,7 +11,10 @@
 //	rfpbench -json fig3            # machine-readable per-experiment output
 //	rfpbench -quick -stable -json fig3  # byte-stable JSON, as archived in
 //	                                    # BENCH_faultfree.json
-//	rfpbench -quick ext-chaos      # the fault-injection sweep (DESIGN.md §10)
+//	rfpbench -quick ext-scaleout   # sharded Jakiro, pipelined and synchronous
+//
+// The fault-injection sweep is a scenario: rfpsim -scenario chaos
+// (DESIGN.md §10).
 //
 // Each experiment prints the same rows/series the paper plots; absolute
 // values come from the calibrated simulation (see EXPERIMENTS.md for the

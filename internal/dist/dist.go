@@ -14,7 +14,9 @@ import (
 // IntDist produces non-negative integers, e.g. key indices or value sizes.
 type IntDist interface {
 	Next(r *rand.Rand) int
-	// Max returns the largest value the distribution can produce.
+	// Min and Max return the smallest and largest values the distribution
+	// can produce.
+	Min() int
 	Max() int
 }
 
@@ -23,6 +25,9 @@ type Fixed int
 
 // Next implements IntDist.
 func (f Fixed) Next(*rand.Rand) int { return int(f) }
+
+// Min implements IntDist.
+func (f Fixed) Min() int { return int(f) }
 
 // Max implements IntDist.
 func (f Fixed) Max() int { return int(f) }
@@ -41,6 +46,9 @@ func (u Uniform) Next(r *rand.Rand) int {
 	}
 	return u.Lo + r.Intn(u.Hi-u.Lo+1)
 }
+
+// Min implements IntDist.
+func (u Uniform) Min() int { return u.Lo }
 
 // Max implements IntDist.
 func (u Uniform) Max() int { return u.Hi }
@@ -135,6 +143,9 @@ func (z *Zipf) Next(r *rand.Rand) int {
 	return k
 }
 
+// Min implements IntDist.
+func (z *Zipf) Min() int { return 0 }
+
 // Max implements IntDist.
 func (z *Zipf) Max() int { return z.n - 1 }
 
@@ -154,6 +165,9 @@ func (m Mixture) Next(r *rand.Rand) int {
 	}
 	return m.B.Next(r)
 }
+
+// Min implements IntDist.
+func (m Mixture) Min() int { return min(m.A.Min(), m.B.Min()) }
 
 // Max implements IntDist.
 func (m Mixture) Max() int {

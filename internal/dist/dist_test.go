@@ -206,3 +206,22 @@ func TestMixture(t *testing.T) {
 		t.Fatal("Max")
 	}
 }
+
+// Min is a lower bound every draw respects, and some draw reaches it.
+func TestMinBoundsDraws(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, d := range []IntDist{
+		Fixed(32),
+		Uniform{Lo: 16, Hi: 128},
+		NewZipf(0.99, 1000),
+		Mixture{A: Fixed(32), B: Uniform{Lo: 8, Hi: 2048}, PA: 0.5},
+	} {
+		lo := d.Max() + 1
+		for i := 0; i < 20000; i++ {
+			lo = min(lo, d.Next(r))
+		}
+		if lo != d.Min() {
+			t.Errorf("%v: smallest of 20000 draws %d, Min %d", d, lo, d.Min())
+		}
+	}
+}

@@ -1,11 +1,11 @@
 package experiments
 
 // The fault-free contract. BENCH_faultfree.json holds one line per
-// registered experiment except the fault-injected ext-chaos: the exact
-// document `rfpbench -quick -stable -json` prints for it. TestFaultFreeArchive
-// re-runs every id in-process and compares it with its line, and the shape
-// tests read the same memoized Result, so each experiment runs once per test
-// process under the archive's options. A change that moves a figure on
+// registered experiment: the exact document `rfpbench -quick -stable -json`
+// prints for it. TestFaultFreeArchive re-runs every id in-process and
+// compares it with its line, and the shape tests read the same memoized
+// Result, so each experiment runs once per test process under the archive's
+// options. A change that moves a figure on
 // purpose re-archives in the same PR, with the command in EXPERIMENTS.md
 // ("Archives"), and says which document moved.
 
@@ -94,7 +94,7 @@ func archiveLines(t testing.TB) (map[string][]byte, []string) {
 // memo, so the shape tests after it find their Result ready.
 func TestFaultFreeArchive(t *testing.T) {
 	lines, order := archiveLines(t)
-	ids := slices.DeleteFunc(IDs(), func(id string) bool { return id == "ext-chaos" })
+	ids := IDs()
 	if !slices.Equal(order, ids) {
 		t.Errorf("archive ids %v\n      registered %v\nre-archive BENCH_faultfree.json", order, ids)
 	}

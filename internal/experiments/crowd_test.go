@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -43,25 +45,26 @@ func TestCrowdFootprintRatio(t *testing.T) {
 }
 
 // TestCrowdChaosLightPooled: pooled clients under the light fault plan
-// (drops, delays, corruption). The demux contract is that no call is lost
-// and no response crosses logical clients — every echo carries (client,
-// call) in its payload, so a misrouted completion would surface as a
-// corrupted or lost call, both of which must be zero.
+// (drops, delays, corruption), half calling synchronously and half keeping
+// a depth-4 ring posted. The demux contract is that no call is lost and no
+// response crosses logical clients — every echo carries (client, call) in
+// its payload, so a misrouted completion would surface as a corrupted or
+// lost call, both of which must be zero.
 func TestCrowdChaosLightPooled(t *testing.T) {
 	o := archiveOpts().withDefaults()
-	const clients, calls = 12, 80
+	const clients, calls, depth, maxReq, maxResp = 12, 80, 4, 128, 256
 	env := sim.NewEnv(o.Seed)
 	defer env.Close()
 	cl := fabric.NewCluster(env, o.Profile, clients)
 	srv := core.NewServer(cl.Server, core.ServerConfig{
-		MaxRequest: chaosMaxReq, MaxResponse: chaosMaxResp,
+		MaxRequest: maxReq, MaxResponse: maxResp,
 		Pool: core.PoolConfig{QPs: 2, SlabBytes: 64 << 10},
 	})
 	srv.AddThreads(4)
 
 	params := core.DefaultParams()
-	params.Depth = chaosDepth
-	params.F = core.HeaderSize + chaosMaxResp
+	params.Depth = depth
+	params.F = core.HeaderSize + maxResp
 	params.DeadlineNs = 2_000_000
 	params.BackoffNs = 2000
 	params.DemoteAfter = 8
@@ -72,42 +75,87 @@ func TestCrowdChaosLightPooled(t *testing.T) {
 	}}}, machines...)
 
 	clis := make([]*core.Client, clients)
-	conns := make([]*core.Conn, clients)
 	for i := range clis {
 		var err error
-		clis[i], conns[i], err = srv.TryAccept(cl.Clients[i], params)
+		clis[i], _, err = srv.TryAccept(cl.Clients[i], params)
 		if err != nil {
 			t.Fatalf("accept %d: %v", i, err)
 		}
 		cl.Clients[i].AddThreads(1)
 	}
 	m := cl.Server
-	for th := 0; th < 4; th++ {
-		var own []*core.Conn
-		for i := th; i < len(conns); i += 4 {
-			own = append(own, conns[i])
+	srv.Start(4, func(int) core.Handler {
+		return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+			m.ComputeNs(p, 150)
+			return copy(resp, req)
 		}
-		if len(own) == 0 {
-			continue
-		}
-		m.Spawn(fmt.Sprintf("srv%d", th), func(p *sim.Proc) {
-			core.Serve(p, own, func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-				m.ComputeNs(p, 150)
-				return copy(resp, req)
-			})
-		})
-	}
+	})
 
-	results := make([]*chaosClientResult, clients)
+	type result struct {
+		done, failed, corrupted int
+		finished                bool
+	}
+	results := make([]result, clients)
 	for i := range clis {
-		i := i
-		results[i] = &chaosClientResult{}
-		fn := chaosSyncClient
-		if i%2 == 1 {
-			fn = chaosPipeClient
-		}
+		i, cli, r := i, clis[i], &results[i]
 		cl.Clients[i].Spawn(fmt.Sprintf("chaos%d", i), func(p *sim.Proc) {
-			fn(p, clis[i], i, calls, results[i])
+			out := make([]byte, maxResp)
+			tally := func(req []byte, n int, err error) {
+				switch {
+				case err != nil:
+					r.failed++
+				case bytes.Equal(out[:n], req):
+					r.done++
+				default:
+					r.corrupted++
+				}
+			}
+			type call struct {
+				h   core.Handle
+				req []byte
+			}
+			var window []call
+			claim := func(k int) {
+				for _, c := range window[:k] {
+					n, err := cli.Poll(p, c.h, out)
+					tally(c.req, n, err)
+				}
+				window = window[k:]
+			}
+			for c := 0; c < calls; c++ {
+				req := make([]byte, 16+(c*7+i*13)%48)
+				for j := range req {
+					req[j] = byte(i*31 + c*17 + j*101)
+				}
+				if i%2 == 0 {
+					n, err := cli.Call(p, req, out)
+					tally(req, n, err)
+					continue
+				}
+			post:
+				for {
+					h, err := cli.Post(p, req)
+					switch {
+					case err == nil:
+						window = append(window, call{h, req})
+						break post
+					case errors.Is(err, core.ErrRingFull):
+						claim(1)
+					case errors.Is(err, core.ErrReconnect):
+						claim(len(window)) // every handle claimed, the next post reconnects
+					default:
+						r.failed++ // charged, not lost
+						p.Sleep(5 * sim.Microsecond)
+						break post
+					}
+				}
+				if len(window) == depth {
+					claim(1)
+				}
+			}
+			claim(len(window))
+			_ = cli.Close(p)
+			r.finished = true
 		})
 	}
 	env.Run(sim.Time(200 * sim.Millisecond))
@@ -141,7 +189,7 @@ func TestCrowdChaosLightPooled(t *testing.T) {
 }
 
 // TestCrowdDeterministicReplay: the sweep renders byte-identically from the
-// same seed (ext-crowd joins the replay contract the chaos harness set).
+// same seed.
 func TestCrowdDeterministicReplay(t *testing.T) {
 	assertReplays(t, "ext-crowd")
 }

@@ -20,7 +20,7 @@ func TestRegistryComplete(t *testing.T) {
 		"ablation-inline", "ablation-switch", "ablation-selection", "ablation-twosided",
 		"ext-herd", "ext-loss", "ext-scaleout", "ext-tuning",
 		"ext-async", "ext-farm", "ext-ycsb", "ext-pipeline",
-		"ext-adaptive-depth", "ext-chaos", "ext-crowd", "ext-replica",
+		"ext-adaptive-depth", "ext-crowd", "ext-replica",
 	}
 	ids := IDs()
 	have := map[string]bool{}

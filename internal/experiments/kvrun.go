@@ -156,17 +156,7 @@ func RunKV(r KVRun) KVOut {
 	if r.Opts.Telemetry {
 		b.Record()
 	}
-	obs, _ := scenario.Drive(env, b, placements, []scenario.Phase{
-		{Name: "warmup", Duration: r.Opts.Warmup, Workload: r.Workload},
-		{Name: "window", Duration: r.Opts.Window, Workload: r.Workload},
-	}, r.Opts.Seed, false)
-	for _, o := range obs {
-		if o.Failed > 0 || o.Corrupted > 0 || o.Unfinished > 0 {
-			panic(fmt.Sprintf("experiments: %s %s phase: %d ops failed, %d corrupt, %d drivers unfinished",
-				r.Kind, o.Phase, o.Failed, o.Corrupted, o.Unfinished))
-		}
-	}
-	w := &obs[1]
+	w := driveWindow(env, b, placements, r.Opts, r.Workload, string(r.Kind))
 	out := KVOut{
 		MOPS:       stats.MOPS(w.Done, w.DurationNs),
 		Lat:        w.Lat,
@@ -182,6 +172,23 @@ func RunKV(r KVRun) KVOut {
 		}
 	}
 	return out
+}
+
+// driveWindow drives b through a warm-up and a measured window of wl and
+// returns the window's observations. The figures run fault-free, so a
+// failed, corrupt or unfinished op is a bug in the system under test.
+func driveWindow(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, o Options, wl workload.Config, label string) *scenario.PhaseObs {
+	obs, _ := scenario.Drive(env, b, placements, []scenario.Phase{
+		{Name: "warmup", Duration: o.Warmup, Workload: wl},
+		{Name: "window", Duration: o.Window, Workload: wl},
+	}, o.Seed, false)
+	for _, ph := range obs {
+		if ph.Failed > 0 || ph.Corrupted > 0 || ph.Unfinished > 0 {
+			panic(fmt.Sprintf("experiments: %s %s phase: %d ops failed, %d corrupt, %d drivers unfinished",
+				label, ph.Phase, ph.Failed, ph.Corrupted, ph.Unfinished))
+		}
+	}
+	return &obs[1]
 }
 
 // clientUtil is the fraction of the window the client threads spent busy,

@@ -9,9 +9,7 @@ import (
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/kv"
 	"rfp/internal/scenario"
-	"rfp/internal/shard"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/workload"
@@ -65,10 +63,11 @@ var scaleoutEnvHook func(*sim.Env)
 
 // runScaleout shards Jakiro across n server machines with one client
 // thread on each of 14 client machines — a deliberately latency-bound
-// topology. Synchronous clients route each call to the owning server and
-// wait it out; pipelined clients keep a window of posted operations spread
-// over every server's rings (internal/shard over core.Group). It returns
-// the run's MOPS and the number of kernel events retired.
+// topology — and drives it through a warm-up and a measured window.
+// Synchronous clients route each call to the owning server and wait it
+// out; pipelined clients keep 8 operations per server in flight over
+// every server's rings (internal/shard over core.Group). It returns the
+// window's MOPS and the number of kernel events retired.
 func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 	env := sim.NewEnv(o.Seed)
 	if scaleoutEnvHook != nil {
@@ -98,61 +97,6 @@ func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 	if err != nil {
 		panic(err)
 	}
-	ops := make([]uint64, len(placements))
-	window := 8 * nServers
-	for i, pl := range placements {
-		i := i
-		sc := b.Conns[i].(*shard.Client)
-		gen := workload.NewGenerator(workload.Config{Keys: keys, GetFraction: 0.95}, o.Seed*100+int64(i))
-		pl.Machine.Spawn("load", func(p *sim.Proc) {
-			scratch := make([]byte, 128)
-			if !pipelined {
-				for {
-					if _, err := kv.Do(sc, p, gen.Next(), scratch); err != nil {
-						panic(err)
-					}
-					ops[i]++
-				}
-			}
-			// Keep a window of operations in flight across every server's
-			// rings; claim the oldest once the window is full (or a ring
-			// fills), so completions count as they resolve.
-			var inflight sim.Ring[shard.PendingOp]
-			pollHead := func() {
-				if _, err := sc.PollOp(p, inflight.Pop(), scratch); err != nil {
-					panic(err)
-				}
-				ops[i]++
-			}
-			for {
-				op := gen.Next()
-				if op.Kind == workload.ReadModifyWrite {
-					for inflight.Len() > 0 {
-						pollHead()
-					}
-					if _, err := kv.Do(sc, p, op, scratch); err != nil {
-						panic(err)
-					}
-					ops[i]++
-					continue
-				}
-				for {
-					pd, err := sc.PostOp(p, op)
-					if err == core.ErrRingFull {
-						pollHead()
-						continue
-					}
-					if err != nil {
-						panic(err)
-					}
-					inflight.Push(pd)
-					break
-				}
-				if inflight.Len() >= window {
-					pollHead()
-				}
-			}
-		})
-	}
-	return measureMOPS(env, o, sumOf(ops)), env.EventsRetired()
+	w := driveWindow(env, b, placements, o, workload.Config{Keys: keys, GetFraction: 0.95}, "ext-scaleout")
+	return stats.MOPS(w.Done, w.DurationNs), env.EventsRetired()
 }

@@ -14,9 +14,9 @@ import (
 // or cross-lane delivery order moves it, and the MOPS with it.
 func TestScaleoutShardedOrderPinned(t *testing.T) {
 	const (
-		wantDigest = 0x277cb76933a077bb
-		wantEvents = 467566
-		wantMOPS   = 14.73125
+		wantDigest = 0x69343cb9e9473258
+		wantEvents = 471042
+		wantMOPS   = 14.7825
 	)
 	var env *sim.Env
 	scaleoutEnvHook = func(e *sim.Env) {

@@ -1,0 +1,126 @@
+package scenario
+
+// The pipelined driver: a window of posted ops per thread on the sharded
+// backend, verified, accounted and bounded like the synchronous loop.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"rfp/internal/fabric"
+	"rfp/internal/hw"
+	"rfp/internal/shard"
+	"rfp/internal/sim"
+	"rfp/internal/telemetry"
+	"rfp/internal/trace"
+	"rfp/internal/workload"
+)
+
+// pipelinedRig builds the sharded backend at depth on servers server
+// machines, preloaded with values of preload bytes and driven by one
+// client thread.
+func pipelinedRig(t *testing.T, env *sim.Env, servers, depth, keys, preload int) (*fabric.Cluster, *Backend, []fabric.Placement) {
+	t.Helper()
+	cl := fabric.NewCluster(env, hw.ConnectX3(), 1)
+	machines := []*fabric.Machine{cl.Server}
+	for s := 1; s < servers; s++ {
+		machines = append(machines, fabric.NewMachine(env, fmt.Sprintf("server%d", s), hw.ConnectX3()))
+	}
+	topo := Topology{Keys: keys, Servers: servers, Depth: depth}.withDefaults()
+	placements := cl.ClientThreads(1)
+	spec := specFor(BackendSharded, topo, preload, false)
+	spec.PreloadValue = preload
+	b, err := BuildBackend(spec, machines, placements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := depth * servers; b.window != want {
+		t.Fatalf("window = %d, want depth x servers = %d", b.window, want)
+	}
+	return cl, b, placements
+}
+
+// A GET whose stored bytes were written for another key, or are empty,
+// counts as corrupt even though PollOp reports no value length.
+func TestPipelinedDriveFlagsForeignValues(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	const keys = 8
+	cl, b, placements := pipelinedRig(t, env, 1, 4, keys, preloadValueSize)
+	cl.Clients[0].Spawn("overwrite", func(p *sim.Proc) {
+		val := make([]byte, preloadValueSize)
+		for k := uint64(0); k < keys; k++ {
+			v := val[:0] // odd keys: an empty value
+			if k%2 == 0 {
+				v = val // even keys: the next key's value
+				workload.FillValue(v, k+1, 0)
+			}
+			if err := b.Conns[0].Put(p, k, v); err != nil {
+				t.Errorf("put %d: %v", k, err)
+			}
+		}
+	})
+	env.Run(sim.Time(sim.Millisecond))
+	obs, _ := Drive(env, b, placements, []Phase{{Name: "gets", Duration: 50 * sim.Microsecond,
+		Workload: workload.Config{Keys: keys, GetFraction: 1}}}, 1, false)
+	if o := obs[0]; o.Issued == 0 || o.Corrupted != o.Issued {
+		t.Fatalf("issued %d, corrupt %d, done %d: every GET should be corrupt", o.Issued, o.Corrupted, o.Done)
+	}
+}
+
+// Each op is charged to the phase that posted it (every phase accounts for
+// all it issued), and a driver never has more than its window in flight
+// although its rings hold twice as many. The preload is longer than the
+// workload's default 32 B PUTs, which must still verify.
+func TestPipelinedDriveWindow(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	const keys = 16 // few enough that GETs find the PUTs' shorter values
+	_, b, placements := pipelinedRig(t, env, 2, 2, keys, 2*preloadValueSize)
+	const spans = 1 << 14
+	rec := telemetry.New(telemetry.Config{SpanEvents: spans})
+	b.Conns[0].(*shard.Client).SetRecorder(rec)
+	// An RMW drains the window, so the phase that must drain at its end
+	// has none.
+	obs, _ := Drive(env, b, placements, []Phase{
+		{Name: "rmw", Duration: 40 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 0.9, RMWFraction: 0.05}},
+		{Name: "get-put", Duration: 40 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 0.9}},
+	}, 1, false)
+	for i := range obs {
+		o := &obs[i]
+		if v := Eval(Invariant{Kind: NoLost}, o); !v.OK || o.Done == 0 || o.Failed+o.Corrupted != 0 {
+			t.Errorf("phase %s: %s, failed %d, corrupt %d", o.Phase, v, o.Failed, o.Corrupted)
+		}
+	}
+	events := rec.SpanEvents()
+	if len(events) == spans {
+		t.Fatalf("span ring filled at %d events; the in-flight count would be partial", len(events))
+	}
+	inflight, peak := 0, 0
+	for _, e := range events {
+		switch e.Kind {
+		case trace.CallPost:
+			inflight++
+			peak = max(peak, inflight)
+		case trace.CallDone:
+			inflight--
+		}
+	}
+	if peak != b.window || inflight != 0 {
+		t.Fatalf("peak in flight %d, %d left at the end; want the window %d, then 0", peak, inflight, b.window)
+	}
+}
+
+// Only the sharded backend pipelines; validate names the backend it
+// refuses.
+func TestValidateRejectsDepthOffSharded(t *testing.T) {
+	sc, _ := Get("chaos-pipelined")
+	if _, err := Run(sc, BackendJakiro, Options{Seed: 1}); err == nil {
+		t.Fatal("Run accepted depth 4 on jakiro")
+	}
+	sc.Backends = []string{BackendSharded, BackendJakiro}
+	if err := sc.validate(); err == nil || !strings.Contains(err.Error(), `"jakiro"`) {
+		t.Fatalf("validate = %v, want an error naming jakiro", err)
+	}
+}

@@ -63,12 +63,10 @@ func (iv Invariant) String() string {
 	switch iv.Kind {
 	case NoLost, NoCorruption, AllResolved, Replay, Linearizable:
 		return string(iv.Kind)
-	case P99Below:
+	case P99Below, MaxDemotions:
 		return fmt.Sprintf("%s %.0f", iv.Kind, iv.Bound)
 	case ThroughputFloor:
 		return fmt.Sprintf("%s %.1f", iv.Kind, iv.Bound)
-	case MaxDemotions:
-		return fmt.Sprintf("%s %.0f", iv.Kind, iv.Bound)
 	case MaxFailedFrac:
 		return fmt.Sprintf("%s %.3f", iv.Kind, iv.Bound)
 	default:
@@ -194,22 +192,11 @@ func evalPhase(sc *Scenario, ph *Phase, o *PhaseObs) []Verdict {
 	return out
 }
 
-// wantsReplay reports whether the scenario declares the run-level replay
-// invariant.
-func (sc Scenario) wantsReplay() bool {
+// declares reports whether the scenario declares the run-level invariant
+// k (Replay or Linearizable).
+func (sc Scenario) declares(k Kind) bool {
 	for _, iv := range sc.Invariants {
-		if iv.Kind == Replay {
-			return true
-		}
-	}
-	return false
-}
-
-// wantsLinz reports whether the scenario declares the run-level
-// linearizability invariant.
-func (sc Scenario) wantsLinz() bool {
-	for _, iv := range sc.Invariants {
-		if iv.Kind == Linearizable {
+		if iv.Kind == k {
 			return true
 		}
 	}

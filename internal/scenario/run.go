@@ -136,8 +136,8 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	if !knownBackend(backendName) {
-		return nil, fmt.Errorf("scenario: unknown backend %q (have %v)", backendName, Backends())
+	if err := sc.checkBackend(backendName); err != nil {
+		return nil, err
 	}
 	seed := opt.Seed
 	if seed == 0 {
@@ -198,7 +198,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 		tracer = faults.Install(seed+1, stages, machines...)
 	}
 	b.Record()
-	obs, lz := Drive(env, b, placements, phases, seed, sc.wantsLinz())
+	obs, lz := Drive(env, b, placements, phases, seed, sc.declares(Linearizable))
 
 	// Assemble and evaluate.
 	rep := &Report{
@@ -231,7 +231,7 @@ func Verify(sc Scenario, backendName string, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !sc.wantsReplay() {
+	if !sc.declares(Replay) {
 		return rep, nil
 	}
 	again, err := Run(sc, backendName, opt)

@@ -38,6 +38,10 @@ type Topology struct {
 	Keys           int      // key-space cardinality, preloaded at version 0 (default 4096)
 	Slow           *SlowNIC // optional straggler override
 	Pooled         bool     // multiplexed endpoints + slab MRs on RFP-based backends (DESIGN.md §13)
+	// Depth > 1 pipelines the sharded backend's clients: each thread keeps
+	// Depth ops per server in flight (core.Params.Depth). 0 or 1: one call
+	// at a time. validate rejects it on every other backend.
+	Depth int
 }
 
 func (t Topology) withDefaults() Topology {
@@ -151,15 +155,15 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("scenario %s: no backends", sc.Name)
 	}
 	for _, b := range sc.Backends {
-		if !knownBackend(b) {
-			return fmt.Errorf("scenario %s: unknown backend %q (have %v)", sc.Name, b, Backends())
+		if err := sc.checkBackend(b); err != nil {
+			return err
 		}
 	}
 	// The replicated backends preload versioned values and are driven by
 	// the history recorder; the linearizability checker is what gives those
 	// histories meaning. Couple them both ways so a declaration cannot
 	// silently run unchecked (or check an uninstrumented store).
-	linz := sc.wantsLinz()
+	linz := sc.declares(Linearizable)
 	for _, b := range sc.Backends {
 		if replicaBackend(b) != linz {
 			if linz {
@@ -167,6 +171,18 @@ func (sc Scenario) validate() error {
 			}
 			return fmt.Errorf("scenario %s: backend %q requires the linearizable invariant", sc.Name, b)
 		}
+	}
+	return nil
+}
+
+// checkBackend rejects a backend the scenario cannot run on: an unknown
+// name, or any but the sharded backend under a pipelined topology.
+func (sc Scenario) checkBackend(b string) error {
+	if !knownBackend(b) {
+		return fmt.Errorf("scenario %s: unknown backend %q (have %v)", sc.Name, b, Backends())
+	}
+	if sc.Topology.Depth > 1 && b != BackendSharded {
+		return fmt.Errorf("scenario %s: depth %d needs the %s backend, got %q", sc.Name, sc.Topology.Depth, BackendSharded, b)
 	}
 	return nil
 }

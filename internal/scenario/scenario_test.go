@@ -19,6 +19,8 @@ import (
 func TestRegistrySeeds(t *testing.T) {
 	names := Names()
 	want := []string{
+		"chaos",
+		"chaos-pipelined",
 		"flash-crowd",
 		"replica-failover",
 		"rolling-restart",
@@ -39,7 +41,8 @@ func TestRegistrySeeds(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%q) missing", n)
 		}
-		if len(sc.Backends) < 2 {
+		// A pipelined topology runs on the sharded backend only.
+		if len(sc.Backends) < 2 && sc.Topology.Depth <= 1 {
 			t.Errorf("%s declares %d backends, want >= 2", n, len(sc.Backends))
 		}
 		for _, be := range sc.Backends {
@@ -47,7 +50,7 @@ func TestRegistrySeeds(t *testing.T) {
 				t.Errorf("%s declares unknown backend %q", n, be)
 			}
 		}
-		if !sc.wantsReplay() {
+		if !sc.declares(Replay) {
 			t.Errorf("%s does not declare the replay invariant", n)
 		}
 	}
