@@ -241,8 +241,9 @@ func (c *Client) SetFetchSize(f int) {
 // SetDepth resizes the request ring at runtime (used by the depth tuner),
 // clamped to [1, MaxDepth] — the slot capacity registered at Accept. With
 // posts in flight the resize is deferred until the ring quiesces, so a slot
-// is never reallocated under a pending completion; keep-ring-full drivers
-// should watch PendingDepth and drain to let the resize land.
+// is never reallocated under a pending completion. Until it lands, Post
+// returns ErrRingFull, so a driver that claims on a full ring drains it; the
+// claim that empties the ring applies the new depth.
 func (c *Client) SetDepth(d int) {
 	if d < 1 {
 		d = 1
@@ -261,12 +262,6 @@ func (c *Client) SetDepth(d int) {
 	c.pendingDepth = 0
 	c.resize(d)
 }
-
-// PendingDepth returns a deferred ring depth not yet applied (0 if none).
-func (c *Client) PendingDepth() int { return c.pendingDepth }
-
-// MaxDepth returns the ring's slot capacity (the bound of SetDepth).
-func (c *Client) MaxDepth() int { return c.maxDepth }
 
 // targetDepth is the depth the ring is headed for: the pending resize if
 // one is queued, else the active depth.

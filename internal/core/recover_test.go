@@ -323,8 +323,8 @@ func TestCloseDuringPendingResize(t *testing.T) {
 			handles = append(handles, h)
 		}
 		cli.SetDepth(2) // deferred: ring is busy
-		if cli.PendingDepth() != 2 {
-			t.Errorf("PendingDepth = %d, want 2", cli.PendingDepth())
+		if cli.pendingDepth != 2 {
+			t.Errorf("PendingDepth = %d, want 2", cli.pendingDepth)
 			return
 		}
 		if err := cli.Close(p); err != nil {
@@ -340,8 +340,8 @@ func TestCloseDuringPendingResize(t *testing.T) {
 			}
 		}
 		// The deferred resize must not have survived the close.
-		if cli.PendingDepth() != 0 {
-			t.Errorf("PendingDepth = %d after close, want 0", cli.PendingDepth())
+		if cli.pendingDepth != 0 {
+			t.Errorf("PendingDepth = %d after close, want 0", cli.pendingDepth)
 			return
 		}
 		if _, err := cli.Post(p, []byte{9}); !errors.Is(err, ErrClosed) {

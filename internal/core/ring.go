@@ -20,7 +20,10 @@ package core
 // time) are deferred until the ring quiesces — the claim that empties it
 // applies them, or the next Post or Send with zero requests outstanding.
 // Pipelined calls therefore always complete in the mode they were posted
-// under, and the mode flag never races a buffered response.
+// under, and the mode flag never races a buffered response. A resize
+// (SetDepth) waits for the same quiescence, and enforces it: while one is
+// pending, Post reports ErrRingFull, so a driver that claims whenever its
+// ring is full drains it without knowing a resize is on the way.
 
 import (
 	"errors"
@@ -33,7 +36,9 @@ import (
 
 // Ring errors.
 var (
-	// ErrRingFull reports a Post with every slot already in flight.
+	// ErrRingFull reports a Post with every slot already in flight, or
+	// with a resize (SetDepth) waiting for the ring to drain: claim an
+	// earlier handle and post again.
 	ErrRingFull = errors.New("core: request ring full")
 	// ErrRingBusy reports a synchronous Send/Call while requests are still
 	// in flight — posted handles, or an earlier Send awaiting its Recv;
@@ -135,7 +140,11 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 		}
 	}
 	// A mode switch or parameter change decided while the ring was busy
-	// applies once it has quiesced (see the file comment).
+	// applies once it has quiesced (see the file comment); a pending resize
+	// admits no post until then.
+	if c.pendingDepth != 0 && c.outstanding > 0 {
+		return 0, ErrRingFull
+	}
 	if err := c.applyPendingMode(p); err != nil {
 		return 0, err
 	}
@@ -177,7 +186,7 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 // the caller may reuse req as soon as it does — but not before: like Send,
 // Post may yield (reconnect, mode switch) ahead of staging, and req must not
 // change until it returns. The returned handle must be redeemed with Poll.
-// With every slot in flight, Post returns ErrRingFull.
+// With every slot in flight, or a resize pending, Post returns ErrRingFull.
 //
 //rfp:hotpath
 func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {

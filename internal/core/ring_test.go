@@ -162,6 +162,65 @@ func TestRingFullAndBusy(t *testing.T) {
 	}
 }
 
+// TestRingPendingResizeFillsRing checks that core enforces its own resize
+// rule: after SetDepth on a busy ring, Post reports ErrRingFull until the
+// last in-flight handle is claimed, and the next Post lands at the new
+// depth, so a driver that claims on a full ring drains for the resize.
+func TestRingPendingResizeFillsRing(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	params := DefaultParams()
+	params.Depth = 4
+	params.MaxDepth = 8
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, echoHandler)
+	})
+	ok := false
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 64)
+		var hs []Handle
+		for i := 0; i < 3; i++ { // one slot of the four stays free
+			h, err := cli.Post(p, []byte{byte(i)})
+			if err != nil {
+				t.Errorf("post %d: %v", i, err)
+				return
+			}
+			hs = append(hs, h)
+		}
+		cli.SetDepth(8)
+		for i, h := range hs {
+			if _, err := cli.Post(p, []byte("early")); err != ErrRingFull {
+				t.Errorf("post with %d handles in flight and a resize pending: err = %v, want ErrRingFull", len(hs)-i, err)
+				return
+			}
+			if _, err := cli.Poll(p, h, out); err != nil {
+				t.Errorf("poll %d: %v", i, err)
+				return
+			}
+		}
+		if cli.Depth() != 8 {
+			t.Errorf("depth %d after the last claim, want 8", cli.Depth())
+			return
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := cli.Post(p, []byte{byte(i)}); err != nil {
+				t.Errorf("post %d at the new depth: %v", i, err)
+				return
+			}
+		}
+		if _, err := cli.Post(p, []byte("over")); err != ErrRingFull {
+			t.Errorf("post past depth 8: err = %v, want ErrRingFull", err)
+			return
+		}
+		ok = true
+	})
+	r.env.Run(sim.Time(10 * sim.Millisecond))
+	if !ok {
+		t.Fatal("did not complete")
+	}
+}
+
 // TestRingReplyMode pipelines posts on a connection pinned to server-reply:
 // responses arrive by server push into per-slot landings.
 func TestRingReplyMode(t *testing.T) {
@@ -450,8 +509,8 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 	params.Depth = depth
 	params.MaxDepth = 16
 	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
-	if cli.MaxDepth() != 16 {
-		t.Fatalf("MaxDepth = %d, want 16", cli.MaxDepth())
+	if cli.maxDepth != 16 {
+		t.Fatalf("MaxDepth = %d, want 16", cli.maxDepth)
 	}
 	r.srv.AddThreads(1)
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
@@ -511,18 +570,18 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 			}
 			cli.SetDepth(newDepth)
 			// In flight: the resize must defer, not reshape the live ring.
-			if cli.Depth() == newDepth || cli.PendingDepth() != newDepth {
+			if cli.Depth() == newDepth || cli.pendingDepth != newDepth {
 				t.Errorf("SetDepth(%d) in flight: depth=%d pending=%d, want deferred",
-					newDepth, cli.Depth(), cli.PendingDepth())
+					newDepth, cli.Depth(), cli.pendingDepth)
 				return
 			}
 			if !drain() {
 				return
 			}
 			// Quiesced: the pending depth landed with the last completion.
-			if cli.Depth() != newDepth || cli.PendingDepth() != 0 {
+			if cli.Depth() != newDepth || cli.pendingDepth != 0 {
 				t.Errorf("after drain: depth=%d pending=%d, want %d/0",
-					cli.Depth(), cli.PendingDepth(), newDepth)
+					cli.Depth(), cli.pendingDepth, newDepth)
 				return
 			}
 			// A full wave at the new geometry completes cleanly, and the
@@ -540,9 +599,9 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 		}
 		// Clamped above capacity: applies immediately (ring is idle).
 		cli.SetDepth(99)
-		if cli.Depth() != cli.MaxDepth() || cli.PendingDepth() != 0 {
+		if cli.Depth() != cli.maxDepth || cli.pendingDepth != 0 {
 			t.Errorf("SetDepth(99): depth=%d pending=%d, want clamp to %d",
-				cli.Depth(), cli.PendingDepth(), cli.MaxDepth())
+				cli.Depth(), cli.pendingDepth, cli.maxDepth)
 			return
 		}
 		if live := alloc.LiveAllocs(); live != 0 {

@@ -19,8 +19,8 @@ import (
 // Eq. 1's bound), and — with TuneDepth — the request-ring depth
 // (SelectDepth, the pipelining extension). F and depth changes go through
 // the clients' quiesce path (SetFetchSize / SetDepth), so a re-selection
-// never races a post in flight; a deferred depth shows up in
-// Client.PendingDepth until the ring drains.
+// never races a post in flight; while a depth change waits for the ring to
+// drain, Post reports ErrRingFull.
 
 // Tuner adapts a connection's R, F — and optionally ring depth — from
 // on-line samples.
@@ -39,8 +39,8 @@ type Tuner struct {
 	// TuneDepth controls whether the ring depth is re-selected as well —
 	// the control plane's third knob. Off by default: a resize reshapes
 	// the ring (quiesce plus slot-array reallocation), so callers running
-	// pipelined load opt in and cooperate by draining when a new depth is
-	// pending.
+	// pipelined load opt in; a driver that claims on ErrRingFull drains
+	// the ring for it.
 	TuneDepth bool
 
 	// Retunes counts how many times re-selection changed a parameter.

@@ -14,6 +14,8 @@ import (
 	"fmt"
 
 	"rfp/internal/core"
+	"rfp/internal/scenario"
+	"rfp/internal/shard"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
@@ -82,7 +84,7 @@ func extAdaptiveDepth(o Options) Result {
 		Rows:   rows,
 		Notes: []string{
 			"the tuner enumerates Depth in [1, MaxDepth] from the same sample window as F/R, modeling post/poll overlap against the fetched round trip",
-			"a re-selected depth is applied under the quiesce rule: the load loop drains its ring when Client.PendingDepth is set, mirroring the hybrid mode switch",
+			"a re-selected depth is applied under the quiesce rule: Post reports a full ring until the load loop has drained it, mirroring the hybrid mode switch",
 			"acceptance: the adaptive depth is within one doubling step of the best static depth both before and after the mid-run shift",
 		},
 	}
@@ -113,9 +115,9 @@ func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
 	params := core.DefaultParams()
 	params.Depth = 1
 	params.MaxDepth = 16
-	r := newGetRig(o, params, valueSize, adaptiveLightNs)
-	defer r.env.Close()
-	env, cli := r.env, r.cli
+	env, b, placements := newPipelineRig(o, params, valueSize, adaptiveLightNs)
+	defer env.Close()
+	cli := b.Conns[0].(*shard.Client).Server(0).Conns()[0]
 
 	// A tight window/period so the heavy phase's slower call rate still
 	// turns the sample window over within a couple of measurement windows.
@@ -127,45 +129,43 @@ func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
 	// is the tuner's whole trajectory, including the climb out of depth 1.
 	var rec *telemetry.Recorder
 	if o.Telemetry {
-		rec = telemetry.New(telemetry.Config{})
+		rec = b.Record()
 		tuner.SetRecorder(rec)
-		cli.SetRecorder(rec)
 	}
 
-	trace := &stats.Series{Label: "adaptive depth", XLabel: "time (us)", YLabel: "ring depth"}
-	sample := func() {
-		trace.Add(float64(env.Now())/float64(sim.Microsecond), float64(cli.Depth()))
+	phases := []scenario.Phase{
+		{Name: "warmup", Duration: o.Warmup},
+		{Name: "light-settle", Duration: 2 * o.Window}, // the tuner climbs out of the depth-1 start
+		{Name: "light", Duration: o.Window},
+		{Name: "heavy-settle", Duration: 3 * o.Window}, // the sample window turns over with heavy calls
+		{Name: "heavy", Duration: o.Window},
 	}
-	measure := func() float64 {
-		before := r.done
-		start := env.Now()
-		slice := o.Window / 4
-		for i := 0; i < 4; i++ {
-			env.Run(start.Add(sim.Duration(i+1) * slice))
-			sample()
-		}
-		return stats.MOPS(r.done-before, int64(4*slice))
-	}
-	settle := func(n int) {
-		start := env.Now()
-		for i := 0; i < n; i++ {
-			env.Run(start.Add(sim.Duration(i+1) * o.Window))
-			sample()
-		}
-	}
-
-	env.Run(sim.Time(o.Warmup))
-	sample()
-	settle(2) // let the tuner climb out of the depth-1 start
+	// The depth is sampled at the end of the warm-up, of every settling
+	// window and of every quarter of a measured one.
+	steps := []sim.Duration{o.Warmup, o.Window, o.Window / 4, o.Window, o.Window / 4}
 	var out adaptiveRun
-	out.preMOPS = measure()
-	out.preDepth = cli.Depth()
+	out.trace = &stats.Series{Label: "adaptive depth", XLabel: "time (us)", YLabel: "ring depth"}
+	sample := func() {
+		out.trace.Add(float64(env.Now())/float64(sim.Microsecond), float64(cli.Depth()))
+	}
+	var t sim.Time
+	for i := range phases {
+		phases[i].Workload = pipelineLoad
+		for end := t.Add(phases[i].Duration); t < end; {
+			t = t.Add(steps[i])
+			env.At(t, sample)
+		}
+	}
+	shift := sim.Time(o.Warmup).Add(3 * o.Window)
+	env.At(shift, func() {
+		out.preDepth = cli.Depth()
+		b.SetExtraProcNs(adaptiveHeavyNs - jakiroDispatchNs) // the workload shift
+	})
 
-	r.procNs = adaptiveHeavyNs // the workload shift
-	settle(3)                  // sample window turns over with heavy calls
-	out.postMOPS = measure()
-	out.postDepth = cli.Depth()
-	out.trace = trace
+	obs := drivePhases(env, b, placements, phases, o.Seed, "ext-adaptive-depth")
+	out.preMOPS = stats.MOPS(obs[2].Done, obs[2].DurationNs)
+	out.postMOPS = stats.MOPS(obs[4].Done, obs[4].DurationNs)
+	out.postDepth = int(out.trace.Y[len(out.trace.Y)-1])
 	if rec != nil {
 		out.tel = rec.Snapshot()
 	}

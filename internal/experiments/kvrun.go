@@ -176,19 +176,28 @@ func RunKV(r KVRun) KVOut {
 
 // driveWindow drives b through a warm-up and a measured window of wl and
 // returns the window's observations. The figures run fault-free, so a
-// failed, corrupt or unfinished op is a bug in the system under test.
+// failed, corrupt or unfinished op, or a recorded history that is not
+// linearizable, is a bug in the system under test.
 func driveWindow(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, o Options, wl workload.Config, label string) *scenario.PhaseObs {
-	obs, _ := scenario.Drive(env, b, placements, []scenario.Phase{
+	return &drivePhases(env, b, placements, []scenario.Phase{
 		{Name: "warmup", Duration: o.Warmup, Workload: wl},
 		{Name: "window", Duration: o.Window, Workload: wl},
-	}, o.Seed, false)
+	}, o.Seed, label)[1]
+}
+
+// drivePhases is driveWindow over any phase list.
+func drivePhases(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, phases []scenario.Phase, seed int64, label string) []scenario.PhaseObs {
+	obs, lz := scenario.Drive(env, b, placements, phases, seed)
 	for _, ph := range obs {
 		if ph.Failed > 0 || ph.Corrupted > 0 || ph.Unfinished > 0 {
 			panic(fmt.Sprintf("experiments: %s %s phase: %d ops failed, %d corrupt, %d drivers unfinished",
 				label, ph.Phase, ph.Failed, ph.Corrupted, ph.Unfinished))
 		}
 	}
-	return &obs[1]
+	if lz != nil && !lz.OK {
+		panic(fmt.Sprintf("experiments: %s: %s", label, lz))
+	}
+	return obs
 }
 
 // clientUtil is the fraction of the window the client threads spent busy,

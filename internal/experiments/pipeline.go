@@ -3,9 +3,10 @@ package experiments
 // ext-pipeline: the multi-slot request ring applied to a full RFP call
 // path. Where ext-async pipelines raw RDMA Reads, this experiment pipelines
 // whole KV GETs: one client thread keeps Depth requests in flight on one
-// connection with Post/Poll, one server thread drains the ring's slots.
-// Depth 1 is the paper's one-slot connection driven through the same code,
-// so the depth-1 point doubles as a regression anchor for the headline
+// connection (scenario.Drive's pipelined driver on the sharded backend, one
+// server), one server thread drains the ring's slots. Depth 1 is the
+// paper's one-slot connection, driven by the synchronous Call path, so the
+// depth-1 point doubles as a regression anchor for the headline
 // single-thread numbers.
 
 import (
@@ -13,7 +14,7 @@ import (
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/kv"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
@@ -65,96 +66,40 @@ func extPipeline(o Options) Result {
 	}
 }
 
-// getRig is a store-backed GET service on one server thread, driven by one
-// pipelining client thread over one connection — the harness ext-pipeline
-// and ext-adaptive-depth share. The client keeps the ring as full as its
-// current depth allows and cooperates with the control plane: a pending
-// depth change applies only when the ring is quiescent, so it drains before
-// refilling (a no-op without a depth-tuning tuner). procNs, the per-request
-// dispatch+processing CPU charge, may be changed between env.Run calls.
-type getRig struct {
-	env    *sim.Env
-	cli    *core.Client
-	procNs int64
-	done   uint64
-}
+// pipelineLoad is the workload of every pipelined point: uniform GETs over
+// the preloaded keys.
+var pipelineLoad = workload.Config{Keys: pipelineKeys, GetFraction: 1}
 
-func newGetRig(o Options, params core.Params, valueSize int, procNs int64) *getRig {
-	r := &getRig{env: sim.NewEnv(o.Seed), procNs: procNs}
-	cl := fabric.NewCluster(r.env, o.Profile, 1)
-
-	store := kv.NewBucketStore(pipelineKeys) // load factor 1/8: no evictions
-	kbuf := make([]byte, workload.KeySize)
-	val := make([]byte, valueSize)
-	for k := uint64(0); k < pipelineKeys; k++ {
-		workload.FillValue(val, k, 0)
-		store.Put(workload.EncodeKey(kbuf, k), val)
+// newPipelineRig builds the harness ext-pipeline and ext-adaptive-depth
+// share: the sharded backend on one server machine with one server thread
+// (one partition, load factor 1/8: no evictions), connected from one client
+// thread. params sets the ring depth and capacity; procNs is the whole
+// per-request dispatch+processing CPU charge (Jakiro's own 150 ns
+// included), changeable mid-run through Backend.SetExtraProcNs.
+func newPipelineRig(o Options, params core.Params, valueSize int, procNs int64) (*sim.Env, *scenario.Backend, []fabric.Placement) {
+	env := sim.NewEnv(o.Seed)
+	cl := fabric.NewCluster(env, o.Profile, 1)
+	placements := cl.ClientThreads(1)
+	b, err := scenario.BuildBackend(scenario.BackendSpec{
+		Backend:       scenario.BackendSharded,
+		ServerThreads: 1,
+		Keys:          pipelineKeys,
+		Buckets:       pipelineKeys,
+		PreloadValue:  valueSize,
+		MaxValue:      valueSize,
+		Params:        params,
+		ExtraProcNs:   procNs - jakiroDispatchNs,
+		DisableSpikes: true,
+	}, []*fabric.Machine{cl.Server}, placements)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-
-	srv := core.NewServer(cl.Server, core.ServerConfig{
-		MaxRequest:  1 + workload.KeySize,
-		MaxResponse: 1 + valueSize,
-	})
-	srv.AddThreads(1)
-	cli, _ := srv.Accept(cl.Clients[0], params)
-	cl.Clients[0].AddThreads(1)
-	r.cli = cli
-
-	m := cl.Server
-	prof := m.Profile()
-	srv.Start(1, func(int) core.Handler {
-		return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-			m.ComputeNs(p, r.procNs) // dispatch + hash (+ modeled processing)
-			rq, err := kv.DecodeRequest(req)
-			if err != nil || rq.Op != kv.OpGet {
-				return kv.EncodeResponse(resp, kv.StatusError, nil)
-			}
-			v, ok := store.Get(rq.Key)
-			if !ok {
-				return kv.EncodeResponse(resp, kv.StatusNotFound, nil)
-			}
-			m.ComputeNs(p, prof.CopyNs(len(v)))
-			return kv.EncodeResponse(resp, kv.StatusOK, v)
-		}
-	})
-
-	cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		reqBuf := make([]byte, 1+workload.KeySize)
-		out := make([]byte, 1+valueSize)
-		hs := make([]core.Handle, 0, cli.MaxDepth())
-		key := uint64(0)
-		poll := func() {
-			n, err := cli.Poll(p, hs[0], out)
-			if err != nil {
-				panic(err)
-			}
-			if status, _, err := kv.DecodeResponse(out[:n]); err != nil || status != kv.StatusOK {
-				panic(fmt.Sprintf("experiments: bad GET response (status %d, err %v)", status, err))
-			}
-			hs = hs[:copy(hs, hs[1:])]
-			r.done++
-		}
-		for {
-			if cli.PendingDepth() != 0 {
-				for len(hs) > 0 {
-					poll()
-				}
-				continue
-			}
-			for len(hs) < cli.Depth() {
-				req := kv.EncodeGet(reqBuf, key%pipelineKeys)
-				key++
-				h, err := cli.Post(p, req)
-				if err != nil {
-					panic(err)
-				}
-				hs = append(hs, h)
-			}
-			poll()
-		}
-	})
-	return r
+	return env, b, placements
 }
+
+// jakiroDispatchNs is the per-request CPU Jakiro charges before any extra
+// processing (dispatch, hash, slot scan).
+const jakiroDispatchNs = 150
 
 // runPipelineDepth measures one (depth, value size, process time) point.
 // procNs 150 matches the Jakiro handler; ext-adaptive-depth raises it to
@@ -162,19 +107,11 @@ func newGetRig(o Options, params core.Params, valueSize int, procNs int64) *getR
 func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, telemetry.Snapshot) {
 	params := core.DefaultParams()
 	params.Depth = depth
-	r := newGetRig(o, params, valueSize, procNs)
-	defer r.env.Close()
-
-	r.env.Run(sim.Time(o.Warmup))
-	var rec *telemetry.Recorder
+	env, b, placements := newPipelineRig(o, params, valueSize, procNs)
+	defer env.Close()
 	if o.Telemetry {
-		rec = telemetry.New(telemetry.Config{})
-		r.cli.SetRecorder(rec)
+		b.Record()
 	}
-	mops := windowMOPS(r.env, o, func() uint64 { return r.done })
-	var tel telemetry.Snapshot
-	if rec != nil {
-		tel = rec.Snapshot()
-	}
-	return mops, tel
+	w := driveWindow(env, b, placements, o, pipelineLoad, "ext-pipeline")
+	return stats.MOPS(w.Done, w.DurationNs), w.Tel
 }

@@ -15,7 +15,6 @@ import (
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/kv"
 	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
@@ -68,12 +67,12 @@ func extReplica(o Options) Result {
 }
 
 // replicaGroup stands up a group with the given follower count and one
-// client per client machine, on a production-sized lease (100us): under
-// saturating load the failover-tuned 20us default expires leases on
-// heartbeat jitter alone, demoting followers for no failure. Serve-side
-// correctness never depends on the lease length, only failover latency does
-// — and nothing fails here.
-func replicaGroup(o Options, clients, followers int, localReads bool) (*sim.Env, *fabric.Cluster, []kv.Conn) {
+// client thread on each of clients client machines, on a production-sized
+// lease (100us): under saturating load the failover-tuned 20us default
+// expires leases on heartbeat jitter alone, demoting followers for no
+// failure. Serve-side correctness never depends on the lease length, only
+// failover latency does — and nothing fails here.
+func replicaGroup(o Options, clients, followers int, localReads bool) (*sim.Env, *scenario.Backend, []fabric.Placement) {
 	env := sim.NewEnv(o.Seed)
 	cl := fabric.NewCluster(env, o.Profile, clients)
 	nodes := []*fabric.Machine{cl.Server}
@@ -92,80 +91,30 @@ func replicaGroup(o Options, clients, followers int, localReads bool) (*sim.Env,
 	if localReads {
 		spec.Backend = scenario.BackendReplica
 	}
-	placements := make([]fabric.Placement, clients)
-	for i, m := range cl.Clients {
-		placements[i] = fabric.Placement{Machine: m}
-	}
+	placements := cl.ClientThreads(clients)
 	b, err := scenario.BuildBackend(spec, nodes, placements)
 	if err != nil {
 		panic(fmt.Sprintf("ext-replica: %v", err))
 	}
-	return env, cl, b.Conns
+	return env, b, placements
 }
 
 // runReplicaRead measures aggregate GET throughput (MOPS) of a group with
 // the given follower count under a pure-GET load from replicaClients
 // synchronous clients.
 func runReplicaRead(o Options, followers int, localReads bool) float64 {
-	env, cl, clis := replicaGroup(o, replicaClients, followers, localReads)
+	env, b, placements := replicaGroup(o, replicaClients, followers, localReads)
 	defer env.Close()
-
-	warmEnd := sim.Time(o.Warmup)
-	end := warmEnd.Add(o.Window)
-	gets := make([]uint64, replicaClients)
-	for i, cli := range clis {
-		i, cli := i, cli
-		cl.Clients[i].Spawn("reader", func(p *sim.Proc) {
-			gen := workload.NewGenerator(
-				workload.Config{GetFraction: 1, Keys: replicaKeys},
-				o.Seed*1_000_003+int64(i)+1)
-			out := make([]byte, 64)
-			for p.Now() < end {
-				op := gen.Next()
-				if _, _, err := cli.Get(p, op.Key, out); err != nil {
-					panic(fmt.Sprintf("ext-replica: get: %v", err))
-				}
-				if p.Now() > warmEnd {
-					gets[i]++
-				}
-			}
-		})
-	}
-	env.Run(end)
-	return float64(sumOf(gets)()) / (float64(o.Window) / 1e3)
+	w := driveWindow(env, b, placements, o, workload.Config{Keys: replicaKeys, GetFraction: 1}, "ext-replica reads")
+	return stats.MOPS(w.Done, w.DurationNs)
 }
 
-// replicaPutOps is the sequential write count of the write-cost run.
-const replicaPutOps = 300
-
 // runReplicaPut measures the mean acked quorum-write latency (us) with a
-// single sequential writer — the unloaded cost of one prepare fan-out plus
+// single synchronous writer — the unloaded cost of one prepare fan-out plus
 // the all-active-acks commit rule, isolated from read traffic.
 func runReplicaPut(o Options, followers int) float64 {
-	env, cl, clis := replicaGroup(o, 1, followers, false)
+	env, b, placements := replicaGroup(o, 1, followers, false)
 	defer env.Close()
-	cli := clis[0]
-
-	var totalNs uint64
-	var measured uint64
-	cl.Clients[0].Spawn("writer", func(p *sim.Proc) {
-		val := make([]byte, 32)
-		for k := 0; k < replicaPutOps; k++ {
-			key := uint64(k % replicaKeys)
-			workload.FillValue(val, key, 0)
-			t0 := p.Now()
-			if err := cli.Put(p, key, val); err != nil {
-				panic(fmt.Sprintf("ext-replica: put: %v", err))
-			}
-			if k >= replicaPutOps/10 { // skip connection warm-up
-				totalNs += uint64(p.Now().Sub(t0))
-				measured++
-			}
-		}
-	})
-	env.Run(sim.Time(20 * sim.Millisecond))
-	if measured == 0 {
-		panic("ext-replica: writer made no progress")
-	}
-	return float64(totalNs) / float64(measured) / 1e3
+	w := driveWindow(env, b, placements, o, workload.Config{Keys: replicaKeys}, "ext-replica writes")
+	return w.Lat.Mean() / 1e3
 }

@@ -117,18 +117,13 @@ func TestSnapshotConcurrentWithSetDepthAndClose(t *testing.T) {
 			if i%50 == 0 {
 				cli.SetDepth(depths[(i/50)%len(depths)])
 			}
-			// Drain so deferred depth changes actually apply.
-			if cli.PendingDepth() != 0 {
-				for len(hs) > 0 {
-					if _, err := cli.Poll(p, hs[0], out); err != nil {
-						panic(err)
-					}
-					hs = hs[:copy(hs, hs[1:])]
-				}
-				continue
-			}
+			// A deferred depth change reports a full ring until the
+			// claims below drain it.
 			for len(hs) < cli.Depth() {
 				h, err := cli.Post(p, req)
+				if err == core.ErrRingFull {
+					break
+				}
 				if err != nil {
 					panic(err)
 				}

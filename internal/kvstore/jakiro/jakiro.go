@@ -111,6 +111,10 @@ func NewServer(m *fabric.Machine, cfg Config) *Server {
 	return s
 }
 
+// SetExtraProcNs changes Config.ExtraProcNs at runtime; requests charged
+// after the call pay the new value.
+func (s *Server) SetExtraProcNs(ns int64) { s.cfg.ExtraProcNs = ns }
+
 // Machine returns the hosting machine.
 func (s *Server) Machine() *fabric.Machine { return s.machine }
 
@@ -168,8 +172,10 @@ func (s *Server) handler(part *kv.BucketStore) core.Handler {
 			s.machine.ComputeNs(p, prof.CopyNs(len(v)))
 			return kv.EncodeResponse(resp, kv.StatusOK, v)
 		case kv.OpPut:
-			s.machine.ComputeNs(p, prof.CopyNs(len(r.Value)))
+			// Stored before the copy charge yields: req aliases the ring
+			// slot, which may hold the next request afterwards.
 			part.Put(r.Key, r.Value)
+			s.machine.ComputeNs(p, prof.CopyNs(len(r.Value)))
 			return kv.EncodeResponse(resp, kv.StatusOK, nil)
 		default:
 			return kv.EncodeResponse(resp, kv.StatusError, nil)

@@ -140,13 +140,18 @@ func (s *Server) Start() {
 	s.rfp.Start(s.cfg.Threads, func(int) core.Handler { return s.handler() })
 }
 
+// handler serves one thread. req aliases the ring slot and the handler
+// yields, so it works on the thread's own copy of key and value.
 func (s *Server) handler() core.Handler {
 	prof := s.machine.Profile()
+	keyBuf, valBuf := make([]byte, workload.KeySize), make([]byte, s.cfg.MaxValue)
 	return func(p *sim.Proc, conn *core.Conn, req, resp []byte) int {
 		r, err := kv.DecodeRequest(req)
 		if err != nil {
 			return kv.EncodeResponse(resp, kv.StatusError, nil)
 		}
+		r.Key = keyBuf[:copy(keyBuf, r.Key)]
+		r.Value = valBuf[:copy(valBuf, r.Value)]
 		// The key cache models the socket's shared last-level cache: hot
 		// items cost a fraction of the cold-path CPU and lock time.
 		hot := s.cache.Touch(r.Key)

@@ -43,9 +43,9 @@ var backendNames = map[string]bool{
 }
 
 // replicaBackend reports whether name is one of the replicated-store
-// backends. They preload versioned values (workload.FillVersioned) and are
-// driven by the history-recording driver, so they pair only with scenarios
-// that declare the Linearizable invariant (validate enforces both ways).
+// backends. They preload versioned values (workload.FillVersioned) and Drive
+// records their history, so they pair only with scenarios that declare the
+// Linearizable invariant (validate enforces both ways).
 func replicaBackend(name string) bool {
 	return name == BackendReplica || name == BackendReplicaLeader
 }
@@ -73,9 +73,10 @@ type BackendSpec struct {
 	MaxValue      int    // largest value any op carries
 	// Params configures every client's RFP connections; memckv's, and
 	// pilafkv's PUT channel, always run in server-reply mode. On the
-	// sharded backend Depth > 1 makes the clients pipelined: every ring
-	// joins one core.Group per client thread, and Drive keeps Depth ops
-	// per server in flight from each.
+	// sharded backend a ring capacity over 1 (MaxDepth, which defaults to
+	// Depth) makes the clients pipelined: every ring joins one core.Group
+	// per client thread, and Drive keeps up to capacity ops per server in
+	// flight from each, as many as the rings' current depth admits.
 	Params        core.Params
 	ExtraProcNs   int64 // synthetic per-request server CPU (Fig. 14/15)
 	DisableSpikes bool  // no heavy-tail process-time spikes
@@ -90,10 +91,21 @@ type BackendSpec struct {
 type Backend struct {
 	Conns []kv.Conn
 
-	maxValue int                 // the spec's MaxValue: Drive sizes its buffers by it
-	preload  int                 // the spec's PreloadValue: the shortest value a pipelined Drive verifies against
-	window   int                 // ops each driver keeps in flight; 0: synchronous
-	rec      *telemetry.Recorder // the recorder Record attached, sampled by Drive
+	maxValue  int                 // the spec's MaxValue: Drive sizes its buffers by it
+	preload   int                 // the spec's PreloadValue: the shortest value a pipelined Drive verifies against
+	window    int                 // ops each driver keeps in flight; 0: synchronous
+	versioned bool                // preloaded with versioned values: Drive records and checks history
+	rfpStores []*jakiro.Server    // the RFP-store servers, for SetExtraProcNs
+	rec       *telemetry.Recorder // the recorder Record attached, sampled by Drive
+}
+
+// SetExtraProcNs changes the synthetic per-request server CPU of every
+// RFP-store server b built (BackendSpec.ExtraProcNs) at runtime; call it
+// between env.Run calls. The other backends have no such knob.
+func (b *Backend) SetExtraProcNs(ns int64) {
+	for _, s := range b.rfpStores {
+		s.SetExtraProcNs(ns)
+	}
 }
 
 // Stats sums the RFP transport statistics (recovery block included) over
@@ -172,26 +184,26 @@ func BuildBackend(spec BackendSpec, servers []*fabric.Machine, placements []fabr
 			s := shard.For(workload.EncodeKey(kbuf, k), len(servers))
 			owned[s] = append(owned[s], k)
 		}
-		srvs := make([]*jakiro.Server, len(servers))
+		b.rfpStores = make([]*jakiro.Server, len(servers))
 		for s, m := range servers {
-			srvs[s] = jakiro.NewServer(m, cfg)
-			srvs[s].Preload(owned[s], spec.PreloadValue)
+			b.rfpStores[s] = jakiro.NewServer(m, cfg)
+			b.rfpStores[s].Preload(owned[s], spec.PreloadValue)
 		}
 		if spec.Backend == BackendSharded {
-			if spec.Params.Depth > 1 {
-				b.window = spec.Params.Depth * len(servers)
+			if capacity := max(spec.Params.Depth, spec.Params.MaxDepth); capacity > 1 {
+				b.window = capacity * len(servers)
 			}
 			for i, pl := range placements {
-				sc, err := shard.New(pl.Machine, srvs, spec.Params.Depth > 1)
+				sc, err := shard.New(pl.Machine, b.rfpStores, b.window > 0)
 				if err != nil {
 					return nil, fmt.Errorf("scenario: shard client: %w", err)
 				}
 				b.Conns[i] = sc
 			}
 		} else {
-			connect(b, placements, srvs[0].NewClient)
+			connect(b, placements, b.rfpStores[0].NewClient)
 		}
-		for _, srv := range srvs {
+		for _, srv := range b.rfpStores {
 			srv.Start()
 		}
 
@@ -222,6 +234,7 @@ func BuildBackend(spec BackendSpec, servers []*fabric.Machine, placements []fabr
 		// Every key at version 0, so reads of never-written keys verify
 		// under the versioned scheme.
 		svc.Preload(uint64(spec.Keys), spec.PreloadValue)
+		b.versioned = true
 		local := spec.Backend == BackendReplica
 		connect(b, placements, func(cm *fabric.Machine) *replica.Client {
 			return svc.NewClient(cm, spec.Params, local)

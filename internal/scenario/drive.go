@@ -64,14 +64,14 @@ const (
 // placement, each issuing its phase's workload (Keys included, as given)
 // against its conn in b, and returns one observation per phase; Faults is
 // left to the caller, whose schedule it is. Every GET is verified against
-// the fill pattern, so b must be preloaded with workload.FillValue. The
-// telemetry deltas come from the recorder b.Record attached, if any.
+// the values b was preloaded with. The telemetry deltas come from the
+// recorder b.Record attached, if any.
 //
-// With history set, the drivers instead write versioned values and record
-// their operation history (b must be preloaded versioned), and the second
-// result is the linearizability verdict on the merged history; it is nil
-// otherwise. History is recorded by the synchronous driver only.
-func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Phase, seed int64, history bool) ([]PhaseObs, *Verdict) {
+// On a backend BuildBackend preloaded with versioned values (the replicated
+// stores), the drivers write versioned values too and record their
+// operation history, and the second result is the linearizability verdict
+// on the merged history; it is nil otherwise.
+func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Phase, seed int64) ([]PhaseObs, *Verdict) {
 	starts := make([]sim.Time, len(phases))
 	ends := make([]sim.Time, len(phases))
 	t := env.Now()
@@ -87,7 +87,7 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 	// ClientLog, merged and checked after the drain.
 	threads := len(placements)
 	var logs []*linz.ClientLog
-	if history {
+	if b.versioned {
 		logs = make([]*linz.ClientLog, threads)
 		for i := range logs {
 			logs[i] = linz.NewClientLog(i)
@@ -114,7 +114,7 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 			check := make([]byte, b.maxValue+64)
 			var seq uint32
 			var pipe *pipeline
-			if b.window > 0 && !history {
+			if b.window > 0 {
 				pipe = &pipeline{c: c.(*shard.Client), window: b.window, short: short, scratch: scratch, check: check}
 			}
 			gen := gens.Fork(phaseSeed(seed, 0, i))
@@ -145,7 +145,7 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 					t0 := p.Now()
 					var missed, corrupt bool
 					var err error
-					if history {
+					if b.versioned {
 						missed, corrupt, err = driveLinz(p, c, op, scratch, logs[i], i, &seq)
 					} else {
 						missed, corrupt, err = driveOp(p, c, op, scratch, check)
@@ -207,7 +207,7 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 			o.Lat.Merge(&snap)
 		}
 	}
-	if !history {
+	if !b.versioned {
 		return obs, nil
 	}
 	return obs, checkHistory(logs)

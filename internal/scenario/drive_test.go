@@ -63,7 +63,7 @@ func TestPipelinedDriveFlagsForeignValues(t *testing.T) {
 	})
 	env.Run(sim.Time(sim.Millisecond))
 	obs, _ := Drive(env, b, placements, []Phase{{Name: "gets", Duration: 50 * sim.Microsecond,
-		Workload: workload.Config{Keys: keys, GetFraction: 1}}}, 1, false)
+		Workload: workload.Config{Keys: keys, GetFraction: 1}}}, 1)
 	if o := obs[0]; o.Issued == 0 || o.Corrupted != o.Issued {
 		t.Fatalf("issued %d, corrupt %d, done %d: every GET should be corrupt", o.Issued, o.Corrupted, o.Done)
 	}
@@ -86,7 +86,7 @@ func TestPipelinedDriveWindow(t *testing.T) {
 	obs, _ := Drive(env, b, placements, []Phase{
 		{Name: "rmw", Duration: 40 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 0.9, RMWFraction: 0.05}},
 		{Name: "get-put", Duration: 40 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 0.9}},
-	}, 1, false)
+	}, 1)
 	for i := range obs {
 		o := &obs[i]
 		if v := Eval(Invariant{Kind: NoLost}, o); !v.OK || o.Done == 0 || o.Failed+o.Corrupted != 0 {
@@ -109,6 +109,53 @@ func TestPipelinedDriveWindow(t *testing.T) {
 	}
 	if peak != b.window || inflight != 0 {
 		t.Fatalf("peak in flight %d, %d left at the end; want the window %d, then 0", peak, inflight, b.window)
+	}
+}
+
+// The window is the rings' capacity, not their depth: a depth-1 ring of
+// capacity 4 pipelines, the ring's depth bounds what is in flight until
+// SetDepth grows it, and SetExtraProcNs reaches the servers between runs.
+func TestPipelinedWindowIsRingCapacity(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	const keys = 64
+	cl := fabric.NewCluster(env, hw.ConnectX3(), 1)
+	placements := cl.ClientThreads(1)
+	spec := specFor(BackendSharded, Topology{Keys: keys}.withDefaults(), preloadValueSize, false)
+	spec.ServerThreads = 1
+	spec.DisableSpikes = true
+	spec.Params.MaxDepth = 4
+	b, err := BuildBackend(spec, []*fabric.Machine{cl.Server}, placements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.window != 4 {
+		t.Fatalf("window = %d at depth 1, capacity 4; want 4", b.window)
+	}
+	sc := b.Conns[0].(*shard.Client)
+	rec := telemetry.New(telemetry.Config{})
+	sc.SetRecorder(rec)
+	gets := []Phase{{Name: "gets", Duration: 50 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 1}}}
+	run := func(depth int, extraNs int64) (peak int, meanNs float64) {
+		sc.Server(0).Conns()[0].SetDepth(depth) // the ring is idle: applies at once
+		b.SetExtraProcNs(extraNs)
+		before := rec.Snapshot()
+		obs, _ := Drive(env, b, placements, gets, 1)
+		if o := &obs[0]; o.Done == 0 || o.Failed+o.Corrupted != 0 || o.Unfinished != 0 {
+			t.Fatalf("depth %d: done %d, failed %d, corrupt %d, unfinished %d", depth, o.Done, o.Failed, o.Corrupted, o.Unfinished)
+		}
+		return rec.Snapshot().Delta(before).PeakOccupancy(), obs[0].Lat.Mean()
+	}
+	if peak, _ := run(1, 0); peak != 1 {
+		t.Fatalf("peak in flight %d at depth 1, want 1", peak)
+	}
+	_, fast := run(4, 0)
+	peak, slow := run(4, 2000)
+	if peak != 4 {
+		t.Fatalf("peak in flight %d at depth 4, want 4", peak)
+	}
+	if slow < fast+2*2000 {
+		t.Fatalf("mean latency %.0f ns with 2 us extra server CPU, %.0f ns without: want at least 4 us more at depth 4", slow, fast)
 	}
 }
 

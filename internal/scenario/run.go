@@ -198,7 +198,7 @@ func Run(sc Scenario, backendName string, opt Options) (*Report, error) {
 		tracer = faults.Install(seed+1, stages, machines...)
 	}
 	b.Record()
-	obs, lz := Drive(env, b, placements, phases, seed, sc.declares(Linearizable))
+	obs, lz := Drive(env, b, placements, phases, seed)
 
 	// Assemble and evaluate.
 	rep := &Report{
