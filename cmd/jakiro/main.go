@@ -18,7 +18,12 @@ import (
 
 	"rfp/internal/dist"
 	"rfp/internal/experiments"
+	"rfp/internal/fabric"
+	"rfp/internal/kvstore/pilafkv"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
+	"rfp/internal/stats"
+	"rfp/internal/trace"
 	"rfp/internal/workload"
 )
 
@@ -62,47 +67,61 @@ func main() {
 	if *zipf {
 		wcfg.ZipfTheta = 0.99
 	}
-	out := experiments.RunKV(experiments.KVRun{
-		TraceEvents:   *tr,
-		Opts:          o,
-		Kind:          kind,
-		ServerThreads: *srvThr,
-		ClientThreads: *clients,
-		Keys:          *keys,
-		ValueSize:     *value,
-		Workload:      wcfg,
-		FetchSize:     *fetchF,
-		ExtraProcNs:   int64(*procUs) * 1000,
-	})
+	spec := experiments.PaperSpec(kind, *value)
+	if *srvThr > 0 {
+		spec.ServerThreads = *srvThr
+	}
+	if *keys > 0 {
+		spec.Keys = *keys
+	}
+	if *fetchF > 0 {
+		spec.Params.F = *fetchF
+	}
+	spec.ExtraProcNs = int64(*procUs) * 1000
+	var ring *trace.Ring
+	if *tr > 0 {
+		ring = trace.NewRing(*tr)
+	}
+	obs, b := experiments.Measure(o, spec, *clients, []scenario.Phase{
+		{Name: "warmup", Duration: o.Warmup, Workload: wcfg},
+		{Name: "window", Duration: o.Window, Workload: wcfg},
+	}, func(cl *fabric.Cluster, _ *scenario.Backend) { cl.Server.NIC().SetTracer(ring) })
+	w, st := obs[1], obs[1].Stats
+	var pilaf pilafkv.ClientStats
+	for _, c := range b.Conns {
+		if pc, ok := c.(*pilafkv.Client); ok {
+			pilaf.Add(pc.Stats)
+		}
+	}
 
 	fmt.Printf("system          %s\n", kind.Label())
-	fmt.Printf("throughput      %.3f MOPS\n", out.MOPS)
+	fmt.Printf("throughput      %.3f MOPS\n", stats.MOPS(w.Done, w.DurationNs))
 	fmt.Printf("latency         mean %.2fus  p50 %.2fus  p99 %.2fus  max %.2fus\n",
-		out.Lat.Mean()/1e3, float64(out.Lat.Percentile(0.5))/1e3,
-		float64(out.Lat.Percentile(0.99))/1e3, float64(out.Lat.Max)/1e3)
-	if out.Agg.Calls > 0 {
+		w.Lat.Mean()/1e3, float64(w.Lat.Percentile(0.5))/1e3,
+		float64(w.Lat.Percentile(0.99))/1e3, float64(w.Lat.Max)/1e3)
+	if st.Calls > 0 {
 		fmt.Printf("fetches/call    %.3f (second reads: %d)\n",
-			float64(out.Agg.FetchReads)/float64(out.Agg.Calls), out.Agg.SecondReads)
+			float64(st.FetchReads)/float64(st.Calls), st.SecondReads)
 		fmt.Printf("reply mode      %d deliveries, %d switches to reply, %d back to fetch\n",
-			out.Agg.ReplyDeliveries, out.Agg.SwitchToReply, out.Agg.SwitchToFetch)
-		fmt.Printf("retries         max %d per call\n", out.Agg.MaxRetries)
-		fmt.Printf("client CPU      %.1f%%\n", 100*out.ClientUtil)
-		calls := float64(out.Agg.Calls)
+			st.ReplyDeliveries, st.SwitchToReply, st.SwitchToFetch)
+		fmt.Printf("retries         max %d per call\n", st.MaxRetries)
+		fmt.Printf("client CPU      %.1f%%\n", 100*experiments.ClientUtil(w, *clients))
+		calls := float64(st.Calls)
 		fmt.Printf("phase breakdown send %.2fus  fetch %.2fus  reply-wait %.2fus (per call)\n",
-			float64(out.Agg.SendNs)/calls/1e3, float64(out.Agg.FetchNs)/calls/1e3,
-			float64(out.Agg.ReplyWaitNs)/calls/1e3)
+			float64(st.SendNs)/calls/1e3, float64(st.FetchNs)/calls/1e3,
+			float64(st.ReplyWaitNs)/calls/1e3)
 	}
-	if kind == experiments.KindPilaf && out.Pilaf.Gets > 0 {
+	if kind == experiments.KindPilaf && pilaf.Gets > 0 {
 		fmt.Printf("bypass reads    %.2f per GET (torn slots %d, torn extents %d)\n",
-			out.Pilaf.ReadsPerGet(), out.Pilaf.TornSlots, out.Pilaf.TornExtents)
+			pilaf.ReadsPerGet(), pilaf.TornSlots, pilaf.TornExtents)
 	}
-	if out.Misses > 0 {
-		fmt.Printf("misses          %d\n", out.Misses)
+	if w.Missed > 0 {
+		fmt.Printf("misses          %d\n", w.Missed)
 	}
-	if out.Trace != nil {
-		fmt.Printf("\n%s", out.Trace.Summary())
+	if ring != nil {
+		fmt.Printf("\n%s", ring.Summary())
 		fmt.Println("last events:")
-		events := out.Trace.Events()
+		events := ring.Events()
 		if len(events) > *tr {
 			events = events[len(events)-*tr:]
 		}

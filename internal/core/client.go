@@ -224,12 +224,7 @@ func (c *Client) Params() Params { return c.params }
 // continuation-read arithmetic must keep seeing that F until the call is
 // claimed.
 func (c *Client) SetFetchSize(f int) {
-	if f > HeaderSize+c.maxResp {
-		f = HeaderSize + c.maxResp
-	}
-	if f < HeaderSize+1 {
-		f = HeaderSize + 1
-	}
+	f = c.clampF(f)
 	if c.outstanding > 0 {
 		c.pendingF = f
 		return
@@ -270,6 +265,13 @@ func (c *Client) targetDepth() int {
 		return c.pendingDepth
 	}
 	return c.depth
+}
+
+// clampF bounds a fetch size to [HeaderSize+1, HeaderSize+maxResp]: a
+// fetch reads at least the header and the first payload byte, and never
+// past the response buffer.
+func (c *Client) clampF(f int) int {
+	return min(max(f, HeaderSize+1), HeaderSize+c.maxResp)
 }
 
 // applyPendingParams applies deferred F/depth changes once the ring is

@@ -73,7 +73,9 @@ func (t *Tuner) observe(p *sim.Proc, c *Client, respSize int, procNs int64) {
 		return
 	}
 	// SelectF reasons over result payload sizes (the header is added
-	// internally); Client.SetFetchSize clamps to the connection's buffers.
+	// internally). Each client compares the pick clamped to its own
+	// buffers, as SetFetchSize applies it: a client whose buffers cap F
+	// below the pick has nothing to change.
 	newF := SelectF(t.cal, t.sampler.Sizes)
 	newR := c.params.R
 	if t.TuneR {
@@ -81,10 +83,10 @@ func (t *Tuner) observe(p *sim.Proc, c *Client, respSize int, procNs int64) {
 	}
 	changed := false
 	for _, cc := range t.clients {
-		if newF != cc.params.F && newF != cc.pendingF {
+		if f := cc.clampF(newF); f != cc.params.F && f != cc.pendingF {
 			oldF := cc.params.F
-			cc.SetFetchSize(newF)
-			t.logDecision(p, cc, "F", oldF, newF, cc.pendingF != 0)
+			cc.SetFetchSize(f)
+			t.logDecision(p, cc, "F", oldF, f, cc.pendingF != 0)
 			changed = true
 		}
 		if t.TuneR && newR != cc.params.R {

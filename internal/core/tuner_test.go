@@ -5,6 +5,7 @@ import (
 
 	"rfp/internal/hw"
 	"rfp/internal/sim"
+	"rfp/internal/telemetry"
 )
 
 func TestTunerAdaptsToSizeShift(t *testing.T) {
@@ -61,6 +62,50 @@ func TestTunerAdaptsToSizeShift(t *testing.T) {
 	grow := secondReadsTail - secondReadsSmall
 	if grow >= 400 {
 		t.Fatalf("second reads never stopped after retuning (%d)", grow)
+	}
+}
+
+// TestTunerComparesClampedF checks that a client whose response buffer caps
+// F below the tuner's pick sees no F decision: the pick, clamped to the
+// buffer, is the F the client already has, so nothing is logged and
+// Retunes stays 0 however many periods pass.
+func TestTunerComparesClampedF(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{MaxResponse: 33}) // a 32 B value plus its status byte
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], DefaultParams())
+	if f := cli.Params().F; f != HeaderSize+33 {
+		t.Fatalf("F = %d at accept, want %d (clamped to the buffer)", f, HeaderSize+33)
+	}
+	tuner := NewTuner(Calibrate(hw.ConnectX3(), 1), 64, 32)
+	tuner.TuneR = false
+	cli.AttachTuner(tuner)
+	rec := telemetry.New(telemetry.Config{})
+	tuner.SetRecorder(rec)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int { return 33 })
+	})
+	const calls = 8 * 32 // eight periods
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 33)
+		for i := 0; i < calls; i++ {
+			if _, err := cli.Call(p, []byte("q"), out); err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+		}
+	})
+	r.env.Run(sim.Time(20 * sim.Millisecond))
+	if cli.Stats.Calls != calls {
+		t.Fatalf("%d calls completed, want %d", cli.Stats.Calls, calls)
+	}
+	if tuner.Retunes != 0 {
+		t.Errorf("Retunes = %d, want 0: F cannot move past the buffer", tuner.Retunes)
+	}
+	if d := rec.Snapshot().Decisions; len(d) != 0 {
+		t.Errorf("%d decisions logged, want none; first: %v", len(d), d[0])
+	}
+	if f := cli.Params().F; f != HeaderSize+33 {
+		t.Errorf("F = %d, want %d", f, HeaderSize+33)
 	}
 }
 

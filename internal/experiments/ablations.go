@@ -10,6 +10,7 @@ import (
 	"rfp/internal/core"
 	"rfp/internal/dist"
 	"rfp/internal/fabric"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/workload"
@@ -31,21 +32,21 @@ var ablationInline = sweep{
 	xLabel: "value size (B)", yLabel: "MOPS",
 	full: []int{32, 128, 512, 2048}, quick: []int{32, 512},
 	lines: []line{
-		kvLine("inline", coveringRun),
-		kvLine("size-probe", func(o Options, sz int) KVRun {
-			r := coveringRun(o, sz)
-			r.NoInline = true
-			return r
-		}),
+		{"inline", func(o Options, sz int) scenario.PhaseObs { return point(o, coveringSpec(sz), sizedLoad(sz)) }},
+		{"size-probe", func(o Options, sz int) scenario.PhaseObs {
+			spec := coveringSpec(sz)
+			spec.Params.NoInline = true
+			return point(o, spec, sizedLoad(sz))
+		}},
 	},
 	notes: []string{"the strawman wastes half of the RNIC's in-bound IOPS on small results (Sec. 3.2)"},
 }
 
-// coveringRun is Jakiro over sz-byte values with an F that covers them.
-func coveringRun(o Options, sz int) KVRun {
-	r := sizedRun(o, KindJakiro, sz)
-	r.FetchSize = sz + fetchOverhead
-	return r
+// coveringSpec is Jakiro over sz-byte values with an F that covers them.
+func coveringSpec(sz int) scenario.BackendSpec {
+	spec := PaperSpec(KindJakiro, sz)
+	spec.Params.F = sz + fetchOverhead
+	return spec
 }
 
 // ablationSwitch contrasts the three policies at a long process time where
@@ -65,10 +66,8 @@ func ablationSwitch(o Options) Result {
 	}
 	lines := []string{fmt.Sprintf("%-16s%10s%14s", "policy", "MOPS", "client CPU%")}
 	for _, r := range rows {
-		run := fig14run(o, r.kind, procUs)
-		run.DisableSwitch = r.noSw
-		out := RunKV(run)
-		lines = append(lines, fmt.Sprintf("%-16s%10.3f%13.1f%%", r.name, out.MOPS, 100*out.ClientUtil))
+		w := fig14Point(o, r.kind, procUs, r.noSw)
+		lines = append(lines, fmt.Sprintf("%-16s%10.3f%13.1f%%", r.name, mops(w), 100*ClientUtil(w, paperClients)))
 	}
 	return Result{
 		ID: "ablation-switch", Title: fmt.Sprintf("policies at P = %d us", procUs),
@@ -96,8 +95,11 @@ func ablationSelection(o Options) Result {
 
 	fs := []int{selected, cal.H, 2 * cal.H, 4 * cal.H}
 	s := &stats.Series{Label: "MOPS", XLabel: "fetch size F (B)", YLabel: "MOPS"}
+	spec := PaperSpec(KindJakiro, 32)
+	spec.MaxValue = mix.Max()
 	for _, f := range fs {
-		s.Add(float64(f), RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w, FetchSize: f}).MOPS)
+		spec.Params.F = f
+		s.Add(float64(f), mops(point(o, spec, w)))
 	}
 	return Result{
 		ID: "ablation-selection", Title: fmt.Sprintf("selected F = %d within [L=%d, H=%d]", selected, cal.L, cal.H),
@@ -107,7 +109,9 @@ func ablationSelection(o Options) Result {
 }
 
 // ablationTwoSided confirms the paper's side observation that two-sided
-// Send/Recv shows no in/out-bound asymmetry, unlike one-sided verbs.
+// Send/Recv shows no in/out-bound asymmetry, unlike one-sided verbs. Its
+// senders issue raw Sends, not RFP calls, so the loop is its own rather
+// than scenario.Drive's.
 func ablationTwoSided(o Options) Result {
 	env := sim.NewEnv(o.Seed)
 	defer env.Close()

@@ -163,8 +163,8 @@ func runAdaptiveDepth(o Options, valueSize int) adaptiveRun {
 	})
 
 	obs := drivePhases(env, b, placements, phases, o.Seed, "ext-adaptive-depth")
-	out.preMOPS = stats.MOPS(obs[2].Done, obs[2].DurationNs)
-	out.postMOPS = stats.MOPS(obs[4].Done, obs[4].DurationNs)
+	out.preMOPS = mops(obs[2])
+	out.postMOPS = mops(obs[4])
 	out.postDepth = int(out.trace.Y[len(out.trace.Y)-1])
 	if rec != nil {
 		out.tel = rec.Snapshot()

@@ -128,8 +128,8 @@ func checkArchived(t *testing.T, lines map[string][]byte, ids ...string) {
 // groups of archive lines: a drift there fails both the per-id subtest and
 // the group's test. They read the memo, so they add no run.
 
-// TestBenchKVArchiveByteIdentical pins the figures RunKV serves — all four
-// stores, throughput, latency CDFs and the retry table.
+// TestBenchKVArchiveByteIdentical pins figure points of all four
+// stores: throughput, latency CDFs and the retry table.
 func TestBenchKVArchiveByteIdentical(t *testing.T) {
 	lines, _ := archiveLines(t)
 	checkArchived(t, lines, "fig10", "fig11", "fig13", "fig16", "table3")

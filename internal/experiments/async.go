@@ -3,7 +3,8 @@ package experiments
 // ext-async (extension): the pipelining/doorbell-batching optimizations the
 // paper sets aside ("batching the requests or issuing several RDMA
 // operations without waiting ... can improve the performance", Sec. 2.2),
-// quantified on the simulated NIC.
+// quantified on the simulated NIC. Its loops issue raw RDMA Reads, not RFP
+// calls, so they do not run on scenario.Drive.
 
 import (
 	"fmt"

@@ -81,7 +81,10 @@ type crowdCell struct {
 
 // runCrowd accepts n logical clients against a server configured with pool
 // (zero = dedicated baseline) and drives an active subset for the measured
-// window.
+// window. Its echo loop is an RFP loop that stays outside scenario.Drive:
+// the quantity under test is the footprint of n bare core connections, one
+// per logical client, while a store built by scenario.BuildBackend accepts
+// one per server thread and Drive spawns a proc per placement.
 func runCrowd(o Options, n int, pool core.PoolConfig) crowdCell {
 	env := sim.NewEnv(o.Seed)
 	defer env.Close()

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"rfp/internal/core"
+	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/scenario"
 	"rfp/internal/stats"
 	"rfp/internal/workload"
@@ -237,26 +237,32 @@ func TestAblationTwoSided(t *testing.T) {
 	}
 }
 
+// The next four tests measure figure points the way the sweeps do, through
+// Measure.
+
 func TestRunKVPilafAmplification(t *testing.T) {
-	out := RunKV(KVRun{
-		Opts: archiveOpts(), Kind: KindPilaf, Keys: 20_000,
-		Workload: workload.Config{GetFraction: 0.95},
-	})
-	if out.MOPS <= 0 {
+	o := archiveOpts()
+	spec := PaperSpec(KindPilaf, 32)
+	spec.Keys = 20_000
+	obs, b := Measure(o, spec, paperClients, windowPhases(o, workload.Config{GetFraction: 0.95}), nil)
+	if mops(obs[1]) <= 0 {
 		t.Fatal("no throughput")
 	}
-	if rpg := out.Pilaf.ReadsPerGet(); rpg < 1.8 || rpg > 3.6 {
+	var st pilafkv.ClientStats
+	for _, c := range b.Conns {
+		st.Add(c.(*pilafkv.Client).Stats)
+	}
+	if rpg := st.ReadsPerGet(); rpg < 1.8 || rpg > 3.6 {
 		t.Fatalf("Pilaf reads/GET = %.2f, want 2-3.5", rpg)
 	}
 }
 
 func TestRunKVMissesCounted(t *testing.T) {
-	out := RunKV(KVRun{
-		Opts: archiveOpts(), Kind: KindJakiro, Keys: 1000,
-		Workload: workload.Config{Keys: 1000, GetFraction: 1.0},
-	})
-	if out.Misses > out.Agg.Calls/100 {
-		t.Fatalf("%d misses out of %d calls on a fully preloaded store", out.Misses, out.Agg.Calls)
+	spec := PaperSpec(KindJakiro, 32)
+	spec.Keys = 1000
+	w := point(archiveOpts(), spec, workload.Config{Keys: 1000, GetFraction: 1.0})
+	if w.Missed > w.Stats.Calls/100 {
+		t.Fatalf("%d misses out of %d calls on a fully preloaded store", w.Missed, w.Stats.Calls)
 	}
 }
 
@@ -264,24 +270,23 @@ func TestRunKVMissRateAtStandardLoad(t *testing.T) {
 	// Regression for the partition/bucket hash-aliasing bug: at the
 	// standard 100k-key load the GET miss rate must match the Poisson
 	// bucket-overflow expectation (<2%), not the ~14% aliasing produced.
-	out := RunKV(KVRun{
-		Opts: archiveOpts(), Kind: KindJakiro,
-		Workload: workload.Config{GetFraction: 1.0},
-	})
-	rate := float64(out.Misses) / float64(out.Agg.Calls)
+	w := point(archiveOpts(), PaperSpec(KindJakiro, 32), workload.Config{GetFraction: 1.0})
+	rate := float64(w.Missed) / float64(w.Stats.Calls)
 	if rate > 0.02 {
 		t.Fatalf("miss rate %.3f at standard load, want <2%%", rate)
 	}
 }
 
 // TestFigurePointIsScenarioPhase checks that a figure point is a scenario
-// phase: RunKV's window and the "window" phase of a scenario declaring the
-// same cluster, store, seed and workload report the same op count, latency
-// distribution and transport stats.
+// phase: a point's window and the "window" phase of a scenario declaring
+// the same cluster, store, seed and workload report the same op count,
+// latency distribution and transport stats.
 func TestFigurePointIsScenarioPhase(t *testing.T) {
 	o := archiveOpts()
 	w := workload.Config{GetFraction: 0.95}
-	out := RunKV(KVRun{Opts: o, Kind: KindJakiro, ServerThreads: 4, ClientThreads: 35, Keys: 4096, Workload: w})
+	spec := PaperSpec(KindJakiro, 32)
+	spec.ServerThreads, spec.Keys = 4, 4096
+	out := point(o, spec, w)
 	rep, err := scenario.Run(scenario.Scenario{
 		Name:     "figure-point",
 		Topology: scenario.Topology{ClientMachines: 7, Threads: 35, Keys: 4096},
@@ -295,28 +300,33 @@ func TestFigurePointIsScenarioPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	win := rep.Phases[1].Obs
-	if want := stats.MOPS(win.Done, win.DurationNs); out.MOPS != want {
-		t.Errorf("MOPS %.4f, scenario window %.4f (%d done)", out.MOPS, want, win.Done)
+	if got, want := mops(out), stats.MOPS(win.Done, win.DurationNs); got != want {
+		t.Errorf("MOPS %.4f, scenario window %.4f (%d done)", got, want, win.Done)
 	}
 	if out.Lat != win.Lat {
 		t.Errorf("latency: n=%d mean=%.1f ns, scenario window n=%d mean=%.1f ns",
 			out.Lat.Count, out.Lat.Mean(), win.Lat.Count, win.Lat.Mean())
 	}
-	if out.Agg != win.Stats {
-		t.Errorf("transport stats:\n  RunKV    %+v\n  scenario %+v", out.Agg, win.Stats)
+	if out.Stats != win.Stats {
+		t.Errorf("transport stats:\n  point    %+v\n  scenario %+v", out.Stats, win.Stats)
 	}
 }
 
-// TestRunEchoAggIsWindowDelta checks that RunEcho's transport stats cover
-// the measurement window only, as RunKV's do: the calls they count match the
-// window's op count to within one in-flight call per client thread (35).
-func TestRunEchoAggIsWindowDelta(t *testing.T) {
-	o := archiveOpts()
-	out := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams(), ProcNs: 1000})
-	ops := out.MOPS * float64(o.Window) / 1e3
-	if d := math.Abs(float64(out.Agg.Calls) - ops); d > paperClients {
-		t.Fatalf("Agg.Calls = %d, window ops = %.0f: off by %.0f, want <= %d", out.Agg.Calls, ops, d, paperClients)
-	}
+// TestCheckPhaseNamesFailure checks that the figure-point judge fails a
+// phase whose issued ops are not all accounted for, even though every
+// driver finished, and names the label, the phase and the failing
+// invariant.
+func TestCheckPhaseNamesFailure(t *testing.T) {
+	lost := &scenario.PhaseObs{Phase: "window", Issued: 100, Done: 98}
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"fig9 window phase", "FAIL no-lost", "issued 100 = done 98 + failed 0 + corrupt 0, unfinished 0"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	checkPhase("fig9", lost)
 }
 
 // TestRunHerdStatsAreWindowDelta checks that runHerd's counters cover the

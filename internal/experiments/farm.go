@@ -6,7 +6,6 @@ package experiments
 // it collapses first as values grow.
 
 import (
-	"rfp/internal/dist"
 	"rfp/internal/fabric"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
@@ -29,8 +28,7 @@ func extFarm(o Options) Result {
 	bytesPer := &stats.Series{Label: "FaRM-bytes/GET"}
 	for _, sz := range sizes {
 		farm.Add(float64(sz), runFarm(o, sz))
-		jk.Add(float64(sz), RunKV(KVRun{Opts: o, Kind: KindJakiro, ValueSize: sz,
-			FetchSize: sz + fetchOverhead, Workload: workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}}).MOPS)
+		jk.Add(float64(sz), mops(point(o, coveringSpec(sz), sizedLoad(sz))))
 		bytesPer.Add(float64(sz), float64(farmNeighborhood*(workload.KeySize+sz)))
 	}
 	return Result{
@@ -45,6 +43,8 @@ func extFarm(o Options) Result {
 // runFarm drives 35 clients doing one neighborhood read per GET against a
 // server-resident cell array (writes go through a tiny server-reply
 // channel like FaRM's, but the workload here is 95% GET so reads dominate).
+// The reads are one-sided, not RFP calls, so the loop is its own rather
+// than scenario.Drive's.
 func runFarm(o Options, valueSize int) float64 {
 	env := sim.NewEnv(o.Seed)
 	defer env.Close()

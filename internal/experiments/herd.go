@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"rfp/internal/core"
 	"rfp/internal/fabric"
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
@@ -34,7 +33,9 @@ type herdStats struct {
 // runHerd drives a HERD-style echo service: requests arrive as UC writes
 // into per-client slots; responses leave as UD datagrams. Clients detect
 // loss by timeout and retransmit; servers detect duplicate sequence
-// numbers (re-executions) for accounting.
+// numbers (re-executions) for accounting. This transport is not RFP, so it
+// keeps its own client and server loops rather than running on
+// scenario.Drive.
 func runHerd(o Options, lossProb float64, clientThreads, serverThreads int) (float64, herdStats) {
 	prof := o.Profile
 	prof.LossProb = lossProb
@@ -164,13 +165,15 @@ func runHerd(o Options, lossProb float64, clientThreads, serverThreads int) (flo
 
 func extHerd(o Options) Result {
 	herd, _ := runHerd(o, 0, 35, 6)
-	rfpOut := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams(), ProcNs: 150, RespSize: 32, ServerThreads: 6})
-	srOut := RunEcho(EchoRun{Opts: o, Params: core.DefaultParams().ServerReply(), ProcNs: 150, RespSize: 32, ServerThreads: 6})
+	// The RC lines answer the same 150 ns, 32 B echo: Jakiro GETs of 32 B
+	// values.
+	rfp := mops(point(o, rpcSpec(KindJakiro, 6, 32, 150), getLoad))
+	sr := mops(point(o, rpcSpec(KindServerReply, 6, 32, 150), getLoad))
 	rows := []string{
 		fmt.Sprintf("%-24s%10s", "paradigm", "MOPS"),
-		fmt.Sprintf("%-24s%10.3f", "RFP (RC)", rfpOut.MOPS),
+		fmt.Sprintf("%-24s%10.3f", "RFP (RC)", rfp),
 		fmt.Sprintf("%-24s%10.3f", "HERD-style (UC+UD)", herd),
-		fmt.Sprintf("%-24s%10.3f", "server-reply (RC)", srOut.MOPS),
+		fmt.Sprintf("%-24s%10.3f", "server-reply (RC)", sr),
 	}
 	return Result{
 		ID: "ext-herd", Title: "unreliable-transport RPC vs RFP (lossless fabric)",

@@ -7,9 +7,9 @@ package experiments
 import (
 	"fmt"
 
-	"rfp/internal/core"
 	"rfp/internal/dist"
 	"rfp/internal/hw"
+	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
@@ -25,21 +25,23 @@ func init() {
 	register("table3", "Number of fetch retries under different workloads", table3)
 }
 
-// Unset KVRun fields take the paper's peak configuration (Sec. 4.4.3): 6
-// server threads (16 for RDMA-Memcached), 35 client threads, 32 B values.
+// Each point starts from PaperSpec, the paper's peak configuration (Sec.
+// 4.4.3), loaded by 35 client threads over 32 B values unless it says
+// otherwise.
 var figures = []sweep{{
 	id: "fig9", desc: "Repeated remote fetching vs server-reply vs server process time",
 	title:  "fetching vs reply across process times (F=S=1B, 16 server threads)",
 	xLabel: "server process time (us)", yLabel: "MOPS",
 	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, quick: []int{1, 4, 7, 11, 15},
+	// A bare RPC whose handler costs P and returns 1 B: GETs of 1 B values.
 	lines: []line{
-		{"remote-fetching", func(o Options, p int) KVOut {
-			params := core.DefaultParams()
-			params.DisableSwitch = true // pure repeated remote fetching
-			return RunEcho(EchoRun{Opts: o, Params: params, ProcNs: int64(p) * 1000})
+		{"remote-fetching", func(o Options, p int) scenario.PhaseObs {
+			spec := rpcSpec(KindJakiro, 16, 1, int64(p)*1000)
+			spec.Params.DisableSwitch = true // pure repeated remote fetching
+			return point(o, spec, getLoad)
 		}},
-		{"server-reply", func(o Options, p int) KVOut {
-			return RunEcho(EchoRun{Opts: o, Params: core.DefaultParams().ServerReply(), ProcNs: int64(p) * 1000})
+		{"server-reply", func(o Options, p int) scenario.PhaseObs {
+			return point(o, rpcSpec(KindServerReply, 16, 1, int64(p)*1000), getLoad)
 		}},
 	},
 	telHeader: fmt.Sprintf("%-6s%-16s%12s%12s%12s%16s", "P(us)", "paradigm",
@@ -55,8 +57,9 @@ var figures = []sweep{{
 	title:  "Jakiro vs client threads (6 server threads, 32 B values)",
 	xLabel: "client threads", yLabel: "MOPS",
 	full: []int{7, 14, 21, 28, 35, 42, 49, 56, 63, 70}, quick: []int{7, 21, 35, 70},
-	lines: perKind(func(o Options, k StoreKind, t int) KVRun {
-		return KVRun{Opts: o, Kind: k, ClientThreads: t, Workload: workload.Config{GetFraction: 0.95}}
+	lines: perKind(func(o Options, k StoreKind, t int) scenario.PhaseObs {
+		obs, _ := Measure(o, PaperSpec(k, 32), t, windowPhases(o, workload.Config{GetFraction: 0.95}), nil)
+		return obs[1]
 	}, KindJakiro),
 	tel: func(t int, _ string, s telemetry.Snapshot) string {
 		return fmt.Sprintf(
@@ -71,9 +74,9 @@ var figures = []sweep{{
 	title:  "Jakiro vs Pilaf under 50% GET",
 	xLabel: "value size (B)", yLabel: "MOPS",
 	full: []int{32, 64, 128, 256}, quick: []int{32, 256},
-	lines: perKind(func(o Options, k StoreKind, sz int) KVRun {
+	lines: perKind(func(o Options, k StoreKind, sz int) scenario.PhaseObs {
 		o.Profile = hw.ConnectX2() // Pilaf's testbed class: 20 Gbps NICs
-		return KVRun{Opts: o, Kind: k, ValueSize: sz, Workload: workload.Config{GetFraction: 0.5, ValueSize: dist.Fixed(sz)}}
+		return point(o, PaperSpec(k, sz), workload.Config{GetFraction: 0.5, ValueSize: dist.Fixed(sz)})
 	}, KindJakiro, KindPilaf),
 	notes: []string{"the paper compares against Pilaf's published 1.3 MOPS (its code being unavailable); this run measures our server-bypass reimplementation"},
 }, {
@@ -81,8 +84,10 @@ var figures = []sweep{{
 	title:  "throughput vs server threads (32 B values)",
 	xLabel: "server threads", yLabel: "MOPS",
 	full: []int{1, 2, 4, 6, 8, 10, 12, 14, 16}, quick: []int{1, 6, 16},
-	lines: perKind(func(o Options, k StoreKind, t int) KVRun {
-		return KVRun{Opts: o, Kind: k, ServerThreads: t, Workload: workload.Config{GetFraction: 0.95}}
+	lines: perKind(func(o Options, k StoreKind, t int) scenario.PhaseObs {
+		spec := PaperSpec(k, 32)
+		spec.ServerThreads = t
+		return point(o, spec, workload.Config{GetFraction: 0.95})
 	}, rpcKinds...),
 	notes: []string{"Jakiro saturates the NIC in-bound engine with ~2 threads; ServerReply is capped by the out-bound IOPS ceiling; RDMA-Memcached is CPU/lock-bound"},
 }, {
@@ -90,28 +95,26 @@ var figures = []sweep{{
 	title:  "throughput vs request process time",
 	xLabel: "request process time (us)", yLabel: "MOPS",
 	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, quick: []int{1, 5, 9, 12},
-	lines: append(perKind(fig14run, KindJakiro, KindServerReply),
-		kvLine("Jakiro-w/o-Switch", func(o Options, p int) KVRun {
-			r := fig14run(o, KindJakiro, p)
-			r.DisableSwitch = true
-			return r
-		})),
+	lines: append(perKind(func(o Options, k StoreKind, p int) scenario.PhaseObs {
+		return fig14Point(o, k, p, false)
+	}, KindJakiro, KindServerReply),
+		line{"Jakiro-w/o-Switch", func(o Options, p int) scenario.PhaseObs { return fig14Point(o, KindJakiro, p, true) }}),
 	notes: []string{"for large process times Jakiro auto-switches to server-reply and matches it"},
 }, {
 	id: "fig15", desc: "Client CPU utilization vs request process time",
 	title:  "client CPU utilization vs request process time (Jakiro)",
 	xLabel: "request process time (us)", yLabel: "%",
 	full: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, quick: []int{1, 5, 9, 12},
-	lines: []line{kvLine("client-CPU%", func(o Options, p int) KVRun { return fig14run(o, KindJakiro, p) })},
-	y:     func(out KVOut) float64 { return 100 * out.ClientUtil },
+	lines: []line{{"client-CPU%", func(o Options, p int) scenario.PhaseObs { return fig14Point(o, KindJakiro, p, false) }}},
+	y:     func(w scenario.PhaseObs) float64 { return 100 * ClientUtil(w, paperClients) },
 	notes: []string{"100% while repeatedly fetching; drops sharply once the hybrid mechanism settles in server-reply mode"},
 }, {
 	id: "fig16", desc: "Throughput vs GET percentage (uniform, 32 B)",
 	title:  "throughput vs GET percentage (uniform)",
 	xLabel: "GET %", yLabel: "MOPS",
 	full: []int{95, 50, 5},
-	lines: perKind(func(o Options, k StoreKind, g int) KVRun {
-		return KVRun{Opts: o, Kind: k, Workload: workload.Config{GetFraction: float64(g) / 100}}
+	lines: perKind(func(o Options, k StoreKind, g int) scenario.PhaseObs {
+		return point(o, PaperSpec(k, 32), workload.Config{GetFraction: float64(g) / 100})
 	}, rpcKinds...),
 	notes: []string{"Jakiro holds its peak even write-intensive; RDMA-Memcached collapses (long PUT critical sections)"},
 }, {
@@ -119,15 +122,15 @@ var figures = []sweep{{
 	title:  "throughput vs value size (F=640 for Jakiro)",
 	xLabel: "value size (B)", yLabel: "MOPS",
 	full: []int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}, quick: []int{32, 256, 1024, 8192},
-	lines: perKind(func(o Options, k StoreKind, sz int) KVRun {
-		r := sizedRun(o, k, sz)
+	lines: perKind(func(o Options, k StoreKind, sz int) scenario.PhaseObs {
+		spec := PaperSpec(k, sz)
 		if k == KindJakiro {
 			// Pre-running this sweep's mix selects F = 640 (paper Sec.
 			// 4.4.3). As in the paper's presentation, F counts the value
 			// bytes a fetch covers; the response framing rides on top.
-			r.FetchSize = 640 + fetchOverhead
+			spec.Params.F = 640 + fetchOverhead
 		}
-		return r
+		return point(o, spec, sizedLoad(sz))
 	}, rpcKinds...),
 	notes: []string{"all systems converge at 4 KB+ where link bandwidth is the bottleneck"},
 }, {
@@ -142,8 +145,8 @@ var figures = []sweep{{
 	title:  "throughput vs GET percentage (Zipf .99)",
 	xLabel: "GET %", yLabel: "MOPS",
 	full: []int{95, 50, 5},
-	lines: perKind(func(o Options, k StoreKind, g int) KVRun {
-		return KVRun{Opts: o, Kind: k, Workload: workload.Config{GetFraction: float64(g) / 100, ZipfTheta: 0.99}}
+	lines: perKind(func(o Options, k StoreKind, g int) scenario.PhaseObs {
+		return point(o, PaperSpec(k, 32), workload.Config{GetFraction: float64(g) / 100, ZipfTheta: 0.99})
 	}, rpcKinds...),
 	notes: []string{"EREW partitioning tolerates the skew; RDMA-Memcached gains from cache locality on hot keys"},
 }, {
@@ -155,12 +158,12 @@ var figures = []sweep{{
 	title:  "YCSB core workloads (Zipf .99, 32 B values, ops/s)",
 	xLabel: "workload#", yLabel: "MOPS",
 	full: []int{0, 1, 2, 3},
-	lines: perKind(func(o Options, k StoreKind, i int) KVRun {
+	lines: perKind(func(o Options, k StoreKind, i int) scenario.PhaseObs {
 		w, err := workload.YCSB(ycsbPresets[i], 100_000)
 		if err != nil {
 			panic(err)
 		}
-		return KVRun{Opts: o, Kind: k, Workload: w}
+		return point(o, PaperSpec(k, 32), w)
 	}, rpcKinds...),
 	rows: func(s []*stats.Series) []string {
 		rows := []string{fmt.Sprintf("%-10s%12s%16s%18s", "workload", "Jakiro", "ServerReply", "RDMA-Memcached")}
@@ -175,34 +178,33 @@ var figures = []sweep{{
 // ycsbPresets are ext-ycsb's workloads, one per point.
 const ycsbPresets = "ABCF"
 
-// fig14run is Jakiro (or ServerReply) with a controlled request process
-// time, the paper's "for loop + RDTSC" methodology.
-func fig14run(o Options, k StoreKind, procUs int) KVRun {
+// fig14Point is Jakiro (or ServerReply) with a controlled request process
+// time, the paper's "for loop + RDTSC" methodology; noSwitch turns the
+// hybrid mechanism off.
+func fig14Point(o Options, k StoreKind, procUs int, noSwitch bool) scenario.PhaseObs {
 	// The hybrid mechanism needs K consecutive overruns on each of a
 	// client's per-partition connections before all of them settle in
 	// reply mode; give the adaptation room before measuring.
 	if o.Warmup < 2*sim.Millisecond {
 		o.Warmup = 2 * sim.Millisecond
 	}
-	return KVRun{
-		Opts:          o,
-		Kind:          k,
-		ServerThreads: 16, // paper: 16 server threads, 35 client threads
-		Workload:      workload.Config{GetFraction: 0.95},
-		ExtraProcNs:   int64(procUs) * 1000,
-		DisableSpikes: true,
-	}
+	spec := PaperSpec(k, 32)
+	spec.ServerThreads = 16 // paper: 16 server threads, 35 client threads
+	spec.ExtraProcNs = int64(procUs) * 1000
+	spec.DisableSpikes = true
+	spec.Params.DisableSwitch = noSwitch
+	return point(o, spec, workload.Config{GetFraction: 0.95})
 }
 
 // fetchSizeLines is one Jakiro line per fetch size F over the value sizes.
 func fetchSizeLines(fs ...int) []line {
 	lines := make([]line, len(fs))
 	for i, f := range fs {
-		lines[i] = kvLine(fmt.Sprintf("F=%d", f), func(o Options, sz int) KVRun {
-			r := sizedRun(o, KindJakiro, sz)
-			r.FetchSize = f + fetchOverhead
-			return r
-		})
+		lines[i] = line{fmt.Sprintf("F=%d", f), func(o Options, sz int) scenario.PhaseObs {
+			spec := PaperSpec(KindJakiro, sz)
+			spec.Params.F = f + fetchOverhead
+			return point(o, spec, sizedLoad(sz))
+		}}
 	}
 	return lines
 }
@@ -232,7 +234,7 @@ func fig20(o Options) Result {
 func latencyCDFs(o Options, w workload.Config) map[string]telemetry.HistSnap {
 	cdfs := map[string]telemetry.HistSnap{}
 	for _, k := range rpcKinds {
-		cdfs[k.Label()] = RunKV(KVRun{Opts: o, Kind: k, Workload: w}).Lat
+		cdfs[k.Label()] = point(o, PaperSpec(k, 32), w).Lat
 	}
 	return cdfs
 }
@@ -250,16 +252,16 @@ func table3(o Options) Result {
 	}
 	rows := []string{fmt.Sprintf("%-18s%16s%12s", "workload", "retries>1 (%)", "largest N")}
 	for _, w := range wls {
-		out := RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w.cfg})
+		st := point(o, PaperSpec(KindJakiro, 32), w.cfg).Stats
 		var multi uint64
-		for i := 2; i < len(out.Agg.RetryHist); i++ {
-			multi += out.Agg.RetryHist[i]
+		for i := 2; i < len(st.RetryHist); i++ {
+			multi += st.RetryHist[i]
 		}
 		pct := 0.0
-		if out.Agg.Calls > 0 {
-			pct = 100 * float64(multi) / float64(out.Agg.Calls)
+		if st.Calls > 0 {
+			pct = 100 * float64(multi) / float64(st.Calls)
 		}
-		rows = append(rows, fmt.Sprintf("%-18s%15.3f%%%12d", w.name, pct, out.Agg.MaxRetries))
+		rows = append(rows, fmt.Sprintf("%-18s%15.3f%%%12d", w.name, pct, st.MaxRetries))
 	}
 	return Result{
 		ID: "table3", Title: "fetch retries per workload (32 B values)",

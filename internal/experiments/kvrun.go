@@ -1,22 +1,22 @@
 package experiments
 
-// Shared load drivers: RunKV drives one of the four key-value systems on
-// the paper topology (1 server + 7 client machines); RunEcho drives a bare
-// RFP/server-reply echo service for the paradigm-level sweeps (Fig. 9).
-// Stores are stood up by scenario.BuildBackend and driven by
-// scenario.Drive — the same builder and driver the scenario harness uses.
+// Figure points. A point is a scenario.BackendSpec (PaperSpec gives the
+// paper's defaults; figure declarations set spec fields directly) measured
+// by Measure: scenario.BuildBackend stands the store up on the paper
+// topology (1 server + 7 client machines) and scenario.Drive runs the
+// closed-loop client threads through a warm-up and a measured window — the
+// same builder and driver the scenario harness uses. Every phase of every
+// point, and of the experiments that build their own cluster, is judged by
+// scenario.Eval (checkPhase); the sweeps read the window's PhaseObs.
 
 import (
 	"fmt"
 
 	"rfp/internal/core"
 	"rfp/internal/fabric"
-	"rfp/internal/kvstore/pilafkv"
 	"rfp/internal/scenario"
 	"rfp/internal/sim"
 	"rfp/internal/stats"
-	"rfp/internal/telemetry"
-	"rfp/internal/trace"
 	"rfp/internal/workload"
 )
 
@@ -43,61 +43,6 @@ var kindLabels = map[StoreKind]string{
 // the four).
 func (k StoreKind) Label() string { return kindLabels[k] }
 
-// KVRun describes one key-value measurement run.
-type KVRun struct {
-	Opts          Options
-	Kind          StoreKind
-	ServerThreads int // 0: per-kind default (6; 16 for RDMA-Memcached)
-	ClientThreads int // 0: 35
-	Keys          int // 0: keysForValueSize(ValueSize)
-	ValueSize     int // preload value size; 0: 32
-	Workload      workload.Config
-	FetchSize     int   // override F (0: paper default 256)
-	ExtraProcNs   int64 // synthetic per-request processing
-	DisableSwitch bool  // Jakiro w/o Switch
-	DisableSpikes bool
-	NoInline      bool // ablation: separate size-probe read per fetch
-	TraceEvents   int  // attach a data-path tracer of this capacity to the server NIC
-}
-
-// KVOut is one run's measurements. RunKV reads them from the window phase;
-// RunEcho sets MOPS, Agg, ClientUtil and Tel.
-type KVOut struct {
-	MOPS       float64
-	Lat        telemetry.HistSnap  // op latency (ns): exact mean, quantiles within a half bucket (6.25 %)
-	Agg        core.ClientStats    // RFP transport stats delta over the window
-	ClientUtil float64             // client CPU utilization (RFP-based kinds)
-	Pilaf      pilafkv.ClientStats // Pilaf clients' read counters over the whole run
-	Misses     uint64              // GETs (and RMW read halves) that found no value
-	Trace      *trace.Ring         // server-NIC data-path events, when requested
-	Tel        telemetry.Snapshot  // per-call telemetry, when Opts.Telemetry is set
-}
-
-func (r KVRun) withDefaults() KVRun {
-	r.Opts = r.Opts.withDefaults()
-	if r.ServerThreads == 0 {
-		switch r.Kind {
-		case KindMemcached:
-			r.ServerThreads = 16
-		case KindPilaf:
-			r.ServerThreads = 2 // Pilaf's small PUT dispatcher pool
-		default:
-			r.ServerThreads = 6
-		}
-	}
-	if r.ClientThreads == 0 {
-		r.ClientThreads = paperClients
-	}
-	if r.ValueSize == 0 {
-		r.ValueSize = 32
-	}
-	if r.Keys == 0 {
-		r.Keys = keysForValueSize(r.ValueSize)
-	}
-	r.Workload.Keys = r.Keys
-	return r
-}
-
 // paperClients is the paper's client thread count: 5 on each of 7 machines.
 const paperClients = 35
 
@@ -114,85 +59,87 @@ func keysForValueSize(sz int) int {
 	}
 }
 
-// RunKV executes one measurement run and returns its results.
-func RunKV(r KVRun) KVOut {
-	r = r.withDefaults()
-	env := sim.NewEnv(r.Opts.Seed)
+// PaperSpec returns the store a figure point starts from: system k in the
+// paper's peak configuration (Sec. 4.4.3) — 6 server threads (16 for
+// RDMA-Memcached, 2 for Pilaf's small PUT dispatcher pool), paper-default
+// RFP parameters — preloaded with valueSize-byte values over a key space
+// sized by keysForValueSize. The paper's default value is 32 B.
+func PaperSpec(k StoreKind, valueSize int) scenario.BackendSpec {
+	spec := scenario.BackendSpec{
+		Backend:       string(k),
+		ServerThreads: 6,
+		Keys:          keysForValueSize(valueSize),
+		PreloadValue:  valueSize,
+		MaxValue:      valueSize,
+		Params:        core.DefaultParams(),
+	}
+	switch k {
+	case KindMemcached:
+		spec.ServerThreads = 16
+	case KindPilaf:
+		spec.ServerThreads = 2
+	}
+	return spec
+}
+
+// Measure runs phases on one figure point and returns their observations
+// and the store: spec's system on the paper topology (one server and 7
+// client machines on o.Profile), loaded by threads closed-loop client
+// threads, every phase's workload over spec.Keys. ready, when non-nil, sees
+// the cluster and the store after they are built and before the load
+// starts. With o.Telemetry set, the phases carry telemetry deltas.
+func Measure(o Options, spec scenario.BackendSpec, threads int, phases []scenario.Phase,
+	ready func(*fabric.Cluster, *scenario.Backend)) ([]scenario.PhaseObs, *scenario.Backend) {
+
+	o = o.withDefaults()
+	env := sim.NewEnv(o.Seed)
 	defer env.Close()
-	cl := fabric.NewCluster(env, r.Opts.Profile, 7)
-	var ring *trace.Ring
-	if r.TraceEvents > 0 {
-		ring = trace.NewRing(r.TraceEvents)
-		cl.Server.NIC().SetTracer(ring)
-	}
-
-	maxVal := r.ValueSize
-	if r.Workload.ValueSize != nil && r.Workload.ValueSize.Max() > maxVal {
-		maxVal = r.Workload.ValueSize.Max()
-	}
-	params := core.DefaultParams()
-	if r.FetchSize > 0 {
-		params.F = r.FetchSize
-	}
-	params.DisableSwitch = r.DisableSwitch
-	params.NoInline = r.NoInline
-
-	placements := cl.ClientThreads(r.ClientThreads)
-	b, err := scenario.BuildBackend(scenario.BackendSpec{
-		Backend:       string(r.Kind),
-		ServerThreads: r.ServerThreads,
-		Keys:          r.Keys,
-		PreloadValue:  r.ValueSize,
-		MaxValue:      maxVal,
-		Params:        params,
-		ExtraProcNs:   r.ExtraProcNs,
-		DisableSpikes: r.DisableSpikes,
-	}, []*fabric.Machine{cl.Server}, placements)
+	cl := fabric.NewCluster(env, o.Profile, 7)
+	placements := cl.ClientThreads(threads)
+	b, err := scenario.BuildBackend(spec, []*fabric.Machine{cl.Server}, placements)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-
-	// Telemetry records from the start; Drive reports the window's delta.
-	if r.Opts.Telemetry {
+	if o.Telemetry {
 		b.Record()
 	}
-	w := driveWindow(env, b, placements, r.Opts, r.Workload, string(r.Kind))
-	out := KVOut{
-		MOPS:       stats.MOPS(w.Done, w.DurationNs),
-		Lat:        w.Lat,
-		Agg:        w.Stats,
-		ClientUtil: clientUtil(w.Stats, r.ClientThreads, r.Opts),
-		Misses:     w.Missed,
-		Trace:      ring,
-		Tel:        w.Tel,
+	if ready != nil {
+		ready(cl, b)
 	}
-	for _, c := range b.Conns {
-		if pc, ok := c.(*pilafkv.Client); ok {
-			out.Pilaf.Add(pc.Stats)
-		}
+	for i := range phases {
+		phases[i].Workload.Keys = spec.Keys
 	}
-	return out
+	return drivePhases(env, b, placements, phases, o.Seed, spec.Backend), b
 }
 
-// driveWindow drives b through a warm-up and a measured window of wl and
-// returns the window's observations. The figures run fault-free, so a
-// failed, corrupt or unfinished op, or a recorded history that is not
-// linearizable, is a bug in the system under test.
-func driveWindow(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, o Options, wl workload.Config, label string) *scenario.PhaseObs {
-	return &drivePhases(env, b, placements, []scenario.Phase{
+// windowPhases is the standard measurement of wl: a warm-up, then the
+// measured window.
+func windowPhases(o Options, wl workload.Config) []scenario.Phase {
+	return []scenario.Phase{
 		{Name: "warmup", Duration: o.Warmup, Workload: wl},
 		{Name: "window", Duration: o.Window, Workload: wl},
-	}, o.Seed, label)[1]
+	}
 }
 
-// drivePhases is driveWindow over any phase list.
+// point measures spec under wl from the paper's 35 client threads and
+// returns the window.
+func point(o Options, spec scenario.BackendSpec, wl workload.Config) scenario.PhaseObs {
+	obs, _ := Measure(o, spec, paperClients, windowPhases(o, wl), nil)
+	return obs[1]
+}
+
+// driveWindow drives b through windowPhases of wl and returns the window.
+func driveWindow(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, o Options, wl workload.Config, label string) scenario.PhaseObs {
+	return drivePhases(env, b, placements, windowPhases(o, wl), o.Seed, label)[1]
+}
+
+// drivePhases drives b through phases with scenario.Drive and judges every
+// phase with checkPhase, and the history of a replica backend with the
+// linearizability verdict Drive returns.
 func drivePhases(env *sim.Env, b *scenario.Backend, placements []fabric.Placement, phases []scenario.Phase, seed int64, label string) []scenario.PhaseObs {
 	obs, lz := scenario.Drive(env, b, placements, phases, seed)
-	for _, ph := range obs {
-		if ph.Failed > 0 || ph.Corrupted > 0 || ph.Unfinished > 0 {
-			panic(fmt.Sprintf("experiments: %s %s phase: %d ops failed, %d corrupt, %d drivers unfinished",
-				label, ph.Phase, ph.Failed, ph.Corrupted, ph.Unfinished))
-		}
+	for i := range obs {
+		checkPhase(label, &obs[i])
 	}
 	if lz != nil && !lz.OK {
 		panic(fmt.Sprintf("experiments: %s: %s", label, lz))
@@ -200,10 +147,34 @@ func drivePhases(env *sim.Env, b *scenario.Backend, placements []fabric.Placemen
 	return obs
 }
 
-// clientUtil is the fraction of the window the client threads spent busy,
-// from their stats delta over it: idle accrues only in reply-mode waits.
-func clientUtil(window core.ClientStats, threads int, o Options) float64 {
-	return 1 - float64(window.IdleNs)/float64(int64(threads)*int64(o.Window))
+// pointChecks are the invariants every measured phase must pass. The
+// experiments run fault-free, so a lost, corrupt, failed or unresolved op
+// is a bug in the system under test.
+var pointChecks = []scenario.Invariant{
+	{Kind: scenario.NoLost},
+	{Kind: scenario.NoCorruption},
+	{Kind: scenario.AllResolved},
+	{Kind: scenario.MaxFailedFrac, Bound: 0},
+}
+
+// checkPhase evaluates pointChecks on o and panics with label, the phase
+// and the first failing verdict line.
+func checkPhase(label string, o *scenario.PhaseObs) {
+	for _, iv := range pointChecks {
+		if v := scenario.Eval(iv, o); !v.OK {
+			panic(fmt.Sprintf("experiments: %s %s phase: %s", label, o.Phase, v))
+		}
+	}
+}
+
+// mops is a phase's completed-op rate.
+func mops(w scenario.PhaseObs) float64 { return stats.MOPS(w.Done, w.DurationNs) }
+
+// ClientUtil is the fraction of a phase the threads client threads spent
+// busy, from their transport stats delta over it: idle accrues only in
+// reply-mode waits.
+func ClientUtil(w scenario.PhaseObs, threads int) float64 {
+	return 1 - float64(w.Stats.IdleNs)/float64(int64(threads)*w.DurationNs)
 }
 
 // windowMOPS runs env for one measurement window and returns the rate, in
@@ -231,102 +202,27 @@ func sumOf(ops []uint64) func() uint64 {
 	}
 }
 
-// echoRig is a bare RFP service whose handler costs procNs of server CPU
-// and returns respSize bytes, called synchronously by every client thread —
-// the paradigm-level harness behind fig9, ext-herd and ext-tuning. procNs
-// and respSize may be changed between env.Run calls, when every simulated
-// proc is parked.
-type echoRig struct {
-	env      *sim.Env
-	clis     []*core.Client
-	ops      []uint64
-	procNs   int64
-	respSize int
+// rpcKeys is the key space of a point that stands a store in for a bare
+// RPC service (rpcSpec): every key fits its partition's buckets, so every
+// GET hits, and the preload stays cheap.
+const rpcKeys = 4096
+
+// jakiroDispatchNs is the per-request CPU Jakiro charges before any extra
+// processing (dispatch, hash, slot scan).
+const jakiroDispatchNs = 150
+
+// rpcSpec stands Jakiro (or ServerReply) in for a bare RPC service whose
+// handler costs procNs of server CPU and returns respSize bytes: the points
+// GET respSize-byte values, and procNs counts the store's own dispatch
+// charge, with no process-time spikes.
+func rpcSpec(k StoreKind, serverThreads, respSize int, procNs int64) scenario.BackendSpec {
+	spec := PaperSpec(k, respSize)
+	spec.ServerThreads = serverThreads
+	spec.Keys = rpcKeys
+	spec.ExtraProcNs = procNs - jakiroDispatchNs
+	spec.DisableSpikes = true
+	return spec
 }
 
-// newEchoRig stands the service up on the paper topology with the given
-// server threads and 35 client threads; requests carry reqSize bytes and
-// responses up to maxResp.
-func newEchoRig(o Options, params core.Params, serverThreads, reqSize, maxResp int) *echoRig {
-	r := &echoRig{env: sim.NewEnv(o.Seed)}
-	cl := fabric.NewCluster(r.env, o.Profile, 7)
-	srv := core.NewServer(cl.Server, core.ServerConfig{MaxRequest: 64, MaxResponse: maxResp})
-	srv.AddThreads(serverThreads)
-
-	placements := cl.ClientThreads(paperClients)
-	r.clis = make([]*core.Client, len(placements))
-	for i, pl := range placements {
-		r.clis[i], _ = srv.Accept(pl.Machine, params)
-	}
-	handler := func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-		cl.Server.ComputeNs(p, r.procNs)
-		return r.respSize
-	}
-	srv.Start(serverThreads, func(int) core.Handler { return handler })
-	r.ops = make([]uint64, len(r.clis))
-	for i, pl := range placements {
-		i := i
-		pl.Machine.Spawn("load", func(p *sim.Proc) {
-			req := make([]byte, reqSize)
-			out := make([]byte, maxResp)
-			for {
-				if _, err := r.clis[i].Call(p, req, out); err != nil {
-					panic(fmt.Sprintf("experiments: echo call: %v", err))
-				}
-				r.ops[i]++
-			}
-		})
-	}
-	return r
-}
-
-// stats sums every client's cumulative transport stats.
-func (r *echoRig) stats() core.ClientStats {
-	var s core.ClientStats
-	for _, c := range r.clis {
-		s.Add(c.Stats)
-	}
-	return s
-}
-
-// EchoRun describes a bare-RPC sweep run (Fig. 9): a trivial service whose
-// handler costs exactly ProcNs and returns RespSize bytes, called by 35
-// client threads.
-type EchoRun struct {
-	Opts          Options
-	Params        core.Params
-	ProcNs        int64
-	RespSize      int
-	ServerThreads int
-}
-
-// RunEcho executes the echo sweep run.
-func RunEcho(r EchoRun) KVOut {
-	o := r.Opts.withDefaults()
-	if r.ServerThreads == 0 {
-		r.ServerThreads = 16
-	}
-	if r.RespSize <= 0 {
-		r.RespSize = 1
-	}
-	rig := newEchoRig(o, r.Params, r.ServerThreads, 1, 64)
-	defer rig.env.Close()
-	rig.procNs, rig.respSize = r.ProcNs, r.RespSize
-
-	rig.env.Run(sim.Time(o.Warmup))
-	var rec *telemetry.Recorder
-	if o.Telemetry {
-		rec = telemetry.New(telemetry.Config{})
-		for _, c := range rig.clis {
-			c.SetRecorder(rec)
-		}
-	}
-	statsBefore := rig.stats()
-	out := KVOut{MOPS: windowMOPS(rig.env, o, sumOf(rig.ops))}
-	out.Agg = rig.stats().Sub(statsBefore)
-	out.ClientUtil = clientUtil(out.Agg, paperClients, o)
-	if rec != nil {
-		out.Tel = rec.Snapshot()
-	}
-	return out
-}
+// getLoad is a GET-only workload.
+var getLoad = workload.Config{GetFraction: 1}

@@ -1,7 +1,9 @@
 package experiments
 
 // Sec. 2 microbenchmarks: the in-bound/out-bound asymmetry study (Figs.
-// 3-5) and the bypass access amplification measurement (Fig. 6).
+// 3-5) and the bypass access amplification measurement (Fig. 6). They issue
+// raw verbs, not RFP calls, so their closed loops are their own rather than
+// scenario.Drive's.
 
 import (
 	"fmt"

@@ -97,10 +97,6 @@ func newPipelineRig(o Options, params core.Params, valueSize int, procNs int64) 
 	return env, b, placements
 }
 
-// jakiroDispatchNs is the per-request CPU Jakiro charges before any extra
-// processing (dispatch, hash, slot scan).
-const jakiroDispatchNs = 150
-
 // runPipelineDepth measures one (depth, value size, process time) point.
 // procNs 150 matches the Jakiro handler; ext-adaptive-depth raises it to
 // model heavier requests. The snapshot is zero unless o.Telemetry is set.
@@ -113,5 +109,5 @@ func runPipelineDepth(o Options, depth, valueSize int, procNs int64) (float64, t
 		b.Record()
 	}
 	w := driveWindow(env, b, placements, o, pipelineLoad, "ext-pipeline")
-	return stats.MOPS(w.Done, w.DurationNs), w.Tel
+	return mops(w), w.Tel
 }

@@ -106,7 +106,7 @@ func runReplicaRead(o Options, followers int, localReads bool) float64 {
 	env, b, placements := replicaGroup(o, replicaClients, followers, localReads)
 	defer env.Close()
 	w := driveWindow(env, b, placements, o, workload.Config{Keys: replicaKeys, GetFraction: 1}, "ext-replica reads")
-	return stats.MOPS(w.Done, w.DurationNs)
+	return mops(w)
 }
 
 // runReplicaPut measures the mean acked quorum-write latency (us) with a

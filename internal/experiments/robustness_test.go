@@ -48,8 +48,8 @@ func TestConclusionsStableAcrossSeeds(t *testing.T) {
 		o := archiveOpts()
 		o.Seed = seed
 		w := workload.Config{GetFraction: 0.95}
-		jk := RunKV(KVRun{Opts: o, Kind: KindJakiro, Workload: w}).MOPS
-		sr := RunKV(KVRun{Opts: o, Kind: KindServerReply, Workload: w}).MOPS
+		jk := mops(point(o, PaperSpec(KindJakiro, 32), w))
+		sr := mops(point(o, PaperSpec(KindServerReply, 32), w))
 		if jk < 2*sr {
 			t.Fatalf("seed %d: Jakiro %.2f vs ServerReply %.2f — ordering unstable", seed, jk, sr)
 		}

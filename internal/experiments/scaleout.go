@@ -98,5 +98,5 @@ func runScaleout(o Options, nServers int, pipelined bool) (float64, uint64) {
 		panic(err)
 	}
 	w := driveWindow(env, b, placements, o, workload.Config{Keys: keys, GetFraction: 0.95}, "ext-scaleout")
-	return stats.MOPS(w.Done, w.DurationNs), env.EventsRetired()
+	return mops(w), env.EventsRetired()
 }

@@ -3,11 +3,12 @@ package experiments
 // The sweep runner. Most of the paper's evaluation is one grid of
 // closed-loop runs: a line per system or variant, a point per swept thread
 // count, process time, GET share or value size. A sweep declares that grid;
-// its run measures one RunKV or RunEcho run per (point, line) and assembles
-// the Result.
+// its run measures one figure point per (point, line) and assembles the
+// Result from the points' measured windows.
 
 import (
 	"rfp/internal/dist"
+	"rfp/internal/scenario"
 	"rfp/internal/stats"
 	"rfp/internal/telemetry"
 	"rfp/internal/workload"
@@ -20,8 +21,8 @@ type sweep struct {
 	labelAll        bool  // label every series' axes, not only the first's
 	full, quick     []int // the swept x values; a nil quick sweeps full
 	lines           []line
-	// y projects a run onto its plotted value; nil plots MOPS.
-	y func(KVOut) float64
+	// y projects a point's window onto its plotted value; nil plots MOPS.
+	y func(scenario.PhaseObs) float64
 	// tel renders one telemetry row per (point, line) when
 	// Options.Telemetry is set, under telHeader when that is set.
 	telHeader string
@@ -31,10 +32,11 @@ type sweep struct {
 	notes []string
 }
 
-// line is one plotted line: its label and the run behind each point.
+// line is one plotted line: its label and the measured window of each
+// point.
 type line struct {
 	label string
-	run   func(o Options, x int) KVOut
+	run   func(o Options, x int) scenario.PhaseObs
 }
 
 // run measures the points x-major, each point's lines in declaration order,
@@ -57,14 +59,14 @@ func (s sweep) run(o Options) Result {
 	}
 	for _, x := range xs {
 		for i, l := range s.lines {
-			out := l.run(o, x)
-			y := out.MOPS
+			w := l.run(o, x)
+			y := mops(w)
 			if s.y != nil {
-				y = s.y(out)
+				y = s.y(w)
 			}
 			res.Series[i].Add(float64(x), y)
 			if o.Telemetry && s.tel != nil {
-				res.Telemetry = append(res.Telemetry, s.tel(x, l.label, out.Tel))
+				res.Telemetry = append(res.Telemetry, s.tel(x, l.label, w.Tel))
 			}
 		}
 	}
@@ -74,16 +76,11 @@ func (s sweep) run(o Options) Result {
 	return res
 }
 
-// kvLine is a line whose every point is one RunKV run.
-func kvLine(label string, run func(o Options, x int) KVRun) line {
-	return line{label, func(o Options, x int) KVOut { return RunKV(run(o, x)) }}
-}
-
-// perKind is one kvLine per store kind, labelled with the kind's name.
-func perKind(run func(o Options, k StoreKind, x int) KVRun, kinds ...StoreKind) []line {
+// perKind is one line per store kind, labelled with the kind's name.
+func perKind(run func(o Options, k StoreKind, x int) scenario.PhaseObs, kinds ...StoreKind) []line {
 	lines := make([]line, len(kinds))
 	for i, k := range kinds {
-		lines[i] = kvLine(k.Label(), func(o Options, x int) KVRun { return run(o, k, x) })
+		lines[i] = line{k.Label(), func(o Options, x int) scenario.PhaseObs { return run(o, k, x) }}
 	}
 	return lines
 }
@@ -91,11 +88,11 @@ func perKind(run func(o Options, k StoreKind, x int) KVRun, kinds ...StoreKind) 
 // rpcKinds are the three RPC-style systems most figures compare.
 var rpcKinds = []StoreKind{KindJakiro, KindServerReply, KindMemcached}
 
-// sizedRun is a read-intensive run over sz-byte values: 95 % GETs, PUTs and
-// the preload both writing sz bytes.
-func sizedRun(o Options, k StoreKind, sz int) KVRun {
-	return KVRun{Opts: o, Kind: k, ValueSize: sz,
-		Workload: workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}}
+// sizedLoad is a read-intensive load over sz-byte values: 95 % GETs, the
+// PUTs writing sz bytes (a store preloaded by PaperSpec(k, sz) writes the
+// same size).
+func sizedLoad(sz int) workload.Config {
+	return workload.Config{GetFraction: 0.95, ValueSize: dist.Fixed(sz)}
 }
 
 // fetchOverhead is the response framing on top of the value bytes an

@@ -1,8 +1,9 @@
 package telemetry
 
-// The figures' latency contract: KVOut.Lat and the fig13/fig20 CDFs are
-// HistSnaps, whose mean is exact and whose quantiles sit within half a
-// bucket (1/16 = 6.25 %) of the exact order statistic of the same rank.
+// The figures' latency contract: a figure point's window latency (the
+// fig13/fig20 CDFs among them) is a HistSnap, whose mean is exact and
+// whose quantiles sit within half a bucket (1/16 = 6.25 %) of the exact
+// order statistic of the same rank.
 
 import (
 	"testing"
