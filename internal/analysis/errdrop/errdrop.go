@@ -20,7 +20,7 @@
 //
 // Deferred calls are exempt: `defer qp.Close()` is the conventional
 // cleanup shape and failing cleanup has no one to report to. A genuinely
-// deliberate drop — demote() abandoning a mode switch it will retry — is
+// deliberate drop — Close's best-effort reconnect before teardown — is
 // annotated //rfpvet:allow errdrop <reason> at the site, which is exactly
 // the audit trail the invariant wants.
 //

@@ -103,13 +103,11 @@ func (a *BufAllocator) offsetOf(buf []byte) (int, bool) {
 		return 0, false
 	}
 	// Identify the sub-slice by pointer arithmetic on the backing array.
-	base := &a.mr.Buf[0]
 	for off := range a.alloc {
 		if &a.mr.Buf[off] == &buf[0] {
 			return off, true
 		}
 	}
-	_ = base
 	return 0, false
 }
 

@@ -21,7 +21,6 @@ import (
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
 	"rfp/internal/telemetry"
-	"rfp/internal/trace"
 )
 
 // ErrClosed reports use of a closed connection.
@@ -39,10 +38,9 @@ const switchAfterOverruns = 2
 // ConnectX-3 cluster) the client switches back to repeated fetching.
 const switchBackUs = 7
 
-// fallbackFetchNs is how often, while waiting in reply mode for the one call
-// that raced the mode switch, the client additionally issues a remote fetch:
-// a response buffered server-side just before the mode flag arrived is still
-// collected.
+// fallbackFetchNs is how often a call switched to reply in flight
+// additionally issues a remote fetch while it waits: a response the server
+// published before the call's mode byte arrived is still collected.
 const fallbackFetchNs int64 = 5000
 
 // RetryHistSize bounds the per-call retry histogram; calls with more
@@ -132,10 +130,8 @@ func (s ClientStats) Sub(o ClientStats) ClientStats {
 type Client struct {
 	machine *fabric.Machine
 	params  Params
-	qp      *rnic.QP      // lease.QP(): possibly shared with other logical clients
-	server  rnic.RemoteMR // windowed handle onto this ring's region carve
-	maxReq  int
-	maxResp int
+	qp      *rnic.QP        // lease.QP(): possibly shared with other logical clients
+	server  rnic.RemoteMR   // windowed handle onto this ring's region carve
 	local   *rnic.SlabLease // reply-mode landing buffers, one respStride per slot
 	landing []byte          // local.Buf(), cached for the poll path
 
@@ -147,30 +143,25 @@ type Client struct {
 
 	// Slot-ring geometry and per-slot staging (index = slot). depth is the
 	// active ring depth; maxDepth is the slot capacity the region was
-	// registered for (reqOffs/respOffs cover all of it, the slot arrays only
-	// the active depth).
+	// registered for (the slot arrays cover only the active depth). Slot
+	// offsets in the region follow from srv.cfg (reqOffAt, respOffAt).
 	depth      int
 	maxDepth   int
 	respStride int
-	reqOffs    []int
-	respOffs   []int
 	stages     [][]byte // request staging, one per slot
 	fetches    [][]byte // fetch/response landing, one per slot
 
 	napIdleNs      int64 // CPU-idle part of one reply-mode poll interval
 	seq            uint16
-	mode           Mode
-	flagByte       [1]byte // source of the blocking 1-byte server-flag write
+	mode           Mode    // the mode the next post carries
+	flagByte       [1]byte // source of the closing 1-byte server-flag write
 	closed         bool
 	consecOverruns int
-	justSwitched   bool // switched to reply since the last Recv: its call raced the flag
 	tuner          *Tuner
 
 	// The synchronous reply wait (Recv): replyDue bound once, so a call's
-	// wait allocates no closure, and what it reads besides the call's slot.
-	replyDone    func() bool
-	waited       int64 // reply-mode naps of the call in Recv so far, in ns
-	nextFallback int64 // waited at which a raced call next fetches as well
+	// wait allocates no closure.
+	replyDone func() bool
 
 	// Call state (ring.go): one slot record per call in flight, whichever
 	// driver staged it. Between Send and Recv, inCall is set and call is the
@@ -179,15 +170,13 @@ type Client struct {
 	cq          *rnic.CQ
 	nextSlot    int
 	outstanding int
-	pendingMode Mode // mode switch deferred until the ring quiesces
-	hasPending  bool
 	wrScratch   []rnic.WR // issue() batch staging, reused across engine steps
 	call        int
 	inCall      bool
 
-	// Deferred parameter changes (control plane): like mode switches, F
-	// and depth changes decided while posts are in flight apply only once
-	// the ring quiesces (outstanding == 0). Zero means no change pending.
+	// Deferred parameter changes (control plane): F and depth changes
+	// decided while posts are in flight apply only once the ring quiesces
+	// (outstanding == 0). Zero means no change pending.
 	pendingF     int
 	pendingDepth int
 
@@ -210,8 +199,7 @@ type Client struct {
 	Stats ClientStats
 }
 
-// Mode returns the connection's current delivery mode as seen by the
-// client.
+// Mode returns the delivery mode the connection's next call carries.
 func (c *Client) Mode() Mode { return c.mode }
 
 // Params returns the effective parameters.
@@ -219,10 +207,9 @@ func (c *Client) Params() Params { return c.params }
 
 // SetFetchSize changes F at runtime (used by the on-line tuner). The value
 // is clamped to the response buffer. With posts in flight the change is
-// deferred until the ring quiesces, under the same rule as mode switches
-// (DESIGN.md §8): an in-flight fetch was posted with the old F, and its
-// continuation-read arithmetic must keep seeing that F until the call is
-// claimed.
+// deferred until the ring quiesces (DESIGN.md §8): an in-flight fetch was
+// posted with the old F, and its continuation-read arithmetic must keep
+// seeing that F until the call is claimed.
 func (c *Client) SetFetchSize(f int) {
 	f = c.clampF(f)
 	if c.outstanding > 0 {
@@ -240,12 +227,7 @@ func (c *Client) SetFetchSize(f int) {
 // returns ErrRingFull, so a driver that claims on a full ring drains it; the
 // claim that empties the ring applies the new depth.
 func (c *Client) SetDepth(d int) {
-	if d < 1 {
-		d = 1
-	}
-	if d > c.maxDepth {
-		d = c.maxDepth
-	}
+	d = min(max(d, 1), c.maxDepth)
 	if c.outstanding > 0 {
 		if d == c.depth {
 			c.pendingDepth = 0
@@ -267,17 +249,16 @@ func (c *Client) targetDepth() int {
 	return c.depth
 }
 
-// clampF bounds a fetch size to [HeaderSize+1, HeaderSize+maxResp]: a
+// clampF bounds a fetch size to [HeaderSize+1, HeaderSize+MaxResponse]: a
 // fetch reads at least the header and the first payload byte, and never
 // past the response buffer.
 func (c *Client) clampF(f int) int {
-	return min(max(f, HeaderSize+1), HeaderSize+c.maxResp)
+	return min(max(f, HeaderSize+1), HeaderSize+c.srv.cfg.MaxResponse)
 }
 
 // applyPendingParams applies deferred F/depth changes once the ring is
-// empty. Unlike mode switches these are client-local (the region already
-// has capacity for every depth), so no RDMA write and no simulated time are
-// involved.
+// empty. Both are client-local (the region already has capacity for every
+// depth), so no RDMA write and no simulated time are involved.
 func (c *Client) applyPendingParams() {
 	if c.outstanding > 0 {
 		return
@@ -307,10 +288,10 @@ func (c *Client) resize(d int) {
 	copy(stages, c.stages)
 	copy(fetches, c.fetches)
 	for i := len(c.stages); i < d; i++ {
-		stages[i] = make([]byte, HeaderSize+c.maxReq)
+		stages[i] = make([]byte, HeaderSize+c.srv.cfg.MaxRequest)
 	}
 	for i := len(c.fetches); i < d; i++ {
-		fetches[i] = make([]byte, HeaderSize+c.maxResp)
+		fetches[i] = make([]byte, HeaderSize+c.srv.cfg.MaxResponse)
 	}
 	c.slots, c.stages, c.fetches = slots, stages, fetches
 	c.depth = d
@@ -324,10 +305,9 @@ func (c *Client) resize(d int) {
 // delivered. A step of this driver is issue, else await: it never reaps its
 // queue without blocking — the one virtual-time charge that separates it
 // from Poll's progress loop — and never issues for another group member.
-// The payload must not change until Send returns: a pending
-// reconnect or mode switch runs — and yields — before the payload is staged,
-// so another proc re-encoding a shared buffer meanwhile would be sent in its
-// place. With anything in flight — posted handles, or an earlier Send not
+// The payload must not change until Send returns: a pending reconnect
+// runs — and yields — before the payload is staged, so another proc
+// re-encoding a shared buffer meanwhile would be sent in its place. With anything in flight — posted handles, or an earlier Send not
 // yet redeemed by Recv — Send returns ErrRingBusy.
 func (c *Client) Send(p *sim.Proc, payload []byte) error {
 	if c.outstanding > 0 && !c.closed {
@@ -366,18 +346,19 @@ func (c *Client) Send(p *sim.Proc, payload []byte) error {
 
 // Recv obtains the response for the last Send (client_recv), returning the
 // number of payload bytes copied into out. It blocks (in virtual time)
-// until the response is delivered through whichever mode the hybrid
-// mechanism is in; without a Send in flight it returns ErrBadHandle.
+// until the response is delivered through whichever mode the call is in;
+// without a Send in flight it returns ErrBadHandle.
 //
 // Recv is the synchronous driver's back half: it steps the slot engine Poll
-// drives and claims through the same routine. What it adds is the policy of
-// a one-call-at-a-time caller, which the paper's figures were measured with
-// (DESIGN.md §8 names the archive behind each item): the call counts in
-// Stats.Calls when Recv starts, whatever its outcome; the K-th consecutive
-// overrun switches to server-reply in the middle of the call; a connection
-// that dies under the call is re-established inside the call's own deadline;
-// FetchNs covers the whole wait of a call that entered in fetch mode and
-// ReplyWaitNs the reply-mode part of any call, both through the claim.
+// drives — the hybrid switch included — and claims through the same
+// routine. What it adds is the policy of a one-call-at-a-time caller, which
+// the paper's figures were measured with (DESIGN.md §8 names the archive
+// behind each item): the call counts in Stats.Calls when Recv starts,
+// whatever its outcome; a connection that dies under the call is
+// re-established inside the call's own deadline; FetchNs covers the whole
+// wait of a call that entered in fetch mode and ReplyWaitNs the reply-mode
+// part of any call, both through the claim; and the reply wait is one
+// SleepEvery.
 func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
@@ -390,63 +371,29 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	si := c.call
 	sl := &c.slots[si]
 	start := p.Now()
-	entered, replyAt := c.mode, start
-	c.waited, c.nextFallback = 0, fallbackFetchNs
+	entered, replyAt := sl.mode, start
 	for sl.state != slotReady {
+		if sl.mode != entered && replyAt == start {
+			replyAt = p.Now() // the step just taken switched the call to reply
+		}
 		if sl.state == slotFailed {
 			if !c.redial(p, si) {
 				break
 			}
 			continue
 		}
-		// Only consecutive overrunning calls trigger the switch, so isolated
-		// slow requests don't flap the mode; with posted handles in flight
-		// too, the flip waits for the ring to quiesce like any other.
-		if sl.overrun && c.mode == ModeFetch && sl.state == slotWaiting && c.outstanding == 1 &&
-			!c.params.DisableSwitch && c.consecOverruns+1 >= switchAfterOverruns {
-			c.recordRetries(sl.failed)
-			c.consecOverruns = 0
-			c.rec.Fallback()
-			c.callEvent(trace.Fallback, p.Now(), p.Now(), si, sl.seq, 0)
-			err := c.switchMode(p, ModeReply)
-			replyAt = p.Now()
-			if err != nil {
-				sl.state, sl.err = slotFailed, err
-				break
-			}
+		if c.issue(p) {
 			continue
 		}
-		if c.mode == ModeFetch || sl.state != slotWaiting {
-			if !c.issue(p) {
-				c.await(p)
-			}
+		if sl.mode == ModeFetch || sl.state != slotWaiting {
+			c.await(p)
 			continue
 		}
-		// Reply mode, request delivered: look at the landing, then the
-		// timers, and nap until replyDue sees one of them move.
-		if c.landed(p, si) || c.recoveryOn() && c.slotTimers(p, si) {
-			continue
-		}
-		// The one call that raced a mode switch may have been answered into
-		// the server-side buffer before the flag landed: it alone also
-		// fetches now and then so it cannot strand, and the fetch runs to
-		// completion before the landing is looked at again. Steady-state
-		// reply calls never fetch.
-		if c.justSwitched && c.waited >= c.nextFallback {
-			c.nextFallback += fallbackFetchNs
-			c.qp.Post(p, c.lease.PostCQ(), c.fetchWR(si))
-			sl.state = slotReading
-			for sl.state == slotReading {
-				c.await(p)
-			}
-			if sl.state != slotWaiting {
-				continue
-			}
-		}
+		// Reply mode, request delivered, nothing to act on: nap on the
+		// call's own slot until replyDue sees something move.
 		p.SleepEvery(sim.Duration(c.params.ReplyPollNs), c.replyDone)
 	}
-	c.justSwitched = false
-	replied := c.mode == ModeReply
+	replied := sl.mode == ModeReply
 	n, err := c.claim(p, si, out)
 	if entered == ModeFetch {
 		c.Stats.FetchNs += int64(p.Now().Sub(start))
@@ -462,22 +409,20 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 // It charges the nap where a loop around replyNap would have — measurement
 // windows read Stats while clients are mid-wait — and reports whether Recv
 // has anything to act on: a response in the call's landing, a recovery timer
-// due, or the raced call's next fallback fetch.
+// due, or a switched call's next fallback fetch.
 //
 //rfp:hotpath
 func (c *Client) replyDue() bool {
 	c.Stats.IdleNs += c.napIdleNs
-	c.waited += c.params.ReplyPollNs
 	if _, ok := c.replyIn(c.call); ok {
 		return true
 	}
-	if c.recoveryOn() {
-		sl := &c.slots[c.call]
-		if now := c.machine.Shard().Now(); now >= sl.deadline || now >= sl.resendAt {
-			return true
-		}
+	sl := &c.slots[c.call]
+	now := c.machine.Shard().Now()
+	if c.recoveryOn() && (now >= sl.deadline || now >= sl.resendAt) {
+		return true
 	}
-	return c.justSwitched && c.waited >= c.nextFallback
+	return sl.justSwitched && now >= sl.fallbackAt
 }
 
 // Close tears the connection down: the server-side flag is marked closed
@@ -495,7 +440,6 @@ func (c *Client) Close(p *sim.Proc) error {
 	// the ring will not quiesce into further posts — so drop it; a late
 	// claim must not reshape a dead ring.
 	c.pendingF, c.pendingDepth = 0, 0
-	c.hasPending = false
 	if c.needReconnect && c.recoveryOn() {
 		// Best effort: tear-down wants to reach the (restarted) server's
 		// flag byte so its Serve loops drop the connection.
@@ -540,22 +484,18 @@ func (c *Client) fetchLen() int {
 	return c.params.F
 }
 
-// switchMode updates the client-local mode and mirrors it into the
-// server-side flag with a 1-byte RDMA Write (the flag is only ever written
-// by the client, paper Sec. 3.2 Discussion).
-func (c *Client) switchMode(p *sim.Proc, m Mode) error {
+// setMode sets the mode the client's next posts carry, counting the
+// switch. It writes nothing remote: each request carries its mode.
+func (c *Client) setMode(m Mode) {
 	if c.mode == m {
-		return nil
+		return
 	}
 	c.mode = m
 	if m == ModeReply {
 		c.Stats.SwitchToReply++
-		c.justSwitched = true
 	} else {
 		c.Stats.SwitchToFetch++
 	}
-	c.flagByte[0] = byte(m)
-	return c.qp.Write(p, c.server, 0, c.flagByte[:])
 }
 
 // observeCall feeds the attached tuner, if any, with the completed call's

@@ -123,13 +123,13 @@ func (g *Group) progress(p *sim.Proc) {
 	// whichever connection's hardware finishes first wakes the whole
 	// group — else nap on the sparse reply-mode poll interval.
 	for _, m := range g.members {
-		if m.anyInState(slotPosted, slotReading) {
+		if owed, _ := m.inFlight(); owed {
 			g.dispatch(p, g.cq.Wait(p))
 			return
 		}
 	}
 	for _, m := range g.members {
-		if m.mode == ModeReply && m.anyInState(slotWaiting) {
+		if _, pushed := m.inFlight(); pushed {
 			m.replyNap(p)
 			return
 		}

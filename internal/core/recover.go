@@ -13,9 +13,10 @@ package core
 //     connection — fresh region, landing buffers and QP pair swapped into
 //     the same server-side Conn — at the next quiesce point, reusing the
 //     ring's quiesce rule (DESIGN.md §8);
-//   - a call with no valid response after resendNs re-delivers its request
-//     (same sequence number; handlers are at-least-once), which is the only
-//     way to revive a request lost to corruption or a server restart;
+//   - a call with no valid response after resendNs, or whose fetches
+//     cross R, re-delivers its request (same sequence number, so the
+//     server runs it at most once), which is the only way to revive a
+//     request lost to corruption or a server restart;
 //   - DeadlineNs bounds all of it: past the deadline the call fails
 //     terminally with ErrDeadline, so no fault plan can wedge a caller.
 //
@@ -51,8 +52,8 @@ const reconnectSetupNs = 2000
 // resendNs is how long a call waits for a valid response before re-sending
 // its request (same sequence number): a corrupted request write or a server
 // restart loses the request silently, and only a resend can revive the call.
-// An eighth of the deadline, at least 5000 ns. Handlers must tolerate
-// re-execution (at-least-once).
+// An eighth of the deadline, at least 5000 ns. A resent request that ran
+// already is not run again (Conn.TryRecv).
 func (p Params) resendNs() sim.Duration {
 	return sim.Duration(max(p.DeadlineNs/8, 5000))
 }
@@ -194,8 +195,9 @@ func (c *Client) noteCallOutcome(p *sim.Proc, faulted bool) {
 }
 
 // demote pins the connection to server-reply mode permanently: the fetch
-// path keeps needing fault recovery, so stop probing it. Switch-back is
-// suppressed from here on; the tuner surfaces the event.
+// path keeps needing fault recovery, so stop probing it. Every later post
+// carries reply, calls in flight finish in their own mode, and switch-back
+// is suppressed from here on; the tuner surfaces the event.
 func (c *Client) demote(p *sim.Proc) {
 	c.demoted = true
 	c.Stats.Demotions++
@@ -206,23 +208,7 @@ func (c *Client) demote(p *sim.Proc) {
 		At: p.Now(), Conn: int(c.connID()), Param: "demote",
 		Old: int(c.mode), New: int(ModeReply),
 	})
-	if c.mode == ModeReply {
-		// Already there — but the claim that demotes (or an earlier one) may
-		// have asked for the switch back, deferred while handles are still in
-		// flight: it must not land once the ring empties.
-		c.hasPending = false
-		return
-	}
-	if c.outstanding == 0 {
-		// A failed flag write is tolerable: the client is locally in reply
-		// mode and keeps fallback-fetching (justSwitched) until the flag
-		// eventually lands via resend-path reconnects.
-		//rfpvet:allow errdrop demotion is local-first; the mode flag lands later via resend-path reconnects
-		_ = c.switchMode(p, ModeReply)
-		return
-	}
-	c.pendingMode = ModeReply
-	c.hasPending = true
+	c.setMode(ModeReply)
 }
 
 // failInflight resolves every in-flight slot with err — a crash must leave
@@ -284,7 +270,7 @@ func (c *Client) repostSend(p *sim.Proc, i int) {
 		ID:     c.ringID(wrKindSend, i, sl.seq),
 		Op:     rnic.WRWrite,
 		Remote: c.server,
-		Roff:   c.reqOffs[i],
+		Roff:   reqOffAt(c.srv.cfg, i),
 		Local:  c.stages[i][:HeaderSize+sl.reqLen],
 	})
 }

@@ -169,12 +169,13 @@ func TestRecoveryDemotion(t *testing.T) {
 }
 
 // TestDemotionCancelsPendingSwitchBack: a connection demoted while already in
-// reply mode stays there. With a handle still in flight, the claim that
-// reaches DemoteAfter has itself just asked for the switch back (its response
-// reports a process time within switchBackUs) and the flip waits for the ring
-// to quiesce; demote used to return early on "already in reply mode" and
-// leave it pending, so the demoted connection flipped to fetch as the ring
-// emptied.
+// reply mode stays there. The claim that reaches DemoteAfter reports a
+// process time within switchBackUs, so the same claim would also switch
+// later posts back to fetch; demotion is decided first and wins. (When the
+// switch back waited for the ring to quiesce, demote used to leave it
+// pending, and the demoted connection flipped to fetch as the ring
+// emptied.) No post after the demotion carries fetch mode, and the
+// connection never switches to fetch.
 func TestDemotionCancelsPendingSwitchBack(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	pr := DefaultParams()
@@ -197,10 +198,7 @@ func TestDemotionCancelsPendingSwitchBack(t *testing.T) {
 	})
 	rounds := 0
 	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		if err := cli.switchMode(p, ModeReply); err != nil {
-			t.Errorf("switch to reply: %v", err)
-			return
-		}
+		cli.setMode(ModeReply)
 		out := make([]byte, 64)
 		for ; rounds < 2; rounds++ {
 			var hs [2]Handle
@@ -210,15 +208,18 @@ func TestDemotionCancelsPendingSwitchBack(t *testing.T) {
 					t.Errorf("round %d post %d: %v", rounds, i, err)
 					return
 				}
+				if m := cli.slots[hs[i].slot].mode; m != ModeReply {
+					t.Errorf("round %d post %d carries %v, want reply", rounds, i, m)
+				}
 			}
 			for i, h := range hs {
 				if n, err := cli.Poll(p, h, out); err != nil || n != 2 || out[1] != byte(i) {
 					t.Errorf("round %d poll %d: (% x, %v)", rounds, i, out[:n], err)
 					return
 				}
-				if rounds == 0 && i == 0 && (!cli.demoted || cli.outstanding != 1 || cli.hasPending) {
-					t.Errorf("after the first claim: demoted=%v outstanding=%d mode flip pending=%v; want true, 1, false",
-						cli.demoted, cli.outstanding, cli.hasPending)
+				if rounds == 0 && i == 0 && (!cli.demoted || cli.outstanding != 1 || cli.Mode() != ModeReply) {
+					t.Errorf("after the first claim: demoted=%v outstanding=%d mode=%v; want true, 1, reply",
+						cli.demoted, cli.outstanding, cli.Mode())
 				}
 			}
 		}

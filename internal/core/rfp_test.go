@@ -384,13 +384,28 @@ func TestForceReplyBaseline(t *testing.T) {
 	}
 }
 
+// TestModeFlagVisibleToServer: a ForceReply client's mode reaches the
+// server with its very first request — the request header carries it — so
+// the first response is pushed, not left in the server's buffer to be
+// fetched.
 func TestModeFlagVisibleToServer(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	params := DefaultParams()
 	params.ForceReply = true
-	_, conn := r.srv.Accept(r.cluster.Clients[0], params)
-	if conn.Mode() != ModeReply {
-		t.Fatal("ForceReply flag not visible server-side at accept")
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, echoHandler)
+	})
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		if n, err := cli.Call(p, []byte("first"), make([]byte, 64)); err != nil || n != 5 {
+			t.Errorf("first call: n=%d err=%v", n, err)
+		}
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	if conn.ServedReply != 1 || conn.ServedFetch != 0 || cli.Stats.FetchReads != 0 || cli.Stats.ReplyDeliveries != 1 {
+		t.Fatalf("first response: pushed=%d buffered=%d fetch reads=%d reply deliveries=%d; want 1, 0, 0, 1",
+			conn.ServedReply, conn.ServedFetch, cli.Stats.FetchReads, cli.Stats.ReplyDeliveries)
 	}
 }
 

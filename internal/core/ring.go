@@ -15,15 +15,18 @@ package core
 // the same slots: one call at a time, stepped without Poll's non-blocking
 // reap.
 //
-// Hybrid-switch rule: mode flips decided while the ring is busy (K
-// consecutive overruns, or a reply-mode response reporting a short process
-// time) are deferred until the ring quiesces — the claim that empties it
-// applies them, or the next Post or Send with zero requests outstanding.
-// Pipelined calls therefore always complete in the mode they were posted
-// under, and the mode flag never races a buffered response. A resize
-// (SetDepth) waits for the same quiescence, and enforces it: while one is
-// pending, Post reports ErrRingFull, so a driver that claims whenever its
-// ring is full drains it without knowing a resize is on the way.
+// Hybrid-switch rule, one for both drivers: each call carries its mode in
+// its own request header (wire.go), and a post carries the client's mode.
+// The K-th consecutive call to cross R switches to server-reply in the
+// middle of that call (overran): it and every later post go to reply, and
+// one small Write rewrites its own request's mode byte. A reply-mode
+// response reporting a short process time switches later posts back, at no
+// cost: the next request says it. Other calls in flight finish in their
+// own mode, so the mode never waits for the ring. Ring geometry does: a
+// resize (SetDepth), an F change and a reconnect apply only once the ring
+// quiesces (outstanding == 0), and a pending resize enforces it — Post
+// reports ErrRingFull — so a driver that claims whenever its ring is full
+// drains it without knowing a resize is on the way.
 
 import (
 	"errors"
@@ -74,10 +77,16 @@ const (
 type slot struct {
 	state   slotPhase
 	seq     uint16
+	mode    Mode // the delivery mode the call's request carries
 	failed  int  // failed fetch attempts for this call
 	overrun bool // failed count crossed R
 	hdr     header
 	err     error
+
+	// A call switched to reply in flight may have been published before
+	// its mode byte landed: it also fetches, at fallbackAt, until answered.
+	justSwitched bool
+	fallbackAt   sim.Time
 
 	// Recovery state (recover.go); zero unless Params.DeadlineNs is set.
 	reqLen   int      // staged request length, for resends
@@ -115,18 +124,19 @@ func (c *Client) Depth() int { return c.depth }
 
 // stage is the front half of client_send in both its forms — Send and Post
 // stage a call through it. It first settles what was deferred to a quiesced
-// ring (a reconnect, a mode switch, an F or depth change), then claims a
-// free slot, arms its recovery timers, copies header and payload into the
-// slot's staging buffer and posts the request write. It returns the slot.
+// ring (a reconnect, an F or depth change), then claims a free slot, arms
+// its recovery timers, copies header, the client's mode and payload into
+// the slot's staging buffer and posts the request write. It returns the
+// slot.
 //
 //rfp:hotpath
 func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if len(req) > c.maxReq {
+	if len(req) > c.srv.cfg.MaxRequest {
 		//rfpvet:allow hotpathalloc oversized-request error path, never taken by well-formed callers
-		return 0, fmt.Errorf("core: request of %d bytes exceeds limit %d", len(req), c.maxReq)
+		return 0, fmt.Errorf("core: request of %d bytes exceeds limit %d", len(req), c.srv.cfg.MaxRequest)
 	}
 	if c.needReconnect && c.recoveryOn() {
 		if c.outstanding > 0 {
@@ -139,14 +149,11 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 			return 0, err
 		}
 	}
-	// A mode switch or parameter change decided while the ring was busy
-	// applies once it has quiesced (see the file comment); a pending resize
-	// admits no post until then.
+	// A parameter change decided while the ring was busy applies once it
+	// has quiesced (see the file comment); a pending resize admits no post
+	// until then.
 	if c.pendingDepth != 0 && c.outstanding > 0 {
 		return 0, ErrRingFull
-	}
-	if err := c.applyPendingMode(p); err != nil {
-		return 0, err
 	}
 	c.applyPendingParams()
 	si := c.nextSlot
@@ -157,7 +164,7 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 	}
 	c.nextSlot = (si + 1) % c.depth
 	c.seq++
-	c.slots[si] = slot{state: slotPosted, seq: c.seq, reqLen: len(req), postedAt: start}
+	c.slots[si] = slot{state: slotPosted, seq: c.seq, mode: c.mode, reqLen: len(req), postedAt: start}
 	if c.recoveryOn() {
 		now := p.Now()
 		c.slots[si].deadline = now.Add(sim.Duration(c.params.DeadlineNs))
@@ -173,6 +180,7 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 	// this call is unambiguous, then stage header + payload and post.
 	putHeader(c.landing[si*c.respStride:], header{})
 	putHeader(c.stages[si], header{valid: true, size: len(req), seq: c.seq})
+	c.stages[si][reqModeOff] = byte(c.mode)
 	copy(c.stages[si][HeaderSize:], req)
 	c.repostSend(p, si)
 	c.rec.Occupancy(c.outstanding)
@@ -184,8 +192,8 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 // without waiting for completion (the pipelined form of client_send). The
 // payload is copied into the slot's staging buffer before Post returns, so
 // the caller may reuse req as soon as it does — but not before: like Send,
-// Post may yield (reconnect, mode switch) ahead of staging, and req must not
-// change until it returns. The returned handle must be redeemed with Poll.
+// Post may yield (reconnect) ahead of staging, and req must not change
+// until it returns. The returned handle must be redeemed with Poll.
 // With every slot in flight, or a resize pending, Post returns ErrRingFull.
 //
 //rfp:hotpath
@@ -219,7 +227,7 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 	for sl.state != slotReady && sl.state != slotFailed {
 		c.progress(p)
 	}
-	if c.mode == ModeReply {
+	if sl.mode == ModeReply {
 		c.Stats.ReplyWaitNs += int64(p.Now().Sub(start))
 	} else {
 		c.Stats.FetchNs += int64(p.Now().Sub(start))
@@ -232,17 +240,16 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 
 // claim resolves slot si for its caller and frees it — the one exit of a
 // call, behind Recv and Poll alike. A failed slot yields its error. A ready
-// one yields its payload, reports the call to telemetry and feeds the hybrid
-// mechanism: a fetch-mode call lands in the retry histogram and extends or
-// breaks the run of overruns (the K-th asks for server-reply); a reply-mode
-// call counts as a reply delivery and asks for the switch back once the
-// server's process time is under the threshold. A claim that empties the
-// ring applies the switch on the spot — for Recv, every claim.
+// one yields its payload, reports the call to telemetry, counts toward
+// demotion and feeds the hybrid mechanism: a fetch-mode call lands in the
+// retry histogram and, unless it overran, breaks the run of overruns; a
+// reply-mode call counts as a reply delivery and switches later posts back
+// to fetch once the server's process time is under the threshold.
 //
 //rfp:hotpath
 func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 	sl := &c.slots[si]
-	hdr, faulted := sl.hdr, sl.faulted
+	hdr, faulted, replied := sl.hdr, sl.faulted, sl.mode == ModeReply
 	if sl.state == slotFailed {
 		err := sl.err
 		c.releaseSlot(si)
@@ -256,44 +263,25 @@ func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 			sent = sl.postedAt // reply landed before the send CQE was reaped
 		}
 		c.rec.Call(int64(sl.readyAt.Sub(sl.postedAt)), int64(sent.Sub(sl.postedAt)),
-			int64(sl.readyAt.Sub(sent)), c.mode == ModeReply)
+			int64(sl.readyAt.Sub(sent)), replied)
 		c.callEvent(trace.CallDone, sl.readyAt, p.Now(), si, sl.seq, n)
 	}
-	if c.mode == ModeReply {
+	// Demotion first: a connection it demotes does not switch back.
+	c.noteCallOutcome(p, faulted)
+	if replied {
 		c.Stats.ReplyDeliveries++
 		if !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= switchBackUs {
-			c.pendingMode, c.hasPending = ModeFetch, true
+			c.setMode(ModeFetch)
 		}
 	} else {
 		c.recordRetries(sl.failed)
-		if sl.overrun {
-			c.consecOverruns++
-		} else {
+		if !sl.overrun {
 			c.consecOverruns = 0
-		}
-		if !c.params.DisableSwitch && c.consecOverruns >= switchAfterOverruns {
-			c.consecOverruns = 0
-			c.pendingMode, c.hasPending = ModeReply, true
 		}
 	}
 	c.releaseSlot(si)
-	if err := c.applyPendingMode(p); err != nil {
-		return 0, err
-	}
 	c.observeCall(p, hdr)
-	c.noteCallOutcome(p, faulted)
 	return n, nil
-}
-
-// applyPendingMode performs a deferred mode switch once the ring is empty.
-//
-//rfp:hotpath
-func (c *Client) applyPendingMode(p *sim.Proc) error {
-	if !c.hasPending || c.outstanding > 0 {
-		return nil
-	}
-	c.hasPending = false
-	return c.switchMode(p, c.pendingMode)
 }
 
 //rfp:hotpath
@@ -301,24 +289,27 @@ func (c *Client) releaseSlot(i int) {
 	c.slots[i] = slot{}
 	c.outstanding--
 	// The claim that empties the ring is the other quiesce point (besides
-	// Post/Send): deferred F/depth changes land here — and claim applies a
-	// deferred mode switch right after — so a decision takes effect as soon
-	// as the ring drains even if the caller never posts again.
+	// Post/Send): deferred F/depth changes land here, so a decision takes
+	// effect as soon as the ring drains even if the caller never posts
+	// again.
 	c.applyPendingParams()
 }
 
-// anyInState reports whether any slot is in one of the given phases.
+// inFlight reports what the ring waits on: a completion the hardware owes
+// (a request write or a read in flight), and a reply-mode call awaiting the
+// server's push.
 //
 //rfp:hotpath
-func (c *Client) anyInState(states ...slotPhase) bool {
+func (c *Client) inFlight() (owed, pushed bool) {
 	for i := range c.slots {
-		for _, st := range states {
-			if c.slots[i].state == st {
-				return true
-			}
+		switch sl := &c.slots[i]; {
+		case sl.state == slotPosted || sl.state == slotReading:
+			owed = true
+		case sl.state == slotWaiting && sl.mode == ModeReply:
+			pushed = true
 		}
 	}
-	return false
+	return owed, pushed
 }
 
 // progress advances the in-flight slots by one step of the pipelined
@@ -358,50 +349,42 @@ func (c *Client) reap(p *sim.Proc) bool {
 	return advanced
 }
 
-// issue posts work for every slot that can proceed: in fetch mode one fetch
-// read per awaiting slot, the batch sharing a doorbell; in reply mode a
-// check of each awaiting slot's local landing.
+// issue posts work for every slot that can proceed, each in its own mode:
+// a fetch read per awaiting fetch-mode slot, the batch sharing a doorbell,
+// and a check of each awaiting reply-mode slot's local landing — plus the
+// fallback fetch of a call switched in flight, when due.
 //
 //rfp:hotpath
 func (c *Client) issue(p *sim.Proc) bool {
-	if c.mode == ModeFetch {
-		advanced := false
-		// Batch into the connection's persistent scratch: a fresh []WR here
-		// would heap-allocate on every engine step of every deep-ring call
-		// (the WRs are copied into the send queue before Post/PostBatch
-		// return, so reuse is safe).
-		c.wrScratch = c.wrScratch[:0]
-		for i := range c.slots {
-			sl := &c.slots[i]
-			if c.recoveryOn() && c.slotTimers(p, i) {
-				advanced = true
-				continue
-			}
-			if sl.state != slotWaiting {
-				continue
-			}
-			if c.recoveryOn() && sl.retryAt > p.Now() {
-				continue // backing off after a failed fetch
-			}
-			c.wrScratch = append(c.wrScratch, c.fetchWR(i))
-			sl.state = slotReading
-		}
-		if len(c.wrScratch) == 1 {
-			c.qp.Post(p, c.lease.PostCQ(), c.wrScratch[0])
-		} else if len(c.wrScratch) > 1 {
-			c.qp.PostBatch(p, c.lease.PostCQ(), c.wrScratch)
-		}
-		return advanced || len(c.wrScratch) > 0
-	}
-	// Reply mode: check the local landing of every awaiting slot. A response
-	// that has landed wins over a timer due at the same instant.
 	advanced := false
+	// Batch into the connection's persistent scratch: a fresh []WR here
+	// would heap-allocate on every engine step of every deep-ring call (the
+	// WRs are copied into the send queue before Post/PostBatch return, so
+	// reuse is safe).
+	c.wrScratch = c.wrScratch[:0]
 	for i := range c.slots {
-		if c.landed(p, i) || c.recoveryOn() && c.slotTimers(p, i) {
+		sl := &c.slots[i]
+		// A response that has landed wins over a timer due at the same
+		// instant.
+		if sl.mode == ModeReply && c.landed(p, i) || c.recoveryOn() && c.slotTimers(p, i) {
 			advanced = true
+			continue
 		}
+		if sl.state != slotWaiting || sl.mode == ModeReply && (!sl.justSwitched || p.Now() < sl.fallbackAt) {
+			continue
+		}
+		if c.recoveryOn() && sl.retryAt > p.Now() {
+			continue // backing off after a failed fetch
+		}
+		c.wrScratch = append(c.wrScratch, c.fetchWR(i))
+		sl.state = slotReading
 	}
-	return advanced
+	if len(c.wrScratch) == 1 {
+		c.qp.Post(p, c.lease.PostCQ(), c.wrScratch[0])
+	} else if len(c.wrScratch) > 1 {
+		c.qp.PostBatch(p, c.lease.PostCQ(), c.wrScratch)
+	}
+	return advanced || len(c.wrScratch) > 0
 }
 
 // landed checks the reply landing of slot i, if it awaits a response: a
@@ -441,7 +424,7 @@ func (c *Client) fetchWR(i int) rnic.WR {
 		ID:     c.ringID(wrKindFetch, i, c.slots[i].seq),
 		Op:     rnic.WRRead,
 		Remote: c.server,
-		Roff:   c.respOffs[i],
+		Roff:   respOffAt(c.srv.cfg, i),
 		Local:  c.fetches[i][:c.fetchLen()],
 	}
 }
@@ -455,7 +438,8 @@ func (c *Client) fetchWR(i int) rnic.WR {
 //
 //rfp:hotpath
 func (c *Client) await(p *sim.Proc) {
-	if c.anyInState(slotPosted, slotReading) {
+	owed, pushed := c.inFlight()
+	if owed {
 		if e := c.cq.Wait(p); c.group != nil {
 			c.group.dispatch(p, e)
 		} else {
@@ -463,7 +447,7 @@ func (c *Client) await(p *sim.Proc) {
 		}
 		return
 	}
-	if c.mode == ModeReply && c.anyInState(slotWaiting) {
+	if pushed {
 		c.replyNap(p)
 		return
 	}
@@ -554,22 +538,34 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 		if !hdr.valid || hdr.seq != sl.seq {
 			// Stale or half-written response: retry. The slot returns to
 			// waiting and the next step re-reads it — the paper's repeated
-			// remote fetching; crossing R marks the call an overrun for the
-			// hybrid switch.
+			// remote fetching; crossing R makes the call an overrun for the
+			// hybrid switch. A switched call's fallback fetch comes round
+			// again in fallbackFetchNs.
 			sl.failed++
 			c.Stats.Retries++
 			c.rec.Retries(1)
 			c.callEvent(trace.FetchMiss, p.Now(), p.Now(), si, sl.seq, c.fetchLen())
-			if sl.failed > c.params.R {
-				sl.overrun = true
-			}
 			sl.state = slotWaiting
+			if sl.mode == ModeReply {
+				sl.fallbackAt = p.Now().Add(sim.Duration(fallbackFetchNs))
+			} else if sl.failed > c.params.R && !sl.overrun {
+				sl.overrun = true
+				c.overran(p, si)
+				if c.recoveryOn() && sl.state == slotWaiting {
+					// R misses: the server is slow, or the request was lost
+					// on the wire. Re-delivering now revives a lost one
+					// long before resendAt and costs a slow one a compare
+					// (at most once, Conn.TryRecv).
+					c.Stats.Resends++
+					c.repostSend(p, si)
+				}
+			}
 			return true
 		}
-		if hdr.size > c.maxResp {
+		if hdr.size > c.srv.cfg.MaxResponse {
 			sl.state = slotFailed
 			//rfpvet:allow hotpathalloc size-overflow error path, terminal for the call
-			sl.err = fmt.Errorf("core: server announced %d-byte response beyond limit %d", hdr.size, c.maxResp)
+			sl.err = fmt.Errorf("core: server announced %d-byte response beyond limit %d", hdr.size, c.srv.cfg.MaxResponse)
 			return true
 		}
 		sl.hdr = hdr
@@ -581,7 +577,7 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 				ID:     c.ringID(wrKindFetch2, si, sl.seq),
 				Op:     rnic.WRRead,
 				Remote: c.server,
-				Roff:   c.respOffs[si] + f,
+				Roff:   respOffAt(c.srv.cfg, si) + f,
 				Local:  c.fetches[si][f:total],
 			})
 			return true // still slotReading, awaiting the continuation
@@ -599,4 +595,32 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 		c.callEvent(trace.FetchHit, p.Now(), p.Now(), si, sl.seq, HeaderSize+sl.hdr.size)
 	}
 	return true
+}
+
+// overran feeds the hybrid switch a fetch-mode call that has just crossed R.
+// The K-th consecutive one switches to server-reply in the middle of the
+// call — paper Sec. 3.2's fallback, in whichever driver it runs: every
+// later post carries reply, and one 1-byte Write rewrites the call's own
+// request mode byte, from the staging copy so that a resend carries it too.
+// The server may publish before that byte lands; the call's fallback fetch
+// collects such a response.
+//
+//rfp:hotpath
+func (c *Client) overran(p *sim.Proc, si int) {
+	if c.consecOverruns++; c.params.DisableSwitch || c.consecOverruns < switchAfterOverruns {
+		return
+	}
+	sl := &c.slots[si]
+	c.consecOverruns = 0
+	c.recordRetries(sl.failed)
+	c.rec.Fallback()
+	c.callEvent(trace.Fallback, p.Now(), p.Now(), si, sl.seq, 0)
+	c.setMode(ModeReply)
+	sl.mode, sl.justSwitched = ModeReply, true
+	c.stages[si][reqModeOff] = byte(ModeReply)
+	if err := c.qp.Write(p, c.server, reqOffAt(c.srv.cfg, si)+reqModeOff, c.stages[si][reqModeOff:reqModeOff+1]); err != nil {
+		sl.state, sl.err = slotFailed, err
+		return
+	}
+	sl.fallbackAt = p.Now().Add(sim.Duration(fallbackFetchNs))
 }

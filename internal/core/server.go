@@ -6,8 +6,8 @@ package core
 // application-specific data structures. The only departure from
 // server-reply is in Conn.Send: results are written into local response
 // buffers for clients to fetch, instead of being pushed with out-bound
-// RDMA, unless the connection's mode flag says the client has fallen back
-// to server-reply.
+// RDMA, unless the request's mode byte says the client has fallen back to
+// server-reply.
 
 import (
 	"errors"
@@ -133,7 +133,7 @@ func (s *Server) AddThreads(n int) {
 // thread). Layout of the server-side region (paper Fig. 7, extended to a
 // ring of Depth slots):
 //
-//	[mode flag][slot 0: request | response][slot 1: ...]
+//	[closed flag][slot 0: request | response][slot 1: ...]
 type Conn struct {
 	srv *Server
 	id  int
@@ -149,6 +149,10 @@ type Conn struct {
 	curSeq   uint16
 	recvAt   sim.Time
 	scratch  []byte // handler response scratch
+
+	// ran holds, per slot, ranSeq|seq of the request last executed there
+	// (zero: none since the last bind), so a resent request is not run twice.
+	ran []uint32
 
 	rec *telemetry.Recorder // optional telemetry (set via Client.SetRecorder)
 
@@ -167,10 +171,6 @@ func (c *Conn) ID() int { return c.id }
 
 // Depth returns the connection's request-ring depth.
 func (c *Conn) Depth() int { return c.depth }
-
-// Mode returns the connection's current delivery mode as last written by
-// the client into the server-side flag.
-func (c *Conn) Mode() Mode { return Mode(c.buf[0] & 1) }
 
 // Closed reports whether the client has torn the connection down.
 func (c *Conn) Closed() bool { return c.buf[0]&modeClosed != 0 }
@@ -193,16 +193,30 @@ func (c *Conn) TryRecv(p *sim.Proc) ([]byte, bool) {
 				// Status bit set but the size field is garbage (a torn or
 				// corrupt delivery): consume the slot so it cannot wedge the
 				// scan, and serve nothing — the client's resend recovers.
-				putHeader(buf, header{})
+				consume(buf)
 				c.BadRequests++
 			}
 			continue
 		}
-		// Consume: clear the status bit so the slot is free for the
-		// client's next request, and charge unpacking cost. recvAt is
-		// per-request, so the process time the response reports (which
-		// feeds the client's (R, F) tuner) is this slot's alone.
-		putHeader(buf, header{})
+		// Consume: clear the status word so the slot is free for the
+		// client's next request.
+		consume(buf)
+		if c.ran[s] == ranSeq|uint32(hdr.seq) {
+			// At most once: a resent request already ran here. Its
+			// response, once published, sits in the slot's response area,
+			// where a fetch finds it; in reply mode it is pushed again. A
+			// resend that overtakes the first run is dropped — that run
+			// publishes.
+			if rh := parseHeader(c.buf[respOffAt(c.srv.cfg, s):]); rh.valid && rh.seq == hdr.seq && c.replyMode(s) {
+				//rfpvet:allow errdrop a failed re-push leaves the response fetchable, as Serve's failed push does, and the client resends again
+				_ = c.push(p, s, rh.size)
+			}
+			continue
+		}
+		c.ran[s] = ranSeq | uint32(hdr.seq)
+		// Charge unpacking cost. recvAt is per-request, so the process
+		// time the response reports (which feeds the client's (R, F) tuner)
+		// is this slot's alone.
 		c.lastSlot = s
 		c.curSlot = s
 		c.curSeq = hdr.seq
@@ -218,9 +232,10 @@ func (c *Conn) TryRecv(p *sim.Proc) ([]byte, bool) {
 // Send publishes the response for the request last consumed by TryRecv
 // (server_send in the paper's API). In fetch mode it only writes the
 // server-local response buffer — the client will fetch it remotely. If the
-// client has switched the connection to reply mode, the response is
+// request's mode byte, read now, asks for reply mode, the response is
 // additionally pushed with an out-bound RDMA Write; writing the local
-// buffer too keeps the fallback fetch path alive across mode-switch races.
+// buffer too keeps the fallback fetch path alive for a call whose switch
+// to reply lands after the publish.
 //
 //rfp:hotpath
 func (c *Conn) Send(p *sim.Proc, payload []byte) error {
@@ -237,12 +252,32 @@ func (c *Conn) Send(p *sim.Proc, payload []byte) error {
 	putResponse(buf, hdr, payload)
 	c.srv.machine.ComputeNs(p, c.srv.machine.Profile().CopyNs(len(payload)+HeaderSize))
 	c.srvEvent(trace.SrvPub, pubAt, p.Now(), c.curSlot, c.curSeq, len(payload))
-	if c.Mode() == ModeReply {
-		c.ServedReply++
-		return c.qp.Write(p, c.client, c.curSlot*respArea(c.srv.cfg), buf[:HeaderSize+len(payload)])
+	if c.replyMode(c.curSlot) {
+		return c.push(p, c.curSlot, len(payload))
 	}
 	c.ServedFetch++
 	return nil
+}
+
+// ranSeq marks a Conn.ran entry as holding a seq, so that a slot which has
+// run nothing matches no request, seq 0 included.
+const ranSeq = 1 << 16
+
+// replyMode reports whether slot s's request asks for server-reply.
+//
+//rfp:hotpath
+func (c *Conn) replyMode(s int) bool {
+	return Mode(c.buf[reqOffAt(c.srv.cfg, s)+reqModeOff]) == ModeReply
+}
+
+// push writes slot s's published response of n payload bytes into the
+// client's reply landing.
+//
+//rfp:hotpath
+func (c *Conn) push(p *sim.Proc, s, n int) error {
+	c.ServedReply++
+	off := respOffAt(c.srv.cfg, s)
+	return c.qp.Write(p, c.client, s*respArea(c.srv.cfg), c.buf[off:off+HeaderSize+n])
 }
 
 // retire releases a closed connection's server-side region back to its
@@ -252,11 +287,14 @@ func (c *Conn) Send(p *sim.Proc, payload []byte) error {
 func (c *Conn) retire() { c.lease.Release() }
 
 // Handler processes one request and writes the response into resp
-// (MaxResponse bytes), returning the response length. req aliases the ring
-// slot: with recovery on, a resent request can be served twice, and the
-// second service runs while the client — satisfied by the first response —
-// delivers its next request into the same slot. A handler that yields must
-// copy what it needs out of req first.
+// (MaxResponse bytes), returning the response length. A request runs at
+// most once per connection binding: a resent request whose (slot, seq) ran
+// already is not run again (Conn.TryRecv). A reconnect binds fresh
+// regions and starts with an empty record, so a request whose response was
+// lost with the old region may run again (DESIGN.md §10). req aliases the
+// ring slot: a call that fails at its deadline frees the slot while the
+// handler may still run, and the client's next request can be written into
+// it. A handler that yields must copy what it needs out of req first.
 type Handler func(p *sim.Proc, conn *Conn, req []byte, resp []byte) int
 
 // crashedIdleNs is how often a Serve loop re-checks a crashed machine for
@@ -385,9 +423,8 @@ func (c *Client) bind(res leased) {
 	}
 	c.lease, c.tag = res.ep, res.ep.Tag()
 	c.lease.Redirect(c.cq)
-	if c.mode == ModeReply {
-		conn.buf[0] = byte(ModeReply) // set during connection setup
-	}
+	// The old region took its responses with it: nothing has run here.
+	clear(conn.ran)
 }
 
 // Accept establishes an RFP connection from a (thread on a) client machine
@@ -413,13 +450,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		return nil, nil, ErrStarted
 	}
 	params = params.withDefaults()
-	maxF := HeaderSize + s.cfg.MaxResponse
-	if params.F > maxF {
-		params.F = maxF
-	}
-	if params.F < HeaderSize+1 {
-		params.F = HeaderSize + 1
-	}
+	params.F = min(max(params.F, HeaderSize+1), HeaderSize+s.cfg.MaxResponse)
 
 	// The region (and the client's reply landing) are registered for the
 	// ring's slot *capacity*, not its active depth: registration exchanges
@@ -438,6 +469,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		id:      len(s.conns),
 		depth:   capacity,
 		scratch: make([]byte, s.cfg.MaxResponse),
+		ran:     make([]uint32, capacity),
 	}
 	s.conns = append(s.conns, conn)
 
@@ -450,17 +482,9 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		maxDepth:   capacity,
 		respStride: respArea(s.cfg),
 		napIdleNs:  max(0, params.ReplyPollNs-clientMachine.Profile().LocalPollNs),
-		maxReq:     s.cfg.MaxRequest,
-		maxResp:    s.cfg.MaxResponse,
 		slots:      make([]slot, depth),
-		reqOffs:    make([]int, capacity),
-		respOffs:   make([]int, capacity),
 		stages:     make([][]byte, depth),
 		fetches:    make([][]byte, depth),
-	}
-	for i := 0; i < capacity; i++ {
-		cli.reqOffs[i] = reqOffAt(s.cfg, i)
-		cli.respOffs[i] = respOffAt(s.cfg, i)
 	}
 	for i := 0; i < depth; i++ {
 		cli.stages[i] = make([]byte, HeaderSize+s.cfg.MaxRequest)

@@ -20,7 +20,9 @@ import (
 
 // HeaderSize is the size of the request/response buffer header (paper
 // Fig. 7): a 32-bit word holding a 1-bit status flag and a 31-bit size, a
-// 16-bit server process time (response only) and a 16-bit sequence number.
+// 16-bit server process time and a 16-bit sequence number. A request has no
+// process time to report; its byte 4 (reqModeOff) carries instead the
+// delivery mode the client asks for, so the mode travels with each request.
 //
 // The sequence number is an addition over the figure: with only a status
 // bit, a client that issues request N+1 and fetches immediately could
@@ -31,6 +33,11 @@ const HeaderSize = 8
 // MaxPayload is the largest request or response payload encodable in the
 // 31-bit size field. Practical buffers are far smaller.
 const MaxPayload = 1<<31 - 1
+
+// reqModeOff is the offset of a request header's mode byte: the call's
+// Mode, written by stage and rewritten by a call that switches to reply in
+// flight, read by the server when it publishes the response.
+const reqModeOff = 4
 
 // header is the decoded form of a buffer header.
 type header struct {
@@ -65,6 +72,12 @@ func parseHeader(buf []byte) header {
 		seq:    binary.LittleEndian.Uint16(buf[6:8]),
 	}
 }
+
+// consume clears a request header's status/size word, freeing the slot for
+// the client's next request; the mode and seq bytes stay for the publish.
+//
+//rfp:hotpath
+func consume(buf []byte) { binary.LittleEndian.PutUint32(buf[0:4], 0) }
 
 // parseSlot validates a slot image of arbitrary length: it accepts only a
 // complete request/response whose status bit is set and whose announced
@@ -138,7 +151,9 @@ func clampTimeUs(ns int64) uint16 {
 	return uint16(us)
 }
 
-// Mode is the per-connection delivery mode of the hybrid mechanism.
+// Mode is the delivery mode of the hybrid mechanism. Each call carries its
+// own in its request header; the client's mode is what its next post
+// carries.
 type Mode uint8
 
 // Delivery modes. ModeFetch is the RFP fast path (client RDMA-Reads results
@@ -149,8 +164,8 @@ const (
 	ModeReply Mode = 1
 )
 
-// modeClosed marks a torn-down connection in the server-side flag byte; it
-// is not a delivery mode (Conn.Mode masks it out, Conn.Closed exposes it).
+// modeClosed marks a torn-down connection in the server-side flag byte, the
+// byte's only value besides zero (Conn.Closed reads it).
 const modeClosed byte = 0x80
 
 func (m Mode) String() string {
@@ -169,9 +184,9 @@ func (m Mode) String() string {
 const connAlign = 64
 
 // Slot-ring geometry. A connection's server-side region holds the 1-byte
-// mode flag followed by Params.Depth independent request/response slots:
+// closed flag followed by Params.Depth independent request/response slots:
 //
-//	[mode flag | pad][slot 0: req hdr+payload | resp hdr+payload][slot 1: ...]
+//	[closed flag | pad][slot 0: req hdr+payload | resp hdr+payload][slot 1: ...]
 //
 // Each slot carries its own status-bit + size headers, so requests and
 // responses in different slots are completely independent: a client may keep

@@ -84,7 +84,8 @@ func extAdaptiveDepth(o Options) Result {
 		Rows:   rows,
 		Notes: []string{
 			"the tuner enumerates Depth in [1, MaxDepth] from the same sample window as F/R, modeling post/poll overlap against the fetched round trip",
-			"a re-selected depth is applied under the quiesce rule: Post reports a full ring until the load loop has drained it, mirroring the hybrid mode switch",
+			"a re-selected depth is applied under the quiesce rule: Post reports a full ring until the load loop has drained it",
+			"heavy static points at depth >= 4 flap between modes per call: queueing behind the ring overruns R, and each reply reports 4 us, under the 7 us switch-back threshold",
 			"acceptance: the adaptive depth is within one doubling step of the best static depth both before and after the mid-run shift",
 		},
 	}

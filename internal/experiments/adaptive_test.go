@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"rfp/internal/core"
+	"rfp/internal/sim"
 )
 
 // TestExtAdaptiveDepthConverges checks the extension's acceptance bar: the
@@ -77,4 +80,40 @@ func TestExtAdaptiveDepthDeterminism(t *testing.T) {
 // doubling step of the static reference (the sweep's grid spacing).
 func withinOneStep(d, ref int) bool {
 	return 2*d >= ref && d <= 2*ref
+}
+
+// TestAdaptiveDepthHeavyModeIgnoresWindowBoundary moves the heavy static
+// points' warm-up/window boundary and requires the window's hybrid mode to
+// stay put: the mode changes inside the window, both ways, and its share of
+// reply-mode calls and its throughput are the same wherever the window
+// starts. When a ring switched only once drained, a kept-full ring switched
+// at the phase-end drain alone, so each window ran in whatever mode the
+// warm-up's drain had left (0.180 MOPS in reply at depth ≥ 4).
+func TestAdaptiveDepthHeavyModeIgnoresWindowBoundary(t *testing.T) {
+	for _, d := range []int{4, 8} {
+		var lo, hi, loMops, hiMops float64
+		for i, warm := range []sim.Duration{500, 700, 900} {
+			o := archiveOpts().withDefaults()
+			o.Warmup = warm * sim.Microsecond
+			params := core.DefaultParams()
+			params.Depth = d
+			env, b, placements := newPipelineRig(o, params, 32, adaptiveHeavyNs)
+			w := driveWindow(env, b, placements, o, pipelineLoad, "heavy window")
+			env.Close()
+			s := w.Stats
+			if s.SwitchToReply == 0 || s.SwitchToFetch == 0 {
+				t.Fatalf("depth %d, warm-up %d µs: %d switches to reply and %d to fetch inside the window; want both > 0",
+					d, warm, s.SwitchToReply, s.SwitchToFetch)
+			}
+			frac, m := float64(s.ReplyDeliveries)/float64(s.Calls), mops(w)
+			if i == 0 {
+				lo, hi, loMops, hiMops = frac, frac, m, m
+			}
+			lo, hi, loMops, hiMops = min(lo, frac), max(hi, frac), min(loMops, m), max(hiMops, m)
+		}
+		if hi-lo > 0.1 || hiMops > 1.05*loMops {
+			t.Fatalf("depth %d: reply share %.3f..%.3f, %.3f..%.3f MOPS across window boundaries; want within 0.1 and 5%%",
+				d, lo, hi, loMops, hiMops)
+		}
+	}
 }

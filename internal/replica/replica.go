@@ -449,9 +449,10 @@ func (n *node) handlePut(p *sim.Proc, req, resp []byte) int {
 		return respByte(resp, statusNotLeader, n.leaderByte())
 	}
 	e0 := n.epoch
-	// req aliases the ring slot, and a client whose resent request is being
-	// served a second time has already moved on to its next call: copy out
-	// before the first yield, or that call's delivery tears the entry.
+	// req aliases the ring slot, and a client whose call failed at its
+	// deadline while this runs has moved on to its next call in the same
+	// slot: copy out before the first yield, or that call's delivery tears
+	// the entry.
 	key, val := workload.DecodeKey(r.Key), n.keep(r.Value)
 	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 	idx := len(n.log) + 1

@@ -49,7 +49,7 @@ func faultFreeReplica() Scenario {
 func TestFaultFreeRunsLinearizable(t *testing.T) {
 	sc := faultFreeReplica()
 	for _, be := range sc.Backends {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 24; seed++ {
 			opt := Options{Seed: seed}
 			rep, err := Run(sc, be, opt)
 			if err != nil {
@@ -75,14 +75,16 @@ func TestFaultFreeRunsLinearizable(t *testing.T) {
 
 // TestChaosHistoriesCertified certifies the seeded failover chaos runs:
 // every (backend, seed) pair of replica-failover — leader crash, lease wait,
-// epoch election, rejoin — passes the checker.
+// epoch election, rejoin — passes the checker, over seeds 1–24: a request
+// that re-runs its handler when resent broke seed 3 only, so a few seeds
+// are too few to be sure of the rule.
 func TestChaosHistoriesCertified(t *testing.T) {
 	sc, ok := Get("replica-failover")
 	if !ok {
 		t.Fatal("replica-failover not registered")
 	}
 	for _, be := range sc.Backends {
-		for seed := int64(1); seed <= 3; seed++ {
+		for seed := int64(1); seed <= 24; seed++ {
 			rep, err := Run(sc, be, Options{Seed: seed})
 			if err != nil {
 				t.Fatal(err)

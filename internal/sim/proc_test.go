@@ -87,20 +87,19 @@ func TestProcGoexitEndsRunCaller(t *testing.T) {
 	}
 }
 
-// goroutinesAtRest reports the goroutine count once it has stopped moving:
-// goroutines already on their way out (an earlier test's helper) exit
-// asynchronously.
-func goroutinesAtRest() int {
+// goroutinesBackTo waits for the goroutine count to fall back to before —
+// goroutines on their way out (an unwound coroutine, an earlier test's
+// helper) exit asynchronously, later under load — and fails with both
+// counts if it is still above before after a few seconds: a leak.
+func goroutinesBackTo(t *testing.T, before int) {
+	t.Helper()
 	n := runtime.NumGoroutine()
-	for i := 0; i < 200; i++ {
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
 		time.Sleep(time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			break
-		}
-		n = m
 	}
-	return n
+	if n > before {
+		t.Fatalf("%d goroutines after Close, %d before NewEnv", n, before)
+	}
 }
 
 // closeModes runs body on the serial kernel and on the sharded one, handing
@@ -110,7 +109,7 @@ func goroutinesAtRest() int {
 func closeModes(t *testing.T, body func(t *testing.T, e *Env, a, b *Shard)) {
 	for _, name := range []string{"serial", "sharded-1"} {
 		t.Run(name, func(t *testing.T) {
-			before := goroutinesAtRest()
+			before := runtime.NumGoroutine()
 			e := NewEnv(1)
 			if name != "serial" {
 				e.SetSharded(1)
@@ -119,9 +118,7 @@ func closeModes(t *testing.T, body func(t *testing.T, e *Env, a, b *Shard)) {
 			e.ObserveLinkFloor(300)
 			body(t, e, a, b)
 			e.Close()
-			if after := goroutinesAtRest(); after != before {
-				t.Fatalf("%d goroutines after Close, %d before NewEnv", after, before)
-			}
+			goroutinesBackTo(t, before)
 		})
 	}
 }
@@ -186,7 +183,7 @@ func TestCloseNeverRunsUnstartedProc(t *testing.T) {
 // Close unwinds its process is unwound again instead of suspending a
 // coroutine nobody will resume.
 func TestParkDuringUnwindStaysStopped(t *testing.T) {
-	before := goroutinesAtRest()
+	before := runtime.NumGoroutine()
 	e := NewEnv(1)
 	reached, after := false, false
 	e.Go("stubborn", func(p *Proc) {
@@ -202,7 +199,5 @@ func TestParkDuringUnwindStaysStopped(t *testing.T) {
 	if !reached || after {
 		t.Fatalf("deferred park: reached=%v, ran past the park=%v; want true, false", reached, after)
 	}
-	if n := goroutinesAtRest(); n != before {
-		t.Fatalf("%d goroutines after Close, %d before NewEnv", n, before)
-	}
+	goroutinesBackTo(t, before)
 }

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -216,7 +217,7 @@ func TestSleepEveryMatchesSleepLoop(t *testing.T) {
 func TestSleepEveryDonePanicSurfacesFromRun(t *testing.T) {
 	for _, busy := range []bool{true, false} {
 		t.Run(fmt.Sprintf("busy=%v", busy), func(t *testing.T) {
-			before := goroutinesAtRest()
+			before := runtime.NumGoroutine()
 			e := NewEnv(1)
 			boom := fmt.Errorf("boom")
 			unwound := false
@@ -259,9 +260,7 @@ func TestSleepEveryDonePanicSurfacesFromRun(t *testing.T) {
 			if !unwound {
 				t.Fatal("the napper's deferred function never ran")
 			}
-			if n := goroutinesAtRest(); n != before {
-				t.Fatalf("%d goroutines after Close, %d before NewEnv", n, before)
-			}
+			goroutinesBackTo(t, before)
 		})
 	}
 }

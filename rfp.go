@@ -107,7 +107,7 @@ type (
 	ServerConfig = core.ServerConfig
 	// ClientStats reports the hybrid mechanism's behaviour.
 	ClientStats = core.ClientStats
-	// Mode is a connection's delivery mode (fetch or reply).
+	// Mode is a call's delivery mode (fetch or reply).
 	Mode = core.Mode
 	// Calibration holds hardware-derived parameter-selection bounds.
 	Calibration = core.Calibration
