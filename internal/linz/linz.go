@@ -76,9 +76,9 @@ func (o Op) String() string {
 type History []Op
 
 // Sort orders the history deterministically: by Call, then Return, then
-// client, key and payload. Merge sorts; the checker groups its own copy by
-// key, each group in this order, so Sort is a canonicalization for
-// rendering and hashing.
+// client, key and payload. Merge returns this order; the checker groups its
+// own copy by key, each group in this order, so Sort is a canonicalization
+// for rendering and hashing.
 func (h History) Sort() { slices.SortFunc(h, opCmp) }
 
 // opCmp is the canonical three-way order of Sort. Found breaks the last
@@ -122,21 +122,48 @@ func (h History) Render() string {
 	return b.String()
 }
 
+// Chunk sizes of a ClientLog: the first chunk holds logChunkMin ops and each
+// next one twice the last, up to logChunkMax (2,048 ops, 112 KiB). A short
+// run records into a few small chunks; a long one into full-size chunks, so
+// at most one chunk's worth of space is unused.
+const (
+	logChunkMin = 16
+	logChunkMax = 2048
+)
+
 // ClientLog records one client thread's operations. It is written by
 // exactly one driver proc (single-writer, like the harness's phase cells)
-// and read only after the run has quiesced.
+// and read only after the run has quiesced. The ops live in chunks, each
+// filled to its capacity before the next is started: an op is written
+// once and never copied as the log grows.
 type ClientLog struct {
 	client int
-	ops    []Op
+	chunks [][]Op
+	n      int
 }
 
 // NewClientLog creates the recorder for one client thread.
 func NewClientLog(client int) *ClientLog { return &ClientLog{client: client} }
 
+// add appends o to the last chunk, starting a new one when it is full.
+func (l *ClientLog) add(o Op) {
+	k := len(l.chunks) - 1
+	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
+		size := logChunkMin
+		if k >= 0 {
+			size = min(2*cap(l.chunks[k]), logChunkMax)
+		}
+		l.chunks = append(l.chunks, make([]Op, 0, size))
+		k++
+	}
+	l.chunks[k] = append(l.chunks[k], o)
+	l.n++
+}
+
 // Read records a completed read: the value observed (or a miss) over
 // [call, ret].
 func (l *ClientLog) Read(key uint64, out uint32, found bool, call, ret int64) {
-	l.ops = append(l.ops, Op{
+	l.add(Op{
 		Client: l.client, Kind: Read, Key: key,
 		Out: out, Found: found, Call: call, Return: ret,
 	})
@@ -144,7 +171,7 @@ func (l *ClientLog) Read(key uint64, out uint32, found bool, call, ret int64) {
 
 // Write records an acknowledged write of value over [call, ret].
 func (l *ClientLog) Write(key uint64, arg uint32, call, ret int64) {
-	l.ops = append(l.ops, Op{
+	l.add(Op{
 		Client: l.client, Kind: Write, Key: key,
 		Arg: arg, Call: call, Return: ret,
 	})
@@ -157,27 +184,30 @@ func (l *ClientLog) Write(key uint64, arg uint32, call, ret int64) {
 // are simply dropped by the recorder's caller: a read with no observed
 // value constrains nothing.
 func (l *ClientLog) FailedWrite(key uint64, arg uint32, call int64) {
-	l.ops = append(l.ops, Op{
+	l.add(Op{
 		Client: l.client, Kind: Write, Key: key,
 		Arg: arg, Call: call, Return: InfTime,
 	})
 }
 
 // Len returns the number of recorded ops.
-func (l *ClientLog) Len() int { return len(l.ops) }
+func (l *ClientLog) Len() int { return l.n }
 
-// Merge combines per-thread logs into one canonical history.
+// Merge combines per-thread logs into one canonical history, allocated
+// once at its exact size.
 func Merge(logs ...*ClientLog) History {
 	n := 0
 	for _, l := range logs {
 		if l != nil {
-			n += len(l.ops)
+			n += l.n
 		}
 	}
 	h := make(History, 0, n)
 	for _, l := range logs {
 		if l != nil {
-			h = append(h, l.ops...)
+			for _, c := range l.chunks {
+				h = append(h, c...)
+			}
 		}
 	}
 	h.Sort()

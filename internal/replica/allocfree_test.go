@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"runtime"
 	"testing"
 
 	"rfp/internal/sim"
@@ -11,8 +12,15 @@ import (
 // floor: on a warmed 3-node group, quorum PUTs (log append, the prepare
 // fan-out, follower log appends, applies) beside lease-guarded follower
 // GETs allocate almost nothing per operation. What is left is growth, not
-// churn: the log slices, one 64 KiB value chunk per node every 2,048 PUTs
-// of 32 bytes, and the calendar's last bucket arrays reaching their size.
+// churn: one 160 KiB log chunk per node every 4,096 PUTs, one 64 KiB value
+// chunk per node every 2,048 PUTs of 32 bytes, and the calendar's last
+// bucket arrays reaching their size.
+//
+// Growth that writes each entry and value once costs 40 B of log entry and
+// 32 B of value per PUT on each of 3 nodes: 108 B per op at one PUT in two.
+// The test reads 111.5 B per op and bounds it at 128 (15 % margin). A log
+// grown as one slice by re-allocation copies each entry about four times
+// and reads several times the bound.
 func TestSteadyStateQuorumAllocFree(t *testing.T) {
 	const keys, valueSize, threads = 1000, 32, 4
 	r := newRig(t, 3, Config{})
@@ -58,4 +66,18 @@ func TestSteadyStateQuorumAllocFree(t *testing.T) {
 			allocs, done, per)
 	}
 	t.Logf("%.0f allocations over %d ops", allocs, done)
+
+	// Bytes are counted over a longer window than objects: 200 ms holds
+	// several chunks of every node's log, so one chunk more or less moves
+	// the figure by a few bytes per op.
+	var m0, m1 runtime.MemStats
+	before := ops
+	runtime.ReadMemStats(&m0)
+	r.env.Run(r.env.Now().Add(200 * sim.Millisecond))
+	runtime.ReadMemStats(&m1)
+	done = ops - before
+	if perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(done); perOp > 128 {
+		t.Fatalf("steady-state quorum PUT/GET allocate %d B over %d ops (%.1f per op), want <= 128",
+			m1.TotalAlloc-m0.TotalAlloc, done, perOp)
+	}
 }

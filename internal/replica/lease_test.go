@@ -431,8 +431,8 @@ func TestPrepareIdempotent(t *testing.T) {
 		if n.handlePrepare(p, msg, resp); resp[0] != kv.StatusOK {
 			t.Errorf("dup prepare: status 0x%02x", resp[0])
 		}
-		if len(n.log) != 1 || n.pending[7] != 1 {
-			t.Errorf("dup changed the log: len=%d pending=%d", len(n.log), n.pending[7])
+		if n.log.len() != 1 || n.pending[7] != 1 {
+			t.Errorf("dup changed the log: len=%d pending=%d", n.log.len(), n.pending[7])
 		}
 		if n.dupPrepares == 0 {
 			t.Errorf("duplicate not counted")
@@ -495,8 +495,8 @@ func TestEpochAdoptionTruncatesPendingTail(t *testing.T) {
 		// Committed entry 1, pending entry 2 at epoch 1.
 		n.handlePrepare(p, encodePrepare(buf, 1, 1, 1, 0, 4, []byte("committed")), resp)
 		n.handlePrepare(p, encodePrepare(buf, 1, 2, 1, 0, 5, []byte("pending")), resp)
-		if n.applied != 1 || len(n.log) != 2 || n.pending[5] != 1 {
-			t.Errorf("setup: applied=%d log=%d pending=%v", n.applied, len(n.log), n.pending)
+		if n.applied != 1 || n.log.len() != 2 || n.pending[5] != 1 {
+			t.Errorf("setup: applied=%d log=%d pending=%v", n.applied, n.log.len(), n.pending)
 		}
 		// New leader at epoch 2 re-prepares index 2 with a different write.
 		n.handlePrepare(p, encodePrepare(buf, 2, 2, 1, 1, 6, []byte("epoch2")), resp)
@@ -506,8 +506,8 @@ func TestEpochAdoptionTruncatesPendingTail(t *testing.T) {
 		if n.epoch != 2 || n.truncations != 1 {
 			t.Errorf("adoption: epoch=%d truncations=%d", n.epoch, n.truncations)
 		}
-		if n.pending[5] != 0 || n.pending[6] != 1 || len(n.log) != 2 {
-			t.Errorf("tail not replaced: pending=%v log=%d", n.pending, len(n.log))
+		if n.pending[5] != 0 || n.pending[6] != 1 || n.log.len() != 2 {
+			t.Errorf("tail not replaced: pending=%v log=%d", n.pending, n.log.len())
 		}
 		if n.leaderID != 1 {
 			t.Errorf("leader not adopted: %d", n.leaderID)
@@ -544,10 +544,10 @@ func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
 				if pm, ok := decodePrepare(req); ok && req[0] == opPrepare {
 					prepares++
 					from := r.svc.nodes[pm.leader]
-					if int(pm.index) > len(from.log) {
+					if int(pm.index) > from.log.len() {
 						t.Errorf("t=%d node %d handed a prepare for log[%d]; sender %d holds %d entries",
-							p.Now(), nd.id, pm.index, from.id, len(from.log))
-					} else if ent := from.log[pm.index-1]; ent.key != pm.key || string(ent.val) != string(pm.value) {
+							p.Now(), nd.id, pm.index, from.id, from.log.len())
+					} else if ent := from.log.at(int(pm.index) - 1); ent.key != pm.key || string(ent.val) != string(pm.value) {
 						t.Errorf("t=%d node %d handed a prepare for log[%d] carrying (key %d, %d B); sender %d's entry is (key %d, %d B)",
 							p.Now(), nd.id, pm.index, pm.key, len(pm.value), from.id, ent.key, len(ent.val))
 					}
@@ -581,14 +581,14 @@ func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
 		if nd == lead {
 			continue
 		}
-		if len(nd.log) != len(lead.log) || nd.applied != lead.applied {
+		if nd.log.len() != lead.log.len() || nd.applied != lead.applied {
 			t.Fatalf("node %d: log %d applied %d, leader log %d applied %d",
-				nd.id, len(nd.log), nd.applied, len(lead.log), lead.applied)
+				nd.id, nd.log.len(), nd.applied, lead.log.len(), lead.applied)
 		}
-		for i := range lead.log {
+		for i := range lead.log.len() {
 			// Not the epoch: an inherited entry is re-sent under the new
 			// leader's epoch.
-			if le, fe := &lead.log[i], &nd.log[i]; le.key != fe.key || string(le.val) != string(fe.val) {
+			if le, fe := lead.log.at(i), nd.log.at(i); le.key != fe.key || string(le.val) != string(fe.val) {
 				t.Fatalf("node %d log[%d] = (key %d, %d B), leader has (key %d, %d B)",
 					nd.id, i+1, fe.key, len(fe.val), le.key, len(le.val))
 			}

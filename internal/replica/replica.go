@@ -124,7 +124,7 @@ type node struct {
 	epoch    uint32
 	leaderID int // -1 when unknown
 	crashes  int // Machine.Crashes at the last step; a jump means we crashed
-	log      []entryRec
+	log      entryLog
 	slab     []byte         // current chunk of log values (keep)
 	applied  int            // entries 1..applied are in the store
 	maxAdv   int            // highest commit index ever advertised to us
@@ -455,8 +455,8 @@ func (n *node) handlePut(p *sim.Proc, req, resp []byte) int {
 	// the entry.
 	key, val := workload.DecodeKey(r.Key), n.keep(r.Value)
 	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
-	idx := len(n.log) + 1
-	n.log = append(n.log, entryRec{epoch: e0, key: key, val: val})
+	idx := n.log.len() + 1
+	n.log.append(entryRec{epoch: e0, key: key, val: val})
 	n.pending[key]++
 	committed := n.replicate(p, idx, e0)
 	// The fan-out yields; the ctrl proc may have stepped us down (and
@@ -502,7 +502,7 @@ func (n *node) replicate(p *sim.Proc, idx int, e0 uint32) bool {
 		if j == n.id || !n.active[j] || n.drainUntil[j] > 0 {
 			continue
 		}
-		ent := &n.log[idx-1]
+		ent := n.log.at(idx - 1)
 		msg := encodePrepare(n.prepBuf, e0, uint32(idx), uint32(n.applied), n.id, ent.key, ent.val)
 		sendT := int64(p.Now())
 		h, err := n.data[j].Post(p, msg)
@@ -602,7 +602,7 @@ func (n *node) prepareAck(p *sim.Proc, j int, sendT int64, ack []byte, idx int, 
 // does blocking (drainPeer) and the ctrl proc does not (condemn; a later tick
 // finalizes). A stale-epoch answer is neither: this node stepped down.
 func (n *node) syncPrepare(p *sim.Proc, cli *core.Client, prep, ack []byte, j, i int, e0 uint32) (acked, failed bool) {
-	ent := &n.log[i-1]
+	ent := n.log.at(i - 1)
 	msg := encodePrepare(prep, e0, uint32(i), uint32(n.applied), n.id, ent.key, ent.val)
 	sendT := int64(p.Now())
 	nr, err := cli.Call(p, msg, ack)
@@ -697,8 +697,8 @@ func (n *node) newChunk(size int) {
 
 // applyTo applies log entries through idx to the store.
 func (n *node) applyTo(idx int) {
-	for n.applied < idx && n.applied < len(n.log) {
-		e := &n.log[n.applied]
+	for n.applied < idx && n.applied < n.log.len() {
+		e := n.log.at(n.applied)
 		workload.EncodeKey(n.keyBuf, e.key)
 		n.store.Put(n.keyBuf, e.val)
 		n.applied++
@@ -720,13 +720,13 @@ func (n *node) pendingDec(key uint64) {
 // so only unacknowledged, ambiguous writes are lost — exactly the ops the
 // history records with an unbounded return window.
 func (n *node) truncate() {
-	if len(n.log) == n.applied {
+	if n.log.len() == n.applied {
 		return
 	}
-	for i := n.applied; i < len(n.log); i++ {
-		n.pendingDec(n.log[i].key)
+	for i := n.applied; i < n.log.len(); i++ {
+		n.pendingDec(n.log.at(i).key)
 	}
-	n.log = n.log[:n.applied]
+	n.log.cut(n.applied)
 	n.truncations++
 }
 
@@ -785,26 +785,26 @@ func (n *node) handlePrepare(p *sim.Proc, req, resp []byte) int {
 	case idx <= n.applied:
 		// Retransmit of an applied entry: already durable, just ack.
 		n.dupPrepares++
-	case idx <= len(n.log):
+	case idx <= n.log.len():
 		// Overwrite of a pending slot (retransmit, or refill after an
 		// epoch's truncation raced a backfill).
-		old := &n.log[idx-1]
+		old := n.log.at(idx - 1)
 		if old.epoch == pm.epoch {
 			n.dupPrepares++
 		}
 		n.pendingDec(old.key)
-		n.log[idx-1] = entryRec{epoch: pm.epoch, key: pm.key, val: n.keep(pm.value)}
+		*old = entryRec{epoch: pm.epoch, key: pm.key, val: n.keep(pm.value)}
 		n.pending[pm.key]++
-	case idx == len(n.log)+1:
+	case idx == n.log.len()+1:
 		val := n.keep(pm.value) // before the yield, as in handlePut
 		n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
-		n.log = append(n.log, entryRec{epoch: pm.epoch, key: pm.key, val: val})
+		n.log.append(entryRec{epoch: pm.epoch, key: pm.key, val: val})
 		n.pending[pm.key]++
 	default:
-		return respU32(resp, statusGap, uint32(len(n.log)))
+		return respU32(resp, statusGap, uint32(n.log.len()))
 	}
 	n.advertise(int(pm.commit))
-	return respU32(resp, kv.StatusOK, uint32(len(n.log)))
+	return respU32(resp, kv.StatusOK, uint32(n.log.len()))
 }
 
 // advertise digests a commit index heard from a leader: remember the
@@ -842,7 +842,7 @@ func (n *node) handleHeartbeat(p *sim.Proc, req, resp []byte) int {
 			resp[0] = statusLeaseHeld
 			return 1
 		}
-		if len(n.log) > int(hm.logEnd) {
+		if n.log.len() > int(hm.logEnd) {
 			resp[0] = statusBehind
 			return 1
 		}
@@ -875,7 +875,7 @@ func (n *node) handleHeartbeat(p *sim.Proc, req, resp []byte) int {
 	}
 	n.m.ComputeNs(p, 100)
 	n.advertise(int(hm.commit))
-	return respU32(resp, kv.StatusOK, uint32(len(n.log)))
+	return respU32(resp, kv.StatusOK, uint32(n.log.len()))
 }
 
 // leasedBit in the heartbeat leader byte marks the receiver as active: only
@@ -937,7 +937,7 @@ func (n *node) leaderTick(p *sim.Proc) {
 			lb |= leasedBit
 		}
 		sendT := now
-		msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(len(n.log)), int(lb))
+		msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(n.log.len()), int(lb))
 		nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 		if err != nil {
 			n.condemn(j, int64(p.Now()))
@@ -976,7 +976,7 @@ func (n *node) leaderTick(p *sim.Proc) {
 func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 	n.active[j] = true
 	n.anchor[j] = 0
-	for i := n.peerEnd[j] + 1; i <= len(n.log); i++ {
+	for i := n.peerEnd[j] + 1; i <= n.log.len(); i++ {
 		if n.role != roleLeader || n.epoch != e0 {
 			return
 		}
@@ -992,7 +992,7 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 		return
 	}
 	sendT := int64(p.Now())
-	msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(len(n.log)), int(byte(n.id)|leasedBit))
+	msg := encodeHeartbeat(n.hbBuf, n.epoch, uint32(n.applied), uint32(n.log.len()), int(byte(n.id)|leasedBit))
 	nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 	if err != nil || nr < 5 || n.ctrlAckBuf[0] != kv.StatusOK {
 		n.condemn(j, int64(p.Now()))
@@ -1006,10 +1006,10 @@ func (n *node) rejoin(p *sim.Proc, j int, e0 uint32) {
 // ambiguous answer) or inherited by a new leader eventually commits without
 // waiting for the next PUT.
 func (n *node) tryCommitTail() {
-	if n.applied >= len(n.log) || len(n.svc.nodes) == 1 {
+	if n.applied >= n.log.len() || len(n.svc.nodes) == 1 {
 		return
 	}
-	idx := len(n.log)
+	idx := n.log.len()
 	any := false
 	for j := range n.svc.nodes {
 		if j == n.id || !n.active[j] {
@@ -1069,7 +1069,7 @@ func (n *node) promote(p *sim.Proc) {
 			reject = true
 			break
 		}
-		msg := encodeHeartbeat(n.hbBuf, promoEpoch, uint32(n.applied), uint32(len(n.log)), n.id)
+		msg := encodeHeartbeat(n.hbBuf, promoEpoch, uint32(n.applied), uint32(n.log.len()), n.id)
 		nr, err := n.ctrl[j].Call(p, msg, n.ctrlAckBuf)
 		if err != nil || nr < 1 {
 			unreachable = true // does not join; its lease is waited out below

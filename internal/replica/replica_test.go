@@ -100,7 +100,7 @@ func TestAckImpliesDurabilityOrdering(t *testing.T) {
 				t.Errorf("Put: %v", err)
 				return
 			}
-			if got := len(r.svc.nodes[1].log); got < int(v) {
+			if got := r.svc.nodes[1].log.len(); got < int(v) {
 				t.Errorf("ack for write %d with follower log at %d", v, got)
 			}
 			// The store may trail by one version, never more.

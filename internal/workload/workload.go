@@ -140,7 +140,7 @@ func NewGenerator(cfg Config, seed int64) *Generator {
 }
 
 // Reset re-arms the generator for a new workload phase: the configuration
-// is replaced and the random source is rebuilt from seed. The stream after
+// is replaced and the random source is re-seeded in place. The stream after
 // Reset is exactly the stream a fresh NewGenerator(cfg, seed) would
 // produce — no PRNG state leaks across a phase boundary, regardless of how
 // many operations the previous phase drew. (A long-lived per-thread
@@ -160,7 +160,11 @@ func (g *Generator) Reset(cfg Config, seed int64) {
 		}
 	}
 	g.cfg = cfg
-	g.rng = rand.New(rand.NewSource(seed))
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed) // a new source would be 4.9 KB per (phase, thread)
+	}
 }
 
 // Fork returns a generator for another client thread of the same workload:
