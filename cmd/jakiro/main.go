@@ -60,6 +60,7 @@ func main() {
 
 	o := experiments.DefaultOptions()
 	o.Seed = *seed
+	o.Telemetry = true // the per-call breakdown is the window's telemetry
 	o.Window = sim.Duration(*ms) * sim.Millisecond
 	o.Warmup = o.Window / 2
 
@@ -106,10 +107,12 @@ func main() {
 			st.ReplyDeliveries, st.SwitchToReply, st.SwitchToFetch)
 		fmt.Printf("retries         max %d per call\n", st.MaxRetries)
 		fmt.Printf("client CPU      %.1f%%\n", 100*experiments.ClientUtil(w, *clients))
-		calls := float64(st.Calls)
+	}
+	if tel := w.Tel; tel.Calls > 0 {
+		calls := float64(tel.Calls)
 		fmt.Printf("phase breakdown send %.2fus  fetch %.2fus  reply-wait %.2fus (per call)\n",
-			float64(st.SendNs)/calls/1e3, float64(st.FetchNs)/calls/1e3,
-			float64(st.ReplyWaitNs)/calls/1e3)
+			float64(tel.Send.Sum)/calls/1e3, float64(tel.FetchLeg.Sum)/calls/1e3,
+			float64(tel.ReplyLeg.Sum)/calls/1e3)
 	}
 	if kind == experiments.KindPilaf && pilaf.Gets > 0 {
 		fmt.Printf("bypass reads    %.2f per GET (torn slots %d, torn extents %d)\n",

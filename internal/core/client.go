@@ -60,11 +60,6 @@ type ClientStats struct {
 	SwitchToFetch   uint64
 	IdleNs          int64 // CPU idle time accumulated waiting in reply mode
 
-	// Latency breakdown: virtual time accumulated in each call phase.
-	SendNs      int64 // request delivery (client_send)
-	FetchNs     int64 // remote fetching, including retries
-	ReplyWaitNs int64 // waiting in reply mode (polls + idle)
-
 	// Recovery path (extension, DESIGN.md §10); all zero on a lossless run.
 	FaultRetries uint64 // transport errors absorbed by the recovery loop
 	Resends      uint64 // request re-deliveries (request lost or corrupted)
@@ -90,9 +85,6 @@ func (s *ClientStats) Add(o ClientStats) {
 	s.SwitchToReply += o.SwitchToReply
 	s.SwitchToFetch += o.SwitchToFetch
 	s.IdleNs += o.IdleNs
-	s.SendNs += o.SendNs
-	s.FetchNs += o.FetchNs
-	s.ReplyWaitNs += o.ReplyWaitNs
 	s.FaultRetries += o.FaultRetries
 	s.Resends += o.Resends
 	s.Reconnects += o.Reconnects
@@ -114,9 +106,6 @@ func (s ClientStats) Sub(o ClientStats) ClientStats {
 	s.SwitchToReply -= o.SwitchToReply
 	s.SwitchToFetch -= o.SwitchToFetch
 	s.IdleNs -= o.IdleNs
-	s.SendNs -= o.SendNs
-	s.FetchNs -= o.FetchNs
-	s.ReplyWaitNs -= o.ReplyWaitNs
 	s.FaultRetries -= o.FaultRetries
 	s.Resends -= o.Resends
 	s.Reconnects -= o.Reconnects
@@ -307,8 +296,9 @@ func (c *Client) resize(d int) {
 // from Poll's progress loop — and never issues for another group member.
 // The payload must not change until Send returns: a pending reconnect
 // runs — and yields — before the payload is staged, so another proc
-// re-encoding a shared buffer meanwhile would be sent in its place. With anything in flight — posted handles, or an earlier Send not
-// yet redeemed by Recv — Send returns ErrRingBusy.
+// re-encoding a shared buffer meanwhile would be sent in its place. With
+// anything in flight — posted handles, or an earlier Send not yet redeemed
+// by Recv — Send returns ErrRingBusy.
 func (c *Client) Send(p *sim.Proc, payload []byte) error {
 	if c.outstanding > 0 && !c.closed {
 		return ErrRingBusy
@@ -340,7 +330,6 @@ func (c *Client) Send(p *sim.Proc, payload []byte) error {
 			}
 		}
 	}
-	c.Stats.SendNs += int64(p.Now().Sub(start))
 	return err
 }
 
@@ -351,14 +340,13 @@ func (c *Client) Send(p *sim.Proc, payload []byte) error {
 //
 // Recv is the synchronous driver's back half: it steps the slot engine Poll
 // drives — the hybrid switch included — and claims through the same
-// routine. What it adds is the policy of a one-call-at-a-time caller, which
-// the paper's figures were measured with (DESIGN.md §8 names the archive
-// behind each item): the call counts in Stats.Calls when Recv starts,
-// whatever its outcome; a connection that dies under the call is
-// re-established inside the call's own deadline; FetchNs covers the whole
-// wait of a call that entered in fetch mode and ReplyWaitNs the reply-mode
-// part of any call, both through the claim; and the reply wait is one
-// SleepEvery.
+// routine, so a call's legs reach the recorder from its slot's timestamps
+// whichever driver made it. What Recv adds is the policy of a
+// one-call-at-a-time caller, which the paper's figures were measured with
+// (DESIGN.md §8 names the archive behind each item): the call counts in
+// Stats.Calls when Recv starts, whatever its outcome; a connection that
+// dies under the call is re-established inside the call's own deadline;
+// and the reply wait is one SleepEvery.
 func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
@@ -370,12 +358,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 	c.Stats.Calls++
 	si := c.call
 	sl := &c.slots[si]
-	start := p.Now()
-	entered, replyAt := sl.mode, start
 	for sl.state != slotReady {
-		if sl.mode != entered && replyAt == start {
-			replyAt = p.Now() // the step just taken switched the call to reply
-		}
 		if sl.state == slotFailed {
 			if !c.redial(p, si) {
 				break
@@ -393,15 +376,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 		// call's own slot until replyDue sees something move.
 		p.SleepEvery(sim.Duration(c.params.ReplyPollNs), c.replyDone)
 	}
-	replied := sl.mode == ModeReply
-	n, err := c.claim(p, si, out)
-	if entered == ModeFetch {
-		c.Stats.FetchNs += int64(p.Now().Sub(start))
-	}
-	if replied {
-		c.Stats.ReplyWaitNs += int64(p.Now().Sub(replyAt))
-	}
-	return n, err
+	return c.claim(p, si, out)
 }
 
 // replyDue is the predicate of Recv's reply wait, run after every nap —

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rfp/internal/sim"
+	"rfp/internal/telemetry"
 )
 
 func TestCloseStopsClientCalls(t *testing.T) {
@@ -102,58 +103,66 @@ func TestClosedConnNotPolled(t *testing.T) {
 	}
 }
 
-func TestLatencyBreakdownAccumulates(t *testing.T) {
+// breakdown makes calls echo calls on a fresh rig with a recorder attached
+// and returns what it recorded: a call's legs reach the recorder only from
+// its slot's timestamps, at the claim.
+func breakdown(t *testing.T, params Params, calls int) telemetry.Snapshot {
+	t.Helper()
 	r := newRig(t, 1, ServerConfig{})
-	cli, conn := r.srv.Accept(r.cluster.Clients[0], DefaultParams())
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	rec := telemetry.New(telemetry.Config{})
+	cli.SetRecorder(rec)
 	r.srv.AddThreads(1)
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 		Serve(p, []*Conn{conn}, echoHandler)
 	})
 	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
 		out := make([]byte, 64)
-		for i := 0; i < 20; i++ {
-			_, _ = cli.Call(p, []byte("x"), out)
+		for i := 0; i < calls; i++ {
+			if _, err := cli.Call(p, []byte("x"), out); err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
 		}
 	})
 	r.env.Run(sim.Time(sim.Millisecond))
-	st := cli.Stats
-	if st.SendNs <= 0 || st.FetchNs <= 0 {
-		t.Fatalf("breakdown empty: send=%d fetch=%d", st.SendNs, st.FetchNs)
+	s := rec.Snapshot()
+	if s.Calls != uint64(calls) || cli.Stats.Calls != uint64(calls) {
+		t.Fatalf("recorded %d calls, Stats counts %d, want %d", s.Calls, cli.Stats.Calls, calls)
 	}
-	if st.ReplyWaitNs != 0 {
-		t.Fatalf("fetch-mode calls accumulated reply wait: %d", st.ReplyWaitNs)
+	return s
+}
+
+func TestLatencyBreakdownAccumulates(t *testing.T) {
+	s := breakdown(t, DefaultParams(), 20)
+	if s.FetchCalls != 20 || s.ReplyLeg.Count != 0 || s.ReplyLeg.Sum != 0 {
+		t.Fatalf("fetch-mode calls: %d fetch, %d reply (%d ns)", s.FetchCalls, s.ReplyLeg.Count, s.ReplyLeg.Sum)
 	}
 	// Per-call send ~1.5us, fetch ~1.7us on an idle rig.
-	perSend := float64(st.SendNs) / float64(st.Calls)
-	perFetch := float64(st.FetchNs) / float64(st.Calls)
+	perSend := float64(s.Send.Sum) / float64(s.Calls)
+	perFetch := float64(s.FetchLeg.Sum) / float64(s.Calls)
 	if perSend < 1000 || perSend > 2500 {
 		t.Fatalf("send = %.0f ns/call", perSend)
 	}
 	if perFetch < 1200 || perFetch > 3000 {
 		t.Fatalf("fetch = %.0f ns/call", perFetch)
 	}
+	if s.Total.Sum != s.Send.Sum+s.FetchLeg.Sum {
+		t.Fatalf("legs %d + %d ns do not sum to the total %d", s.Send.Sum, s.FetchLeg.Sum, s.Total.Sum)
+	}
 }
 
 func TestBreakdownReplyMode(t *testing.T) {
-	r := newRig(t, 1, ServerConfig{})
 	params := DefaultParams()
 	params.ForceReply = true
-	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
-	r.srv.AddThreads(1)
-	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
-		Serve(p, []*Conn{conn}, echoHandler)
-	})
-	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		out := make([]byte, 64)
-		for i := 0; i < 10; i++ {
-			_, _ = cli.Call(p, []byte("x"), out)
-		}
-	})
-	r.env.Run(sim.Time(sim.Millisecond))
-	if cli.Stats.ReplyWaitNs <= 0 {
-		t.Fatal("reply-mode calls should accumulate reply wait")
+	s := breakdown(t, params, 10)
+	if s.ReplyCalls != 10 || s.ReplyLeg.Sum <= 0 {
+		t.Fatalf("reply-mode calls: %d reply, %d ns", s.ReplyCalls, s.ReplyLeg.Sum)
 	}
-	if cli.Stats.FetchNs != 0 {
-		t.Fatal("ForceReply should never fetch")
+	if s.FetchLeg.Count != 0 || s.FetchLeg.Sum != 0 {
+		t.Fatalf("ForceReply should never fetch: %d calls, %d ns", s.FetchLeg.Count, s.FetchLeg.Sum)
+	}
+	if s.Send.Sum <= 0 || s.Total.Sum != s.Send.Sum+s.ReplyLeg.Sum {
+		t.Fatalf("legs send %d + reply %d ns, total %d", s.Send.Sum, s.ReplyLeg.Sum, s.Total.Sum)
 	}
 }

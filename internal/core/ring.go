@@ -198,9 +198,7 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 //
 //rfp:hotpath
 func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
-	start := p.Now()
-	si, err := c.stage(p, req, start)
-	c.Stats.SendNs += int64(p.Now().Sub(start))
+	si, err := c.stage(p, req, p.Now())
 	if err != nil {
 		return Handle{}, err
 	}
@@ -223,14 +221,8 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 	if sl.state == slotFree || sl.seq != h.seq {
 		return 0, ErrBadHandle
 	}
-	start := p.Now()
 	for sl.state != slotReady && sl.state != slotFailed {
 		c.progress(p)
-	}
-	if sl.mode == ModeReply {
-		c.Stats.ReplyWaitNs += int64(p.Now().Sub(start))
-	} else {
-		c.Stats.FetchNs += int64(p.Now().Sub(start))
 	}
 	if sl.state == slotReady {
 		c.Stats.Calls++

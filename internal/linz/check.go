@@ -20,14 +20,14 @@ package linz
 // backtracks. The cache of visited configurations is what makes the
 // exponential search practical on real histories.
 //
-// Memory: CheckKV makes one copy of the history, grouped by key in
-// ascending key order and canonical op order within a key, so every
+// Memory: CheckKV copies no op. It sorts the history it is handed in
+// place, by key and then in canonical op order within a key, so every
 // partition is a contiguous run already in the order its search numbers
-// the ops. One checker runs every partition
-// in buffers it keeps: the event list, the entry list as an index-linked
-// arena, the linearized set, the frame stack, and the configuration cache
-// as an open-addressed table whose bitsets live in one word arena. A check
-// allocates a bounded number of times, not a few times per op.
+// the ops. One checker runs every partition in buffers it keeps: the event
+// list, the entry list as an index-linked arena, the linearized set, the
+// frame stack, and the configuration cache as an open-addressed table whose
+// bitsets live in one word arena. A check allocates a bounded number of
+// times, not a few times per op.
 
 import (
 	"cmp"
@@ -107,11 +107,16 @@ type Result struct {
 type Init func(key uint64) (value uint32, present bool)
 
 // CheckKV checks a key-value history against the atomic-register-per-key
-// model. The verdict is deterministic in (history, init, options): the
-// partitions are visited in ascending key order and each partition's search
-// is a deterministic DFS, so the node count replays exactly.
+// model. It reorders h: on return h is sorted by key, and in canonical op
+// order (History.Sort) within a key. The result is deterministic in the
+// set of ops in h, whatever their order, and in init and options: the
+// partitions are visited in ascending key order and each partition's
+// search is a deterministic DFS over its ops in canonical order, so the
+// node count replays exactly. A malformed history names its first bad op
+// in that order.
 func CheckKV(h History, init Init, opt Options) Result {
 	res := Result{Verdict: Linearizable, Ops: len(h)}
+	slices.SortFunc(h, func(a, b Op) int { return cmp.Or(cmp.Compare(a.Key, b.Key), opCmp(a, b)) })
 	for _, o := range h {
 		if o.Return < o.Call {
 			res.Verdict = Unknown
@@ -123,17 +128,18 @@ func CheckKV(h History, init Init, opt Options) Result {
 	if budget <= 0 {
 		budget = DefaultNodeBudget
 	}
-	ops, keys, starts := partition(h)
-	res.Partitions = len(keys)
+	starts := partition(h)
+	res.Partitions = len(starts) - 1
 	longest := 0
-	for i := range keys {
+	for i := range res.Partitions {
 		longest = max(longest, starts[i+1]-starts[i])
 	}
 
 	var c checker
 	c.presize(longest)
-	for i, k := range keys {
-		part := ops[starts[i]:starts[i+1]:starts[i+1]]
+	for i := range res.Partitions {
+		part := h[starts[i]:starts[i+1]:starts[i+1]]
+		k := part[0].Key
 		var st regState
 		if init != nil {
 			st.val, st.present = init(k)
@@ -164,42 +170,20 @@ func CheckKV(h History, init Init, opt Options) Result {
 	return res
 }
 
-// partition copies h into one run per key, keys ascending, each run in
-// canonical op order — the order its search numbers the ops. Run i is
-// ops[starts[i]:starts[i+1]] and holds key keys[i]. The copy is a counting
-// sort over the distinct keys, so each op is moved once; a run arrives in
-// the order h had, and when h is canonical already (Merge's output) the
-// per-run sort only confirms it.
-func partition(h History) (ops History, keys []uint64, starts []int) {
-	run := map[uint64]int{}
-	for _, o := range h {
-		if _, ok := run[o.Key]; !ok {
-			run[o.Key] = 0
-			keys = append(keys, o.Key)
+// partition returns the boundaries of the per-key runs of h, which is
+// sorted by key: run i is h[starts[i]:starts[i+1]], and there are
+// len(starts)-1 runs.
+func partition(h History) (starts []int) {
+	starts = []int{0}
+	for i := 1; i < len(h); i++ {
+		if h[i].Key != h[i-1].Key {
+			starts = append(starts, i)
 		}
 	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		run[k] = i
+	if len(h) > 0 {
+		starts = append(starts, len(h))
 	}
-	starts = make([]int, len(keys)+1)
-	for _, o := range h {
-		starts[run[o.Key]+1]++
-	}
-	for i := range keys {
-		starts[i+1] += starts[i]
-	}
-	ops = make(History, len(h))
-	fill := slices.Clone(starts)
-	for _, o := range h {
-		i := run[o.Key]
-		ops[fill[i]] = o
-		fill[i]++
-	}
-	for i := range keys {
-		slices.SortFunc(ops[starts[i]:starts[i+1]], opCmp)
-	}
-	return ops, keys, starts
+	return starts
 }
 
 // regState is the per-key register model state.

@@ -3,6 +3,9 @@ package linz
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -90,11 +93,44 @@ func badInterval(h History) bool {
 	return false
 }
 
+// checkShuffled runs CheckKV on h and on a shuffled copy of h and returns
+// h's result, with an error naming the first way the two results differ —
+// verdict, Ops, Partitions, Nodes, BadKey, the error's text or the rendered
+// counterexample — or a call that left its history other than a
+// permutation of what it was given.
+func checkShuffled(h History, init Init, opt Options, rng *rand.Rand) (Result, error) {
+	given := slices.Clone(h)
+	given.Sort()
+	shuffled := slices.Clone(h)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	a := CheckKV(h, init, opt)
+	b := CheckKV(shuffled, init, opt)
+	for _, after := range []History{h, shuffled} {
+		got := slices.Clone(after)
+		got.Sort()
+		if !slices.Equal(got, given) {
+			return a, fmt.Errorf("CheckKV left a history of %d ops that is not a permutation of the %d it was given", len(after), len(given))
+		}
+	}
+	switch {
+	case a.Verdict != b.Verdict || a.Ops != b.Ops || a.Partitions != b.Partitions || a.Nodes != b.Nodes || a.BadKey != b.BadKey:
+		return a, fmt.Errorf("shuffled input: (%v, %d ops, %d partitions, %d nodes, key %d), in order: (%v, %d, %d, %d, %d)",
+			b.Verdict, b.Ops, b.Partitions, b.Nodes, b.BadKey, a.Verdict, a.Ops, a.Partitions, a.Nodes, a.BadKey)
+	case fmt.Sprint(a.Err) != fmt.Sprint(b.Err):
+		return a, fmt.Errorf("shuffled input: error %v, in order: %v", b.Err, a.Err)
+	case a.Counterexample.Render() != b.Counterexample.Render():
+		return a, fmt.Errorf("shuffled input: counterexample\n%sin order:\n%s", b.Counterexample.Render(), a.Counterexample.Render())
+	}
+	return a, nil
+}
+
 // FuzzHistoryCheck feeds arbitrary interleaved invoke/return records to the
 // checker: it must never panic, must be deterministic (same verdict and
-// node count on a re-run), must reject a malformed interval with
-// ErrBadInterval, must never certify a history containing a write-skew
-// pair, and on up to 7 ops must agree with exhaustive enumeration.
+// node count on a re-run), must not depend on the order of the ops (the
+// same Result on a shuffled copy, each history left a permutation of its
+// input), must reject a malformed interval with ErrBadInterval, must never
+// certify a history containing a write-skew pair, and on up to 7 ops must
+// agree with exhaustive enumeration.
 func FuzzHistoryCheck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0, 10, 2, 2, 20, 10, 4, 1, 40, 10}) // the skew core
@@ -109,7 +145,10 @@ func FuzzHistoryCheck(f *testing.F) {
 		// oracle below accepts Unknown); minimization only triggers on
 		// Illegal, where the violation bounds the search.
 		opt := Options{NodeBudget: 20_000, Minimize: true}
-		res := CheckKV(h, nil, opt)
+		res, err := checkShuffled(h, nil, opt, rand.New(rand.NewSource(int64(len(data)))))
+		if err != nil {
+			t.Fatalf("%v\n%s", err, h.Render())
+		}
 		again := CheckKV(h, nil, opt)
 		if res.Verdict != again.Verdict || res.Nodes != again.Nodes {
 			t.Fatalf("nondeterministic: (%v,%d) vs (%v,%d)\n%s",

@@ -76,9 +76,9 @@ func (o Op) String() string {
 type History []Op
 
 // Sort orders the history deterministically: by Call, then Return, then
-// client, key and payload. Merge returns this order; the checker groups its
-// own copy by key, each group in this order, so Sort is a canonicalization
-// for rendering and hashing.
+// client, key and payload. Render prints this order, and CheckKV orders
+// each key's ops this way, so Sort is a canonicalization for rendering and
+// hashing.
 func (h History) Sort() { slices.SortFunc(h, opCmp) }
 
 // opCmp is the canonical three-way order of Sort. Found breaks the last
@@ -193,8 +193,9 @@ func (l *ClientLog) FailedWrite(key uint64, arg uint32, call int64) {
 // Len returns the number of recorded ops.
 func (l *ClientLog) Len() int { return l.n }
 
-// Merge combines per-thread logs into one canonical history, allocated
-// once at its exact size.
+// Merge combines per-thread logs into one history, allocated once at its
+// exact size: the logs' ops one after another, in no order the checker
+// relies on (CheckKV orders the history it is handed).
 func Merge(logs ...*ClientLog) History {
 	n := 0
 	for _, l := range logs {
@@ -210,6 +211,5 @@ func Merge(logs ...*ClientLog) History {
 			}
 		}
 	}
-	h.Sort()
 	return h
 }

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"rfp/internal/core"
@@ -601,5 +603,92 @@ func TestRejoinPreparesCarryTheirOwnEntry(t *testing.T) {
 				t.Fatalf("node %d store diverged on key %d (%d B vs leader's %d B)", nd.id, k, len(fv), len(lv))
 			}
 		}
+	}
+}
+
+// TestBackfillStopsAtEpochChange: a leader answered with a gap backfills
+// the peer one blocking prepare per missing entry, and each call yields.
+// Here the leader adopts epoch 2 while the first backfill call is in
+// flight, which truncates its log to the applied prefix (empty), and the
+// new epoch then writes refill entries of its own. The backfill must stop
+// there: with one refill entry the next entry it would read lies past the
+// log's end, and with six it is the new epoch's, which must not travel
+// under epoch 1. The peer is handed exactly the one prepare that was in
+// flight.
+func TestBackfillStopsAtEpochChange(t *testing.T) {
+	for _, refill := range []int{1, 6} {
+		t.Run(fmt.Sprintf("refill-%d", refill), func(t *testing.T) {
+			r := newRig(t, 2, Config{})
+			lead, fol := r.svc.nodes[0], r.svc.nodes[1]
+			type prepare struct {
+				epoch uint32
+				index int
+				key   uint64
+			}
+			var handed []prepare
+			fol.srv.Start(1, func(int) core.Handler {
+				return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
+					if pm, ok := decodePrepare(req); ok && req[0] == opPrepare {
+						handed = append(handed, prepare{pm.epoch, int(pm.index), pm.key})
+					}
+					return fol.handle(p, c, req, resp)
+				}
+			})
+			// Epoch 1: the leader holds entries 1..6 (key i at index i),
+			// none applied; the peer holds 1..2.
+			buf := make([]byte, prepareHdr+64)
+			resp := make([]byte, 16)
+			for i := 1; i <= 6; i++ {
+				lead.log.append(entryRec{epoch: 1, key: uint64(i), val: []byte("e1")})
+				lead.pending[uint64(i)]++
+			}
+
+			inBackfill, changed, done := false, false, false
+			var panicked any
+			r.cl.Server.Spawn("backfill", func(p *sim.Proc) {
+				defer func() { panicked = recover() }()
+				for i := 1; i <= 2; i++ {
+					fol.handlePrepare(p, encodePrepare(buf, 1, uint32(i), 0, 0, uint64(i), []byte("e1")), resp)
+				}
+				gap := make([]byte, 5)
+				respU32(gap, statusGap, 2)
+				inBackfill = true
+				lead.prepareAck(p, 1, int64(p.Now()), gap, 6, 1)
+				inBackfill, done = false, true
+			})
+			r.cl.Server.Spawn("new-epoch", func(p *sim.Proc) {
+				for len(handed) == 0 {
+					p.Sleep(100)
+				}
+				if !inBackfill {
+					t.Errorf("the peer was handed a prepare outside the backfill")
+					return
+				}
+				// The peer is running prepare 3; its answer has not come back.
+				nbuf := make([]byte, prepareHdr+64)
+				nresp := make([]byte, 16)
+				for i := 1; i <= refill; i++ {
+					lead.handlePrepare(p, encodePrepare(nbuf, 2, uint32(i), 0, 1, uint64(100+i), []byte("e2")), nresp)
+					if nresp[0] != kv.StatusOK {
+						t.Errorf("epoch-2 prepare %d: status 0x%02x", i, nresp[0])
+					}
+				}
+				changed = true
+			})
+			r.env.Run(sim.Time(sim.Millisecond))
+			if panicked != nil {
+				t.Fatalf("backfill panicked: %v", panicked)
+			}
+			if !changed || !done {
+				t.Fatalf("epoch change ran %v, backfill returned %v", changed, done)
+			}
+			if lead.epoch != 2 || lead.role == roleLeader || lead.log.len() != refill {
+				t.Fatalf("leader after the change: epoch %d, role %v, log %d; want epoch 2, follower, log %d",
+					lead.epoch, lead.role, lead.log.len(), refill)
+			}
+			if want := []prepare{{1, 3, 3}}; !slices.Equal(handed, want) {
+				t.Fatalf("peer was handed prepares %+v, want only the one in flight %+v", handed, want)
+			}
+		})
 	}
 }

@@ -578,6 +578,11 @@ func (n *node) prepareAck(p *sim.Proc, j int, sendT int64, ack []byte, idx int, 
 			return
 		}
 		for i := int(u32(ack[1:5])) + 1; i <= idx; i++ {
+			// Each backfill call yields: the node may have adopted a later
+			// epoch meanwhile, whose log holds other entries, or none, at i.
+			if n.role != roleLeader || n.epoch != e0 || i > n.log.len() {
+				return
+			}
 			acked, failed := n.syncPrepare(p, n.data[j], n.prepBuf, n.ackBuf, j, i, e0)
 			if failed {
 				n.drainPeer(p, j)

@@ -161,16 +161,16 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 	// in-flight ops past the final phase so issue-charged accounting is
 	// complete before it is read.
 	statsAt := make([]core.ClientStats, len(phases)+1)
-	telAt := make([]telemetry.Snapshot, len(phases)+1)
 	statsAt[0] = b.Stats()
+	var telAt []telemetry.Snapshot
 	if b.rec != nil {
-		telAt[0] = b.rec.Snapshot()
+		telAt = append(make([]telemetry.Snapshot, 0, len(phases)+1), b.rec.Snapshot())
 	}
 	for pi := range phases {
 		env.Run(ends[pi])
 		statsAt[pi+1] = b.Stats()
 		if b.rec != nil {
-			telAt[pi+1] = b.rec.Snapshot()
+			telAt = append(telAt, b.rec.Snapshot())
 		}
 	}
 	deadline := ends[len(phases)-1]
@@ -191,7 +191,9 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 		o := &obs[pi]
 		o.Phase = phases[pi].Name
 		o.DurationNs = int64(phases[pi].Duration)
-		o.Tel = telAt[pi+1].Delta(telAt[pi])
+		if b.rec != nil {
+			o.Tel = telAt[pi+1].Delta(telAt[pi])
+		}
 		o.Stats = statsAt[pi+1].Sub(statsAt[pi])
 		for i := 0; i < threads; i++ {
 			cell := cellAt(i, pi)

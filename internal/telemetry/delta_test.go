@@ -41,6 +41,47 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestCallCountsAreHistogramCounts: the call counts are the histograms'
+// counts — Calls is Total's, FetchCalls FetchLeg's and ReplyCalls ReplyLeg's
+// — in a recorder's snapshot and after the Merge and Delta the harness
+// builds per-phase and per-shard telemetry with.
+func TestCallCountsAreHistogramCounts(t *testing.T) {
+	counts := func(what string, s Snapshot, calls, fetch, reply uint64) {
+		t.Helper()
+		if s.Calls != s.Total.Count || s.FetchCalls != s.FetchLeg.Count || s.ReplyCalls != s.ReplyLeg.Count ||
+			s.Send.Count != s.Calls {
+			t.Fatalf("%s: calls %d/%d/%d, histogram counts total %d send %d fetch %d reply %d",
+				what, s.Calls, s.FetchCalls, s.ReplyCalls, s.Total.Count, s.Send.Count, s.FetchLeg.Count, s.ReplyLeg.Count)
+		}
+		if s.Calls != calls || s.FetchCalls != fetch || s.ReplyCalls != reply {
+			t.Fatalf("%s: calls %d/%d/%d, want %d/%d/%d", what, s.Calls, s.FetchCalls, s.ReplyCalls, calls, fetch, reply)
+		}
+	}
+	a, b := New(Config{}), New(Config{})
+	for i := 0; i < 7; i++ {
+		a.Call(int64(1000+i), 400, int64(600+i), i%3 == 0)
+	}
+	before := a.Snapshot()
+	counts("a before", before, 7, 4, 3)
+	for i := 0; i < 5; i++ {
+		a.Call(2000, 500, 1500, i == 4)
+		b.Call(9000, 500, 8500, true)
+	}
+	after := a.Snapshot()
+	counts("a after", after, 12, 8, 4)
+	counts("b", b.Snapshot(), 5, 0, 5)
+
+	d := after.Delta(before)
+	counts("delta", d, 5, 4, 1)
+	d.Merge(b.Snapshot())
+	counts("delta merged with b", d, 10, 4, 6)
+	var m Snapshot
+	m.Merge(after)
+	m.Merge(b.Snapshot())
+	counts("merge of a and b", m, 17, 8, 9)
+	counts("delta of the merges", m.Delta(d), 7, 4, 3)
+}
+
 func TestHistSnapDelta(t *testing.T) {
 	var h Hist
 	h.Add(100)

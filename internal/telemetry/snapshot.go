@@ -9,9 +9,9 @@ import "fmt"
 // Snapshot holds a recorder's counters, histograms, occupancy gauge and
 // decision log as plain values.
 type Snapshot struct {
-	Calls      uint64
-	FetchCalls uint64 // calls completed by fetching the result
-	ReplyCalls uint64 // calls completed by a server reply
+	Calls      uint64 // completed calls: Total.Count
+	FetchCalls uint64 // calls completed by fetching the result: FetchLeg.Count
+	ReplyCalls uint64 // calls completed by a server reply: ReplyLeg.Count
 	Writes     uint64 // issued request writes (posts + resends)
 	Reads      uint64 // issued result fetches (incl. retries/continuations)
 	Retries    uint64 // fetch attempts that read an incomplete/stale image

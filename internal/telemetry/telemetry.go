@@ -53,13 +53,10 @@ type Config struct {
 //
 //rfp:nilsafe
 type Recorder struct {
-	calls      atomic.Uint64
-	fetchCalls atomic.Uint64
-	replyCalls atomic.Uint64
-	writes     atomic.Uint64
-	reads      atomic.Uint64
-	retries    atomic.Uint64
-	fallbacks  atomic.Uint64
+	writes    atomic.Uint64
+	reads     atomic.Uint64
+	retries   atomic.Uint64
+	fallbacks atomic.Uint64
 
 	total    Hist // post -> completion
 	send     Hist // post -> request delivered
@@ -87,21 +84,18 @@ func New(cfg Config) *Recorder {
 
 // Call records one completed call: its post→completion latency, the
 // request-delivery leg, and the completion leg attributed to fetch or
-// server-reply mode.
+// server-reply mode. The histograms' counts are the call counts.
 //
 //rfp:hotpath
 func (r *Recorder) Call(totalNs, sendNs, recvNs int64, reply bool) {
 	if r == nil {
 		return
 	}
-	r.calls.Add(1)
 	r.total.Add(totalNs)
 	r.send.Add(sendNs)
 	if reply {
-		r.replyCalls.Add(1)
 		r.replyLeg.Add(recvNs)
 	} else {
-		r.fetchCalls.Add(1)
 		r.fetchLeg.Add(recvNs)
 	}
 }
@@ -214,16 +208,13 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	// Call bumps the call counter before it records into the histograms,
-	// so the histograms are read first: a concurrent snapshot may then see
-	// a call counted but not yet timed, never a timed call not yet counted.
 	r.total.snapshot(&s.Total)
 	r.send.snapshot(&s.Send)
 	r.fetchLeg.snapshot(&s.FetchLeg)
 	r.replyLeg.snapshot(&s.ReplyLeg)
-	s.Calls = r.calls.Load()
-	s.FetchCalls = r.fetchCalls.Load()
-	s.ReplyCalls = r.replyCalls.Load()
+	s.Calls = s.Total.Count
+	s.FetchCalls = s.FetchLeg.Count
+	s.ReplyCalls = s.ReplyLeg.Count
 	s.Writes = r.writes.Load()
 	s.Reads = r.reads.Load()
 	s.Retries = r.retries.Load()
