@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -139,5 +140,39 @@ func TestRingSwitchesWithSlotsInFlight(t *testing.T) {
 	}
 	if cli.Mode() != ModeFetch || cli.Stats.ReplyDeliveries == 0 {
 		t.Fatalf("mode %v, %d reply deliveries; want fetch after the fast phase, > 0", cli.Mode(), cli.Stats.ReplyDeliveries)
+	}
+}
+
+// TestHandlerOwnsRequest: a handler that yields still reads its own
+// request. The client's call fails at its deadline while the handler runs,
+// which frees the slot, and the next call is written into that same slot
+// before the handler reads req.
+func TestHandlerOwnsRequest(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], recoveryParams(40_000))
+	r.srv.AddThreads(1)
+	var seen []string
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int {
+			if len(seen) == 0 {
+				r.srv.Machine().ComputeNs(p, 50_000) // outlives the 40 µs deadline
+			}
+			seen = append(seen, string(req))
+			return copy(resp, req)
+		})
+	})
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 16)
+		if _, err := cli.Call(p, []byte("first"), out); !errors.Is(err, ErrDeadline) {
+			t.Errorf("first call: err %v, want ErrDeadline", err)
+			return
+		}
+		if n, err := cli.Call(p, []byte("second"), out); err != nil || string(out[:n]) != "second" {
+			t.Errorf("second call: %q, %v", out[:n], err)
+		}
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	if len(seen) != 2 || seen[0] != "first" || seen[1] != "second" {
+		t.Fatalf("handlers read %q, want [first second]", seen)
 	}
 }

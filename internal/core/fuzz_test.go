@@ -134,8 +134,9 @@ func TestTryRecvBadRequest(t *testing.T) {
 	putHeader(conn.buf[off:], header{valid: true, size: conn.srv.cfg.MaxRequest + 999, seq: 3})
 
 	done := false
+	buf := make([]byte, conn.srv.cfg.MaxRequest)
 	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
-		if req, ok := conn.TryRecv(p); ok {
+		if req, ok := conn.TryRecv(p, buf); ok {
 			t.Errorf("TryRecv accepted a garbage slot (%d bytes)", len(req))
 		}
 		if conn.BadRequests != 1 {
@@ -143,7 +144,7 @@ func TestTryRecvBadRequest(t *testing.T) {
 		}
 		// The slot must be consumed: a rescan finds nothing and counts
 		// nothing new.
-		if _, ok := conn.TryRecv(p); ok {
+		if _, ok := conn.TryRecv(p, buf); ok {
 			t.Error("garbage slot not cleared by first scan")
 		}
 		if conn.BadRequests != 1 {

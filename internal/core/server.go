@@ -148,7 +148,6 @@ type Conn struct {
 	curSlot  int // slot of the request last consumed by TryRecv
 	curSeq   uint16
 	recvAt   sim.Time
-	scratch  []byte // handler response scratch
 
 	// ran holds, per slot, ranSeq|seq of the request last executed there
 	// (zero: none since the last bind), so a resent request is not run twice.
@@ -177,30 +176,30 @@ func (c *Conn) Closed() bool { return c.buf[0]&modeClosed != 0 }
 
 // TryRecv scans the connection's request slots (server_recv in the paper's
 // API), starting after the last slot served so a busy ring is drained
-// fairly. If any slot holds a valid request it is consumed and its payload
-// returned; the slice is valid until the next TryRecv on this connection.
-// The poll itself costs server CPU, charged by the caller's serve loop.
+// fairly. If any slot holds a valid request it is consumed, and its payload
+// is copied into buf (MaxRequest bytes) and returned as buf's prefix. The
+// poll itself costs server CPU, charged by the caller's serve loop.
 //
 //rfp:hotpath
-func (c *Conn) TryRecv(p *sim.Proc) ([]byte, bool) {
+func (c *Conn) TryRecv(p *sim.Proc, buf []byte) ([]byte, bool) {
 	for i := 1; i <= c.depth; i++ {
 		s := (c.lastSlot + i) % c.depth
 		off := reqOffAt(c.srv.cfg, s)
-		buf := c.buf[off : off+HeaderSize+c.srv.cfg.MaxRequest]
-		hdr, req, ok := parseSlot(buf, c.srv.cfg.MaxRequest)
+		slot := c.buf[off : off+HeaderSize+c.srv.cfg.MaxRequest]
+		hdr, req, ok := parseSlot(slot, c.srv.cfg.MaxRequest)
 		if !ok {
 			if hdr.valid {
 				// Status bit set but the size field is garbage (a torn or
 				// corrupt delivery): consume the slot so it cannot wedge the
 				// scan, and serve nothing — the client's resend recovers.
-				consume(buf)
+				consume(slot)
 				c.BadRequests++
 			}
 			continue
 		}
 		// Consume: clear the status word so the slot is free for the
 		// client's next request.
-		consume(buf)
+		consume(slot)
 		if c.ran[s] == ranSeq|uint32(hdr.seq) {
 			// At most once: a resent request already ran here. Its
 			// response, once published, sits in the slot's response area,
@@ -214,13 +213,14 @@ func (c *Conn) TryRecv(p *sim.Proc) ([]byte, bool) {
 			continue
 		}
 		c.ran[s] = ranSeq | uint32(hdr.seq)
-		// Charge unpacking cost. recvAt is per-request, so the process
-		// time the response reports (which feeds the client's (R, F) tuner)
-		// is this slot's alone.
+		// Unpack: copy the request out of the slot and charge the copy.
+		// recvAt is per-request, so the process time the response reports
+		// (which feeds the client's (R, F) tuner) is this slot's alone.
 		c.lastSlot = s
 		c.curSlot = s
 		c.curSeq = hdr.seq
 		c.recvAt = p.Now()
+		req = buf[:copy(buf, req)]
 		prof := c.srv.machine.Profile()
 		c.srv.machine.ComputeNs(p, prof.LocalPollNs+prof.CopyNs(hdr.size))
 		c.srvEvent(trace.SrvRecv, c.recvAt, p.Now(), s, hdr.seq, hdr.size)
@@ -291,17 +291,15 @@ func (c *Conn) retire() { c.lease.Release() }
 // most once per connection binding: a resent request whose (slot, seq) ran
 // already is not run again (Conn.TryRecv). A reconnect binds fresh
 // regions and starts with an empty record, so a request whose response was
-// lost with the old region may run again (DESIGN.md §10). req aliases the
-// ring slot: a call that fails at its deadline frees the slot while the
-// handler may still run, and the client's next request can be written into
-// it. A handler that yields must copy what it needs out of req first.
+// lost with the old region may run again (DESIGN.md §10). req is the serve
+// loop's copy of the request (Conn.TryRecv), the handler's until it returns.
 type Handler func(p *sim.Proc, conn *Conn, req []byte, resp []byte) int
 
 // crashedIdleNs is how often a Serve loop re-checks a crashed machine for
 // restart (virtual time; the modeled process is simply gone meanwhile).
 const crashedIdleNs = 10_000
 
-// Serve runs a server-thread loop over a set of connections: poll each
+// Serve runs a server-thread loop over one server's connections: poll each
 // connection's request buffer, process requests with h, publish responses.
 // Server.Start runs one per thread; a caller that serves only part of what
 // it accepted runs its own. The loop runs until the simulation stops it.
@@ -313,7 +311,8 @@ func Serve(p *sim.Proc, conns []*Conn, h Handler) {
 	if len(conns) == 0 {
 		panic("core: Serve with no connections")
 	}
-	m := conns[0].srv.machine
+	m, cfg := conns[0].srv.machine, conns[0].srv.cfg
+	reqBuf, resp := make([]byte, cfg.MaxRequest), make([]byte, cfg.MaxResponse)
 	sweepNs := m.Profile().LocalPollNs * int64(len(conns))
 	if sweepNs < 200 {
 		sweepNs = 200
@@ -348,13 +347,13 @@ func Serve(p *sim.Proc, conns []*Conn, h Handler) {
 			// Drain every ready slot (at most one ring's worth per sweep,
 			// so a deep pipelining client cannot starve its neighbours).
 			for served := 0; served < c.depth; served++ {
-				req, ok := c.TryRecv(p)
+				req, ok := c.TryRecv(p, reqBuf)
 				if !ok {
 					break
 				}
 				found = true
-				n := h(p, c, req, c.scratch)
-				if err := c.Send(p, c.scratch[:n]); err != nil {
+				n := h(p, c, req, resp)
+				if err := c.Send(p, resp[:n]); err != nil {
 					// A reply-mode push can fail mid-recovery: the client's
 					// landing region is being re-registered, or the client
 					// machine itself is gone. The response stays in the
@@ -465,11 +464,10 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	}
 
 	conn := &Conn{
-		srv:     s,
-		id:      len(s.conns),
-		depth:   capacity,
-		scratch: make([]byte, s.cfg.MaxResponse),
-		ran:     make([]uint32, capacity),
+		srv:   s,
+		id:    len(s.conns),
+		depth: capacity,
+		ran:   make([]uint32, capacity),
 	}
 	s.conns = append(s.conns, conn)
 

@@ -394,3 +394,31 @@ func TestRetiredOpcodesRejected(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 }
+
+// TestPutAfterDeadlineKeepsItsBytes: the handler decodes its request only
+// after the process-time charge yields. A PUT that fails at its deadline
+// meanwhile frees its ring slot, and the next PUT is written into it; the
+// first handler must still store its own key and value.
+func TestPutAfterDeadlineKeepsItsBytes(t *testing.T) {
+	params := core.DefaultParams()
+	params.DeadlineNs = 20_000
+	r := newRig(t, 1, Config{Threads: 1, SpikeProb: -1, ExtraProcNs: 50_000, Params: params})
+	cli := r.srv.NewClient(r.cl.Clients[0])
+	r.srv.Start()
+	puts := []string{1: "AAAAAAAA", 2: "BBBBBBBB"}
+	r.cl.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		for k := 1; k < len(puts); k++ {
+			// Each PUT outlives its deadline by 30 µs.
+			if err := cli.Put(p, uint64(k), []byte(puts[k])); !errors.Is(err, core.ErrDeadline) {
+				t.Errorf("Put(%d): err %v, want ErrDeadline", k, err)
+			}
+		}
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	kbuf := make([]byte, workload.KeySize)
+	for k := 1; k < len(puts); k++ {
+		if v, ok := r.srv.Partition(0).Get(workload.EncodeKey(kbuf, uint64(k))); !ok || string(v) != puts[k] {
+			t.Errorf("key %d holds %q (present %v), want %q", k, v, ok, puts[k])
+		}
+	}
+}

@@ -220,24 +220,16 @@ func (s *Server) NewClient(cm *fabric.Machine) *Client {
 // Start spawns the PUT-serving threads. All clients must be connected
 // first.
 func (s *Server) Start() {
-	s.rfp.Start(s.cfg.Threads, func(int) core.Handler {
-		keyBuf, valBuf := make([]byte, workload.KeySize), make([]byte, s.cfg.MaxValue)
-		return func(p *sim.Proc, c *core.Conn, req, resp []byte) int {
-			return s.servePut(p, req, resp, keyBuf, valBuf)
-		}
-	})
+	s.rfp.Start(s.cfg.Threads, func(int) core.Handler { return s.servePut })
 }
 
-// servePut is the PUT channel's handler: GETs never reach the server. req
-// aliases the ring slot and put yields, so put works on the serving
-// thread's own copy of key and value (keyBuf, valBuf).
-func (s *Server) servePut(p *sim.Proc, req, resp, keyBuf, valBuf []byte) int {
+// servePut is the PUT channel's handler: GETs never reach the server.
+func (s *Server) servePut(p *sim.Proc, c *core.Conn, req, resp []byte) int {
 	r, err := kv.DecodeRequest(req)
 	if err != nil || r.Op != kv.OpPut {
 		return kv.EncodeResponse(resp, kv.StatusError, nil)
 	}
-	key, value := keyBuf[:copy(keyBuf, r.Key)], valBuf[:copy(valBuf, r.Value)]
-	if err := s.put(p, key, value); err != nil {
+	if err := s.put(p, r.Key, r.Value); err != nil {
 		return kv.EncodeResponse(resp, kv.StatusError, nil)
 	}
 	return kv.EncodeResponse(resp, kv.StatusOK, nil)

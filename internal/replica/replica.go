@@ -449,10 +449,6 @@ func (n *node) handlePut(p *sim.Proc, req, resp []byte) int {
 		return respByte(resp, statusNotLeader, n.leaderByte())
 	}
 	e0 := n.epoch
-	// req aliases the ring slot, and a client whose call failed at its
-	// deadline while this runs has moved on to its next call in the same
-	// slot: copy out before the first yield, or that call's delivery tears
-	// the entry.
 	key, val := workload.DecodeKey(r.Key), n.keep(r.Value)
 	n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 	idx := n.log.len() + 1
@@ -801,7 +797,7 @@ func (n *node) handlePrepare(p *sim.Proc, req, resp []byte) int {
 		*old = entryRec{epoch: pm.epoch, key: pm.key, val: n.keep(pm.value)}
 		n.pending[pm.key]++
 	case idx == n.log.len()+1:
-		val := n.keep(pm.value) // before the yield, as in handlePut
+		val := n.keep(pm.value)
 		n.m.ComputeNs(p, 150+n.m.Profile().CopyNs(len(val)))
 		n.log.append(entryRec{epoch: pm.epoch, key: pm.key, val: val})
 		n.pending[pm.key]++
