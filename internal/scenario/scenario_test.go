@@ -241,10 +241,13 @@ func TestEveryBackendBuildsAndServes(t *testing.T) {
 			if served != 2 {
 				t.Fatalf("served %d of 2 PUT+GET pairs", served)
 			}
-			if recorded := b.Record() != nil; recorded != (name == BackendJakiro || name == BackendServerReply || name == BackendSharded) {
+			// Every backend whose clients are RFP clients records telemetry
+			// and counts calls.
+			rfpClients := name != BackendPilafKV && !replicaBackend(name)
+			if recorded := b.Record() != nil; recorded != rfpClients {
 				t.Errorf("Record attached a recorder = %v", recorded)
 			}
-			if calls := b.Stats().Calls; (calls > 0) != (name != BackendPilafKV && !replicaBackend(name)) {
+			if calls := b.Stats().Calls; (calls > 0) != rfpClients {
 				t.Errorf("Stats().Calls = %d", calls)
 			}
 		})
