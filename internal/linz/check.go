@@ -20,14 +20,17 @@ package linz
 // backtracks. The cache of visited configurations is what makes the
 // exponential search practical on real histories.
 //
-// Memory: CheckKV copies no op. It sorts the history it is handed in
-// place, by key and then in canonical op order within a key, so every
-// partition is a contiguous run already in the order its search numbers
-// the ops. One checker runs every partition in buffers it keeps: the event
-// list, the entry list as an index-linked arena, the linearized set, the
-// frame stack, and the configuration cache as an open-addressed table whose
-// bitsets live in one word arena. A check allocates a bounded number of
-// times, not a few times per op.
+// Memory: the checker reads the ops where they were recorded and never
+// reorders them. It groups them by key in two passes over the chunks: the
+// first counts each key's ops and orders the distinct keys, the second puts
+// one pointer per op at its key's offset, so the only array the size of the
+// history is 8 bytes per op. Each partition is copied into one buffer, sized
+// for the longest, and sorted there into the canonical order its search
+// numbers the ops in. One checker runs every partition in buffers it keeps:
+// the event list, the entry list as an index-linked arena, the linearized
+// set, the frame stack, and the configuration cache as an open-addressed
+// table whose bitsets live in one word arena. A check allocates a bounded
+// number of times, not a few times per op.
 
 import (
 	"cmp"
@@ -107,52 +110,80 @@ type Result struct {
 type Init func(key uint64) (value uint32, present bool)
 
 // CheckKV checks a key-value history against the atomic-register-per-key
-// model. It reorders h: on return h is sorted by key, and in canonical op
-// order (History.Sort) within a key. The result is deterministic in the
-// set of ops in h, whatever their order, and in init and options: the
+// model, leaving h as it was given. The result is deterministic in the set
+// of ops in h, whatever their order, and in init and options: the
 // partitions are visited in ascending key order and each partition's
-// search is a deterministic DFS over its ops in canonical order, so the
-// node count replays exactly. A malformed history names its first bad op
-// in that order.
+// search is a deterministic DFS over its ops in canonical order
+// (History.Sort), so the node count replays exactly. A malformed history
+// names its first bad op in that order.
 func CheckKV(h History, init Init, opt Options) Result {
-	res := Result{Verdict: Linearizable, Ops: len(h)}
-	slices.SortFunc(h, func(a, b Op) int { return cmp.Or(cmp.Compare(a.Key, b.Key), opCmp(a, b)) })
-	for _, o := range h {
-		if o.Return < o.Call {
-			res.Verdict = Unknown
-			res.Err = fmt.Errorf("%w: %s", ErrBadInterval, o)
-			return res
+	return CheckLogs([]*ClientLog{{chunks: [][]Op{h}}}, init, opt)
+}
+
+// CheckLogs is CheckKV over the ops recorded in logs (a nil log holds
+// none), read in the logs' own chunks, which it leaves as they were.
+func CheckLogs(logs []*ClientLog, init Init, opt Options) Result {
+	// Pass 1: count each key's ops and find the first bad interval.
+	keys := keyTable{slots: make([]keySlot, 64)}
+	var bad *Op
+	n := 0
+	each(logs, func(o *Op) {
+		n++
+		keys.count(o.Key)
+		if o.Return < o.Call && (bad == nil || cmp.Or(cmp.Compare(o.Key, bad.Key), opCmp(*o, *bad)) < 0) {
+			bad = o
 		}
+	})
+	res := Result{Verdict: Linearizable, Ops: n}
+	if bad != nil {
+		res.Verdict = Unknown
+		res.Err = fmt.Errorf("%w: %s", ErrBadInterval, *bad)
+		return res
 	}
 	budget := opt.NodeBudget
 	if budget <= 0 {
 		budget = DefaultNodeBudget
 	}
-	starts := partition(h)
-	res.Partitions = len(starts) - 1
-	longest := 0
-	for i := range res.Partitions {
-		longest = max(longest, starts[i+1]-starts[i])
+	// The partitions in key order; each key's cell gets its run's offset.
+	parts := slices.DeleteFunc(slices.Clone(keys.slots), func(s keySlot) bool { return s.n == 0 })
+	slices.SortFunc(parts, func(a, b keySlot) int { return cmp.Compare(a.key, b.key) })
+	res.Partitions = len(parts)
+	at, longest := int32(0), int32(0)
+	for i := range parts {
+		parts[i].at, keys.find(parts[i].key).at = at, at
+		at += parts[i].n
+		longest = max(longest, parts[i].n)
 	}
+	// Pass 2: one pointer per op at its key's next offset.
+	ptrs := make([]*Op, n)
+	each(logs, func(o *Op) {
+		s := keys.find(o.Key)
+		ptrs[s.at] = o
+		s.at++
+	})
 
 	var c checker
-	c.presize(longest)
-	for i := range res.Partitions {
-		part := h[starts[i]:starts[i+1]:starts[i+1]]
-		k := part[0].Key
+	c.presize(int(longest))
+	buf := make(History, 0, longest)
+	for _, p := range parts {
+		buf = buf[:0]
+		for _, o := range ptrs[p.at : p.at+p.n] {
+			buf = append(buf, *o)
+		}
+		slices.SortFunc(buf, opCmp)
 		var st regState
 		if init != nil {
-			st.val, st.present = init(k)
+			st.val, st.present = init(p.key)
 		}
-		v, nodes := c.check(part, st, budget-res.Nodes)
+		v, nodes := c.check(buf, st, budget-res.Nodes)
 		res.Nodes += nodes
 		if v == Linearizable {
 			continue
 		}
 		res.Verdict = v
 		if v == Illegal {
-			res.BadKey = k
-			ce := slices.Clone(part)
+			res.BadKey = p.key
+			ce := slices.Clone(buf)
 			if opt.Minimize {
 				// Each single-removal probe checks a strictly smaller history,
 				// so it needs the same order of search work as the original
@@ -170,20 +201,62 @@ func CheckKV(h History, init Init, opt Options) Result {
 	return res
 }
 
-// partition returns the boundaries of the per-key runs of h, which is
-// sorted by key: run i is h[starts[i]:starts[i+1]], and there are
-// len(starts)-1 runs.
-func partition(h History) (starts []int) {
-	starts = []int{0}
-	for i := 1; i < len(h); i++ {
-		if h[i].Key != h[i-1].Key {
-			starts = append(starts, i)
+// each calls f on every op of logs, log after log; a nil log has none.
+func each(logs []*ClientLog, f func(*Op)) {
+	for _, l := range logs {
+		if l != nil {
+			for _, c := range l.chunks {
+				for i := range c {
+					f(&c[i])
+				}
+			}
 		}
 	}
-	if len(h) > 0 {
-		starts = append(starts, len(h))
+}
+
+// keySlot is one key's cell: its op count n (0: an empty cell) and the
+// offset at of its run of pointers.
+type keySlot struct {
+	key   uint64
+	n, at int32
+}
+
+// keyTable holds the distinct keys of a history: open addressing with
+// linear probing, at most half full, in a power-of-two number of cells.
+type keyTable struct {
+	slots []keySlot
+	used  int
+}
+
+// find returns key's cell, or the empty one where it would go.
+func (t *keyTable) find(key uint64) *keySlot {
+	mask := uint64(len(t.slots) - 1)
+	i := (key * 0x9e3779b97f4a7c15) >> bits.LeadingZeros64(mask)
+	for t.slots[i].n > 0 && t.slots[i].key != key {
+		i = (i + 1) & mask
 	}
-	return starts
+	return &t.slots[i]
+}
+
+// count counts one op on key, doubling the table first if key is new and
+// would fill more than half of it.
+func (t *keyTable) count(key uint64) {
+	s := t.find(key)
+	if s.n == 0 && 2*(t.used+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]keySlot, 2*len(old))
+		for _, o := range old {
+			if o.n > 0 {
+				*t.find(o.key) = o
+			}
+		}
+		s = t.find(key)
+	}
+	if s.n == 0 {
+		s.key = key
+		t.used++
+	}
+	s.n++
 }
 
 // regState is the per-key register model state.
@@ -382,7 +455,7 @@ func (c *checker) seen(s regState) bool {
 }
 
 // makeEntries builds the sorted, linked entry list for one partition. Every
-// op's call sorts before its return (CheckKV rejects Return < Call), so a
+// op's call sorts before its return (CheckLogs rejects Return < Call), so a
 // return event always finds its call entry already in calls.
 //
 //rfp:hotpath

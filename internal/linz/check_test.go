@@ -3,6 +3,7 @@ package linz
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -232,51 +233,40 @@ func TestEmptyHistory(t *testing.T) {
 	}
 }
 
-func TestClientLogRecorderAndMerge(t *testing.T) {
+func TestClientLogRecorderAndCheckLogs(t *testing.T) {
 	a := NewClientLog(0)
 	b := NewClientLog(1)
 	a.Write(1, 5, 0, 10)
 	b.Read(1, 5, true, 20, 30)
 	b.FailedWrite(2, 9, 40)
 	a.Read(2, 0, false, 50, 60)
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatalf("log lengths %d/%d, want 2/2", a.Len(), b.Len())
-	}
-	h := Merge(a, b, nil)
+	h := logOps(a, b, nil)
 	recorded := History{
 		{Client: 0, Kind: Write, Key: 1, Arg: 5, Call: 0, Return: 10},
+		{Client: 0, Kind: Read, Key: 2, Call: 50, Return: 60},
 		{Client: 1, Kind: Read, Key: 1, Out: 5, Found: true, Call: 20, Return: 30},
 		{Client: 1, Kind: Write, Key: 2, Arg: 9, Call: 40, Return: InfTime},
-		{Client: 0, Kind: Read, Key: 2, Call: 50, Return: 60},
 	}
-	sorted := slices.Clone(h)
-	sorted.Sort()
-	if !slices.Equal(sorted, recorded) {
-		t.Fatalf("merged history is not the recorded ops, each once:\n%swant\n%s", h.Render(), recorded.Render())
+	if !slices.Equal(h, recorded) {
+		t.Fatalf("logs hold\n%swant the recorded ops\n%s", h.Render(), recorded.Render())
 	}
-	var inf int
-	for _, o := range h {
-		if o.Return == InfTime {
-			inf++
-			if o.Kind != Write || o.Key != 2 || o.Arg != 9 {
-				t.Fatalf("wrong ambiguous op: %s", o)
-			}
-		}
+	// The history is linearizable under an absent-keys init: the failed
+	// write on key 2 linearizes after the miss read.
+	res := CheckLogs([]*ClientLog{a, b, nil}, initAbsent, Options{Minimize: true})
+	if res.Verdict != Linearizable || res.Ops != 4 || res.Partitions != 2 {
+		t.Fatalf("CheckLogs: %+v, want linearizable, 4 ops, 2 partitions", res)
 	}
-	if inf != 1 {
-		t.Fatalf("%d ambiguous ops, want 1", inf)
+	if !slices.Equal(logOps(a, b), recorded) {
+		t.Fatalf("CheckLogs changed the logs:\n%s", logOps(a, b).Render())
 	}
-	// The merged history is linearizable under an absent-keys init: the
-	// failed write on key 2 linearizes after the miss read.
-	check(t, h, initAbsent, Linearizable)
-	if !strings.Contains(h.Render(), "inf") {
+	if !strings.Contains(h.Render(), "c1 W(k2=v9) [40,inf]") {
 		t.Fatalf("render lost the ambiguous return:\n%s", h.Render())
 	}
 }
 
 // TestCheckKVOrderIndependent: CheckKV returns the same Result whatever the
-// order of the ops it is handed, and leaves each history a permutation of
-// its input. The histories are small random ones (both verdicts, with and
+// order of the ops it is handed, and leaves each history unchanged op for
+// op. The histories are small random ones (both verdicts, with and
 // without minimizing), a dense one whose search mostly backtracks, bench's
 // iso history, the padded stale-read history whose counterexample is
 // minimized, and a history with two malformed intervals.
@@ -362,16 +352,21 @@ func TestBadIntervalIsUnknown(t *testing.T) {
 	}
 }
 
-// TestCheckKVAllocsBounded pins the checker's allocation count: no copy of
-// the history, the run boundaries, and buffers sized once for the longest
-// partition, so a check's allocations do not grow with the number of ops.
-// Both sizes read 17, the search buffers and the run-boundary slice growing
-// to 513 entries; the bound of 24 leaves seven for a cache table that grows
-// or a history with more keys.
+// TestCheckKVAllocsBounded pins the checker's heap use. Its allocations
+// do not grow with the number of ops: both sizes read 14 for CheckKV and
+// CheckLogs alike (seven search buffers sized once for the longest
+// partition, its copy buffer, the pointer array, the partition list and
+// four doublings of the key table); the bound of 24 leaves ten for a cache
+// table that grows or a history with more keys. Its bytes are one 8-byte
+// pointer per op plus buffers that scale with the longest partition L and
+// the K keys, bounded by 8·N + 1024·L + 128·K: the 100k-op check reads
+// 931,872 B against a bound of 1,109,248 (L = 238, K = 512), and any copy
+// of the history, 48 B per op, fails it.
 func TestCheckKVAllocsBounded(t *testing.T) {
 	counts := map[int]float64{}
 	for _, ops := range []int{10_000, 100_000} {
 		h := isoHistory(ops, 512)
+		logs := isoLogs(ops, 512, 16)
 		counts[ops] = testing.AllocsPerRun(3, func() {
 			if res := CheckKV(h, initPresent0, Options{}); res.Verdict != Linearizable {
 				t.Fatalf("%d ops: verdict %v", ops, res.Verdict)
@@ -380,6 +375,26 @@ func TestCheckKVAllocsBounded(t *testing.T) {
 		if counts[ops] > 24 {
 			t.Errorf("CheckKV on %d ops made %.0f allocations, want <= 24", ops, counts[ops])
 		}
+		var m0, m1 runtime.MemStats
+		objects := testing.AllocsPerRun(1, func() {
+			runtime.ReadMemStats(&m0)
+			CheckLogs(logs, initPresent0, Options{})
+			runtime.ReadMemStats(&m1)
+		})
+		if objects > 24 {
+			t.Errorf("CheckLogs on %d ops made %.0f allocations, want <= 24", ops, objects)
+		}
+		perKey := map[uint64]int{}
+		longest := 0
+		for _, o := range h {
+			perKey[o.Key]++
+			longest = max(longest, perKey[o.Key])
+		}
+		bytes := m1.TotalAlloc - m0.TotalAlloc
+		if limit := uint64(8*ops + 1024*longest + 128*len(perKey)); bytes > limit {
+			t.Errorf("CheckLogs on %d ops allocated %d B (%.1f per op), want <= %d", ops, bytes, float64(bytes)/float64(ops), limit)
+		}
+		t.Logf("%d ops: CheckKV %.0f allocations, CheckLogs %.0f in %d B", ops, counts[ops], objects, bytes)
 	}
 	if d := counts[100_000] - counts[10_000]; d > 16 || d < -16 {
 		t.Errorf("allocations grow with the history: %.0f at 10k ops, %.0f at 100k", counts[10_000], counts[100_000])

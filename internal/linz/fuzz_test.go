@@ -94,43 +94,54 @@ func badInterval(h History) bool {
 }
 
 // checkShuffled runs CheckKV on h and on a shuffled copy of h and returns
-// h's result, with an error naming the first way the two results differ —
-// verdict, Ops, Partitions, Nodes, BadKey, the error's text or the rendered
-// counterexample — or a call that left its history other than a
-// permutation of what it was given.
+// h's result, with an error naming the first way the two results differ,
+// or a call that changed the history it was handed.
 func checkShuffled(h History, init Init, opt Options, rng *rand.Rand) (Result, error) {
 	given := slices.Clone(h)
-	given.Sort()
 	shuffled := slices.Clone(h)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	shuffledGiven := slices.Clone(shuffled)
 	a := CheckKV(h, init, opt)
 	b := CheckKV(shuffled, init, opt)
-	for _, after := range []History{h, shuffled} {
-		got := slices.Clone(after)
-		got.Sort()
-		if !slices.Equal(got, given) {
-			return a, fmt.Errorf("CheckKV left a history of %d ops that is not a permutation of the %d it was given", len(after), len(given))
+	for i, op := range h {
+		if op != given[i] {
+			return a, fmt.Errorf("CheckKV changed op %d of the history it was handed: %s, was %s", i, op, given[i])
 		}
 	}
-	switch {
-	case a.Verdict != b.Verdict || a.Ops != b.Ops || a.Partitions != b.Partitions || a.Nodes != b.Nodes || a.BadKey != b.BadKey:
-		return a, fmt.Errorf("shuffled input: (%v, %d ops, %d partitions, %d nodes, key %d), in order: (%v, %d, %d, %d, %d)",
-			b.Verdict, b.Ops, b.Partitions, b.Nodes, b.BadKey, a.Verdict, a.Ops, a.Partitions, a.Nodes, a.BadKey)
-	case fmt.Sprint(a.Err) != fmt.Sprint(b.Err):
-		return a, fmt.Errorf("shuffled input: error %v, in order: %v", b.Err, a.Err)
-	case a.Counterexample.Render() != b.Counterexample.Render():
-		return a, fmt.Errorf("shuffled input: counterexample\n%sin order:\n%s", b.Counterexample.Render(), a.Counterexample.Render())
+	for i, op := range shuffled {
+		if op != shuffledGiven[i] {
+			return a, fmt.Errorf("CheckKV changed op %d of the shuffled history: %s, was %s", i, op, shuffledGiven[i])
+		}
+	}
+	if err := sameResult(b, a); err != nil {
+		return a, fmt.Errorf("shuffled input vs in order: %w", err)
 	}
 	return a, nil
+}
+
+// sameResult returns an error naming the first way a and b differ —
+// verdict, Ops, Partitions, Nodes, BadKey, the error's text or the
+// counterexample — or nil.
+func sameResult(a, b Result) error {
+	switch {
+	case a.Verdict != b.Verdict || a.Ops != b.Ops || a.Partitions != b.Partitions || a.Nodes != b.Nodes || a.BadKey != b.BadKey:
+		return fmt.Errorf("(%v, %d ops, %d partitions, %d nodes, key %d) vs (%v, %d, %d, %d, %d)",
+			a.Verdict, a.Ops, a.Partitions, a.Nodes, a.BadKey, b.Verdict, b.Ops, b.Partitions, b.Nodes, b.BadKey)
+	case fmt.Sprint(a.Err) != fmt.Sprint(b.Err):
+		return fmt.Errorf("error %v vs %v", a.Err, b.Err)
+	case !slices.Equal(a.Counterexample, b.Counterexample):
+		return fmt.Errorf("counterexample\n%svs\n%s", a.Counterexample.Render(), b.Counterexample.Render())
+	}
+	return nil
 }
 
 // FuzzHistoryCheck feeds arbitrary interleaved invoke/return records to the
 // checker: it must never panic, must be deterministic (same verdict and
 // node count on a re-run), must not depend on the order of the ops (the
-// same Result on a shuffled copy, each history left a permutation of its
-// input), must reject a malformed interval with ErrBadInterval, must never
-// certify a history containing a write-skew pair, and on up to 7 ops must
-// agree with exhaustive enumeration.
+// same Result on a shuffled copy), must leave each history it is handed
+// unchanged op for op, must reject a malformed interval with
+// ErrBadInterval, must never certify a history containing a write-skew
+// pair, and on up to 7 ops must agree with exhaustive enumeration.
 func FuzzHistoryCheck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0, 10, 2, 2, 20, 10, 4, 1, 40, 10}) // the skew core

@@ -9,9 +9,9 @@
 // linearized-set bitset and a memoization cache of (set, state)
 // configurations, which keeps seeded chaos histories tractable.
 //
-// The scenario harness records one ClientLog per driver thread and merges
-// them into a History after the run has drained; the checker then certifies
-// the run linearizable or pins a minimized counterexample.
+// The scenario harness records one ClientLog per driver thread; after the
+// run has drained, CheckLogs reads the ops where the logs hold them and
+// certifies the run linearizable or pins a minimized counterexample.
 package linz
 
 import (
@@ -47,15 +47,17 @@ const InfTime = int64(1) << 62
 // Op is one timed operation against one key. For writes, Arg is the value
 // written; for reads, Out/Found report the observed value. Values are
 // opaque uint32 versions (the workload's FillVersioned scheme).
+// The fields are ordered widest first, so an Op packs into 48 bytes with
+// no padding.
 type Op struct {
 	Client int
-	Kind   Kind
 	Key    uint64
-	Arg    uint32 // written value (Write)
-	Out    uint32 // observed value (Read, when Found)
-	Found  bool   // Read observed a value (vs. not-found)
 	Call   int64
 	Return int64
+	Arg    uint32 // written value (Write)
+	Out    uint32 // observed value (Read, when Found)
+	Kind   Kind
+	Found  bool // Read observed a value (vs. not-found)
 }
 
 func (o Op) String() string {
@@ -76,7 +78,7 @@ func (o Op) String() string {
 type History []Op
 
 // Sort orders the history deterministically: by Call, then Return, then
-// client, key and payload. Render prints this order, and CheckKV orders
+// client, key and payload. Render prints this order, and the checker orders
 // each key's ops this way, so Sort is a canonicalization for rendering and
 // hashing.
 func (h History) Sort() { slices.SortFunc(h, opCmp) }
@@ -123,7 +125,7 @@ func (h History) Render() string {
 }
 
 // Chunk sizes of a ClientLog: the first chunk holds logChunkMin ops and each
-// next one twice the last, up to logChunkMax (2,048 ops, 112 KiB). A short
+// next one twice the last, up to logChunkMax (2,048 ops, 96 KiB). A short
 // run records into a few small chunks; a long one into full-size chunks, so
 // at most one chunk's worth of space is unused.
 const (
@@ -139,14 +141,15 @@ const (
 type ClientLog struct {
 	client int
 	chunks [][]Op
-	n      int
 }
 
 // NewClientLog creates the recorder for one client thread.
 func NewClientLog(client int) *ClientLog { return &ClientLog{client: client} }
 
-// add appends o to the last chunk, starting a new one when it is full.
+// add stamps o with the log's client and appends it to the last chunk,
+// starting a new one when it is full.
 func (l *ClientLog) add(o Op) {
+	o.Client = l.client
 	k := len(l.chunks) - 1
 	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
 		size := logChunkMin
@@ -157,24 +160,17 @@ func (l *ClientLog) add(o Op) {
 		k++
 	}
 	l.chunks[k] = append(l.chunks[k], o)
-	l.n++
 }
 
 // Read records a completed read: the value observed (or a miss) over
 // [call, ret].
 func (l *ClientLog) Read(key uint64, out uint32, found bool, call, ret int64) {
-	l.add(Op{
-		Client: l.client, Kind: Read, Key: key,
-		Out: out, Found: found, Call: call, Return: ret,
-	})
+	l.add(Op{Kind: Read, Key: key, Out: out, Found: found, Call: call, Return: ret})
 }
 
 // Write records an acknowledged write of value over [call, ret].
 func (l *ClientLog) Write(key uint64, arg uint32, call, ret int64) {
-	l.add(Op{
-		Client: l.client, Kind: Write, Key: key,
-		Arg: arg, Call: call, Return: ret,
-	})
+	l.add(Op{Kind: Write, Key: key, Arg: arg, Call: call, Return: ret})
 }
 
 // FailedWrite records a write whose outcome is unknown to the client (an
@@ -184,32 +180,5 @@ func (l *ClientLog) Write(key uint64, arg uint32, call, ret int64) {
 // are simply dropped by the recorder's caller: a read with no observed
 // value constrains nothing.
 func (l *ClientLog) FailedWrite(key uint64, arg uint32, call int64) {
-	l.add(Op{
-		Client: l.client, Kind: Write, Key: key,
-		Arg: arg, Call: call, Return: InfTime,
-	})
-}
-
-// Len returns the number of recorded ops.
-func (l *ClientLog) Len() int { return l.n }
-
-// Merge combines per-thread logs into one history, allocated once at its
-// exact size: the logs' ops one after another, in no order the checker
-// relies on (CheckKV orders the history it is handed).
-func Merge(logs ...*ClientLog) History {
-	n := 0
-	for _, l := range logs {
-		if l != nil {
-			n += l.n
-		}
-	}
-	h := make(History, 0, n)
-	for _, l := range logs {
-		if l != nil {
-			for _, c := range l.chunks {
-				h = append(h, c...)
-			}
-		}
-	}
-	return h
+	l.add(Op{Kind: Write, Key: key, Arg: arg, Call: call, Return: InfTime})
 }

@@ -205,6 +205,7 @@ func TestSearchNodeCountsPinned(t *testing.T) {
 func BenchmarkCheckKV(b *testing.B) {
 	h := isoHistory(100_000, 512)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if res := CheckKV(h, initPresent0, Options{}); res.Verdict != Linearizable {
 			b.Fatal(res.Verdict)

@@ -70,7 +70,7 @@ const (
 // On a backend BuildBackend preloaded with versioned values (the replicated
 // stores), the drivers write versioned values too and record their
 // operation history, and the second result is the linearizability verdict
-// on the merged history; it is nil otherwise.
+// on the recorded history; it is nil otherwise.
 func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Phase, seed int64) ([]PhaseObs, *Verdict) {
 	starts := make([]sim.Time, len(phases))
 	ends := make([]sim.Time, len(phases))
@@ -84,7 +84,7 @@ func Drive(env *sim.Env, b *Backend, placements []fabric.Placement, phases []Pha
 	// Drivers: one proc per client thread, running every phase in order
 	// against its conn, charging accounting to the issuing phase's cell.
 	// A history-recording driver writes into its own single-writer
-	// ClientLog, merged and checked after the drain.
+	// ClientLog, checked after the drain.
 	threads := len(placements)
 	var logs []*linz.ClientLog
 	if b.versioned {
@@ -312,14 +312,13 @@ func (cell *phaseCell) charge(p *sim.Proc, t0 sim.Time, missed, corrupt bool, er
 	cell.lat.Add(int64(p.Now().Sub(t0)))
 }
 
-// checkHistory merges the drained per-thread logs and runs the
-// linearizability checker. Every key is preloaded at version 0, so the
+// checkHistory runs the linearizability checker over the drained
+// per-thread logs, reading each op where its driver recorded it. Every key is preloaded at version 0, so the
 // initial register state is (0, present) for all keys. The verdict detail
 // carries the deterministic search statistics — and, on failure, the
 // minimized counterexample — so it replays byte-identically.
 func checkHistory(logs []*linz.ClientLog) *Verdict {
-	h := linz.Merge(logs...)
-	res := linz.CheckKV(h, func(uint64) (uint32, bool) { return 0, true }, linz.Options{Minimize: true})
+	res := linz.CheckLogs(logs, func(uint64) (uint32, bool) { return 0, true }, linz.Options{Minimize: true})
 	v := Verdict{Invariant: Invariant{Kind: Linearizable}}
 	v.OK = res.Verdict == linz.Linearizable
 	v.Detail = fmt.Sprintf("%s: ops=%d partitions=%d nodes=%d", res.Verdict, res.Ops, res.Partitions, res.Nodes)
