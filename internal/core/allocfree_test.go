@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"rfp/internal/sim"
+	"rfp/internal/telemetry"
 )
 
 // TestSteadyStateCallsAllocFree is the RFP layer's allocation floor: once the
 // flight pools, FIFO rings and calendar buckets under it are warm, a call
 // costs the host no heap allocation whichever driver and mode carries it —
 // Call by repeated fetching, Call by server-reply, Call across the hybrid
-// mechanism's mode switches (the 1-byte flag write), and Post/Poll keeping a
+// mechanism's mode switches (the 1-byte flag write), the same with a live
+// recorder taking each claimed call (spans off), and Post/Poll keeping a
 // depth-8 ring full on each of two connections through a Group.
 func TestSteadyStateCallsAllocFree(t *testing.T) {
 	// callLoop drives synchronous calls; slowEvery > 0 marks runs of
@@ -32,9 +34,10 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 			}
 		}
 	}
-	syncCalls := func(params Params, slowEvery int) func(*testing.T, *testRig, *int) func() {
+	syncCalls := func(params Params, slowEvery int, rec *telemetry.Recorder) func(*testing.T, *testRig, *int) func() {
 		return func(t *testing.T, r *testRig, calls *int) func() {
 			cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+			cli.SetRecorder(rec)
 			r.srv.AddThreads(1)
 			r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
 				Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int {
@@ -55,6 +58,9 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 				case slowEvery > 0 && (st.SwitchToReply < 10 || st.SwitchToFetch < 10):
 					t.Errorf("only %d switches to reply and %d back", st.SwitchToReply, st.SwitchToFetch)
 				}
+				if s := rec.Snapshot(); rec != nil && (s.Calls+1 < st.Calls || s.Writes < s.Calls || s.Fallbacks == 0) {
+					t.Errorf("recorder saw %d calls of %d, %d writes, %d fallbacks", s.Calls, st.Calls, s.Writes, s.Fallbacks)
+				}
 			}
 		}
 	}
@@ -65,9 +71,10 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 		name  string
 		build func(t *testing.T, r *testRig, calls *int) (check func())
 	}{
-		{"fetch", syncCalls(DefaultParams(), 0)},
-		{"reply", syncCalls(forceReply, 0)},
-		{"switching", syncCalls(DefaultParams(), 3)},
+		{"fetch", syncCalls(DefaultParams(), 0, nil)},
+		{"reply", syncCalls(forceReply, 0, nil)},
+		{"switching", syncCalls(DefaultParams(), 3, nil)},
+		{"switching-recorded", syncCalls(DefaultParams(), 3, telemetry.New(telemetry.Config{}))},
 		{"group-depth8", func(t *testing.T, r *testRig, calls *int) func() {
 			const depth = 8
 			params := DefaultParams()

@@ -50,10 +50,10 @@ const RetryHistSize = 32
 // ClientStats accumulates per-connection behaviour of the hybrid mechanism.
 type ClientStats struct {
 	Calls           uint64
-	FetchReads      uint64 // RDMA Reads issued while fetching (incl. retries)
+	FetchReads      uint64 // fetch Reads completed (incl. retries), added at each call's claim
 	SecondReads     uint64 // continuation reads because size > F
 	ReplyDeliveries uint64 // calls completed via server-reply
-	Retries         uint64 // total failed fetch attempts
+	Retries         uint64 // failed fetch attempts, added at each call's claim
 	MaxRetries      int    // worst single-call failed-attempt count
 	RetryHist       [RetryHistSize]uint64
 	SwitchToReply   uint64

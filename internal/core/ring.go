@@ -34,6 +34,7 @@ import (
 
 	"rfp/internal/rnic"
 	"rfp/internal/sim"
+	"rfp/internal/telemetry"
 	"rfp/internal/trace"
 )
 
@@ -78,6 +79,8 @@ type slot struct {
 	state   slotPhase
 	seq     uint16
 	mode    Mode // the delivery mode the call's request carries
+	writes  int  // request writes completed for this call (post + resends)
+	reads   int  // fetch reads completed for this call
 	failed  int  // failed fetch attempts for this call
 	overrun bool // failed count crossed R
 	hdr     header
@@ -231,31 +234,40 @@ func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
 }
 
 // claim resolves slot si for its caller and frees it — the one exit of a
-// call, behind Recv and Poll alike. A failed slot yields its error. A ready
-// one yields its payload, reports the call to telemetry, counts toward
-// demotion and feeds the hybrid mechanism: a fetch-mode call lands in the
-// retry histogram and, unless it overran, breaks the run of overruns; a
-// reply-mode call counts as a reply delivery and switches later posts back
-// to fetch once the server's process time is under the threshold.
+// call, behind Recv and Poll alike. Ready or failed, the call's verbs and
+// failed fetches, counted into its slot as their completions were handled,
+// are reported here once: to Stats, to the recorder with the call's legs,
+// and — for a call that fetched — to the retry histogram. A failed slot
+// then yields its error. A ready one yields its payload, counts toward
+// demotion and feeds the hybrid mechanism: a fetch-mode call, unless it
+// overran, breaks the run of overruns; a reply-mode call counts as a reply
+// delivery and switches later posts back to fetch once the server's
+// process time is under the threshold.
 //
 //rfp:hotpath
 func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 	sl := &c.slots[si]
 	hdr, faulted, replied := sl.hdr, sl.faulted, sl.mode == ModeReply
-	if sl.state == slotFailed {
+	c.Stats.FetchReads += uint64(sl.reads)
+	c.Stats.Retries += uint64(sl.failed)
+	if !replied || sl.justSwitched {
+		c.recordRetries(sl.failed)
+	}
+	call := telemetry.CallRecord{Writes: sl.writes, Reads: sl.reads, Retries: sl.failed,
+		Fallback: sl.justSwitched, Failed: sl.state == slotFailed, Reply: replied}
+	if call.Failed {
 		err := sl.err
+		c.rec.Claim(call)
 		c.releaseSlot(si)
 		c.noteCallOutcome(p, faulted)
 		return 0, err
 	}
 	n := copy(out, c.fetches[si][HeaderSize:HeaderSize+hdr.size])
 	if c.rec != nil {
-		sent := sl.sentAt
-		if sent < sl.postedAt {
-			sent = sl.postedAt // reply landed before the send CQE was reaped
-		}
-		c.rec.Call(int64(sl.readyAt.Sub(sl.postedAt)), int64(sent.Sub(sl.postedAt)),
-			int64(sl.readyAt.Sub(sent)), replied)
+		sent := max(sl.sentAt, sl.postedAt) // a reply may land before the send CQE is reaped
+		call.TotalNs, call.SendNs, call.RecvNs = int64(sl.readyAt.Sub(sl.postedAt)),
+			int64(sent.Sub(sl.postedAt)), int64(sl.readyAt.Sub(sent))
+		c.rec.Claim(call)
 		c.callEvent(trace.CallDone, sl.readyAt, p.Now(), si, sl.seq, n)
 	}
 	// Demotion first: a connection it demotes does not switch back.
@@ -265,11 +277,8 @@ func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 		if !c.params.ForceReply && !c.demoted && int(hdr.timeUs) <= switchBackUs {
 			c.setMode(ModeFetch)
 		}
-	} else {
-		c.recordRetries(sl.failed)
-		if !sl.overrun {
-			c.consecOverruns = 0
-		}
+	} else if !sl.overrun {
+		c.consecOverruns = 0
 	}
 	c.releaseSlot(si)
 	c.observeCall(p, hdr)
@@ -479,13 +488,12 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 	if sl.seq != seq || sl.state == slotFree || sl.state == slotReady || sl.state == slotFailed {
 		return false
 	}
-	// Verbs are counted here, where their completion is handled, for both
-	// drivers.
+	// Verbs are counted into the call's slot here, where their completion
+	// is handled, for both drivers; claim reports them.
 	if kind == wrKindSend {
-		c.rec.Writes(1)
+		sl.writes++
 	} else {
-		c.Stats.FetchReads++
-		c.rec.Reads(1)
+		sl.reads++
 	}
 	if e.Err != nil {
 		if !c.recoverable(e.Err) {
@@ -534,8 +542,6 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 			// hybrid switch. A switched call's fallback fetch comes round
 			// again in fallbackFetchNs.
 			sl.failed++
-			c.Stats.Retries++
-			c.rec.Retries(1)
 			c.callEvent(trace.FetchMiss, p.Now(), p.Now(), si, sl.seq, c.fetchLen())
 			sl.state = slotWaiting
 			if sl.mode == ModeReply {
@@ -604,8 +610,6 @@ func (c *Client) overran(p *sim.Proc, si int) {
 	}
 	sl := &c.slots[si]
 	c.consecOverruns = 0
-	c.recordRetries(sl.failed)
-	c.rec.Fallback()
 	c.callEvent(trace.Fallback, p.Now(), p.Now(), si, sl.seq, 0)
 	c.setMode(ModeReply)
 	sl.mode, sl.justSwitched = ModeReply, true

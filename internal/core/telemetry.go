@@ -1,16 +1,18 @@
 package core
 
-// Telemetry plumbing: attach a telemetry.Recorder to a connection and the
-// data path reports per-call latencies (post→completion, split into the
-// delivery leg and the fetch- or reply-mode completion leg), completed verb
-// counts (the paper's round-trips-per-call claim), fetch retries,
-// fallbacks, ring occupancy and — with span recording configured — the
-// call-scoped events trace.Stitch rebuilds timelines from. All hooks cost
-// host time only and are nil-safe, so a detached recorder (the default)
-// leaves virtual time, and therefore every simulated result, untouched.
+// Telemetry plumbing: attach a telemetry.Recorder to a connection and each
+// claim reports its call once — completed verbs (the paper's
+// round-trips-per-call claim), fetch retries, fallback and latencies
+// (post→completion, split into the delivery leg and the fetch- or
+// reply-mode completion leg) — beside ring occupancy and, with span
+// recording configured, the call-scoped events trace.Stitch rebuilds
+// timelines from. All hooks cost host time only and are nil-safe, so a
+// detached recorder (the default) leaves virtual time, and therefore every
+// simulated result, untouched.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rfp/internal/sim"
 	"rfp/internal/telemetry"
@@ -80,28 +82,20 @@ func (t *Tuner) logDecision(p *sim.Proc, c *Client, param string, old, new int, 
 	rec.Decide(telemetry.Decision{
 		At: p.Now(), Conn: int(c.connID()), Param: param, Old: old, New: new,
 		Window:       len(t.sampler.Sizes),
-		MedianSize:   medianInt(t.sampler.Sizes),
-		MedianProcNs: medianInt64(t.sampler.ProcTimes),
+		MedianSize:   median(t.sampler.Sizes),
+		MedianProcNs: median(t.sampler.ProcTimes),
 		Deferred:     deferred,
 	})
 }
 
-// medianInt / medianInt64 summarize a sample window for the decision log;
-// only run at re-selection boundaries, never on the per-call path.
-func medianInt(s []int) int {
+// median summarizes a sample window for the decision log; only run at
+// re-selection boundaries, never on the per-call path.
+func median[T cmp.Ordered](s []T) T {
 	if len(s) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c[len(c)/2]
-}
-
-func medianInt64(s []int64) int64 {
-	if len(s) == 0 {
-		return 0
-	}
-	c := append([]int64(nil), s...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	c := slices.Clone(s)
+	slices.Sort(c)
 	return c[len(c)/2]
 }

@@ -171,3 +171,57 @@ func TestValidateRejectsDepthOffSharded(t *testing.T) {
 		t.Fatalf("validate = %v, want an error naming jakiro", err)
 	}
 }
+
+// A call's verbs reach the recorder at its claim, beside the call itself,
+// so each phase's telemetry covers exactly the calls claimed in it,
+// whatever was in flight at its boundaries: a fault-free server-reply phase
+// reads one request Write per call and no Read. The transport's own fetch
+// counters are folded at the same claim, so they agree with the recorder
+// at every phase boundary.
+func TestPhaseTelemetryCountsClaimedCallsVerbs(t *testing.T) {
+	load := workload.Config{Keys: 64, GetFraction: 0.95}
+	phases := []Phase{
+		{Name: "trickle", Duration: 60 * sim.Microsecond, Workload: load, Active: 2},
+		{Name: "crowd", Duration: 60 * sim.Microsecond, Workload: load},
+		{Name: "decay", Duration: 60 * sim.Microsecond, Workload: load, Active: 3},
+	}
+	for _, name := range []string{BackendMemcKV, BackendJakiro} {
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			defer env.Close()
+			cl := fabric.NewCluster(env, hw.ConnectX3(), 4)
+			placements := cl.ClientThreads(8)
+			b, err := BuildBackend(specFor(name, Topology{Keys: 64}.withDefaults(), preloadValueSize, false),
+				[]*fabric.Machine{cl.Server}, placements)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Record() == nil {
+				t.Fatal("no recorder attached")
+			}
+			obs, _ := Drive(env, b, placements, phases, 1)
+			for i := range obs {
+				o, tel := &obs[i], &obs[i].Tel
+				if o.Done == 0 || o.Failed+o.Corrupted != 0 || tel.Calls == 0 {
+					t.Fatalf("phase %s: done %d, failed %d, corrupt %d, %d calls recorded",
+						o.Phase, o.Done, o.Failed, o.Corrupted, tel.Calls)
+				}
+				if o.Stats.FetchReads != tel.Reads || o.Stats.Retries != tel.Retries {
+					t.Errorf("phase %s: Stats fetch reads %d, retries %d; recorder reads %d, retries %d",
+						o.Phase, o.Stats.FetchReads, o.Stats.Retries, tel.Reads, tel.Retries)
+				}
+				switch name {
+				case BackendMemcKV:
+					if tel.Writes != tel.Calls || tel.Reads != 0 {
+						t.Errorf("phase %s: %d writes and %d reads for %d server-reply calls; want one write each, no read",
+							o.Phase, tel.Writes, tel.Reads, tel.Calls)
+					}
+				case BackendJakiro:
+					if tel.Reads < tel.FetchCalls || tel.FetchCalls == 0 {
+						t.Errorf("phase %s: %d reads for %d fetch-mode calls", o.Phase, tel.Reads, tel.FetchCalls)
+					}
+				}
+			}
+		})
+	}
+}

@@ -7,20 +7,22 @@ import (
 )
 
 // BenchmarkRecorderAllocs pins the package's central promise: every hot-path
-// hook — counters, histograms, the occupancy gauge, and span recording into
-// a pre-sized ring — runs without heap allocation, on both a live and a
-// detached (nil) recorder. AllocsPerRun makes the check exact; any regression
-// fails the benchmark rather than just slowing it down.
+// hook — the per-call Claim (verb counters and histograms, for completed and
+// failed calls), the occupancy gauge, and span recording into a pre-sized
+// ring — runs without heap allocation, on both a live and a detached (nil)
+// recorder. AllocsPerRun makes the check exact; any regression fails the
+// benchmark rather than just slowing it down.
 func BenchmarkRecorderAllocs(b *testing.B) {
 	rec := New(Config{SpanEvents: 64})
 	ev := trace.Event{Kind: trace.CallPost, Conn: 1, Slot: 2, Seq: 3}
+	fetched := CallRecord{Writes: 1, Reads: 4, Retries: 3, TotalNs: 1500, SendNs: 400, RecvNs: 900}
+	switched := CallRecord{Writes: 1, Reads: 4, Retries: 4, Fallback: true, Reply: true, TotalNs: 2100, SendNs: 500, RecvNs: 1200}
+	failed := CallRecord{Writes: 2, Reads: 1, Failed: true}
 	hooks := func() {
+		rec.Claim(fetched)
+		rec.Claim(switched)
+		rec.Claim(failed)
 		rec.Call(1500, 400, 900, false)
-		rec.Call(2100, 500, 1200, true)
-		rec.Writes(1)
-		rec.Reads(4)
-		rec.Retries(1)
-		rec.Fallback()
 		rec.Occupancy(7)
 		rec.Event(ev)
 	}
@@ -29,11 +31,8 @@ func BenchmarkRecorderAllocs(b *testing.B) {
 	}
 	var detached *Recorder
 	nilHooks := func() {
+		detached.Claim(fetched)
 		detached.Call(1500, 400, 900, false)
-		detached.Writes(1)
-		detached.Reads(1)
-		detached.Retries(1)
-		detached.Fallback()
 		detached.Occupancy(1)
 		detached.Event(ev)
 	}

@@ -8,16 +8,12 @@ import "testing"
 
 func TestSnapshotDelta(t *testing.T) {
 	r := New(Config{})
-	r.Call(1000, 400, 600, false)
-	r.Writes(2)
+	r.Claim(CallRecord{Writes: 2, TotalNs: 1000, SendNs: 400, RecvNs: 600})
 	r.Occupancy(3)
 	before := r.Snapshot()
 
-	r.Call(2000, 500, 1500, false)
-	r.Call(9000, 500, 8500, true)
-	r.Reads(4)
-	r.Retries(1)
-	r.Fallback()
+	r.Claim(CallRecord{Reads: 4, Retries: 1, TotalNs: 2000, SendNs: 500, RecvNs: 1500})
+	r.Claim(CallRecord{Fallback: true, Reply: true, TotalNs: 9000, SendNs: 500, RecvNs: 8500})
 	r.Occupancy(5)
 	after := r.Snapshot()
 

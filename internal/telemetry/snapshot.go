@@ -12,10 +12,11 @@ type Snapshot struct {
 	Calls      uint64 // completed calls: Total.Count
 	FetchCalls uint64 // calls completed by fetching the result: FetchLeg.Count
 	ReplyCalls uint64 // calls completed by a server reply: ReplyLeg.Count
-	Writes     uint64 // issued request writes (posts + resends)
-	Reads      uint64 // issued result fetches (incl. retries/continuations)
-	Retries    uint64 // fetch attempts that read an incomplete/stale image
-	Fallbacks  uint64 // mid-call fetch -> server-reply switches
+	// The verb counters cover every claimed call, failed ones included.
+	Writes    uint64 // completed request writes (posts + resends)
+	Reads     uint64 // completed result fetches (incl. retries/continuations)
+	Retries   uint64 // fetch attempts that read an incomplete/stale image
+	Fallbacks uint64 // calls switched from fetch to server-reply in flight
 
 	Total    HistSnap // post -> completion (ns)
 	Send     HistSnap // post -> request delivered (ns)
@@ -114,8 +115,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // RoundTripsPerCall is the paper's amplification metric: one-sided verbs
-// issued per completed call (the paper reports 2.005 for RFP: one request
-// write plus 1.005 fetch reads on average).
+// per completed call (the paper reports 2.005 for RFP: one request write
+// plus 1.005 fetch reads on average). Verbs are reported at their call's
+// claim, so over a Delta window it covers exactly the calls claimed in the
+// window; a fault-free server-reply window reads 1.
 func (s Snapshot) RoundTripsPerCall() float64 {
 	if s.Calls == 0 {
 		return 0

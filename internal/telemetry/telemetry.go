@@ -82,63 +82,56 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Call records one completed call: its post→completion latency, the
-// request-delivery leg, and the completion leg attributed to fetch or
-// server-reply mode. The histograms' counts are the call counts.
+// CallRecord is one claimed call as the recorder sees it: the one-sided
+// verbs it completed and, unless it failed, its latency legs.
+type CallRecord struct {
+	Writes   int   // request writes completed (post + resends)
+	Reads    int   // fetch reads completed (first reads, retries, continuations, fallback probes)
+	Retries  int   // fetches that read an incomplete or stale image
+	Fallback bool  // switched from fetching to server-reply in flight
+	Failed   bool  // resolved with an error: verbs only, no legs
+	Reply    bool  // completed by a server reply
+	TotalNs  int64 // post -> completion
+	SendNs   int64 // post -> request delivered
+	RecvNs   int64 // delivery -> completion
+}
+
+// Claim records one call as its claim resolves it — the recorder's one
+// per-call hook. The verb counters take every call, failed or not; the
+// histograms take the completed ones, with the completion leg attributed
+// to fetch or server-reply mode, so their counts are the call counts.
+//
+//rfp:hotpath
+func (r *Recorder) Claim(c CallRecord) {
+	if r == nil {
+		return
+	}
+	if c.Writes|c.Reads|c.Retries != 0 { // a legs-only Call has none
+		r.writes.Add(uint64(c.Writes))
+		r.reads.Add(uint64(c.Reads))
+		r.retries.Add(uint64(c.Retries))
+	}
+	if c.Fallback {
+		r.fallbacks.Add(1)
+	}
+	if c.Failed {
+		return
+	}
+	r.total.Add(c.TotalNs)
+	r.send.Add(c.SendNs)
+	if c.Reply {
+		r.replyLeg.Add(c.RecvNs)
+	} else {
+		r.fetchLeg.Add(c.RecvNs)
+	}
+}
+
+// Call records one completed call's legs alone: a Claim that carries no
+// verbs.
 //
 //rfp:hotpath
 func (r *Recorder) Call(totalNs, sendNs, recvNs int64, reply bool) {
-	if r == nil {
-		return
-	}
-	r.total.Add(totalNs)
-	r.send.Add(sendNs)
-	if reply {
-		r.replyLeg.Add(recvNs)
-	} else {
-		r.fetchLeg.Add(recvNs)
-	}
-}
-
-// Writes counts n issued request writes (posts, resends).
-//
-//rfp:hotpath
-func (r *Recorder) Writes(n int) {
-	if r == nil {
-		return
-	}
-	r.writes.Add(uint64(n))
-}
-
-// Reads counts n issued result fetches (first reads, retries,
-// continuations, fallback probes).
-//
-//rfp:hotpath
-func (r *Recorder) Reads(n int) {
-	if r == nil {
-		return
-	}
-	r.reads.Add(uint64(n))
-}
-
-// Retries counts n fetch attempts that read an incomplete or stale image.
-//
-//rfp:hotpath
-func (r *Recorder) Retries(n int) {
-	if r == nil {
-		return
-	}
-	r.retries.Add(uint64(n))
-}
-
-// Fallback counts one mid-call switch from fetching to server-reply wait.
-//
-//rfp:hotpath
-func (r *Recorder) Fallback() {
-	if r == nil {
-		return
-	}
-	r.fallbacks.Add(1)
+	r.Claim(CallRecord{TotalNs: totalNs, SendNs: sendNs, RecvNs: recvNs, Reply: reply})
 }
 
 // Occupancy samples the ring occupancy (requests outstanding after a post).

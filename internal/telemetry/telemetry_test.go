@@ -14,10 +14,7 @@ import (
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Call(10, 5, 5, false)
-	r.Writes(1)
-	r.Reads(2)
-	r.Retries(3)
-	r.Fallback()
+	r.Claim(CallRecord{Writes: 1, Reads: 2, Retries: 3, Fallback: true})
 	r.Occupancy(4)
 	r.Decide(Decision{Param: "F"})
 	r.Event(trace.Event{Kind: trace.CallPost})
@@ -35,13 +32,9 @@ func TestNilRecorderSafe(t *testing.T) {
 
 func TestRecorderCountersAndLegs(t *testing.T) {
 	r := New(Config{})
-	r.Call(1000, 400, 600, false)
-	r.Call(2000, 500, 1500, false)
-	r.Call(9000, 500, 8500, true)
-	r.Writes(3)
-	r.Reads(4)
-	r.Retries(2)
-	r.Fallback()
+	r.Claim(CallRecord{Writes: 1, Reads: 1, TotalNs: 1000, SendNs: 400, RecvNs: 600})
+	r.Claim(CallRecord{Writes: 1, Reads: 3, Retries: 2, TotalNs: 2000, SendNs: 500, RecvNs: 1500})
+	r.Claim(CallRecord{Writes: 1, Fallback: true, Reply: true, TotalNs: 9000, SendNs: 500, RecvNs: 8500})
 
 	s := r.Snapshot()
 	if s.Calls != 3 || s.FetchCalls != 2 || s.ReplyCalls != 1 {
@@ -61,6 +54,21 @@ func TestRecorderCountersAndLegs(t *testing.T) {
 	}
 	if got := s.FetchesPerCall(); got != 4.0/3 {
 		t.Fatalf("FetchesPerCall = %g", got)
+	}
+}
+
+// A failed call's verbs count; it adds no call and no latency sample.
+func TestFailedClaimCountsVerbsOnly(t *testing.T) {
+	r := New(Config{})
+	r.Claim(CallRecord{Writes: 1, Reads: 1, TotalNs: 1000, SendNs: 400, RecvNs: 600})
+	r.Claim(CallRecord{Writes: 2, Reads: 3, Retries: 3, Fallback: true, Failed: true, TotalNs: 5000})
+	s := r.Snapshot()
+	if s.Calls != 1 || s.Total.Count != 1 || s.Send.Count != 1 || s.Total.Max != 1000 {
+		t.Fatalf("calls %d, total n=%d max=%d, send n=%d; want the completed call alone",
+			s.Calls, s.Total.Count, s.Total.Max, s.Send.Count)
+	}
+	if s.Writes != 3 || s.Reads != 4 || s.Retries != 3 || s.Fallbacks != 1 {
+		t.Fatalf("verbs w=%d r=%d retry=%d fb=%d, want 3/4/3/1", s.Writes, s.Reads, s.Retries, s.Fallbacks)
 	}
 }
 
@@ -146,16 +154,10 @@ func TestSpanRecording(t *testing.T) {
 
 func TestSnapshotMergeAndText(t *testing.T) {
 	a := New(Config{})
-	a.Call(1000, 400, 600, false)
-	a.Writes(1)
-	a.Reads(1)
+	a.Claim(CallRecord{Writes: 1, Reads: 1, TotalNs: 1000, SendNs: 400, RecvNs: 600})
 	a.Occupancy(1)
 	b := New(Config{})
-	b.Call(5000, 500, 4500, true)
-	b.Writes(1)
-	b.Reads(2)
-	b.Retries(1)
-	b.Fallback()
+	b.Claim(CallRecord{Writes: 1, Reads: 2, Retries: 1, Fallback: true, Reply: true, TotalNs: 5000, SendNs: 500, RecvNs: 4500})
 	b.Occupancy(2)
 	b.Decide(Decision{Param: "R", Old: 3, New: 5})
 
@@ -289,9 +291,7 @@ func TestSnapshotWhileRecording(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 20_000; i++ {
-		r.Call(int64(i%1000+1), 1, 1, i%7 == 0)
-		r.Writes(1)
-		r.Reads(1)
+		r.Claim(CallRecord{Writes: 1, Reads: 1, Reply: i%7 == 0, TotalNs: int64(i%1000 + 1), SendNs: 1, RecvNs: 1})
 		r.Occupancy(i % 4)
 		if i%500 == 0 {
 			r.Decide(Decision{Param: "F", Old: i, New: i + 1})
