@@ -13,7 +13,8 @@ import (
 // Call by repeated fetching, Call by server-reply, Call across the hybrid
 // mechanism's mode switches (the 1-byte flag write), the same with a live
 // recorder taking each claimed call (spans off), and Post/Poll keeping a
-// depth-8 ring full on each of two connections through a Group.
+// depth-8 ring full on one lone connection, and on each of two connections
+// through a Group.
 func TestSteadyStateCallsAllocFree(t *testing.T) {
 	// callLoop drives synchronous calls; slowEvery > 0 marks runs of
 	// slowEvery requests slow, then as many fast, so the handler's process
@@ -64,6 +65,56 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 			}
 		}
 	}
+	// postPoll keeps a depth-8 ring full on each of n connections, joined
+	// to g unless it is nil; handles are claimed oldest first, round the
+	// connections, from a fixed circular window.
+	postPoll := func(n int, g *Group) func(*testing.T, *testRig, *int) func() {
+		return func(t *testing.T, r *testRig, calls *int) func() {
+			const depth = 8
+			params := DefaultParams()
+			params.Depth = depth
+			var clis []*Client
+			for i := 0; i < n; i++ {
+				cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+				if g != nil {
+					if err := g.Add(cli); err != nil {
+						t.Fatal(err)
+					}
+				}
+				clis = append(clis, cli)
+				r.srv.AddThreads(1)
+				r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+					Serve(p, []*Conn{conn}, echoHandler)
+				})
+			}
+			r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+				req, out := make([]byte, 32), make([]byte, 64)
+				hs := make([]Handle, n*depth)
+				for i := range hs {
+					h, err := clis[i%n].Post(p, req)
+					if err != nil {
+						t.Errorf("post: %v", err)
+						return
+					}
+					hs[i] = h
+				}
+				for i := 0; ; i = (i + 1) % len(hs) {
+					if _, err := clis[i%n].Poll(p, hs[i], out); err != nil {
+						t.Errorf("poll: %v", err)
+						return
+					}
+					*calls++
+					h, err := clis[i%n].Post(p, req)
+					if err != nil {
+						t.Errorf("post: %v", err)
+						return
+					}
+					hs[i] = h
+				}
+			})
+			return func() {}
+		}
+	}
 	forceReply := DefaultParams()
 	forceReply.ForceReply = true
 
@@ -75,52 +126,8 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 		{"reply", syncCalls(forceReply, 0, nil)},
 		{"switching", syncCalls(DefaultParams(), 3, nil)},
 		{"switching-recorded", syncCalls(DefaultParams(), 3, telemetry.New(telemetry.Config{}))},
-		{"group-depth8", func(t *testing.T, r *testRig, calls *int) func() {
-			const depth = 8
-			params := DefaultParams()
-			params.Depth = depth
-			g := NewGroup()
-			var clis []*Client
-			for i := 0; i < 2; i++ {
-				cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
-				if err := g.Add(cli); err != nil {
-					t.Fatal(err)
-				}
-				clis = append(clis, cli)
-				r.srv.AddThreads(1)
-				r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
-					Serve(p, []*Conn{conn}, echoHandler)
-				})
-			}
-			r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
-				req, out := make([]byte, 32), make([]byte, 64)
-				// Both rings stay full; handles are claimed oldest first,
-				// alternating connections, from a fixed circular window.
-				var hs [2 * depth]Handle
-				for i := range hs {
-					h, err := clis[i%2].Post(p, req)
-					if err != nil {
-						t.Errorf("post: %v", err)
-						return
-					}
-					hs[i] = h
-				}
-				for i := 0; ; i = (i + 1) % len(hs) {
-					if _, err := clis[i%2].Poll(p, hs[i], out); err != nil {
-						t.Errorf("poll: %v", err)
-						return
-					}
-					*calls++
-					h, err := clis[i%2].Post(p, req)
-					if err != nil {
-						t.Errorf("post: %v", err)
-						return
-					}
-					hs[i] = h
-				}
-			})
-			return func() {}
-		}},
+		{"lone-depth8", postPoll(1, nil)},
+		{"group-depth8", postPoll(2, NewGroup())},
 	}
 	for _, d := range drives {
 		t.Run(d.name, func(t *testing.T) {

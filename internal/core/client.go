@@ -11,8 +11,9 @@ package core
 // machine by whichever driver the caller picked: Send/Recv below, the
 // paper's blocking pair, step the engine for one call at a time; Post/Poll
 // keep up to Depth calls in flight. The drivers share staging, completion
-// handling, recovery timers and the claim; what differs is policy, listed
-// on Recv.
+// handling, recovery timers and the claim; what differs is scope — Poll
+// steps every connection sharing the queue, a synchronous call only its own
+// ring — and policy, listed on Recv.
 
 import (
 	"errors"
@@ -169,9 +170,11 @@ type Client struct {
 	pendingF     int
 	pendingDepth int
 
-	// Fan-out group membership (group.go): cq is then the group's queue,
-	// which dispatches to members by tag.
+	// Fan-out group membership (group.go), nil alone: cq is then the
+	// group's queue, and the engine steps every member (peers). self is the
+	// one-connection scope: its peers alone, the synchronous driver's wait.
 	group *Group
+	self  [1]*Client
 
 	// Telemetry (telemetry.go): optional recorder; a call's timestamps live
 	// in its slot.
@@ -293,7 +296,8 @@ func (c *Client) resize(d int) {
 // Post stages one, then the engine is stepped until the request is
 // delivered. A step of this driver is issue, else await: it never reaps its
 // queue without blocking — the one virtual-time charge that separates it
-// from Poll's progress loop — and never issues for another group member.
+// from Poll's progress loop — and it issues and waits for its own ring
+// only, handing any other group member's completion to that member.
 // The payload must not change until Send returns: a pending reconnect
 // runs — and yields — before the payload is staged, so another proc
 // re-encoding a shared buffer meanwhile would be sent in its place. With
@@ -320,7 +324,7 @@ func (c *Client) Send(p *sim.Proc, payload []byte) error {
 		for sl := &c.slots[si]; sl.state == slotPosted || sl.state == slotRepost || sl.state == slotFailed; {
 			if sl.state != slotFailed {
 				if !c.issue(p) {
-					c.await(p)
+					c.await(p, c.self[:])
 				}
 			} else if !c.redial(p, si) {
 				// Undeliverable: Send reports the call's outcome itself.
@@ -369,7 +373,7 @@ func (c *Client) Recv(p *sim.Proc, out []byte) (int, error) {
 			continue
 		}
 		if sl.mode == ModeFetch || sl.state != slotWaiting {
-			c.await(p)
+			c.await(p, c.self[:])
 			continue
 		}
 		// Reply mode, request delivered, nothing to act on: nap on the

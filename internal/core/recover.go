@@ -276,15 +276,15 @@ func (c *Client) repostSend(p *sim.Proc, i int) {
 }
 
 // nextTimer returns the earliest pending recovery timer across the ring,
-// so an otherwise-idle poll loop can sleep exactly until it is due.
+// or 0 if none is armed (recovery off), so an otherwise-idle poll loop can
+// sleep exactly until it is due.
 //
 //rfp:hotpath
-func (c *Client) nextTimer() (sim.Time, bool) {
+func (c *Client) nextTimer() sim.Time {
 	var t sim.Time
-	found := false
 	min := func(v sim.Time) {
-		if v != 0 && (!found || v < t) {
-			t, found = v, true
+		if v != 0 && (t == 0 || v < t) {
+			t = v
 		}
 	}
 	for i := range c.slots {
@@ -301,5 +301,5 @@ func (c *Client) nextTimer() (sim.Time, bool) {
 			min(sl.deadline)
 		}
 	}
-	return t, found
+	return t
 }

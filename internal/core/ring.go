@@ -2,18 +2,20 @@ package core
 
 // The call engine: one slot record per call in flight and the state machine
 // that walks it — staged, request write posted, delivered, fetch reads (or a
-// reply-mode landing) until the response validates, claimed. Two drivers
-// step it. Post/Poll, here, are the pipelined pair: Post stages a request
-// into a free slot and issues its RDMA Write without waiting; Poll drives
-// all in-flight slots forward (reaping completions, batching fetch reads
+// reply-mode landing) until the response validates, claimed — stepped by one
+// reap/issue/await cycle (progress) over every connection whose completions
+// share a queue: the connection alone, or every member of its fan-out group
+// (group.go). Two drivers step it. Post/Poll, here, are the pipelined pair:
+// Post stages a request into a free slot and issues its RDMA Write without
+// waiting; Poll runs the cycle (reaping completions, batching fetch reads
 // under one doorbell, checking reply-mode landings) until the polled
 // handle's response is validated, so a connection with Params.Depth > 1 can
 // keep several requests in flight from one simulated thread — the pipelining
 // optimization the paper sets aside as orthogonal (Sec. 2.2), which lifts
 // single-thread throughput from round-trip-bound toward the initiator
 // engine's ceiling. Send/Recv (client.go) are the paper's blocking pair over
-// the same slots: one call at a time, stepped without Poll's non-blocking
-// reap.
+// the same slots: one call at a time, stepped by issue and await alone —
+// without the non-blocking reap — and scoped to the call's own ring.
 //
 // Hybrid-switch rule, one for both drivers: each call carries its mode in
 // its own request header (wire.go), and a post carries the client's mode.
@@ -106,16 +108,19 @@ type slot struct {
 	readyAt  sim.Time // response validated (the call's true completion)
 }
 
-// Work-request ID encoding: kind | slot<<8 | seq<<32 | member<<48, so
+// Work-request ID encoding: kind | slot<<8 | seq<<32 | tag<<48, so
 // completions route back to their slot and stale completions (a slot
-// resolved by Close and reused) are detectable. The member field is the
-// client's endpoint-lease tag: the endpoint demux routes by it to the
-// client's queue, a group's queue by it to the member.
+// resolved by Close and reused) are detectable. The tag is the client's
+// endpoint-lease tag: the endpoint demux routes by it to the client's
+// queue, and the engine by it to the connection sharing that queue.
 const (
 	wrKindSend   = iota // request RDMA Write
 	wrKindFetch         // first fetch read (F bytes)
 	wrKindFetch2        // continuation read (size > F)
 )
+
+// tagMask selects the lease-tag bits of a WR ID.
+const tagMask = uint64(rnic.MaxTags-1) << rnic.TagShift
 
 //rfp:hotpath
 func (c *Client) ringID(kind, slot int, seq uint16) uint64 {
@@ -313,41 +318,61 @@ func (c *Client) inFlight() (owed, pushed bool) {
 	return owed, pushed
 }
 
-// progress advances the in-flight slots by one step of the pipelined
-// driver: reap available completions, issue work for slots that can
-// proceed, and otherwise block until the next completion (or, in reply
-// mode, the next sparse local poll). A grouped connection delegates to the
-// group engine, which runs the same reap/issue/await cycle across every
-// member at once.
+// progress is one step of the engine over every connection whose
+// completions share c's queue — c alone, or every member of its group in
+// joining order: reap the queue without blocking, issue work for every
+// slot that can proceed, and otherwise await the next completion (or, in
+// reply mode, the next sparse local poll). Reaping first means freshly
+// delivered requests immediately join their connection's fetch doorbell.
 //
 //rfp:hotpath
 func (c *Client) progress(p *sim.Proc) {
-	if c.group != nil {
-		c.group.progress(p)
-		return
-	}
-	if advanced := c.reap(p); c.issue(p) || advanced {
-		return
-	}
-	c.await(p)
-}
-
-// reap drains the connection's completion queue without blocking, routing
-// each completion to its slot.
-//
-//rfp:hotpath
-func (c *Client) reap(p *sim.Proc) bool {
+	peers := c.peers()
 	advanced := false
 	for {
 		e, ok := c.cq.Poll(p)
 		if !ok {
 			break
 		}
-		if c.handleCQE(p, e) {
+		if c.route(p, e) {
 			advanced = true
 		}
 	}
-	return advanced
+	for _, m := range peers {
+		if m.issue(p) {
+			advanced = true
+		}
+	}
+	if !advanced {
+		c.await(p, peers)
+	}
+}
+
+// peers are the connections whose completions share c's queue, in the
+// order they joined it: c alone, or every member of its group.
+//
+//rfp:hotpath
+func (c *Client) peers() []*Client {
+	if c.group != nil {
+		return c.group.members
+	}
+	return c.self[:]
+}
+
+// route hands one completion to the peer its WR-ID tag names. A tag no
+// peer holds — a lease re-bound by reconnect, or a member that closed — is
+// stale and dropped like a stale slot: never delivered to the wrong
+// connection.
+//
+//rfp:hotpath
+func (c *Client) route(p *sim.Proc, e rnic.CQE) bool {
+	tag := e.ID & tagMask
+	for _, m := range c.peers() {
+		if m.tag == tag {
+			return m.handleCQE(p, e)
+		}
+	}
+	return false
 }
 
 // issue posts work for every slot that can proceed, each in its own mode:
@@ -430,34 +455,40 @@ func (c *Client) fetchWR(i int) rnic.WR {
 	}
 }
 
-// await blocks until hardware or the server moves: wait for the next
-// completion if one is owed, else poll the reply landing sparsely — where
-// reply mode saves client cycles (Fig. 15). A group member's queue is the
-// group's, so whatever completes is handed to the member it belongs to: a
-// synchronous call on one member must not drop another member's
-// completions as stale.
+// await blocks until hardware or the server moves for one of the rings in
+// scope — every peer for progress, the call's own ring for the synchronous
+// driver: wait for the next completion if one is owed, else poll a reply
+// landing sparsely — where reply mode saves client cycles (Fig. 15) — else
+// sleep until the earliest recovery timer. Whatever completes goes to the
+// peer it belongs to, whoever waited: a synchronous call on one group
+// member must not drop another member's completions as stale.
 //
 //rfp:hotpath
-func (c *Client) await(p *sim.Proc) {
-	owed, pushed := c.inFlight()
-	if owed {
-		if e := c.cq.Wait(p); c.group != nil {
-			c.group.dispatch(p, e)
-		} else {
-			c.handleCQE(p, e)
+func (c *Client) await(p *sim.Proc, scope []*Client) {
+	var napper *Client
+	for _, m := range scope {
+		owed, pushed := m.inFlight()
+		if owed {
+			c.route(p, c.cq.Wait(p))
+			return
 		}
+		if pushed && napper == nil {
+			napper = m
+		}
+	}
+	if napper != nil {
+		napper.replyNap(p)
 		return
 	}
-	if pushed {
-		c.replyNap(p)
-		return
-	}
-	if c.recoveryOn() {
-		// Every live slot is backing off or awaiting a resend/deadline:
-		// sleep exactly until the earliest recovery timer is due.
-		if t, ok := c.nextTimer(); ok && t > p.Now() {
-			p.SleepUntil(t)
+	// Every live slot is backing off or awaiting a resend/deadline.
+	var next sim.Time
+	for _, m := range scope {
+		if t := m.nextTimer(); t != 0 && (next == 0 || t < next) {
+			next = t
 		}
+	}
+	if next > p.Now() {
+		p.SleepUntil(next)
 	}
 }
 

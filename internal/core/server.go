@@ -417,9 +417,6 @@ func (c *Client) bind(res leased) {
 	conn.qp, conn.client = res.ep.HomeQP(), res.landing.Handle()
 	c.qp, c.server = res.ep.QP(), res.region.Handle()
 	c.local, c.landing = res.landing, res.landing.Buf()
-	if c.group != nil {
-		c.group.retag(c, res.ep.Tag())
-	}
 	c.lease, c.tag = res.ep, res.ep.Tag()
 	c.lease.Redirect(c.cq)
 	// The old region took its responses with it: nothing has run here.
@@ -492,6 +489,7 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		cli.mode = ModeReply
 	}
 	cli.replyDone = cli.replyDue
+	cli.self[0] = cli
 	cli.bind(res)
 	return cli, conn, nil
 }

@@ -278,62 +278,81 @@ func TestSecondSendBeforeRecv(t *testing.T) {
 // TestGroupSyncCallHandsOverCompletions: a grouped member's queue is the
 // group's, so a synchronous call on member B waits on the queue member A's
 // posted requests complete into. B's wait must hand A's completions to A
-// (Group.dispatch) rather than drop them as stale — and must not drive A's
-// ring: A's fetches are A's to post.
+// rather than drop them as stale — and must not drive A's ring: A's
+// fetches are A's to post. That holds whichever mode B's call is in. A
+// fetch-mode call waits on the queue until its own reads complete, by when
+// every one of A's Writes has been handed over. A reply-mode call waits on
+// its request Write, then naps on its own landing: A's Writes that complete
+// after B's stay queued for A's own Poll.
 func TestGroupSyncCallHandsOverCompletions(t *testing.T) {
-	r := newRig(t, 1, ServerConfig{})
-	params := DefaultParams()
-	params.Depth = 4
-	cliA, connA := r.srv.Accept(r.cluster.Clients[0], params)
-	cliB, connB := r.srv.Accept(r.cluster.Clients[0], params)
-	g := NewGroup()
-	for _, c := range []*Client{cliA, cliB} {
-		if err := g.Add(c); err != nil {
-			t.Fatalf("group add: %v", err)
-		}
-	}
-	r.srv.AddThreads(1)
-	r.srv.Machine().Spawn("srv", func(p *sim.Proc) { Serve(p, []*Conn{connA, connB}, echoHandler) })
-	resolved := 0
-	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
-		out := make([]byte, 64)
-		var hs [3]Handle
-		for i := range hs {
-			var err error
-			if hs[i], err = cliA.Post(p, []byte{'a', byte(i)}); err != nil {
-				t.Errorf("post A%d: %v", i, err)
-				return
+	for _, tc := range []struct {
+		name     string
+		replyB   bool
+		handover bool // every one of A's Writes is handed over during B's call
+	}{
+		{"fetch", false, true},
+		{"reply", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, ServerConfig{})
+			params := DefaultParams()
+			params.Depth = 4
+			cliA, connA := r.srv.Accept(r.cluster.Clients[0], params)
+			params.ForceReply = tc.replyB
+			cliB, connB := r.srv.Accept(r.cluster.Clients[0], params)
+			g := NewGroup()
+			for _, c := range []*Client{cliA, cliB} {
+				if err := g.Add(c); err != nil {
+					t.Fatalf("group add: %v", err)
+				}
 			}
-		}
-		// A's three request writes are still in flight: their completions
-		// arrive on the shared queue while B waits for its own.
-		n, err := cliB.Call(p, []byte("sync-b"), out)
-		if err != nil || string(out[:n]) != "sync-b" {
-			t.Errorf("B's synchronous call: (%q, %v)", out[:n], err)
-			return
-		}
-		for i := range cliA.slots[:3] {
-			if st := cliA.slots[i].state; st != slotWaiting {
-				t.Errorf("A's slot %d is in phase %d after B's call, want delivered (%d): its send completion was not handed over", i, st, slotWaiting)
+			r.srv.AddThreads(1)
+			r.srv.Machine().Spawn("srv", func(p *sim.Proc) { Serve(p, []*Conn{connA, connB}, echoHandler) })
+			resolved := 0
+			r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+				out := make([]byte, 64)
+				var hs [3]Handle
+				for i := range hs {
+					var err error
+					if hs[i], err = cliA.Post(p, []byte{'a', byte(i)}); err != nil {
+						t.Errorf("post A%d: %v", i, err)
+						return
+					}
+				}
+				// A's three request writes are still in flight: their
+				// completions arrive on the shared queue while B waits for
+				// its own.
+				n, err := cliB.Call(p, []byte("sync-b"), out)
+				if err != nil || string(out[:n]) != "sync-b" {
+					t.Errorf("B's synchronous call: (%q, %v)", out[:n], err)
+					return
+				}
+				for i := range cliA.slots[:3] {
+					sl := cliA.slots[i]
+					if sl.reads != 0 || sl.state != slotWaiting && (tc.handover || sl.state != slotPosted) {
+						t.Errorf("A's slot %d is in phase %d with %d reads after B's call, want delivered (%d) with none: "+
+							"its send completion was dropped, or B drove A's fetches", i, sl.state, sl.reads, slotWaiting)
+					}
+				}
+				for i, h := range hs {
+					if n, err := cliA.Poll(p, h, out); err != nil || n != 2 || out[0] != 'a' || out[1] != byte(i) {
+						t.Errorf("poll A%d: (% x, %v)", i, out[:n], err)
+						return
+					}
+					resolved++
+				}
+			})
+			r.env.Run(sim.Time(sim.Millisecond))
+			if resolved != 3 || cliB.Stats.Calls != 1 {
+				t.Fatalf("resolved %d/3 of A's posts, B made %d calls", resolved, cliB.Stats.Calls)
 			}
-		}
-		if cliA.Stats.FetchReads != 0 {
-			t.Errorf("B's call drove A's ring: %d of A's fetches completed", cliA.Stats.FetchReads)
-		}
-		for i, h := range hs {
-			if n, err := cliA.Poll(p, h, out); err != nil || n != 2 || out[0] != 'a' || out[1] != byte(i) {
-				t.Errorf("poll A%d: (% x, %v)", i, out[:n], err)
-				return
+			if replied := cliB.Stats.ReplyDeliveries == 1; replied != tc.replyB {
+				t.Fatalf("B's call delivered by server-reply: %v, want %v", replied, tc.replyB)
 			}
-			resolved++
-		}
-	})
-	r.env.Run(sim.Time(sim.Millisecond))
-	if resolved != 3 || cliB.Stats.Calls != 1 {
-		t.Fatalf("resolved %d/3 of A's posts, B made %d calls", resolved, cliB.Stats.Calls)
-	}
-	if n := r.cluster.Clients[0].NIC().Misrouted; n != 0 {
-		t.Fatalf("misrouted completions: %d", n)
+			if n := r.cluster.Clients[0].NIC().Misrouted; n != 0 {
+				t.Fatalf("misrouted completions: %d", n)
+			}
+		})
 	}
 }
 
