@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rfp/internal/sim"
+	"rfp/internal/telemetry"
 )
 
 // TestResentRequestRunsOnce: a request re-delivered after its response was
@@ -69,6 +70,58 @@ func TestResentRequestRunsOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLateWriteCounted: a resend's Write that completes after its call's
+// response has validated, but before the call is claimed, still counts as
+// the call's verb. Call 0 is served and its response pushed before a
+// resend re-delivers it; call 1 is posted behind the resend, so polling it
+// validates call 0 from its landing, then reaps the resend's completion.
+// The recorder must see all three Writes, and Stats must count the resend
+// nowhere but in Writes.
+func TestLateWriteCounted(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{})
+	params := DefaultParams()
+	params.ForceReply = true
+	params.Depth = 2
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	rec := telemetry.New(telemetry.Config{})
+	cli.SetRecorder(rec)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) { Serve(p, []*Conn{conn}, echoHandler) })
+	var late slotPhase
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		h0, err := cli.Post(p, []byte("zero"))
+		if err != nil {
+			t.Errorf("post 0: %v", err)
+			return
+		}
+		p.Sleep(20 * sim.Microsecond) // served and pushed
+		cli.repostSend(p, h0.slot)    // the resend timer's re-delivery
+		h1, err := cli.Post(p, []byte("one"))
+		if err != nil {
+			t.Errorf("post 1: %v", err)
+			return
+		}
+		out := make([]byte, 16)
+		if n, err := cli.Poll(p, h1, out); err != nil || string(out[:n]) != "one" {
+			t.Errorf("poll 1: %q, %v", out[:n], err)
+		}
+		late = cli.slots[h0.slot].state
+		if n, err := cli.Poll(p, h0, out); err != nil || string(out[:n]) != "zero" {
+			t.Errorf("poll 0: %q, %v", out[:n], err)
+		}
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	if late != slotReady {
+		t.Fatalf("call 0 in phase %d while call 1 was polled, want ready (%d): the resend did not complete late", late, slotReady)
+	}
+	if s := rec.Snapshot(); s.Calls != 2 || s.Writes != 3 || s.Reads != 0 {
+		t.Fatalf("recorder: %d calls, %d writes, %d reads; want 2, 3 (two posts and the resend), 0", s.Calls, s.Writes, s.Reads)
+	}
+	if st := cli.Stats; st.Calls != 2 || st.ReplyDeliveries != 2 || st.FetchReads != 0 || st.Resends != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 

@@ -502,8 +502,8 @@ func (c *Client) replyNap(p *sim.Proc) {
 }
 
 // handleCQE routes one completion to its slot, reporting whether any state
-// advanced. Stale completions — for a slot Close resolved or a seq long
-// claimed — are dropped.
+// advanced. Stale completions — for a slot beyond the ring, or a seq
+// already claimed — are dropped.
 //
 //rfp:hotpath
 func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
@@ -516,15 +516,19 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 		return false
 	}
 	sl := &c.slots[si]
-	if sl.seq != seq || sl.state == slotFree || sl.state == slotReady || sl.state == slotFailed {
+	if sl.seq != seq || sl.state == slotFree {
 		return false
 	}
 	// Verbs are counted into the call's slot here, where their completion
-	// is handled, for both drivers; claim reports them.
+	// is handled, for both drivers; claim reports them. A late one, for a
+	// call already resolved but not yet claimed, counts and moves nothing.
 	if kind == wrKindSend {
 		sl.writes++
 	} else {
 		sl.reads++
+	}
+	if sl.state == slotReady || sl.state == slotFailed {
+		return false
 	}
 	if e.Err != nil {
 		if !c.recoverable(e.Err) {
