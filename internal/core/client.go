@@ -171,8 +171,8 @@ type Client struct {
 	pendingDepth int
 
 	// Fan-out group membership (group.go), nil alone: cq is then the
-	// group's queue, and the engine steps every member (peers). self is the
-	// one-connection scope: its peers alone, the synchronous driver's wait.
+	// group's queue, and the engine steps every member (peers). self is c
+	// alone: a lone connection's peers, and any synchronous call's scope.
 	group *Group
 	self  [1]*Client
 

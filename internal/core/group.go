@@ -12,12 +12,12 @@ package core
 // ops in flight" discipline lifted from one connection to a whole fan-out.
 //
 // Completions route by the lease tag in WR ID bits 48+ (ring.go). A member
-// keeps the tag its endpoint lease was given at Accept — the endpoint demux
-// routes by it — and the lease is redirected to deliver into the group's
-// queue, which routes by the same tag to the member holding it. Tags are
-// allocated by the client machine's NIC, unique among that machine's live
-// leases whichever server they lead to, and a group is confined to one
-// machine: members cannot collide.
+// carries its endpoint lease's tag — given at Accept, fresh after each
+// reconnect; the endpoint demux routes by it — and the lease is redirected
+// to deliver into the group's queue, which the engine routes by the same
+// tag to the member holding it. Tags are allocated by the client machine's
+// NIC, unique among that machine's live leases whichever server they lead
+// to, and a group is confined to one machine: members cannot collide.
 
 import (
 	"errors"

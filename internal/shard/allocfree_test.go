@@ -13,7 +13,7 @@ import (
 // floor: one thread keeps 16 GETs and equal-size PUT overwrites in flight
 // over depth-8 rings on 2 servers × 2 partitions, all in one group, and a
 // warmed-up window retires without a heap allocation — routing, PostOp's
-// encode, the group's completion dispatch and PollOp's decode included.
+// encode, the routing of the group's completions and PollOp's decode included.
 func TestSteadyStatePostPollAllocFree(t *testing.T) {
 	const window = 16
 	r := newRig(t, 2, pipelined())

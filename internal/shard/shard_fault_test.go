@@ -11,7 +11,8 @@ import (
 // deadline — and only its ops; every other server's complete intact. After
 // the machine restarts, the same round succeeds end to end: the dead
 // server's connections re-establish into the same fan-out group under fresh
-// WR-ID tags (Group.retag), so their completions reach them again.
+// WR-ID tags, and the group's queue routes by each member's current tag, so
+// their completions reach them again.
 func TestShardPostPollServerCrashAndRejoin(t *testing.T) {
 	const deadline = 60_000
 	params := pipelined()
