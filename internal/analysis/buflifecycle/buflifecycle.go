@@ -11,7 +11,7 @@
 // ring (Post/PostBatch stage or pin the buffer until the completion is
 // polled, so the poller owns the release). A buffer appended into a batch
 // that is then returned or posted — including element-by-element by
-// ranging over it, the idiom of depth-resize drain loops — counts as the
+// ranging over it, the idiom of keep-ring-full drain loops — counts as the
 // same transfer. Any other ownership transfer —
 // storing the buffer in a long-lived struct, sending it through a queue —
 // is a design decision that must be documented with

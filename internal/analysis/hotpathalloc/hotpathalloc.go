@@ -33,8 +33,8 @@
 //     literals bound to a local and only invoked
 //
 // The check is intentionally intra-function: allocation does not propagate
-// through calls, because cold slow paths (resize, reconnect) are legally
-// reachable from hot functions behind rare branches. Annotate exactly the
+// through calls, because cold slow paths (reconnect, error formatting) are
+// legally reachable from hot functions behind rare branches. Annotate exactly the
 // functions whose *own bodies* must stay clean, and justify deliberate
 // error-path allocations with //rfpvet:allow hotpathalloc <reason>.
 package hotpathalloc

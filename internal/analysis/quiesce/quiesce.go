@@ -1,17 +1,18 @@
 // Package quiesce enforces the paper's quiesce rule on ring geometry.
 //
-// RFP's fast path reads ring geometry — depth, slot offsets, the registered
-// memory region, the QP — without synchronization: the client posts into
-// slot offsets it computed from fields the server's layout must agree with.
-// That is only sound because geometry never changes while a request is in
-// flight. DESIGN.md states the rule as: resize, reconnect and any other
-// geometry mutation may happen only at a quiesce point, outstanding == 0.
+// RFP's fast path reads ring geometry — the slot arrays, the registered
+// memory region, the QP, the WR-ID tag — without synchronization: the
+// client posts into slot offsets it computed from fields the server's layout
+// must agree with. That is only sound because geometry never changes while a
+// request is in flight. DESIGN.md states the rule as: a reconnect, the one
+// geometry mutation, may happen only at a quiesce point, outstanding == 0.
+// The ring depth is not geometry: it bounds only the posts after it.
 //
-// This analyzer finds every assignment to a geometry field (depth, slots,
-// stages, fetches, reqOffs, respOffs, qp, server, local, region, client,
-// maxDepth, respStride) reached through the receiver or a pointer
-// parameter, inside packages under rfp/internal/core, and demands the
-// mutating function be quiesce-safe. A function is safe when
+// This analyzer finds every assignment to a geometry field (slots, stages,
+// fetches, qp, server, local, region, client, maxDepth, respStride and the
+// leased fields) reached through the receiver or a pointer parameter,
+// inside packages under rfp/internal/core, and demands the mutating
+// function be quiesce-safe. A function is safe when
 //
 //   - its body tests outstanding against a bound (the guard dominating the
 //     mutation is not tracked — containing the check is the contract), or
@@ -19,7 +20,8 @@
 //     caller guarantees the rule (reconnect's recovery path does this: the
 //     sync-mode recovery drains in-flight state before reconnecting), or
 //   - every resolved caller in the program is itself safe, to a fixpoint
-//     (resize never checks outstanding, but both its callers do).
+//     (a helper that never checks outstanding, called only from functions
+//     that do).
 //
 // Mutations through locals (constructors building a fresh ring before
 // publishing it) are exempt: only state reached through the receiver or a
@@ -43,15 +45,14 @@ const pkgPrefix = "rfp/internal/core"
 // deliberately absent: the completion queue is lazily created on first Post
 // and is client-private, not layout the server must agree with.
 var geomFields = map[string]bool{
-	"depth": true, "slots": true, "stages": true, "fetches": true,
-	"reqOffs": true, "respOffs": true, "qp": true, "server": true,
-	"local": true, "region": true, "client": true, "maxDepth": true,
-	"respStride": true,
+	"slots": true, "stages": true, "fetches": true, "qp": true,
+	"server": true, "local": true, "region": true, "client": true,
+	"maxDepth": true, "respStride": true,
 	// Leased geometry (DESIGN.md §13): the slab lease behind the ring region
 	// (and its cached byte view), the reply landing, the endpoint lease
 	// (Conn.lease and Client.lease share the name), and the WR-ID demux tag.
 	// Swapping any of these while posts are in flight would strand or
-	// misroute completions exactly like a depth change.
+	// misroute completions.
 	"lease": true, "buf": true, "landing": true, "tag": true,
 }
 
@@ -62,7 +63,7 @@ var dataPathRoots = map[string]bool{"Serve": true, "Poll": true, "TryRecv": true
 // Analyzer implements the quiesce check.
 var Analyzer = &analysis.Analyzer{
 	Name: "quiesce",
-	Doc: "ring geometry (depth, offsets, MR, QP) may only be mutated at a quiesce point: " +
+	Doc: "ring geometry (slot arrays, MR, QP, WR-ID tag) may only be mutated at a quiesce point: " +
 		"the mutating function must check outstanding, be //rfp:quiesced, or be called only from safe functions",
 	Run: run,
 }
@@ -226,8 +227,8 @@ func sharedRoots(fn *ast.FuncDecl) map[string]bool {
 // shared root, returning the field name. Only direct field replacement
 // counts: writing an element of c.slots (re-arming one slot record on the
 // data path) is a slot-state update, not a geometry change — geometry
-// changes swap the slice header or scalar wholesale (resize builds fresh
-// offset slices from locals and publishes them in one assignment).
+// changes swap the slice header, pointer or scalar wholesale (reconnect's
+// bind publishes each fresh lease in one assignment).
 func geometryTarget(lhs ast.Expr, shared map[string]bool) (string, bool) {
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok || !geomFields[sel.Sel.Name] {

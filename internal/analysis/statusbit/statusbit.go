@@ -15,9 +15,9 @@
 // position-aware: writes into a response buffer (handler-side assignment,
 // copy destination, binary.*.Put* destination) are fine, as is slicing a
 // buffer directly into one of the sanctioned decode helpers. Locals that
-// receive a response buffer through assignment, append, or copy — the
-// reallocated slot arrays of a runtime ring resize being the motivating
-// case — are tracked as aliases and held to the same rule.
+// receive a response buffer through assignment, append, or copy — a
+// reallocated array of slot buffers being the motivating case — are
+// tracked as aliases and held to the same rule.
 //
 // On top of the per-function rules, the analyzer derives two summaries
 // from the load-set call graph (analysis.Program), iterated to a fixpoint:
@@ -109,11 +109,10 @@ func rootIdent(x ast.Expr) *ast.Ident {
 }
 
 // respAliases finds local variables that alias a response buffer (or a
-// collection of them) without carrying a resp*/reply* name. The resizable
-// request ring made this pattern real: a runtime depth change reallocates
-// the slot arrays (`resized := make([][]byte, d); copy(resized, respBufs)`)
-// and the copy's destination holds the same unvalidated payload bytes the
-// originals did. Tracked transfers, iterated to a fixpoint so alias chains
+// collection of them) without carrying a resp*/reply* name. Reallocating
+// an array of slot buffers makes this pattern real
+// (`resized := make([][]byte, d); copy(resized, respBufs)`): the copy's
+// destination holds the same unvalidated payload bytes the originals did. Tracked transfers, iterated to a fixpoint so alias chains
 // resolve: plain assignment from a response expression, append of one,
 // copy into a non-resp destination, and — through the returns-param
 // summary — binding the result of a helper that returns the buffer it was

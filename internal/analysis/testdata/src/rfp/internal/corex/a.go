@@ -13,38 +13,38 @@ type slotState struct{ seq uint16 }
 type ring struct {
 	depth       int
 	maxDepth    int
-	reqOffs     []int
-	respOffs    []int
+	tag         uint64
+	landing     []byte
 	region      *mr
 	outstanding int
 	scratch     []byte
 	slots       []slotState
 }
 
-// badResize mutates geometry with no guard anywhere in sight.
-func (r *ring) badResize(d int) {
-	r.depth = d // want `mutation of ring geometry field "depth" outside a quiesce-guarded path`
+// badRetag mutates geometry with no guard anywhere in sight.
+func (r *ring) badRetag(t uint64) {
+	r.tag = t // want `mutation of ring geometry field "tag" outside a quiesce-guarded path`
 }
 
-// guardedResize tests outstanding in its own body: safe.
-func (r *ring) guardedResize(d int) {
+// guardedRebind tests outstanding in its own body: safe.
+func (r *ring) guardedRebind(t uint64, n int) {
 	if r.outstanding != 0 {
 		return
 	}
-	r.depth = d
-	r.reqOffs = make([]int, d)
+	r.tag = t
+	r.landing = make([]byte, n)
 }
 
-// applyGeom never checks outstanding, but its only caller does: the
+// applyLease never checks outstanding, but its only caller does: the
 // caller-safety fixpoint covers it.
-func (r *ring) applyGeom(d int) {
-	r.depth = d
-	r.respOffs = make([]int, d)
+func (r *ring) applyLease(t uint64, n int) {
+	r.tag = t
+	r.landing = make([]byte, n)
 }
 
-func (r *ring) resizeAtQuiesce(d int) {
+func (r *ring) rebindAtQuiesce(t uint64, n int) {
 	if r.outstanding == 0 {
-		r.applyGeom(d)
+		r.applyLease(t, n)
 	}
 }
 
@@ -72,21 +72,27 @@ func (r *ring) swapRegion(m *mr) {
 
 // Poll is a data-path root: the diagnostic points out the reachability.
 func (r *ring) Poll() {
-	r.depth++ // want `mutation of ring geometry field "depth" outside a quiesce-guarded path \(reachable from the Serve/Poll data path\)`
+	r.tag++ // want `mutation of ring geometry field "tag" outside a quiesce-guarded path \(reachable from the Serve/Poll data path\)`
+}
+
+// setDepth changes how many slots the next posts may take, a per-call
+// bound rather than geometry: no guard needed.
+func (r *ring) setDepth(d int) {
+	r.depth = d
 }
 
 // newRing builds a fresh ring through a local before publishing it; locals
 // are private, so constructors need no guard.
-func newRing(d int) *ring {
+func newRing(t uint64, n int) *ring {
 	r := &ring{}
-	r.depth = d
-	r.reqOffs = make([]int, d)
+	r.tag = t
+	r.landing = make([]byte, n)
 	return r
 }
 
 // byValue receives a private copy: no shared state is reachable.
-func byValue(r ring, d int) {
-	r.depth = d
+func byValue(r ring, t uint64) {
+	r.tag = t
 }
 
 // reArm writes one element of the slots array — slot state on the data
@@ -101,6 +107,6 @@ func (r *ring) stash(b []byte) {
 }
 
 // suppressed documents a deliberate unguarded mutation.
-func (r *ring) suppressed(d int) {
-	r.depth = d //rfpvet:allow quiesce single-threaded harness, no requests can be in flight
+func (r *ring) suppressed(t uint64) {
+	r.tag = t //rfpvet:allow quiesce single-threaded harness, no requests can be in flight
 }

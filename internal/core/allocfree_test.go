@@ -12,9 +12,10 @@ import (
 // costs the host no heap allocation whichever driver and mode carries it —
 // Call by repeated fetching, Call by server-reply, Call across the hybrid
 // mechanism's mode switches (the 1-byte flag write), the same with a live
-// recorder taking each claimed call (spans off), and Post/Poll keeping a
+// recorder taking each claimed call (spans off), Post/Poll keeping a
 // depth-8 ring full on one lone connection, and on each of two connections
-// through a Group.
+// through a Group, and Post/Poll on one MaxDepth-8 ring whose depth cycles
+// through 2, 8 and 4 with calls in flight.
 func TestSteadyStateCallsAllocFree(t *testing.T) {
 	// callLoop drives synchronous calls; slowEvery > 0 marks runs of
 	// slowEvery requests slow, then as many fast, so the handler's process
@@ -115,6 +116,46 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 			return func() {}
 		}
 	}
+	// resizing posts on a MaxDepth-8 ring, claiming its oldest handle
+	// whenever Post reports the ring full, and moves the depth through 2,
+	// 8 and 4 every 16 tries, calls in flight.
+	resizing := func(t *testing.T, r *testRig, calls *int) func() {
+		params := DefaultParams()
+		params.MaxDepth = 8
+		cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+		r.srv.AddThreads(1)
+		r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+			Serve(p, []*Conn{conn}, echoHandler)
+		})
+		depths := [...]int{2, 8, 4}
+		r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+			req, out := make([]byte, 32), make([]byte, 64)
+			var hs [8]Handle
+			head, n := 0, 0
+			for i := 0; ; i++ {
+				if i%16 == 0 {
+					cli.SetDepth(depths[i/16%len(depths)])
+				}
+				h, err := cli.Post(p, req)
+				if err == ErrRingFull {
+					if _, err := cli.Poll(p, hs[head], out); err != nil {
+						t.Errorf("poll: %v", err)
+						return
+					}
+					*calls++
+					head, n = (head+1)%len(hs), n-1
+					continue
+				}
+				if err != nil {
+					t.Errorf("post: %v", err)
+					return
+				}
+				hs[(head+n)%len(hs)] = h
+				n++
+			}
+		})
+		return func() {}
+	}
 	forceReply := DefaultParams()
 	forceReply.ForceReply = true
 
@@ -128,6 +169,7 @@ func TestSteadyStateCallsAllocFree(t *testing.T) {
 		{"switching-recorded", syncCalls(DefaultParams(), 3, telemetry.New(telemetry.Config{}))},
 		{"lone-depth8", postPoll(1, nil)},
 		{"group-depth8", postPoll(2, NewGroup())},
+		{"resize-depth8", resizing},
 	}
 	for _, d := range drives {
 		t.Run(d.name, func(t *testing.T) {

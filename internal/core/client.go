@@ -131,9 +131,9 @@ type Client struct {
 	lease *rnic.EndpointLease
 	tag   uint64
 
-	// Slot-ring geometry and per-slot staging (index = slot). depth is the
-	// active ring depth; maxDepth is the slot capacity the region was
-	// registered for (the slot arrays cover only the active depth). Slot
+	// Slot-ring geometry and per-slot staging (index = slot). maxDepth is
+	// the slot capacity the region was registered for, and the slot arrays
+	// cover all of it; depth bounds the slots a new post may take. Slot
 	// offsets in the region follow from srv.cfg (reqOffAt, respOffAt).
 	depth      int
 	maxDepth   int
@@ -164,12 +164,6 @@ type Client struct {
 	call        int
 	inCall      bool
 
-	// Deferred parameter changes (control plane): F and depth changes
-	// decided while posts are in flight apply only once the ring quiesces
-	// (outstanding == 0). Zero means no change pending.
-	pendingF     int
-	pendingDepth int
-
 	// Fan-out group membership (group.go), nil alone: cq is then the
 	// group's queue, and the engine steps every member (peers). self is c
 	// alone: a lone connection's peers, and any synchronous call's scope.
@@ -197,48 +191,21 @@ func (c *Client) Mode() Mode { return c.mode }
 // Params returns the effective parameters.
 func (c *Client) Params() Params { return c.params }
 
-// SetFetchSize changes F at runtime (used by the on-line tuner). The value
-// is clamped to the response buffer. With posts in flight the change is
-// deferred until the ring quiesces (DESIGN.md §8): an in-flight fetch was
-// posted with the old F, and its continuation-read arithmetic must keep
-// seeing that F until the call is claimed.
-func (c *Client) SetFetchSize(f int) {
-	f = c.clampF(f)
-	if c.outstanding > 0 {
-		c.pendingF = f
-		return
-	}
-	c.pendingF = 0
-	c.params.F = f
-}
+// SetFetchSize changes F at runtime (used by the on-line tuner), clamped
+// to the response buffer. It applies per call: a call keeps the F it was
+// posted with, so its continuation-read arithmetic never mixes two values,
+// and every later post reads with the new one.
+func (c *Client) SetFetchSize(f int) { c.params.F = c.clampF(f) }
 
-// SetDepth resizes the request ring at runtime (used by the depth tuner),
-// clamped to [1, MaxDepth] — the slot capacity registered at Accept. With
-// posts in flight the resize is deferred until the ring quiesces, so a slot
-// is never reallocated under a pending completion. Until it lands, Post
-// returns ErrRingFull, so a driver that claims on a full ring drains it; the
-// claim that empties the ring applies the new depth.
+// SetDepth changes how many calls may be in flight (used by the depth
+// tuner), clamped to [1, MaxDepth] — the slot capacity registered at
+// Accept, which the slot arrays already cover. It applies at once: after a
+// grow the new slots take posts, after a shrink Post reports ErrRingFull
+// until fewer than the new depth are outstanding, while calls in higher
+// slots drain as usual.
 func (c *Client) SetDepth(d int) {
-	d = min(max(d, 1), c.maxDepth)
-	if c.outstanding > 0 {
-		if d == c.depth {
-			c.pendingDepth = 0
-		} else {
-			c.pendingDepth = d
-		}
-		return
-	}
-	c.pendingDepth = 0
-	c.resize(d)
-}
-
-// targetDepth is the depth the ring is headed for: the pending resize if
-// one is queued, else the active depth.
-func (c *Client) targetDepth() int {
-	if c.pendingDepth != 0 {
-		return c.pendingDepth
-	}
-	return c.depth
+	c.depth = min(max(d, 1), c.maxDepth)
+	c.nextSlot %= c.depth
 }
 
 // clampF bounds a fetch size to [HeaderSize+1, HeaderSize+MaxResponse]: a
@@ -246,48 +213,6 @@ func (c *Client) targetDepth() int {
 // past the response buffer.
 func (c *Client) clampF(f int) int {
 	return min(max(f, HeaderSize+1), HeaderSize+c.srv.cfg.MaxResponse)
-}
-
-// applyPendingParams applies deferred F/depth changes once the ring is
-// empty. Both are client-local (the region already has capacity for every
-// depth), so no RDMA write and no simulated time are involved.
-func (c *Client) applyPendingParams() {
-	if c.outstanding > 0 {
-		return
-	}
-	if c.pendingF != 0 {
-		c.params.F = c.pendingF
-		c.pendingF = 0
-	}
-	if c.pendingDepth != 0 {
-		d := c.pendingDepth
-		c.pendingDepth = 0
-		c.resize(d)
-	}
-}
-
-// resize reallocates the slot arrays for the new depth; only called with
-// the ring quiesced. Staging and fetch buffers of surviving slots carry
-// over; slots beyond the old depth get fresh buffers, and buffers beyond
-// the new depth are dropped for the collector.
-func (c *Client) resize(d int) {
-	if d == c.depth {
-		return
-	}
-	slots := make([]slot, d)
-	stages := make([][]byte, d)
-	fetches := make([][]byte, d)
-	copy(stages, c.stages)
-	copy(fetches, c.fetches)
-	for i := len(c.stages); i < d; i++ {
-		stages[i] = make([]byte, HeaderSize+c.srv.cfg.MaxRequest)
-	}
-	for i := len(c.fetches); i < d; i++ {
-		fetches[i] = make([]byte, HeaderSize+c.srv.cfg.MaxResponse)
-	}
-	c.slots, c.stages, c.fetches = slots, stages, fetches
-	c.depth = d
-	c.nextSlot = 0
 }
 
 // Send transmits a request payload to the server (client_send): one RDMA
@@ -407,7 +332,7 @@ func (c *Client) replyDue() bool {
 // Close tears the connection down: the server-side flag is marked closed
 // (Serve loops drop the connection from their polling sets), the local
 // reply-landing region and the endpoint lease are released, and the client
-// leaves its fan-out group. Further calls return ErrClosed, and
+// leaves its fan-out group and its tuner. Further calls return ErrClosed, and
 // every in-flight posted request resolves with ErrClosed on its next Poll —
 // a definite outcome for each handle, so callers can release the request
 // buffers they own.
@@ -415,10 +340,6 @@ func (c *Client) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil
 	}
-	// A deferred F/depth change can never land once the connection closes —
-	// the ring will not quiesce into further posts — so drop it; a late
-	// claim must not reshape a dead ring.
-	c.pendingF, c.pendingDepth = 0, 0
 	if c.needReconnect && c.recoveryOn() {
 		// Best effort: tear-down wants to reach the (restarted) server's
 		// flag byte so its Serve loops drop the connection.
@@ -442,6 +363,7 @@ func (c *Client) Close(p *sim.Proc) error {
 	if c.group != nil {
 		c.group.remove(c)
 	}
+	c.AttachTuner(nil)
 	return err
 }
 

@@ -63,10 +63,10 @@ type Params struct {
 	DemoteAfter int
 
 	// MaxDepth is the ring's slot capacity: the largest depth SetDepth may
-	// resize the ring to at runtime. Region registration is a control-path
-	// operation whose buffer locations are exchanged exactly once (paper
-	// Sec. 3.1), so Accept sizes the registered region for MaxDepth slots
-	// up front and resizes only reallocate client-local slot arrays. Zero
+	// set at runtime. Region registration is a control-path operation
+	// whose buffer locations are exchanged exactly once (paper Sec. 3.1),
+	// so Accept sizes the registered region and the client's slot arrays
+	// for MaxDepth slots up front, and a depth change allocates nothing. Zero
 	// means "same as Depth": fixed-depth connections pay no extra memory,
 	// and depth-1 defaults keep the seed's single-slot layout byte for
 	// byte. Clamped to [Depth, the MaxDepth constant].

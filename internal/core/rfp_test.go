@@ -197,6 +197,58 @@ func TestNoSecondReadWhenFCovers(t *testing.T) {
 	}
 }
 
+// TestFetchSizeAppliesPerCall: a call reads with the F it was posted with.
+// One call posted at F = 64, a second posted after SetFetchSize(1024), both
+// answered with 500 B: only the first needs a continuation read.
+func TestFetchSizeAppliesPerCall(t *testing.T) {
+	r := newRig(t, 1, ServerConfig{MaxResponse: 2048})
+	params := DefaultParams()
+	params.F = 64
+	params.Depth = 2
+	cli, conn := r.srv.Accept(r.cluster.Clients[0], params)
+	r.srv.AddThreads(1)
+	val := bytes.Repeat([]byte{0x5A}, 500)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{conn}, func(p *sim.Proc, c *Conn, req, resp []byte) int {
+			return copy(resp, val)
+		})
+	})
+	ok := false
+	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 2048)
+		h1, err := cli.Post(p, []byte("a"))
+		if err != nil {
+			t.Errorf("post at F=64: %v", err)
+			return
+		}
+		cli.SetFetchSize(1024)
+		if f := cli.Params().F; f != 1024 {
+			t.Errorf("F = %d with a call in flight, want 1024", f)
+		}
+		h2, err := cli.Post(p, []byte("b"))
+		if err != nil {
+			t.Errorf("post at F=1024: %v", err)
+			return
+		}
+		for i, h := range []Handle{h1, h2} {
+			n, err := cli.Poll(p, h, out)
+			if err != nil || !bytes.Equal(out[:n], val) {
+				t.Errorf("poll %d: %d bytes, err %v", i, n, err)
+				return
+			}
+			if cli.Stats.SecondReads != 1 {
+				t.Errorf("SecondReads = %d after claim %d, want 1", cli.Stats.SecondReads, i)
+				return
+			}
+		}
+		ok = true
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	if !ok {
+		t.Fatal("did not complete")
+	}
+}
+
 func TestRetriesUnderSlowServer(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	params := DefaultParams()

@@ -24,11 +24,10 @@ package core
 // one small Write rewrites its own request's mode byte. A reply-mode
 // response reporting a short process time switches later posts back, at no
 // cost: the next request says it. Other calls in flight finish in their
-// own mode, so the mode never waits for the ring. Ring geometry does: a
-// resize (SetDepth), an F change and a reconnect apply only once the ring
-// quiesces (outstanding == 0), and a pending resize enforces it — Post
-// reports ErrRingFull — so a driver that claims whenever its ring is full
-// drains it without knowing a resize is on the way.
+// own mode, so the mode never waits for the ring. F and depth are per-call
+// values too: a call reads with the F it was posted with, and a new depth
+// bounds only the posts after it (SetDepth). A reconnect alone waits for
+// the ring to quiesce (outstanding == 0).
 
 import (
 	"errors"
@@ -42,9 +41,8 @@ import (
 
 // Ring errors.
 var (
-	// ErrRingFull reports a Post with every slot already in flight, or
-	// with a resize (SetDepth) waiting for the ring to drain: claim an
-	// earlier handle and post again.
+	// ErrRingFull reports a Post with Depth calls already in flight: claim
+	// an earlier handle and post again.
 	ErrRingFull = errors.New("core: request ring full")
 	// ErrRingBusy reports a synchronous Send/Call while requests are still
 	// in flight — posted handles, or an earlier Send awaiting its Recv;
@@ -81,6 +79,7 @@ type slot struct {
 	state   slotPhase
 	seq     uint16
 	mode    Mode // the delivery mode the call's request carries
+	f       int  // length of the call's first fetch read (fetchLen at post)
 	writes  int  // request writes completed for this call (post + resends)
 	reads   int  // fetch reads completed for this call
 	failed  int  // failed fetch attempts for this call
@@ -131,11 +130,10 @@ func (c *Client) ringID(kind, slot int, seq uint16) uint64 {
 func (c *Client) Depth() int { return c.depth }
 
 // stage is the front half of client_send in both its forms — Send and Post
-// stage a call through it. It first settles what was deferred to a quiesced
-// ring (a reconnect, an F or depth change), then claims a free slot, arms
-// its recovery timers, copies header, the client's mode and payload into
-// the slot's staging buffer and posts the request write. It returns the
-// slot.
+// stage a call through it. It first runs a reconnect deferred to a quiesced
+// ring, then claims a free slot below the depth, arms its recovery timers,
+// records the call's mode and F, copies header, mode and payload into the
+// slot's staging buffer and posts the request write. It returns the slot.
 //
 //rfp:hotpath
 func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
@@ -150,29 +148,25 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 		if c.outstanding > 0 {
 			// In-flight handles were resolved with the fatal error; they
 			// must be claimed before the ring can re-register its buffers
-			// (the quiesce rule, exactly as for resizes).
+			// (the quiesce rule).
 			return 0, ErrReconnect
 		}
 		if err := c.reconnectBlocking(p); err != nil {
 			return 0, err
 		}
 	}
-	// A parameter change decided while the ring was busy applies once it
-	// has quiesced (see the file comment); a pending resize admits no post
-	// until then.
-	if c.pendingDepth != 0 && c.outstanding > 0 {
+	// Fewer than depth calls in flight leave a free slot below depth, even
+	// when calls posted before a shrink still hold higher ones.
+	if c.outstanding >= c.depth {
 		return 0, ErrRingFull
 	}
-	c.applyPendingParams()
 	si := c.nextSlot
-	for n := 0; c.slots[si].state != slotFree; si = (si + 1) % c.depth {
-		if n++; n == c.depth {
-			return 0, ErrRingFull
-		}
+	for c.slots[si].state != slotFree {
+		si = (si + 1) % c.depth
 	}
 	c.nextSlot = (si + 1) % c.depth
 	c.seq++
-	c.slots[si] = slot{state: slotPosted, seq: c.seq, mode: c.mode, reqLen: len(req), postedAt: start}
+	c.slots[si] = slot{state: slotPosted, seq: c.seq, mode: c.mode, f: c.fetchLen(), reqLen: len(req), postedAt: start}
 	if c.recoveryOn() {
 		now := p.Now()
 		c.slots[si].deadline = now.Add(sim.Duration(c.params.DeadlineNs))
@@ -202,7 +196,7 @@ func (c *Client) stage(p *sim.Proc, req []byte, start sim.Time) (int, error) {
 // the caller may reuse req as soon as it does — but not before: like Send,
 // Post may yield (reconnect) ahead of staging, and req must not change
 // until it returns. The returned handle must be redeemed with Poll.
-// With every slot in flight, or a resize pending, Post returns ErrRingFull.
+// With Depth calls in flight, Post returns ErrRingFull.
 //
 //rfp:hotpath
 func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
@@ -222,7 +216,7 @@ func (c *Client) Post(p *sim.Proc, req []byte) (Handle, error) {
 //
 //rfp:hotpath
 func (c *Client) Poll(p *sim.Proc, h Handle, out []byte) (int, error) {
-	if h.slot < 0 || h.slot >= c.depth {
+	if h.slot < 0 || h.slot >= len(c.slots) {
 		return 0, ErrBadHandle
 	}
 	sl := &c.slots[h.slot]
@@ -294,11 +288,6 @@ func (c *Client) claim(p *sim.Proc, si int, out []byte) (int, error) {
 func (c *Client) releaseSlot(i int) {
 	c.slots[i] = slot{}
 	c.outstanding--
-	// The claim that empties the ring is the other quiesce point (besides
-	// Post/Send): deferred F/depth changes land here, so a decision takes
-	// effect as soon as the ring drains even if the caller never posts
-	// again.
-	c.applyPendingParams()
 }
 
 // inFlight reports what the ring waits on: a completion the hardware owes
@@ -441,8 +430,8 @@ func (c *Client) replyIn(i int) (header, bool) {
 	return hdr, hdr.valid && hdr.seq == c.slots[i].seq
 }
 
-// fetchWR is slot i's fetch read: the first F bytes of its response area
-// (just the header under NoInline).
+// fetchWR is slot i's fetch read: the first F bytes of its response area,
+// with the F the call was posted with (just the header under NoInline).
 //
 //rfp:hotpath
 func (c *Client) fetchWR(i int) rnic.WR {
@@ -451,7 +440,7 @@ func (c *Client) fetchWR(i int) rnic.WR {
 		Op:     rnic.WRRead,
 		Remote: c.server,
 		Roff:   respOffAt(c.srv.cfg, i),
-		Local:  c.fetches[i][:c.fetchLen()],
+		Local:  c.fetches[i][:c.slots[i].f],
 	}
 }
 
@@ -502,8 +491,7 @@ func (c *Client) replyNap(p *sim.Proc) {
 }
 
 // handleCQE routes one completion to its slot, reporting whether any state
-// advanced. Stale completions — for a slot beyond the ring, or a seq
-// already claimed — are dropped.
+// advanced. Stale completions — a seq already claimed — are dropped.
 //
 //rfp:hotpath
 func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
@@ -511,8 +499,8 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 	si := int(e.ID >> 8 & 0xffffff)
 	seq := uint16(e.ID >> 32)
 	if si >= len(c.slots) {
-		// Stale completion for a slot beyond the current depth (the ring
-		// shrank since it was posted): nothing references it any more.
+		// Guard only: every WR this client posts names a slot below its
+		// capacity.
 		return false
 	}
 	sl := &c.slots[si]
@@ -577,7 +565,7 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 			// hybrid switch. A switched call's fallback fetch comes round
 			// again in fallbackFetchNs.
 			sl.failed++
-			c.callEvent(trace.FetchMiss, p.Now(), p.Now(), si, sl.seq, c.fetchLen())
+			c.callEvent(trace.FetchMiss, p.Now(), p.Now(), si, sl.seq, sl.f)
 			sl.state = slotWaiting
 			if sl.mode == ModeReply {
 				sl.fallbackAt = p.Now().Add(sim.Duration(fallbackFetchNs))
@@ -602,10 +590,9 @@ func (c *Client) handleCQE(p *sim.Proc, e rnic.CQE) bool {
 			return true
 		}
 		sl.hdr = hdr
-		if total := HeaderSize + hdr.size; total > c.fetchLen() {
+		if f, total := sl.f, HeaderSize+hdr.size; total > f {
 			// The inline size field tells us exactly what remains: one
 			// continuation read, no size-probe round trip.
-			f := c.fetchLen()
 			c.qp.Post(p, c.lease.PostCQ(), rnic.WR{
 				ID:     c.ringID(wrKindFetch2, si, sl.seq),
 				Op:     rnic.WRRead,

@@ -162,11 +162,12 @@ func TestRingFullAndBusy(t *testing.T) {
 	}
 }
 
-// TestRingPendingResizeFillsRing checks that core enforces its own resize
-// rule: after SetDepth on a busy ring, Post reports ErrRingFull until the
-// last in-flight handle is claimed, and the next Post lands at the new
-// depth, so a driver that claims on a full ring drains for the resize.
-func TestRingPendingResizeFillsRing(t *testing.T) {
+// TestRingDepthChangeInFlight checks that a depth change applies at once,
+// with calls in flight: a grow from 4 to 8 admits posts into the new slots
+// immediately, and a shrink from 8 to 2 refuses posts until fewer than 2
+// calls are outstanding, while the calls holding slots 2 and up still Poll
+// cleanly and the next post takes a slot below the new depth.
+func TestRingDepthChangeInFlight(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	params := DefaultParams()
 	params.Depth = 4
@@ -180,38 +181,60 @@ func TestRingPendingResizeFillsRing(t *testing.T) {
 	r.cluster.Clients[0].Spawn("cli", func(p *sim.Proc) {
 		out := make([]byte, 64)
 		var hs []Handle
-		for i := 0; i < 3; i++ { // one slot of the four stays free
+		post := func(i int) bool {
 			h, err := cli.Post(p, []byte{byte(i)})
 			if err != nil {
-				t.Errorf("post %d: %v", i, err)
-				return
+				t.Errorf("post %d with %d in flight at depth %d: %v", i, len(hs), cli.Depth(), err)
+				return false
 			}
 			hs = append(hs, h)
+			return true
 		}
-		cli.SetDepth(8)
-		for i, h := range hs {
-			if _, err := cli.Post(p, []byte("early")); err != ErrRingFull {
-				t.Errorf("post with %d handles in flight and a resize pending: err = %v, want ErrRingFull", len(hs)-i, err)
-				return
-			}
-			if _, err := cli.Poll(p, h, out); err != nil {
-				t.Errorf("poll %d: %v", i, err)
+		for i := 0; i < 4; i++ {
+			if !post(i) {
 				return
 			}
 		}
-		if cli.Depth() != 8 {
-			t.Errorf("depth %d after the last claim, want 8", cli.Depth())
+		if _, err := cli.Post(p, []byte("over")); err != ErrRingFull {
+			t.Errorf("post past depth 4: err = %v, want ErrRingFull", err)
 			return
 		}
-		for i := 0; i < 8; i++ {
-			if _, err := cli.Post(p, []byte{byte(i)}); err != nil {
-				t.Errorf("post %d at the new depth: %v", i, err)
+		cli.SetDepth(8)
+		for i := 4; i < 8; i++ {
+			if !post(i) {
 				return
 			}
 		}
 		if _, err := cli.Post(p, []byte("over")); err != ErrRingFull {
 			t.Errorf("post past depth 8: err = %v, want ErrRingFull", err)
 			return
+		}
+		cli.SetDepth(2)
+		for i, h := range hs[:7] {
+			if _, err := cli.Post(p, []byte("early")); err != ErrRingFull {
+				t.Errorf("post with %d in flight at depth 2: err = %v, want ErrRingFull", len(hs)-i, err)
+				return
+			}
+			n, err := cli.Poll(p, h, out)
+			if err != nil || n != 1 || out[0] != byte(i) {
+				t.Errorf("poll %d (slot %d): n=%d out=%d err=%v, want its echo", i, h.slot, n, out[0], err)
+				return
+			}
+		}
+		h, err := cli.Post(p, []byte{8})
+		if err != nil {
+			t.Errorf("post with one call in flight at depth 2: %v", err)
+			return
+		}
+		if h.slot >= 2 {
+			t.Errorf("post after the shrink took slot %d, want one below 2", h.slot)
+			return
+		}
+		for i, h := range []Handle{hs[7], h} {
+			if n, err := cli.Poll(p, h, out); err != nil || n != 1 || out[0] != byte(7+i) {
+				t.Errorf("last poll %d: n=%d out=%d err=%v", i, n, out[0], err)
+				return
+			}
 		}
 		ok = true
 	})
@@ -497,11 +520,11 @@ func BenchmarkRingDepth(b *testing.B) {
 	}
 }
 
-// TestRingResizeUnderTraffic drives depth-8 traffic while resizing the ring
-// (shrink, grow to capacity, and back), checking the quiesce rule end to
-// end: a resize requested with posts in flight stays pending, lands exactly
-// when the ring drains, and never loses a completion or leaks a request
-// buffer from the registered region.
+// TestRingResizeUnderTraffic drives depth-8 traffic while changing the depth
+// (shrink, grow to capacity, and back) with a full wave in flight, end to
+// end: the new depth applies at once, the wave drains without losing a
+// completion, the next wave fills exactly the new depth, and no request
+// buffer leaks from the registered region.
 func TestRingResizeUnderTraffic(t *testing.T) {
 	const depth = 8
 	r := newRig(t, 1, ServerConfig{})
@@ -569,23 +592,17 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 				return
 			}
 			cli.SetDepth(newDepth)
-			// In flight: the resize must defer, not reshape the live ring.
-			if cli.Depth() == newDepth || cli.pendingDepth != newDepth {
-				t.Errorf("SetDepth(%d) in flight: depth=%d pending=%d, want deferred",
-					newDepth, cli.Depth(), cli.pendingDepth)
+			// In flight: the new depth applies at once, and the wave posted
+			// at the old one drains under it.
+			if cli.Depth() != newDepth {
+				t.Errorf("SetDepth(%d) in flight: depth=%d", newDepth, cli.Depth())
 				return
 			}
 			if !drain() {
 				return
 			}
-			// Quiesced: the pending depth landed with the last completion.
-			if cli.Depth() != newDepth || cli.pendingDepth != 0 {
-				t.Errorf("after drain: depth=%d pending=%d, want %d/0",
-					cli.Depth(), cli.pendingDepth, newDepth)
-				return
-			}
-			// A full wave at the new geometry completes cleanly, and the
-			// ring bound moved with the resize.
+			// A full wave at the new depth completes cleanly, and the ring
+			// bound moved with it.
 			if !postWave() {
 				return
 			}
@@ -597,11 +614,10 @@ func TestRingResizeUnderTraffic(t *testing.T) {
 				return
 			}
 		}
-		// Clamped above capacity: applies immediately (ring is idle).
+		// Clamped above capacity.
 		cli.SetDepth(99)
-		if cli.Depth() != cli.maxDepth || cli.pendingDepth != 0 {
-			t.Errorf("SetDepth(99): depth=%d pending=%d, want clamp to %d",
-				cli.Depth(), cli.pendingDepth, cli.maxDepth)
+		if cli.Depth() != cli.maxDepth {
+			t.Errorf("SetDepth(99): depth=%d, want clamp to %d", cli.Depth(), cli.maxDepth)
 			return
 		}
 		if live := alloc.LiveAllocs(); live != 0 {

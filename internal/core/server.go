@@ -448,12 +448,11 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 	params = params.withDefaults()
 	params.F = min(max(params.F, HeaderSize+1), HeaderSize+s.cfg.MaxResponse)
 
-	// The region (and the client's reply landing) are registered for the
-	// ring's slot *capacity*, not its active depth: registration exchanges
-	// buffer locations exactly once, so a runtime resize (Client.SetDepth)
-	// only ever reallocates client-local slot arrays. The server scans all
+	// The region, the client's reply landing and its slot arrays are all
+	// sized for the ring's slot *capacity*, not its active depth:
+	// registration exchanges buffer locations exactly once, so a runtime
+	// depth change (Client.SetDepth) allocates nothing. The server scans all
 	// capacity slots — inactive ones simply never hold a valid request.
-	depth := params.Depth
 	capacity := params.MaxDepth
 	res, err := s.leaseResources(clientMachine, capacity)
 	if err != nil {
@@ -473,15 +472,15 @@ func (s *Server) TryAccept(clientMachine *fabric.Machine, params Params) (*Clien
 		params:     params,
 		srv:        s,
 		conn:       conn,
-		depth:      depth,
+		depth:      params.Depth,
 		maxDepth:   capacity,
 		respStride: respArea(s.cfg),
 		napIdleNs:  max(0, params.ReplyPollNs-clientMachine.Profile().LocalPollNs),
-		slots:      make([]slot, depth),
-		stages:     make([][]byte, depth),
-		fetches:    make([][]byte, depth),
+		slots:      make([]slot, capacity),
+		stages:     make([][]byte, capacity),
+		fetches:    make([][]byte, capacity),
 	}
-	for i := 0; i < depth; i++ {
+	for i := 0; i < capacity; i++ {
 		cli.stages[i] = make([]byte, HeaderSize+s.cfg.MaxRequest)
 		cli.fetches[i] = make([]byte, HeaderSize+s.cfg.MaxResponse)
 	}

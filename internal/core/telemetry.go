@@ -71,7 +71,7 @@ func (t *Tuner) SetRecorder(rec *telemetry.Recorder) { t.rec = rec }
 
 // logDecision records one re-selection outcome with the sample window that
 // justified it.
-func (t *Tuner) logDecision(p *sim.Proc, c *Client, param string, old, new int, deferred bool) {
+func (t *Tuner) logDecision(p *sim.Proc, c *Client, param string, old, new int) {
 	rec := t.rec
 	if rec == nil {
 		rec = c.rec
@@ -84,7 +84,6 @@ func (t *Tuner) logDecision(p *sim.Proc, c *Client, param string, old, new int, 
 		Window:       len(t.sampler.Sizes),
 		MedianSize:   median(t.sampler.Sizes),
 		MedianProcNs: median(t.sampler.ProcTimes),
-		Deferred:     deferred,
 	})
 }
 

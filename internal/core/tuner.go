@@ -17,10 +17,9 @@ import (
 
 // Three knobs hang off the same window: F (SelectF, Eq. 2), R (SelectR,
 // Eq. 1's bound), and — with TuneDepth — the request-ring depth
-// (SelectDepth, the pipelining extension). F and depth changes go through
-// the clients' quiesce path (SetFetchSize / SetDepth), so a re-selection
-// never races a post in flight; while a depth change waits for the ring to
-// drain, Post reports ErrRingFull.
+// (SelectDepth, the pipelining extension). F and depth apply per call
+// (SetFetchSize / SetDepth): calls in flight finish with the values they
+// were posted with, and the next post takes the new ones.
 
 // Tuner adapts a connection's R, F — and optionally ring depth — from
 // on-line samples.
@@ -37,10 +36,10 @@ type Tuner struct {
 	TuneR bool
 
 	// TuneDepth controls whether the ring depth is re-selected as well —
-	// the control plane's third knob. Off by default: a resize reshapes
-	// the ring (quiesce plus slot-array reallocation), so callers running
-	// pipelined load opt in; a driver that claims on ErrRingFull drains
-	// the ring for it.
+	// the control plane's third knob, bounded by each client's MaxDepth.
+	// Off by default: only callers running pipelined load gain from it. A
+	// shrink makes Post report ErrRingFull until the calls above the new
+	// depth are claimed.
 	TuneDepth bool
 
 	// Retunes counts how many times re-selection changed a parameter.
@@ -83,14 +82,13 @@ func (t *Tuner) observe(p *sim.Proc, c *Client, respSize int, procNs int64) {
 	}
 	changed := false
 	for _, cc := range t.clients {
-		if f := cc.clampF(newF); f != cc.params.F && f != cc.pendingF {
-			oldF := cc.params.F
+		if f := cc.clampF(newF); f != cc.params.F {
+			t.logDecision(p, cc, "F", cc.params.F, f)
 			cc.SetFetchSize(f)
-			t.logDecision(p, cc, "F", oldF, f, cc.pendingF != 0)
 			changed = true
 		}
 		if t.TuneR && newR != cc.params.R {
-			t.logDecision(p, cc, "R", cc.params.R, newR, false)
+			t.logDecision(p, cc, "R", cc.params.R, newR)
 			cc.params.R = newR
 			changed = true
 		}
@@ -98,10 +96,9 @@ func (t *Tuner) observe(p *sim.Proc, c *Client, respSize int, procNs int64) {
 			// Depth is bounded per client by its ring capacity, so the
 			// enumeration runs against each client's own MaxDepth.
 			d := SelectDepth(t.cal, newF, t.sampler.Sizes, t.sampler.ProcTimes, cc.maxDepth)
-			if d != cc.targetDepth() {
-				oldD := cc.targetDepth()
+			if d != cc.depth {
+				t.logDecision(p, cc, "depth", cc.depth, d)
 				cc.SetDepth(d)
-				t.logDecision(p, cc, "depth", oldD, d, cc.pendingDepth != 0)
 				changed = true
 			}
 		}

@@ -146,6 +146,55 @@ func TestTunerSharedAcrossClients(t *testing.T) {
 	}
 }
 
+// TestTunerDropsClosedClient: Close detaches the client from a shared
+// tuner, so re-selections driven by the surviving client neither retune nor
+// log the closed connection.
+func TestTunerDropsClosedClient(t *testing.T) {
+	r := newRig(t, 2, ServerConfig{MaxResponse: 2048})
+	tuner := NewTuner(Calibrate(hw.ConnectX3(), 1), 64, 32)
+	rec := telemetry.New(telemetry.Config{})
+	tuner.SetRecorder(rec)
+	cliA, connA := r.srv.Accept(r.cluster.Clients[0], DefaultParams())
+	cliB, connB := r.srv.Accept(r.cluster.Clients[1], DefaultParams())
+	cliA.AttachTuner(tuner)
+	cliB.AttachTuner(tuner)
+	r.srv.AddThreads(1)
+	r.srv.Machine().Spawn("srv", func(p *sim.Proc) {
+		Serve(p, []*Conn{connA, connB}, func(p *sim.Proc, c *Conn, req, resp []byte) int { return 600 })
+	})
+	r.cluster.Clients[0].Spawn("close", func(p *sim.Proc) {
+		if err := cliA.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	r.env.Run(sim.Time(sim.Millisecond))
+	f0 := cliB.Params().F
+	r.cluster.Clients[1].Spawn("cli", func(p *sim.Proc) {
+		out := make([]byte, 2048)
+		for k := 0; k < 4*32; k++ {
+			if _, err := cliB.Call(p, []byte("q"), out); err != nil {
+				t.Errorf("call %d: %v", k, err)
+				return
+			}
+		}
+	})
+	r.env.Run(sim.Time(20 * sim.Millisecond))
+	if cliB.Params().F == f0 {
+		t.Fatalf("F stayed %d: no period changed it", f0)
+	}
+	if len(tuner.clients) != 1 || tuner.clients[0] != cliB {
+		t.Errorf("tuner holds %d clients after a close, want the survivor alone", len(tuner.clients))
+	}
+	if cliA.Tuner() != nil {
+		t.Error("closed client still reports its tuner")
+	}
+	for _, d := range rec.Snapshot().Decisions {
+		if d.Conn == connA.id {
+			t.Errorf("decision logged for the closed connection: %v", d)
+		}
+	}
+}
+
 func TestTunerDetach(t *testing.T) {
 	r := newRig(t, 1, ServerConfig{})
 	cli, _ := r.srv.Accept(r.cluster.Clients[0], DefaultParams())

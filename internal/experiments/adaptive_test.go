@@ -70,8 +70,8 @@ func TestExtAdaptiveDepthRows(t *testing.T) {
 }
 
 // TestExtAdaptiveDepthDeterminism runs the adaptive experiment twice at the
-// same seed; the control plane (sampling, re-selection, quiesce-resize)
-// must not introduce run-to-run divergence.
+// same seed; the control plane (sampling, re-selection, per-call depth
+// changes) must not introduce run-to-run divergence.
 func TestExtAdaptiveDepthDeterminism(t *testing.T) {
 	assertReplays(t, "ext-adaptive-depth")
 }

@@ -117,8 +117,8 @@ func TestSnapshotConcurrentWithSetDepthAndClose(t *testing.T) {
 			if i%50 == 0 {
 				cli.SetDepth(depths[(i/50)%len(depths)])
 			}
-			// A deferred depth change reports a full ring until the
-			// claims below drain it.
+			// After a shrink, Post reports a full ring until the claims
+			// below bring the calls in flight under the new depth.
 			for len(hs) < cli.Depth() {
 				h, err := cli.Post(p, req)
 				if err == core.ErrRingFull {

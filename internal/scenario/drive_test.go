@@ -137,7 +137,7 @@ func TestPipelinedWindowIsRingCapacity(t *testing.T) {
 	sc.SetRecorder(rec)
 	gets := []Phase{{Name: "gets", Duration: 50 * sim.Microsecond, Workload: workload.Config{Keys: keys, GetFraction: 1}}}
 	run := func(depth int, extraNs int64) (peak int, meanNs float64) {
-		sc.Server(0).Conns()[0].SetDepth(depth) // the ring is idle: applies at once
+		sc.Server(0).Conns()[0].SetDepth(depth) // applies to the next post
 		b.SetExtraProcNs(extraNs)
 		before := rec.Snapshot()
 		obs, _ := Drive(env, b, placements, gets, 1)

@@ -234,19 +234,14 @@ type Decision struct {
 	Window       int   // samples in the window
 	MedianSize   int   // median response size over the window (bytes)
 	MedianProcNs int64 // median server processing time over the window
-	Deferred     bool  // change staged, applied at the next ring quiesce
 }
 
 // String renders one decision log line.
 func (d Decision) String() string {
-	tag := ""
-	if d.Deferred {
-		tag = " (deferred)"
-	}
 	if d.Window > 0 {
-		return fmt.Sprintf("t=%-9v conn=%-2d %-6s %d -> %d%s  [window %d, median size %dB, median proc %dns]",
-			d.At, d.Conn, d.Param, d.Old, d.New, tag, d.Window, d.MedianSize, d.MedianProcNs)
+		return fmt.Sprintf("t=%-9v conn=%-2d %-6s %d -> %d  [window %d, median size %dB, median proc %dns]",
+			d.At, d.Conn, d.Param, d.Old, d.New, d.Window, d.MedianSize, d.MedianProcNs)
 	}
-	return fmt.Sprintf("t=%-9v conn=%-2d %-6s %d -> %d%s",
-		d.At, d.Conn, d.Param, d.Old, d.New, tag)
+	return fmt.Sprintf("t=%-9v conn=%-2d %-6s %d -> %d",
+		d.At, d.Conn, d.Param, d.Old, d.New)
 }

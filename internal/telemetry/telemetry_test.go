@@ -116,15 +116,15 @@ func TestDecisionLogBounded(t *testing.T) {
 
 func TestDecisionString(t *testing.T) {
 	d := Decision{At: 1500, Conn: 2, Param: "F", Old: 256, New: 640,
-		Window: 2048, MedianSize: 512, MedianProcNs: 1800, Deferred: true}
+		Window: 2048, MedianSize: 512, MedianProcNs: 1800}
 	got := d.String()
-	for _, frag := range []string{"conn=2", "F", "256 -> 640", "(deferred)", "window 2048", "median size 512B", "median proc 1800ns"} {
+	for _, frag := range []string{"conn=2", "F", "256 -> 640", "window 2048", "median size 512B", "median proc 1800ns"} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("String() = %q missing %q", got, frag)
 		}
 	}
 	bare := Decision{Conn: -1, Param: "demote", Old: 0, New: 1}.String()
-	if strings.Contains(bare, "window") || strings.Contains(bare, "deferred") {
+	if strings.Contains(bare, "window") {
 		t.Fatalf("bare decision rendered justification: %q", bare)
 	}
 }
